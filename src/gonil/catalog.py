@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from gonil.double_ext import DegeneracyTag, ExtensionData, classify_degeneracy, extend2
-from gonil.go_engine import linear_go_certificate
+from gonil.go_engine import linear_go_certificate, polarized_defects
 from gonil.isotropy import is_derivation, is_skew, isotropy_algebra
 from gonil.lie import (
     LieAlgebra,
@@ -26,7 +26,7 @@ from gonil.lie import (
     lower_central_series,
     nilpotency_step,
 )
-from gonil.linalg import Matrix, Subspace, Vec, to_vec
+from gonil.linalg import Matrix, Subspace, basis_vec, to_vec
 from gonil.metric import MetricLieAlgebra, SymForm, restrict_form
 
 
@@ -129,12 +129,6 @@ def paper_isotropy_operator(t: Sequence) -> Matrix:
     return Matrix(full)
 
 
-def _basis_vec(n: int, i: int) -> Vec:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
-
-
 def euclidean_abelian(n: int) -> MetricLieAlgebra:
     return MetricLieAlgebra.checked(abelian(n), SymForm(Matrix.identity(n)))
 
@@ -190,7 +184,7 @@ def _build_paper():
         "center_dim": Expected(7, "derived"),
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
-    witnesses = tuple(paper_isotropy_operator(_basis_vec(12, b)) for b in range(12))
+    witnesses = tuple(paper_isotropy_operator(basis_vec(12, b)) for b in range(12))
     return m, expected, witnesses
 
 
@@ -388,21 +382,21 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
     bad_member = [b for b, op in enumerate(witnesses) if not iso.contains(op)]
     record("witness_in_isotropy", not bad_member, f"membership fails at basis {bad_member}")
 
-    bad_polar = _polarized_orbit_defects(m, witnesses)
+    bad_polar = polarized_defects(m, witnesses) if len(witnesses) == n else [("missing witnesses",)]
     record(
         "go_polarized",
         not bad_polar,
         f"{len(bad_polar)} nonzero polarized values, first at {bad_polar[:1]}",
     )
 
-    ideal_1 = Subspace.span(n, [_basis_vec(n, i) for i in (_F1, _F2, _E1, _E2, _E3, _E4)])
+    ideal_1 = Subspace.span(n, [basis_vec(n, i) for i in (_F1, _F2, _E1, _E2, _E3, _E4)])
     abelian_rows = [
-        _basis_vec(n, _F3),
-        tuple(a + b for a, b in zip(_basis_vec(n, _F4), _basis_vec(n, _E2))),
-        tuple(a + b for a, b in zip(_basis_vec(n, _F5), _basis_vec(n, _E3))),
-        tuple(a - b for a, b in zip(_basis_vec(n, _F6), _basis_vec(n, _E1))),
-        _basis_vec(n, _F7),
-        _basis_vec(n, _F8),
+        basis_vec(n, _F3),
+        tuple(a + b for a, b in zip(basis_vec(n, _F4), basis_vec(n, _E2))),
+        tuple(a + b for a, b in zip(basis_vec(n, _F5), basis_vec(n, _E3))),
+        tuple(a - b for a, b in zip(basis_vec(n, _F6), basis_vec(n, _E1))),
+        basis_vec(n, _F7),
+        basis_vec(n, _F8),
     ]
     ideal_2 = Subspace.span(n, abelian_rows)
     record("ideal_1", is_ideal(alg, ideal_1), "span(f1,f2,e1..e4) is not an ideal")
@@ -414,38 +408,3 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
     linear = linear_go_certificate(m, iso)
     record("linear_go_feasible", linear is not None)
     return VerificationReport(tuple(records))
-
-
-def _polarized_orbit_defects(m: MetricLieAlgebra, witnesses: Sequence[Matrix]):
-    """Nonzero values of the polarized orbit identity over basis pairs.
-
-    The identity is quadratic in the tangent vector and linear in the probe,
-    so vanishing on all symmetric basis pairs (a <= b) against all probes c
-    is equivalent to the full statement for the linear witness family.
-    """
-    n = m.dim
-    bad = []
-    if len(witnesses) != n:
-        return [("missing witnesses",)]
-    for a in range(n):
-        ea = _basis_vec(n, a)
-        for b in range(a, n):
-            eb = _basis_vec(n, b)
-            for c in range(n):
-                ec = _basis_vec(n, c)
-                val = m.pair(
-                    tuple(
-                        x + y
-                        for x, y in zip(m.algebra.bracket_basis(a, c), witnesses[a] @ ec)
-                    ),
-                    eb,
-                ) + m.pair(
-                    tuple(
-                        x + y
-                        for x, y in zip(m.algebra.bracket_basis(b, c), witnesses[b] @ ec)
-                    ),
-                    ea,
-                )
-                if val != 0:
-                    bad.append((a, b, c, val))
-    return bad

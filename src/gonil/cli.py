@@ -35,7 +35,7 @@ from gonil.io import (
 )
 from gonil.isotropy import isotropy_algebra
 from gonil.lie import NotNilpotentError, center, lower_central_series, nilpotency_step
-from gonil.linalg import DimensionMismatch
+from gonil.linalg import DimensionMismatch, fmt_vec
 from gonil.metric import MetricLieAlgebra, PreconditionError, restrict_form
 
 EXIT_OK = 0
@@ -48,10 +48,6 @@ def _resolve_algebra(spec: str) -> MetricLieAlgebra:
         return build_example(spec[len("catalog:") :]).algebra
     m, _names = load_algebra(spec)
     return m
-
-
-def _fmt_vec(v) -> str:
-    return ",".join(str(x) for x in v)
 
 
 def _fmt_sig(sig) -> str:
@@ -93,7 +89,7 @@ def cmd_isotropy(args) -> int:
     print(f"ISOTROPY_DIM: {iso.dim}")
     for idx, op in enumerate(iso.basis):
         for r, row in enumerate(op.rows):
-            print(f"BASIS[{idx}].ROW[{r}]: {_fmt_vec(row)}")
+            print(f"BASIS[{idx}].ROW[{r}]: {fmt_vec(row)}")
     return EXIT_OK
 
 
@@ -113,12 +109,12 @@ def cmd_go_at(args) -> int:
     iso = isotropy_algebra(m)
     t = _parse_vector(args.vector)
     cert = go_certificate_at(m, iso, t)
-    print(f"T: {_fmt_vec(t)}")
+    print(f"T: {fmt_vec(t)}")
     if cert is None:
         print("RESULT: INFEASIBLE")
         return EXIT_REFUTED
     print("RESULT: FEASIBLE")
-    print(f"A_COEFFS: {_fmt_vec(cert.A_coeffs)}")
+    print(f"A_COEFFS: {fmt_vec(cert.A_coeffs)}")
     print(f"K: {cert.k}")
     return EXIT_OK
 
@@ -134,7 +130,7 @@ def cmd_linear_go(args) -> int:
         return EXIT_REFUTED
     print("RESULT: FEASIBLE")
     for j, row in enumerate(cert.coeffs.rows):
-        print(f"L[{j}]: {_fmt_vec(row)}")
+        print(f"L[{j}]: {fmt_vec(row)}")
     return EXIT_OK
 
 
@@ -146,7 +142,7 @@ def cmd_reduce(args) -> int:
     print(f"QUOTIENT_DIM: {result.m0.dim}")
     print(f"QUOTIENT_SIGNATURE: {_fmt_sig(result.m0.form.signature())}")
     for i, row in enumerate(result.complement_rows.rows):
-        print(f"COMPLEMENT[{i}]: {_fmt_vec(row)}")
+        print(f"COMPLEMENT[{i}]: {fmt_vec(row)}")
     if args.output:
         save_algebra(args.output, result.m0)
         print(f"WROTE: {args.output}")
@@ -210,7 +206,7 @@ def cmd_normal_forms(args) -> int:
         to_print = family.generators
     for idx, gen in enumerate(to_print):
         for r, row in enumerate(gen.rows):
-            print(f"GENERATOR[{idx}].ROW[{r}]: {_fmt_vec(row)}")
+            print(f"GENERATOR[{idx}].ROW[{r}]: {fmt_vec(row)}")
     return EXIT_OK
 
 

@@ -20,12 +20,14 @@ from gonil.lie import (
     bracket_subspaces,
     engel_flag,
 )
-from gonil.isotropy import OperatorSpace, is_adh_invariant, isotropy_algebra
+from gonil.isotropy import OperatorSpace, derivation_defect, is_adh_invariant, isotropy_algebra
 from gonil.linalg import (
     Matrix,
     SignatureTriple,
     Subspace,
     Vec,
+    basis_vec,
+    fmt_vec,
     solve_linear,
     to_vec,
     vec_add,
@@ -36,6 +38,7 @@ from gonil.metric import (
     PreconditionError,
     SymForm,
     orth_complement,
+    quotient_form,
     radical_of_restriction,
     restrict_form,
 )
@@ -113,16 +116,16 @@ class ReductionWitness:
         sig = self.case.restriction_signature
         out.append(f"RESTRICTION_SIGNATURE: {sig.p},{sig.q},{sig.r}")
         for i, row in enumerate(self.eg.basis.rows):
-            out.append(f"EG[{i}]: {_fmt(row)}")
+            out.append(f"EG[{i}]: {fmt_vec(row)}")
         for i, row in enumerate(self.m1.basis.rows):
-            out.append(f"M1[{i}]: {_fmt(row)}")
+            out.append(f"M1[{i}]: {fmt_vec(row)}")
         out.extend(self.checks.lines())
         if self.engel_pair is not None:
-            out.append(f"ENGEL_E1: {_fmt(self.engel_pair[0])}")
-            out.append(f"ENGEL_E2: {_fmt(self.engel_pair[1])}")
+            out.append(f"ENGEL_E1: {fmt_vec(self.engel_pair[0])}")
+            out.append(f"ENGEL_E2: {fmt_vec(self.engel_pair[1])}")
         if self.dual_pair is not None:
-            out.append(f"DUAL_F1: {_fmt(self.dual_pair[0])}")
-            out.append(f"DUAL_F2: {_fmt(self.dual_pair[1])}")
+            out.append(f"DUAL_F1: {fmt_vec(self.dual_pair[0])}")
+            out.append(f"DUAL_F2: {fmt_vec(self.dual_pair[1])}")
         return out
 
 
@@ -226,13 +229,14 @@ def _engel_split(m: MetricLieAlgebra, o: Subspace, s: Subspace):
         for x in o.basis.rows:
             image = m.algebra.bracket(sb, x)
             coords = o.coordinates(image)
-            assert coords is not None
+            if coords is None:
+                raise AssertionError("internal: [s, o] left o after the containment check")
             cols.append(coords)
         ops.append(Matrix(zip(*cols), ncols=o.dim))
     flag = engel_flag(ops)
     e2_coords = flag.spaces[0].basis.row(0)
-    e2 = _combine(o.basis, e2_coords)
-    e1 = _combine(o.basis, flag.basis.row(0))
+    e2 = o.basis.transpose() @ e2_coords
+    e1 = o.basis.transpose() @ flag.basis.row(0)
     eg = Subspace.span(m.dim, [e2])
     m1 = orth_complement(m, eg)
     f1, f2 = _dual_null_pair(m, e1, e2)
@@ -244,7 +248,8 @@ def _dual_null_pair(m: MetricLieAlgebra, e1: Vec, e2: Vec) -> tuple[Vec, Vec]:
     pairing = Matrix([m.form.gram @ e1, m.form.gram @ e2], ncols=m.dim)
     sol1 = solve_linear(pairing, [1, 0])
     sol2 = solve_linear(pairing, [0, 1])
-    assert sol1 is not None and sol2 is not None, "form is nondegenerate"
+    if sol1 is None or sol2 is None:
+        raise AssertionError("internal: no vectors pairing with the null pair")
     u1, u2 = sol1.particular, sol2.particular
     f1 = vec_add(u1, vec_scale(-m.pair(u1, u1) / 2, e1))
     f2 = vec_add(
@@ -275,14 +280,15 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     """
     witness = reduction_witness(m, h)
     eg, m1 = witness.eg, witness.m1
-    comp = eg.complement_rows_within(m1)
+    form, comp = quotient_form(m, m1, eg)
     k = comp.nrows
     basis_rows = list(comp.rows) + list(eg.basis.rows)
     solver = Matrix(basis_rows, ncols=m.dim).transpose()
 
     def comp_coords(vec) -> Vec:
         sol = solve_linear(solver, vec)
-        assert sol is not None, "vector must lie in m1"
+        if sol is None:
+            raise AssertionError("internal: vector outside m1")
         return sol.particular[:k]
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -293,9 +299,7 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
             entry = {t: c for t, c in enumerate(coords) if c}
             if entry:
                 brackets[(i, j)] = entry
-    algebra = LieAlgebra(k, brackets)
-    form = SymForm(comp @ m.form.gram @ comp.transpose())
-    m0 = MetricLieAlgebra.checked(algebra, form)
+    m0 = MetricLieAlgebra.checked(LieAlgebra(k, brackets), form)
 
     d = eg.dim
     sig = m.form.signature()
@@ -342,18 +346,16 @@ class ExtensionData:
         if not d.is_nilpotent():
             raise ExtensionDataError("derivation is not nilpotent")
         alg = m0.algebra
+        defect = derivation_defect(alg, d)
+        if defect is not None:
+            raise ExtensionDataError(f"derivation identity fails on pair ({defect[0]},{defect[1]})")
         for i in range(k):
             for j in range(i + 1, k):
-                lhs = d @ alg.bracket_basis(i, j)
-                rhs = vec_add(alg.bracket(d.column(i), _basis(k, j)),
-                              alg.bracket(_basis(k, i), d.column(j)))
-                if lhs != rhs:
-                    raise ExtensionDataError(f"derivation identity fails on pair ({i},{j})")
                 phi_val = sum(
                     (phi[t] * c for t, c in enumerate(alg.bracket_basis(i, j))), Fraction(0)
                 )
-                omega_val = _omega_pair(omega, d.column(i), _basis(k, j)) + _omega_pair(
-                    omega, _basis(k, i), d.column(j)
+                omega_val = _omega_pair(omega, d.column(i), basis_vec(k, j)) + _omega_pair(
+                    omega, basis_vec(k, i), d.column(j)
                 )
                 if phi_val != omega_val:
                     raise ExtensionDataError(
@@ -363,9 +365,9 @@ class ExtensionData:
             for j in range(i + 1, k):
                 for l in range(j + 1, k):
                     cyc = (
-                        _omega_pair(omega, _basis(k, i), alg.bracket_basis(j, l))
-                        + _omega_pair(omega, _basis(k, j), alg.bracket_basis(l, i))
-                        + _omega_pair(omega, _basis(k, l), alg.bracket_basis(i, j))
+                        _omega_pair(omega, basis_vec(k, i), alg.bracket_basis(j, l))
+                        + _omega_pair(omega, basis_vec(k, j), alg.bracket_basis(l, i))
+                        + _omega_pair(omega, basis_vec(k, l), alg.bracket_basis(i, j))
                     )
                     if cyc != 0:
                         raise ExtensionDataError(
@@ -428,22 +430,3 @@ def extend2(m0: MetricLieAlgebra, data: ExtensionData) -> MetricLieAlgebra:
         return MetricLieAlgebra.checked(algebra, SymForm(Matrix(gram)))
     except PreconditionError as exc:
         raise ExtensionDataError(f"extension failed validation: {exc}") from exc
-
-
-def _combine(basis: Matrix, coeffs: Sequence) -> Vec:
-    out = [Fraction(0)] * basis.ncols
-    for c, row in zip(to_vec(coeffs), basis.rows):
-        if c:
-            for j, a in enumerate(row):
-                out[j] += c * a
-    return tuple(out)
-
-
-def _basis(n: int, i: int) -> Vec:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
-
-
-def _fmt(v) -> str:
-    return ",".join(str(x) for x in v)

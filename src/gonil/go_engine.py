@@ -17,17 +17,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from gonil.isotropy import OperatorSpace, is_derivation, is_skew
 from gonil.linalg import (
     Matrix,
     Vec,
+    basis_vec,
     congruence_diagonalize,
+    fmt_vec,
     is_zero_vec,
     rational_sqrt,
     solve_linear,
     to_vec,
     vec_add,
+    vec_dot,
     vec_scale,
 )
 from gonil.metric import MetricLieAlgebra, restrict_form
@@ -104,7 +108,7 @@ class GOAuditReport:
         ]
         all_points = list(self.points)
         if self.null_point is not None:
-            out.append(f"NULL_SAMPLE: {_fmt_vec(self.null_point.T)}")
+            out.append(f"NULL_SAMPLE: {fmt_vec(self.null_point.T)}")
             all_points.append(self.null_point)
         else:
             out.append("NULL_SAMPLE: none")
@@ -113,17 +117,13 @@ class GOAuditReport:
             label = "null" if p.index < 0 else str(p.index)
             if p.feasible:
                 cert = p.certificate
-                out.append(f"CERT[{label}].T: {_fmt_vec(p.T)}")
-                out.append(f"CERT[{label}].A: {_fmt_vec(cert.A_coeffs)}")
+                out.append(f"CERT[{label}].T: {fmt_vec(p.T)}")
+                out.append(f"CERT[{label}].A: {fmt_vec(cert.A_coeffs)}")
                 out.append(f"CERT[{label}].K: {cert.k}")
             else:
-                out.append(f"FAILURE[{fail_idx}].T: {_fmt_vec(p.T)}")
+                out.append(f"FAILURE[{fail_idx}].T: {fmt_vec(p.T)}")
                 fail_idx += 1
         return out
-
-
-def _fmt_vec(v) -> str:
-    return ",".join(str(x) for x in v)
 
 
 def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
@@ -165,20 +165,19 @@ def go_certificate_at(
         return None
     coeffs, k = sol.particular[:-1], sol.particular[-1]
     cert = GOCertificate(t, coeffs, k)
-    _verify_certificate(m, h, cert)
+    _verify_certificate(h, cert, ad_t, gt)
     return cert
 
 
-def _verify_certificate(m: MetricLieAlgebra, h: OperatorSpace, cert: GOCertificate) -> None:
-    a = h.combine(cert.A_coeffs)
-    t = cert.T
-    for b in range(m.dim):
-        eb = [Fraction(0)] * m.dim
-        eb[b] = Fraction(1)
-        lhs = m.pair(vec_add(m.algebra.bracket(t, eb), a @ eb), t)
-        if lhs != cert.k * m.pair(t, eb):
-            raise AssertionError("internal: certificate fails its defining identity")
-    if m.pair(t, t) != 0 and cert.k != 0:
+def _verify_certificate(h: OperatorSpace, cert: GOCertificate, ad_t: Matrix, gt: Vec) -> None:
+    """Check (ad_T + A)^T G T = k G T, i.e. <[T, e_b] + A e_b, T> = k <T, e_b> for every b.
+
+    ad_t is the matrix of ad(T) and gt is G T, both as built for the solve.
+    """
+    lhs = (ad_t + h.combine(cert.A_coeffs)).transpose() @ gt
+    if lhs != vec_scale(cert.k, gt):
+        raise AssertionError("internal: certificate fails its defining identity")
+    if vec_dot(cert.T, gt) != 0 and cert.k != 0:
         raise AssertionError("internal: k must vanish on non-null vectors")
 
 
@@ -249,11 +248,8 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     check_subisotropy(m, h)
     n = m.dim
     nh = h.dim
-    gram = m.form.gram
-    paired = [gram @ op for op in h.basis]  # paired[j][b][c] = <D_j e_c, e_b>
-    bracket_pair = [
-        [gram @ m.algebra.bracket_basis(a, c) for c in range(n)] for a in range(n)
-    ]  # bracket_pair[a][c][b] = <[e_a, e_c], e_b>
+    paired = [m.form.gram @ op for op in h.basis]  # paired[j][b][c] = <D_j e_c, e_b>
+    low = m.lowered_brackets()
     rows = []
     rhs = []
     zero = Fraction(0)
@@ -267,7 +263,7 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
                         row[j * n + a] += pj[b, c]
                     if pj[a, c]:
                         row[j * n + b] += pj[a, c]
-                val = -bracket_pair[a][c][b] - bracket_pair[b][c][a]
+                val = -low[a][c][b] - low[b][c][a]
                 if any(row) or val:
                     rows.append(row)
                     rhs.append(val)
@@ -280,7 +276,8 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
         [sol.particular[j * n : (j + 1) * n] for j in range(nh)], ncols=n
     )
     cert = LinearGOCertificate(coeffs)
-    _verify_linear_certificate(m, h, cert)
+    if polarized_defects(m, [linear_witness_at(h, cert, basis_vec(n, a)) for a in range(n)]):
+        raise AssertionError("internal: linear certificate fails polarized identity")
     return cert
 
 
@@ -291,18 +288,29 @@ def linear_witness_at(h: OperatorSpace, cert: LinearGOCertificate, t) -> Matrix:
     return h.combine(coeffs)
 
 
-def _verify_linear_certificate(m: MetricLieAlgebra, h: OperatorSpace, cert: LinearGOCertificate) -> None:
+def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[int, int, int, Fraction]]:
+    """Nonzero values of the polarized orbit identity for the family T -> A(T).
+
+    ops[a] is A(e_a), one operator per basis vector.  For a <= b and every c
+    the identity reads
+
+        <[e_a, e_c] + A(e_a) e_c, e_b> + <[e_b, e_c] + A(e_b) e_c, e_a> = 0.
+
+    It is quadratic in T and linear in the probe, so vanishing on these basis
+    triples is equivalent to the full statement for a linear family.  The
+    defects come back as (a, b, c, value) in loop order.
+    """
     n = m.dim
-    ops = [linear_witness_at(h, cert, _basis(n, a)) for a in range(n)]
+    low = m.lowered_brackets()
+    paired = [m.form.gram @ op for op in ops]  # paired[a][b, c] = <A(e_a) e_c, e_b>
+    bad = []
     for a in range(n):
         for b in range(a, n):
             for c in range(n):
-                ec = _basis(n, c)
-                val = m.pair(
-                    vec_add(m.algebra.bracket_basis(a, c), ops[a] @ ec), _basis(n, b)
-                ) + m.pair(vec_add(m.algebra.bracket_basis(b, c), ops[b] @ ec), _basis(n, a))
+                val = low[a][c][b] + paired[a][b, c] + low[b][c][a] + paired[b][a, c]
                 if val != 0:
-                    raise AssertionError("internal: linear certificate fails polarized identity")
+                    bad.append((a, b, c, val))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -343,18 +351,13 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
         )
     violations = []
     rows = nprime.basis.rows
+    low = m.lowered_brackets()
     for a in range(m.dim):
-        ea = _basis(m.dim, a)
-        images = [m.algebra.bracket(ea, x) for x in rows]
+        lowered_ad = Matrix(low[a], ncols=m.dim)  # lowered_ad[c, b] = <[e_a, e_c], e_b>
+        images = [lowered_ad.transpose() @ x for x in rows]  # images[i][b] = <[e_a, x_i], e_b>
         for i in range(len(rows)):
             for j in range(i, len(rows)):
-                defect = m.pair(images[i], rows[j]) + m.pair(images[j], rows[i])
+                defect = vec_dot(images[i], rows[j]) + vec_dot(images[j], rows[i])
                 if defect != 0:
                     violations.append((a, i, j, defect))
     return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))
-
-
-def _basis(n: int, i: int) -> Vec:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)

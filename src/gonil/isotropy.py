@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from gonil.lie import LieAlgebra
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, kernel
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, basis_vec, kernel, vec_add
 from gonil.metric import MetricLieAlgebra, SymForm
 
 
@@ -24,13 +24,14 @@ class OperatorSpace:
     basis: tuple[Matrix, ...]
 
     @classmethod
-    def from_operators(cls, ambient_dim: int, ops, commutator_closed: bool = False) -> OperatorSpace:
+    def from_operators(cls, ambient_dim: int, ops) -> OperatorSpace:
         span = Subspace.span(ambient_dim * ambient_dim, [op.vectorize() for op in ops])
-        mats = tuple(Matrix.from_vector(v, ambient_dim) for v in span.basis.rows)
-        space = cls(ambient_dim, mats)
-        if commutator_closed:
-            space.verify_commutator_closed()
-        return space
+        return cls._from_rows(ambient_dim, span.basis.rows)
+
+    @classmethod
+    def _from_rows(cls, ambient_dim: int, rows) -> OperatorSpace:
+        """The space whose vectorized basis is the given reduced echelon rows."""
+        return cls(ambient_dim, tuple(Matrix.from_vector(v, ambient_dim) for v in rows))
 
     @property
     def dim(self) -> int:
@@ -69,8 +70,7 @@ class OperatorSpace:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionMismatch("operator spaces act on different dimensions")
         meet = self._span().intersect(other._span())
-        mats = tuple(Matrix.from_vector(v, self.ambient_dim) for v in meet.basis.rows)
-        return OperatorSpace(self.ambient_dim, mats)
+        return OperatorSpace._from_rows(self.ambient_dim, meet.basis.rows)
 
 
 def derivation_space(alg: LieAlgebra) -> OperatorSpace:
@@ -103,24 +103,25 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
                     row[m * n + k] -= c
                 if any(row):
                     rows.append(row)
-    if not rows:
-        return OperatorSpace.from_operators(
-            n, [Matrix.from_vector(v, n) for v in Subspace.full(n * n).basis.rows]
-        )
-    ker = kernel(Matrix(rows, ncols=n * n))
-    return OperatorSpace(n, tuple(Matrix.from_vector(v, n) for v in ker.rows))
+    return _solution_space(n, rows)
+
+
+def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
+    """First pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = op @ alg.bracket_basis(i, j)
+            rhs = vec_add(
+                alg.bracket(op.column(i), basis_vec(n, j)), alg.bracket(basis_vec(n, i), op.column(j))
+            )
+            if lhs != rhs:
+                return (i, j)
+    return None
 
 
 def is_derivation(alg: LieAlgebra, op: Matrix) -> bool:
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = op @ alg.bracket_basis(i, j)
-            rhs_vecs = alg.bracket(op.column(i), _basis(alg.dim, j)), alg.bracket(
-                _basis(alg.dim, i), op.column(j)
-            )
-            if lhs != tuple(a + b for a, b in zip(*rhs_vecs)):
-                return False
-    return True
+    return derivation_defect(alg, op) is None
 
 
 def skew_space(form: SymForm) -> OperatorSpace:
@@ -139,12 +140,12 @@ def skew_space(form: SymForm) -> OperatorSpace:
                     row[l * n + b] += g[a, l]
             if any(row):
                 rows.append(row)
-    if not rows:
-        return OperatorSpace.from_operators(
-            n, [Matrix.from_vector(v, n) for v in Subspace.full(n * n).basis.rows]
-        )
-    ker = kernel(Matrix(rows, ncols=n * n))
-    return OperatorSpace(n, tuple(Matrix.from_vector(v, n) for v in ker.rows))
+    return _solution_space(n, rows)
+
+
+def _solution_space(n: int, rows: list[list[Fraction]]) -> OperatorSpace:
+    """Operators whose row-major entries solve every row; no rows means all operators."""
+    return OperatorSpace._from_rows(n, kernel(Matrix(rows, ncols=n * n)).rows)
 
 
 def is_skew(form: SymForm, op: Matrix) -> bool:
@@ -161,10 +162,6 @@ def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
     return space
 
 
-def is_isotropy_member(m: MetricLieAlgebra, op: Matrix) -> bool:
-    return is_skew(m.form, op) and is_derivation(m.algebra, op)
-
-
 def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None = None) -> bool:
     """True iff D(V) <= V for every basis operator D of the isotropy algebra."""
     if v.ambient_dim != m.dim:
@@ -172,9 +169,3 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
     if h is None:
         h = isotropy_algebra(m)
     return all(v.contains_vector(d @ x) for d in h.basis for x in v.basis.rows)
-
-
-def _basis(n: int, i: int):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)

@@ -16,7 +16,9 @@ from gonil.linalg import (
     Matrix,
     Subspace,
     Vec,
+    basis_vec,
     is_zero_vec,
+    kernel,
     solve_linear,
     to_vec,
     vec_add,
@@ -98,11 +100,8 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y]; column b is [x, e_b]."""
-        cols = [self.bracket(x, _basis_vec(self.dim, b)) for b in range(self.dim)]
+        cols = [self.bracket(x, basis_vec(self.dim, b)) for b in range(self.dim)]
         return Matrix(zip(*cols), ncols=self.dim)
-
-    def ad_basis(self, i: int) -> Matrix:
-        return self.ad(_basis_vec(self.dim, i))
 
     def __eq__(self, other) -> bool:
         return (
@@ -118,12 +117,6 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim}, {len(self._table)} bracket entries)"
 
 
-def _basis_vec(n: int, i: int) -> Vec:
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
-
-
 def abelian(dim: int) -> LieAlgebra:
     return LieAlgebra(dim, {})
 
@@ -132,7 +125,7 @@ def jacobi_defect(alg: LieAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
     """All triples i<j<k where [e_i,[e_j,e_k]] + cyclic fails, with the defect."""
     n = alg.dim
     defects = []
-    basis = [_basis_vec(n, i) for i in range(n)]
+    basis = [basis_vec(n, i) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -210,8 +203,6 @@ def centralizer(alg: LieAlgebra, v: Subspace) -> Subspace:
     if v.dim == 0:
         return Subspace.full(alg.dim)
     blocks = [alg.ad(w).scale(-1) for w in v.basis.rows]  # column a of -ad(w) is [e_a, w]
-    from gonil.linalg import kernel
-
     return Subspace(alg.dim, kernel(Matrix.stack(blocks)))
 
 
@@ -227,8 +218,6 @@ def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
         return Subspace.full(alg.dim)
     ann = w.annihilator()
     blocks = [ann @ alg.ad(u).scale(-1) for u in v.basis.rows]
-    from gonil.linalg import kernel
-
     return Subspace(alg.dim, kernel(Matrix.stack(blocks)))
 
 
@@ -264,8 +253,6 @@ def engel_flag(ops: Sequence[Matrix], closure_depth: int | None = None) -> Engel
     for op in closed:
         if not op.is_nilpotent():
             raise EngelError("no common kernel vector: commutator closure is not nilpotent")
-
-    from gonil.linalg import kernel
 
     spaces: list[Subspace] = []
     current = Subspace.zero(n)
@@ -310,7 +297,8 @@ def _verify_strict_triangularity(ops: Sequence[Matrix], basis: Matrix) -> None:
         for j in range(n):
             image = op @ basis.row(j)
             sol = solve_linear(bt, image)
-            assert sol is not None, "flag basis does not span"
+            if sol is None:
+                raise AssertionError("internal: flag basis does not span")
             if any(sol.particular[i] != 0 for i in range(j + 1)):
                 raise EngelError("triangularity verification failed")
 

@@ -26,8 +26,16 @@ def to_vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
+def basis_vec(n: int, i: int) -> Vec:
+    """The i-th standard basis vector of length n."""
+    v = [Fraction(0)] * n
+    v[i] = Fraction(1)
+    return tuple(v)
+
+
+def fmt_vec(v: Iterable) -> str:
+    """Comma-separated entries, the report format of every vector."""
+    return ",".join(str(x) for x in v)
 
 
 def vec_add(x: Vec, y: Vec) -> Vec:
@@ -156,9 +164,6 @@ class Matrix:
         if self.ncols != len(vec):
             raise DimensionMismatch("matrix-vector size mismatch")
         return tuple(vec_dot(r, vec) for r in self._rows)
-
-    def apply(self, vec: Sequence) -> Vec:
-        return self @ vec
 
     def commutator(self, other: Matrix) -> Matrix:
         return self @ other - other @ self
@@ -309,11 +314,6 @@ def solve_linear(a: Matrix, b: Sequence) -> LinearSolution | None:
     for r, pc in enumerate(pivots):
         x[pc] = red[r, a.ncols]
     return LinearSolution(tuple(x), kernel(a))
-
-
-def solve_unique(a: Matrix, b: Sequence) -> Vec | None:
-    sol = solve_linear(a, b)
-    return None if sol is None else sol.particular
 
 
 class SignatureTriple(NamedTuple):

@@ -85,6 +85,11 @@ class MetricLieAlgebra:
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
         return self.form.pair(x, y)
 
+    def lowered_brackets(self) -> list[list[Vec]]:
+        """low[a][c][b] = <[e_a, e_c], e_b>: the Gram matrix applied to each basis bracket."""
+        gram = self.form.gram
+        return [[gram @ self.algebra.bracket_basis(a, c) for c in range(self.dim)] for a in range(self.dim)]
+
     def nprime(self) -> Subspace:
         return derived_subalgebra(self.algebra)
 
@@ -120,7 +125,7 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     """Radical of the restricted form, re-embedded in ambient coordinates."""
     restricted = restrict_form(m, v)
     coords = restricted.radical()
-    vecs = [_combine(v.basis, c) for c in coords.basis.rows]
+    vecs = [v.basis.transpose() @ c for c in coords.basis.rows]
     return Subspace.span(m.dim, vecs)
 
 
@@ -146,12 +151,3 @@ def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymF
     if not form.is_nondegenerate():
         raise PreconditionError("induced form is degenerate (is the ambient form nondegenerate?)")
     return form, comp
-
-
-def _combine(basis: Matrix, coeffs: Vec) -> Vec:
-    out = [Fraction(0)] * basis.ncols
-    for c, row in zip(coeffs, basis.rows):
-        if c:
-            for j, a in enumerate(row):
-                out[j] += c * a
-    return tuple(out)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from gonil.linalg import Matrix, Subspace
+from gonil.isotropy import OperatorSpace, is_skew
+from gonil.linalg import Matrix, basis_vec
+from gonil.metric import SymForm
 
 
 class NormalFormError(ValueError):
@@ -32,14 +34,10 @@ class IwasawaFamily:
     def dim(self) -> int:
         return len(self.generators)
 
-    def _span(self) -> Subspace:
-        n2 = self.dim_ambient * self.dim_ambient
-        return Subspace.span(n2, [g.vectorize() for g in self.generators])
-
     def contains(self, x: Matrix) -> bool:
         if x.nrows != self.dim_ambient or x.ncols != self.dim_ambient:
             raise NormalFormError("operator shape differs from the family ambient")
-        return self._span().contains_vector(x.vectorize())
+        return OperatorSpace.from_operators(self.dim_ambient, self.generators).contains(x)
 
 
 def reference_gram(q: int, m: int) -> Matrix:
@@ -104,17 +102,13 @@ def iwasawa_nilpotent_basis(q: int, m: int) -> IwasawaFamily:
         zero = [0] * k
         gens = [q2_element(m, 1, 0, zero, zero), q2_element(m, 0, 1, zero, zero)]
         for t in range(k):
-            e_t = [0] * k
-            e_t[t] = 1
-            gens.append(q2_element(m, 0, 0, e_t, zero))
+            gens.append(q2_element(m, 0, 0, basis_vec(k, t), zero))
         for t in range(k):
-            e_t = [0] * k
-            e_t[t] = 1
-            gens.append(q2_element(m, 0, 0, zero, e_t))
+            gens.append(q2_element(m, 0, 0, zero, basis_vec(k, t)))
         gens = tuple(gens)
     family = IwasawaFamily((m - q, q), m, gram, gens)
     for gen in gens:
-        if not (gen.transpose() @ gram + gram @ gen).is_zero():
+        if not is_skew(SymForm(gram), gen):
             raise NormalFormError("generator is not skew for the reference form")
         if not gen.is_nilpotent():
             raise NormalFormError("generator is not nilpotent")
@@ -153,9 +147,7 @@ def maximal_abelian_family(
     if which == 1:
         gens = [q2_element(m, 1, 0, zero, zero), q2_element(m, 0, 1, zero, zero)]
         for t in range(k):
-            e_t = [0] * k
-            e_t[t] = 1
-            gens.append(q2_element(m, 0, 0, e_t, zero))
+            gens.append(q2_element(m, 0, 0, basis_vec(k, t), zero))
     elif which == 2:
         if m < 5:
             raise NormalFormError("family 2 needs m >= 5")
@@ -168,15 +160,11 @@ def maximal_abelian_family(
         v_vec = [v1] + [Fraction(0)] * (k - 1)
         gens = [q2_element(m, 1, 0, u_vec, v_vec), q2_element(m, 0, 1, zero, zero)]
         for t in range(1, k):
-            e_t = [0] * k
-            e_t[t] = 1
-            gens.append(q2_element(m, 0, 0, e_t, zero))
+            gens.append(q2_element(m, 0, 0, basis_vec(k, t), zero))
     else:
         gens = [q2_element(m, 0, 1, zero, zero)]
         for t in range(k):
-            e_t = [0] * k
-            e_t[t] = 1
-            gens.append(q2_element(m, 0, 0, e_t, zero))
+            gens.append(q2_element(m, 0, 0, basis_vec(k, t), zero))
     for gen in gens:
         if not family.contains(gen):
             raise NormalFormError("family generator escapes the ambient family")

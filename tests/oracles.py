@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple
+from gonil.linalg import Matrix, SignatureTriple, to_vec
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -80,6 +80,31 @@ def signature_by_random_congruence(g: Matrix, rng: random.Random) -> SignatureTr
                 c[k][j] -= f * c[k][i]
         active.remove(i)
     return SignatureTriple(p, q, r)
+
+
+def polarized_defects_by_pairing(m, ops):
+    """The polarized orbit identity evaluated term by term through ``m.pair``.
+
+    Returns (a, b, c, value) for every nonzero value, looping a <= b, then c.
+    """
+    n = m.dim
+    bad = []
+    for a in range(n):
+        ea = to_vec([1 if i == a else 0 for i in range(n)])
+        for b in range(a, n):
+            eb = to_vec([1 if i == b else 0 for i in range(n)])
+            for c in range(n):
+                ec = to_vec([1 if i == c else 0 for i in range(n)])
+                val = m.pair(
+                    tuple(x + y for x, y in zip(m.algebra.bracket_basis(a, c), ops[a] @ ec)),
+                    eb,
+                ) + m.pair(
+                    tuple(x + y for x, y in zip(m.algebra.bracket_basis(b, c), ops[b] @ ec)),
+                    ea,
+                )
+                if val != 0:
+                    bad.append((a, b, c, val))
+    return bad
 
 
 def naive_rref(m: Matrix):

@@ -48,6 +48,7 @@ from gonil.linalg import (
 )
 from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import (
+    polarized_defects_by_pairing,
     random_rational_matrix,
     random_symmetric_matrix,
     signature_by_descartes,
@@ -90,23 +91,7 @@ def test_criterion_2_linear_certificate(paper, paper_iso):
         table_coords = [paper_iso.coordinates(op) for op in paper.witness_operators]
         assert all(c is not None for c in table_coords)
         # ... and satisfies every polarized equation of the system
-        m = paper.algebra
-        n = m.dim
-        ops = paper.witness_operators
-        for a in range(n):
-            ea = to_vec([1 if i == a else 0 for i in range(n)])
-            for b in range(a, n):
-                eb = to_vec([1 if i == b else 0 for i in range(n)])
-                for c in range(n):
-                    ec = to_vec([1 if i == c else 0 for i in range(n)])
-                    val = m.pair(
-                        tuple(x + y for x, y in zip(m.algebra.bracket_basis(a, c), ops[a] @ ec)),
-                        eb,
-                    ) + m.pair(
-                        tuple(x + y for x, y in zip(m.algebra.bracket_basis(b, c), ops[b] @ ec)),
-                        ea,
-                    )
-                    assert val == 0, (a, b, c)
+        assert polarized_defects_by_pairing(paper.algebra, paper.witness_operators) == []
 
 
 def test_criterion_3_negative_control(filiform4):
