@@ -1,16 +1,21 @@
 """Batch command-line front end.
 
-Every command prints greppable ``KEY: value`` lines.  Exit codes: 0 for
-success (including a CONSISTENT audit), 1 when a property is refuted or a
-verification fails, 2 for malformed input.  Identical command lines with the
-same seed produce byte-identical reports.
+Every command prints greppable ``KEY: value`` lines.  Exit codes:
+
+* 0: success, including a CONSISTENT audit;
+* 1: a property is refuted, a verification fails, or well-formed input fails
+  an operation's hypothesis (a degenerate quotient, a non-nilpotent algebra,
+  an operator family with no common kernel vector);
+* 2: malformed input: bad files, names, vectors, rationals or parameters.
+
+Errors print one ``ERROR:`` line.  Identical command lines with the same seed
+produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from gonil.catalog import (
     EXAMPLE_NAMES,
@@ -31,16 +36,19 @@ from gonil.io import (
     FormatError,
     load_algebra,
     load_extension_data,
+    parse_rational,
     save_algebra,
 )
 from gonil.isotropy import isotropy_algebra
-from gonil.lie import NotNilpotentError, center, lower_central_series, nilpotency_step
+from gonil.lie import EngelError, NotNilpotentError, center, lower_central_series, nilpotency_step
 from gonil.linalg import DimensionMismatch, fmt_vec
 from gonil.metric import MetricLieAlgebra, PreconditionError, restrict_form
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_MALFORMED = 2
+
+MAX_SAMPLES = 100_000
 
 
 def _resolve_algebra(spec: str) -> MetricLieAlgebra:
@@ -56,9 +64,9 @@ def _fmt_sig(sig) -> str:
 
 def _parse_vector(text: str):
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad vector {text!r}: {exc}") from exc
+        return [parse_rational(part) for part in text.split(",")]
+    except FormatError as exc:
+        raise FormatError(f"bad vector: {exc}") from exc
 
 
 def cmd_check(args) -> int:
@@ -94,6 +102,8 @@ def cmd_isotropy(args) -> int:
 
 
 def cmd_go(args) -> int:
+    if args.samples > MAX_SAMPLES:
+        raise FormatError(f"--samples is at most {MAX_SAMPLES}")
     m = _resolve_algebra(args.algebra)
     iso = isotropy_algebra(m)
     report = go_random_audit(m, iso, args.samples, args.seed, args.bound)
@@ -192,12 +202,13 @@ def cmd_necessary(args) -> int:
 def cmd_normal_forms(args) -> int:
     from gonil.normal_forms import iwasawa_nilpotent_basis, maximal_abelian_family
 
+    u1, v1 = [None if x is None else parse_rational(x) for x in (args.u1, args.v1)]
     family = iwasawa_nilpotent_basis(args.q, args.m)
     print(f"SIGNATURE: {family.signature[0]},{family.signature[1]}")
     print(f"AMBIENT: {family.dim_ambient}")
     print(f"FAMILY_DIM: {family.dim}")
     if args.family:
-        gens = maximal_abelian_family(args.family, args.m, args.u1, args.v1)
+        gens = maximal_abelian_family(args.family, args.m, u1, v1)
         print(f"ABELIAN_FAMILY: {args.family}")
         print(f"ABELIAN_DIM: {len(gens)}")
         print("ABELIAN_VERIFIED: yes")
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("go", cmd_go, "randomized geodesic-orbit audit")
     p.add_argument("algebra")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=int, default=200, help=f"number of samples, at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--bound", type=int, default=10)
 
@@ -267,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--family", type=int, choices=(1, 2, 3))
-    p.add_argument("--u1", type=Fraction)
-    p.add_argument("--v1", type=Fraction)
+    p.add_argument("--u1", help='rational, e.g. "1/2"')
+    p.add_argument("--v1", help='rational, e.g. "3"')
 
     return parser
 
@@ -282,7 +293,7 @@ def main(argv=None) -> int:
         # bad files, bad names, bad vectors/parameters: malformed input
         print(f"ERROR: {exc}")
         return EXIT_MALFORMED
-    except (ReductionError, PreconditionError, NotNilpotentError) as exc:
+    except (ReductionError, PreconditionError, NotNilpotentError, EngelError) as exc:
         # well-formed input failing a property or an operation's hypothesis
         print(f"ERROR: {exc}")
         return EXIT_REFUTED

@@ -28,7 +28,7 @@ from gonil.linalg import (
     Vec,
     basis_vec,
     fmt_vec,
-    solve_linear,
+    solve_particular,
     to_vec,
     vec_add,
     vec_scale,
@@ -246,11 +246,10 @@ def _engel_split(m: MetricLieAlgebra, o: Subspace, s: Subspace):
 def _dual_null_pair(m: MetricLieAlgebra, e1: Vec, e2: Vec) -> tuple[Vec, Vec]:
     """Vectors with <f_i, e_j> = delta_ij and <f_i, f_j> = 0, pivot-deterministic."""
     pairing = Matrix([m.form.gram @ e1, m.form.gram @ e2], ncols=m.dim)
-    sol1 = solve_linear(pairing, [1, 0])
-    sol2 = solve_linear(pairing, [0, 1])
-    if sol1 is None or sol2 is None:
+    u1 = solve_particular(pairing, [1, 0])
+    u2 = solve_particular(pairing, [0, 1])
+    if u1 is None or u2 is None:
         raise AssertionError("internal: no vectors pairing with the null pair")
-    u1, u2 = sol1.particular, sol2.particular
     f1 = vec_add(u1, vec_scale(-m.pair(u1, u1) / 2, e1))
     f2 = vec_add(
         vec_add(u2, vec_scale(-m.pair(u2, f1), e1)),
@@ -286,10 +285,10 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     solver = Matrix(basis_rows, ncols=m.dim).transpose()
 
     def comp_coords(vec) -> Vec:
-        sol = solve_linear(solver, vec)
-        if sol is None:
+        coords = solve_particular(solver, vec)
+        if coords is None:
             raise AssertionError("internal: vector outside m1")
-        return sol.particular[:k]
+        return coords[:k]
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(k):

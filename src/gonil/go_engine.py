@@ -28,13 +28,15 @@ from gonil.linalg import (
     fmt_vec,
     is_zero_vec,
     rational_sqrt,
-    solve_linear,
+    solve_particular,
     to_vec,
     vec_add,
     vec_dot,
     vec_scale,
 )
 from gonil.metric import MetricLieAlgebra, restrict_form
+
+_ZERO = Fraction(0)
 
 
 class GOEngineError(ValueError):
@@ -137,8 +139,77 @@ def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
             raise GOEngineError("operator space is not inside the isotropy algebra (derivation fails)")
 
 
+def _nonzero(entries) -> tuple[tuple[int, Fraction], ...]:
+    return tuple((i, v) for i, v in enumerate(entries) if v)
+
+
+@dataclass(frozen=True)
+class _CertificateSystem:
+    """The per-vector certificate system of one (m, h), built once as sparse tensors.
+
+    Row b of the system at T, with unknowns the h-basis coefficients c_j of A
+    and the scalar k, reads
+
+        sum_j c_j <D_j e_b, T>  -  k <T, e_b>  =  -<[T, e_b], T>.
+
+    Its coefficients are linear in T and its right-hand side is quadratic, so
+    each sample is one contraction of T with
+
+        gram_rows[b] = ((e, G[b][e]), ...)                  <T, e_b>
+        paired[j]    = ((e, b, (G D_j)[e][b]), ...)         <D_j e_b, T>
+        quadratic    = ((a, b, c, <[e_a, e_b], e_c>), ...)  <[T, e_b], T>
+
+    ``brackets`` and ``ops`` (the bracket table and h's basis entries) feed
+    only the per-certificate check, which does not read the tensors above.
+    """
+
+    m: MetricLieAlgebra
+    h: OperatorSpace
+    gram_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
+    paired: tuple[tuple[tuple[int, int, Fraction], ...], ...]
+    quadratic: tuple[tuple[int, int, int, Fraction], ...]
+    brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
+    ops: tuple[tuple[tuple[int, int, Fraction], ...], ...]
+
+    @classmethod
+    def build(cls, m: MetricLieAlgebra, h: OperatorSpace) -> _CertificateSystem:
+        """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
+        check_subisotropy(m, h)
+        gram = m.form.gram
+        low = m.lowered_brackets()
+        return cls(
+            m,
+            h,
+            tuple(_nonzero(row) for row in gram.rows),
+            tuple(
+                tuple((e, b, v) for e, row in enumerate((gram @ op).rows) for b, v in _nonzero(row))
+                for op in h.basis
+            ),
+            tuple((a, b, c, v) for a, lows in enumerate(low) for b, row in enumerate(lows) for c, v in _nonzero(row)),
+            tuple((i, j, tuple(targets.items())) for (i, j), targets in m.algebra.table.items()),
+            tuple(tuple((d, b, v) for d, row in enumerate(op.rows) for b, v in _nonzero(row)) for op in h.basis),
+        )
+
+    def at(self, t: Vec) -> tuple[Matrix, Vec]:
+        """System matrix (columns c_0, ..., c_{dim h - 1}, k) and right-hand side at T."""
+        n = len(t)
+        cols = []
+        for entries in self.paired:
+            col = [_ZERO] * n
+            for e, b, v in entries:
+                if t[e]:
+                    col[b] += v * t[e]
+            cols.append(col)
+        cols.append([-sum([v * t[e] for e, v in row if t[e]], _ZERO) for row in self.gram_rows])
+        rhs = [_ZERO] * n
+        for a, b, c, v in self.quadratic:
+            if t[a] and t[c]:
+                rhs[b] -= v * t[a] * t[c]
+        return Matrix(zip(*cols), ncols=len(cols)), tuple(rhs)
+
+
 def go_certificate_at(
-    m: MetricLieAlgebra, h: OperatorSpace, t, *, _checked: bool = False
+    m: MetricLieAlgebra, h: OperatorSpace, t, *, _system: _CertificateSystem | None = None
 ) -> GOCertificate | None:
     """Solve the per-vector certificate system; None means infeasible at T.
 
@@ -152,32 +223,40 @@ def go_certificate_at(
         raise GOEngineError("tangent vector has wrong length")
     if is_zero_vec(t):
         raise GOEngineError("tangent vector must be nonzero")
-    if not _checked:
-        check_subisotropy(m, h)
-    gt = m.form.gram @ t
-    cols = [op.transpose() @ gt for op in h.basis]
-    cols.append(tuple(-x for x in gt))
-    ad_t = m.algebra.ad(t)
-    rhs = tuple(-x for x in (ad_t.transpose() @ gt))
-    system = Matrix(zip(*cols), ncols=len(cols))
-    sol = solve_linear(system, rhs)
-    if sol is None:
+    if _system is None:
+        _system = _CertificateSystem.build(m, h)
+    elif _system.m is not m or _system.h is not h:
+        raise AssertionError("internal: certificate system built for another (m, h)")
+    x = solve_particular(*_system.at(t))
+    if x is None:
         return None
-    coeffs, k = sol.particular[:-1], sol.particular[-1]
-    cert = GOCertificate(t, coeffs, k)
-    _verify_certificate(h, cert, ad_t, gt)
+    cert = GOCertificate(t, x[:-1], x[-1])
+    _verify_certificate(_system, cert)
     return cert
 
 
-def _verify_certificate(h: OperatorSpace, cert: GOCertificate, ad_t: Matrix, gt: Vec) -> None:
-    """Check (ad_T + A)^T G T = k G T, i.e. <[T, e_b] + A e_b, T> = k <T, e_b> for every b.
+def _verify_certificate(system: _CertificateSystem, cert: GOCertificate) -> None:
+    """Check <[T, e_b] + A e_b, T> = k <T, e_b> for every b, and k = 0 when <T, T> != 0.
 
-    ad_t is the matrix of ad(T) and gt is G T, both as built for the solve.
+    Evaluated from the Gram matrix, the bracket table and h's basis entries,
+    not from the tensors the system was contracted from.
     """
-    lhs = (ad_t + h.combine(cert.A_coeffs)).transpose() @ gt
-    if lhs != vec_scale(cert.k, gt):
+    t = cert.T
+    gt = system.m.form.gram @ t
+    lhs = [_ZERO] * len(t)
+    for i, j, targets in system.brackets:  # [e_i, e_j] = sum c e_k with i < j
+        s = sum([c * gt[k] for k, c in targets], _ZERO)
+        if s:
+            lhs[j] += t[i] * s
+            lhs[i] -= t[j] * s
+    for c, entries in zip(cert.A_coeffs, system.ops):
+        if c:
+            for d, b, v in entries:
+                if gt[d]:
+                    lhs[b] += c * v * gt[d]
+    if any(x != cert.k * g for x, g in zip(lhs, gt)):
         raise AssertionError("internal: certificate fails its defining identity")
-    if vec_dot(cert.T, gt) != 0 and cert.k != 0:
+    if vec_dot(t, gt) != 0 and cert.k != 0:
         raise AssertionError("internal: k must vanish on non-null vectors")
 
 
@@ -217,7 +296,7 @@ def go_random_audit(
         raise GOEngineError("need at least one sample")
     if bound < 1:
         raise GOEngineError("bound must be positive")
-    check_subisotropy(m, h)
+    system = _CertificateSystem.build(m, h)
     rng = random.Random(seed)
     points = []
     for idx in range(samples):
@@ -225,11 +304,11 @@ def go_random_audit(
             t = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(m.dim))
             if not is_zero_vec(t):
                 break
-        points.append(AuditPoint(idx, t, go_certificate_at(m, h, t, _checked=True)))
+        points.append(AuditPoint(idx, t, go_certificate_at(m, h, t, _system=system)))
     null_point = None
     nv = first_null_vector(m)
     if nv is not None and not is_zero_vec(nv):
-        null_point = AuditPoint(-1, nv, go_certificate_at(m, h, nv, _checked=True))
+        null_point = AuditPoint(-1, nv, go_certificate_at(m, h, nv, _system=system))
     return GOAuditReport(samples, seed, bound, tuple(points), null_point)
 
 
@@ -269,12 +348,10 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
                     rhs.append(val)
     if not rows:
         return LinearGOCertificate(Matrix.zeros(nh, n))
-    sol = solve_linear(Matrix(rows, ncols=nh * n), rhs)
-    if sol is None:
+    x = solve_particular(Matrix(rows, ncols=nh * n), rhs)
+    if x is None:
         return None
-    coeffs = Matrix(
-        [sol.particular[j * n : (j + 1) * n] for j in range(nh)], ncols=n
-    )
+    coeffs = Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n)
     cert = LinearGOCertificate(coeffs)
     if polarized_defects(m, [linear_witness_at(h, cert, basis_vec(n, a)) for a in range(n)]):
         raise AssertionError("internal: linear certificate fails polarized identity")

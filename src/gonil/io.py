@@ -9,6 +9,7 @@ failure, degenerate form, non-nilpotency) instead of a generic parse error.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -23,13 +24,35 @@ class FormatError(ValueError):
     pass
 
 
+# Accepted rational strings: an optional sign and digits, then optionally
+# "/digits" or ".digits".  Exponents are refused because "1e999999999" makes
+# Fraction build a billion-digit integer before anything can fail.
+MAX_RATIONAL_CHARS = 1000
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """A bounded rational from untrusted text: "p", "p/q" (normalized) or "d.d"."""
+    text = text.strip()
+    if len(text) > MAX_RATIONAL_CHARS:
+        raise FormatError(f"rational string longer than {MAX_RATIONAL_CHARS} characters")
+    if not _RATIONAL.fullmatch(text):
+        raise FormatError(f"not a rational (expected p, p/q or a decimal without exponent): {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise FormatError(f"zero denominator in rational: {text!r}") from exc
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise FormatError(f"{where}: rational values must be strings like '3' or '-3/4'")
-    try:
+    if isinstance(value, int):
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"{where}: not a rational: {value!r}") from exc
+    try:
+        return parse_rational(value)
+    except FormatError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def _fmt_rational(x: Fraction) -> str:

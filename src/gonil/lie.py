@@ -19,7 +19,7 @@ from gonil.linalg import (
     basis_vec,
     is_zero_vec,
     kernel,
-    solve_linear,
+    solve_particular,
     to_vec,
     vec_add,
 )
@@ -296,10 +296,10 @@ def _verify_strict_triangularity(ops: Sequence[Matrix], basis: Matrix) -> None:
     for op in ops:
         for j in range(n):
             image = op @ basis.row(j)
-            sol = solve_linear(bt, image)
-            if sol is None:
+            coords = solve_particular(bt, image)
+            if coords is None:
                 raise AssertionError("internal: flag basis does not span")
-            if any(sol.particular[i] != 0 for i in range(j + 1)):
+            if any(coords[i] != 0 for i in range(j + 1)):
                 raise EngelError("triangularity verification failed")
 
 

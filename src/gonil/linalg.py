@@ -17,13 +17,15 @@ from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)
+
 
 class DimensionMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
 def to_vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def basis_vec(n: int, i: int) -> Vec:
@@ -67,7 +69,7 @@ class Matrix:
     __slots__ = ("_rows", "_ncols")
 
     def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(to_vec(row) for row in rows)
         if data:
             ncols = len(data[0]) if ncols is None else ncols
             if any(len(r) != ncols for r in data):
@@ -76,6 +78,14 @@ class Matrix:
             raise DimensionMismatch("empty matrix needs an explicit column count")
         self._rows = data
         self._ncols = ncols
+
+    @classmethod
+    def _trusted(cls, rows: tuple[Vec, ...], ncols: int) -> Matrix:
+        """Wrap rows already known to be equal-length tuples of Fractions, unchecked."""
+        m = object.__new__(cls)
+        m._rows = rows
+        m._ncols = ncols
+        return m
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
@@ -130,40 +140,48 @@ class Matrix:
 
     def transpose(self) -> Matrix:
         if not self._rows:
-            return Matrix([[] for _ in range(self._ncols)], ncols=0)
-        return Matrix(zip(*self._rows), ncols=self.nrows)
+            return Matrix._trusted(((),) * self._ncols, 0)
+        return Matrix._trusted(tuple(zip(*self._rows)), self.nrows)
 
     def __add__(self, other: Matrix) -> Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in addition")
-        return Matrix(
-            [tuple(a + b for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)],
-            ncols=self.ncols,
+        return Matrix._trusted(
+            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)),
+            self.ncols,
         )
 
     def __sub__(self, other: Matrix) -> Matrix:
         return self + (-other)
 
     def __neg__(self) -> Matrix:
-        return Matrix([tuple(-a for a in r) for r in self._rows], ncols=self.ncols)
+        return Matrix._trusted(tuple(tuple(-a for a in r) for r in self._rows), self.ncols)
 
     def scale(self, c) -> Matrix:
         c = Fraction(c)
-        return Matrix([tuple(c * a for a in r) for r in self._rows], ncols=self.ncols)
+        return Matrix._trusted(tuple(tuple(c * a for a in r) for r in self._rows), self.ncols)
 
     def __matmul__(self, other):
+        """Matrix product or matrix-vector product; zero entries are skipped."""
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
-            cols = other.transpose().rows
-            return Matrix(
-                [tuple(vec_dot(r, c) for c in cols) for r in self._rows],
-                ncols=other.ncols,
-            )
+            ncols = other._ncols
+            sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
+            out = []
+            for r in self._rows:
+                acc = [_ZERO] * ncols
+                for a, srow in zip(r, sparse):
+                    if a:
+                        for j, b in srow:
+                            acc[j] += a * b
+                out.append(tuple(acc))
+            return Matrix._trusted(tuple(out), ncols)
         vec = to_vec(other)
         if self.ncols != len(vec):
             raise DimensionMismatch("matrix-vector size mismatch")
-        return tuple(vec_dot(r, vec) for r in self._rows)
+        nz = [(k, v) for k, v in enumerate(vec) if v]
+        return tuple(sum([r[k] * v for k, v in nz if r[k]], _ZERO) for r in self._rows)
 
     def commutator(self, other: Matrix) -> Matrix:
         return self @ other - other @ self
@@ -211,7 +229,7 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     out = []
     for row in rows:
         scale = math.lcm(*(f.denominator for f in row)) if row else 1
-        ints = [int(f * scale) for f in row]
+        ints = [f.numerator * (scale // f.denominator) for f in row]
         g = math.gcd(*ints) if ints else 0
         if g > 1:
             ints = [a // g for a in ints]
@@ -268,9 +286,9 @@ def rref(m: Matrix) -> RRef:
     rows, pivots = _eliminate(_int_rows(m.rows))
     reduced = []
     for r, pc in zip(rows, pivots):
-        p = Fraction(r[pc])
-        reduced.append(tuple(Fraction(a) / p for a in r))
-    return RRef(Matrix(reduced, ncols=m.ncols), tuple(pivots))
+        p = r[pc]
+        reduced.append(tuple(Fraction(a, p) if a else _ZERO for a in r))
+    return RRef(Matrix._trusted(tuple(reduced), m.ncols), tuple(pivots))
 
 
 def rank(m: Matrix) -> int:
@@ -301,19 +319,25 @@ class LinearSolution:
     kernel: Matrix
 
 
-def solve_linear(a: Matrix, b: Sequence) -> LinearSolution | None:
-    """Solve A x = b exactly; return None when the system is inconsistent."""
+def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
+    """The canonical solution of A x = b (free unknowns zero), or None when inconsistent."""
     b = to_vec(b)
     if a.nrows != len(b):
         raise DimensionMismatch("right-hand side length differs from row count")
-    aug = Matrix([row + (bi,) for row, bi in zip(a.rows, b)], ncols=a.ncols + 1)
+    aug = Matrix._trusted(tuple(row + (bi,) for row, bi in zip(a.rows, b)), a.ncols + 1)
     red, pivots = rref(aug)
     if pivots and pivots[-1] == a.ncols:
         return None
-    x = [Fraction(0)] * a.ncols
+    x = [_ZERO] * a.ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r, a.ncols]
-    return LinearSolution(tuple(x), kernel(a))
+    return tuple(x)
+
+
+def solve_linear(a: Matrix, b: Sequence) -> LinearSolution | None:
+    """Solve A x = b exactly; return None when the system is inconsistent."""
+    x = solve_particular(a, b)
+    return None if x is None else LinearSolution(x, kernel(a))
 
 
 class SignatureTriple(NamedTuple):
@@ -452,8 +476,7 @@ class Subspace:
 
     def coordinates(self, vec: Sequence) -> Vec | None:
         """Coefficients of vec in this basis, or None if outside."""
-        sol = solve_linear(self.basis.transpose(), vec)
-        return None if sol is None else sol.particular
+        return solve_particular(self.basis.transpose(), vec)
 
     def __le__(self, other: Subspace) -> bool:
         return all(other.contains_vector(r) for r in self.basis.rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, to_vec
+from gonil.linalg import Matrix, SignatureTriple, solve_linear, to_vec
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -160,3 +160,27 @@ def random_invertible_matrix(rng: random.Random, n: int, bound: int = 5) -> Matr
         m = random_rational_matrix(rng, n, n, bound)
         if rank(m) == n:
             return m
+
+
+def certificate_by_dense_solve(m, h, t):
+    """(A_coeffs, k) at T from the dense system ``solve_linear`` solves, or None.
+
+    Columns D_j^T G T and -G T, right-hand side -ad(T)^T G T: built from whole
+    matrices, one product per operator, without any precomputed tensor.
+    """
+    gt = m.form.gram @ t
+    cols = [op.transpose() @ gt for op in h.basis] + [tuple(-x for x in gt)]
+    rhs = tuple(-x for x in (m.algebra.ad(t).transpose() @ gt))
+    sol = solve_linear(Matrix(zip(*cols), ncols=len(cols)), rhs)
+    if sol is None:
+        return None
+    return sol.particular[:-1], sol.particular[-1]
+
+
+def dense_product(a_rows, b_rows, ncols):
+    """Row-by-column sums over every entry, zeros included, as nested lists."""
+    inner = len(b_rows)
+    return [
+        [sum((row[k] * b_rows[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
+        for row in a_rows
+    ]

@@ -1,0 +1,94 @@
+"""The per-sample certificate system against the dense solve it replaced.
+
+``go_certificate_at`` contracts T with tensors built once per (m, h) and solves
+only for a particular solution.  ``oracles.certificate_by_dense_solve`` builds
+the same system from whole matrices, one product per operator, and solves it
+with ``solve_linear``.  Both must return the same (A_coeffs, k), or None.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+from gonil.catalog import EXAMPLE_NAMES, build_example
+from gonil.go_engine import first_null_vector, go_certificate_at, go_random_audit
+from gonil.isotropy import OperatorSpace, isotropy_algebra
+from gonil.linalg import vec_scale
+from oracles import certificate_by_dense_solve
+
+SETTINGS = settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@pytest.fixture(scope="module")
+def spaces(paper, paper_iso):
+    """name -> (m, h) for every catalog entry, h its isotropy algebra."""
+    out = {"paper_2_3": (paper.algebra, paper_iso)}
+    for name in EXAMPLE_NAMES:
+        if name not in out:
+            m = build_example(name).algebra
+            out[name] = (m, isotropy_algebra(m))
+    return out
+
+
+def _result(m, h, t):
+    cert = go_certificate_at(m, h, t)
+    return None if cert is None else (cert.A_coeffs, cert.k)
+
+
+def _vector(draw, n, rational: bool):
+    den = st.integers(2, 4) if rational else st.just(1)
+    entries = st.builds(Fraction, st.integers(-4, 4), den)
+    return draw(st.lists(entries, min_size=n, max_size=n).filter(any))
+
+
+@seed(20261018)
+@SETTINGS
+@given(name=st.sampled_from(EXAMPLE_NAMES), rational=st.booleans(), data=st.data())
+def test_certificate_matches_dense_oracle_on_catalog(spaces, name, rational, data):
+    m, h = spaces[name]
+    t = _vector(data.draw, m.dim, rational)
+    assert _result(m, h, t) == certificate_by_dense_solve(m, h, t)
+
+
+@seed(20261018)
+@SETTINGS
+@given(
+    name=st.sampled_from(("paper_2_3", "de7_lorentz")),
+    scale=st.builds(Fraction, st.integers(1, 5).map(lambda x: x * (-1) ** x), st.integers(1, 4)),
+)
+def test_certificate_matches_dense_oracle_on_null_vectors(spaces, name, scale):
+    m, h = spaces[name]
+    t = vec_scale(scale, first_null_vector(m))
+    assert m.pair(t, t) == 0
+    assert _result(m, h, t) == certificate_by_dense_solve(m, h, t)
+
+
+@seed(20261018)
+@SETTINGS
+@given(k=st.integers(0, 8), rational=st.booleans(), data=st.data())
+def test_certificate_matches_dense_oracle_on_isotropy_subspaces(paper, paper_iso, k, rational, data):
+    m = paper.algebra
+    sub = OperatorSpace.from_operators(m.dim, paper_iso.basis[:k]) if k else OperatorSpace(m.dim, ())
+    assert sub.dim == k < paper_iso.dim
+    t = _vector(data.draw, m.dim, rational)
+    assert _result(m, sub, t) == certificate_by_dense_solve(m, sub, t)
+
+
+@pytest.mark.parametrize("k", [4, 7])
+def test_audit_on_isotropy_subspace_matches_dense_oracle(paper, paper_iso, k):
+    # One system serves every sample of the audit; a proper subspace of the
+    # isotropy algebra makes some samples infeasible.
+    m = paper.algebra
+    sub = OperatorSpace.from_operators(m.dim, paper_iso.basis[:k])
+    report = go_random_audit(m, sub, 20, seed=1, bound=3)
+    assert report.failures
+    for p in list(report.points) + [report.null_point]:
+        got = None if p.certificate is None else (p.certificate.A_coeffs, p.certificate.k)
+        assert got == certificate_by_dense_solve(m, sub, p.T)

@@ -1,7 +1,10 @@
 """The internal identity checks fire on corrupted results, also under ``python -O``."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +14,7 @@ import pytest
 from gonil import go_engine
 from gonil.go_engine import first_null_vector, go_certificate_at, linear_go_certificate, polarized_defects
 from gonil.isotropy import isotropy_algebra
-from gonil.linalg import LinearSolution, Matrix
+from gonil.linalg import Matrix, is_zero_vec
 from oracles import polarized_defects_by_pairing, random_rational_matrix
 
 SRC = Path(go_engine.__file__).parent
@@ -28,32 +31,93 @@ def test_src_has_no_assert_statements():
 
 def test_per_sample_check_rejects_k_plus_one(de7):
     h = isotropy_algebra(de7)
+    system = go_engine._CertificateSystem.build(de7, h)
     rng = random.Random(3)
     t = tuple(Fraction(rng.randint(-5, 5)) for _ in range(de7.dim))
     for vec in (t, first_null_vector(de7)):
         cert = go_certificate_at(de7, h, vec)
         assert cert is not None
-        ad_t, gt = de7.algebra.ad(vec), de7.form.gram @ vec
-        go_engine._verify_certificate(h, cert, ad_t, gt)
+        go_engine._verify_certificate(system, cert)
         with pytest.raises(AssertionError, match="defining identity"):
-            go_engine._verify_certificate(h, replace(cert, k=cert.k + 1), ad_t, gt)
+            go_engine._verify_certificate(system, replace(cert, k=cert.k + 1))
+
+
+def test_per_sample_check_rejects_each_changed_a_coefficient(de7):
+    h = isotropy_algebra(de7)
+    system = go_engine._CertificateSystem.build(de7, h)
+    rng = random.Random(5)
+    for _ in range(3):
+        t = tuple(Fraction(rng.randint(-5, 5)) for _ in range(de7.dim))
+        # A changed by D_j is still a witness exactly when D_j T = 0; these T avoid that.
+        assert all(not is_zero_vec(op @ t) for op in h.basis)
+        cert = go_certificate_at(de7, h, t)
+        assert cert is not None
+        for j in range(h.dim):
+            coeffs = list(cert.A_coeffs)
+            coeffs[j] += 1
+            with pytest.raises(AssertionError, match="defining identity"):
+                go_engine._verify_certificate(system, replace(cert, A_coeffs=tuple(coeffs)))
 
 
 def test_linear_certificate_check_rejects_each_changed_coefficient(de5, monkeypatch):
     h = isotropy_algebra(de5)
     assert h.dim > 0 and linear_go_certificate(de5, h) is not None
-    solve = go_engine.solve_linear
+    solve = go_engine.solve_particular
     for idx in range(h.dim * de5.dim):
 
         def changed(a, b, idx=idx):
-            sol = solve(a, b)
-            x = list(sol.particular)
+            x = list(solve(a, b))
             x[idx] += 1
-            return LinearSolution(tuple(x), sol.kernel)
+            return tuple(x)
 
-        monkeypatch.setattr(go_engine, "solve_linear", changed)
+        monkeypatch.setattr(go_engine, "solve_particular", changed)
         with pytest.raises(AssertionError, match="polarized identity"):
             linear_go_certificate(de5, h)
+
+
+_UNDER_O = """
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+from gonil import go_engine
+from gonil.catalog import build_example
+from gonil.isotropy import isotropy_algebra
+
+assert False, "assert statements must be stripped under -O"
+
+m = build_example("de7_lorentz").algebra
+h = isotropy_algebra(m)
+system = go_engine._CertificateSystem.build(m, h)
+rng = random.Random(3)
+cert = go_engine.go_certificate_at(m, h, [Fraction(rng.randint(-5, 5)) for _ in range(m.dim)])
+try:
+    go_engine._verify_certificate(system, replace(cert, k=cert.k + 1))
+except AssertionError as exc:
+    print("k+1:", exc)
+
+m = build_example("de5").algebra
+h = isotropy_algebra(m)
+solve = go_engine.solve_particular
+go_engine.solve_particular = lambda a, b: (lambda x: (x[0] + 1,) + x[1:])(solve(a, b))
+try:
+    go_engine.linear_go_certificate(m, h)
+except AssertionError as exc:
+    print("linear:", exc)
+"""
+
+
+def test_internal_checks_fire_under_python_O():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "k+1: internal: certificate fails its defining identity",
+        "linear: internal: linear certificate fails polarized identity",
+    ]
 
 
 def test_polarized_defects_match_pairing_oracle_on_perturbed_witnesses(paper):

@@ -5,17 +5,22 @@ from fractions import Fraction
 
 import pytest
 
+from gonil import cli
+from gonil import io as gonil_io
 from gonil.catalog import build_example
 from gonil.io import (
+    MAX_RATIONAL_CHARS,
     FormatError,
     algebra_from_dict,
     algebra_to_dict,
     extension_data_from_dict,
     extension_data_to_dict,
     load_algebra,
+    parse_rational,
     save_algebra,
 )
-from gonil.cli import main
+from gonil.cli import MAX_SAMPLES, main
+from gonil.lie import EngelError
 
 
 def run_cli(*args):
@@ -211,3 +216,61 @@ def test_main_function_direct(capsys):
     assert main(["check", "catalog:heis3"]) == 0
     out = capsys.readouterr().out
     assert "STATUS: OK" in out
+
+
+@pytest.fixture
+def no_fraction_in_io(monkeypatch):
+    """Make gonil.io unable to build a Fraction, so a refused string provably builds nothing."""
+
+    def refuse(*args):
+        raise AssertionError(f"Fraction{args!r} built from a string that should be refused")
+
+    monkeypatch.setattr(gonil_io, "Fraction", refuse)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e999999999", "1E5", "2.5e-3", "-1e+9", "1_000", "inf", "nan", "0x10", "1/2/3", "1/", ".", "", " ",
+     "9" * (MAX_RATIONAL_CHARS + 1), "1/" + "7" * MAX_RATIONAL_CHARS],
+)
+def test_parse_rational_refuses_without_building_the_integer(text, no_fraction_in_io):
+    with pytest.raises(FormatError):
+        parse_rational(text)
+
+
+def test_parse_rational_accepted_format():
+    assert parse_rational("3") == 3
+    assert parse_rational(" -3/4 ") == Fraction(-3, 4)
+    assert parse_rational("+2/4") == Fraction(1, 2)  # normalized to lowest terms
+    assert parse_rational("1.25") == Fraction(5, 4)
+    assert parse_rational("9" * MAX_RATIONAL_CHARS) == int("9" * MAX_RATIONAL_CHARS)
+    with pytest.raises(FormatError, match="zero denominator"):
+        parse_rational("1/0")
+
+
+def test_loader_refuses_exponent_rational(no_fraction_in_io):
+    data = {"dim": 1, "brackets": {}, "form": [["1e999999999"]]}
+    with pytest.raises(FormatError, match=r"form\[0\]\[0\]: not a rational"):
+        algebra_from_dict(data)
+
+
+def test_cli_refuses_exponent_rationals(no_fraction_in_io, capsys):
+    assert main(["go-at", "catalog:heis3", "--vector", "1e999999999,1,1"]) == 2
+    assert capsys.readouterr().out.startswith("ERROR: bad vector: not a rational")
+    for flag in ("--u1", "--v1"):
+        assert main(["normal-forms", "--q", "2", "--m", "6", "--family", "2", flag, "1e999999999"]) == 2
+        assert capsys.readouterr().out.startswith("ERROR: not a rational")
+
+
+def test_cli_go_samples_upper_limit(capsys):
+    assert main(["go", "catalog:heis3", "--seed", "1", "--samples", str(MAX_SAMPLES + 1)]) == 2
+    assert capsys.readouterr().out == f"ERROR: --samples is at most {MAX_SAMPLES}\n"
+
+
+def test_cli_engel_error_is_an_error_line_with_exit_one(monkeypatch, capsys):
+    def no_flag(m, h=None):
+        raise EngelError("no common kernel vector")
+
+    monkeypatch.setattr(cli, "reduce_algebra", no_flag)
+    assert main(["reduce", "catalog:de5"]) == 1
+    assert capsys.readouterr().out == "ERROR: no common kernel vector\n"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from gonil.linalg import (
     DimensionMismatch,
@@ -14,11 +16,13 @@ from gonil.linalg import (
     rational_sqrt,
     rref,
     solve_linear,
+    solve_particular,
     symmetric_signature,
     to_vec,
     vec_sub,
 )
 from oracles import (
+    dense_product,
     naive_rref,
     random_invertible_matrix,
     random_rational_matrix,
@@ -225,3 +229,55 @@ def test_subspace_complement_rows():
     assert comp.nrows == 2
     rebuilt = Subspace.span(4, list(comp.rows) + list(small.basis.rows))
     assert rebuilt == big
+
+
+_ENTRY = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def _sparse_rows(draw, nrows, ncols):
+    """Random rationals, about half zero, with some whole rows and columns zeroed."""
+    rows = [[draw(_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _assert_fraction_entries(rows):
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None, database=None)
+@given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)), data=st.data())
+def test_matmul_matches_dense_oracle(shape, data):
+    r, k, c = shape
+    a_rows = data.draw(_sparse_rows(r, k))
+    b_rows = data.draw(_sparse_rows(k, c))
+    a, b = Matrix(a_rows, ncols=k), Matrix(b_rows, ncols=c)
+    product = a @ b
+    expected = Matrix(dense_product(a.rows, b.rows, c), ncols=c)
+    assert (product.nrows, product.ncols) == (r, c)
+    _assert_fraction_entries(product.rows)
+    assert product == expected and hash(product) == hash(expected)
+
+    vec = data.draw(st.lists(_ENTRY, min_size=k, max_size=k))
+    image = a @ vec
+    assert image == tuple(row[0] for row in dense_product(a.rows, [[x] for x in to_vec(vec)], 1))
+    _assert_fraction_entries([image])
+
+
+def test_solve_particular_is_solve_linear_without_kernel():
+    rng = random.Random(29)
+    infeasible = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 5), rng.randint(1, 5)
+        a = random_rational_matrix(rng, nrows, ncols, bound=2)
+        b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nrows)]
+        x, sol = solve_particular(a, b), solve_linear(a, b)
+        if sol is None:
+            infeasible += 1
+            assert x is None
+        else:
+            assert x == sol.particular and a @ x == to_vec(b)
+    assert infeasible > 0
