@@ -155,10 +155,6 @@ def de7_lorentz_data() -> tuple[MetricLieAlgebra, ExtensionData]:
     return base, ExtensionData(Matrix(drows), to_vec([0] * 5), Matrix(omega))
 
 
-def _sig(p, q, r):
-    return (p, q, r)
-
-
 _BUILDERS: dict[str, Callable[[], tuple[MetricLieAlgebra, dict[str, Expected], tuple[Matrix, ...] | None]]] = {}
 
 
@@ -176,9 +172,9 @@ def _build_paper():
     expected = {
         "dim": Expected(12, "stated"),
         "nprime_dim": Expected(4, "stated"),
-        "signature": Expected(_sig(8, 4, 0), "stated"),
-        "nprime_signature": Expected(_sig(3, 1, 0), "stated"),
-        "v_signature": Expected(_sig(5, 3, 0), "stated"),
+        "signature": Expected((8, 4, 0), "stated"),
+        "nprime_signature": Expected((3, 1, 0), "stated"),
+        "v_signature": Expected((5, 3, 0), "stated"),
         "step": Expected(4, "stated"),
         "lcs_dims": Expected((12, 4, 3, 1, 0), "derived"),
         "center_dim": Expected(7, "derived"),
@@ -195,7 +191,7 @@ def _build_abelian():
         "dim": Expected(4, "stated"),
         "step": Expected(1, "stated"),
         "lcs_dims": Expected((4, 0), "stated"),
-        "signature": Expected(_sig(4, 0, 0), "stated"),
+        "signature": Expected((4, 0, 0), "stated"),
         "center_dim": Expected(4, "stated"),
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
@@ -210,7 +206,7 @@ def _build_heis3():
         "dim": Expected(3, "stated"),
         "step": Expected(2, "stated"),
         "lcs_dims": Expected((3, 1, 0), "stated"),
-        "signature": Expected(_sig(3, 0, 0), "stated"),
+        "signature": Expected((3, 0, 0), "stated"),
         "center_dim": Expected(1, "derived"),
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
@@ -225,7 +221,7 @@ def _build_filiform4():
         "dim": Expected(4, "stated"),
         "step": Expected(3, "derived"),
         "lcs_dims": Expected((4, 2, 1, 0), "derived"),
-        "signature": Expected(_sig(4, 0, 0), "stated"),
+        "signature": Expected((4, 0, 0), "stated"),
         "center_dim": Expected(1, "derived"),
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
@@ -240,8 +236,8 @@ def _build_de5():
         "dim": Expected(5, "stated"),
         "step": Expected(3, "derived"),
         "lcs_dims": Expected((5, 2, 1, 0), "derived"),
-        "signature": Expected(_sig(4, 1, 0), "derived"),
-        "nprime_signature": Expected(_sig(1, 0, 1), "derived"),
+        "signature": Expected((4, 1, 0), "derived"),
+        "nprime_signature": Expected((1, 0, 1), "derived"),
         "center_dim": Expected(2, "derived"),
         "degeneracy": Expected(DegeneracyTag.DEG1_SEMIDEFINITE.value, "derived"),
     }
@@ -256,12 +252,27 @@ def _build_de7():
         "dim": Expected(7, "stated"),
         "step": Expected(3, "derived"),
         "lcs_dims": Expected((7, 2, 1, 0), "derived"),
-        "signature": Expected(_sig(5, 2, 0), "derived"),
-        "nprime_signature": Expected(_sig(1, 0, 1), "derived"),
+        "signature": Expected((5, 2, 0), "derived"),
+        "nprime_signature": Expected((1, 0, 1), "derived"),
         "center_dim": Expected(4, "derived"),
         "degeneracy": Expected(DegeneracyTag.DEG1_SEMIDEFINITE.value, "derived"),
     }
     return m, expected, None
+
+
+# Every invariant a catalog entry can pin: key -> (report label, function),
+# in the order the ``invariants`` command prints them.
+INVARIANTS: dict[str, tuple[str, Callable[[MetricLieAlgebra], object]]] = {
+    "dim": ("DIM", lambda m: m.dim),
+    "lcs_dims": ("LCS_DIMS", lambda m: tuple(s.dim for s in lower_central_series(m.algebra))),
+    "step": ("STEP", lambda m: nilpotency_step(m.algebra)),
+    "center_dim": ("CENTER_DIM", lambda m: center(m.algebra).dim),
+    "nprime_dim": ("NPRIME_DIM", lambda m: m.nprime().dim),
+    "signature": ("SIGNATURE", lambda m: tuple(m.form.signature())),
+    "nprime_signature": ("SIGNATURE_NPRIME", lambda m: tuple(restrict_form(m, m.nprime()).signature())),
+    "v_signature": ("SIGNATURE_V", lambda m: tuple(restrict_form(m, m.v_complement()).signature())),
+    "degeneracy": ("DEGENERACY_CASE", lambda m: classify_degeneracy(m).tag.value),
+}
 
 
 def build_example(name: str) -> NamedExample:
@@ -271,35 +282,14 @@ def build_example(name: str) -> NamedExample:
     m, expected, witnesses = _BUILDERS[name]()
     example = NamedExample(name, m, expected, witnesses)
     for key, exp in expected.items():
-        actual = _compute_invariant(example, key)
+        if key not in INVARIANTS:
+            raise CatalogError(f"unknown invariant {key!r}")
+        actual = INVARIANTS[key][1](m)
         if actual != exp.value:
             raise CatalogError(
                 f"example {name}: pinned {key}={exp.value!r} but computed {actual!r}"
             )
     return example
-
-
-def _compute_invariant(example: NamedExample, key: str):
-    m = example.algebra
-    if key == "dim":
-        return m.dim
-    if key == "step":
-        return nilpotency_step(m.algebra)
-    if key == "lcs_dims":
-        return tuple(s.dim for s in lower_central_series(m.algebra))
-    if key == "signature":
-        return tuple(m.form.signature())
-    if key == "nprime_dim":
-        return m.nprime().dim
-    if key == "nprime_signature":
-        return tuple(restrict_form(m, m.nprime()).signature())
-    if key == "v_signature":
-        return tuple(restrict_form(m, m.v_complement()).signature())
-    if key == "center_dim":
-        return center(m.algebra).dim
-    if key == "degeneracy":
-        return classify_degeneracy(m).tag.value
-    raise CatalogError(f"unknown invariant {key!r}")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,13 @@ import sys
 
 from gonil.catalog import (
     EXAMPLE_NAMES,
+    INVARIANTS,
     CatalogError,
     PAPER_BASIS_NAMES,
     build_example,
     verify_paper_example,
 )
-from gonil.double_ext import ReductionError, classify_degeneracy, extend2, reduce as reduce_algebra
+from gonil.double_ext import ReductionError, extend2, reduce as reduce_algebra
 from gonil.go_engine import (
     GOEngineError,
     go_certificate_at,
@@ -40,15 +41,16 @@ from gonil.io import (
     save_algebra,
 )
 from gonil.isotropy import isotropy_algebra
-from gonil.lie import EngelError, NotNilpotentError, center, lower_central_series, nilpotency_step
+from gonil.lie import EngelError, NotNilpotentError
 from gonil.linalg import DimensionMismatch, fmt_vec
-from gonil.metric import MetricLieAlgebra, PreconditionError, restrict_form
+from gonil.metric import MetricLieAlgebra, PreconditionError
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_MALFORMED = 2
 
 MAX_SAMPLES = 100_000
+MAX_NORMAL_FORM_M = 64
 
 
 def _resolve_algebra(spec: str) -> MetricLieAlgebra:
@@ -56,10 +58,6 @@ def _resolve_algebra(spec: str) -> MetricLieAlgebra:
         return build_example(spec[len("catalog:") :]).algebra
     m, _names = load_algebra(spec)
     return m
-
-
-def _fmt_sig(sig) -> str:
-    return f"{sig.p},{sig.q},{sig.r}"
 
 
 def _parse_vector(text: str):
@@ -77,17 +75,9 @@ def cmd_check(args) -> int:
 
 def cmd_invariants(args) -> int:
     m = _resolve_algebra(args.algebra)
-    chain = lower_central_series(m.algebra)
-    print(f"DIM: {m.dim}")
-    print(f"LCS_DIMS: {','.join(str(s.dim) for s in chain)}")
-    print(f"STEP: {nilpotency_step(m.algebra)}")
-    print(f"CENTER_DIM: {center(m.algebra).dim}")
-    nprime = m.nprime()
-    print(f"NPRIME_DIM: {nprime.dim}")
-    print(f"SIGNATURE: {_fmt_sig(m.form.signature())}")
-    print(f"SIGNATURE_NPRIME: {_fmt_sig(restrict_form(m, nprime).signature())}")
-    print(f"SIGNATURE_V: {_fmt_sig(restrict_form(m, m.v_complement()).signature())}")
-    print(f"DEGENERACY_CASE: {classify_degeneracy(m).tag.value}")
+    for label, invariant in INVARIANTS.values():
+        value = invariant(m)
+        print(f"{label}: {fmt_vec(value) if isinstance(value, tuple) else value}")
     return EXIT_OK
 
 
@@ -150,7 +140,7 @@ def cmd_reduce(args) -> int:
     for line in result.witness.lines():
         print(line)
     print(f"QUOTIENT_DIM: {result.m0.dim}")
-    print(f"QUOTIENT_SIGNATURE: {_fmt_sig(result.m0.form.signature())}")
+    print(f"QUOTIENT_SIGNATURE: {fmt_vec(result.m0.form.signature())}")
     for i, row in enumerate(result.complement_rows.rows):
         print(f"COMPLEMENT[{i}]: {fmt_vec(row)}")
     if args.output:
@@ -164,7 +154,7 @@ def cmd_extend(args) -> int:
     data = load_extension_data(args.data)
     extended = extend2(m, data)
     print(f"EXTENDED_DIM: {extended.dim}")
-    print(f"EXTENDED_SIGNATURE: {_fmt_sig(extended.form.signature())}")
+    print(f"EXTENDED_SIGNATURE: {fmt_vec(extended.form.signature())}")
     if args.output:
         save_algebra(args.output, extended)
         print(f"WROTE: {args.output}")
@@ -202,6 +192,8 @@ def cmd_necessary(args) -> int:
 def cmd_normal_forms(args) -> int:
     from gonil.normal_forms import iwasawa_nilpotent_basis, maximal_abelian_family
 
+    if args.m > MAX_NORMAL_FORM_M:
+        raise FormatError(f"--m is at most {MAX_NORMAL_FORM_M}")
     u1, v1 = [None if x is None else parse_rational(x) for x in (args.u1, args.v1)]
     family = iwasawa_nilpotent_basis(args.q, args.m)
     print(f"SIGNATURE: {family.signature[0]},{family.signature[1]}")
@@ -276,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("normal-forms", cmd_normal_forms, "nilpotent triangular families")
     p.add_argument("--q", type=int, choices=(1, 2), required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True, help=f"matrix size, at most {MAX_NORMAL_FORM_M}")
     p.add_argument("--family", type=int, choices=(1, 2, 3))
     p.add_argument("--u1", help='rational, e.g. "1/2"')
     p.add_argument("--v1", help='rational, e.g. "3"')

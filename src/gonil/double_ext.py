@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from gonil.lie import (
     LieAlgebra,
@@ -26,11 +25,10 @@ from gonil.linalg import (
     SignatureTriple,
     Subspace,
     Vec,
-    basis_vec,
     fmt_vec,
     solve_particular,
-    to_vec,
     vec_add,
+    vec_dot,
     vec_scale,
 )
 from gonil.metric import (
@@ -348,15 +346,10 @@ class ExtensionData:
         defect = derivation_defect(alg, d)
         if defect is not None:
             raise ExtensionDataError(f"derivation identity fails on pair ({defect[0]},{defect[1]})")
+        compat = d.transpose() @ omega + omega @ d  # [i, j] = omega(D e_i, e_j) + omega(e_i, D e_j)
         for i in range(k):
             for j in range(i + 1, k):
-                phi_val = sum(
-                    (phi[t] * c for t, c in enumerate(alg.bracket_basis(i, j))), Fraction(0)
-                )
-                omega_val = _omega_pair(omega, d.column(i), basis_vec(k, j)) + _omega_pair(
-                    omega, basis_vec(k, i), d.column(j)
-                )
-                if phi_val != omega_val:
+                if vec_dot(phi, alg.bracket_basis(i, j)) != compat[i, j]:
                     raise ExtensionDataError(
                         f"compatibility of phi with omega fails on pair ({i},{j})"
                     )
@@ -364,24 +357,14 @@ class ExtensionData:
             for j in range(i + 1, k):
                 for l in range(j + 1, k):
                     cyc = (
-                        _omega_pair(omega, basis_vec(k, i), alg.bracket_basis(j, l))
-                        + _omega_pair(omega, basis_vec(k, j), alg.bracket_basis(l, i))
-                        + _omega_pair(omega, basis_vec(k, l), alg.bracket_basis(i, j))
+                        vec_dot(omega.row(i), alg.bracket_basis(j, l))
+                        + vec_dot(omega.row(j), alg.bracket_basis(l, i))
+                        + vec_dot(omega.row(l), alg.bracket_basis(i, j))
                     )
                     if cyc != 0:
                         raise ExtensionDataError(
                             f"cyclic omega identity fails on triple ({i},{j},{l})"
                         )
-
-
-def _omega_pair(omega: Matrix, x: Sequence, y: Sequence) -> Fraction:
-    out = Fraction(0)
-    for v, row in zip(to_vec(x), omega.rows):
-        if v:
-            for w, entry in zip(to_vec(y), row):
-                if w and entry:
-                    out += v * w * entry
-    return out
 
 
 def extend2(m0: MetricLieAlgebra, data: ExtensionData) -> MetricLieAlgebra:

@@ -15,6 +15,7 @@ CONSISTENT, never "proven".
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -324,31 +325,21 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     Feasibility is sufficient for the geodesic-orbit property; infeasibility
     only rules out linear witnesses with k = 0.
     """
-    check_subisotropy(m, h)
-    n = m.dim
-    nh = h.dim
-    paired = [m.form.gram @ op for op in h.basis]  # paired[j][b][c] = <D_j e_c, e_b>
-    low = m.lowered_brackets()
-    rows = []
-    rhs = []
-    zero = Fraction(0)
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                row = [zero] * (nh * n)
-                for j in range(nh):
-                    pj = paired[j]
-                    if pj[b, c]:
-                        row[j * n + a] += pj[b, c]
-                    if pj[a, c]:
-                        row[j * n + b] += pj[a, c]
-                val = -low[a][c][b] - low[b][c][a]
-                if any(row) or val:
-                    rows.append(row)
-                    rhs.append(val)
-    if not rows:
-        return LinearGOCertificate(Matrix.zeros(nh, n))
-    x = solve_particular(Matrix(rows, ncols=nh * n), rhs)
+    system = _CertificateSystem.build(m, h)
+    n, nh = m.dim, h.dim
+    width = nh * n
+    # Substituting c_j = sum_a L[j][a] T_a and k = 0 into row b of the
+    # per-vector system leaves a quadratic form in T that must vanish: one
+    # row (coefficients of L, then the right-hand side) per T_a T_e, a <= e.
+    rows: defaultdict[tuple[int, int, int], list[Fraction]] = defaultdict(lambda: [_ZERO] * (width + 1))
+    for j, entries in enumerate(system.paired):
+        for e, b, v in entries:
+            for a in range(n):
+                rows[b, min(a, e), max(a, e)][j * n + a] += v
+    for a, b, c, v in system.quadratic:
+        rows[b, min(a, c), max(a, c)][width] -= v
+    aug = list(rows.values())
+    x = solve_particular(Matrix([r[:width] for r in aug], ncols=width), [r[width] for r in aug])
     if x is None:
         return None
     coeffs = Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n)

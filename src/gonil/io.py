@@ -73,7 +73,7 @@ def algebra_to_dict(m: MetricLieAlgebra, basis_names: Sequence[str] | None = Non
     return out
 
 
-def algebra_from_dict(data: dict, validate: bool = True) -> tuple[MetricLieAlgebra, list[str] | None]:
+def algebra_from_dict(data: dict) -> tuple[MetricLieAlgebra, list[str] | None]:
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     dim = data.get("dim")
@@ -124,14 +124,11 @@ def algebra_from_dict(data: dict, validate: bool = True) -> tuple[MetricLieAlgeb
             if gram_rows[i][j] != gram_rows[j][i]:
                 raise FormatError(f"form is not symmetric at ({i},{j})")
     try:
-        algebra = LieAlgebra(dim, table, validate=validate)
+        algebra = LieAlgebra(dim, table)
     except JacobiError as exc:
         raise FormatError(f"bracket table is not a Lie algebra: {exc}") from exc
-    form = SymForm(Matrix(gram_rows))
-    if not validate:
-        return MetricLieAlgebra(algebra, form), basis_names
     try:
-        m = MetricLieAlgebra.checked(algebra, form)
+        m = MetricLieAlgebra.checked(algebra, SymForm(Matrix(gram_rows)))
     except PreconditionError as exc:
         raise FormatError(str(exc)) from exc
     return m, basis_names
@@ -141,12 +138,12 @@ def save_algebra(path: str | Path, m: MetricLieAlgebra, basis_names: Sequence[st
     Path(path).write_text(json.dumps(algebra_to_dict(m, basis_names), indent=2) + "\n")
 
 
-def load_algebra(path: str | Path, validate: bool = True) -> tuple[MetricLieAlgebra, list[str] | None]:
+def load_algebra(path: str | Path) -> tuple[MetricLieAlgebra, list[str] | None]:
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
-    return algebra_from_dict(data, validate=validate)
+    return algebra_from_dict(data)
 
 
 def extension_data_to_dict(data: ExtensionData) -> dict:

@@ -66,18 +66,14 @@ class OperatorSpace:
                 if not span.contains_vector(a.commutator(b).vectorize()):
                     raise ValueError("operator space is not closed under commutators")
 
-    def intersect(self, other: OperatorSpace) -> OperatorSpace:
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch("operator spaces act on different dimensions")
-        meet = self._span().intersect(other._span())
-        return OperatorSpace._from_rows(self.ambient_dim, meet.basis.rows)
-
 
 def derivation_space(alg: LieAlgebra) -> OperatorSpace:
-    """All D with D[x,y] = [Dx,y] + [x,Dy], via one kernel computation.
+    """All D with D[x,y] = [Dx,y] + [x,Dy], via one kernel computation."""
+    return _solution_space(alg.dim, _derivation_rows(alg))
 
-    Unknowns are the n^2 entries of D, row-major: index(l, k) = l*n + k.
-    """
+
+def _derivation_rows(alg: LieAlgebra) -> list[list[Fraction]]:
+    """The derivation identity as rows over the n^2 entries of D, row-major: index(l, k) = l*n + k."""
     n = alg.dim
     table = alg.table
     rows: list[list[Fraction]] = []
@@ -103,7 +99,7 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
                     row[m * n + k] -= c
                 if any(row):
                     rows.append(row)
-    return _solution_space(n, rows)
+    return rows
 
 
 def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
@@ -126,6 +122,11 @@ def is_derivation(alg: LieAlgebra, op: Matrix) -> bool:
 
 def skew_space(form: SymForm) -> OperatorSpace:
     """All D with D^T G + G D = 0 for the form's Gram matrix G."""
+    return _solution_space(form.dim, _skew_rows(form))
+
+
+def _skew_rows(form: SymForm) -> list[list[Fraction]]:
+    """The entries a <= b of D^T G + G D as rows over the row-major entries of D."""
     n = form.dim
     g = form.gram
     rows = []
@@ -140,7 +141,7 @@ def skew_space(form: SymForm) -> OperatorSpace:
                     row[l * n + b] += g[a, l]
             if any(row):
                 rows.append(row)
-    return _solution_space(n, rows)
+    return rows
 
 
 def _solution_space(n: int, rows: list[list[Fraction]]) -> OperatorSpace:
@@ -155,9 +156,10 @@ def is_skew(form: SymForm, op: Matrix) -> bool:
 def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
     """Skew-symmetric derivations of (n, <.,.>): the isotropy algebra.
 
-    Closed under commutators; the closure is re-verified on construction.
+    One kernel of the derivation and skew rows together, so the basis is
+    canonical; the commutator closure is re-verified on construction.
     """
-    space = derivation_space(m.algebra).intersect(skew_space(m.form))
+    space = _solution_space(m.dim, _derivation_rows(m.algebra) + _skew_rows(m.form))
     space.verify_commutator_closed()
     return space
 

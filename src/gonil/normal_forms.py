@@ -142,12 +142,9 @@ def maximal_abelian_family(
         raise NormalFormError("family selector must be 1, 2 or 3")
     k = m - 4
     family = iwasawa_nilpotent_basis(2, m)
-    zero = [0] * k
-    gens: list[Matrix]
+    gens = family.generators  # alpha, beta, u_1..u_k, v_1..v_k
     if which == 1:
-        gens = [q2_element(m, 1, 0, zero, zero), q2_element(m, 0, 1, zero, zero)]
-        for t in range(k):
-            gens.append(q2_element(m, 0, 0, basis_vec(k, t), zero))
+        gens = gens[: k + 2]
     elif which == 2:
         if m < 5:
             raise NormalFormError("family 2 needs m >= 5")
@@ -158,18 +155,14 @@ def maximal_abelian_family(
             raise NormalFormError("family 2 needs v1 != 0")
         u_vec = [Fraction(u1)] + [Fraction(0)] * (k - 1)
         v_vec = [v1] + [Fraction(0)] * (k - 1)
-        gens = [q2_element(m, 1, 0, u_vec, v_vec), q2_element(m, 0, 1, zero, zero)]
-        for t in range(1, k):
-            gens.append(q2_element(m, 0, 0, basis_vec(k, t), zero))
+        gens = (q2_element(m, 1, 0, u_vec, v_vec), gens[1]) + gens[3 : k + 2]
     else:
-        gens = [q2_element(m, 0, 1, zero, zero)]
-        for t in range(k):
-            gens.append(q2_element(m, 0, 0, basis_vec(k, t), zero))
+        gens = gens[1 : k + 2]
     for gen in gens:
         if not family.contains(gen):
             raise NormalFormError("family generator escapes the ambient family")
     _verify_abelian(gens)
-    return tuple(gens)
+    return gens
 
 
 def _verify_abelian(gens: Sequence[Matrix]) -> None:

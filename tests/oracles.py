@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, solve_linear, to_vec
+from gonil.linalg import Matrix, SignatureTriple, basis_vec, solve_linear, to_vec
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -184,3 +184,69 @@ def dense_product(a_rows, b_rows, ncols):
         [sum((row[k] * b_rows[k][j] for k in range(inner)), Fraction(0)) for j in range(ncols)]
         for row in a_rows
     ]
+
+
+def linear_certificate_by_dense_assembly(m, h):
+    """The linear certificate's coefficient matrix from the polarized system, or None.
+
+    One dense row per (a <= b, c) over the dim(h) * n unknowns L[j][a], built
+    from whole products G D_j and the lowered bracket tensor, and solved with
+    ``solve_linear``.
+    """
+    n, nh = m.dim, h.dim
+    paired = [m.form.gram @ op for op in h.basis]  # paired[j][b, c] = <D_j e_c, e_b>
+    low = m.lowered_brackets()
+    rows, rhs = [], []
+    for a in range(n):
+        for b in range(a, n):
+            for c in range(n):
+                row = [Fraction(0)] * (nh * n)
+                for j in range(nh):
+                    row[j * n + a] += paired[j][b, c]
+                    row[j * n + b] += paired[j][a, c]
+                rows.append(row)
+                rhs.append(-low[a][c][b] - low[b][c][a])
+    sol = solve_linear(Matrix(rows, ncols=nh * n), rhs)
+    if sol is None:
+        return None
+    return Matrix([sol.particular[j * n : (j + 1) * n] for j in range(nh)], ncols=n)
+
+
+def omega_pair(omega: Matrix, x, y) -> Fraction:
+    """omega(x, y) = x^T omega y, summed entry by entry."""
+    out = Fraction(0)
+    for v, row in zip(to_vec(x), omega.rows):
+        if v:
+            for w, entry in zip(to_vec(y), row):
+                if w and entry:
+                    out += v * w * entry
+    return out
+
+
+def extension_identity_failure_by_pairing(alg, data) -> str | None:
+    """The message of the first failing phi-omega or cyclic omega identity, or None.
+
+    Loops as ``ExtensionData.validate`` does (pairs i < j, then triples
+    i < j < l) and evaluates every omega term through ``omega_pair``.
+    """
+    k = alg.dim
+    d, phi, omega = data.derivation, data.phi, data.omega
+    for i in range(k):
+        for j in range(i + 1, k):
+            phi_val = sum((phi[t] * c for t, c in enumerate(alg.bracket_basis(i, j))), Fraction(0))
+            omega_val = omega_pair(omega, d.column(i), basis_vec(k, j)) + omega_pair(
+                omega, basis_vec(k, i), d.column(j)
+            )
+            if phi_val != omega_val:
+                return f"compatibility of phi with omega fails on pair ({i},{j})"
+    for i in range(k):
+        for j in range(i + 1, k):
+            for l in range(j + 1, k):
+                cyc = (
+                    omega_pair(omega, basis_vec(k, i), alg.bracket_basis(j, l))
+                    + omega_pair(omega, basis_vec(k, j), alg.bracket_basis(l, i))
+                    + omega_pair(omega, basis_vec(k, l), alg.bracket_basis(i, j))
+                )
+                if cyc != 0:
+                    return f"cyclic omega identity fails on triple ({i},{j},{l})"
+    return None

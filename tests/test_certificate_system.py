@@ -4,6 +4,9 @@
 only for a particular solution.  ``oracles.certificate_by_dense_solve`` builds
 the same system from whole matrices, one product per operator, and solves it
 with ``solve_linear``.  Both must return the same (A_coeffs, k), or None.
+``linear_go_certificate`` reads its polarized system off the same tensors and
+is compared with the dense (a, b, c) assembly of
+``oracles.linear_certificate_by_dense_assembly`` in the same way.
 """
 
 from fractions import Fraction
@@ -12,11 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import necessary_condition_counterexample
 from gonil.catalog import EXAMPLE_NAMES, build_example
-from gonil.go_engine import first_null_vector, go_certificate_at, go_random_audit
+from gonil.go_engine import first_null_vector, go_certificate_at, go_random_audit, linear_go_certificate
 from gonil.isotropy import OperatorSpace, isotropy_algebra
-from gonil.linalg import vec_scale
-from oracles import certificate_by_dense_solve
+from gonil.lie import LieAlgebra
+from gonil.linalg import Matrix, solve_particular, vec_scale
+from gonil.metric import MetricLieAlgebra, SymForm
+from oracles import certificate_by_dense_solve, linear_certificate_by_dense_assembly
 
 SETTINGS = settings(
     max_examples=60,
@@ -92,3 +98,61 @@ def test_audit_on_isotropy_subspace_matches_dense_oracle(paper, paper_iso, k):
     for p in list(report.points) + [report.null_point]:
         got = None if p.certificate is None else (p.certificate.A_coeffs, p.certificate.k)
         assert got == certificate_by_dense_solve(m, sub, p.T)
+
+
+def _linear_result(m, h):
+    cert = linear_go_certificate(m, h)
+    return None if cert is None else cert.coeffs
+
+
+def test_linear_certificate_matches_dense_assembly_on_catalog(spaces):
+    # The counterexample has <[e_a, e_b], e_a> != 0, a diagonal monomial term.
+    m = necessary_condition_counterexample()
+    for m, h in list(spaces.values()) + [(m, isotropy_algebra(m))]:
+        assert _linear_result(m, h) == linear_certificate_by_dense_assembly(m, h)
+
+
+@pytest.mark.parametrize("drop, feasible", [(0, True), (1, False), (6, True), (8, False)])
+def test_linear_certificate_on_isotropy_hyperplanes(paper, paper_iso, drop, feasible):
+    m = paper.algebra
+    sub = OperatorSpace.from_operators(m.dim, paper_iso.basis[:drop] + paper_iso.basis[drop + 1 :])
+    got = _linear_result(m, sub)
+    assert (got is not None) == feasible
+    assert got == linear_certificate_by_dense_assembly(m, sub)
+
+
+@seed(20261018)
+@settings(max_examples=20, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_linear_certificate_matches_dense_assembly_on_isotropy_subspaces(paper, paper_iso, data):
+    m = paper.algebra
+    keep = data.draw(st.lists(st.integers(0, paper_iso.dim - 1), max_size=paper_iso.dim - 1, unique=True))
+    sub = OperatorSpace.from_operators(m.dim, [paper_iso.basis[j] for j in sorted(keep)])
+    assert sub.dim == len(keep) < paper_iso.dim
+    assert _linear_result(m, sub) == linear_certificate_by_dense_assembly(m, sub)
+
+
+def _sheared(m):
+    """m in the basis f_i = e_i + e_{i+1}, where <[f_a, f_b], f_a> need not vanish."""
+    n = m.dim
+    p = Matrix([[1 if k in (i, i + 1) else 0 for i in range(n)] for k in range(n)])
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = solve_particular(p, m.algebra.bracket(p.column(i), p.column(j)))
+            if any(coords):
+                table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+    return MetricLieAlgebra.checked(LieAlgebra(n, table), SymForm(p.transpose() @ m.form.gram @ p))
+
+
+@pytest.mark.parametrize("name", ["de5", "de7_lorentz"])
+def test_linear_certificate_matches_dense_assembly_in_sheared_basis(spaces, name):
+    # A change of basis keeps a linear witness, and here the diagonal
+    # monomials T_a T_a carry nonzero bracket terms.
+    m = _sheared(spaces[name][0])
+    low = m.lowered_brackets()
+    assert any(low[a][b][a] for a in range(m.dim) for b in range(m.dim))
+    h = isotropy_algebra(m)
+    got = _linear_result(m, h)
+    assert got is not None
+    assert got == linear_certificate_by_dense_assembly(m, h)

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from conftest import engel_witness_algebra
-from gonil.catalog import de5_data, de7_lorentz_data, euclidean_abelian
+from gonil.catalog import build_example, de5_data, de7_lorentz_data, euclidean_abelian
 from gonil.double_ext import (
     DegeneracyTag,
     ExtensionData,
@@ -16,8 +18,10 @@ from gonil.double_ext import (
     reduction_witness,
 )
 from gonil.lie import LieAlgebra, abelian, lower_central_series, nilpotency_step
-from gonil.linalg import Matrix, Subspace, to_vec
+from gonil.isotropy import derivation_defect
+from gonil.linalg import Matrix, Subspace, basis_vec, to_vec
 from gonil.metric import MetricLieAlgebra, SymForm
+from oracles import extension_identity_failure_by_pairing, omega_pair
 
 
 def lorentz_abelian(n):
@@ -245,6 +249,61 @@ def test_extend2_rejects_non_derivation(heis3):
     d[1][2] = Fraction(1)  # e3 -> e2 is not a derivation of heis3
     with pytest.raises(ExtensionDataError, match="derivation identity"):
         extend2(heis3, ExtensionData(Matrix(d), to_vec([0, 0, 0]), Matrix.zeros(3, 3)))
+
+
+# Bases whose bracket pairs each hit their own basis vector, so a phi that
+# meets the phi-omega identity can be read off pair by pair.
+VALIDATION_BASES = {
+    "heis3": build_example("heis3").algebra,
+    "filiform4": build_example("filiform4").algebra,
+    "abelian3": euclidean_abelian(3),
+    # free 2-step nilpotent on three generators: every cyclic sum has three terms
+    "free3": MetricLieAlgebra.checked(
+        LieAlgebra(6, {(0, 1): {3: 1}, (0, 2): {4: 1}, (1, 2): {5: 1}}), SymForm(Matrix.identity(6))
+    ),
+}
+
+
+def _fitted_phi(alg, d, omega):
+    k = alg.dim
+    phi = [Fraction(0)] * k
+    for (i, j), targets in alg.table.items():
+        ((t, c),) = targets.items()
+        omega_val = omega_pair(omega, d.column(i), basis_vec(k, j)) + omega_pair(omega, basis_vec(k, i), d.column(j))
+        phi[t] = omega_val / c
+    return to_vec(phi)
+
+
+@seed(20261018)
+@settings(max_examples=200, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(VALIDATION_BASES)), fit_phi=st.booleans(), data=st.data())
+def test_extension_validate_matches_pairing_oracle(name, fit_phi, data):
+    # Nonzero nilpotent derivations: inner ones on the non-abelian bases,
+    # strictly lower-triangular ones on the abelian base.
+    m0 = VALIDATION_BASES[name]
+    k = m0.dim
+    small = st.sampled_from([0, 0, 0, 1, -1, 2])
+    if m0.algebra.table:
+        d = m0.algebra.ad(data.draw(st.lists(small, min_size=k, max_size=k)))
+    else:
+        d = Matrix([[data.draw(small) if j < i else 0 for j in range(k)] for i in range(k)])
+    assume(not d.is_zero())
+    assert derivation_defect(m0.algebra, d) is None and d.is_nilpotent()
+    sparse = st.sampled_from([0, 0, 0, 0, 0, 1, -1])
+    upper = {(i, j): data.draw(sparse) for i in range(k) for j in range(i + 1, k)}
+    omega = Matrix([[upper.get((i, j), 0) - upper.get((j, i), 0) for j in range(k)] for i in range(k)])
+    if fit_phi:
+        phi = _fitted_phi(m0.algebra, d, omega)
+    else:
+        phi = to_vec(data.draw(st.lists(small, min_size=k, max_size=k)))
+    ext = ExtensionData(d, phi, omega)
+    expected = extension_identity_failure_by_pairing(m0.algebra, ext)
+    if expected is None:
+        ext.validate(m0)
+    else:
+        with pytest.raises(ExtensionDataError) as info:
+            ext.validate(m0)
+        assert str(info.value) == expected
 
 
 def test_round_trip_on_lorentz_chain():

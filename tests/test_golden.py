@@ -2,7 +2,9 @@
 
 Each command runs in-process through ``cli.main``.  The digests were taken
 before the identity checks were rewritten as contractions of the lowered
-bracket tensor; refactors must reproduce the same bytes.
+bracket tensor, and the last four ``normal-forms`` digests before the abelian
+families were taken as slices of the index-2 generators; refactors must
+reproduce the same bytes.
 """
 
 import hashlib
@@ -31,6 +33,12 @@ def _commands():
         ]
     out += [["reduce", "catalog:de5"], ["reduce", "catalog:de7_lorentz"], ["verify-paper"]]
     out.append(["normal-forms", "--q", "2", "--m", "6", "--family", "2", "--u1", "1/2", "--v1", "3"])
+    out += [
+        ["normal-forms", "--q", "2", "--m", "7", "--family", "1"],
+        ["normal-forms", "--q", "2", "--m", "7", "--family", "3"],
+        ["normal-forms", "--q", "1", "--m", "6"],
+        ["normal-forms", "--q", "2", "--m", "6"],
+    ]
     return out
 
 
@@ -77,6 +85,10 @@ GOLDEN = {
     "reduce catalog:de7_lorentz": ("e84c5b47364df4bc969e763748aa79b965658827bc23ec9cb4b4f06248630a75", 0),
     "verify-paper": ("324e8e50800befe78acf34a91fa9586f117803d62134f2d3e011ea7d1ad6ccfa", 0),
     "normal-forms --q 2 --m 6 --family 2 --u1 1/2 --v1 3": ("307d700053d4e86d19947947ad4c7c3b01365c191cb5598fd7c564cbea3e9740", 0),
+    "normal-forms --q 2 --m 7 --family 1": ("c92627deafe5f4a927c61ca673ac73836cb29925c980202403a2c5827197b677", 0),
+    "normal-forms --q 2 --m 7 --family 3": ("9fe9f86a490928104682f1420115a53f911fe671ba9d116c2e59dd17c76ca046", 0),
+    "normal-forms --q 1 --m 6": ("ad20ba20ca5bd8d6f7c280308368c9c22d1d93a4ac8fdbb91c60c5ade719ec30", 0),
+    "normal-forms --q 2 --m 6": ("215ff6627d6ddace8f5d63d5be5586fecfe9a2242ebbadd9ebf09e80e3be4ad6", 0),
 }
 
 

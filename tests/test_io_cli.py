@@ -19,7 +19,7 @@ from gonil.io import (
     parse_rational,
     save_algebra,
 )
-from gonil.cli import MAX_SAMPLES, main
+from gonil.cli import MAX_NORMAL_FORM_M, MAX_SAMPLES, main
 from gonil.lie import EngelError
 
 
@@ -260,6 +260,19 @@ def test_cli_refuses_exponent_rationals(no_fraction_in_io, capsys):
     for flag in ("--u1", "--v1"):
         assert main(["normal-forms", "--q", "2", "--m", "6", "--family", "2", flag, "1e999999999"]) == 2
         assert capsys.readouterr().out.startswith("ERROR: not a rational")
+
+
+def test_cli_normal_forms_m_upper_limit(capsys, monkeypatch):
+    import gonil.normal_forms as nf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    for name in ("reference_gram", "iwasawa_nilpotent_basis", "maximal_abelian_family", "q2_element"):
+        monkeypatch.setattr(nf, name, refuse)
+    for extra in ([], ["--family", "1"]):
+        assert main(["normal-forms", "--q", "2", "--m", str(MAX_NORMAL_FORM_M + 1)] + extra) == 2
+        assert capsys.readouterr().out == f"ERROR: --m is at most {MAX_NORMAL_FORM_M}\n"
 
 
 def test_cli_go_samples_upper_limit(capsys):

@@ -1,7 +1,10 @@
 import itertools
 from fractions import Fraction
 
-from gonil.catalog import paper_isotropy_operator
+import pytest
+
+from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
+from gonil.double_ext import ExtensionData, extend2
 from gonil.isotropy import (
     derivation_space,
     is_adh_invariant,
@@ -120,3 +123,33 @@ def test_isotropy_of_de5_matches_hand_count(de5):
     for d in iso.basis:
         assert (d @ basis_vec(5, 4)) == zero
         assert (d @ basis_vec(5, 1)) == zero
+
+
+def _extend2_outputs():
+    heis3 = build_example("heis3").algebra
+    filiform4 = build_example("filiform4").algebra
+    de5 = build_example("de5").algebra
+    plane = Matrix([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    shift = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
+    return {
+        "euclidean3_shift_plane": extend2(euclidean_abelian(3), ExtensionData(shift, (0, 0, 0), plane, Fraction(2))),
+        "heis3_by_ad_e1": extend2(heis3, ExtensionData(heis3.algebra.ad(basis_vec(3, 0)), (0,) * 3, Matrix.zeros(3, 3))),
+        "filiform4_by_ad_e1": extend2(
+            filiform4, ExtensionData(filiform4.algebra.ad(basis_vec(4, 0)), (0,) * 4, Matrix.zeros(4, 4))
+        ),
+        "de5_plus_plane": extend2(de5, ExtensionData(Matrix.zeros(5, 5), (0,) * 5, Matrix.zeros(5, 5))),
+    }
+
+
+ISOTROPY_CASES = {name: build_example(name).algebra for name in EXAMPLE_NAMES} | _extend2_outputs()
+
+
+@pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
+def test_isotropy_algebra_is_derivations_meet_skew(name):
+    # The one-kernel isotropy algebra against the intersection of the two
+    # spaces through Subspace.intersect; both bases are reduced echelon.
+    m = ISOTROPY_CASES[name]
+    n2 = m.dim * m.dim
+    der = Subspace.span(n2, [op.vectorize() for op in derivation_space(m.algebra).basis])
+    skew = Subspace.span(n2, [op.vectorize() for op in skew_space(m.form).basis])
+    assert tuple(op.vectorize() for op in isotropy_algebra(m).basis) == der.intersect(skew).basis.rows
