@@ -77,7 +77,7 @@ def algebra_from_dict(data: dict) -> tuple[MetricLieAlgebra, list[str] | None]:
     if not isinstance(data, dict):
         raise FormatError("top level must be an object")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise FormatError("'dim' must be a positive integer")
     basis_names = data.get("basis_names")
     if basis_names is not None:
@@ -88,6 +88,7 @@ def algebra_from_dict(data: dict) -> tuple[MetricLieAlgebra, list[str] | None]:
     if not isinstance(raw_brackets, dict):
         raise FormatError("'brackets' must be an object keyed by 'i,j'")
     table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    keys: dict[tuple[int, int], str] = {}
     for key, targets in raw_brackets.items():
         try:
             i_s, j_s = key.split(",")
@@ -96,6 +97,9 @@ def algebra_from_dict(data: dict) -> tuple[MetricLieAlgebra, list[str] | None]:
             raise FormatError(f"bracket key {key!r} is not of the form 'i,j'") from exc
         if not (0 <= i < j < dim):
             raise FormatError(f"bracket key {key!r} needs 0 <= i < j < dim={dim}")
+        if (i, j) in keys:
+            raise FormatError(f"bracket keys {keys[i, j]!r} and {key!r} both name the pair ({i},{j})")
+        keys[i, j] = key
         if not isinstance(targets, dict):
             raise FormatError(f"bracket {key!r}: value must map target index to rational")
         entry = {}

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gonil.lie import LieAlgebra
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, basis_vec, kernel, vec_add
+from gonil.lie import LieAlgebra, derivation_rows
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, kernel
 from gonil.metric import MetricLieAlgebra, SymForm
 
 
@@ -69,50 +69,18 @@ class OperatorSpace:
 
 def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], via one kernel computation."""
-    return _solution_space(alg.dim, _derivation_rows(alg))
-
-
-def _derivation_rows(alg: LieAlgebra) -> list[list[Fraction]]:
-    """The derivation identity as rows over the n^2 entries of D, row-major: index(l, k) = l*n + k."""
-    n = alg.dim
-    table = alg.table
-    rows: list[list[Fraction]] = []
-    zero = Fraction(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            targets = table.get((i, j), {})
-            b_lj = [alg.bracket_basis(l, j) for l in range(n)]
-            b_il = [alg.bracket_basis(i, l) for l in range(n)]
-            for m in range(n):
-                row = [zero] * (n * n)
-                # [D e_i, e_j]_m = sum_l D[l,i] c^m_{l j}
-                # [e_i, D e_j]_m = sum_l D[l,j] c^m_{i l}
-                for l in range(n):
-                    c = b_lj[l][m]
-                    if c:
-                        row[l * n + i] += c
-                    c = b_il[l][m]
-                    if c:
-                        row[l * n + j] += c
-                # - D([e_i, e_j])_m = - sum_k c^k_{ij} D[m,k]
-                for k, c in targets.items():
-                    row[m * n + k] -= c
-                if any(row):
-                    rows.append(row)
-    return rows
+    return _solution_space(alg.dim, [row for _, row in derivation_rows(alg)])
 
 
 def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
     """First pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
     n = alg.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = op @ alg.bracket_basis(i, j)
-            rhs = vec_add(
-                alg.bracket(op.column(i), basis_vec(n, j)), alg.bracket(basis_vec(n, i), op.column(j))
-            )
-            if lhs != rhs:
-                return (i, j)
+    if op.nrows != n or op.ncols != n:
+        raise DimensionMismatch("operator size differs from the algebra's dimension")
+    d = op.vectorize()
+    for (i, j, _), row in derivation_rows(alg):
+        if sum(c * d[x] for x, c in row.items()):
+            return (i, j)
     return None
 
 
@@ -125,28 +93,34 @@ def skew_space(form: SymForm) -> OperatorSpace:
     return _solution_space(form.dim, _skew_rows(form))
 
 
-def _skew_rows(form: SymForm) -> list[list[Fraction]]:
-    """The entries a <= b of D^T G + G D as rows over the row-major entries of D."""
+def _skew_rows(form: SymForm) -> list[dict[int, Fraction]]:
+    """The entries a <= b of D^T G + G D as sparse rows over the row-major entries of D."""
     n = form.dim
     g = form.gram
     rows = []
-    zero = Fraction(0)
     for a in range(n):
         for b in range(a, n):
-            row = [zero] * (n * n)
+            row: dict[int, Fraction] = {}
             for l in range(n):
                 if g[l, b]:
-                    row[l * n + a] += g[l, b]
+                    row[l * n + a] = g[l, b]
                 if g[a, l]:
-                    row[l * n + b] += g[a, l]
-            if any(row):
+                    row[l * n + b] = row.get(l * n + b, 0) + g[a, l]
+            if row:
                 rows.append(row)
     return rows
 
 
-def _solution_space(n: int, rows: list[list[Fraction]]) -> OperatorSpace:
-    """Operators whose row-major entries solve every row; no rows means all operators."""
-    return OperatorSpace._from_rows(n, kernel(Matrix(rows, ncols=n * n)).rows)
+def _solution_space(n: int, rows: list[dict[int, Fraction]]) -> OperatorSpace:
+    """Operators whose row-major entries solve every sparse row; no rows means all operators."""
+    zero = Fraction(0)
+    dense = []
+    for row in rows:
+        entries = [zero] * (n * n)
+        for x, c in row.items():
+            entries[x] = c
+        dense.append(entries)
+    return OperatorSpace._from_rows(n, kernel(Matrix(dense, ncols=n * n)).rows)
 
 
 def is_skew(form: SymForm, op: Matrix) -> bool:
@@ -159,7 +133,8 @@ def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
     One kernel of the derivation and skew rows together, so the basis is
     canonical; the commutator closure is re-verified on construction.
     """
-    space = _solution_space(m.dim, _derivation_rows(m.algebra) + _skew_rows(m.form))
+    rows = [row for _, row in derivation_rows(m.algebra)] + _skew_rows(m.form)
+    space = _solution_space(m.dim, rows)
     space.verify_commutator_closed()
     return space
 

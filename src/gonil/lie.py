@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from gonil.linalg import (
     DimensionMismatch,
@@ -17,11 +17,9 @@ from gonil.linalg import (
     Subspace,
     Vec,
     basis_vec,
-    is_zero_vec,
     kernel,
     solve_particular,
     to_vec,
-    vec_add,
 )
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
@@ -121,24 +119,63 @@ def abelian(dim: int) -> LieAlgebra:
     return LieAlgebra(dim, {})
 
 
-def jacobi_defect(alg: LieAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
-    """All triples i<j<k where [e_i,[e_j,e_k]] + cyclic fails, with the defect."""
+def _ad_table(alg: LieAlgebra) -> list[list[Mapping[int, Fraction]]]:
+    """ad[x][l] = [e_x, e_l] as {m: coefficient}, read off the table by antisymmetry."""
     n = alg.dim
-    defects = []
-    basis = [basis_vec(n, i) for i in range(n)]
+    empty: dict[int, Fraction] = {}
+    ad = [[empty] * n for _ in range(n)]
+    for (i, j), targets in alg._table.items():
+        ad[i][j] = targets
+        ad[j][i] = {k: -c for k, c in targets.items()}
+    return ad
+
+
+def derivation_rows(alg: LieAlgebra) -> Iterator[tuple[tuple[int, int, int], dict[int, Fraction]]]:
+    """The derivation identity as sparse rows over the n^2 entries of D, row-major.
+
+    Row (i, j, m), i < j, maps l*n + k to the coefficient of D[l, k] in
+    ([D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j])_m.  Zero rows are skipped.
+    """
+    n = alg.dim
+    ad = _ad_table(alg)
     for i in range(n):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = vec_add(
-                    vec_add(
-                        alg.bracket(basis[i], alg.bracket_basis(j, k)),
-                        alg.bracket(basis[j], alg.bracket_basis(k, i)),
-                    ),
-                    alg.bracket(basis[k], alg.bracket_basis(i, j)),
-                )
-                if not is_zero_vec(total):
-                    defects.append(((i, j, k), total))
-    return defects
+            rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            for l in range(n):
+                for m, c in ad[j][l].items():  # [D e_i, e_j]_m = sum_l D[l,i] [e_l, e_j]_m
+                    rows[m][l * n + i] = -c
+                for m, c in ad[i][l].items():  # [e_i, D e_j]_m = sum_l D[l,j] [e_i, e_l]_m
+                    rows[m][l * n + j] = c
+            for k, c in ad[i][j].items():  # -D([e_i, e_j])_m = -sum_k [e_i, e_j]_k D[m,k]
+                for m, row in enumerate(rows):
+                    total = row.pop(m * n + k, 0) - c
+                    if total:
+                        row[m * n + k] = total
+            for m, row in enumerate(rows):
+                if row:
+                    yield (i, j, m), row
+
+
+def jacobi_defect(alg: LieAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
+    """All triples i<j<k where [e_i,[e_j,e_k]] + cyclic fails, with the defect.
+
+    The cyclic sum at (i, j, k) is minus the derivation residual of ad(e_i) on
+    the pair (j, k).  Only antisymmetry is used, so unvalidated tables work too.
+    """
+    n = alg.dim
+    ads = [  # vec(ad e_i): entry l*n + k is [e_i, e_k]_l
+        {l * n + k: c for k, image in enumerate(images) for l, c in image.items()}
+        for images in _ad_table(alg)
+    ]
+    zero = Fraction(0)
+    sums: dict[tuple[int, int, int], list[Fraction]] = {}
+    for (j, k, m), row in derivation_rows(alg):
+        for i in range(j):
+            ad_i = ads[i]
+            total = sum((c * ad_i[x] for x, c in row.items() if x in ad_i), zero)
+            if total:
+                sums.setdefault((i, j, k), [zero] * n)[m] = -total
+    return [(triple, tuple(vec)) for triple, vec in sorted(sums.items())]
 
 
 def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
@@ -233,13 +270,13 @@ class EngelFlag:
     basis: Matrix  # rows ordered so that op(row_i) lies in span(row_{i+1}, ...)
 
 
-def engel_flag(ops: Sequence[Matrix], closure_depth: int | None = None) -> EngelFlag:
+def engel_flag(ops: Sequence[Matrix]) -> EngelFlag:
     """Simultaneously strictly-triangularize a family of nilpotent operators.
 
-    The family must span a Lie algebra of nilpotent operators once closed
-    under commutators (the closure is computed, bounded by `closure_depth`,
-    default dim^2 rounds).  Extraction walks ascending common kernels; a zero
-    intermediate kernel means the precondition failed.
+    Extraction walks ascending common kernels W_t = {x : op(x) in W_(t-1)};
+    a step that adds nothing means the operators generate no nilpotent Lie
+    algebra (by Engel's theorem), and a complete flag makes every operator,
+    hence every commutator, strictly triangular.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -249,10 +286,6 @@ def engel_flag(ops: Sequence[Matrix], closure_depth: int | None = None) -> Engel
             raise DimensionMismatch("operators must be square and same-sized")
         if not op.is_nilpotent():
             raise EngelError("no common kernel vector: an operator is not nilpotent")
-    closed = _commutator_closure(list(ops), closure_depth or n * n)
-    for op in closed:
-        if not op.is_nilpotent():
-            raise EngelError("no common kernel vector: commutator closure is not nilpotent")
 
     spaces: list[Subspace] = []
     current = Subspace.zero(n)
@@ -271,23 +304,6 @@ def engel_flag(ops: Sequence[Matrix], closure_depth: int | None = None) -> Engel
     basis = Matrix(ordered, ncols=n)
     _verify_strict_triangularity(ops, basis)
     return EngelFlag(tuple(spaces), basis)
-
-
-def _commutator_closure(ops: list[Matrix], depth: int) -> list[Matrix]:
-    span = Subspace.span(ops[0].ncols ** 2, [op.vectorize() for op in ops])
-    family = list(ops)
-    for _ in range(depth):
-        new = []
-        for a in family:
-            for b in family:
-                c = a.commutator(b)
-                if not span.contains_vector(c.vectorize()):
-                    new.append(c)
-                    span = span.plus(Subspace.span(span.ambient_dim, [c.vectorize()]))
-        if not new:
-            return family
-        family.extend(new)
-    return family
 
 
 def _verify_strict_triangularity(ops: Sequence[Matrix], basis: Matrix) -> None:

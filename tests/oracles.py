@@ -250,3 +250,39 @@ def extension_identity_failure_by_pairing(alg, data) -> str | None:
                 if cyc != 0:
                     return f"cyclic omega identity fails on triple ({i},{j},{l})"
     return None
+
+
+def jacobi_defect_by_brackets(alg):
+    """Every triple i < j < k with a nonzero cyclic sum [e_i,[e_j,e_k]] + cyclic, by three brackets each."""
+    n = alg.dim
+    basis = [basis_vec(n, i) for i in range(n)]
+    defects = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = tuple(
+                    a + b + c
+                    for a, b, c in zip(
+                        alg.bracket(basis[i], alg.bracket_basis(j, k)),
+                        alg.bracket(basis[j], alg.bracket_basis(k, i)),
+                        alg.bracket(basis[k], alg.bracket_basis(i, j)),
+                    )
+                )
+                if any(total):
+                    defects.append(((i, j, k), total))
+    return defects
+
+
+def derivation_defect_by_brackets(alg, op: Matrix):
+    """First pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], by generic brackets."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = op @ alg.bracket_basis(i, j)
+            rhs = tuple(
+                a + b
+                for a, b in zip(alg.bracket(op.column(i), basis_vec(n, j)), alg.bracket(basis_vec(n, i), op.column(j)))
+            )
+            if lhs != rhs:
+                return (i, j)
+    return None

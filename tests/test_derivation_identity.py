@@ -1,0 +1,88 @@
+"""The derivation rows against the bracket loops they replace.
+
+``jacobi_defect`` and ``derivation_defect`` read the sparse derivation rows
+off the bracket table; ``oracles.jacobi_defect_by_brackets`` and
+``oracles.derivation_defect_by_brackets`` evaluate the same identities with
+generic brackets on basis vectors.  Each property asserts that both of its
+outcomes (identity holds, identity fails) were reached.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from gonil.catalog import EXAMPLE_NAMES, build_example
+from gonil.isotropy import derivation_defect
+from gonil.lie import LieAlgebra, jacobi_defect
+from gonil.linalg import DimensionMismatch, Matrix
+from oracles import derivation_defect_by_brackets, jacobi_defect_by_brackets
+
+SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+ALGEBRAS = {name: build_example(name).algebra.algebra for name in EXAMPLE_NAMES}
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    """A random rational table on dimension 2..6: sparse, so some tables satisfy Jacobi."""
+    n = draw(st.integers(2, 6))
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 3)) == 0:
+                table[(i, j)] = {k: draw(SMALL) for k in range(n) if draw(st.booleans())}
+    return n, table
+
+
+def test_jacobi_defect_matches_bracket_oracle():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(antisymmetric_tables())
+    def check(drawn):
+        alg = LieAlgebra(*drawn, validate=False)
+        expected = jacobi_defect_by_brackets(alg)
+        assert jacobi_defect(alg) == expected  # triples, defect vectors and order
+        outcomes.add(bool(expected))
+
+    check()
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_jacobi_defect_empty_on_catalog(name):
+    assert jacobi_defect(ALGEBRAS[name]) == jacobi_defect_by_brackets(ALGEBRAS[name]) == []
+
+
+def test_derivation_defect_matches_bracket_oracle():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(name=st.sampled_from(EXAMPLE_NAMES), kind=st.sampled_from(["inner", "sparse", "both"]), data=st.data())
+    def check(name, kind, data):
+        alg = ALGEBRAS[name]
+        n = alg.dim
+        op = Matrix.zeros(n, n)
+        if kind != "sparse":  # the inner derivation ad(x)
+            op = op + alg.ad(data.draw(st.lists(SMALL, min_size=n, max_size=n)))
+        if kind != "inner":
+            cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), SMALL), max_size=3))
+            entries = [[0] * n for _ in range(n)]
+            for l, k, c in cells:
+                entries[l][k] = c
+            op = op + Matrix(entries)
+        expected = derivation_defect_by_brackets(alg, op)
+        assert derivation_defect(alg, op) == expected
+        outcomes.add(expected is None)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_derivation_defect_refuses_a_wrong_size():
+    with pytest.raises(DimensionMismatch):
+        derivation_defect(ALGEBRAS["heis3"], Matrix.zeros(2, 2))
+

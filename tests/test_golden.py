@@ -2,18 +2,24 @@
 
 Each command runs in-process through ``cli.main``.  The digests were taken
 before the identity checks were rewritten as contractions of the lowered
-bracket tensor, and the last four ``normal-forms`` digests before the abelian
-families were taken as slices of the index-2 generators; refactors must
-reproduce the same bytes.
+bracket tensor, the last four ``normal-forms`` digests before the abelian
+families were taken as slices of the index-2 generators, and the ``check``,
+``catalog``, ``reduce --output`` and ``extend`` digests before the derivation
+and Jacobi checks read the derivation rows off the bracket table; refactors
+must reproduce the same bytes.  Commands that write a file also pin the
+file's bytes.
 """
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 
 import pytest
 
+from gonil.catalog import EXAMPLE_NAMES, de5_data
 from gonil.cli import main
+from gonil.io import extension_data_to_dict, save_algebra
 
 _DIMS = {"paper_2_3": 12, "abelian_n": 4, "heis3": 3, "filiform4": 4, "de5": 5, "de7_lorentz": 7}
 
@@ -92,13 +98,122 @@ GOLDEN = {
 }
 
 
-def run_command(argv):
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_command(argv, tmp=None):
+    """Digest of stdout (with the temporary directory written as ``<tmp>``) and the exit code."""
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(argv)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest(), code
+    out = buf.getvalue()
+    if tmp is not None:
+        out = out.replace(str(tmp), "<tmp>")
+    return _sha(out.encode()), code
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_golden_output(argv):
     assert run_command(argv) == GOLDEN[" ".join(argv)]
+
+
+# ``check catalog:NAME``: one digest for every catalog entry.
+GOLDEN_CHECK = {
+    "paper_2_3": ("565d34d3300696afd5a74eba4bb3b0806c53d2920406324a682ca642f294545e", 0),
+    "abelian_n": ("565d34d3300696afd5a74eba4bb3b0806c53d2920406324a682ca642f294545e", 0),
+    "heis3": ("565d34d3300696afd5a74eba4bb3b0806c53d2920406324a682ca642f294545e", 0),
+    "filiform4": ("565d34d3300696afd5a74eba4bb3b0806c53d2920406324a682ca642f294545e", 0),
+    "de5": ("565d34d3300696afd5a74eba4bb3b0806c53d2920406324a682ca642f294545e", 0),
+    "de7_lorentz": ("565d34d3300696afd5a74eba4bb3b0806c53d2920406324a682ca642f294545e", 0),
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_golden_check(name):
+    assert run_command(["check", f"catalog:{name}"]) == GOLDEN_CHECK[name]
+
+
+# ``catalog NAME --output FILE``: the stdout digest, then the digest of the file's bytes.
+GOLDEN_CATALOG_FILES = {
+    "paper_2_3": (
+        "50451d166ff924d113e37a09b3514cfdbab70f81852bc66eca729e8b9ef13222",
+        0,
+        "1882b92bef6fdfb952634da2fdb9028d3b313bf18ea5d6315f0f3297c461981a",
+    ),
+    "abelian_n": (
+        "f82863046b457249a5cc91931f2d750eb1374244f6feda3bfb5c0ff79e230765",
+        0,
+        "98454406a8b26e77a8eeb920e7a9959c6187c58579a3942ae5551785bb2bd164",
+    ),
+    "heis3": (
+        "4f0610ff44326c70df3431179a04ced8766b34635cb489368c13f4349dd29834",
+        0,
+        "33e57a8d52fdbdb76d72f2bfabfa9fd3f9fb287498f0a88cec69d7f6cf069105",
+    ),
+    "filiform4": (
+        "5ff49373d2a55f2c1df7db7927372735c3531c72b1b88de4c15191d2a6700a26",
+        0,
+        "a75a706c27c1ac2a8dec288cbe8c5887cae2e69d85a3ce39cab893331b3895e4",
+    ),
+    "de5": (
+        "1550d299bd7e25222b911e2719544d89564f69265a4019c073cde3ea5282da9a",
+        0,
+        "b1c65a7dc468092b92b4eea84e72d9f094a5fa57ecfd526c8ead5a60781327fc",
+    ),
+    "de7_lorentz": (
+        "660eb93e7798bda4bbd9d77b4d91faea35ae6dddec2f42b838d6dcc63fc0942d",
+        0,
+        "cdf31976800e961b06f9babcecee6a6079282464c4ce36605f23a2e54ad7d555",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_golden_catalog_file(name, tmp_path):
+    path = tmp_path / f"{name}.json"
+    digest, code = run_command(["catalog", name, "--output", str(path)], tmp_path)
+    assert (digest, code, _sha(path.read_bytes())) == GOLDEN_CATALOG_FILES[name]
+
+
+# ``reduce SPEC --output FILE``: the stdout digest, then the digest of the quotient file.
+GOLDEN_REDUCE_FILES = {
+    "de5": (
+        "2ad1319766113086209a215efab88ff4981e68f33fc8c8fb9172cc9f5985b0b8",
+        0,
+        "d55d4cf94c202ebe2e4e1efaf9d66c24f7e2483d416bbf9f2bcc12b457fd9a90",
+    ),
+    "de7_lorentz": (
+        "205d737b50880dbb63188f5e13aa6c01ce6288919ee607998340c750f81809da",
+        0,
+        "6bd644eb8f8e20735c17aec7487fb332d109a9f0e152c05dc86bdc787278e0dd",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REDUCE_FILES))
+def test_golden_reduce_file(name, tmp_path):
+    path = tmp_path / "quotient.json"
+    digest, code = run_command(["reduce", f"catalog:{name}", "--output", str(path)], tmp_path)
+    assert (digest, code, _sha(path.read_bytes())) == GOLDEN_REDUCE_FILES[name]
+
+
+# ``extend`` of the de5 base (Euclidean R^3) by the de5 data, both written by the
+# test: the digest of stdout without and with ``--output``, and of the written file.
+GOLDEN_EXTEND = (
+    "2d6a7e34e281dd2c33002bfebb20db38b07860eb1ae2251e76e1893883c0ee90",
+    "f1377f7491ed29c22588b254b013b9281d2fd0cf05aad36b3f74b788098a1b59",
+    0,
+    "b1c65a7dc468092b92b4eea84e72d9f094a5fa57ecfd526c8ead5a60781327fc",
+)
+
+
+def test_golden_extend_de5(tmp_path):
+    base, data = de5_data()
+    save_algebra(tmp_path / "base.json", base)
+    (tmp_path / "data.json").write_text(json.dumps(extension_data_to_dict(data)))
+    argv = ["extend", str(tmp_path / "base.json"), "--data", str(tmp_path / "data.json")]
+    plain, code_plain = run_command(argv, tmp_path)
+    written, code = run_command(argv + ["--output", str(tmp_path / "extended.json")], tmp_path)
+    assert code_plain == code
+    assert (plain, written, code, _sha((tmp_path / "extended.json").read_bytes())) == GOLDEN_EXTEND

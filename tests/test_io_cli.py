@@ -74,6 +74,24 @@ def test_loader_rejects_degenerate_form():
         algebra_from_dict(data)
 
 
+def test_loader_refuses_boolean_dim(tmp_path, capsys):
+    data = {"dim": True, "brackets": {}, "form": [["1"]]}
+    with pytest.raises(FormatError, match="'dim' must be a positive integer"):
+        algebra_from_dict(data)
+    path = tmp_path / "bool_dim.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().out == "ERROR: 'dim' must be a positive integer\n"
+
+
+def test_loader_refuses_a_pair_named_twice():
+    # "00,1" parses to the same pair as "0,1"; neither may silently win
+    identity = [["1" if i == j else "0" for j in range(3)] for i in range(3)]
+    data = {"dim": 3, "brackets": {"0,1": {"2": "1"}, "00,1": {"2": "5"}}, "form": identity}
+    with pytest.raises(FormatError, match=r"bracket keys '0,1' and '00,1' both name the pair \(0,1\)"):
+        algebra_from_dict(data)
+
+
 def test_loader_rejects_bad_bracket_key():
     data = {"dim": 2, "brackets": {"1,0": {"0": "1"}}, "form": [["1", "0"], ["0", "1"]]}
     with pytest.raises(FormatError, match="0 <= i < j"):

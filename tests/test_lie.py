@@ -165,6 +165,14 @@ def test_engel_flag_rejects_invertible():
         engel_flag([Matrix.identity(2)])
 
 
+def test_engel_flag_rejects_nilpotent_pair_with_non_nilpotent_commutator():
+    # both operators are nilpotent, but their commutator diag(1, -1) is not
+    upper = Matrix([[0, 1], [0, 0]])
+    lower = Matrix([[0, 0], [1, 0]])
+    with pytest.raises(EngelError, match="no common kernel vector"):
+        engel_flag([upper, lower])
+
+
 def test_engel_flag_triangularity_random_uppers():
     import random
 
