@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from gonil.double_ext import DegeneracyTag, ExtensionData, classify_degeneracy, extend2
 from gonil.go_engine import linear_go_certificate, polarized_defects
-from gonil.isotropy import is_derivation, is_skew, isotropy_algebra
+from gonil.isotropy import derivation_defects, is_skew, isotropy_algebra
 from gonil.lie import (
     LieAlgebra,
     abelian,
@@ -366,7 +366,7 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
     record("witness_count", len(witnesses) == n, f"{len(witnesses)} stored operators")
     bad_skew = [b for b, op in enumerate(witnesses) if not is_skew(m.form, op)]
     record("witness_skew", not bad_skew, f"skewness fails at basis {bad_skew}")
-    bad_der = [b for b, op in enumerate(witnesses) if not is_derivation(alg, op)]
+    bad_der = [b for b, defect in enumerate(derivation_defects(alg, witnesses)) if defect is not None]
     record("witness_derivation", not bad_der, f"derivation fails at basis {bad_der}")
     iso = isotropy_algebra(m)
     bad_member = [b for b, op in enumerate(witnesses) if not iso.contains(op)]

@@ -6,7 +6,9 @@ Every command prints greppable ``KEY: value`` lines.  Exit codes:
 * 1: a property is refuted, a verification fails, or well-formed input fails
   an operation's hypothesis (a degenerate quotient, a non-nilpotent algebra,
   an operator family with no common kernel vector);
-* 2: malformed input: bad files, names, vectors, rationals or parameters.
+* 2: malformed input: bad files, names, vectors, rationals or parameters,
+  and files that cannot be read or written;
+* 3: an internal check failed (a bug, not a property of the input).
 
 Errors print one ``ERROR:`` line.  Identical command lines with the same seed
 produce byte-identical reports.
@@ -48,6 +50,7 @@ from gonil.metric import MetricLieAlgebra, PreconditionError
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_MALFORMED = 2
+EXIT_INTERNAL = 3
 
 MAX_SAMPLES = 100_000
 MAX_NORMAL_FORM_M = 64
@@ -281,8 +284,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, CatalogError, DimensionMismatch, GOEngineError, FileNotFoundError) as exc:
-        # bad files, bad names, bad vectors/parameters: malformed input
+    except (FormatError, CatalogError, DimensionMismatch, GOEngineError, OSError) as exc:
+        # bad or unreadable files, bad names, bad vectors/parameters: malformed input
         print(f"ERROR: {exc}")
         return EXIT_MALFORMED
     except (ReductionError, PreconditionError, NotNilpotentError, EngelError) as exc:
@@ -292,6 +295,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"ERROR: {exc}")
         return EXIT_MALFORMED
+    except AssertionError as exc:
+        # every internal check raises AssertionError("internal: ...")
+        print(f"ERROR: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

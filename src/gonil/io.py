@@ -142,12 +142,15 @@ def save_algebra(path: str | Path, m: MetricLieAlgebra, basis_names: Sequence[st
     Path(path).write_text(json.dumps(algebra_to_dict(m, basis_names), indent=2) + "\n")
 
 
-def load_algebra(path: str | Path) -> tuple[MetricLieAlgebra, list[str] | None]:
+def _read_json(path: str | Path):
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"not valid JSON: {exc}") from exc
-    return algebra_from_dict(data)
+
+
+def load_algebra(path: str | Path) -> tuple[MetricLieAlgebra, list[str] | None]:
+    return algebra_from_dict(_read_json(path))
 
 
 def extension_data_to_dict(data: ExtensionData) -> dict:
@@ -188,8 +191,4 @@ def extension_data_from_dict(data: dict) -> ExtensionData:
 
 
 def load_extension_data(path: str | Path) -> ExtensionData:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    return extension_data_from_dict(data)
+    return extension_data_from_dict(_read_json(path))

@@ -2,14 +2,15 @@
 
 An OperatorSpace is a linear space of n-by-n operators in canonical form:
 the operators vectorize row-major into an n^2-dimensional coordinate space
-and the basis is kept in reduced echelon form there, so equality and
-membership are plain rank checks.
+and the basis is kept in reduced echelon form there, so equality is equality
+of bases, and membership and coordinates are read at the pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from gonil.lie import LieAlgebra, derivation_rows
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, kernel
@@ -37,18 +38,17 @@ class OperatorSpace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
     def _span(self) -> Subspace:
         n2 = self.ambient_dim * self.ambient_dim
-        if not self.basis:
-            return Subspace.zero(n2)
         return Subspace(n2, Matrix([op.vectorize() for op in self.basis], ncols=n2))
 
     def contains(self, op: Matrix) -> bool:
-        return self._span().contains_vector(op.vectorize())
+        return self._span.contains_vector(op.vectorize())
 
     def coordinates(self, op: Matrix):
         """Coefficients of op in this basis, or None if outside the span."""
-        return self._span().coordinates(op.vectorize())
+        return self._span.coordinates(op.vectorize())
 
     def combine(self, coeffs) -> Matrix:
         """The operator with the given coefficients in this basis."""
@@ -60,10 +60,9 @@ class OperatorSpace:
         return out
 
     def verify_commutator_closed(self) -> None:
-        span = self._span()
         for i, a in enumerate(self.basis):
             for b in self.basis[i + 1 :]:
-                if not span.contains_vector(a.commutator(b).vectorize()):
+                if not self.contains(a.commutator(b)):
                     raise ValueError("operator space is not closed under commutators")
 
 
@@ -72,16 +71,24 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     return _solution_space(alg.dim, [row for _, row in derivation_rows(alg)])
 
 
-def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
-    """First pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
+def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
+    """Per operator D, the first pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None.
+
+    The derivation rows are built once and evaluated against every operator.
+    """
     n = alg.dim
-    if op.nrows != n or op.ncols != n:
+    if any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("operator size differs from the algebra's dimension")
-    d = op.vectorize()
-    for (i, j, _), row in derivation_rows(alg):
-        if sum(c * d[x] for x, c in row.items()):
-            return (i, j)
-    return None
+    rows = list(derivation_rows(alg))
+    return [
+        next(((i, j) for (i, j, _), row in rows if sum(c * d[x] for x, c in row.items())), None)
+        for d in (op.vectorize() for op in ops)
+    ]
+
+
+def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
+    """The derivation_defects entry of one operator."""
+    return derivation_defects(alg, [op])[0]
 
 
 def is_derivation(alg: LieAlgebra, op: Matrix) -> bool:

@@ -11,7 +11,7 @@ time) under control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -144,10 +144,11 @@ class Matrix:
         return Matrix._trusted(tuple(zip(*self._rows)), self.nrows)
 
     def __add__(self, other: Matrix) -> Matrix:
+        """Entrywise sum; where either entry is zero the other is reused, not added."""
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("shape mismatch in addition")
         return Matrix._trusted(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)),
+            tuple(tuple(a + b if a and b else a or b for a, b in zip(r, s)) for r, s in zip(self._rows, other._rows)),
             self.ncols,
         )
 
@@ -155,7 +156,7 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self) -> Matrix:
-        return Matrix._trusted(tuple(tuple(-a for a in r) for r in self._rows), self.ncols)
+        return Matrix._trusted(tuple(tuple(-a if a else a for a in r) for r in self._rows), self.ncols)
 
     def scale(self, c) -> Matrix:
         c = Fraction(c)
@@ -425,10 +426,26 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace in canonical form: rref rows of a basis matrix."""
+    """A linear subspace in canonical form: its basis rows are in reduced echelon form.
+
+    Each row's first nonzero entry is 1, at a pivot column to the right of the
+    previous row's, and every other row is 0 there.  So v lies in the span
+    exactly when v = sum_i v[p_i] B_i over the pivots p_i, and (v[p_i]) are
+    its coordinates.  A basis breaking this is refused with ValueError.
+    """
 
     ambient_dim: int
     basis: Matrix
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        rows = self.basis.rows
+        pivots = tuple(next((j for j, a in enumerate(row) if a), -1) for row in rows)
+        if -1 in pivots or list(pivots) != sorted(set(pivots)) or any(
+            row[p] != (i == k) for i, row in enumerate(rows) for k, p in enumerate(pivots)
+        ):
+            raise ValueError("subspace basis is not in reduced echelon form")
+        object.__setattr__(self, "pivots", pivots)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -452,31 +469,21 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.nrows
 
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        out = []
-        for row in self.basis.rows:
-            out.append(next(j for j, a in enumerate(row) if a != 0))
-        return tuple(out)
-
-    def reduce_vector(self, vec: Sequence) -> Vec:
-        """Residual of vec after eliminating along this subspace's pivots."""
-        v = list(to_vec(vec))
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector has wrong length")
-        for row, pc in zip(self.basis.rows, self.pivots):
-            c = v[pc]
-            if c:
-                for j in range(pc, self.ambient_dim):
-                    v[j] -= c * row[j]
-        return tuple(v)
-
     def contains_vector(self, vec: Sequence) -> bool:
-        return is_zero_vec(self.reduce_vector(vec))
+        return self.coordinates(vec) is not None
 
     def coordinates(self, vec: Sequence) -> Vec | None:
-        """Coefficients of vec in this basis, or None if outside."""
-        return solve_particular(self.basis.transpose(), vec)
+        """Coefficients of vec in this basis, read at the pivots; None if outside."""
+        rest = list(to_vec(vec))
+        if len(rest) != self.ambient_dim:
+            raise DimensionMismatch("vector has wrong length")
+        coords = tuple(rest[p] for p in self.pivots)
+        for c, row in zip(coords, self.basis.rows):
+            if c:
+                for j, b in enumerate(row):
+                    if b:
+                        rest[j] -= c * b
+        return None if any(rest) else coords
 
     def __le__(self, other: Subspace) -> bool:
         return all(other.contains_vector(r) for r in self.basis.rows)

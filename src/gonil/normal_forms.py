@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from gonil.isotropy import OperatorSpace, is_skew
@@ -34,10 +35,14 @@ class IwasawaFamily:
     def dim(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def _space(self) -> OperatorSpace:
+        return OperatorSpace.from_operators(self.dim_ambient, self.generators)
+
     def contains(self, x: Matrix) -> bool:
         if x.nrows != self.dim_ambient or x.ncols != self.dim_ambient:
             raise NormalFormError("operator shape differs from the family ambient")
-        return OperatorSpace.from_operators(self.dim_ambient, self.generators).contains(x)
+        return self._space.contains(x)
 
 
 def reference_gram(q: int, m: int) -> Matrix:
@@ -115,11 +120,6 @@ def iwasawa_nilpotent_basis(q: int, m: int) -> IwasawaFamily:
     if q == 1:
         _verify_abelian(gens)
     return family
-
-
-def membership_in_family(family: IwasawaFamily, x: Matrix) -> bool:
-    """Rank test of x against the family span."""
-    return family.contains(x)
 
 
 def maximal_abelian_family(

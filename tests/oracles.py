@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, basis_vec, solve_linear, to_vec
+from gonil.linalg import Matrix, SignatureTriple, basis_vec, solve_linear, solve_particular, to_vec
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -286,3 +286,23 @@ def derivation_defect_by_brackets(alg, op: Matrix):
             if lhs != rhs:
                 return (i, j)
     return None
+
+
+def reduce_vector_by_elimination(space, vec):
+    """Residual of vec after eliminating along each basis row's first nonzero entry, in turn."""
+    v = list(to_vec(vec))
+    for row in space.basis.rows:
+        pc = next(j for j, a in enumerate(row) if a != 0)
+        c = v[pc] / row[pc]
+        if c:
+            v = [a - c * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def contains_by_elimination(space, vec) -> bool:
+    return all(a == 0 for a in reduce_vector_by_elimination(space, vec))
+
+
+def coordinates_by_solve(space, vec):
+    """Coefficients of vec in the space's basis from the transposed system, or None."""
+    return solve_particular(space.basis.transpose(), vec)

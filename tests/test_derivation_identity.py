@@ -14,12 +14,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gonil.catalog import EXAMPLE_NAMES, build_example
-from gonil.isotropy import derivation_defect
+from gonil.isotropy import derivation_defect, derivation_defects
 from gonil.lie import LieAlgebra, jacobi_defect
 from gonil.linalg import DimensionMismatch, Matrix
 from oracles import derivation_defect_by_brackets, jacobi_defect_by_brackets
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+KINDS = st.sampled_from(["inner", "sparse", "both"])
 ALGEBRAS = {name: build_example(name).algebra.algebra for name in EXAMPLE_NAMES}
 
 
@@ -61,22 +62,26 @@ def test_derivation_defect_matches_bracket_oracle():
 
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
-    @given(name=st.sampled_from(EXAMPLE_NAMES), kind=st.sampled_from(["inner", "sparse", "both"]), data=st.data())
-    def check(name, kind, data):
+    @given(name=st.sampled_from(EXAMPLE_NAMES), kinds=st.lists(KINDS, min_size=1, max_size=3), data=st.data())
+    def check(name, kinds, data):
         alg = ALGEBRAS[name]
         n = alg.dim
-        op = Matrix.zeros(n, n)
-        if kind != "sparse":  # the inner derivation ad(x)
-            op = op + alg.ad(data.draw(st.lists(SMALL, min_size=n, max_size=n)))
-        if kind != "inner":
-            cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), SMALL), max_size=3))
-            entries = [[0] * n for _ in range(n)]
-            for l, k, c in cells:
-                entries[l][k] = c
-            op = op + Matrix(entries)
-        expected = derivation_defect_by_brackets(alg, op)
-        assert derivation_defect(alg, op) == expected
-        outcomes.add(expected is None)
+        ops = []
+        for kind in kinds:
+            op = Matrix.zeros(n, n)
+            if kind != "sparse":  # the inner derivation ad(x)
+                op = op + alg.ad(data.draw(st.lists(SMALL, min_size=n, max_size=n)))
+            if kind != "inner":
+                cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), SMALL), max_size=3))
+                entries = [[0] * n for _ in range(n)]
+                for l, k, c in cells:
+                    entries[l][k] = c
+                op = op + Matrix(entries)
+            ops.append(op)
+        expected = [derivation_defect_by_brackets(alg, op) for op in ops]
+        assert derivation_defects(alg, ops) == expected
+        assert derivation_defect(alg, ops[0]) == expected[0]
+        outcomes.update(defect is None for defect in expected)
 
     check()
     assert outcomes == {True, False}
@@ -85,4 +90,6 @@ def test_derivation_defect_matches_bracket_oracle():
 def test_derivation_defect_refuses_a_wrong_size():
     with pytest.raises(DimensionMismatch):
         derivation_defect(ALGEBRAS["heis3"], Matrix.zeros(2, 2))
+    with pytest.raises(DimensionMismatch):
+        derivation_defects(ALGEBRAS["heis3"], [Matrix.zeros(3, 3), Matrix.zeros(2, 2)])
 

@@ -56,6 +56,20 @@ def test_subisotropy_check_rejects_non_derivation(heis3):
         check_subisotropy(heis3, bad)
 
 
+def test_subisotropy_check_reports_the_first_failing_operator(heis3):
+    # Operator by operator, skewness before the derivation identity.
+    skew_only = Matrix([[0, 0, -1], [0, 0, 0], [1, 0, 0]])  # e1 -> e3, e3 -> -e1
+    derivation_only = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    neither = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    for ops, failure in (
+        ((skew_only, derivation_only), "derivation"),
+        ((derivation_only, skew_only), "skewness"),
+        ((neither,), "skewness"),
+    ):
+        with pytest.raises(GOEngineError, match=f"\\({failure} fails\\)"):
+            check_subisotropy(heis3, OperatorSpace(3, ops))
+
+
 def test_filiform_audit_refuted(filiform4):
     iso = isotropy_algebra(filiform4)
     report = go_random_audit(filiform4, iso, 200, seed=1, bound=5)

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -305,3 +306,42 @@ def test_cli_engel_error_is_an_error_line_with_exit_one(monkeypatch, capsys):
     monkeypatch.setattr(cli, "reduce_algebra", no_flag)
     assert main(["reduce", "catalog:de5"]) == 1
     assert capsys.readouterr().out == "ERROR: no common kernel vector\n"
+
+
+def _deep_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda tmp: ["check", tmp],
+        lambda tmp: ["reduce", "catalog:de5", "--output", tmp],
+        lambda tmp: ["check", _deep_json(Path(tmp))],
+        lambda tmp: ["extend", "catalog:de5", "--data", _deep_json(Path(tmp))],
+    ],
+    ids=["check-directory", "reduce-output-directory", "check-deep-json", "extend-deep-json"],
+)
+def test_cli_unreadable_and_deeply_nested_files_are_malformed(command, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gonil.cli", *command(str(tmp_path))], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert [line for line in proc.stdout.splitlines() if line.startswith("ERROR: ")] == proc.stdout.splitlines()[-1:]
+    assert proc.stderr == ""
+
+
+def test_cli_internal_error_exits_three_and_other_codes_keep_their_meaning(monkeypatch, capsys):
+    assert main(["check", "catalog:heis3"]) == 0
+    assert main(["reduce", "catalog:heis3"]) == 1
+    assert main(["check", "/nonexistent/file.json"]) == 2
+    capsys.readouterr()
+
+    def broken(m):
+        raise AssertionError("internal: closure check disagrees with the kernel")
+
+    monkeypatch.setattr(cli, "isotropy_algebra", broken)
+    assert main(["isotropy", "catalog:heis3"]) == 3
+    assert capsys.readouterr().out == "ERROR: internal: closure check disagrees with the kernel\n"

@@ -6,6 +6,7 @@ import pytest
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
 from gonil.double_ext import ExtensionData, extend2
 from gonil.isotropy import (
+    OperatorSpace,
     derivation_space,
     is_adh_invariant,
     is_derivation,
@@ -13,9 +14,9 @@ from gonil.isotropy import (
     isotropy_algebra,
     skew_space,
 )
-from gonil.lie import abelian, bracket_subspaces, lower_central_series, transporter
+from gonil.lie import LieAlgebra, abelian, bracket_subspaces, lower_central_series, transporter
 from gonil.linalg import Matrix, Subspace
-from gonil.metric import SymForm, orth_complement
+from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
 
 
 def basis_vec(n, i):
@@ -141,7 +142,19 @@ def _extend2_outputs():
     }
 
 
-ISOTROPY_CASES = {name: build_example(name).algebra for name in EXAMPLE_NAMES} | _extend2_outputs()
+def euclidean_heisenberg(k):
+    """H_{2k+1}: [x_i, y_i] = z with the identity form; its isotropy algebra is u(k), of dim k^2."""
+    n = 2 * k + 1
+    alg = LieAlgebra(n, {(i, k + i): {2 * k: 1} for i in range(k)})
+    return MetricLieAlgebra.checked(alg, SymForm(Matrix.identity(n)))
+
+
+ISOTROPY_CASES = (
+    {name: build_example(name).algebra for name in EXAMPLE_NAMES}
+    | _extend2_outputs()
+    | {f"heis{2 * k + 1}_euclidean": euclidean_heisenberg(k) for k in (4, 5)}
+)
+ISOTROPY_DIMS = {"heis9_euclidean": 16, "heis11_euclidean": 25}
 
 
 @pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
@@ -152,4 +165,14 @@ def test_isotropy_algebra_is_derivations_meet_skew(name):
     n2 = m.dim * m.dim
     der = Subspace.span(n2, [op.vectorize() for op in derivation_space(m.algebra).basis])
     skew = Subspace.span(n2, [op.vectorize() for op in skew_space(m.form).basis])
-    assert tuple(op.vectorize() for op in isotropy_algebra(m).basis) == der.intersect(skew).basis.rows
+    iso = isotropy_algebra(m)
+    assert tuple(op.vectorize() for op in iso.basis) == der.intersect(skew).basis.rows
+    assert iso.dim == ISOTROPY_DIMS.get(name, iso.dim)
+    iso.verify_commutator_closed()
+
+
+def test_commutator_closure_refuses_a_non_subalgebra():
+    # [E12, E21] = E11 - E22 lies outside span(E12, E21) in gl(2).
+    space = OperatorSpace.from_operators(2, [Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])])
+    with pytest.raises(ValueError, match="not closed under commutators"):
+        space.verify_commutator_closed()

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from gonil.linalg import (
     vec_sub,
 )
 from oracles import (
+    contains_by_elimination,
+    coordinates_by_solve,
     dense_product,
     naive_rref,
     random_invertible_matrix,
@@ -265,6 +268,59 @@ def test_matmul_matches_dense_oracle(shape, data):
     image = a @ vec
     assert image == tuple(row[0] for row in dense_product(a.rows, [[x] for x in to_vec(vec)], 1))
     _assert_fraction_entries([image])
+
+
+@seed(20261018)
+@settings(max_examples=100, deadline=None, database=None)
+@given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5)), data=st.data())
+def test_sum_difference_and_commutator_match_dense_oracle(shape, data):
+    r, c = shape
+    a = Matrix(data.draw(_sparse_rows(r, c)), ncols=c)
+    b = Matrix(data.draw(_sparse_rows(r, c)), ncols=c)
+    for got, op in ((a + b, operator.add), (a - b, operator.sub)):
+        expected = Matrix([[op(x, y) for x, y in zip(s, t)] for s, t in zip(a.rows, b.rows)], ncols=c)
+        _assert_fraction_entries(got.rows)
+        assert got == expected and hash(got) == hash(expected)
+    with pytest.raises(DimensionMismatch):
+        a - Matrix.zeros(r + 1, c)
+    x = Matrix(data.draw(_sparse_rows(c, c)), ncols=c)
+    y = Matrix(data.draw(_sparse_rows(c, c)), ncols=c)
+    xy, yx = dense_product(x.rows, y.rows, c), dense_product(y.rows, x.rows, c)
+    expected = Matrix([[p - q for p, q in zip(s, t)] for s, t in zip(xy, yx)], ncols=c)
+    got = x.commutator(y)
+    _assert_fraction_entries(got.rows)
+    assert got == expected and hash(got) == hash(expected)
+
+
+def test_subspace_coordinates_match_elimination_oracles():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(shape=st.tuples(st.integers(0, 6), st.integers(1, 9)), data=st.data())
+    def check(shape, data):
+        k, n = shape
+        space = Subspace.span(n, data.draw(_sparse_rows(k, n)))
+        coeffs = data.draw(st.lists(_ENTRY, min_size=space.dim, max_size=space.dim))
+        member = space.basis.transpose() @ coeffs
+        assert space.coordinates(member) == to_vec(coeffs)
+        for vec in (member, data.draw(st.lists(_ENTRY, min_size=n, max_size=n))):
+            expected = coordinates_by_solve(space, vec)
+            assert space.coordinates(vec) == expected
+            assert space.contains_vector(vec) == contains_by_elimination(space, vec) == (expected is not None)
+            outcomes.add(expected is not None)
+
+    check()
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[1, 1], [0, 1]], [[2, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 0]], [[1, 0], [1, 0]], [[1, 1], [0, 0]]],
+)
+def test_subspace_refuses_a_basis_not_in_reduced_echelon_form(rows):
+    with pytest.raises(ValueError, match="not in reduced echelon form"):
+        Subspace(2, Matrix(rows, ncols=2))
 
 
 def test_solve_particular_is_solve_linear_without_kernel():

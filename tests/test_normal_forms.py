@@ -7,7 +7,6 @@ from gonil.normal_forms import (
     NormalFormError,
     iwasawa_nilpotent_basis,
     maximal_abelian_family,
-    membership_in_family,
     q2_element,
     reference_gram,
 )
@@ -70,7 +69,7 @@ def test_u1_family_abelian_and_inside():
         assert len(gens) == m - 2
         family = iwasawa_nilpotent_basis(2, m)
         for g in gens:
-            assert membership_in_family(family, g)
+            assert family.contains(g)
 
 
 def test_u2_family_abelian_and_dimension():
@@ -101,13 +100,13 @@ def test_membership_rejects_mixed_u_v_in_u1_span():
     u1_span = IwasawaFamily((m - 2, 2), m, reference_gram(2, m), maximal_abelian_family(1, m))
     assert not u1_span.contains(generic)
     full = iwasawa_nilpotent_basis(2, m)
-    assert membership_in_family(full, generic)
+    assert full.contains(generic)
 
 
 def test_membership_shape_check():
     family = iwasawa_nilpotent_basis(2, 6)
     with pytest.raises(NormalFormError):
-        membership_in_family(family, Matrix.identity(5))
+        family.contains(Matrix.identity(5))
 
 
 def test_u2_first_generator_matches_block_layout():
