@@ -30,6 +30,7 @@ from gonil.linalg import (
     vec_add,
     vec_dot,
     vec_scale,
+    vec_sub,
 )
 from gonil.metric import (
     MetricLieAlgebra,
@@ -279,14 +280,15 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     eg, m1 = witness.eg, witness.m1
     form, comp = quotient_form(m, m1, eg)
     k = comp.nrows
-    basis_rows = list(comp.rows) + list(eg.basis.rows)
-    solver = Matrix(basis_rows, ncols=m.dim).transpose()
+    eg_rows = eg.basis.transpose()
+    comp_at = [i for i, pc in enumerate(m1.pivots) if pc not in eg.pivots]
 
     def comp_coords(vec) -> Vec:
-        coords = solve_particular(solver, vec)
+        # eg's pivots are m1 pivots where the complement rows vanish: eg's part is read there.
+        coords = m1.coordinates(vec_sub(vec, eg_rows @ [vec[p] for p in eg.pivots]))
         if coords is None:
             raise AssertionError("internal: vector outside m1")
-        return coords[:k]
+        return tuple(coords[i] for i in comp_at)
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(k):

@@ -24,6 +24,7 @@ from gonil.isotropy import OperatorSpace, derivation_defects, is_skew
 from gonil.linalg import (
     Matrix,
     Vec,
+    _solve_rows,
     basis_vec,
     congruence_diagonalize,
     fmt_vec,
@@ -330,16 +331,18 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     width = nh * n
     # Substituting c_j = sum_a L[j][a] T_a and k = 0 into row b of the
     # per-vector system leaves a quadratic form in T that must vanish: one
-    # row (coefficients of L, then the right-hand side) per T_a T_e, a <= e.
-    rows: defaultdict[tuple[int, int, int], list[Fraction]] = defaultdict(lambda: [_ZERO] * (width + 1))
+    # sparse row (L[j][a] at j * n + a, right-hand side at width) per T_a T_e, a <= e.
+    # For skew h, row (b, a, a) with b != a is -1 times row (a, min(a, b), max(a, b)): skipped.
+    rows: defaultdict[tuple[int, int, int], defaultdict[int, Fraction]] = defaultdict(lambda: defaultdict(int))
     for j, entries in enumerate(system.paired):
         for e, b, v in entries:
             for a in range(n):
-                rows[b, min(a, e), max(a, e)][j * n + a] += v
+                if a != e or e == b:
+                    rows[b, min(a, e), max(a, e)][j * n + a] += v
     for a, b, c, v in system.quadratic:
-        rows[b, min(a, c), max(a, c)][width] -= v
-    aug = list(rows.values())
-    x = solve_particular(Matrix([r[:width] for r in aug], ncols=width), [r[width] for r in aug])
+        if a != c or c == b:
+            rows[b, min(a, c), max(a, c)][width] -= v
+    x = _solve_rows([row.items() for row in rows.values()], width)
     if x is None:
         return None
     coeffs = Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n)

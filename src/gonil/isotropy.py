@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from gonil.lie import LieAlgebra, derivation_rows
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, kernel
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _kernel_of_rows
 from gonil.metric import MetricLieAlgebra, SymForm
 
 
@@ -120,14 +120,7 @@ def _skew_rows(form: SymForm) -> list[dict[int, Fraction]]:
 
 def _solution_space(n: int, rows: list[dict[int, Fraction]]) -> OperatorSpace:
     """Operators whose row-major entries solve every sparse row; no rows means all operators."""
-    zero = Fraction(0)
-    dense = []
-    for row in rows:
-        entries = [zero] * (n * n)
-        for x, c in row.items():
-            entries[x] = c
-        dense.append(entries)
-    return OperatorSpace._from_rows(n, kernel(Matrix(dense, ncols=n * n)).rows)
+    return OperatorSpace._from_rows(n, _kernel_of_rows([row.items() for row in rows], n * n))
 
 
 def is_skew(form: SymForm, op: Matrix) -> bool:

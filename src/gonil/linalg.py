@@ -3,9 +3,10 @@
 Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
 there is no floating point anywhere.  Elimination uses the first-nonzero pivot
 rule throughout, so every reduced form is canonical and reproducible across
-runs and platforms.  Internally rows are cleared to primitive integer vectors
-and reduced with integer row operations, which keeps entry growth (and run
-time) under control.
+runs and platforms.  Rows enter elimination sparse, as (column, value) pairs,
+are cleared once to primitive integer vectors over their nonzero entries, and
+are reduced with integer row operations, which keeps entry growth (and run
+time) under control; kernels and solutions are read off the integer rows.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -225,19 +228,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators and common factors, row by row."""
-    out = []
-    for row in rows:
-        scale = math.lcm(*(f.denominator for f in row)) if row else 1
-        ints = [f.numerator * (scale // f.denominator) for f in row]
-        g = math.gcd(*ints) if ints else 0
-        if g > 1:
-            ints = [a // g for a in ints]
-        out.append(ints)
-    return out
-
-
 def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """In-place integer Gauss-Jordan; returns the rows and pivot columns.
 
@@ -277,6 +267,53 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
+def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Eliminate rows of (column, value) pairs, each cleared to a primitive integer row over its nonzeros."""
+    ints = []
+    for row in rows:
+        nz = [(j, f) for j, f in row if f]
+        if nz:
+            scale = math.lcm(*[f.denominator for _, f in nz])
+            nums = [f.numerator * (scale // f.denominator) for _, f in nz]
+            g = math.gcd(*nums)
+            ints.append([0] * ncols)
+            for (j, _), a in zip(nz, nums):
+                ints[-1][j] = a // g
+    return _eliminate(ints)
+
+
+def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[Vec, ...]:
+    """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}.
+
+    The rows are eliminated with their columns reversed, so each pivot sits at
+    a row's last nonzero entry.  The vector with 1 at a free column c and
+    -row[c] / row[pivot] at each pivot right of c then has its first nonzero
+    at c and vanishes at every other free column: the basis is read off as is.
+    """
+    last = ncols - 1
+    red, pivots = _echelon((((last - j, v) for j, v in row) for row in rows), ncols)
+    basis = []
+    for c in sorted(set(range(ncols)).difference(pivots), reverse=True):  # original columns ascend
+        x = [_ZERO] * ncols
+        x[last - c] = _ONE
+        for r, pc in zip(red, pivots):
+            if r[c]:
+                x[last - pc] = Fraction(-r[c], r[pc])
+        basis.append(tuple(x))
+    return tuple(basis)
+
+
+def _solve_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Vec | None:
+    """Canonical solution (free unknowns zero) of rows with the right-hand side at column ncols, or None."""
+    red, pivots = _echelon(rows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [_ZERO] * ncols
+    for r, pc in zip(red, pivots):
+        x[pc] = Fraction(r[ncols], r[pc]) if r[ncols] else _ZERO
+    return tuple(x)
+
+
 class RRef(NamedTuple):
     matrix: Matrix  # zero rows dropped, pivot entries normalized to 1
     pivots: tuple[int, ...]
@@ -284,12 +321,9 @@ class RRef(NamedTuple):
 
 def rref(m: Matrix) -> RRef:
     """Canonical reduced row echelon form (first-nonzero pivot rule)."""
-    rows, pivots = _eliminate(_int_rows(m.rows))
-    reduced = []
-    for r, pc in zip(rows, pivots):
-        p = r[pc]
-        reduced.append(tuple(Fraction(a, p) if a else _ZERO for a in r))
-    return RRef(Matrix._trusted(tuple(reduced), m.ncols), tuple(pivots))
+    rows, pivots = _echelon(map(enumerate, m.rows), m.ncols)
+    reduced = tuple(tuple(Fraction(a, r[pc]) if a else _ZERO for a in r) for r, pc in zip(rows, pivots))
+    return RRef(Matrix._trusted(reduced, m.ncols), tuple(pivots))
 
 
 def rank(m: Matrix) -> int:
@@ -298,26 +332,7 @@ def rank(m: Matrix) -> int:
 
 def kernel(m: Matrix) -> Matrix:
     """Canonical reduced-echelon basis of the right kernel, as rows."""
-    red, pivots = rref(m)
-    free = [c for c in range(m.ncols) if c not in pivots]
-    vecs = []
-    for c in free:
-        v = [Fraction(0)] * m.ncols
-        v[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, c]
-        vecs.append(v)
-    if not vecs:
-        return Matrix([], ncols=m.ncols)
-    return rref(Matrix(vecs, ncols=m.ncols)).matrix
-
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """One exact solution of A x = b together with a kernel basis of A."""
-
-    particular: Vec
-    kernel: Matrix
+    return Matrix._trusted(_kernel_of_rows(map(enumerate, m.rows), m.ncols), m.ncols)
 
 
 def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
@@ -325,20 +340,8 @@ def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
     b = to_vec(b)
     if a.nrows != len(b):
         raise DimensionMismatch("right-hand side length differs from row count")
-    aug = Matrix._trusted(tuple(row + (bi,) for row, bi in zip(a.rows, b)), a.ncols + 1)
-    red, pivots = rref(aug)
-    if pivots and pivots[-1] == a.ncols:
-        return None
-    x = [_ZERO] * a.ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r, a.ncols]
-    return tuple(x)
-
-
-def solve_linear(a: Matrix, b: Sequence) -> LinearSolution | None:
-    """Solve A x = b exactly; return None when the system is inconsistent."""
-    x = solve_particular(a, b)
-    return None if x is None else LinearSolution(x, kernel(a))
+    n = a.ncols
+    return _solve_rows((chain(enumerate(row), ((n, bi),)) for row, bi in zip(a.rows, b)), n)
 
 
 class SignatureTriple(NamedTuple):

@@ -7,7 +7,7 @@ import pytest
 from gonil.catalog import build_example
 from gonil.isotropy import isotropy_algebra
 from gonil.lie import LieAlgebra
-from gonil.linalg import Matrix
+from gonil.linalg import Matrix, solve_particular
 from gonil.metric import MetricLieAlgebra, SymForm
 
 
@@ -66,3 +66,16 @@ def engel_witness_algebra() -> MetricLieAlgebra:
     g[2][4] = g[4][2] = Fraction(1)
     g[3][5] = g[5][3] = Fraction(1)
     return MetricLieAlgebra.checked(LieAlgebra(6, brackets), SymForm(Matrix(g)))
+
+
+def sheared(m: MetricLieAlgebra, shift: int = 1) -> MetricLieAlgebra:
+    """m in the basis f_i = e_i + e_{i+shift}, where <[f_a, f_b], f_a> need not vanish."""
+    n = m.dim
+    p = Matrix([[1 if k in (i, i + shift) else 0 for i in range(n)] for k in range(n)])
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            coords = solve_particular(p, m.algebra.bracket(p.column(i), p.column(j)))
+            if any(coords):
+                table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
+    return MetricLieAlgebra.checked(LieAlgebra(n, table), SymForm(p.transpose() @ m.form.gram @ p))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, basis_vec, solve_linear, solve_particular, to_vec
+from gonil.linalg import Matrix, SignatureTriple, basis_vec, solve_particular, to_vec
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -163,7 +163,7 @@ def random_invertible_matrix(rng: random.Random, n: int, bound: int = 5) -> Matr
 
 
 def certificate_by_dense_solve(m, h, t):
-    """(A_coeffs, k) at T from the dense system ``solve_linear`` solves, or None.
+    """(A_coeffs, k) at T from the dense system ``solve_particular`` solves, or None.
 
     Columns D_j^T G T and -G T, right-hand side -ad(T)^T G T: built from whole
     matrices, one product per operator, without any precomputed tensor.
@@ -171,10 +171,10 @@ def certificate_by_dense_solve(m, h, t):
     gt = m.form.gram @ t
     cols = [op.transpose() @ gt for op in h.basis] + [tuple(-x for x in gt)]
     rhs = tuple(-x for x in (m.algebra.ad(t).transpose() @ gt))
-    sol = solve_linear(Matrix(zip(*cols), ncols=len(cols)), rhs)
-    if sol is None:
+    x = solve_particular(Matrix(zip(*cols), ncols=len(cols)), rhs)
+    if x is None:
         return None
-    return sol.particular[:-1], sol.particular[-1]
+    return x[:-1], x[-1]
 
 
 def dense_product(a_rows, b_rows, ncols):
@@ -191,7 +191,7 @@ def linear_certificate_by_dense_assembly(m, h):
 
     One dense row per (a <= b, c) over the dim(h) * n unknowns L[j][a], built
     from whole products G D_j and the lowered bracket tensor, and solved with
-    ``solve_linear``.
+    ``solve_particular``.
     """
     n, nh = m.dim, h.dim
     paired = [m.form.gram @ op for op in h.basis]  # paired[j][b, c] = <D_j e_c, e_b>
@@ -206,10 +206,10 @@ def linear_certificate_by_dense_assembly(m, h):
                     row[j * n + b] += paired[j][a, c]
                 rows.append(row)
                 rhs.append(-low[a][c][b] - low[b][c][a])
-    sol = solve_linear(Matrix(rows, ncols=nh * n), rhs)
-    if sol is None:
+    x = solve_particular(Matrix(rows, ncols=nh * n), rhs)
+    if x is None:
         return None
-    return Matrix([sol.particular[j * n : (j + 1) * n] for j in range(nh)], ncols=n)
+    return Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n)
 
 
 def omega_pair(omega: Matrix, x, y) -> Fraction:
@@ -301,6 +301,31 @@ def reduce_vector_by_elimination(space, vec):
 
 def contains_by_elimination(space, vec) -> bool:
     return all(a == 0 for a in reduce_vector_by_elimination(space, vec))
+
+
+def quotient_by_transposed_solve(m, result):
+    """Projection and bracket table of a reduction, each complement coordinate solved for.
+
+    Every vector of m1 is solved against the transposed complement-plus-eg
+    basis, one ``solve_particular`` per vector, and the eg coordinates are
+    dropped.
+    """
+    comp, eg, m1 = result.complement_rows, result.witness.eg, result.witness.m1
+    k = comp.nrows
+    solver = Matrix(list(comp.rows) + list(eg.basis.rows), ncols=m.dim).transpose()
+
+    def comp_coords(vec):
+        coords = solve_particular(solver, vec)
+        assert coords is not None, "vector outside m1"
+        return coords[:k]
+
+    table = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            coords = comp_coords(m.algebra.bracket(comp.row(i), comp.row(j)))
+            if any(coords):
+                table[(i, j)] = {t: c for t, c in enumerate(coords) if c}
+    return Matrix(zip(*[comp_coords(row) for row in m1.basis.rows]), ncols=m1.dim), table
 
 
 def coordinates_by_solve(space, vec):

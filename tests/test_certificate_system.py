@@ -3,7 +3,7 @@
 ``go_certificate_at`` contracts T with tensors built once per (m, h) and solves
 only for a particular solution.  ``oracles.certificate_by_dense_solve`` builds
 the same system from whole matrices, one product per operator, and solves it
-with ``solve_linear``.  Both must return the same (A_coeffs, k), or None.
+with ``solve_particular``.  Both must return the same (A_coeffs, k), or None.
 ``linear_go_certificate`` reads its polarized system off the same tensors and
 is compared with the dense (a, b, c) assembly of
 ``oracles.linear_certificate_by_dense_assembly`` in the same way.
@@ -15,13 +15,11 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import necessary_condition_counterexample
+from conftest import necessary_condition_counterexample, sheared
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import first_null_vector, go_certificate_at, go_random_audit, linear_go_certificate
 from gonil.isotropy import OperatorSpace, isotropy_algebra
-from gonil.lie import LieAlgebra
-from gonil.linalg import Matrix, solve_particular, vec_scale
-from gonil.metric import MetricLieAlgebra, SymForm
+from gonil.linalg import vec_scale
 from oracles import certificate_by_dense_solve, linear_certificate_by_dense_assembly
 
 SETTINGS = settings(
@@ -132,24 +130,11 @@ def test_linear_certificate_matches_dense_assembly_on_isotropy_subspaces(paper, 
     assert _linear_result(m, sub) == linear_certificate_by_dense_assembly(m, sub)
 
 
-def _sheared(m):
-    """m in the basis f_i = e_i + e_{i+1}, where <[f_a, f_b], f_a> need not vanish."""
-    n = m.dim
-    p = Matrix([[1 if k in (i, i + 1) else 0 for i in range(n)] for k in range(n)])
-    table = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            coords = solve_particular(p, m.algebra.bracket(p.column(i), p.column(j)))
-            if any(coords):
-                table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
-    return MetricLieAlgebra.checked(LieAlgebra(n, table), SymForm(p.transpose() @ m.form.gram @ p))
-
-
 @pytest.mark.parametrize("name", ["de5", "de7_lorentz"])
 def test_linear_certificate_matches_dense_assembly_in_sheared_basis(spaces, name):
     # A change of basis keeps a linear witness, and here the diagonal
     # monomials T_a T_a carry nonzero bracket terms.
-    m = _sheared(spaces[name][0])
+    m = sheared(spaces[name][0])
     low = m.lowered_brackets()
     assert any(low[a][b][a] for a in range(m.dim) for b in range(m.dim))
     h = isotropy_algebra(m)

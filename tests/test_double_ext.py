@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import engel_witness_algebra
+from conftest import engel_witness_algebra, sheared
 from gonil.catalog import build_example, de5_data, de7_lorentz_data, euclidean_abelian
 from gonil.double_ext import (
     DegeneracyTag,
@@ -21,7 +21,7 @@ from gonil.lie import LieAlgebra, abelian, lower_central_series, nilpotency_step
 from gonil.isotropy import derivation_defect
 from gonil.linalg import Matrix, Subspace, basis_vec, to_vec
 from gonil.metric import MetricLieAlgebra, SymForm
-from oracles import extension_identity_failure_by_pairing, omega_pair
+from oracles import extension_identity_failure_by_pairing, omega_pair, quotient_by_transposed_solve
 
 
 def lorentz_abelian(n):
@@ -306,12 +306,30 @@ def test_extension_validate_matches_pairing_oracle(name, fit_phi, data):
         assert str(info.value) == expected
 
 
-def test_round_trip_on_lorentz_chain():
+def lorentz_chain():
+    """The Lorentz R^3 base and its 2-dim extension by e1 -> e2 with omega(e1, e2) = 1, mu = 2."""
     base = lorentz_abelian(3)
     d = [[Fraction(0)] * 3 for _ in range(3)]
     d[1][0] = Fraction(1)
     om = [[Fraction(0)] * 3 for _ in range(3)]
     om[0][1], om[1][0] = Fraction(1), Fraction(-1)
-    m = extend2(base, ExtensionData(Matrix(d), to_vec([0, 0, 0]), Matrix(om), mu=Fraction(2)))
+    return base, extend2(base, ExtensionData(Matrix(d), to_vec([0, 0, 0]), Matrix(om), mu=Fraction(2)))
+
+
+def test_round_trip_on_lorentz_chain():
+    base, m = lorentz_chain()
     result = reduce(m)
     assert result.m0 == base
+
+
+def test_projection_and_quotient_brackets_match_transposed_solve(de5, de7, heis3):
+    engel = engel_witness_algebra()
+    _, chain = lorentz_chain()
+    over_heis3 = extend2(heis3, ExtensionData(Matrix.zeros(3, 3), to_vec([1, 2, 0]), Matrix.zeros(3, 3)))
+    cases = [de5, de7, engel, reduce(engel).m0, chain, over_heis3]
+    # With f_i = e_i + e_(i-1) the central eg is no coordinate line, so its part must be removed.
+    for m in cases + [sheared(m, shift=-1) for m in cases]:
+        result = reduce(m)
+        projection, table = quotient_by_transposed_solve(m, result)
+        assert result.projection == projection
+        assert result.m0.algebra.table == table

@@ -62,15 +62,15 @@ def test_per_sample_check_rejects_each_changed_a_coefficient(de7):
 def test_linear_certificate_check_rejects_each_changed_coefficient(de5, monkeypatch):
     h = isotropy_algebra(de5)
     assert h.dim > 0 and linear_go_certificate(de5, h) is not None
-    solve = go_engine.solve_particular
+    solve = go_engine._solve_rows
     for idx in range(h.dim * de5.dim):
 
-        def changed(a, b, idx=idx):
-            x = list(solve(a, b))
+        def changed(rows, ncols, idx=idx):
+            x = list(solve(rows, ncols))
             x[idx] += 1
             return tuple(x)
 
-        monkeypatch.setattr(go_engine, "solve_particular", changed)
+        monkeypatch.setattr(go_engine, "_solve_rows", changed)
         with pytest.raises(AssertionError, match="polarized identity"):
             linear_go_certificate(de5, h)
 
@@ -98,8 +98,8 @@ except AssertionError as exc:
 
 m = build_example("de5").algebra
 h = isotropy_algebra(m)
-solve = go_engine.solve_particular
-go_engine.solve_particular = lambda a, b: (lambda x: (x[0] + 1,) + x[1:])(solve(a, b))
+solve = go_engine._solve_rows
+go_engine._solve_rows = lambda rows, ncols: (lambda x: (x[0] + 1,) + x[1:])(solve(rows, ncols))
 try:
     go_engine.linear_go_certificate(m, h)
 except AssertionError as exc:

@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
+    _kernel_of_rows,
+    _solve_rows,
     Subspace,
     congruence_diagonalize,
     is_zero_vec,
@@ -16,7 +18,6 @@ from gonil.linalg import (
     rank,
     rational_sqrt,
     rref,
-    solve_linear,
     solve_particular,
     symmetric_signature,
     to_vec,
@@ -36,15 +37,13 @@ from oracles import (
 
 
 def test_solve_identity():
-    sol = solve_linear(Matrix.identity(3), [1, 2, 3])
-    assert sol is not None
-    assert sol.particular == to_vec([1, 2, 3])
-    assert sol.kernel.nrows == 0
+    assert solve_particular(Matrix.identity(3), [1, 2, 3]) == to_vec([1, 2, 3])
+    assert kernel(Matrix.identity(3)).nrows == 0
 
 
 def test_solve_inconsistent_rows():
     a = Matrix([[1, 1], [1, 1]])
-    assert solve_linear(a, [0, 1]) is None
+    assert solve_particular(a, [0, 1]) is None
 
 
 def test_solve_random_invertible_by_substitution():
@@ -52,15 +51,15 @@ def test_solve_random_invertible_by_substitution():
     for _ in range(20):
         a = random_invertible_matrix(rng, 3)
         b = to_vec([rng.randint(-9, 9) for _ in range(3)])
-        sol = solve_linear(a, b)
-        assert sol is not None
-        assert a @ sol.particular == b
-        assert sol.kernel.nrows == 0
+        x = solve_particular(a, b)
+        assert x is not None
+        assert a @ x == b
+        assert kernel(a).nrows == 0
 
 
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        solve_linear(Matrix.identity(3), [1, 2])
+        solve_particular(Matrix.identity(3), [1, 2])
 
 
 def test_kernel_zero_matrix():
@@ -87,12 +86,13 @@ def test_solve_and_kernel_back_substitution_random():
         a = random_rational_matrix(rng, nrows, ncols)
         x0 = to_vec([Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(ncols)])
         b = a @ x0
-        sol = solve_linear(a, b)
-        assert sol is not None, "consistent by construction"
-        assert a @ sol.particular == b
-        for v in sol.kernel.rows:
+        x = solve_particular(a, b)
+        assert x is not None, "consistent by construction"
+        assert a @ x == b
+        ker = kernel(a)
+        for v in ker.rows:
             assert is_zero_vec(a @ v)
-        assert rank(a) + sol.kernel.nrows == ncols
+        assert rank(a) + ker.nrows == ncols
 
 
 def test_rref_matches_naive_fraction_reference():
@@ -323,17 +323,90 @@ def test_subspace_refuses_a_basis_not_in_reduced_echelon_form(rows):
         Subspace(2, Matrix(rows, ncols=2))
 
 
-def test_solve_particular_is_solve_linear_without_kernel():
+def test_solve_particular_is_none_exactly_when_b_raises_the_rank():
     rng = random.Random(29)
     infeasible = 0
     for _ in range(60):
         nrows, ncols = rng.randint(0, 5), rng.randint(1, 5)
         a = random_rational_matrix(rng, nrows, ncols, bound=2)
         b = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(nrows)]
-        x, sol = solve_particular(a, b), solve_linear(a, b)
-        if sol is None:
+        x = solve_particular(a, b)
+        aug = Matrix([row + (bi,) for row, bi in zip(a.rows, b)], ncols=ncols + 1)
+        if x is None:
             infeasible += 1
-            assert x is None
+            assert rank(aug) > rank(a)
         else:
-            assert x == sol.particular and a @ x == to_vec(b)
+            assert a @ x == to_vec(b) and rank(aug) == rank(a)
     assert infeasible > 0
+
+
+@st.composite
+def _sparse_system(draw):
+    """A rational matrix up to 40 x 60, mostly zeros, with whole rows and columns zeroed."""
+    nrows, ncols = draw(st.integers(0, 40)), draw(st.integers(1, 60))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3]))
+    rng = draw(st.randoms(use_true_random=False))
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=3))
+    rows = [
+        [
+            Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 4]), rng.randint(1, 4))
+            if i not in zero_rows and j not in zero_cols and rng.random() < density
+            else Fraction(0)
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+    return Matrix(rows, ncols=ncols)
+
+
+def _kernel_by_naive_rref(a):
+    red, pivots = naive_rref(a)
+    vecs = []
+    for c in (c for c in range(a.ncols) if c not in pivots):
+        v = [Fraction(0)] * a.ncols
+        v[c] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, c]
+        vecs.append(v)
+    return naive_rref(Matrix(vecs, ncols=a.ncols))[0]
+
+
+def _solution_by_naive_rref(a, b):
+    red, pivots = naive_rref(Matrix([row + (bi,) for row, bi in zip(a.rows, b)], ncols=a.ncols + 1))
+    if pivots and pivots[-1] == a.ncols:
+        return None
+    x = [Fraction(0)] * a.ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r, a.ncols]
+    return tuple(x)
+
+
+def test_elimination_matches_naive_rref_on_sparse_systems():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_sparse_system(), consistent=st.booleans(), data=st.data())
+    def check(a, consistent, data):
+        assert rref(a) == naive_rref(a)
+        ker = kernel(a)
+        assert ker == _kernel_by_naive_rref(a)
+        assert rank(a) + ker.nrows == a.ncols
+        if consistent:
+            b = a @ data.draw(st.lists(_ENTRY, min_size=a.ncols, max_size=a.ncols))
+        else:
+            b = to_vec(data.draw(st.lists(_ENTRY, min_size=a.nrows, max_size=a.nrows)))
+        x = solve_particular(a, b)
+        assert x == _solution_by_naive_rref(a, b)
+        assert consistent <= (x is not None)
+        outcomes.add(x is not None)
+
+        # The sparse entry on the same rows, as {column: value} dicts, agrees exactly.
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
+        assert _kernel_of_rows([row.items() for row in sparse], a.ncols) == ker.rows
+        aug = [{**row, a.ncols: bi} for row, bi in zip(sparse, b)]
+        assert _solve_rows([row.items() for row in aug], a.ncols) == x
+
+    check()
+    assert outcomes == {True, False}
