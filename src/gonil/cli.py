@@ -53,6 +53,7 @@ EXIT_MALFORMED = 2
 EXIT_INTERNAL = 3
 
 MAX_SAMPLES = 100_000
+MAX_BOUND = 1_000_000
 MAX_NORMAL_FORM_M = 64
 
 
@@ -97,6 +98,8 @@ def cmd_isotropy(args) -> int:
 def cmd_go(args) -> int:
     if args.samples > MAX_SAMPLES:
         raise FormatError(f"--samples is at most {MAX_SAMPLES}")
+    if args.bound > MAX_BOUND:
+        raise FormatError(f"--bound is at most {MAX_BOUND}")
     m = _resolve_algebra(args.algebra)
     iso = isotropy_algebra(m)
     report = go_random_audit(m, iso, args.samples, args.seed, args.bound)
@@ -242,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra")
     p.add_argument("--samples", type=int, default=200, help=f"number of samples, at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10)
+    p.add_argument("--bound", type=int, default=10, help=f"entries drawn from [-bound, bound], at most {MAX_BOUND}")
 
     p = add("go-at", cmd_go_at, "certificate at one tangent vector")
     p.add_argument("algebra")

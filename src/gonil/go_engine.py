@@ -25,6 +25,7 @@ from gonil.linalg import (
     Matrix,
     Vec,
     _solve_rows,
+    _sparse_rows,
     basis_vec,
     congruence_diagonalize,
     fmt_vec,
@@ -141,10 +142,6 @@ def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
             raise GOEngineError("operator space is not inside the isotropy algebra (derivation fails)")
 
 
-def _nonzero(entries) -> tuple[tuple[int, Fraction], ...]:
-    return tuple((i, v) for i, v in enumerate(entries) if v)
-
-
 @dataclass(frozen=True)
 class _CertificateSystem:
     """The per-vector certificate system of one (m, h), built once as sparse tensors.
@@ -167,7 +164,7 @@ class _CertificateSystem:
 
     m: MetricLieAlgebra
     h: OperatorSpace
-    gram_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
+    gram_rows: tuple[list[tuple[int, Fraction]], ...]
     paired: tuple[tuple[tuple[int, int, Fraction], ...], ...]
     quadratic: tuple[tuple[int, int, int, Fraction], ...]
     brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
@@ -182,14 +179,16 @@ class _CertificateSystem:
         return cls(
             m,
             h,
-            tuple(_nonzero(row) for row in gram.rows),
+            tuple(_sparse_rows(gram.rows)),
             tuple(
-                tuple((e, b, v) for e, row in enumerate((gram @ op).rows) for b, v in _nonzero(row))
+                tuple((e, b, v) for e, row in enumerate(_sparse_rows((gram @ op).rows)) for b, v in row)
                 for op in h.basis
             ),
-            tuple((a, b, c, v) for a, lows in enumerate(low) for b, row in enumerate(lows) for c, v in _nonzero(row)),
+            tuple(
+                (a, b, c, v) for a, lows in enumerate(low) for b, row in enumerate(_sparse_rows(lows)) for c, v in row
+            ),
             tuple((i, j, tuple(targets.items())) for (i, j), targets in m.algebra.table.items()),
-            tuple(tuple((d, b, v) for d, row in enumerate(op.rows) for b, v in _nonzero(row)) for op in h.basis),
+            tuple(tuple((d, b, v) for d, row in enumerate(_sparse_rows(op.rows)) for b, v in row) for op in h.basis),
         )
 
     def at(self, t: Vec) -> tuple[Matrix, Vec]:

@@ -171,7 +171,7 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
             ncols = other._ncols
-            sparse = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
+            sparse = _sparse_rows(other._rows)
             out = []
             for r in self._rows:
                 acc = [_ZERO] * ncols
@@ -188,7 +188,12 @@ class Matrix:
         return tuple(sum([r[k] * v for k, v in nz if r[k]], _ZERO) for r in self._rows)
 
     def commutator(self, other: Matrix) -> Matrix:
-        return self @ other - other @ self
+        """AB - BA of two n-by-n matrices, formed over their nonzero entries."""
+        n = self.nrows
+        if not self.ncols == other.nrows == other.ncols == n:
+            raise DimensionMismatch("commutator needs two square matrices of one size")
+        entries = _commutator_entries(_sparse_rows(self._rows), _sparse_rows(other._rows))
+        return Matrix([[entries.get(i * n + j, _ZERO) for j in range(n)] for i in range(n)], ncols=n)
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self._rows for a in r)
@@ -226,6 +231,23 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join(",".join(str(a) for a in r) for r in self._rows)
         return f"Matrix({self.nrows}x{self.ncols}: {body})"
+
+
+def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, Fraction]]]:
+    """Each row as its (column, value) pairs with nonzero value."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+
+
+def _commutator_entries(a: list, b: list) -> dict[int, Fraction]:
+    """AB - BA of n-by-n matrices given as _sparse_rows, as {row-major index: value} over nonzero pairs only."""
+    n, acc = len(a), {}
+    for left, right, negate in ((a, b, False), (b, a, True)):
+        for i, row in enumerate(left):
+            for k, x in row:
+                x = -x if negate else x
+                for j, y in right[k]:
+                    acc[i * n + j] = acc.get(i * n + j, _ZERO) + x * y
+    return {key: v for key, v in acc.items() if v}
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
@@ -440,15 +462,17 @@ class Subspace:
     ambient_dim: int
     basis: Matrix
     pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _rows_at_pivots: dict = field(init=False, repr=False, compare=False)  # pivot -> the row's _sparse_rows entry
 
     def __post_init__(self):
-        rows = self.basis.rows
-        pivots = tuple(next((j for j, a in enumerate(row) if a), -1) for row in rows)
+        rows = _sparse_rows(self.basis.rows)
+        pivots = tuple(row[0][0] if row else -1 for row in rows)
         if -1 in pivots or list(pivots) != sorted(set(pivots)) or any(
-            row[p] != (i == k) for i, row in enumerate(rows) for k, p in enumerate(pivots)
+            row[p] != (i == k) for i, row in enumerate(self.basis.rows) for k, p in enumerate(pivots)
         ):
             raise ValueError("subspace basis is not in reduced echelon form")
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_rows_at_pivots", dict(zip(pivots, rows)))
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -477,16 +501,19 @@ class Subspace:
 
     def coordinates(self, vec: Sequence) -> Vec | None:
         """Coefficients of vec in this basis, read at the pivots; None if outside."""
-        rest = list(to_vec(vec))
-        if len(rest) != self.ambient_dim:
+        vec = to_vec(vec)
+        if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector has wrong length")
-        coords = tuple(rest[p] for p in self.pivots)
-        for c, row in zip(coords, self.basis.rows):
-            if c:
-                for j, b in enumerate(row):
-                    if b:
-                        rest[j] -= c * b
-        return None if any(rest) else coords
+        coords = tuple(vec[p] for p in self.pivots)
+        return coords if self._contains_entries({j: a for j, a in enumerate(vec) if a}) else None
+
+    def _contains_entries(self, rest: dict[int, Fraction]) -> bool:
+        """Whether rest, {index: value}, lies in the span; rest becomes rest - sum_i rest[p_i] B_i, which must be 0."""
+        rows = self._rows_at_pivots
+        for p, c in [(p, c) for p, c in rest.items() if p in rows]:
+            for j, b in rows[p]:
+                rest[j] = rest.get(j, _ZERO) - c * b
+        return not any(rest.values())
 
     def __le__(self, other: Subspace) -> bool:
         return all(other.contains_vector(r) for r in self.basis.rows)

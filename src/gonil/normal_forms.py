@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Sequence
 
 from gonil.isotropy import OperatorSpace, is_skew
-from gonil.linalg import Matrix, basis_vec
+from gonil.linalg import Matrix, _commutator_entries, _sparse_rows, basis_vec
 from gonil.metric import SymForm
 
 
@@ -166,7 +166,8 @@ def maximal_abelian_family(
 
 
 def _verify_abelian(gens: Sequence[Matrix]) -> None:
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            if not a.commutator(b).is_zero():
+    ops = [_sparse_rows(g.rows) for g in gens]
+    for i, a in enumerate(ops):
+        for b in ops[i + 1 :]:
+            if _commutator_entries(a, b):
                 raise NormalFormError("family is not abelian")

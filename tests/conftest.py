@@ -3,12 +3,25 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from gonil.catalog import build_example
 from gonil.isotropy import isotropy_algebra
 from gonil.lie import LieAlgebra
 from gonil.linalg import Matrix, solve_particular
 from gonil.metric import MetricLieAlgebra, SymForm
+
+
+ENTRY = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+
+
+@st.composite
+def sparse_rows(draw, nrows, ncols):
+    """Random rationals, about half zero, with some whole rows and columns zeroed."""
+    rows = [[draw(ENTRY) for _ in range(ncols)] for _ in range(nrows)]
+    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
+    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
 @pytest.fixture(scope="session")

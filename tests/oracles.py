@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, basis_vec, solve_particular, to_vec
+from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, solve_particular, to_vec
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -331,3 +331,18 @@ def quotient_by_transposed_solve(m, result):
 def coordinates_by_solve(space, vec):
     """Coefficients of vec in the space's basis from the transposed system, or None."""
     return solve_particular(space.basis.transpose(), vec)
+
+
+def commutator_closed_by_dense_products(space) -> bool:
+    """Whether a @ b - b @ a lies in the span for every two basis operators of an OperatorSpace.
+
+    Each commutator is two dense products, tested by elimination against the
+    vectorized basis.
+    """
+    n2 = space.ambient_dim * space.ambient_dim
+    span = Subspace(n2, Matrix([op.vectorize() for op in space.basis], ncols=n2))
+    return all(
+        contains_by_elimination(span, (a @ b - b @ a).vectorize())
+        for i, a in enumerate(space.basis)
+        for b in space.basis[i + 1 :]
+    )

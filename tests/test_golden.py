@@ -2,12 +2,14 @@
 
 Each command runs in-process through ``cli.main``.  The digests were taken
 before the identity checks were rewritten as contractions of the lowered
-bracket tensor, the last four ``normal-forms`` digests before the abelian
-families were taken as slices of the index-2 generators, and the ``check``,
-``catalog``, ``reduce --output`` and ``extend`` digests before the derivation
-and Jacobi checks read the derivation rows off the bracket table; refactors
-must reproduce the same bytes.  Commands that write a file also pin the
-file's bytes.
+bracket tensor, the ``normal-forms`` digests from ``--m 7 --family 1`` to
+``--q 2 --m 6`` before the abelian families were taken as slices of the
+index-2 generators, the two at ``--m 16`` before the abelian check formed
+commutators over nonzero entries, and the ``check``, ``catalog``,
+``reduce --output`` and ``extend`` digests before the derivation and Jacobi
+checks read the derivation rows off the bracket table; refactors must
+reproduce the same bytes.  Commands that write a file also pin the file's
+bytes.
 """
 
 import hashlib
@@ -44,6 +46,8 @@ def _commands():
         ["normal-forms", "--q", "2", "--m", "7", "--family", "3"],
         ["normal-forms", "--q", "1", "--m", "6"],
         ["normal-forms", "--q", "2", "--m", "6"],
+        ["normal-forms", "--q", "2", "--m", "16", "--family", "1"],
+        ["normal-forms", "--q", "2", "--m", "16", "--family", "3"],
     ]
     return out
 
@@ -95,6 +99,8 @@ GOLDEN = {
     "normal-forms --q 2 --m 7 --family 3": ("9fe9f86a490928104682f1420115a53f911fe671ba9d116c2e59dd17c76ca046", 0),
     "normal-forms --q 1 --m 6": ("ad20ba20ca5bd8d6f7c280308368c9c22d1d93a4ac8fdbb91c60c5ade719ec30", 0),
     "normal-forms --q 2 --m 6": ("215ff6627d6ddace8f5d63d5be5586fecfe9a2242ebbadd9ebf09e80e3be4ad6", 0),
+    "normal-forms --q 2 --m 16 --family 1": ("282756280774391df07d774ad08b0002fa7e4813f3c943e68b2be0f09fa5efe2", 0),
+    "normal-forms --q 2 --m 16 --family 3": ("033244522457b12fbdd8312bf244f57fbe8d52fa3369ab9e10904747a3ec39d4", 0),
 }
 
 

@@ -20,7 +20,7 @@ from gonil.io import (
     parse_rational,
     save_algebra,
 )
-from gonil.cli import MAX_NORMAL_FORM_M, MAX_SAMPLES, main
+from gonil.cli import MAX_BOUND, MAX_NORMAL_FORM_M, MAX_SAMPLES, main
 from gonil.lie import EngelError
 
 
@@ -297,6 +297,20 @@ def test_cli_normal_forms_m_upper_limit(capsys, monkeypatch):
 def test_cli_go_samples_upper_limit(capsys):
     assert main(["go", "catalog:heis3", "--seed", "1", "--samples", str(MAX_SAMPLES + 1)]) == 2
     assert capsys.readouterr().out == f"ERROR: --samples is at most {MAX_SAMPLES}\n"
+
+
+def test_cli_go_bound_upper_limit(capsys, monkeypatch):
+    assert main(["go", "catalog:heis3", "--seed", "1", "--samples", "3", "--bound", str(MAX_BOUND)]) == 0
+    assert f"BOUND: {MAX_BOUND}\n" in capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    for name in ("go_random_audit", "isotropy_algebra"):
+        monkeypatch.setattr(cli, name, refuse)
+    for bound in (MAX_BOUND + 1, int("9" * 4000)):
+        assert main(["go", "catalog:paper_2_3", "--samples", "200", "--seed", "1", "--bound", str(bound)]) == 2
+        assert capsys.readouterr().out == f"ERROR: --bound is at most {MAX_BOUND}\n"
 
 
 def test_cli_engel_error_is_an_error_line_with_exit_one(monkeypatch, capsys):

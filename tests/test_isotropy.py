@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from conftest import ENTRY, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
 from gonil.double_ext import ExtensionData, extend2
 from gonil.isotropy import (
@@ -17,6 +20,8 @@ from gonil.isotropy import (
 from gonil.lie import LieAlgebra, abelian, bracket_subspaces, lower_central_series, transporter
 from gonil.linalg import Matrix, Subspace
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
+from gonil.normal_forms import _verify_abelian, maximal_abelian_family
+from oracles import commutator_closed_by_dense_products
 
 
 def basis_vec(n, i):
@@ -142,19 +147,24 @@ def _extend2_outputs():
     }
 
 
-def euclidean_heisenberg(k):
-    """H_{2k+1}: [x_i, y_i] = z with the identity form; its isotropy algebra is u(k), of dim k^2."""
+def heisenberg(k, negative=()):
+    """H_{2k+1}: [x_i, y_i] = z, with the diagonal form that is -1 on the listed basis indices and 1 elsewhere.
+
+    With the identity form the isotropy algebra is u(k), of dim k^2.
+    """
     n = 2 * k + 1
     alg = LieAlgebra(n, {(i, k + i): {2 * k: 1} for i in range(k)})
-    return MetricLieAlgebra.checked(alg, SymForm(Matrix.identity(n)))
+    gram = [[(-1 if i in negative else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    return MetricLieAlgebra.checked(alg, SymForm(Matrix(gram)))
 
 
 ISOTROPY_CASES = (
     {name: build_example(name).algebra for name in EXAMPLE_NAMES}
     | _extend2_outputs()
-    | {f"heis{2 * k + 1}_euclidean": euclidean_heisenberg(k) for k in (4, 5)}
+    | {f"heis{2 * k + 1}_euclidean": heisenberg(k) for k in (4, 5, 6)}
+    | {"heis9_lorentz": heisenberg(4, negative=(0,))}
 )
-ISOTROPY_DIMS = {"heis9_euclidean": 16, "heis11_euclidean": 25}
+ISOTROPY_DIMS = {"heis9_euclidean": 16, "heis11_euclidean": 25, "heis13_euclidean": 36}
 
 
 @pytest.mark.parametrize("name", sorted(ISOTROPY_CASES))
@@ -176,3 +186,68 @@ def test_commutator_closure_refuses_a_non_subalgebra():
     space = OperatorSpace.from_operators(2, [Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])])
     with pytest.raises(ValueError, match="not closed under commutators"):
         space.verify_commutator_closed()
+
+
+def _generated_subalgebra(space):
+    """The smallest commutator-closed space containing space, grown with dense products."""
+    while True:
+        ops = list(space.basis) + [a @ b - b @ a for a in space.basis for b in space.basis]
+        grown = OperatorSpace.from_operators(space.ambient_dim, ops)
+        if grown == space:
+            return space
+        space = grown
+
+
+def _closure_verdict(space) -> bool:
+    try:
+        space.verify_commutator_closed()
+    except ValueError as exc:
+        assert str(exc) == "operator space is not closed under commutators"
+        return False
+    return True
+
+
+def test_commutator_closure_matches_dense_product_oracle():
+    catalog = {name: isotropy_algebra(build_example(name).algebra) for name in EXAMPLE_NAMES}
+    for h in catalog.values():
+        assert commutator_closed_by_dense_products(h) and _closure_verdict(h)
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        # random sparse operators or matrix units of size 2-5, or combinations of a catalog isotropy basis
+        source = data.draw(st.sampled_from(["sparse", "units", "catalog"]))
+        if source == "sparse":
+            n = data.draw(st.integers(2, 5))
+            ops = [Matrix(data.draw(sparse_rows(n, n)), ncols=n) for _ in range(data.draw(st.integers(1, 4)))]
+        elif source == "units":
+            n = data.draw(st.integers(2, 5))
+            units = data.draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=4))
+            ops = [Matrix([[int((r, c) == unit) for c in range(n)] for r in range(n)]) for unit in units]
+        else:
+            h = catalog[data.draw(st.sampled_from([name for name, iso in catalog.items() if iso.dim]))]
+            n = h.ambient_dim
+            coeffs = st.lists(ENTRY, min_size=h.dim, max_size=h.dim)
+            ops = [h.combine(data.draw(coeffs)) for _ in range(data.draw(st.integers(1, 4)))]
+        space = OperatorSpace.from_operators(n, ops)
+        if data.draw(st.booleans()):
+            space = _generated_subalgebra(space)
+        expected = commutator_closed_by_dense_products(space)
+        assert _closure_verdict(space) == expected
+        outcomes.add(expected)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_closure_and_abelian_checks_form_no_dense_product(paper_iso, monkeypatch):
+    gens = maximal_abelian_family(1, 8)
+
+    def refuse(self, other):
+        raise AssertionError("a dense product was formed")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    paper_iso.verify_commutator_closed()
+    _verify_abelian(gens)

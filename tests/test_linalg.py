@@ -23,6 +23,7 @@ from gonil.linalg import (
     to_vec,
     vec_sub,
 )
+from conftest import ENTRY, sparse_rows
 from oracles import (
     contains_by_elimination,
     coordinates_by_solve,
@@ -234,18 +235,6 @@ def test_subspace_complement_rows():
     assert rebuilt == big
 
 
-_ENTRY = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
-
-
-@st.composite
-def _sparse_rows(draw, nrows, ncols):
-    """Random rationals, about half zero, with some whole rows and columns zeroed."""
-    rows = [[draw(_ENTRY) for _ in range(ncols)] for _ in range(nrows)]
-    zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
-    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
-    return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
-
-
 def _assert_fraction_entries(rows):
     assert all(type(x) is Fraction for row in rows for x in row)
 
@@ -255,8 +244,8 @@ def _assert_fraction_entries(rows):
 @given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)), data=st.data())
 def test_matmul_matches_dense_oracle(shape, data):
     r, k, c = shape
-    a_rows = data.draw(_sparse_rows(r, k))
-    b_rows = data.draw(_sparse_rows(k, c))
+    a_rows = data.draw(sparse_rows(r, k))
+    b_rows = data.draw(sparse_rows(k, c))
     a, b = Matrix(a_rows, ncols=k), Matrix(b_rows, ncols=c)
     product = a @ b
     expected = Matrix(dense_product(a.rows, b.rows, c), ncols=c)
@@ -264,7 +253,7 @@ def test_matmul_matches_dense_oracle(shape, data):
     _assert_fraction_entries(product.rows)
     assert product == expected and hash(product) == hash(expected)
 
-    vec = data.draw(st.lists(_ENTRY, min_size=k, max_size=k))
+    vec = data.draw(st.lists(ENTRY, min_size=k, max_size=k))
     image = a @ vec
     assert image == tuple(row[0] for row in dense_product(a.rows, [[x] for x in to_vec(vec)], 1))
     _assert_fraction_entries([image])
@@ -275,21 +264,27 @@ def test_matmul_matches_dense_oracle(shape, data):
 @given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5)), data=st.data())
 def test_sum_difference_and_commutator_match_dense_oracle(shape, data):
     r, c = shape
-    a = Matrix(data.draw(_sparse_rows(r, c)), ncols=c)
-    b = Matrix(data.draw(_sparse_rows(r, c)), ncols=c)
+    a = Matrix(data.draw(sparse_rows(r, c)), ncols=c)
+    b = Matrix(data.draw(sparse_rows(r, c)), ncols=c)
     for got, op in ((a + b, operator.add), (a - b, operator.sub)):
         expected = Matrix([[op(x, y) for x, y in zip(s, t)] for s, t in zip(a.rows, b.rows)], ncols=c)
         _assert_fraction_entries(got.rows)
         assert got == expected and hash(got) == hash(expected)
     with pytest.raises(DimensionMismatch):
         a - Matrix.zeros(r + 1, c)
-    x = Matrix(data.draw(_sparse_rows(c, c)), ncols=c)
-    y = Matrix(data.draw(_sparse_rows(c, c)), ncols=c)
+    x = Matrix(data.draw(sparse_rows(c, c)), ncols=c)
+    y = Matrix(data.draw(sparse_rows(c, c)), ncols=c)
     xy, yx = dense_product(x.rows, y.rows, c), dense_product(y.rows, x.rows, c)
     expected = Matrix([[p - q for p, q in zip(s, t)] for s, t in zip(xy, yx)], ncols=c)
     got = x.commutator(y)
     _assert_fraction_entries(got.rows)
     assert got == expected and hash(got) == hash(expected)
+    with pytest.raises(DimensionMismatch):
+        x.commutator(Matrix.zeros(c + 1, c + 1))
+    if r != c:
+        for other in (b, Matrix.zeros(c, r)):
+            with pytest.raises(DimensionMismatch):
+                a.commutator(other)
 
 
 def test_subspace_coordinates_match_elimination_oracles():
@@ -300,11 +295,11 @@ def test_subspace_coordinates_match_elimination_oracles():
     @given(shape=st.tuples(st.integers(0, 6), st.integers(1, 9)), data=st.data())
     def check(shape, data):
         k, n = shape
-        space = Subspace.span(n, data.draw(_sparse_rows(k, n)))
-        coeffs = data.draw(st.lists(_ENTRY, min_size=space.dim, max_size=space.dim))
+        space = Subspace.span(n, data.draw(sparse_rows(k, n)))
+        coeffs = data.draw(st.lists(ENTRY, min_size=space.dim, max_size=space.dim))
         member = space.basis.transpose() @ coeffs
         assert space.coordinates(member) == to_vec(coeffs)
-        for vec in (member, data.draw(st.lists(_ENTRY, min_size=n, max_size=n))):
+        for vec in (member, data.draw(st.lists(ENTRY, min_size=n, max_size=n))):
             expected = coordinates_by_solve(space, vec)
             assert space.coordinates(vec) == expected
             assert space.contains_vector(vec) == contains_by_elimination(space, vec) == (expected is not None)
@@ -394,9 +389,9 @@ def test_elimination_matches_naive_rref_on_sparse_systems():
         assert ker == _kernel_by_naive_rref(a)
         assert rank(a) + ker.nrows == a.ncols
         if consistent:
-            b = a @ data.draw(st.lists(_ENTRY, min_size=a.ncols, max_size=a.ncols))
+            b = a @ data.draw(st.lists(ENTRY, min_size=a.ncols, max_size=a.ncols))
         else:
-            b = to_vec(data.draw(st.lists(_ENTRY, min_size=a.nrows, max_size=a.nrows)))
+            b = to_vec(data.draw(st.lists(ENTRY, min_size=a.nrows, max_size=a.nrows)))
         x = solve_particular(a, b)
         assert x == _solution_by_naive_rref(a, b)
         assert consistent <= (x is not None)

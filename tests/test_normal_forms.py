@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from gonil.normal_forms import (
     IwasawaFamily,
     NormalFormError,
+    _verify_abelian,
     iwasawa_nilpotent_basis,
     maximal_abelian_family,
     q2_element,
@@ -61,6 +63,16 @@ def test_q2_family_not_abelian():
         for a in family.generators
         for b in family.generators
     )
+    outcomes = set()
+    for a, b in itertools.combinations(family.generators, 2):
+        commute = a @ b == b @ a
+        outcomes.add(commute)
+        if commute:
+            _verify_abelian([a, b])
+        else:
+            with pytest.raises(NormalFormError, match="family is not abelian"):
+                _verify_abelian([a, b])
+    assert outcomes == {True, False}
 
 
 def test_u1_family_abelian_and_inside():
