@@ -7,7 +7,8 @@ Every command prints greppable ``KEY: value`` lines.  Exit codes:
   an operation's hypothesis (a degenerate quotient, a non-nilpotent algebra,
   an operator family with no common kernel vector);
 * 2: malformed input: bad files, names, vectors, rationals or parameters,
-  and files that cannot be read or written;
+  and files that cannot be read or written, stdout included: a reader that
+  closes it early (``| head``) gets exit 2 and nothing on stderr;
 * 3: an internal check failed (a bug, not a property of the input).
 
 Errors print one ``ERROR:`` line.  Identical command lines with the same seed
@@ -17,6 +18,7 @@ produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from gonil.catalog import (
@@ -200,19 +202,18 @@ def cmd_normal_forms(args) -> int:
 
     if args.m > MAX_NORMAL_FORM_M:
         raise FormatError(f"--m is at most {MAX_NORMAL_FORM_M}")
+    if args.family and args.q != 2:
+        raise FormatError("--family needs --q 2")
     u1, v1 = [None if x is None else parse_rational(x) for x in (args.u1, args.v1)]
     family = iwasawa_nilpotent_basis(args.q, args.m)
+    to_print = maximal_abelian_family(args.family, args.m, u1, v1) if args.family else family.generators
     print(f"SIGNATURE: {family.signature[0]},{family.signature[1]}")
     print(f"AMBIENT: {family.dim_ambient}")
     print(f"FAMILY_DIM: {family.dim}")
     if args.family:
-        gens = maximal_abelian_family(args.family, args.m, u1, v1)
         print(f"ABELIAN_FAMILY: {args.family}")
-        print(f"ABELIAN_DIM: {len(gens)}")
+        print(f"ABELIAN_DIM: {len(to_print)}")
         print("ABELIAN_VERIFIED: yes")
-        to_print = gens
-    else:
-        to_print = family.generators
     for idx, gen in enumerate(to_print):
         for r, row in enumerate(gen.rows):
             print(f"GENERATOR[{idx}].ROW[{r}]: {fmt_vec(row)}")
@@ -283,8 +284,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (say `gonil ... | head`): point it at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_MALFORMED
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.fn(args)
     except (FormatError, CatalogError, DimensionMismatch, GOEngineError, OSError) as exc:

@@ -5,7 +5,8 @@ reduces: a totally null central subspace ``eg`` and its pairing partner are
 split off, leaving a metric nilpotent quotient on ``m1/eg`` whose dimension
 drops by twice dim(eg) and whose signature drops by (dim eg, dim eg).  The
 forward direction, :func:`extend2`, rebuilds a two-dimensional extension from
-explicit data and is the round-trip partner of :func:`reduce`.
+explicit data and is the round-trip partner of :func:`reduce`; the data is
+checked as the extension's own Jacobi identity, on the bracket it then uses.
 """
 
 from __future__ import annotations
@@ -14,12 +15,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gonil.lie import (
-    LieAlgebra,
-    bracket_subspaces,
-    engel_flag,
-)
-from gonil.isotropy import OperatorSpace, derivation_defect, is_adh_invariant, isotropy_algebra
+from gonil.lie import JacobiError, LieAlgebra, bracket_subspaces, engel_flag, jacobi_defect
+from gonil.isotropy import OperatorSpace, is_adh_invariant, isotropy_algebra
 from gonil.linalg import (
     Matrix,
     SignatureTriple,
@@ -28,7 +25,6 @@ from gonil.linalg import (
     fmt_vec,
     solve_particular,
     vec_add,
-    vec_dot,
     vec_scale,
     vec_sub,
 )
@@ -326,8 +322,8 @@ class ExtensionData:
     derivation D must be a nilpotent derivation of the base bracket; phi is
     the new-central-component of the bracket with the extending vector f;
     omega is the new-central-component of the base bracket; mu = <f, f>.
-    The three identities validated here are exactly what the Jacobi identity
-    of the extension requires.
+    The data is valid exactly when the extension's bracket satisfies Jacobi,
+    and :meth:`validate` checks it as that one identity.
     """
 
     derivation: Matrix
@@ -335,7 +331,14 @@ class ExtensionData:
     omega: Matrix
     mu: Fraction = Fraction(0)
 
-    def validate(self, m0: MetricLieAlgebra) -> None:
+    def validate(self, m0: MetricLieAlgebra) -> LieAlgebra:
+        """The extension's bracket on (f, x_1..x_k, e), refused unless it satisfies Jacobi.
+
+        One jacobi_defect names the failing identity: at (f, x_i, x_j) the
+        base part is the derivation identity of D and the e part the
+        compatibility of phi with omega; at (x_i, x_j, x_l) the e part is the
+        cyclic omega identity.  Any other defect is the base's own.
+        """
         k = m0.dim
         d, phi, omega = self.derivation, self.phi, self.omega
         if d.nrows != k or d.ncols != k or omega.nrows != k or omega.ncols != k or len(phi) != k:
@@ -344,29 +347,26 @@ class ExtensionData:
             raise ExtensionDataError("omega is not antisymmetric")
         if not d.is_nilpotent():
             raise ExtensionDataError("derivation is not nilpotent")
-        alg = m0.algebra
-        defect = derivation_defect(alg, d)
-        if defect is not None:
-            raise ExtensionDataError(f"derivation identity fails on pair ({defect[0]},{defect[1]})")
-        compat = d.transpose() @ omega + omega @ d  # [i, j] = omega(D e_i, e_j) + omega(e_i, D e_j)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if vec_dot(phi, alg.bracket_basis(i, j)) != compat[i, j]:
-                    raise ExtensionDataError(
-                        f"compatibility of phi with omega fails on pair ({i},{j})"
-                    )
-        for i in range(k):
-            for j in range(i + 1, k):
-                for l in range(j + 1, k):
-                    cyc = (
-                        vec_dot(omega.row(i), alg.bracket_basis(j, l))
-                        + vec_dot(omega.row(j), alg.bracket_basis(l, i))
-                        + vec_dot(omega.row(l), alg.bracket_basis(i, j))
-                    )
-                    if cyc != 0:
-                        raise ExtensionDataError(
-                            f"cyclic omega identity fails on triple ({i},{j},{l})"
-                        )
+        e, base, table = k + 1, m0.algebra.table, {}
+        for a in range(k):
+            table[(0, 1 + a)] = {1 + b: d[b, a] for b in range(k)} | {e: phi[a]}
+            for b in range(a + 1, k):
+                table[(1 + a, 1 + b)] = {1 + t: c for t, c in base.get((a, b), {}).items()} | {e: omega[a, b]}
+        algebra = LieAlgebra(k + 2, table, validate=False)
+        defects = jacobi_defect(algebra)
+        on_f = [((j - 1, l - 1), vec) for (i, j, l), vec in defects if i == 0]
+        for (i, j), vec in on_f:
+            if any(vec[1:e]):
+                raise ExtensionDataError(f"derivation identity fails on pair ({i},{j})")
+        if on_f:  # no base part is left and nothing brackets into f: the defect is its e part
+            (i, j), _ = on_f[0]
+            raise ExtensionDataError(f"compatibility of phi with omega fails on pair ({i},{j})")
+        for (i, j, l), vec in defects:
+            if vec[e]:
+                raise ExtensionDataError(f"cyclic omega identity fails on triple ({i - 1},{j - 1},{l - 1})")
+        if defects:
+            raise ExtensionDataError(f"extension is not a Lie algebra: {JacobiError(defects)}")
+        return algebra
 
 
 def extend2(m0: MetricLieAlgebra, data: ExtensionData) -> MetricLieAlgebra:
@@ -374,42 +374,17 @@ def extend2(m0: MetricLieAlgebra, data: ExtensionData) -> MetricLieAlgebra:
 
     Brackets: [f, x] = Dx + phi(x) e, [x, y] = [x, y]_0 + omega(x, y) e,
     [f, e] = [base, e] = 0.  Form: <e, f> = 1, <f, f> = mu, <e, e> = 0, both
-    new vectors orthogonal to the base, base form unchanged.  The output is
-    fully re-validated (Jacobi, nilpotency, nondegeneracy).
+    new vectors orthogonal to the base, base form unchanged.  The bracket is
+    the one data.validate checked; nilpotency and nondegeneracy are checked
+    here.
     """
-    data.validate(m0)
+    algebra = data.validate(m0)
     k = m0.dim
-    n = k + 2
-    e_idx = k + 1
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a in range(k):
-        entry: dict[int, Fraction] = {}
-        col = data.derivation.column(a)
-        for b in range(k):
-            if col[b]:
-                entry[1 + b] = col[b]
-        if data.phi[a]:
-            entry[e_idx] = data.phi[a]
-        if entry:
-            brackets[(0, 1 + a)] = entry
-    base_table = m0.algebra.table
-    for a in range(k):
-        for b in range(a + 1, k):
-            entry = {1 + t: c for t, c in base_table.get((a, b), {}).items()}
-            if data.omega[a, b]:
-                entry[e_idx] = data.omega[a, b]
-            if entry:
-                brackets[(1 + a, 1 + b)] = entry
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    gram[0][0] = Fraction(data.mu)
-    gram[0][e_idx] = gram[e_idx][0] = Fraction(1)
-    for a in range(k):
-        for b in range(k):
-            gram[1 + a][1 + b] = m0.form.gram[a, b]
-    try:
-        algebra = LieAlgebra(n, brackets)
-    except ValueError as exc:  # pragma: no cover - data.validate makes this unreachable
-        raise ExtensionDataError(f"extension is not a Lie algebra: {exc}") from exc
+    gram = (
+        [[data.mu] + [0] * k + [1]]
+        + [[0, *row, 0] for row in m0.form.gram.rows]
+        + [[1] + [0] * (k + 1)]
+    )
     try:
         return MetricLieAlgebra.checked(algebra, SymForm(Matrix(gram)))
     except PreconditionError as exc:

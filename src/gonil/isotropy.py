@@ -147,9 +147,17 @@ def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
 
 
 def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None = None) -> bool:
-    """True iff D(V) <= V for every basis operator D of the isotropy algebra."""
+    """True iff D(V) <= V for every basis operator D of the isotropy algebra.
+
+    Each D x is formed over the nonzero entries of D and x and tested at V's pivots.
+    """
     if v.ambient_dim != m.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
     if h is None:
         h = isotropy_algebra(m)
-    return all(v.contains_vector(d @ x) for d in h.basis for x in v.basis.rows)
+    xs = [dict(x) for x in _sparse_rows(v.basis.rows)]
+    return all(
+        v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
+        for d in (_sparse_rows(op.rows) for op in h.basis)
+        for x in xs
+    )

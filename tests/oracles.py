@@ -346,3 +346,8 @@ def commutator_closed_by_dense_products(space) -> bool:
         for i, a in enumerate(space.basis)
         for b in space.basis[i + 1 :]
     )
+
+
+def adh_invariant_by_dense_products(v, h) -> bool:
+    """Whether D x lies in V for every basis operator D of h and basis vector x of V, each D x a dense product."""
+    return all(v.contains_vector(d @ x) for d in h.basis for x in v.basis.rows)

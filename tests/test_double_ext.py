@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,12 @@ from gonil.lie import LieAlgebra, abelian, lower_central_series, nilpotency_step
 from gonil.isotropy import derivation_defect
 from gonil.linalg import Matrix, Subspace, basis_vec, to_vec
 from gonil.metric import MetricLieAlgebra, SymForm
-from oracles import extension_identity_failure_by_pairing, omega_pair, quotient_by_transposed_solve
+from oracles import (
+    derivation_defect_by_brackets,
+    extension_identity_failure_by_pairing,
+    omega_pair,
+    quotient_by_transposed_solve,
+)
 
 
 def lorentz_abelian(n):
@@ -251,6 +257,49 @@ def test_extend2_rejects_non_derivation(heis3):
         extend2(heis3, ExtensionData(Matrix(d), to_vec([0, 0, 0]), Matrix.zeros(3, 3)))
 
 
+def test_extend2_on_a_non_jacobi_base_names_the_jacobi_failure():
+    # Zero data meets every data identity, so only the base's own Jacobi defect,
+    # shifted by f to the triple (1, 2, 3), is left to report.
+    alg = LieAlgebra(3, {(0, 1): {0: 1}, (0, 2): {1: 1}, (1, 2): {0: 1}}, validate=False)
+    base = MetricLieAlgebra(alg, SymForm(Matrix.identity(3)))
+    with pytest.raises(ExtensionDataError) as info:
+        extend2(base, ExtensionData(Matrix.zeros(3, 3), to_vec([0] * 3), Matrix.zeros(3, 3)))
+    assert str(info.value) == "extension is not a Lie algebra: Jacobi identity fails at 1 triple(s), e.g. (1, 2, 3)"
+
+
+def _rebind_everywhere(monkeypatch, original, replacement):
+    """Point every gonil module attribute bound to original at replacement."""
+    for name, module in list(sys.modules.items()):
+        if name == "gonil" or name.startswith("gonil."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
+def test_extend2_runs_one_jacobi_check_and_no_dense_pairing(monkeypatch, heis3):
+    import gonil.lie
+    import gonil.linalg
+
+    over_heis3 = ExtensionData(Matrix.zeros(3, 3), to_vec([1, 2, 0]), Matrix.zeros(3, 3))
+    cases = [de5_data(), de7_lorentz_data(), (heis3, over_heis3)]
+    calls = []
+    original = gonil.lie.jacobi_defect
+
+    def counted(alg):
+        calls.append(alg.dim)
+        return original(alg)
+
+    def refuse(*args):
+        raise AssertionError("vec_dot was called")
+
+    _rebind_everywhere(monkeypatch, original, counted)
+    _rebind_everywhere(monkeypatch, gonil.linalg.vec_dot, refuse)
+    for base, data in cases:
+        calls.clear()
+        extended = extend2(base, data)
+        assert calls == [base.dim + 2] and extended.dim == base.dim + 2
+
+
 # Bases whose bracket pairs each hit their own basis vector, so a phi that
 # meets the phi-omega identity can be read off pair by pair.
 VALIDATION_BASES = {
@@ -304,6 +353,46 @@ def test_extension_validate_matches_pairing_oracle(name, fit_phi, data):
         with pytest.raises(ExtensionDataError) as info:
             ext.validate(m0)
         assert str(info.value) == expected
+
+
+def _expected_validation_message(alg, ext) -> str | None:
+    pair = derivation_defect_by_brackets(alg, ext.derivation)
+    if pair is not None:
+        return f"derivation identity fails on pair ({pair[0]},{pair[1]})"
+    return extension_identity_failure_by_pairing(alg, ext)
+
+
+def test_extension_validate_matches_bracket_oracles_on_lower_triangular_data():
+    # Strictly lower-triangular D is nilpotent but often no derivation of the
+    # non-abelian bases, so every identity gets its turn to fail first.
+    outcomes = set()
+
+    @seed(20261019)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(VALIDATION_BASES)), fit_phi=st.booleans(), data=st.data())
+    def check(name, fit_phi, data):
+        m0 = VALIDATION_BASES[name]
+        k = m0.dim
+        entry = st.sampled_from([0, 0, 0, 0, 1, -1, 2])
+        # at most three nonzero entries below the diagonal, so D is a derivation now and then
+        below = data.draw(st.dictionaries(st.sampled_from([(i, j) for i in range(k) for j in range(i)]), entry, max_size=3))
+        d = Matrix([[below.get((i, j), 0) for j in range(k)] for i in range(k)])
+        upper = {(i, j): data.draw(entry) for i in range(k) for j in range(i + 1, k)}
+        omega = Matrix([[upper.get((i, j), 0) - upper.get((j, i), 0) for j in range(k)] for i in range(k)])
+        phi = _fitted_phi(m0.algebra, d, omega) if fit_phi else to_vec(data.draw(st.lists(entry, min_size=k, max_size=k)))
+        ext = ExtensionData(d, phi, omega)
+        expected = _expected_validation_message(m0.algebra, ext)
+        if expected is None:
+            ext.validate(m0)
+            outcomes.add("pass")
+        else:
+            with pytest.raises(ExtensionDataError) as info:
+                ext.validate(m0)
+            assert str(info.value) == expected
+            outcomes.add(expected.split()[0])
+
+    check()
+    assert outcomes == {"derivation", "compatibility", "cyclic", "pass"}
 
 
 def lorentz_chain():

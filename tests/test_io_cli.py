@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -292,6 +293,49 @@ def test_cli_normal_forms_m_upper_limit(capsys, monkeypatch):
     for extra in ([], ["--family", "1"]):
         assert main(["normal-forms", "--q", "2", "--m", str(MAX_NORMAL_FORM_M + 1)] + extra) == 2
         assert capsys.readouterr().out == f"ERROR: --m is at most {MAX_NORMAL_FORM_M}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--q", "1", "--m", "6", "--family", "1"], "--family needs --q 2"),
+        (["--q", "1", "--m", "3", "--family", "1"], "--family needs --q 2"),
+        (["--q", "2", "--m", "4", "--family", "2", "--u1", "1", "--v1", "1"], "family 2 needs m >= 5"),
+    ],
+)
+def test_cli_normal_forms_refusal_is_one_error_line(args, message, capsys):
+    assert main(["normal-forms", *args]) == 2
+    assert capsys.readouterr().out == f"ERROR: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--q", "2", "--m", "6"],  # buffered, the report fits the stdout buffer: the pipe breaks at the final flush
+        ["--q", "2", "--m", "16", "--family", "1"],  # buffered, it does not: the pipe breaks mid-report
+        ["--q", "1", "--m", "6", "--family", "1"],  # a refusal's ERROR line meets the closed pipe
+    ],
+    ids=["small-report", "large-report", "refusal"],
+)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_closed_stdout_exits_two_without_traceback(args, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:  # every print meets the closed pipe at once
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gonil.cli", "normal-forms", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
 
 
 def test_cli_go_samples_upper_limit(capsys):

@@ -21,7 +21,7 @@ from gonil.lie import LieAlgebra, abelian, bracket_subspaces, lower_central_seri
 from gonil.linalg import Matrix, Subspace
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
-from oracles import commutator_closed_by_dense_products
+from oracles import adh_invariant_by_dense_products, commutator_closed_by_dense_products
 
 
 def basis_vec(n, i):
@@ -118,6 +118,34 @@ def test_invariance_calculus(paper, paper_iso):
         assert is_adh_invariant(m, v1.intersect(v2), paper_iso)
         assert is_adh_invariant(m, bracket_subspaces(alg, v1, v2), paper_iso)
         assert is_adh_invariant(m, transporter(alg, v1, v2), paper_iso)
+
+
+def test_adh_invariance_matches_dense_product_oracle():
+    catalog = {name: build_example(name).algebra for name in EXAMPLE_NAMES}
+    isotropy = {name: isotropy_algebra(m) for name, m in catalog.items()}
+    outcomes = set()
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(name=st.sampled_from([name for name, h in isotropy.items() if h.dim]), data=st.data())
+    def check(name, data):
+        # spans of sparse random vectors, of coordinate vectors, or a lower central series term
+        m, h = catalog[name], isotropy[name]
+        n = m.dim
+        source = data.draw(st.sampled_from(["sparse", "coordinates", "series"]))
+        if source == "sparse":
+            v = Subspace.span(n, data.draw(sparse_rows(data.draw(st.integers(1, n)), n)))
+        elif source == "coordinates":
+            axes = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+            v = Subspace.span(n, [basis_vec(n, i) for i in axes])
+        else:
+            v = data.draw(st.sampled_from(lower_central_series(m.algebra)))
+        expected = adh_invariant_by_dense_products(v, h)
+        assert is_adh_invariant(m, v, h) == expected
+        outcomes.add(expected)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_isotropy_of_de5_matches_hand_count(de5):
