@@ -11,15 +11,19 @@ Every command prints greppable ``KEY: value`` lines.  Exit codes:
   closes it early (``| head``) gets exit 2 and nothing on stderr;
 * 3: an internal check failed (a bug, not a property of the input).
 
-Errors print one ``ERROR:`` line.  Identical command lines with the same seed
-produce byte-identical reports.
+Each command builds its whole report, and writes any ``--output`` file, before
+anything is printed: a failure prints exactly one ``ERROR:`` line, and a run
+prints nothing until its report is complete.  Identical command lines with the
+same seed produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
+from contextlib import redirect_stdout
 
 from gonil.catalog import (
     EXAMPLE_NAMES,
@@ -73,31 +77,36 @@ def _parse_vector(text: str):
         raise FormatError(f"bad vector: {exc}") from exc
 
 
-def cmd_check(args) -> int:
+def _matrix_lines(label, matrices):
+    rows = [(i, r, row) for i, matrix in enumerate(matrices) for r, row in enumerate(matrix.rows)]
+    return [f"{label}[{i}].ROW[{r}]: {fmt_vec(row)}" for i, r, row in rows]
+
+
+def _save(path, algebra, names=None):
+    """Write ``algebra`` to ``path`` (when given) and return the report's ``WROTE`` line."""
+    if not path:
+        return []
+    save_algebra(path, algebra, names)
+    return [f"WROTE: {path}"]
+
+
+def cmd_check(args):
     _resolve_algebra(args.algebra)
-    print("STATUS: OK")
-    return EXIT_OK
+    return ["STATUS: OK"], EXIT_OK
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args):
     m = _resolve_algebra(args.algebra)
-    for label, invariant in INVARIANTS.values():
-        value = invariant(m)
-        print(f"{label}: {fmt_vec(value) if isinstance(value, tuple) else value}")
-    return EXIT_OK
+    values = [(label, invariant(m)) for label, invariant in INVARIANTS.values()]
+    return [f"{label}: {fmt_vec(v) if isinstance(v, tuple) else v}" for label, v in values], EXIT_OK
 
 
-def cmd_isotropy(args) -> int:
-    m = _resolve_algebra(args.algebra)
-    iso = isotropy_algebra(m)
-    print(f"ISOTROPY_DIM: {iso.dim}")
-    for idx, op in enumerate(iso.basis):
-        for r, row in enumerate(op.rows):
-            print(f"BASIS[{idx}].ROW[{r}]: {fmt_vec(row)}")
-    return EXIT_OK
+def cmd_isotropy(args):
+    iso = isotropy_algebra(_resolve_algebra(args.algebra))
+    return [f"ISOTROPY_DIM: {iso.dim}", *_matrix_lines("BASIS", iso.basis)], EXIT_OK
 
 
-def cmd_go(args) -> int:
+def cmd_go(args):
     if args.samples > MAX_SAMPLES:
         raise FormatError(f"--samples is at most {MAX_SAMPLES}")
     if args.bound > MAX_BOUND:
@@ -105,99 +114,63 @@ def cmd_go(args) -> int:
     m = _resolve_algebra(args.algebra)
     iso = isotropy_algebra(m)
     report = go_random_audit(m, iso, args.samples, args.seed, args.bound)
-    print(f"ALGEBRA: {args.algebra}")
-    print(f"ISOTROPY_DIM: {iso.dim}")
-    for line in report.lines():
-        print(line)
-    return EXIT_OK if report.verdict == "CONSISTENT" else EXIT_REFUTED
+    lines = [f"ALGEBRA: {args.algebra}", f"ISOTROPY_DIM: {iso.dim}", *report.lines()]
+    return lines, EXIT_OK if report.verdict == "CONSISTENT" else EXIT_REFUTED
 
 
-def cmd_go_at(args) -> int:
+def cmd_go_at(args):
     m = _resolve_algebra(args.algebra)
     iso = isotropy_algebra(m)
     t = _parse_vector(args.vector)
     cert = go_certificate_at(m, iso, t)
-    print(f"T: {fmt_vec(t)}")
     if cert is None:
-        print("RESULT: INFEASIBLE")
-        return EXIT_REFUTED
-    print("RESULT: FEASIBLE")
-    print(f"A_COEFFS: {fmt_vec(cert.A_coeffs)}")
-    print(f"K: {cert.k}")
-    return EXIT_OK
+        return [f"T: {fmt_vec(t)}", "RESULT: INFEASIBLE"], EXIT_REFUTED
+    return [f"T: {fmt_vec(t)}", "RESULT: FEASIBLE", f"A_COEFFS: {fmt_vec(cert.A_coeffs)}", f"K: {cert.k}"], EXIT_OK
 
 
-def cmd_linear_go(args) -> int:
+def cmd_linear_go(args):
     m = _resolve_algebra(args.algebra)
     iso = isotropy_algebra(m)
     cert = linear_go_certificate(m, iso)
-    print(f"ISOTROPY_DIM: {iso.dim}")
     if cert is None:
-        print("RESULT: INFEASIBLE")
-        print("NOTE: only linear witnesses with k = 0 are ruled out")
-        return EXIT_REFUTED
-    print("RESULT: FEASIBLE")
-    for j, row in enumerate(cert.coeffs.rows):
-        print(f"L[{j}]: {fmt_vec(row)}")
-    return EXIT_OK
+        note = "NOTE: only linear witnesses with k = 0 are ruled out"
+        return [f"ISOTROPY_DIM: {iso.dim}", "RESULT: INFEASIBLE", note], EXIT_REFUTED
+    rows = [f"L[{j}]: {fmt_vec(row)}" for j, row in enumerate(cert.coeffs.rows)]
+    return [f"ISOTROPY_DIM: {iso.dim}", "RESULT: FEASIBLE", *rows], EXIT_OK
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args):
+    result = reduce_algebra(_resolve_algebra(args.algebra))
+    quotient = [f"QUOTIENT_DIM: {result.m0.dim}", f"QUOTIENT_SIGNATURE: {fmt_vec(result.m0.form.signature())}"]
+    complement = [f"COMPLEMENT[{i}]: {fmt_vec(row)}" for i, row in enumerate(result.complement_rows.rows)]
+    return [*result.witness.lines(), *quotient, *complement, *_save(args.output, result.m0)], EXIT_OK
+
+
+def cmd_extend(args):
     m = _resolve_algebra(args.algebra)
-    result = reduce_algebra(m)
-    for line in result.witness.lines():
-        print(line)
-    print(f"QUOTIENT_DIM: {result.m0.dim}")
-    print(f"QUOTIENT_SIGNATURE: {fmt_vec(result.m0.form.signature())}")
-    for i, row in enumerate(result.complement_rows.rows):
-        print(f"COMPLEMENT[{i}]: {fmt_vec(row)}")
-    if args.output:
-        save_algebra(args.output, result.m0)
-        print(f"WROTE: {args.output}")
-    return EXIT_OK
+    extended = extend2(m, load_extension_data(args.data))
+    lines = [f"EXTENDED_DIM: {extended.dim}", f"EXTENDED_SIGNATURE: {fmt_vec(extended.form.signature())}"]
+    return lines + _save(args.output, extended), EXIT_OK
 
 
-def cmd_extend(args) -> int:
-    m = _resolve_algebra(args.algebra)
-    data = load_extension_data(args.data)
-    extended = extend2(m, data)
-    print(f"EXTENDED_DIM: {extended.dim}")
-    print(f"EXTENDED_SIGNATURE: {fmt_vec(extended.form.signature())}")
-    if args.output:
-        save_algebra(args.output, extended)
-        print(f"WROTE: {args.output}")
-    return EXIT_OK
-
-
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     example = build_example(args.name)
-    out = args.output or f"{args.name}.json"
     names = PAPER_BASIS_NAMES if args.name == "paper_2_3" else None
-    save_algebra(out, example.algebra, names)
-    print(f"NAME: {example.name}")
-    print(f"DIM: {example.algebra.dim}")
-    print(f"WROTE: {out}")
-    return EXIT_OK
+    wrote = _save(args.output or f"{args.name}.json", example.algebra, names)
+    return [f"NAME: {example.name}", f"DIM: {example.algebra.dim}", *wrote], EXIT_OK
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args):
     report = verify_paper_example()
-    for line in report.lines():
-        print(line)
-    return EXIT_OK if report.passed else EXIT_REFUTED
+    return report.lines(), EXIT_OK if report.passed else EXIT_REFUTED
 
 
-def cmd_necessary(args) -> int:
-    m = _resolve_algebra(args.algebra)
-    report = necessary_condition_check(m)
-    for line in report.lines():
-        print(line)
-    if report.skipped:
-        return EXIT_OK
-    return EXIT_OK if report.passed else EXIT_REFUTED
+def cmd_necessary(args):
+    report = necessary_condition_check(_resolve_algebra(args.algebra))
+    return report.lines(), EXIT_OK if report.skipped or report.passed else EXIT_REFUTED
 
 
-def cmd_normal_forms(args) -> int:
+def cmd_normal_forms(args):
     from gonil.normal_forms import iwasawa_nilpotent_basis, maximal_abelian_family
 
     if args.m > MAX_NORMAL_FORM_M:
@@ -206,18 +179,56 @@ def cmd_normal_forms(args) -> int:
         raise FormatError("--family needs --q 2")
     u1, v1 = [None if x is None else parse_rational(x) for x in (args.u1, args.v1)]
     family = iwasawa_nilpotent_basis(args.q, args.m)
-    to_print = maximal_abelian_family(args.family, args.m, u1, v1) if args.family else family.generators
-    print(f"SIGNATURE: {family.signature[0]},{family.signature[1]}")
-    print(f"AMBIENT: {family.dim_ambient}")
-    print(f"FAMILY_DIM: {family.dim}")
+    lines = [f"SIGNATURE: {family.signature[0]},{family.signature[1]}", f"AMBIENT: {family.dim_ambient}"]
+    lines.append(f"FAMILY_DIM: {family.dim}")
+    generators = family.generators
     if args.family:
-        print(f"ABELIAN_FAMILY: {args.family}")
-        print(f"ABELIAN_DIM: {len(to_print)}")
-        print("ABELIAN_VERIFIED: yes")
-    for idx, gen in enumerate(to_print):
-        for r, row in enumerate(gen.rows):
-            print(f"GENERATOR[{idx}].ROW[{r}]: {fmt_vec(row)}")
-    return EXIT_OK
+        generators = maximal_abelian_family(args.family, args.m, u1, v1)
+        lines += [f"ABELIAN_FAMILY: {args.family}", f"ABELIAN_DIM: {len(generators)}", "ABELIAN_VERIFIED: yes"]
+    return lines + _matrix_lines("GENERATOR", generators), EXIT_OK
+
+
+ALGEBRA = ("algebra", dict(help="path to an algebra file or catalog:NAME"))
+
+# name -> (command, help, argument specs); each command maps its parsed arguments to (report lines, exit code)
+COMMANDS = {
+    "check": (cmd_check, "validate an algebra file", [ALGEBRA]),
+    "invariants": (cmd_invariants, "print series dims, step, signatures", [ALGEBRA]),
+    "isotropy": (cmd_isotropy, "print the isotropy algebra basis", [ALGEBRA]),
+    "go": (cmd_go, "randomized geodesic-orbit audit", [
+        ALGEBRA,
+        ("--samples", dict(type=int, default=200, help=f"number of samples, at most {MAX_SAMPLES}")),
+        ("--seed", dict(type=int, required=True)),
+        ("--bound", dict(type=int, default=10, help=f"entries drawn from [-bound, bound], at most {MAX_BOUND}")),
+    ]),
+    "go-at": (cmd_go_at, "certificate at one tangent vector", [
+        ALGEBRA,
+        ("--vector", dict(required=True, help='comma-separated rationals, e.g. "1,0,-2/3"')),
+    ]),
+    "linear-go": (cmd_linear_go, "solve for a linear certificate", [ALGEBRA]),
+    "reduce": (cmd_reduce, "double-extension quotient of a degenerate algebra", [
+        ALGEBRA,
+        ("--output", dict(help="write the quotient algebra file here")),
+    ]),
+    "extend": (cmd_extend, "apply a two-dimensional extension", [
+        ALGEBRA,
+        ("--data", dict(required=True, help="extension data JSON file")),
+        ("--output", dict(help="write the extended algebra file here")),
+    ]),
+    "catalog": (cmd_catalog, "write a built-in example to a file", [
+        ("name", dict(choices=EXAMPLE_NAMES)),
+        ("--output", dict()),
+    ]),
+    "verify-paper": (cmd_verify_paper, "run the full 12-dim example verification", []),
+    "necessary": (cmd_necessary, "polarized bracket-orthogonality identities on n'", [ALGEBRA]),
+    "normal-forms": (cmd_normal_forms, "nilpotent triangular families", [
+        ("--q", dict(type=int, choices=(1, 2), required=True)),
+        ("--m", dict(type=int, required=True, help=f"matrix size, at most {MAX_NORMAL_FORM_M}")),
+        ("--family", dict(type=int, choices=(1, 2, 3))),
+        ("--u1", dict(help='rational, e.g. "1/2"')),
+        ("--v1", dict(help='rational, e.g. "3"')),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,66 +238,26 @@ def build_parser() -> argparse.ArgumentParser:
         "geodesic-orbit checks and double-extension reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    for name, (fn, help_text, specs) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("check", cmd_check, "validate an algebra file")
-    p.add_argument("algebra", help="path to an algebra file or catalog:NAME")
-
-    p = add("invariants", cmd_invariants, "print series dims, step, signatures")
-    p.add_argument("algebra")
-
-    p = add("isotropy", cmd_isotropy, "print the isotropy algebra basis")
-    p.add_argument("algebra")
-
-    p = add("go", cmd_go, "randomized geodesic-orbit audit")
-    p.add_argument("algebra")
-    p.add_argument("--samples", type=int, default=200, help=f"number of samples, at most {MAX_SAMPLES}")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10, help=f"entries drawn from [-bound, bound], at most {MAX_BOUND}")
-
-    p = add("go-at", cmd_go_at, "certificate at one tangent vector")
-    p.add_argument("algebra")
-    p.add_argument("--vector", required=True, help='comma-separated rationals, e.g. "1,0,-2/3"')
-
-    p = add("linear-go", cmd_linear_go, "solve for a linear certificate")
-    p.add_argument("algebra")
-
-    p = add("reduce", cmd_reduce, "double-extension quotient of a degenerate algebra")
-    p.add_argument("algebra")
-    p.add_argument("--output", help="write the quotient algebra file here")
-
-    p = add("extend", cmd_extend, "apply a two-dimensional extension")
-    p.add_argument("algebra")
-    p.add_argument("--data", required=True, help="extension data JSON file")
-    p.add_argument("--output", help="write the extended algebra file here")
-
-    p = add("catalog", cmd_catalog, "write a built-in example to a file")
-    p.add_argument("name", choices=EXAMPLE_NAMES)
-    p.add_argument("--output")
-
-    add("verify-paper", cmd_verify_paper, "run the full 12-dim example verification")
-
-    p = add("necessary", cmd_necessary, "polarized bracket-orthogonality identities on n'")
-    p.add_argument("algebra")
-
-    p = add("normal-forms", cmd_normal_forms, "nilpotent triangular families")
-    p.add_argument("--q", type=int, choices=(1, 2), required=True)
-    p.add_argument("--m", type=int, required=True, help=f"matrix size, at most {MAX_NORMAL_FORM_M}")
-    p.add_argument("--family", type=int, choices=(1, 2, 3))
-    p.add_argument("--u1", help='rational, e.g. "1/2"')
-    p.add_argument("--v1", help='rational, e.g. "3"')
-
+        for flag, options in specs:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Parse, run, then write the whole report at once: the only writer to stdout."""
     try:
-        code = _run(args)
+        try:
+            with redirect_stdout(io.StringIO()) as help_text:  # argparse would drop a failed write
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help (exit 0) or a usage error (exit 2, message on stderr)
+            report, code = help_text.getvalue(), exc.code
+        else:
+            lines, code = _run(args)
+            report = "".join(f"{line}\n" for line in lines)
+        sys.stdout.write(report)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout (say `gonil ... | head`): point it at devnull so the exit flush stays quiet
@@ -295,24 +266,20 @@ def main(argv=None) -> int:
     return code
 
 
-def _run(args) -> int:
+def _run(args):
     try:
         return args.fn(args)
     except (FormatError, CatalogError, DimensionMismatch, GOEngineError, OSError) as exc:
         # bad or unreadable files, bad names, bad vectors/parameters: malformed input
-        print(f"ERROR: {exc}")
-        return EXIT_MALFORMED
+        return [f"ERROR: {exc}"], EXIT_MALFORMED
     except (ReductionError, PreconditionError, NotNilpotentError, EngelError) as exc:
         # well-formed input failing a property or an operation's hypothesis
-        print(f"ERROR: {exc}")
-        return EXIT_REFUTED
+        return [f"ERROR: {exc}"], EXIT_REFUTED
     except ValueError as exc:
-        print(f"ERROR: {exc}")
-        return EXIT_MALFORMED
+        return [f"ERROR: {exc}"], EXIT_MALFORMED
     except AssertionError as exc:
         # every internal check raises AssertionError("internal: ...")
-        print(f"ERROR: {exc}")
-        return EXIT_INTERNAL
+        return [f"ERROR: {exc}"], EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 
 from gonil import cli
 from gonil import io as gonil_io
-from gonil.catalog import build_example
+from gonil.catalog import build_example, de5_data
 from gonil.io import (
     MAX_RATIONAL_CHARS,
     FormatError,
@@ -403,3 +404,77 @@ def test_cli_internal_error_exits_three_and_other_codes_keep_their_meaning(monke
     monkeypatch.setattr(cli, "isotropy_algebra", broken)
     assert main(["isotropy", "catalog:heis3"]) == 3
     assert capsys.readouterr().out == "ERROR: internal: closure check disagrees with the kernel\n"
+
+
+def _de5_extension_args(tmp_path):
+    base, data = de5_data()
+    save_algebra(tmp_path / "base.json", base)
+    (tmp_path / "data.json").write_text(json.dumps(extension_data_to_dict(data)))
+    return [str(tmp_path / "base.json"), "--data", str(tmp_path / "data.json")]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [lambda tmp: ["reduce", "catalog:de5"], lambda tmp: ["extend", *_de5_extension_args(tmp)]],
+    ids=["reduce", "extend"],
+)
+def test_cli_unwritable_output_prints_only_the_error_line(command, tmp_path, capsys):
+    argv = command(tmp_path)
+    assert main([*argv, "--output", str(tmp_path / "out.json")]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--output", str(tmp_path)]) == 2  # a directory cannot be written as a file
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR: ") and str(tmp_path) in lines[0]
+
+
+@pytest.mark.parametrize("args", [["--help"], ["normal-forms", "--help"]], ids=["gonil", "normal-forms"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_cli_help_to_closed_stdout_exits_two_without_traceback(args, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:  # argparse's own write meets the closed pipe
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gonil.cli", *args], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["normal-forms", "--help"]], ids=["gonil", "normal-forms"])
+def test_cli_help_to_open_pipe_is_argparse_text(args, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = subprocess.run([sys.executable, "-m", "gonil.cli", *args], capture_output=True, text=True)
+    assert main(args) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+    assert proc.stdout.startswith("usage: gonil")
+    if args == ["--help"]:
+        assert all(name in proc.stdout for name in cli.COMMANDS)
+
+
+def test_cli_usage_error_goes_to_stderr_only():
+    proc = subprocess.run([sys.executable, "-m", "gonil.cli", "go", "catalog:heis3"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: gonil go")
+    assert "error: the following arguments are required: --seed" in proc.stderr
+
+
+def test_every_algebra_command_refuses_a_missing_file_in_one_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    names = [name for name, (_fn, _help, specs) in cli.COMMANDS.items() if cli.ALGEBRA in specs]
+    assert len(names) == 9
+    for name in names:
+        required = [flag for flag, options in cli.COMMANDS[name][2] if options.get("required")]
+        assert main([name, missing, *[part for flag in required for part in (flag, "1")]]) == 2, name
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.startswith("ERROR: ") and missing in out, name
+
+
+def test_readme_cli_examples_name_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    named = set(re.findall(r"^gonil (\S+)", block, re.MULTILINE))
+    assert [name for name in cli.COMMANDS if name not in named] == []
