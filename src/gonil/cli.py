@@ -257,6 +257,8 @@ def main(argv=None) -> int:
         else:
             lines, code = _run(args)
             report = "".join(f"{line}\n" for line in lines)
+        if sys.stdout is None:  # fd 1 was closed at start (`gonil ... >&-`): like a closed pipe, nowhere to write
+            return EXIT_MALFORMED
         sys.stdout.write(report)
         sys.stdout.flush()
     except BrokenPipeError:

@@ -6,6 +6,12 @@ solve per vector, no optimization loop.  Because the ambient algebra splits
 as (skew derivations) + (the nilpotent algebra itself) with the algebra an
 ideal, no projection is needed in the bracket term.
 
+The per-vector system is built once per (m, h) as sparse tensors whose
+denominators are cleared at build time, so each sample is assembled,
+eliminated and checked in Python integers: its rows are positive multiples of
+the rational rows, whose reduced echelon form, and so whose canonical
+solution, they share.
+
 A randomized audit refutes the property exactly when it finds one infeasible
 integer vector; an all-feasible run is evidence only, never proof, since the
 property quantifies over a continuum.  Audit verdicts are REFUTED or
@@ -14,11 +20,13 @@ CONSISTENT, never "proven".
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Sequence
 
 from gonil.isotropy import OperatorSpace, derivation_defects, is_skew
 from gonil.linalg import (
@@ -31,16 +39,12 @@ from gonil.linalg import (
     fmt_vec,
     is_zero_vec,
     rational_sqrt,
-    solve_particular,
     to_vec,
     vec_add,
     vec_dot,
     vec_scale,
 )
 from gonil.metric import MetricLieAlgebra, restrict_form
-
-_ZERO = Fraction(0)
-
 
 class GOEngineError(ValueError):
     """Invalid input to a certification routine."""
@@ -142,9 +146,29 @@ def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
             raise GOEngineError("operator space is not inside the isotropy algebra (derivation fails)")
 
 
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _cleared(v: Fraction, den: int) -> int:
+    """den * v as an int, for a den that v's denominator divides."""
+    return v.numerator * (den // v.denominator)
+
+
+def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
+    """Each entry (..., v) as (..., den * v) with an int last item."""
+    return tuple((*x[:-1], _cleared(x[-1], den)) for x in entries)
+
+
+def _integer_vector(t: Vec) -> tuple[int, tuple[int, ...]]:
+    """(d, T') with T = T' / d, T' integral and d > 0."""
+    d = _common_denominator(t)
+    return d, tuple(_cleared(x, d) for x in t)
+
+
 @dataclass(frozen=True)
 class _CertificateSystem:
-    """The per-vector certificate system of one (m, h), built once as sparse tensors.
+    """The per-vector certificate system of one (m, h), built once as sparse integer tensors.
 
     Row b of the system at T, with unknowns the h-basis coefficients c_j of A
     and the scalar k, reads
@@ -158,17 +182,29 @@ class _CertificateSystem:
         paired[j]    = ((e, b, (G D_j)[e][b]), ...)         <D_j e_b, T>
         quadratic    = ((a, b, c, <[e_a, e_b], e_c>), ...)  <[T, e_b], T>
 
-    ``brackets`` and ``ops`` (the bracket table and h's basis entries) feed
-    only the per-certificate check, which does not read the tensors above.
+    all three multiplied by L, the least common denominator of their entries,
+    so they hold ints.  With T = T' / d for an integer vector T' and d > 0,
+    row b times L d^2 has coefficients d <D_j e_b, T'> and -d <T', e_b> and
+    right-hand side -<[T', e_b], T'> (each times L): integers, and a positive
+    multiple of row b, so the canonical solution is the same.
+
+    ``gram``, ``brackets`` and ``ops`` (the Gram matrix, the bracket table and
+    h's basis entries, each times the least common denominator of its own
+    entries; the last two denominators are kept as ``bracket_den`` and
+    ``op_den``) feed only the per-certificate check, which does not read the
+    tensors above.
     """
 
     m: MetricLieAlgebra
     h: OperatorSpace
-    gram_rows: tuple[list[tuple[int, Fraction]], ...]
-    paired: tuple[tuple[tuple[int, int, Fraction], ...], ...]
-    quadratic: tuple[tuple[int, int, int, Fraction], ...]
-    brackets: tuple[tuple[int, int, tuple[tuple[int, Fraction], ...]], ...]
-    ops: tuple[tuple[tuple[int, int, Fraction], ...], ...]
+    gram_rows: tuple[tuple[tuple[int, int], ...], ...]
+    paired: tuple[tuple[tuple[int, int, int], ...], ...]
+    quadratic: tuple[tuple[int, int, int, int], ...]
+    gram: tuple[tuple[tuple[int, int], ...], ...]
+    brackets: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
+    bracket_den: int
+    ops: tuple[tuple[tuple[int, int, int], ...], ...]
+    op_den: int
 
     @classmethod
     def build(cls, m: MetricLieAlgebra, h: OperatorSpace) -> _CertificateSystem:
@@ -176,37 +212,30 @@ class _CertificateSystem:
         check_subisotropy(m, h)
         gram = m.form.gram
         low = m.lowered_brackets()
+        gram_rows = _sparse_rows(gram.rows)
+        paired = [[(e, b, v) for e, row in enumerate(_sparse_rows((gram @ o).rows)) for b, v in row] for o in h.basis]
+        quadratic = [
+            (a, b, c, v) for a, lows in enumerate(low) for b, row in enumerate(_sparse_rows(lows)) for c, v in row
+        ]
+        den = _common_denominator(x[-1] for x in chain(*gram_rows, *paired, quadratic))
+        # the check's own data, each cleared by its own denominator
+        table = m.algebra.table.items()
+        ops = [[(d, b, v) for d, row in enumerate(_sparse_rows(op.rows)) for b, v in row] for op in h.basis]
+        gram_den = _common_denominator(x[-1] for x in chain(*gram_rows))
+        bracket_den = _common_denominator(c for _, targets in table for c in targets.values())
+        op_den = _common_denominator(x[-1] for x in chain(*ops))
         return cls(
             m,
             h,
-            tuple(_sparse_rows(gram.rows)),
-            tuple(
-                tuple((e, b, v) for e, row in enumerate(_sparse_rows((gram @ op).rows)) for b, v in row)
-                for op in h.basis
-            ),
-            tuple(
-                (a, b, c, v) for a, lows in enumerate(low) for b, row in enumerate(_sparse_rows(lows)) for c, v in row
-            ),
-            tuple((i, j, tuple(targets.items())) for (i, j), targets in m.algebra.table.items()),
-            tuple(tuple((d, b, v) for d, row in enumerate(_sparse_rows(op.rows)) for b, v in row) for op in h.basis),
+            tuple(_scaled(row, den) for row in gram_rows),
+            tuple(_scaled(entries, den) for entries in paired),
+            _scaled(quadratic, den),
+            tuple(_scaled(row, gram_den) for row in gram_rows),
+            tuple((i, j, _scaled(targets.items(), bracket_den)) for (i, j), targets in table),
+            bracket_den,
+            tuple(_scaled(entries, op_den) for entries in ops),
+            op_den,
         )
-
-    def at(self, t: Vec) -> tuple[Matrix, Vec]:
-        """System matrix (columns c_0, ..., c_{dim h - 1}, k) and right-hand side at T."""
-        n = len(t)
-        cols = []
-        for entries in self.paired:
-            col = [_ZERO] * n
-            for e, b, v in entries:
-                if t[e]:
-                    col[b] += v * t[e]
-            cols.append(col)
-        cols.append([-sum([v * t[e] for e, v in row if t[e]], _ZERO) for row in self.gram_rows])
-        rhs = [_ZERO] * n
-        for a, b, c, v in self.quadratic:
-            if t[a] and t[c]:
-                rhs[b] -= v * t[a] * t[c]
-        return Matrix(zip(*cols), ncols=len(cols)), tuple(rhs)
 
 
 def go_certificate_at(
@@ -218,6 +247,8 @@ def go_certificate_at(
     coefficients of A and the scalar k:
 
         sum_j c_j <D_j e_b, T>  -  k <T, e_b>  =  -<[T, e_b], T>
+
+    It is built and eliminated in integers (see ``_CertificateSystem``).
     """
     t = to_vec(t)
     if len(t) != m.dim:
@@ -228,7 +259,20 @@ def go_certificate_at(
         _system = _CertificateSystem.build(m, h)
     elif _system.m is not m or _system.h is not h:
         raise AssertionError("internal: certificate system built for another (m, h)")
-    x = solve_particular(*_system.at(t))
+    d, ti = _integer_vector(t)
+    dt = [d * x for x in ti]
+    nh = len(_system.paired)
+    rows = [[0] * (nh + 2) for _ in ti]  # columns c_0, ..., c_{dim h - 1}, k, right-hand side
+    for j, entries in enumerate(_system.paired):
+        for e, b, v in entries:
+            if dt[e]:
+                rows[b][j] += v * dt[e]
+    for row, gram_row in zip(rows, _system.gram_rows):
+        row[nh] = -sum([v * dt[e] for e, v in gram_row if dt[e]])
+    for a, b, c, v in _system.quadratic:
+        if ti[a] and ti[c]:
+            rows[b][nh + 1] -= v * ti[a] * ti[c]
+    x = _solve_rows(map(enumerate, rows), nh + 1)
     if x is None:
         return None
     cert = GOCertificate(t, x[:-1], x[-1])
@@ -240,24 +284,38 @@ def _verify_certificate(system: _CertificateSystem, cert: GOCertificate) -> None
     """Check <[T, e_b] + A e_b, T> = k <T, e_b> for every b, and k = 0 when <T, T> != 0.
 
     Evaluated from the Gram matrix, the bracket table and h's basis entries,
-    not from the tensors the system was contracted from.
+    not from the tensors the system was contracted from, and in integers.
+    Write T = T' / d, g = G' T' for the cleared Gram matrix G' (a positive
+    multiple of G T), and (c', k') = q (c, k) for q the common denominator of
+    the certificate.  Every term is linear in G T, and the bracket term has
+    one more factor T, so row b times a positive constant reads
+
+        op_den q <[T', e_b]', g> + d bracket_den <sum_j c'_j D'_j e_b, g> = d bracket_den op_den k' g_b
+
+    with <x, g> the plain dot product, [., .]' the cleared bracket table and
+    D'_j the cleared operators.
     """
-    t = cert.T
-    gt = system.m.form.gram @ t
-    lhs = [_ZERO] * len(t)
+    d, t = _integer_vector(cert.T)
+    q = _common_denominator(chain(cert.A_coeffs, (cert.k,)))
+    g = [sum([v * t[e] for e, v in row if t[e]]) for row in system.gram]
+    bracket_part = [0] * len(t)
     for i, j, targets in system.brackets:  # [e_i, e_j] = sum c e_k with i < j
-        s = sum([c * gt[k] for k, c in targets], _ZERO)
+        s = sum([c * g[k] for k, c in targets])
         if s:
-            lhs[j] += t[i] * s
-            lhs[i] -= t[j] * s
+            bracket_part[j] += t[i] * s
+            bracket_part[i] -= t[j] * s
+    op_part = [0] * len(t)
     for c, entries in zip(cert.A_coeffs, system.ops):
         if c:
-            for d, b, v in entries:
-                if gt[d]:
-                    lhs[b] += c * v * gt[d]
-    if any(x != cert.k * g for x, g in zip(lhs, gt)):
+            c = _cleared(c, q)
+            for e, b, v in entries:
+                if g[e]:
+                    op_part[b] += c * v * g[e]
+    outer, inner = system.op_den * q, d * system.bracket_den
+    k = _cleared(cert.k, q) * inner * system.op_den
+    if any(outer * x + inner * y != k * gb for x, y, gb in zip(bracket_part, op_part, g)):
         raise AssertionError("internal: certificate fails its defining identity")
-    if vec_dot(t, gt) != 0 and cert.k != 0:
+    if sum([x * gb for x, gb in zip(t, g)]) != 0 and cert.k != 0:
         raise AssertionError("internal: k must vanish on non-null vectors")
 
 
@@ -332,7 +390,8 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     # per-vector system leaves a quadratic form in T that must vanish: one
     # sparse row (L[j][a] at j * n + a, right-hand side at width) per T_a T_e, a <= e.
     # For skew h, row (b, a, a) with b != a is -1 times row (a, min(a, b), max(a, b)): skipped.
-    rows: defaultdict[tuple[int, int, int], defaultdict[int, Fraction]] = defaultdict(lambda: defaultdict(int))
+    # The tensors are cleared by one common denominator, which scales every row alike.
+    rows: defaultdict[tuple[int, int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
     for j, entries in enumerate(system.paired):
         for e, b, v in entries:
             for a in range(n):

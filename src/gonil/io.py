@@ -144,8 +144,9 @@ def save_algebra(path: str | Path, m: MetricLieAlgebra, basis_names: Sequence[st
 
 def _read_json(path: str | Path):
     try:
-        return json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError: bad JSON, bad UTF-8 or an integer past the digit limit; RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
 
 

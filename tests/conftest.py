@@ -92,3 +92,15 @@ def sheared(m: MetricLieAlgebra, shift: int = 1) -> MetricLieAlgebra:
             if any(coords):
                 table[(i, j)] = {k: c for k, c in enumerate(coords) if c}
     return MetricLieAlgebra.checked(LieAlgebra(n, table), SymForm(p.transpose() @ m.form.gram @ p))
+
+
+def rescaled(m: MetricLieAlgebra, scales) -> MetricLieAlgebra:
+    """m in the basis f_i = scales[i] e_i: brackets, form and isotropy basis gain denominators."""
+    n = m.dim
+    table = {
+        (i, j): {k: c * scales[i] * scales[j] / scales[k] for k, c in targets.items()}
+        for (i, j), targets in m.algebra.table.items()
+    }
+    g = m.form.gram
+    gram = Matrix([[g[i, j] * scales[i] * scales[j] for j in range(n)] for i in range(n)])
+    return MetricLieAlgebra.checked(LieAlgebra(n, table), SymForm(gram))

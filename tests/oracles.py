@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, solve_particular, to_vec
+from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, solve_particular, to_vec, vec_dot
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -175,6 +175,31 @@ def certificate_by_dense_solve(m, h, t):
     if x is None:
         return None
     return x[:-1], x[-1]
+
+
+def certificate_holds_by_fractions(m, h, cert) -> bool:
+    """Whether <[T, e_b] + A e_b, T> = k <T, e_b> for every b, and k = 0 when <T, T> != 0.
+
+    Evaluated in Fractions, term by term, from the Gram matrix, the bracket
+    table and h's basis matrices, with no common denominator cleared.
+    """
+    t = cert.T
+    gt = m.form.gram @ t
+    lhs = [Fraction(0)] * len(t)
+    for (i, j), targets in m.algebra.table.items():  # [e_i, e_j] = sum c e_k with i < j
+        s = sum((c * gt[k] for k, c in targets.items()), Fraction(0))
+        if s:
+            lhs[j] += t[i] * s
+            lhs[i] -= t[j] * s
+    for c, op in zip(cert.A_coeffs, h.basis):
+        if c:
+            for d, row in enumerate(op.rows):
+                for b, v in enumerate(row):
+                    if v and gt[d]:
+                        lhs[b] += c * v * gt[d]
+    if any(x != cert.k * g for x, g in zip(lhs, gt)):
+        return False
+    return vec_dot(t, gt) == 0 or cert.k == 0
 
 
 def dense_product(a_rows, b_rows, ncols):

@@ -6,21 +6,39 @@ the same system from whole matrices, one product per operator, and solves it
 with ``solve_particular``.  Both must return the same (A_coeffs, k), or None.
 ``linear_go_certificate`` reads its polarized system off the same tensors and
 is compared with the dense (a, b, c) assembly of
-``oracles.linear_certificate_by_dense_assembly`` in the same way.
+``oracles.linear_certificate_by_dense_assembly`` in the same way.  The
+integer per-certificate check accepts exactly the certificates that
+``oracles.certificate_holds_by_fractions`` accepts, and a sample reads only
+the built system: no matrix is built, multiplied or solved densely.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import necessary_condition_counterexample, sheared
+from conftest import necessary_condition_counterexample, rescaled, sheared
+from gonil import linalg
 from gonil.catalog import EXAMPLE_NAMES, build_example
-from gonil.go_engine import first_null_vector, go_certificate_at, go_random_audit, linear_go_certificate
+from gonil.go_engine import (
+    GOCertificate,
+    _CertificateSystem,
+    _verify_certificate,
+    first_null_vector,
+    go_certificate_at,
+    go_random_audit,
+    linear_go_certificate,
+)
 from gonil.isotropy import OperatorSpace, isotropy_algebra
-from gonil.linalg import vec_scale
-from oracles import certificate_by_dense_solve, linear_certificate_by_dense_assembly
+from gonil.linalg import Matrix, vec_scale
+from oracles import (
+    certificate_by_dense_solve,
+    certificate_holds_by_fractions,
+    linear_certificate_by_dense_assembly,
+)
 
 SETTINGS = settings(
     max_examples=60,
@@ -141,3 +159,99 @@ def test_linear_certificate_matches_dense_assembly_in_sheared_basis(spaces, name
     got = _linear_result(m, h)
     assert got is not None
     assert got == linear_certificate_by_dense_assembly(m, h)
+
+
+SCALES = (Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(-5, 4), Fraction(1), Fraction(6, 5))
+
+
+@pytest.fixture(scope="module")
+def checked_spaces(spaces):
+    """The catalog's (m, h), and three entries again in a rescaled basis with rational data."""
+    out = dict(spaces)
+    for name in ("paper_2_3", "de5", "de7_lorentz"):
+        m = rescaled(spaces[name][0], [SCALES[i % len(SCALES)] for i in range(spaces[name][0].dim)])
+        out[f"{name}/rescaled"] = (m, isotropy_algebra(m))
+    return out
+
+
+CHECKED_NAMES = EXAMPLE_NAMES + ("paper_2_3/rescaled", "de5/rescaled", "de7_lorentz/rescaled")
+NULL_NAMES = ("paper_2_3", "de5", "de7_lorentz", "paper_2_3/rescaled", "de5/rescaled", "de7_lorentz/rescaled")
+NUDGES = st.one_of(st.sampled_from([1, -1]), st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(2, 5)))
+
+
+def test_rescaled_spaces_carry_denominators(checked_spaces):
+    for name in CHECKED_NAMES:
+        m, h = checked_spaces[name]
+        system = _CertificateSystem.build(m, h)
+        assert ((system.bracket_den, system.op_den) != (1, 1)) == name.endswith("/rescaled"), name
+        assert any(x.denominator > 1 for row in m.form.gram.rows for x in row) == name.endswith("/rescaled"), name
+        assert (first_null_vector(m) is not None) == (name in NULL_NAMES), name
+
+
+def _accepted(system, cert):
+    try:
+        _verify_certificate(system, cert)
+    except AssertionError:
+        return False
+    return True
+
+
+@seed(20261018)
+@SETTINGS
+@given(
+    name=st.sampled_from(CHECKED_NAMES),
+    kind=st.sampled_from(["integer", "rational", "null"]),
+    scale=st.builds(Fraction, st.integers(1, 5).map(lambda x: x * (-1) ** x), st.integers(1, 4)),
+    nudge=NUDGES,
+    data=st.data(),
+)
+def test_integer_check_accepts_exactly_what_the_fraction_oracle_accepts(checked_spaces, name, kind, scale, nudge, data):
+    if kind == "null":
+        name = data.draw(st.sampled_from(NULL_NAMES))
+    m, h = checked_spaces[name]
+    system = _CertificateSystem.build(m, h)
+    if kind == "null":
+        t = vec_scale(scale, first_null_vector(m))
+    else:
+        t = tuple(_vector(data.draw, m.dim, kind == "rational"))
+    cert = go_certificate_at(m, h, t, _system=system)
+    assert (None if cert is None else (cert.A_coeffs, cert.k)) == certificate_by_dense_solve(m, h, t)
+    if cert is None:  # infeasible at T: any candidate is wrong, the zero one included
+        cert = GOCertificate(t, tuple(Fraction(0) for _ in range(h.dim)), Fraction(0))
+    else:
+        assert _accepted(system, cert) and certificate_holds_by_fractions(m, h, cert)
+    candidates = [cert, replace(cert, k=cert.k + nudge)]
+    for j in range(h.dim):
+        coeffs = list(cert.A_coeffs)
+        coeffs[j] += nudge
+        candidates.append(replace(cert, A_coeffs=tuple(coeffs)))
+    outcomes = [_accepted(system, c) for c in candidates]
+    assert outcomes == [certificate_holds_by_fractions(m, h, c) for c in candidates]
+    assert not outcomes[1]  # <T, e_b> != 0 for some b, so a changed k always breaks the identity
+
+
+@pytest.mark.parametrize("name", ["paper_2_3", "de7_lorentz"])
+def test_samples_build_no_matrix_and_solve_nothing_densely(spaces, name, monkeypatch):
+    m, h = spaces[name]
+    system = _CertificateSystem.build(m, h)
+    rng = random.Random(11)
+    vectors = [tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(m.dim)) for _ in range(49)]
+    vectors.append(first_null_vector(m))
+
+    def results():
+        out = []
+        for t in vectors:
+            cert = go_certificate_at(m, h, t, _system=system)
+            out.append(None if cert is None else (cert.A_coeffs, cert.k))
+        return out
+
+    expected = results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sample built, multiplied or densely solved a matrix")
+
+    monkeypatch.setattr(Matrix, "__matmul__", refuse)
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    monkeypatch.setattr(linalg, "solve_particular", refuse)
+    assert results() == expected
+    assert any(r is not None for r in expected)

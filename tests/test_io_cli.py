@@ -478,3 +478,20 @@ def test_readme_cli_examples_name_every_command():
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     named = set(re.findall(r"^gonil (\S+)", block, re.MULTILINE))
     assert [name for name in cli.COMMANDS if name not in named] == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["check", "catalog:heis3"], ["go", "catalog:heis3", "--seed", "1"], ["--help"], ["check", "catalog:nope"]],
+    ids=["check", "go", "help", "error"],
+)
+def test_cli_stdout_closed_at_the_descriptor_exits_two_without_traceback(args):
+    # Python starts with sys.stdout None when fd 1 is closed; DEVNULL would leave it open.
+    proc = subprocess.run(
+        [sys.executable, "-m", "gonil.cli", *args],
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: os.close(1),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
