@@ -6,6 +6,8 @@ by exact linear feasibility, and reduces algebras whose form degenerates on
 the derived algebra through the two-dimensional double-extension quotient.
 """
 
+from types import ModuleType as _ModuleType
+
 from gonil.catalog import (
     EXAMPLE_NAMES,
     CatalogError,
@@ -86,72 +88,7 @@ from gonil.normal_forms import (
     maximal_abelian_family,
 )
 
-__all__ = [
-    "CatalogError",
-    "DegeneracyCase",
-    "DegeneracyTag",
-    "DimensionMismatch",
-    "EngelError",
-    "EXAMPLE_NAMES",
-    "ExtensionData",
-    "ExtensionDataError",
-    "FormatError",
-    "GOAuditReport",
-    "GOCertificate",
-    "GOEngineError",
-    "IwasawaFamily",
-    "JacobiError",
-    "LieAlgebra",
-    "LinearGOCertificate",
-    "Matrix",
-    "MetricLieAlgebra",
-    "NamedExample",
-    "NecessaryConditionReport",
-    "NormalFormError",
-    "NotNilpotentError",
-    "OperatorSpace",
-    "PreconditionError",
-    "QuotientResult",
-    "ReductionError",
-    "ReductionWitness",
-    "SignatureTriple",
-    "Subspace",
-    "SymForm",
-    "bracket_subspaces",
-    "build_example",
-    "center",
-    "centralizer",
-    "classify_degeneracy",
-    "derivation_space",
-    "derived_series",
-    "engel_flag",
-    "extend2",
-    "go_certificate_at",
-    "go_random_audit",
-    "is_adh_invariant",
-    "is_ideal",
-    "isotropy_algebra",
-    "iwasawa_nilpotent_basis",
-    "jacobi_defect",
-    "kernel",
-    "linear_go_certificate",
-    "load_algebra",
-    "lower_central_series",
-    "maximal_abelian_family",
-    "necessary_condition_check",
-    "nilpotency_step",
-    "orth_complement",
-    "quotient_form",
-    "radical_of_restriction",
-    "reduce",
-    "reduction_witness",
-    "restrict_form",
-    "rref",
-    "save_algebra",
-    "skew_space",
-    "solve_particular",
-    "symmetric_signature",
-    "verify_paper_example",
-]
+# Every name imported above, and none of the submodules the imports bind.
+__all__ = sorted(k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _ModuleType)))
 
 __version__ = "0.1.0"

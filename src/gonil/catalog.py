@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from gonil.double_ext import DegeneracyTag, ExtensionData, classify_degeneracy, extend2
 from gonil.go_engine import linear_go_certificate, polarized_defects
-from gonil.isotropy import derivation_defects, is_skew, isotropy_algebra
+from gonil.isotropy import derivation_defects, isotropy_algebra, skew_defects
 from gonil.lie import (
     LieAlgebra,
     abelian,
@@ -49,8 +49,6 @@ class NamedExample:
     expected: Mapping[str, Expected] = field(default_factory=dict)
     witness_operators: tuple[Matrix, ...] | None = None
 
-
-EXAMPLE_NAMES = ("paper_2_3", "abelian_n", "heis3", "filiform4", "de5", "de7_lorentz")
 
 # Basis layout of paper_2_3: f1..f8 then e1..e4.
 _F1, _F2, _F3, _F4, _F5, _F6, _F7, _F8 = range(8)
@@ -260,6 +258,8 @@ def _build_de7():
     return m, expected, None
 
 
+EXAMPLE_NAMES = tuple(_BUILDERS)
+
 # Every invariant a catalog entry can pin: key -> (report label, function),
 # in the order the ``invariants`` command prints them.
 INVARIANTS: dict[str, tuple[str, Callable[[MetricLieAlgebra], object]]] = {
@@ -364,7 +364,7 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
 
     witnesses = example.witness_operators or ()
     record("witness_count", len(witnesses) == n, f"{len(witnesses)} stored operators")
-    bad_skew = [b for b, op in enumerate(witnesses) if not is_skew(m.form, op)]
+    bad_skew = [b for b, defect in enumerate(skew_defects(m.form, witnesses)) if defect is not None]
     record("witness_skew", not bad_skew, f"skewness fails at basis {bad_skew}")
     bad_der = [b for b, defect in enumerate(derivation_defects(alg, witnesses)) if defect is not None]
     record("witness_derivation", not bad_der, f"derivation fails at basis {bad_der}")

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from gonil.isotropy import OperatorSpace, derivation_defects, is_skew
+from gonil.isotropy import OperatorSpace, derivation_defects, skew_defects
 from gonil.linalg import (
     Matrix,
     Vec,
@@ -139,8 +139,8 @@ def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
     """Verify every basis operator of h is a skew derivation of m."""
     if h.ambient_dim != m.dim:
         raise GOEngineError("operator space dimension differs from the algebra")
-    for op, defect in zip(h.basis, derivation_defects(m.algebra, h.basis)):
-        if not is_skew(m.form, op):
+    for skew, defect in zip(skew_defects(m.form, h.basis), derivation_defects(m.algebra, h.basis)):
+        if skew is not None:
             raise GOEngineError("operator space is not inside the isotropy algebra (skewness fails)")
         if defect is not None:
             raise GOEngineError("operator space is not inside the isotropy algebra (derivation fails)")

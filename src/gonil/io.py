@@ -28,6 +28,8 @@ class FormatError(ValueError):
 # "/digits" or ".digits".  Exponents are refused because "1e999999999" makes
 # Fraction build a billion-digit integer before anything can fail.
 MAX_RATIONAL_CHARS = 1000
+# The isotropy kernel has dim^2 unknowns and its cost grows about as dim^4.
+MAX_DIM = 64
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
@@ -79,6 +81,8 @@ def algebra_from_dict(data: dict) -> tuple[MetricLieAlgebra, list[str] | None]:
     dim = data.get("dim")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise FormatError("'dim' must be a positive integer")
+    if dim > MAX_DIM:
+        raise FormatError(f"'dim' is at most {MAX_DIM}")
     basis_names = data.get("basis_names")
     if basis_names is not None:
         if not isinstance(basis_names, list) or len(basis_names) != dim:

@@ -6,6 +6,8 @@ and the basis is kept in reduced echelon form there, so equality is equality
 of bases, and membership and coordinates are read at the pivots.  The
 commutator-closure check forms each commutator over the nonzero entries of
 the two operators and tests it at the same pivots, with no dense product.
+The derivation and skew identities are keyed sparse rows over the entries of
+D: the kernels solve them, and the defect checks evaluate them per operator.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from typing import Iterator
 
 from gonil.lie import LieAlgebra, derivation_rows
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _kernel_of_rows, _sparse_rows
@@ -75,22 +79,24 @@ class OperatorSpace:
 
 def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], via one kernel computation."""
-    return _solution_space(alg.dim, [row for _, row in derivation_rows(alg)])
+    return _solution_space(alg.dim, derivation_rows(alg))
+
+
+def _first_defects(n: int, keyed_rows, ops) -> list:
+    """Per n-by-n operator, the key of the first row its row-major entries fail, or None.
+
+    The rows are built once and each is summed over an operator's nonzero entries only.
+    """
+    if any(op.nrows != n or op.ncols != n for op in ops):
+        raise DimensionMismatch("operator size differs from the algebra's dimension")
+    rows = list(keyed_rows)
+    entries = [{x: v for x, v in enumerate(op.vectorize()) if v} for op in ops]
+    return [next((key for key, row in rows if sum(c * d[x] for x, c in row.items() if x in d)), None) for d in entries]
 
 
 def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
-    """Per operator D, the first pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None.
-
-    The derivation rows are built once and evaluated against every operator.
-    """
-    n = alg.dim
-    if any(op.nrows != n or op.ncols != n for op in ops):
-        raise DimensionMismatch("operator size differs from the algebra's dimension")
-    rows = list(derivation_rows(alg))
-    return [
-        next(((i, j) for (i, j, _), row in rows if sum(c * d[x] for x, c in row.items())), None)
-        for d in (op.vectorize() for op in ops)
-    ]
+    """Per operator D, the first pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
+    return _first_defects(alg.dim, (((i, j), row) for (i, j, _), row in derivation_rows(alg)), ops)
 
 
 def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
@@ -107,11 +113,10 @@ def skew_space(form: SymForm) -> OperatorSpace:
     return _solution_space(form.dim, _skew_rows(form))
 
 
-def _skew_rows(form: SymForm) -> list[dict[int, Fraction]]:
-    """The entries a <= b of D^T G + G D as sparse rows over the row-major entries of D."""
+def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fraction]]]:
+    """Entry (a, b), a <= b, of D^T G + G D as a sparse row over the row-major entries of D; zero rows skipped."""
     n = form.dim
     g = form.gram
-    rows = []
     for a in range(n):
         for b in range(a, n):
             row: dict[int, Fraction] = {}
@@ -121,17 +126,21 @@ def _skew_rows(form: SymForm) -> list[dict[int, Fraction]]:
                 if g[a, l]:
                     row[l * n + b] = row.get(l * n + b, 0) + g[a, l]
             if row:
-                rows.append(row)
-    return rows
+                yield (a, b), row
 
 
-def _solution_space(n: int, rows: list[dict[int, Fraction]]) -> OperatorSpace:
-    """Operators whose row-major entries solve every sparse row; no rows means all operators."""
-    return OperatorSpace._from_rows(n, _kernel_of_rows([row.items() for row in rows], n * n))
+def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
+    """Per operator D, the first entry (a, b), a <= b, where D^T G + G D is nonzero, or None."""
+    return _first_defects(form.dim, _skew_rows(form), ops)
 
 
 def is_skew(form: SymForm, op: Matrix) -> bool:
-    return (op.transpose() @ form.gram + form.gram @ op).is_zero()
+    return skew_defects(form, [op])[0] is None
+
+
+def _solution_space(n: int, keyed_rows) -> OperatorSpace:
+    """Operators whose row-major entries solve every keyed sparse row; no rows means all operators."""
+    return OperatorSpace._from_rows(n, _kernel_of_rows([row.items() for _, row in keyed_rows], n * n))
 
 
 def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
@@ -140,8 +149,7 @@ def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
     One kernel of the derivation and skew rows together, so the basis is
     canonical; the commutator closure is re-verified on construction.
     """
-    rows = [row for _, row in derivation_rows(m.algebra)] + _skew_rows(m.form)
-    space = _solution_space(m.dim, rows)
+    space = _solution_space(m.dim, chain(derivation_rows(m.algebra), _skew_rows(m.form)))
     space.verify_commutator_closed()
     return space
 

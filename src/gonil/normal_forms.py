@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from gonil.isotropy import OperatorSpace, is_skew
+from gonil.isotropy import OperatorSpace, skew_defects
 from gonil.linalg import Matrix, _commutator_entries, _sparse_rows, basis_vec
 from gonil.metric import SymForm
 
@@ -112,8 +112,8 @@ def iwasawa_nilpotent_basis(q: int, m: int) -> IwasawaFamily:
             gens.append(q2_element(m, 0, 0, zero, basis_vec(k, t)))
         gens = tuple(gens)
     family = IwasawaFamily((m - q, q), m, gram, gens)
-    for gen in gens:
-        if not is_skew(SymForm(gram), gen):
+    for gen, skew in zip(gens, skew_defects(SymForm(gram), gens)):
+        if skew is not None:
             raise NormalFormError("generator is not skew for the reference form")
         if not gen.is_nilpotent():
             raise NormalFormError("generator is not nilpotent")

@@ -376,3 +376,9 @@ def commutator_closed_by_dense_products(space) -> bool:
 def adh_invariant_by_dense_products(v, h) -> bool:
     """Whether D x lies in V for every basis operator D of h and basis vector x of V, each D x a dense product."""
     return all(v.contains_vector(d @ x) for d in h.basis for x in v.basis.rows)
+
+
+def skew_defect_by_products(form, op: Matrix):
+    """First entry (a, b), in row-major order, where D^T G + G D is nonzero, or None; two dense products."""
+    s = op.transpose() @ form.gram + form.gram @ op
+    return next(((a, b) for a in range(s.nrows) for b in range(s.ncols) if s[a, b]), None)

@@ -21,6 +21,10 @@ def test_every_named_example_builds():
         assert example.algebra.dim == example.expected["dim"].value
 
 
+def test_example_names_follow_the_registration_order():
+    assert EXAMPLE_NAMES == ("paper_2_3", "abelian_n", "heis3", "filiform4", "de5", "de7_lorentz")
+
+
 def test_unknown_name_rejected():
     with pytest.raises(CatalogError, match="unknown example"):
         build_example("nope")

@@ -33,7 +33,9 @@ from gonil.go_engine import (
     linear_go_certificate,
 )
 from gonil.isotropy import OperatorSpace, isotropy_algebra
+from gonil.lie import LieAlgebra
 from gonil.linalg import Matrix, vec_scale
+from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import (
     certificate_by_dense_solve,
     certificate_holds_by_fractions,
@@ -255,3 +257,24 @@ def test_samples_build_no_matrix_and_solve_nothing_densely(spaces, name, monkeyp
     monkeypatch.setattr(linalg, "solve_particular", refuse)
     assert results() == expected
     assert any(r is not None for r in expected)
+
+
+def test_null_vector_certificate_with_nonzero_k():
+    # [e0, e1] = e2 with a split signature (2,2,0) form.  h is half the first
+    # isotropy operator, so op_den = 2, and T = (-1/2, 0, 0, 1/2) is null with d = 2:
+    # dropping d from the k column, or op_den from the check's k side, breaks it.
+    alg = LieAlgebra(4, {(0, 1): {2: 1}})
+    gram = Matrix([[0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    m = MetricLieAlgebra.checked(alg, SymForm(gram))
+    assert tuple(m.form.signature()) == (2, 2, 0)
+    iso = isotropy_algebra(m)
+    d = iso.basis[0]
+    assert iso.dim == 3 and d == Matrix([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, -1, 0], [0, 2, 0, 2]])
+    h = OperatorSpace(4, (d.scale(Fraction(1, 2)),))
+    assert _CertificateSystem.build(m, h).op_den == 2
+    t = (Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(1, 2))
+    assert m.pair(t, t) == 0
+    cert = go_certificate_at(m, h, t)
+    assert cert.A_coeffs == (1,) and cert.k == Fraction(-1, 2)
+    assert certificate_holds_by_fractions(m, h, cert)
+    assert go_certificate_at(m, iso, t).k == 0

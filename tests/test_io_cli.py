@@ -12,6 +12,7 @@ from gonil import cli
 from gonil import io as gonil_io
 from gonil.catalog import build_example, de5_data
 from gonil.io import (
+    MAX_DIM,
     MAX_RATIONAL_CHARS,
     FormatError,
     algebra_from_dict,
@@ -495,3 +496,26 @@ def test_cli_stdout_closed_at_the_descriptor_exits_two_without_traceback(args):
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (2, "")
+
+
+def _euclidean_abelian_file(tmp_path, dim):
+    path = tmp_path / f"abelian{dim}.json"
+    form = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    path.write_text(json.dumps({"dim": dim, "brackets": {}, "form": form}))
+    return str(path)
+
+
+def test_loader_refuses_dim_above_the_limit_before_reading_the_rest():
+    assert MAX_DIM == 64  # the limit the README states
+    with pytest.raises(FormatError, match=f"^'dim' is at most {MAX_DIM}$"):
+        algebra_from_dict({"dim": MAX_DIM + 1, "brackets": "not read", "form": "not read"})
+
+
+@pytest.mark.parametrize(
+    "dim, code, out",
+    [(MAX_DIM, 0, "STATUS: OK\n"), (MAX_DIM + 1, 2, f"ERROR: 'dim' is at most {MAX_DIM}\n")],
+    ids=["at-limit", "above-limit"],
+)
+def test_cli_check_bounds_the_file_dim(tmp_path, capsys, dim, code, out):
+    assert main(["check", _euclidean_abelian_file(tmp_path, dim)]) == code
+    assert capsys.readouterr().out == out
