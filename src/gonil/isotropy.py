@@ -50,20 +50,20 @@ class OperatorSpace:
         return Subspace(n2, Matrix([op.vectorize() for op in self.basis], ncols=n2))
 
     def contains(self, op: Matrix) -> bool:
-        return self._span.contains_vector(op.vectorize())
+        return self.coordinates(op) is not None
 
     def coordinates(self, op: Matrix):
         """Coefficients of op in this basis, or None if outside the span."""
+        if op.nrows != self.ambient_dim or op.ncols != self.ambient_dim:
+            raise DimensionMismatch("operator size differs from the algebra's dimension")
         return self._span.coordinates(op.vectorize())
 
     def combine(self, coeffs) -> Matrix:
-        """The operator with the given coefficients in this basis."""
-        out = Matrix.zeros(self.ambient_dim, self.ambient_dim)
-        for c, op in zip(coeffs, self.basis):
-            c = Fraction(c)
-            if c:
-                out = out + op.scale(c)
-        return out
+        """The operator with the given coefficients in this basis, one per basis operator."""
+        if len(coeffs) != self.dim:
+            raise DimensionMismatch("need one coefficient per basis operator")
+        n = self.ambient_dim
+        return sum((op.scale(c) for c, op in zip(coeffs, self.basis) if c), Matrix.zeros(n, n))
 
     def verify_commutator_closed(self) -> None:
         """Raise ValueError unless the commutator of any two basis operators lies in the span.

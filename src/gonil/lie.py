@@ -17,7 +17,6 @@ from gonil.linalg import (
     Subspace,
     Vec,
     basis_vec,
-    kernel,
     solve_particular,
     to_vec,
 )
@@ -236,11 +235,7 @@ def derived_series(alg: LieAlgebra) -> list[Subspace]:
 
 def centralizer(alg: LieAlgebra, v: Subspace) -> Subspace:
     """{x : [x, w] = 0 for all w in V}."""
-    _check_ambient(alg, v)
-    if v.dim == 0:
-        return Subspace.full(alg.dim)
-    blocks = [alg.ad(w).scale(-1) for w in v.basis.rows]  # column a of -ad(w) is [e_a, w]
-    return Subspace(alg.dim, kernel(Matrix.stack(blocks)))
+    return transporter(alg, v, Subspace.zero(alg.dim))
 
 
 def center(alg: LieAlgebra) -> Subspace:
@@ -248,14 +243,11 @@ def center(alg: LieAlgebra) -> Subspace:
 
 
 def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
-    """{x : [x, V] <= W}."""
+    """{x : [x, V] <= W}: y [u, x] = 0 for every annihilator row y of W and basis vector u of V."""
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    if v.dim == 0:
-        return Subspace.full(alg.dim)
     ann = w.annihilator()
-    blocks = [ann @ alg.ad(u).scale(-1) for u in v.basis.rows]
-    return Subspace(alg.dim, kernel(Matrix.stack(blocks)))
+    return Subspace.solving(alg.dim, (enumerate(r) for u in v.basis.rows for r in (ann @ alg.ad(u)).rows))
 
 
 def is_ideal(alg: LieAlgebra, v: Subspace) -> bool:
@@ -291,8 +283,7 @@ def engel_flag(ops: Sequence[Matrix]) -> EngelFlag:
     current = Subspace.zero(n)
     while current.dim < n:
         ann = current.annihilator()
-        stacked = Matrix.stack([ann @ op for op in ops])
-        nxt = Subspace(n, kernel(stacked))
+        nxt = Subspace.solving(n, (enumerate(r) for op in ops for r in (ann @ op).rows))
         if nxt.dim == current.dim:
             raise EngelError("no common kernel vector")
         spaces.append(nxt)

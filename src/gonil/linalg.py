@@ -100,18 +100,6 @@ class Matrix:
         return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
 
     @classmethod
-    def stack(cls, mats: Sequence[Matrix]) -> Matrix:
-        if not mats:
-            raise DimensionMismatch("nothing to stack")
-        ncols = mats[0].ncols
-        rows: list[Vec] = []
-        for m in mats:
-            if m.ncols != ncols:
-                raise DimensionMismatch("stack needs equal column counts")
-            rows.extend(m.rows)
-        return cls(rows, ncols=ncols)
-
-    @classmethod
     def from_vector(cls, vec: Sequence, n: int) -> Matrix:
         """Reshape a row-major length-n*n vector into an n-by-n matrix."""
         vec = to_vec(vec)
@@ -186,14 +174,6 @@ class Matrix:
             raise DimensionMismatch("matrix-vector size mismatch")
         nz = [(k, v) for k, v in enumerate(vec) if v]
         return tuple(sum([r[k] * v for k, v in nz if r[k]], _ZERO) for r in self._rows)
-
-    def commutator(self, other: Matrix) -> Matrix:
-        """AB - BA of two n-by-n matrices, formed over their nonzero entries."""
-        n = self.nrows
-        if not self.ncols == other.nrows == other.ncols == n:
-            raise DimensionMismatch("commutator needs two square matrices of one size")
-        entries = _commutator_entries(_sparse_rows(self._rows), _sparse_rows(other._rows))
-        return Matrix([[entries.get(i * n + j, _ZERO) for j in range(n)] for i in range(n)], ncols=n)
 
     def is_zero(self) -> bool:
         return all(a == 0 for r in self._rows for a in r)
@@ -480,9 +460,12 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("spanning vector has wrong length")
-        if not rows:
-            return cls(ambient_dim, Matrix([], ncols=ambient_dim))
         return cls(ambient_dim, rref(Matrix(rows, ncols=ambient_dim)).matrix)
+
+    @classmethod
+    def solving(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, Fraction]]]) -> Subspace:
+        """{x : sum v x_j = 0 over each row's (column, value) pairs (j, v)}; no rows give the whole space."""
+        return cls(ambient_dim, Matrix._trusted(_kernel_of_rows(rows, ambient_dim), ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
@@ -525,14 +508,12 @@ class Subspace:
 
     def annihilator(self) -> Matrix:
         """Rows y with (basis) y = 0; membership test x in V <=> ann @ x = 0."""
-        if self.dim == 0:
-            return Matrix.identity(self.ambient_dim)
-        return kernel(self.basis)
+        return Subspace.solving(self.ambient_dim, self._rows_at_pivots.values()).basis
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        stacked = Matrix.stack([self.annihilator(), other.annihilator()])
-        return Subspace(self.ambient_dim, kernel(stacked))
+        rows = chain(self.annihilator().rows, other.annihilator().rows)
+        return Subspace.solving(self.ambient_dim, map(enumerate, rows))
 
     def complement_rows_within(self, larger: Subspace) -> Matrix:
         """Rows of `larger`'s canonical basis whose pivots this subspace does not use.

@@ -17,7 +17,6 @@ from gonil.linalg import (
     SignatureTriple,
     Subspace,
     Vec,
-    kernel,
     symmetric_signature,
     to_vec,
 )
@@ -54,7 +53,7 @@ class SymForm:
 
     def radical(self) -> Subspace:
         """{x : <x, .> = 0}, in the form's own coordinates."""
-        return Subspace(self.dim, kernel(self.gram))
+        return Subspace.solving(self.dim, map(enumerate, self.gram.rows))
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,7 @@ def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     """{x : <x, w> = 0 for all w in V} with respect to m's form."""
     if v.ambient_dim != m.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
-    if v.dim == 0:
-        return Subspace.full(m.dim)
-    return Subspace(m.dim, kernel(v.basis @ m.form.gram))
+    return Subspace.solving(m.dim, (enumerate(m.form.gram @ w) for w in v.basis.rows))
 
 
 def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
@@ -122,11 +119,8 @@ def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
 
 
 def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
-    """Radical of the restricted form, re-embedded in ambient coordinates."""
-    restricted = restrict_form(m, v)
-    coords = restricted.radical()
-    vecs = [v.basis.transpose() @ c for c in coords.basis.rows]
-    return Subspace.span(m.dim, vecs)
+    """Radical of the form restricted to V, in ambient coordinates: V meet its orthogonal complement."""
+    return v.intersect(orth_complement(m, v))
 
 
 def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Matrix]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from gonil.catalog import build_example
 from gonil.isotropy import isotropy_algebra
-from gonil.lie import LieAlgebra
+from gonil.lie import LieAlgebra, jacobi_defect
 from gonil.linalg import Matrix, solve_particular
 from gonil.metric import MetricLieAlgebra, SymForm
 
@@ -22,6 +23,31 @@ def sparse_rows(draw, nrows, ncols):
     zero_rows = draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=nrows))
     zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=ncols))
     return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def random_nilpotent_table(rng: random.Random, n: int) -> dict:
+    """A random bracket table on dimension n that satisfies Jacobi, redrawn until it does.
+
+    [e_i, e_j] with i < j only reaches e_k with k > j, so the algebra is
+    nilpotent, nothing brackets into e_0 and e_(n-1) is central.
+    """
+    values = [1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
+    while True:
+        table = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                targets = {k: rng.choice(values) for k in range(j + 1, n) if rng.random() < 0.5}
+                if targets and rng.random() < 0.5:
+                    table[(i, j)] = targets
+        if not jacobi_defect(LieAlgebra(n, table, validate=False)):
+            return table
+
+
+def sheared_gram(rng: random.Random, diagonal) -> Matrix:
+    """U^T diag(diagonal) U for a random unipotent lower-triangular U: the diagonal's signature, off-diagonal entries."""
+    n = len(diagonal)
+    u = Matrix([[1 if i == j else (rng.choice([0, 0, 1, -1, Fraction(1, 2)]) if j < i else 0) for j in range(n)] for i in range(n)])
+    return u.transpose() @ Matrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]) @ u
 
 
 @pytest.fixture(scope="session")

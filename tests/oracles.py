@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, solve_particular, to_vec, vec_dot
+from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, kernel, solve_particular, to_vec, vec_dot
+from gonil.metric import SymForm
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -131,6 +132,19 @@ def naive_rref(m: Matrix):
     clean = [tuple(r) for r in rows if any(r)]
     reduced = Matrix(clean, ncols=ncols) if clean else Matrix([], ncols=ncols)
     return reduced, tuple(pivots)
+
+
+def kernel_by_naive_rref(m: Matrix) -> Matrix:
+    """Canonical basis of {x : M x = 0}: one vector per free column from ``naive_rref``, reduced by it again."""
+    reduced, pivots = naive_rref(m)
+    vecs = []
+    for c in sorted(set(range(m.ncols)).difference(pivots)):
+        x = [Fraction(0)] * m.ncols
+        x[c] = Fraction(1)
+        for row, pc in zip(reduced.rows, pivots):
+            x[pc] = -row[c]
+        vecs.append(x)
+    return naive_rref(Matrix(vecs, ncols=m.ncols))[0]
 
 
 def random_rational_matrix(rng: random.Random, nrows: int, ncols: int, bound: int = 6) -> Matrix:
@@ -382,3 +396,73 @@ def skew_defect_by_products(form, op: Matrix):
     """First entry (a, b), in row-major order, where D^T G + G D is nonzero, or None; two dense products."""
     s = op.transpose() @ form.gram + form.gram @ op
     return next(((a, b) for a in range(s.nrows) for b in range(s.ncols) if s[a, b]), None)
+
+
+# The subspaces below are built as before ``Subspace.solving``: dense products
+# stacked into one matrix and handed to ``kernel``, with the empty inputs
+# answered separately.
+
+
+def _stacked(blocks, ncols: int) -> Matrix:
+    return Matrix([row for block in blocks for row in block.rows], ncols=ncols)
+
+
+def annihilator_by_kernel(v) -> Matrix:
+    """Rows y with (basis) y = 0: the identity for the zero subspace, else kernel(basis)."""
+    if v.dim == 0:
+        return Matrix.identity(v.ambient_dim)
+    return kernel(v.basis)
+
+
+def centralizer_by_stacked_ads(alg, v):
+    """{x : [x, w] = 0 for all w in V}: the kernel of the stacked -ad(w), whose column a is [e_a, w]."""
+    if v.dim == 0:
+        return Subspace.full(alg.dim)
+    return Subspace(alg.dim, kernel(_stacked([alg.ad(w).scale(-1) for w in v.basis.rows], alg.dim)))
+
+
+def transporter_by_stacked_products(alg, v, w):
+    """{x : [x, V] <= W}: the kernel of the stacked products ann(W) @ -ad(u) over V's basis."""
+    if v.dim == 0:
+        return Subspace.full(alg.dim)
+    ann = annihilator_by_kernel(w)
+    return Subspace(alg.dim, kernel(_stacked([ann @ alg.ad(u).scale(-1) for u in v.basis.rows], alg.dim)))
+
+
+def intersect_by_stacked_annihilators(v, w):
+    """V meet W: the kernel of both annihilators stacked."""
+    stacked = _stacked([annihilator_by_kernel(v), annihilator_by_kernel(w)], v.ambient_dim)
+    return Subspace(v.ambient_dim, kernel(stacked))
+
+
+def engel_spaces_by_stacked_products(ops):
+    """The ascending common kernels W_t = {x : op(x) in W_(t-1)} until one adds nothing or the space is full."""
+    n = ops[0].ncols
+    spaces, current = [], Subspace.zero(n)
+    while current.dim < n:
+        ann = annihilator_by_kernel(current)
+        nxt = Subspace(n, kernel(_stacked([ann @ op for op in ops], n)))
+        if nxt.dim == current.dim:
+            break
+        spaces.append(nxt)
+        current = nxt
+    return spaces
+
+
+def radical_by_kernel(form):
+    """{x : <x, .> = 0}: the kernel of the Gram matrix."""
+    return Subspace(form.dim, kernel(form.gram))
+
+
+def orth_complement_by_product(m, v):
+    """{x : <x, w> = 0 for all w in V}: the kernel of (basis of V) @ Gram, the whole space for V = 0."""
+    if v.dim == 0:
+        return Subspace.full(m.dim)
+    return Subspace(m.dim, kernel(v.basis @ m.form.gram))
+
+
+def radical_of_restriction_by_restricted_kernel(m, v):
+    """The radical of the form restricted to V, solved in V's coordinates and mapped back."""
+    restricted = SymForm(v.basis @ m.form.gram @ v.basis.transpose())
+    coords = radical_by_kernel(restricted)
+    return Subspace.span(m.dim, [v.basis.transpose() @ c for c in coords.basis.rows])

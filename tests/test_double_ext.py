@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import engel_witness_algebra, sheared
+from conftest import engel_witness_algebra, random_nilpotent_table, sheared, sheared_gram
 from gonil.catalog import build_example, de5_data, de7_lorentz_data, euclidean_abelian
 from gonil.double_ext import (
     DegeneracyTag,
@@ -422,3 +423,95 @@ def test_projection_and_quotient_brackets_match_transposed_solve(de5, de7, heis3
         projection, table = quotient_by_transposed_solve(m, result)
         assert result.projection == projection
         assert result.m0.algebra.table == table
+
+
+def _split_extension(table, k):
+    """Base table and extension data of a table on (f, x_1..x_k, e) where nothing brackets into f and e is central."""
+    e = k + 1
+    d = [[0] * k for _ in range(k)]
+    omega = [[0] * k for _ in range(k)]
+    phi, base = [0] * k, {}
+    for (i, j), targets in table.items():
+        for t, c in targets.items():
+            if i == 0 and t == e:
+                phi[j - 1] = c
+            elif i == 0:
+                d[t - 1][j - 1] = c
+            elif t == e:
+                omega[i - 1][j - 1], omega[j - 1][i - 1] = c, -c
+            else:
+                base.setdefault((i - 1, j - 1), {})[t - 1] = c
+    return base, Matrix(d), to_vec(phi), Matrix(omega)
+
+
+def round_trip_case(rng: random.Random, shape: str, k: int):
+    """A random nilpotent base of dimension k and valid data whose extension reduces in the given shape.
+
+    The extension is drawn first, as a random nilpotent table on (f, x_1..x_k, e),
+    so the data read off it is valid, and redrawn until the derived algebra holds
+    e.  "de5" takes a Euclidean base, "de7" a Lorentz base (its negative square
+    on one of the last two base vectors, which brackets reach most) whose
+    restriction to the derived algebra has degeneracy 1, and "engel" the
+    base (w, y_1..y_(k-2), z) with y Euclidean, <w, z> = 1, z in the derived
+    algebra and some [y_i, z] = c e, c != 0, so the null plane (z, e) does not
+    commute with its orthogonal and the reduction takes the Engel step.
+    """
+    while True:
+        table = random_nilpotent_table(rng, k + 2)
+        if shape == "engel":
+            y_gram = sheared_gram(rng, [rng.choice([1, 2, Fraction(1, 2)]) for _ in range(k - 2)])
+            gram = [[rng.choice([0, 1, -1])] + [0] * (k - 2) + [1]]
+            gram += [[0, *row, 0] for row in y_gram.rows] + [[1] + [0] * (k - 1)]
+            gram = Matrix(gram)
+        else:
+            diagonal = [rng.choice([1, 2, Fraction(1, 2)]) for _ in range(k)]
+            if shape == "de7":
+                diagonal[k - 1 - rng.randrange(2)] = -1
+            gram = sheared_gram(rng, diagonal)
+        base_table, d, phi, omega = _split_extension(table, k)
+        base = MetricLieAlgebra.checked(LieAlgebra(k, base_table), SymForm(gram))
+        data = ExtensionData(d, phi, omega, mu=Fraction(rng.choice([0, 1, -2])))
+        m = extend2(base, data)
+        nprime = m.nprime()
+        if not nprime.contains_vector(basis_vec(k + 2, k + 1)):
+            continue
+        tag = classify_degeneracy(m).tag
+        if shape == "de7" and tag not in (DegeneracyTag.DEG1_SEMIDEFINITE, DegeneracyTag.DEG1_INDEX1):
+            continue
+        if shape == "engel" and not (
+            nprime.contains_vector(basis_vec(k + 2, k))
+            and any(table.get((y, k), {}).get(k + 1) for y in range(2, k))
+        ):
+            continue
+        return base, data, m, tag
+
+
+def test_reduce_undoes_extend2_on_random_nilpotent_bases():
+    # Runs through every subspace the reduction solves for: the radical on n',
+    # the orthogonal complements, the Engel common kernel and the intersections.
+    seen, non_abelian = set(), set()
+
+    @seed(20261018)
+    @settings(max_examples=90, deadline=None, database=None)
+    @given(shape=st.sampled_from(["de5", "de7", "engel"]), k=st.integers(3, 5), rng_seed=st.integers(0, 2**32))
+    def check(shape, k, rng_seed):
+        base, data, m, tag = round_trip_case(random.Random(rng_seed), shape, k)
+        result = reduce(m)
+        assert result.m0 == base
+        assert (result.witness.engel_pair is not None) == (shape == "engel")
+        if shape == "de5":
+            assert tag == DegeneracyTag.DEG1_SEMIDEFINITE
+        if shape == "engel":
+            assert tag == DegeneracyTag.DEG2_SEMIDEFINITE
+        seen.add((shape, tag))
+        if base.algebra.table:
+            non_abelian.add(shape)
+
+    check()
+    assert non_abelian == {"de5", "de7", "engel"}
+    assert seen == {
+        ("de5", DegeneracyTag.DEG1_SEMIDEFINITE),
+        ("de7", DegeneracyTag.DEG1_SEMIDEFINITE),
+        ("de7", DegeneracyTag.DEG1_INDEX1),
+        ("engel", DegeneracyTag.DEG2_SEMIDEFINITE),
+    }

@@ -18,7 +18,7 @@ from gonil.isotropy import (
     skew_space,
 )
 from gonil.lie import LieAlgebra, abelian, bracket_subspaces, lower_central_series, transporter
-from gonil.linalg import Matrix, Subspace
+from gonil.linalg import DimensionMismatch, Matrix, Subspace
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
 from oracles import adh_invariant_by_dense_products, commutator_closed_by_dense_products
@@ -279,3 +279,34 @@ def test_closure_and_abelian_checks_form_no_dense_product(paper_iso, monkeypatch
     monkeypatch.setattr(Matrix, "__matmul__", refuse)
     paper_iso.verify_commutator_closed()
     _verify_abelian(gens)
+
+
+def test_operator_space_refuses_an_operator_of_another_shape(heis3):
+    # A 1x9 or 9x1 matrix holding an isotropy operator's entries has the right
+    # number of entries but is no operator on the 3-dim algebra.
+    iso = isotropy_algebra(heis3)
+    first = iso.basis[0]
+    assert iso.contains(first) and iso.coordinates(first) == (1,)
+    entries = first.vectorize()
+    for op in (Matrix([entries]), Matrix([[x] for x in entries]), Matrix.zeros(2, 2), Matrix.zeros(3, 4), Matrix.zeros(4, 3)):
+        for ask in (iso.contains, iso.coordinates):
+            with pytest.raises(DimensionMismatch, match="^operator size differs from the algebra's dimension$"):
+                ask(op)
+
+
+def test_combine_takes_one_coefficient_per_basis_operator(heis3, paper_iso):
+    iso = isotropy_algebra(heis3)
+    assert iso.dim == 1
+    for coeffs in ([1, 5, 7], [1, 5], []):
+        with pytest.raises(DimensionMismatch, match="^need one coefficient per basis operator$"):
+            iso.combine(coeffs)
+    with pytest.raises(DimensionMismatch):
+        paper_iso.combine([1] * (paper_iso.dim - 1))
+    assert iso.combine([Fraction(-3, 2)]) == iso.basis[0].scale(Fraction(-3, 2))
+    assert iso.combine([0]) == Matrix.zeros(3, 3)
+    assert OperatorSpace.from_operators(3, []).combine([]) == Matrix.zeros(3, 3)
+    coeffs = [Fraction(j - 2, j + 1) for j in range(paper_iso.dim)]
+    expected = Matrix.zeros(12, 12)
+    for c, op in zip(coeffs, paper_iso.basis):
+        expected = expected + op.scale(c)
+    assert paper_iso.combine(coeffs) == expected and paper_iso.coordinates(expected) == tuple(coeffs)
