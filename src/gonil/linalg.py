@@ -1,12 +1,13 @@
 """Exact rational linear algebra: matrices, solving, kernels, signatures.
 
 Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
-there is no floating point anywhere.  Elimination uses the first-nonzero pivot
-rule throughout, so every reduced form is canonical and reproducible across
-runs and platforms.  Rows enter elimination sparse, as (column, value) pairs,
-are cleared once to primitive integer vectors over their nonzero entries, and
-are reduced with integer row operations, which keeps entry growth (and run
-time) under control; kernels and solutions are read off the integer rows.
+there is no floating point anywhere.  Rows enter elimination sparse, as
+(column, value) pairs, cleared once to primitive integer vectors.  Elimination
+is fraction-free integer Gauss-Jordan over nonzero entries only, so its cost
+follows the nonzero entries, not the system's width.  The reduced echelon form
+of a row space is unique, so every reduced form is canonical and reproducible
+across runs, platforms and row orders; kernels and solutions are read off its
+primitive integer rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -231,42 +232,65 @@ def _commutator_entries(a: list, b: list) -> dict[int, Fraction]:
 
 
 def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place integer Gauss-Jordan; returns the rows and pivot columns.
+    """Integer Gauss-Jordan by row insertion; returns the reduced rows and their pivot columns.
 
-    First nonzero entry in column order is the pivot.  Rows are combined as
-    ``p*row - f*pivot_row`` and re-normalized by their gcd, so all arithmetic
-    stays in the integers.
+    Each row is taken as {column: value} over its nonzero entries.  While its
+    first column is a pivot, it becomes ``p*row - f*pivot_row``; otherwise that
+    column is a new pivot.  One pass over the pivots in descending order then
+    clears every other pivot column.  The reduced echelon form is unique, so
+    the pivots are its pivot columns, increasing, whatever the row order; each
+    row comes out dense, primitive, with a positive pivot entry.  Consumers
+    read ratios ``r[c] / r[pc]``; the integers' sizes along the way depend on
+    the core, so the traced ``linalg.rref.max_bits`` may move (it is not gated).
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if rows[r][pc]:
-                pivot_row = r
+    cols = list(range(len(rows[0]) if rows else 0))  # a list, not a range: compress then makes no int per entry
+    table: dict[int, dict[int, int]] = {}  # pivot column -> its row, leading entry there
+    for dense in rows:
+        row = {j: dense[j] for j in compress(cols, dense)}
+        while row:
+            pc = min(row)
+            prow = table.get(pc)
+            if prow is None:
+                table[pc] = _primitive(row, pc)
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != pr:
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        p = rows[pr][pc]
-        prow = rows[pr]
-        for r in range(nrows):
-            if r == pr:
-                continue
-            f = rows[r][pc]
-            if not f:
-                continue
-            new = [p * a - f * b for a, b in zip(rows[r], prow)]
-            g = math.gcd(*new)
-            rows[r] = [a // g for a in new] if g > 1 else new
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return rows, pivots
+            _subtract(row, prow, pc)
+    pivots = sorted(table)
+    for pc in reversed(pivots):
+        row = table[pc]
+        for c in [c for c in row if c != pc and c in table]:
+            _subtract(row, table[c], c)
+        table[pc] = _primitive(row, pc)
+    out = []
+    for pc in pivots:
+        dense = [0] * len(cols)
+        for j, a in table[pc].items():
+            dense[j] = a
+        out.append(dense)
+    return out, pivots
+
+
+def _subtract(row: dict[int, int], prow: dict[int, int], c: int) -> None:
+    """row <- p*row - f*prow in place, p and f the entries at column c over their gcd; cancelled entries are dropped."""
+    p, f = prow[c], row[c]
+    g = math.gcd(p, f)
+    p, f = p // g, f // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    get = row.get
+    for j, b in prow.items():
+        a = get(j, 0) - f * b
+        if a:
+            row[j] = a
+        else:
+            del row[j]
+
+
+def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
+    """row divided by the gcd of its entries, signed so that its entry at pc is positive."""
+    g = math.gcd(*row.values())
+    g = -g if row[pc] < 0 else g
+    return {j: a // g for j, a in row.items()} if g != 1 else row
 
 
 def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -447,8 +471,11 @@ class Subspace:
     def __post_init__(self):
         rows = _sparse_rows(self.basis.rows)
         pivots = tuple(row[0][0] if row else -1 for row in rows)
-        if -1 in pivots or list(pivots) != sorted(set(pivots)) or any(
-            row[p] != (i == k) for i, row in enumerate(self.basis.rows) for k, p in enumerate(pivots)
+        if (
+            -1 in pivots
+            or any(row[0][1] != 1 for row in rows)
+            or any(a >= b for a, b in zip(pivots, pivots[1:]))
+            or not set(pivots).isdisjoint(j for row in rows for j, _ in row[1:])
         ):
             raise ValueError("subspace basis is not in reduced echelon form")
         object.__setattr__(self, "pivots", pivots)

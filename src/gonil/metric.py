@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from gonil.lie import LieAlgebra, is_nilpotent, derived_subalgebra
@@ -119,8 +120,15 @@ def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
 
 
 def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
-    """Radical of the form restricted to V, in ambient coordinates: V meet its orthogonal complement."""
-    return v.intersect(orth_complement(m, v))
+    """Radical of the form restricted to V, in ambient coordinates: the x in V with <x, w> = 0 for all w in V.
+
+    One solve: V's annihilator rows cut out V, the rows G w its orthogonal complement.
+    """
+    if v.ambient_dim != m.dim:
+        raise DimensionMismatch("subspace does not live in the algebra")
+    gram = m.form.gram
+    rows = chain(map(enumerate, v.annihilator().rows), (enumerate(gram @ w) for w in v.basis.rows))
+    return Subspace.solving(m.dim, rows)
 
 
 def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Matrix]:

@@ -50,6 +50,17 @@ def sheared_gram(rng: random.Random, diagonal) -> Matrix:
     return u.transpose() @ Matrix([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]) @ u
 
 
+def heisenberg(k, negative=()):
+    """H_{2k+1}: [x_i, y_i] = z, with the diagonal form that is -1 on the listed basis indices and 1 elsewhere.
+
+    With the identity form the isotropy algebra is u(k), of dim k^2.
+    """
+    n = 2 * k + 1
+    alg = LieAlgebra(n, {(i, k + i): {2 * k: 1} for i in range(k)})
+    gram = [[(-1 if i in negative else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    return MetricLieAlgebra.checked(alg, SymForm(Matrix(gram)))
+
+
 @pytest.fixture(scope="session")
 def paper():
     return build_example("paper_2_3")

@@ -8,6 +8,7 @@ separately written congruence sweep with randomized pivoting.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -106,6 +107,36 @@ def polarized_defects_by_pairing(m, ops):
                 if val != 0:
                     bad.append((a, b, c, val))
     return bad
+
+
+def eliminate_dense(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Dense integer Gauss-Jordan, the library's earlier core: every pivot step recombines whole rows.
+
+    First nonzero entry in column order is the pivot.  Rows are combined as
+    ``p*row - f*pivot_row`` and re-normalized by their gcd, in place; the
+    rows after the last pivot row come back zero.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    pr = 0
+    for pc in range(ncols):
+        pivot_row = next((r for r in range(pr, nrows) if rows[r][pc]), None)
+        if pivot_row is None:
+            continue
+        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
+        p, prow = rows[pr][pc], rows[pr]
+        for r in range(nrows):
+            f = rows[r][pc]
+            if r != pr and f:
+                new = [p * a - f * b for a, b in zip(rows[r], prow)]
+                g = math.gcd(*new)
+                rows[r] = [a // g for a in new] if g > 1 else new
+        pivots.append(pc)
+        pr += 1
+        if pr == nrows:
+            break
+    return rows, pivots
 
 
 def naive_rref(m: Matrix):

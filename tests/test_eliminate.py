@@ -1,0 +1,128 @@
+"""The sparse integer core ``linalg._eliminate`` against the dense core it replaced.
+
+``oracles.eliminate_dense`` recombines whole dense rows at every pivot; the
+library's core inserts one row at a time over its nonzero entries and
+back-reduces once.  Both return integer rows whose ratios are the reduced
+echelon form, which is unique, so they must agree on the pivots and on each
+row up to a nonzero factor.  The sparse core's rows are primitive with a
+positive pivot entry, which makes them independent of the input order.
+"""
+
+import math
+import operator
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import gonil.go_engine as go_engine
+import gonil.isotropy as isotropy
+import gonil.linalg as linalg
+from conftest import heisenberg
+from oracles import eliminate_dense
+
+BIG = 2**64
+ENTRY = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.just(0),
+    st.integers(-4, 4),
+    st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(BIG, 2**80)),
+)
+
+
+@st.composite
+def integer_systems(draw):
+    """Sparse integer rows, with zero rows, duplicates and integer combinations of earlier rows mixed in."""
+    ncols = draw(st.integers(0, 7))
+    base = draw(st.lists(st.lists(ENTRY, min_size=ncols, max_size=ncols), max_size=6))
+    rows = [list(row) for row in base]
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "combination"]), max_size=3)):
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif base:
+            x, y = (base[draw(st.integers(0, len(base) - 1))] for _ in range(2))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append(list(x) if kind == "duplicate" else [a * s + b * t for s, t in zip(x, y)])
+    return [rows[i] for i in draw(st.permutations(range(len(rows))))]
+
+
+def _copy(rows):
+    return [list(row) for row in rows]
+
+
+def test_eliminate_matches_the_dense_core():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(rows=integer_systems(), data=st.data())
+    def check(rows, data):
+        ncols = len(rows[0]) if rows else 0
+        got, pivots = linalg._eliminate(_copy(rows))
+        expected, expected_pivots = eliminate_dense(_copy(rows))
+        assert pivots == expected_pivots
+        assert all(not any(row) for row in got[len(pivots) :])
+        for row, oracle, pc in zip(got, expected, pivots):
+            assert row[pc] > 0 and math.gcd(*row) == 1
+            # A nonzero multiple: both are nonzero at pc, so proportional exactly when these agree.
+            assert [a * oracle[pc] for a in row] == [b * row[pc] for b in oracle]
+            assert all(row[c] == 0 for c in pivots if c != pc)
+        order = data.draw(st.permutations(range(len(rows))))
+        assert linalg._eliminate([list(rows[i]) for i in order]) == (got, pivots)
+
+        if not rows:
+            outcomes.add("no rows")
+        if ncols == 0:
+            outcomes.add("0 columns")
+        if 0 < len(rows) < ncols:
+            outcomes.add("more columns than rows")
+        if any(not any(row) for row in rows):
+            outcomes.add("zero row")
+        if len({tuple(row) for row in rows}) < len(rows):
+            outcomes.add("duplicate rows")
+        if len(pivots) < min(len(rows), ncols):
+            outcomes.add("rank deficient")
+        if any(abs(a) >= BIG for row in rows for a in row):
+            outcomes.add("entries above 64 bits")
+
+    check()
+    assert outcomes == {
+        "no rows",
+        "0 columns",
+        "more columns than rows",
+        "zero row",
+        "duplicate rows",
+        "rank deficient",
+        "entries above 64 bits",
+    }
+
+
+def _captured_calls(monkeypatch, module, name, run):
+    """Run, recording the (rows, ncols) of every call of module.name, rows materialized."""
+    calls = []
+    real = getattr(module, name)
+
+    def record(rows, ncols):
+        rows = [list(row) for row in rows]
+        calls.append((rows, ncols))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(module, name, record)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_h13_systems_solve_alike_under_both_cores(monkeypatch):
+    # The Euclidean H_13: its isotropy kernel (169 unknowns) and its linear-certificate system.
+    m = heisenberg(6)
+    h = isotropy.isotropy_algebra(m)
+    kernels = _captured_calls(monkeypatch, isotropy, "_kernel_of_rows", lambda: isotropy.isotropy_algebra(m))
+    solves = _captured_calls(monkeypatch, go_engine, "_solve_rows", lambda: go_engine.linear_go_certificate(m, h))
+    assert [ncols for _, ncols in kernels] == [169] and len(solves) == 1
+    got = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]
+    assert len(got[0][0]) == 36 and got[1][0] is not None
+    monkeypatch.setattr(linalg, "_eliminate", eliminate_dense)
+    expected = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]
+    assert got == expected
+

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ENTRY, sparse_rows
+from conftest import ENTRY, heisenberg, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
 from gonil.double_ext import ExtensionData, extend2
 from gonil.isotropy import (
@@ -17,9 +17,9 @@ from gonil.isotropy import (
     isotropy_algebra,
     skew_space,
 )
-from gonil.lie import LieAlgebra, abelian, bracket_subspaces, lower_central_series, transporter
+from gonil.lie import abelian, bracket_subspaces, lower_central_series, transporter
 from gonil.linalg import DimensionMismatch, Matrix, Subspace
-from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
+from gonil.metric import SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
 from oracles import adh_invariant_by_dense_products, commutator_closed_by_dense_products
 
@@ -173,17 +173,6 @@ def _extend2_outputs():
         ),
         "de5_plus_plane": extend2(de5, ExtensionData(Matrix.zeros(5, 5), (0,) * 5, Matrix.zeros(5, 5))),
     }
-
-
-def heisenberg(k, negative=()):
-    """H_{2k+1}: [x_i, y_i] = z, with the diagonal form that is -1 on the listed basis indices and 1 elsewhere.
-
-    With the identity form the isotropy algebra is u(k), of dim k^2.
-    """
-    n = 2 * k + 1
-    alg = LieAlgebra(n, {(i, k + i): {2 * k: 1} for i in range(k)})
-    gram = [[(-1 if i in negative else 1) if i == j else 0 for j in range(n)] for i in range(n)]
-    return MetricLieAlgebra.checked(alg, SymForm(Matrix(gram)))
 
 
 ISOTROPY_CASES = (

@@ -195,3 +195,10 @@ def test_the_rewritten_paths_refuse_a_foreign_subspace(heis3):
     ):
         with pytest.raises(DimensionMismatch):
             call()
+
+
+def test_a_foreign_zero_subspace_is_refused_before_any_product(heis3):
+    # The zero subspace has no basis rows, so no product with G ever sees its length.
+    for call in (orth_complement, radical_of_restriction):
+        with pytest.raises(DimensionMismatch):
+            call(heis3, Subspace.zero(4))
