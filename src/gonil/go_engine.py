@@ -6,6 +6,10 @@ solve per vector, no optimization loop.  Because the ambient algebra splits
 as (skew derivations) + (the nilpotent algebra itself) with the algebra an
 ideal, no projection is needed in the bracket term.
 
+The bracket identities are summed over nonzero structure constants only: the
+lowered bracket tensor <[e_a, e_c], e_b> is built per call from the bracket
+table and the Gram matrix's nonzeros, and operators enter by their nonzeros.
+
 The per-vector system is built once per (m, h) as sparse tensors whose
 denominators are cleared at build time, so each sample is assembled,
 eliminated and checked in Python integers: its rows are positive multiples of
@@ -30,18 +34,17 @@ from typing import Iterable, Sequence
 
 from gonil.isotropy import OperatorSpace, derivation_defects, skew_defects
 from gonil.linalg import (
+    DimensionMismatch,
     Matrix,
     Vec,
     _solve_rows,
     _sparse_rows,
-    basis_vec,
     congruence_diagonalize,
     fmt_vec,
     is_zero_vec,
     rational_sqrt,
     to_vec,
     vec_add,
-    vec_dot,
     vec_scale,
 )
 from gonil.metric import MetricLieAlgebra, restrict_form
@@ -160,6 +163,24 @@ def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
     return tuple((*x[:-1], _cleared(x[-1], den)) for x in entries)
 
 
+def _lowered(m: MetricLieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
+    """The nonzero <[e_a, e_c], e_b> as {(a, c): {b: value}}, from the bracket table and the Gram matrix's nonzeros."""
+    gram, low = _sparse_rows(m.form.gram.rows), {}
+    for (i, j), targets in m.algebra.table.items():
+        row: dict[int, Fraction] = {}
+        for k, v in targets.items():
+            for b, g in gram[k]:
+                row[b] = row.get(b, 0) + v * g
+        if row := {b: x for b, x in row.items() if x}:
+            low[i, j], low[j, i] = row, {b: -x for b, x in row.items()}
+    return low
+
+
+def _entries(op: Matrix) -> list[tuple[int, int, Fraction]]:
+    """The nonzero entries (row, column, value) of an operator."""
+    return [(k, c, v) for k, row in enumerate(_sparse_rows(op.rows)) for c, v in row]
+
+
 def _integer_vector(t: Vec) -> tuple[int, tuple[int, ...]]:
     """(d, T') with T = T' / d, T' integral and d > 0."""
     d = _common_denominator(t)
@@ -211,16 +232,13 @@ class _CertificateSystem:
         """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
         check_subisotropy(m, h)
         gram = m.form.gram
-        low = m.lowered_brackets()
         gram_rows = _sparse_rows(gram.rows)
-        paired = [[(e, b, v) for e, row in enumerate(_sparse_rows((gram @ o).rows)) for b, v in row] for o in h.basis]
-        quadratic = [
-            (a, b, c, v) for a, lows in enumerate(low) for b, row in enumerate(_sparse_rows(lows)) for c, v in row
-        ]
+        paired = [_entries(gram @ o) for o in h.basis]
+        quadratic = [(a, b, c, v) for (a, b), row in sorted(_lowered(m).items()) for c, v in sorted(row.items())]
         den = _common_denominator(x[-1] for x in chain(*gram_rows, *paired, quadratic))
         # the check's own data, each cleared by its own denominator
         table = m.algebra.table.items()
-        ops = [[(d, b, v) for d, row in enumerate(_sparse_rows(op.rows)) for b, v in row] for op in h.basis]
+        ops = [_entries(op) for op in h.basis]
         gram_den = _common_denominator(x[-1] for x in chain(*gram_rows))
         bracket_den = _common_denominator(c for _, targets in table for c in targets.values())
         op_den = _common_denominator(x[-1] for x in chain(*ops))
@@ -403,11 +421,12 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     x = _solve_rows([row.items() for row in rows.values()], width)
     if x is None:
         return None
-    coeffs = Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n)
-    cert = LinearGOCertificate(coeffs)
-    if polarized_defects(m, [linear_witness_at(h, cert, basis_vec(n, a)) for a in range(n)]):
+    # A(e_a) = sum_j x[j * n + a] D_j, entry by entry over each D_j's nonzeros
+    ops = [(x[j * n : (j + 1) * n], _entries(op)) for j, op in enumerate(h.basis)]
+    witness = ((a, k, c, xs[a] * v) for xs, entries in ops for a in range(n) if xs[a] for k, c, v in entries)
+    if _polarized_sums(m, witness):
         raise AssertionError("internal: linear certificate fails polarized identity")
-    return cert
+    return LinearGOCertificate(Matrix([xs for xs, _ in ops], ncols=n))
 
 
 def linear_witness_at(h: OperatorSpace, cert: LinearGOCertificate, t) -> Matrix:
@@ -420,8 +439,8 @@ def linear_witness_at(h: OperatorSpace, cert: LinearGOCertificate, t) -> Matrix:
 def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[int, int, int, Fraction]]:
     """Nonzero values of the polarized orbit identity for the family T -> A(T).
 
-    ops[a] is A(e_a), one operator per basis vector.  For a <= b and every c
-    the identity reads
+    ops[a] is A(e_a), one n-by-n operator per basis vector; anything else
+    raises DimensionMismatch.  For a <= b and every c the identity reads
 
         <[e_a, e_c] + A(e_a) e_c, e_b> + <[e_b, e_c] + A(e_b) e_c, e_a> = 0.
 
@@ -430,16 +449,25 @@ def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[
     defects come back as (a, b, c, value) in loop order.
     """
     n = m.dim
-    low = m.lowered_brackets()
-    paired = [m.form.gram @ op for op in ops]  # paired[a][b, c] = <A(e_a) e_c, e_b>
-    bad = []
-    for a in range(n):
-        for b in range(a, n):
-            for c in range(n):
-                val = low[a][c][b] + paired[a][b, c] + low[b][c][a] + paired[b][a, c]
-                if val != 0:
-                    bad.append((a, b, c, val))
-    return bad
+    if len(ops) != n or any(op.nrows != n or op.ncols != n for op in ops):
+        raise DimensionMismatch("need one n-by-n operator per basis vector")
+    return _polarized_sums(m, ((a, *entry) for a, op in enumerate(ops) for entry in _entries(op)))
+
+
+def _polarized_sums(m: MetricLieAlgebra, entries) -> list[tuple[int, int, int, Fraction]]:
+    """The polarized identity's nonzero values, for entries (a, k, c, value) that add up to A(e_a)[k][c].
+
+    Each nonzero <[e_a, e_c], e_b> and G[b][k] A(e_a)[k][c] is added into the
+    key (min(a, b), max(a, b), c), twice when a = b; the sorted keys are the
+    order of the loop over a <= b, then c.
+    """
+    gram = _sparse_rows(m.form.gram.rows)  # symmetric: row k holds the G[b][k]
+    low = ((a, b, c, v) for (a, c), row in _lowered(m).items() for b, v in row.items())
+    sums: dict[tuple[int, int, int], Fraction] = {}
+    for a, b, c, v in chain(low, ((a, b, c, g * w) for a, k, c, w in entries for b, g in gram[k])):
+        key = (a, b, c) if a <= b else (b, a, c)
+        sums[key] = sums.get(key, 0) + (v + v if a == b else v)
+    return [(*key, v) for key, v in sorted(sums.items()) if v]
 
 
 @dataclass(frozen=True)
@@ -479,14 +507,14 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
             nprime.basis, ()
         )
     violations = []
-    rows = nprime.basis.rows
-    low = m.lowered_brackets()
+    rows, sparse, low = nprime.basis.rows, _sparse_rows(nprime.basis.rows), _lowered(m)
     for a in range(m.dim):
-        lowered_ad = Matrix(low[a], ncols=m.dim)  # lowered_ad[c, b] = <[e_a, e_c], e_b>
-        images = [lowered_ad.transpose() @ x for x in rows]  # images[i][b] = <[e_a, x_i], e_b>
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                defect = vec_dot(images[i], rows[j]) + vec_dot(images[j], rows[i])
-                if defect != 0:
-                    violations.append((a, i, j, defect))
+        images: list[dict[int, Fraction]] = [{} for _ in rows]  # images[i][b] = <[e_a, x_i], e_b>
+        for image, xs in zip(images, sparse):  # summed over the nonzero entries of x_i
+            for c, x in xs:
+                for b, v in low.get((a, c), {}).items():
+                    image[b] = image.get(b, 0) + x * v
+        dots = [[sum(v * y[b] for b, v in image.items()) for y in rows] for image in images]  # <[e_a, x_i], x_j>
+        pairs = ((i, j) for i in range(len(rows)) for j in range(i, len(rows)))
+        violations += [(a, i, j, d) for i, j in pairs if (d := dots[i][j] + dots[j][i])]
     return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))

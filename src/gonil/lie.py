@@ -3,12 +3,15 @@
 A bracket table stores only pairs (i, j) with i < j; antisymmetry is
 structural.  The Jacobi identity is validated on construction unless the
 caller explicitly opts out (needed to inspect broken candidate tables).
+Subspace brackets, and so the lower central and derived series and the ideal
+test, sum [e_i, e_j] over the two vectors' nonzero coordinates only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from gonil.linalg import (
@@ -16,6 +19,7 @@ from gonil.linalg import (
     Matrix,
     Subspace,
     Vec,
+    _sparse_rows,
     basis_vec,
     solve_particular,
     to_vec,
@@ -181,7 +185,12 @@ def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """Span of [x, y] over basis vectors x of V and y of W."""
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    vecs = [alg.bracket(x, y) for x in v.basis.rows for y in w.basis.rows]
+    ad, pairs = _ad_table(alg), list(product(_sparse_rows(v.basis.rows), _sparse_rows(w.basis.rows)))
+    vecs = [[Fraction(0)] * alg.dim for _ in pairs]
+    for out, (x, y) in zip(vecs, pairs):  # [x, y] = sum x_i y_j [e_i, e_j] over the nonzero x_i, y_j
+        for (i, a), (j, b) in product(x, y):
+            for k, c in ad[i][j].items():
+                out[k] += a * b * c
     return Subspace.span(alg.dim, vecs)
 
 

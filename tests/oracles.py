@@ -13,7 +13,8 @@ import random
 from fractions import Fraction
 
 from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, kernel, solve_particular, to_vec, vec_dot
-from gonil.metric import SymForm
+from gonil.go_engine import NecessaryConditionReport
+from gonil.metric import SymForm, restrict_form
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -497,3 +498,50 @@ def radical_of_restriction_by_restricted_kernel(m, v):
     restricted = SymForm(v.basis @ m.form.gram @ v.basis.transpose())
     coords = radical_by_kernel(restricted)
     return Subspace.span(m.dim, [v.basis.transpose() @ c for c in coords.basis.rows])
+
+
+# The bracket contractions below are the dense loops the library used before
+# it summed over nonzero structure constants: every bracket is a generic
+# ``alg.bracket`` of two whole vectors, every lowered image a transposed
+# matrix product.
+
+
+def bracket_span_by_dense_brackets(alg, v, w):
+    """Span of alg.bracket(x, y) over basis vectors x of V and y of W."""
+    return Subspace.span(alg.dim, [alg.bracket(x, y) for x in v.basis.rows for y in w.basis.rows])
+
+
+def lower_central_series_by_dense_brackets(alg):
+    """n >= [n, n] >= [n, [n, n]] >= ... down to the first repeated term, each a span of dense brackets."""
+    full = Subspace.full(alg.dim)
+    chain = [full]
+    current = bracket_span_by_dense_brackets(alg, full, full)
+    while True:
+        chain.append(current)
+        if current.dim == 0:
+            return chain
+        nxt = bracket_span_by_dense_brackets(alg, full, current)
+        if nxt == current:
+            return chain
+        current = nxt
+
+
+def necessary_condition_by_dense_images(m):
+    """``necessary_condition_check`` as a dense loop: per a, the matrix of <[e_a, e_c], e_b> and dot products."""
+    nprime = m.nprime()
+    if restrict_form(m, nprime).signature().r != 0:
+        return NecessaryConditionReport(
+            True, "form restricted to n' is degenerate; identities do not apply", nprime.basis, ()
+        )
+    violations = []
+    rows = nprime.basis.rows
+    low = m.lowered_brackets()
+    for a in range(m.dim):
+        lowered_ad = Matrix(low[a], ncols=m.dim)  # lowered_ad[c, b] = <[e_a, e_c], e_b>
+        images = [lowered_ad.transpose() @ x for x in rows]  # images[i][b] = <[e_a, x_i], e_b>
+        for i in range(len(rows)):
+            for j in range(i, len(rows)):
+                defect = vec_dot(images[i], rows[j]) + vec_dot(images[j], rows[i])
+                if defect != 0:
+                    violations.append((a, i, j, defect))
+    return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))

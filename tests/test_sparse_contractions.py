@@ -1,0 +1,245 @@
+"""The bracket identities summed over nonzero structure constants, against the dense loops they replaced.
+
+``lie.bracket_subspaces`` forms each [x, y] over the nonzero coordinates of x
+and y; ``go_engine`` builds the lowered bracket tensor <[e_a, e_c], e_b> from
+the bracket table and the Gram matrix's nonzeros and sums the polarized orbit
+identity, the necessary condition on n' and the linear certificate's check
+over it.  The oracles in ``oracles.py`` are the dense bodies: generic
+``alg.bracket`` calls, dense lowered matrices and ``vec_dot``.
+"""
+
+import random
+import sys
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
+
+import gonil.linalg as linalg
+from conftest import random_nilpotent_table, rescaled, sheared_gram
+from gonil import go_engine
+from gonil.go_engine import linear_go_certificate, necessary_condition_check, polarized_defects
+from gonil.isotropy import OperatorSpace
+from gonil.lie import LieAlgebra, bracket_subspaces, is_ideal, lower_central_series, nilpotency_step
+from gonil.linalg import DimensionMismatch, Matrix, Subspace
+from gonil.metric import MetricLieAlgebra, SymForm
+from oracles import (
+    bracket_span_by_dense_brackets,
+    lower_central_series_by_dense_brackets,
+    necessary_condition_by_dense_images,
+    polarized_defects_by_pairing,
+    random_rational_matrix,
+)
+
+SETTINGS = settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+SUBSPACE_KINDS = ("zero", "full", "lower central series", "random")
+
+
+def _subspace(alg, kind, rng, series):
+    n = alg.dim
+    if kind == "zero":
+        return Subspace.zero(n)
+    if kind == "full":
+        return Subspace.full(n)
+    if kind == "lower central series":
+        return rng.choice(series)
+    vectors = [[rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)] for _ in range(rng.randint(1, n))]
+    return Subspace.span(n, vectors)
+
+
+def test_subspace_brackets_match_dense_brackets():
+    outcomes = set()
+
+    @seed(20261019)
+    @SETTINGS
+    @given(
+        n=st.integers(1, 7),
+        table_seed=st.integers(0, 10**6),
+        kinds=st.tuples(st.sampled_from(SUBSPACE_KINDS), st.sampled_from(SUBSPACE_KINDS)),
+    )
+    def check(n, table_seed, kinds):
+        rng = random.Random(table_seed)
+        alg = LieAlgebra(n, random_nilpotent_table(rng, n))
+        series = lower_central_series_by_dense_brackets(alg)
+        assert lower_central_series(alg) == series
+        assert nilpotency_step(alg) == max(len(series) - 1, 1)
+        v, w = (_subspace(alg, kind, rng, series) for kind in kinds)
+        span = bracket_span_by_dense_brackets(alg, v, w)
+        assert bracket_subspaces(alg, v, w) == span
+        ideal = bracket_span_by_dense_brackets(alg, Subspace.full(n), v) <= v
+        assert is_ideal(alg, v) == ideal
+        outcomes.add(f"V {kinds[0]}, W {kinds[1]}")
+        outcomes.add("zero bracket" if span.dim == 0 else "nonzero bracket")
+        outcomes.add("ideal" if ideal else "not an ideal")
+        outcomes.add("abelian" if len(series) == 2 else f"step {min(len(series) - 1, 3)}+")
+
+    check()
+    assert outcomes >= {f"V {a}, W {b}" for a in SUBSPACE_KINDS for b in SUBSPACE_KINDS}
+    assert outcomes >= {"zero bracket", "nonzero bracket", "ideal", "not an ideal", "abelian", "step 2+", "step 3+"}
+
+
+def _two_step_table(rng, n):
+    """Brackets among the first indices landing in the last ones, which are central: 2-step, Jacobi for free."""
+    central = rng.randint(1, n - 2)
+    low = n - central
+    return {
+        (i, j): {k: rng.choice([1, -1, 2]) for k in range(low, n) if rng.random() < 0.6}
+        for i in range(low)
+        for j in range(i + 1, low)
+        if rng.random() < 0.6
+    }
+
+
+def _gram(rng, n, kind):
+    """A nondegenerate form: sheared +-1 diagonal, or e_0 paired with the central e_(n-1), which is null."""
+    if kind == "sheared":
+        return sheared_gram(rng, [rng.choice([1, -1]) for _ in range(n)])
+    g = [[rng.choice([1, -1]) if i == j and 0 < i < n - 1 else 0 for j in range(n)] for i in range(n)]
+    g[0][n - 1] = g[n - 1][0] = 1
+    return Matrix(g)
+
+
+def test_necessary_condition_matches_the_dense_loop(paper):
+    outcomes = set()
+
+    @seed(20261020)
+    @SETTINGS
+    @given(
+        kind=st.sampled_from(["random", "two-step", "paper"]),
+        gram_kind=st.sampled_from(["sheared", "hyperbolic"]),
+        n=st.integers(3, 7),
+        algebra_seed=st.integers(0, 10**6),
+    )
+    def check(kind, gram_kind, n, algebra_seed):
+        rng = random.Random(algebra_seed)
+        if kind == "paper":  # passes with nonzero images: the identities cancel, they do not vanish term by term
+            m = rescaled(paper.algebra, [rng.choice([1, -1, 2, Fraction(1, 3)]) for _ in range(paper.algebra.dim)])
+        else:
+            table = random_nilpotent_table(rng, n) if kind == "random" else _two_step_table(rng, n)
+            m = MetricLieAlgebra(LieAlgebra(n, table), SymForm(_gram(rng, n, gram_kind)))
+        report = necessary_condition_check(m)
+        expected = necessary_condition_by_dense_images(m)
+        assert report == expected
+        assert repr(report.violations) == repr(expected.violations)
+        assert report.lines() == expected.lines()
+        if report.skipped:
+            outcomes.add("SKIPPED")
+        elif report.violations:
+            outcomes.add("violations")
+        else:
+            outcomes.add("PASS" if m.nprime().dim == 0 else f"PASS with nonzero n', {kind}")
+
+    check()
+    assert outcomes >= {
+        "SKIPPED",
+        "violations",
+        "PASS",
+        "PASS with nonzero n', two-step",
+        "PASS with nonzero n', paper",
+    }
+
+
+@pytest.mark.parametrize("rng_seed, extra", [(7, (0, 5, 11)), (8, (3,)), (9, (11,)), (10, (2, 4))])
+def test_polarized_defect_values_and_order_match_the_pairing_oracle(paper, rng_seed, extra):
+    m = paper.algebra
+    ops, rng = list(paper.witness_operators), random.Random(rng_seed)
+    for a in extra:
+        ops[a] = ops[a] + random_rational_matrix(rng, m.dim, m.dim, bound=2)
+    defects = polarized_defects(m, ops)
+    expected = polarized_defects_by_pairing(m, ops)
+    assert defects
+    # the repr pins the Fraction values and the order: it is what verify-paper prints on FAIL
+    assert repr(defects[:1]) == repr(expected[:1])
+    assert repr(defects) == repr(expected)
+    assert any(a == b for a, b, _, _ in defects)  # a diagonal key counts its terms twice
+
+
+def _entry(rng, density):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density else 0
+
+
+def test_polarized_defects_match_the_pairing_oracle_on_random_metric_algebras():
+    outcomes = set()
+
+    @seed(20261021)
+    @SETTINGS
+    @given(n=st.integers(2, 5), algebra_seed=st.integers(0, 10**6), density=st.sampled_from([0, 0.2, 0.6]))
+    def check(n, algebra_seed, density):
+        rng = random.Random(algebra_seed)
+        table = random_nilpotent_table(rng, n)
+        m = MetricLieAlgebra(LieAlgebra(n, table), SymForm(sheared_gram(rng, [rng.choice([1, -1]) for _ in range(n)])))
+        ops = [Matrix([[_entry(rng, density) for _ in range(n)] for _ in range(n)]) for _ in range(n)]
+        defects = polarized_defects(m, ops)
+        assert repr(defects) == repr(polarized_defects_by_pairing(m, ops))
+        outcomes.add("defects" if defects else "none")
+        if any(len([g for g in row if g]) > 1 for row in m.form.gram.rows):
+            outcomes.add("Gram row with several nonzeros")
+
+    check()
+    assert outcomes == {"defects", "none", "Gram row with several nonzeros"}
+
+
+def test_polarized_defects_refuse_a_wrong_operator_list_before_any_sum(paper, monkeypatch):
+    m = paper.algebra
+    ops = list(paper.witness_operators)
+    n = m.dim
+
+    def no_sum(*args):
+        raise AssertionError("summed before the operator list was checked")
+
+    monkeypatch.setattr(go_engine, "_polarized_sums", no_sum)
+    monkeypatch.setattr(go_engine, "_lowered", no_sum)
+    for bad in (
+        [],
+        ops[:-1],
+        ops + [ops[0]],
+        [Matrix.zeros(n, n + 1)] * n,
+        ops[:-1] + [Matrix.zeros(n - 1, n - 1)],
+        [Matrix.zeros(n + 1, n)] * n,
+    ):
+        with pytest.raises(DimensionMismatch):
+            polarized_defects(m, bad)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("dense path taken")
+
+
+def _patch_everywhere(monkeypatch, original):
+    """Make every gonil module attribute bound to original raise; returns how many were patched."""
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "gonil" or name.startswith("gonil."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, _raise)
+                    patched += 1
+    return patched
+
+
+def test_identity_checks_take_no_dense_path(paper, paper_iso, monkeypatch):
+    m, alg = paper.algebra, paper.algebra.algebra
+    ops = list(paper.witness_operators)
+    ideal = Subspace.span(m.dim, [linalg.basis_vec(m.dim, i) for i in (0, 1, 4, 5, 6, 7)])
+    sparse_only = {
+        "polarized_defects": lambda: polarized_defects(m, ops[:3] + [ops[3] + Matrix.identity(m.dim)] + ops[4:]),
+        "bracket_subspaces": lambda: bracket_subspaces(alg, Subspace.full(m.dim), m.nprime()),
+        "nilpotency_step": lambda: nilpotency_step(alg),
+        "is_ideal": lambda: (is_ideal(alg, ideal), is_ideal(alg, m.nprime())),
+    }
+    dense_products_allowed = {
+        "necessary_condition_check": lambda: necessary_condition_check(m),
+        "linear_go_certificate": lambda: linear_go_certificate(m, paper_iso).coeffs,
+    }
+    expected = {name: run() for name, run in {**sparse_only, **dense_products_allowed}.items()}
+    assert expected["polarized_defects"] and expected["bracket_subspaces"].dim > 0
+
+    monkeypatch.setattr(LieAlgebra, "bracket", _raise)
+    monkeypatch.setattr(OperatorSpace, "combine", _raise)
+    assert _patch_everywhere(monkeypatch, linalg.vec_dot) >= 1
+    for name, run in dense_products_allowed.items():
+        assert run() == expected[name], name
+    monkeypatch.setattr(Matrix, "__matmul__", _raise)
+    for name, run in sparse_only.items():
+        assert run() == expected[name], name
