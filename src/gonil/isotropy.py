@@ -7,7 +7,9 @@ of bases, and membership and coordinates are read at the pivots.  The
 commutator-closure check forms each commutator over the nonzero entries of
 the two operators and tests it at the same pivots, with no dense product.
 The derivation and skew identities are keyed sparse rows over the entries of
-D: the kernels solve them, and the defect checks evaluate them per operator.
+D (the skew rows read off the Gram matrix's nonzero entries): the kernels
+solve them, and the defect checks evaluate them column-indexed, adding each
+operator's nonzero entries only into the rows that hold them.
 """
 
 from __future__ import annotations
@@ -85,13 +87,28 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
 def _first_defects(n: int, keyed_rows, ops) -> list:
     """Per n-by-n operator, the key of the first row its row-major entries fail, or None.
 
-    The rows are built once and each is summed over an operator's nonzero entries only.
+    The rows are indexed once by entry; each operator's nonzero entries are
+    added only into the rows that hold them, and the first failing row is the
+    least row index with a nonzero sum.
     """
     if any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("operator size differs from the algebra's dimension")
-    rows = list(keyed_rows)
-    entries = [{x: v for x, v in enumerate(op.vectorize()) if v} for op in ops]
-    return [next((key for key, row in rows if sum(c * d[x] for x, c in row.items() if x in d)), None) for d in entries]
+    keys: list = []
+    by_entry: dict[int, list[tuple[int, Fraction]]] = {}
+    for r, (key, row) in enumerate(keyed_rows):
+        keys.append(key)
+        for x, c in row.items():
+            by_entry.setdefault(x, []).append((r, c))
+    out = []
+    for op in ops:
+        sums: dict[int, Fraction] = {}
+        for i, entries in enumerate(_sparse_rows(op.rows)):
+            for j, v in entries:
+                for r, c in by_entry.get(i * n + j, ()):
+                    sums[r] = sums.get(r, 0) + c * v
+        failing = [r for r, total in sums.items() if total]
+        out.append(keys[min(failing)] if failing else None)
+    return out
 
 
 def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
@@ -114,17 +131,17 @@ def skew_space(form: SymForm) -> OperatorSpace:
 
 
 def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fraction]]]:
-    """Entry (a, b), a <= b, of D^T G + G D as a sparse row over the row-major entries of D; zero rows skipped."""
+    """Entry (a, b), a <= b, of D^T G + G D as a sparse row over the row-major entries of D; zero rows skipped.
+
+    Read off the nonzero entries of G's rows a and b (G is symmetric).
+    """
     n = form.dim
-    g = form.gram
+    g = _sparse_rows(form.gram.rows)
     for a in range(n):
         for b in range(a, n):
-            row: dict[int, Fraction] = {}
-            for l in range(n):
-                if g[l, b]:
-                    row[l * n + a] = g[l, b]
-                if g[a, l]:
-                    row[l * n + b] = row.get(l * n + b, 0) + g[a, l]
+            row = {l * n + a: x for l, x in g[b]}  # (D^T G)[a, b] = sum_l D[l, a] G[l, b]
+            for l, x in g[a]:  # (G D)[a, b] = sum_l G[a, l] D[l, b]
+                row[l * n + b] = row.get(l * n + b, 0) + x
             if row:
                 yield (a, b), row
 

@@ -4,7 +4,8 @@ A bracket table stores only pairs (i, j) with i < j; antisymmetry is
 structural.  The Jacobi identity is validated on construction unless the
 caller explicitly opts out (needed to inspect broken candidate tables).
 Subspace brackets, and so the lower central and derived series and the ideal
-test, sum [e_i, e_j] over the two vectors' nonzero coordinates only.
+test, sum [e_i, e_j] over the two vectors' nonzero coordinates only; so do the
+transporter's equations, and with them centralizers and the center.
 """
 
 from __future__ import annotations
@@ -252,11 +253,23 @@ def center(alg: LieAlgebra) -> Subspace:
 
 
 def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
-    """{x : [x, V] <= W}: y [u, x] = 0 for every annihilator row y of W and basis vector u of V."""
+    """{x : [x, V] <= W}: y [u, x] = 0 for every annihilator row y of W and basis vector u of V.
+
+    Entry b of each row, y [u, e_b], is summed over the nonzero entries of u and y.
+    """
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    ann = w.annihilator()
-    return Subspace.solving(alg.dim, (enumerate(r) for u in v.basis.rows for r in (ann @ alg.ad(u)).rows))
+    ad, ys = _ad_table(alg), [dict(y) for y in _sparse_rows(w.annihilator().rows)]
+    rows = []
+    for u, y in product(_sparse_rows(v.basis.rows), ys):
+        row: dict[int, Fraction] = {}
+        for a, x in u:
+            for b, image in enumerate(ad[a]):
+                for l, c in image.items():
+                    if l in y:
+                        row[b] = row.get(b, 0) + x * c * y[l]
+        rows.append(row.items())
+    return Subspace.solving(alg.dim, rows)
 
 
 def is_ideal(alg: LieAlgebra, v: Subspace) -> bool:

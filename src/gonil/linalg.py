@@ -7,7 +7,8 @@ is fraction-free integer Gauss-Jordan over nonzero entries only, so its cost
 follows the nonzero entries, not the system's width.  The reduced echelon form
 of a row space is unique, so every reduced form is canonical and reproducible
 across runs, platforms and row orders; kernels and solutions are read off its
-primitive integer rows.
+primitive integer rows.  Congruence diagonalization, behind the signature,
+likewise updates only the nonzero entries of its working matrix.
 """
 
 from __future__ import annotations
@@ -384,54 +385,57 @@ def congruence_diagonalize(g: Matrix) -> tuple[Matrix, Vec]:
     Returns rows ``b_i`` and values ``d_i`` with ``b_i G b_j^T = d_i delta_ij``.
     Pivots on the first usable diagonal entry; when all remaining diagonal
     entries vanish but some off-diagonal entry ``g_ij`` does not, substitutes
-    ``b_i <- b_i + b_j`` first.  Entirely deterministic.
+    ``b_i <- b_i + b_j`` first.  Entirely deterministic.  The working matrix
+    and the basis rows are kept as their nonzero entries, so each step touches
+    only the nonzero entries of the pivot's row and the rows it meets.
     """
     if not g.is_symmetric():
         raise ValueError("congruence diagonalization needs a symmetric matrix")
     n = g.nrows
-    c = [list(row) for row in g.rows]
-    basis = [list(row) for row in Matrix.identity(n).rows]
-    active = list(range(n))
-    out_rows: list[list[Fraction]] = []
+    c = {i: dict(row) for i, row in enumerate(_sparse_rows(g.rows))}  # the active rows, over active columns
+    basis = {i: {i: _ONE} for i in range(n)}
+    out_rows: list[dict[int, Fraction]] = []
     diag: list[Fraction] = []
-    while active:
-        pivot = next((i for i in active if c[i][i] != 0), None)
+    while c:
+        pivot = next((i for i, row in c.items() if i in row), None)
         if pivot is None:
-            pair = next(
-                (
-                    (i, j)
-                    for ai, i in enumerate(active)
-                    for j in active[ai + 1 :]
-                    if c[i][j] != 0
-                ),
-                None,
-            )
-            if pair is None:
-                for i in active:
-                    out_rows.append(basis[i])
-                    diag.append(Fraction(0))
+            i = next((i for i, row in c.items() if row), None)
+            if i is None:
+                out_rows.extend(basis[i] for i in c)
+                diag.extend(_ZERO for _ in c)
                 break
-            i, j = pair
-            basis[i] = [a + b for a, b in zip(basis[i], basis[j])]
-            for k in range(n):
-                c[i][k] += c[j][k]
-            for k in range(n):
-                c[k][i] += c[k][j]
+            j = min(c[i])  # the first pair (i, j): row i is the first nonzero row, and G is symmetric
+            _add_scaled(basis[i], basis[j], _ONE)
+            row = dict(c[i])
+            _add_scaled(row, c[j], _ONE)  # row and column i += row and column j
+            row[i] = 2 * c[i][j]  # both diagonal entries are 0
+            for k in c[i]:
+                del c[k][i]
+            c[i] = row
+            for k, x in row.items():
+                c[k][i] = x
             continue
-        d = c[pivot][pivot]
-        for j in active:
-            if j == pivot or c[pivot][j] == 0:
-                continue
-            f = c[pivot][j] / d
-            basis[j] = [a - f * b for a, b in zip(basis[j], basis[pivot])]
-            for k in range(n):
-                c[j][k] -= f * c[pivot][k]
-            for k in range(n):
-                c[k][j] -= f * c[k][pivot]
-        out_rows.append(basis[pivot])
+        row = c.pop(pivot)
+        d = row.pop(pivot)
+        for j in row:
+            del c[j][pivot]
+        for j, x in row.items():  # c[j][k] -= x c[pivot][k] / d: row j's share of the symmetric update
+            f = x / d
+            _add_scaled(basis[j], basis[pivot], -f)
+            _add_scaled(c[j], row, -f)
+        out_rows.append(basis.pop(pivot))
         diag.append(d)
-        active.remove(pivot)
-    return Matrix(out_rows, ncols=n), tuple(diag)
+    return Matrix._trusted(tuple(tuple(r.get(k, _ZERO) for k in range(n)) for r in out_rows), n), tuple(diag)
+
+
+def _add_scaled(row: dict[int, Fraction], other: dict[int, Fraction], f: Fraction) -> None:
+    """row <- row + f * other in place, over other's entries; cancelled entries are dropped."""
+    for k, v in other.items():
+        a = row.get(k, _ZERO) + f * v
+        if a:
+            row[k] = a
+        else:
+            row.pop(k, None)
 
 
 def symmetric_signature(g: Matrix) -> SignatureTriple:

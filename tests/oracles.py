@@ -344,9 +344,10 @@ def jacobi_defect_by_brackets(alg):
     return defects
 
 
-def derivation_defect_by_brackets(alg, op: Matrix):
-    """First pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], by generic brackets."""
+def derivation_failures_by_brackets(alg, op: Matrix):
+    """Every pair i < j, in order, with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], by generic brackets."""
     n = alg.dim
+    failures = []
     for i in range(n):
         for j in range(i + 1, n):
             lhs = op @ alg.bracket_basis(i, j)
@@ -355,8 +356,13 @@ def derivation_defect_by_brackets(alg, op: Matrix):
                 for a, b in zip(alg.bracket(op.column(i), basis_vec(n, j)), alg.bracket(basis_vec(n, i), op.column(j)))
             )
             if lhs != rhs:
-                return (i, j)
-    return None
+                failures.append((i, j))
+    return failures
+
+
+def derivation_defect_by_brackets(alg, op: Matrix):
+    """First pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], by generic brackets."""
+    return next(iter(derivation_failures_by_brackets(alg, op)), None)
 
 
 def reduce_vector_by_elimination(space, vec):
@@ -424,10 +430,18 @@ def adh_invariant_by_dense_products(v, h) -> bool:
     return all(v.contains_vector(d @ x) for d in h.basis for x in v.basis.rows)
 
 
-def skew_defect_by_products(form, op: Matrix):
-    """First entry (a, b), in row-major order, where D^T G + G D is nonzero, or None; two dense products."""
+def skew_failures_by_products(form, op: Matrix):
+    """Every entry (a, b), a <= b, in row-major order, where D^T G + G D is nonzero; two dense products."""
     s = op.transpose() @ form.gram + form.gram @ op
-    return next(((a, b) for a in range(s.nrows) for b in range(s.ncols) if s[a, b]), None)
+    return [(a, b) for a in range(s.nrows) for b in range(a, s.ncols) if s[a, b]]
+
+
+def skew_defect_by_products(form, op: Matrix):
+    """First entry (a, b), in row-major order, where D^T G + G D is nonzero, or None.
+
+    D^T G + G D is symmetric, so that entry has a <= b.
+    """
+    return next(iter(skew_failures_by_products(form, op)), None)
 
 
 # The subspaces below are built as before ``Subspace.solving``: dense products
@@ -545,3 +559,49 @@ def necessary_condition_by_dense_images(m):
                 if defect != 0:
                     violations.append((a, i, j, defect))
     return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))
+
+
+def congruence_diagonalize_dense(g: Matrix):
+    """``linalg.congruence_diagonalize`` as it was: every step updates whole dense rows and columns.
+
+    Pivots on the first active nonzero diagonal entry; with none, substitutes
+    b_i <- b_i + b_j for the first active pair with g_ij != 0; with no such
+    pair either, the remaining basis rows get diagonal value 0.
+    """
+    if not g.is_symmetric():
+        raise ValueError("congruence diagonalization needs a symmetric matrix")
+    n = g.nrows
+    c = [list(row) for row in g.rows]
+    basis = [list(row) for row in Matrix.identity(n).rows]
+    active = list(range(n))
+    out_rows, diag = [], []
+    while active:
+        pivot = next((i for i in active if c[i][i] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for ai, i in enumerate(active) for j in active[ai + 1 :] if c[i][j] != 0), None)
+            if pair is None:
+                for i in active:
+                    out_rows.append(basis[i])
+                    diag.append(Fraction(0))
+                break
+            i, j = pair
+            basis[i] = [a + b for a, b in zip(basis[i], basis[j])]
+            for k in range(n):
+                c[i][k] += c[j][k]
+            for k in range(n):
+                c[k][i] += c[k][j]
+            continue
+        d = c[pivot][pivot]
+        for j in active:
+            if j == pivot or c[pivot][j] == 0:
+                continue
+            f = c[pivot][j] / d
+            basis[j] = [a - f * b for a, b in zip(basis[j], basis[pivot])]
+            for k in range(n):
+                c[j][k] -= f * c[pivot][k]
+            for k in range(n):
+                c[k][j] -= f * c[k][pivot]
+        out_rows.append(basis[pivot])
+        diag.append(d)
+        active.remove(pivot)
+    return Matrix(out_rows, ncols=n), tuple(diag)

@@ -1,0 +1,155 @@
+"""The nonzero-entry evaluators against the dense loops they replace.
+
+``skew_defects`` and ``derivation_defects`` index the identity rows by entry
+once and add each operator's nonzero entries only into the rows that hold
+them; ``oracles.skew_failures_by_products`` and
+``oracles.derivation_failures_by_brackets`` evaluate each operator on its own,
+with two dense products and with generic brackets.  ``congruence_diagonalize``
+updates only nonzero entries; ``oracles.congruence_diagonalize_dense`` is its
+earlier dense body, and both must return the same basis rows and values.
+Each property asserts that every outcome it names was reached.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import gonil.go_engine as go_engine
+from conftest import random_nilpotent_table, sheared_gram
+from gonil.catalog import EXAMPLE_NAMES, build_example
+from gonil.go_engine import GOEngineError, check_subisotropy, first_null_vector
+from gonil.isotropy import OperatorSpace, derivation_defects, isotropy_algebra, skew_defects, skew_space
+from gonil.lie import LieAlgebra
+from gonil.linalg import Matrix, congruence_diagonalize
+from gonil.metric import MetricLieAlgebra, SymForm
+from oracles import congruence_diagonalize_dense, derivation_failures_by_brackets, skew_failures_by_products
+
+SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+NONZERO = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 2)])
+CATALOG = {name: build_example(name).algebra for name in EXAMPLE_NAMES}
+CATALOG_ISOTROPY = {name: isotropy_algebra(m).basis for name, m in CATALOG.items()}
+
+
+@st.composite
+def metric_algebras(draw):
+    """A catalog entry with its isotropy basis, or a random nilpotent algebra of dimension 1..6 with a sheared form."""
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(EXAMPLE_NAMES))
+        return CATALOG[name], CATALOG_ISOTROPY[name]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(1, 6))
+    diagonal = draw(st.lists(st.sampled_from([1, 1, -1, -1, 2, Fraction(1, 2), 0]), min_size=n, max_size=n))
+    m = MetricLieAlgebra(LieAlgebra(n, random_nilpotent_table(rng, n)), SymForm(sheared_gram(rng, diagonal)))
+    return m, isotropy_algebra(m).basis
+
+
+@st.composite
+def operators(draw, n, isotropy):
+    """A zero, sparse or dense operator, or an isotropy basis operator with one entry perturbed."""
+    kind = draw(st.sampled_from(["zero", "sparse", "dense", "perturbed", "perturbed"]))
+    if kind == "perturbed" and isotropy:
+        entries = [list(row) for row in draw(st.sampled_from(isotropy)).rows]
+    else:
+        entries = [[0] * n for _ in range(n)]
+    if kind == "dense":
+        entries = [[draw(NONZERO) for _ in range(n)] for _ in range(n)]
+    cells = {"zero": 0, "sparse": draw(st.integers(1, 3)), "dense": 0, "perturbed": 1}[kind]
+    for _ in range(cells):
+        l, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        entries[l][k] += draw(NONZERO)
+    return Matrix(entries)
+
+
+def test_defect_evaluators_match_the_per_operator_oracles():
+    reached = set()
+
+    @seed(20261018)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(drawn=metric_algebras(), data=st.data())
+    def check(drawn, data):
+        m, isotropy = drawn
+        ops = data.draw(st.lists(operators(m.dim, isotropy), min_size=1, max_size=4))
+        skew = [skew_failures_by_products(m.form, op) for op in ops]
+        derivation = [derivation_failures_by_brackets(m.algebra, op) for op in ops]
+        assert skew_defects(m.form, ops) == [f[0] if f else None for f in skew]
+        assert derivation_defects(m.algebra, ops) == [f[0] if f else None for f in derivation]
+        reached.update(("skew", min(len(f), 2)) for f in skew)
+        reached.update(("derivation", min(len(f), 2)) for f in derivation)
+
+    check()
+    # no failure, one failing row, and several (where the first key must be chosen), for each identity
+    assert reached == {(identity, count) for identity in ("skew", "derivation") for count in (0, 1, 2)}
+
+
+def test_subisotropy_names_each_failing_identity_on_a_perturbed_catalog_basis(paper, paper_iso):
+    m = paper.algebra
+    op = paper_iso.basis[0]
+    entries = [list(row) for row in op.rows]
+    entries[0][1] += 1
+    with pytest.raises(GOEngineError, match=r"\(skewness fails\)"):
+        check_subisotropy(m, OperatorSpace(m.dim, (op, Matrix(entries))))
+    skew_only = next(s for s in skew_space(m.form).basis if not paper_iso.contains(s))
+    with pytest.raises(GOEngineError, match=r"\(derivation fails\)"):
+        check_subisotropy(m, OperatorSpace(m.dim, (op, skew_only)))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """A sparse, dense, zero-diagonal, permutation or degenerate symmetric matrix of size 0..6."""
+    kind = draw(st.sampled_from(["sparse", "dense", "zero_diagonal", "permutation", "degenerate"]))
+    n = draw(st.integers(0 if kind == "sparse" else 1, 6))
+    entries = [[0] * n for _ in range(n)]
+    if kind == "permutation":  # an involution: pairs swapped, the rest fixed, each with a nonzero weight
+        order = draw(st.permutations(range(n)))
+        pairs = draw(st.integers(0, n // 2))
+        for t in range(pairs):
+            i, j = order[2 * t], order[2 * t + 1]
+            entries[i][j] = entries[j][i] = draw(NONZERO)
+        for i in order[2 * pairs :]:
+            entries[i][i] = draw(NONZERO)
+    elif kind == "degenerate":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        diagonal = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)]), min_size=n, max_size=n))
+        entries = [list(row) for row in sheared_gram(rng, diagonal).rows]
+    else:
+        values = NONZERO if kind == "dense" else SMALL
+        for i in range(n):
+            for j in range(i if kind != "zero_diagonal" else i + 1, n):
+                entries[i][j] = entries[j][i] = draw(values)
+    return kind, Matrix(entries, ncols=n)
+
+
+def test_congruence_diagonalize_matches_the_dense_loop():
+    kinds, reached = set(), set()
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(symmetric_matrices())
+    def check(drawn):
+        kind, g = drawn
+        basis, diag = congruence_diagonalize(g)
+        expected_basis, expected_diag = congruence_diagonalize_dense(g)
+        assert (basis, diag) == (expected_basis, expected_diag)
+        assert all(type(x) is Fraction for x in diag + basis.vectorize())
+        kinds.add(kind)
+        if g.nrows and not any(g[i, i] for i in range(g.nrows)) and not g.is_zero():
+            reached.add("pair substitution first")  # no diagonal pivot, so b_i <- b_i + b_j runs
+        if 0 in diag and not g.is_zero():
+            reached.add("radical")
+        if any(x < 0 for x in diag) and any(x > 0 for x in diag):
+            reached.add("indefinite")
+
+    check()
+    assert kinds == {"sparse", "dense", "zero_diagonal", "permutation", "degenerate"}
+    assert reached == {"pair substitution first", "radical", "indefinite"}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_first_null_vector_unchanged_on_the_catalog(name, monkeypatch):
+    m = CATALOG[name]
+    vector = first_null_vector(m)
+    monkeypatch.setattr(go_engine, "congruence_diagonalize", congruence_diagonalize_dense)
+    assert vector == first_null_vector(m)

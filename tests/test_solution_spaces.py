@@ -113,6 +113,30 @@ def test_centralizer_and_transporter_match_stacked_oracles():
     }
 
 
+def test_transporter_weighs_every_annihilator_entry():
+    # With W of codimension 1 or 2, W's annihilator rows have several nonzero entries of
+    # different values, and the transporter often lies strictly between V's centralizer
+    # and the whole algebra, where it depends on those values, not just on where they sit.
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(n=st.integers(3, 6), codim=st.integers(1, 2), vdim=st.integers(1, 3), data=st.data())
+    def check(n, codim, vdim, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        alg = LieAlgebra(n, random_nilpotent_table(rng, n))
+        v, w = (
+            Subspace.span(n, [[rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)] for _ in range(k)])
+            for k in (vdim, n - codim)
+        )
+        moved = transporter(alg, v, w)
+        assert moved == transporter_by_stacked_products(alg, v, w)
+        outcomes.add("full" if moved.dim == n else "centralizer" if moved == centralizer(alg, v) else "between")
+
+    check()
+    assert outcomes == {"full", "centralizer", "between"}
+
+
 def test_intersection_and_annihilator_match_stacked_oracles():
     outcomes = set()
 
