@@ -93,37 +93,29 @@ def paper_isotropy_operator(t: Sequence) -> Matrix:
         raise CatalogError("tangent vector must have length 12")
     y = (Fraction(0),) + t[:8]  # y[1]..y[8]
     x = (Fraction(0),) + t[8:]  # x[1]..x[4]
-    fv = [[Fraction(0)] * 8 for _ in range(8)]
-    fv[2][0] = x[2] + y[4]
-    fv[2][1] = x[3] + y[5]
-    fv[2][3] = -y[1]
-    fv[2][4] = -y[2]
-    fv[3][0] = x[1] - y[6]
-    fv[3][5] = y[1]
-    fv[4][1] = x[1] - y[6]
-    fv[4][5] = y[2]
-    fv[5][0] = y[2]
-    fv[5][1] = -y[1]
-    fv[6][1] = y[3] - x[4]
-    fv[6][2] = -y[2]
-    fv[6][3] = y[6] - x[1]
-    fv[6][5] = -x[2] - y[4]
-    fv[7][0] = x[4] - y[3]
-    fv[7][2] = y[1]
-    fv[7][4] = y[6] - x[1]
-    fv[7][5] = -x[3] - y[5]
-    ev = [[Fraction(0)] * 4 for _ in range(4)]
-    ev[1][0] = -y[1]
-    ev[2][0] = -y[2]
-    ev[3][1] = y[1]
-    ev[3][2] = y[2]
     full = [[Fraction(0)] * 12 for _ in range(12)]
-    for i in range(8):
-        for j in range(8):
-            full[i][j] = fv[i][j]
-    for i in range(4):
-        for j in range(4):
-            full[8 + i][8 + j] = ev[i][j]
+    full[2][0] = x[2] + y[4]
+    full[2][1] = x[3] + y[5]
+    full[2][3] = -y[1]
+    full[2][4] = -y[2]
+    full[3][0] = x[1] - y[6]
+    full[3][5] = y[1]
+    full[4][1] = x[1] - y[6]
+    full[4][5] = y[2]
+    full[5][0] = y[2]
+    full[5][1] = -y[1]
+    full[6][1] = y[3] - x[4]
+    full[6][2] = -y[2]
+    full[6][3] = y[6] - x[1]
+    full[6][5] = -x[2] - y[4]
+    full[7][0] = x[4] - y[3]
+    full[7][2] = y[1]
+    full[7][4] = y[6] - x[1]
+    full[7][5] = -x[3] - y[5]
+    full[9][8] = -y[1]
+    full[10][8] = -y[2]
+    full[11][9] = y[1]
+    full[11][10] = y[2]
     return Matrix(full)
 
 
@@ -141,16 +133,11 @@ def de5_data() -> tuple[MetricLieAlgebra, ExtensionData]:
 
 def de7_lorentz_data() -> tuple[MetricLieAlgebra, ExtensionData]:
     """Lorentz R^5 base (form diag(1,1,1,1,-1)) with the same coupling."""
-    gram = Matrix([[1 if i == j else 0 for j in range(5)] for i in range(5)])
-    rows = [list(r) for r in gram.rows]
-    rows[4][4] = Fraction(-1)
-    base = MetricLieAlgebra.checked(abelian(5), SymForm(Matrix(rows)))
-    d = Matrix.zeros(5, 5)
-    drows = [list(r) for r in d.rows]
-    drows[1][0] = Fraction(1)
-    omega = [[Fraction(0)] * 5 for _ in range(5)]
-    omega[0][1], omega[1][0] = Fraction(1), Fraction(-1)
-    return base, ExtensionData(Matrix(drows), to_vec([0] * 5), Matrix(omega))
+    gram = Matrix([[1 if i == j else 0 for j in range(5)] for i in range(4)] + [[0, 0, 0, 0, -1]])
+    base = MetricLieAlgebra.checked(abelian(5), SymForm(gram))
+    d = Matrix([[0] * 5, [1, 0, 0, 0, 0], *[[0] * 5] * 3])
+    omega = Matrix([[0, 1, 0, 0, 0], [-1, 0, 0, 0, 0], *[[0] * 5] * 3])
+    return base, ExtensionData(d, to_vec([0] * 5), omega)
 
 
 _BUILDERS: dict[str, Callable[[], tuple[MetricLieAlgebra, dict[str, Expected], tuple[Matrix, ...] | None]]] = {}

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from gonil.lie import JacobiError, LieAlgebra, bracket_subspaces, engel_flag, jacobi_defect
+from gonil.lie import EngelError, JacobiError, LieAlgebra, bracket_subspaces, centralizer, jacobi_defect
 from gonil.isotropy import OperatorSpace, is_adh_invariant, isotropy_algebra
 from gonil.linalg import (
     Matrix,
@@ -137,10 +137,11 @@ def reduction_witness(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> Re
     """Build (eg, m1) for the matching degeneracy case and verify all hypotheses.
 
     Degeneracy 1 (semidefinite or index 1): eg is the radical line of the
-    restricted form and m1 = n' + v is its orthogonal hyperplane.  Degeneracy
-    2 semidefinite: when the null plane o already commutes with s = n' + v,
-    take (eg, m1) = (o, s); otherwise a common-kernel (Engel) basis {e1, e2}
-    of o with [s, e2] = 0 is extracted, eg = span(e2), m1 = its orthogonal
+    restricted form and m1 = s = n' + v is its orthogonal hyperplane.
+    Degeneracy 2 semidefinite: when the null plane o already commutes with s,
+    take (eg, m1) = (o, s); otherwise e2 spans o meet centralizer(s), the
+    common kernel of ad(s) on o that Engel's theorem guarantees, e1 is the
+    canonical complement of e2 in o, eg = span(e2), m1 = its orthogonal
     complement, and a dual null pair (f1, f2) with <f_i, e_j> = delta_ij and
     <f_i, f_j> = 0 is chosen deterministically.
 
@@ -158,19 +159,10 @@ def reduction_witness(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> Re
             f"{tuple(case.restriction_signature)} is outside the three reduction cases"
         )
     nprime = m.nprime()
-    v = m.v_complement()
-    rad = radical_of_restriction(m, nprime)
+    eg, m1 = radical_of_restriction(m, nprime), nprime.plus(m.v_complement())
     engel_pair = dual_pair = None
-    if case.tag in (DegeneracyTag.DEG1_SEMIDEFINITE, DegeneracyTag.DEG1_INDEX1):
-        eg = rad
-        m1 = nprime.plus(v)
-    else:
-        o = rad
-        s = nprime.plus(v)
-        if bracket_subspaces(m.algebra, o, s).dim == 0:
-            eg, m1 = o, s
-        else:
-            eg, m1, engel_pair, dual_pair = _engel_split(m, o, s)
+    if case.tag == DegeneracyTag.DEG2_SEMIDEFINITE and bracket_subspaces(m.algebra, eg, m1).dim:
+        eg, m1, engel_pair, dual_pair = _engel_split(m, eg, m1)
     if h is None:
         h = isotropy_algebra(m)
     flags = _witness_flags(m, h, eg, m1, nprime)
@@ -215,27 +207,16 @@ def _witness_flags(
 
 
 def _engel_split(m: MetricLieAlgebra, o: Subspace, s: Subspace):
-    """Split the 2-dim null plane by the common kernel of the s-action."""
+    """Split the 2-dim null plane o by e2 spanning o meet centralizer(s)."""
     if not bracket_subspaces(m.algebra, s, o) <= o:
         raise ReductionError("input is not G-GO: [s, o] does not stay inside o")
-    ops = []
-    for sb in s.basis.rows:
-        cols = []
-        for x in o.basis.rows:
-            image = m.algebra.bracket(sb, x)
-            coords = o.coordinates(image)
-            if coords is None:
-                raise AssertionError("internal: [s, o] left o after the containment check")
-            cols.append(coords)
-        ops.append(Matrix(zip(*cols), ncols=o.dim))
-    flag = engel_flag(ops)
-    e2_coords = flag.spaces[0].basis.row(0)
-    e2 = o.basis.transpose() @ e2_coords
-    e1 = o.basis.transpose() @ flag.basis.row(0)
-    eg = Subspace.span(m.dim, [e2])
-    m1 = orth_complement(m, eg)
-    f1, f2 = _dual_null_pair(m, e1, e2)
-    return eg, m1, (e1, e2), (f1, f2)
+    eg = o.intersect(centralizer(m.algebra, s))
+    if eg.dim == 0:
+        raise EngelError("no common kernel vector")
+    if eg.dim != 1:
+        raise AssertionError("internal: s commutes with o after the commuting check")
+    e1, e2 = eg.complement_rows_within(o).row(0), eg.basis.row(0)
+    return eg, orth_complement(m, eg), (e1, e2), _dual_null_pair(m, e1, e2)
 
 
 def _dual_null_pair(m: MetricLieAlgebra, e1: Vec, e2: Vec) -> tuple[Vec, Vec]:

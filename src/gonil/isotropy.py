@@ -22,7 +22,7 @@ from typing import Iterator
 
 from gonil.lie import LieAlgebra, derivation_rows
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _kernel_of_rows, _sparse_rows
-from gonil.metric import MetricLieAlgebra, SymForm
+from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,7 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
 
     Each D x is formed over the nonzero entries of D and x and tested at V's pivots.
     """
-    if v.ambient_dim != m.dim:
-        raise DimensionMismatch("subspace does not live in the algebra")
+    _check_in_algebra(m, v)
     if h is None:
         h = isotropy_algebra(m)
     xs = [dict(x) for x in _sparse_rows(v.basis.rows)]

@@ -43,7 +43,7 @@ class NotNilpotentError(ValueError):
 
 
 class EngelError(RuntimeError):
-    """Engel flag extraction hit a zero common kernel."""
+    """A family of operators has a zero common kernel (Engel flag or degeneracy-2 split)."""
 
 
 class LieAlgebra:

@@ -107,7 +107,7 @@ class Matrix:
         vec = to_vec(vec)
         if len(vec) != n * n:
             raise DimensionMismatch("vector length is not n*n")
-        return cls([vec[i * n : (i + 1) * n] for i in range(n)])
+        return cls._trusted(tuple(vec[i * n : (i + 1) * n] for i in range(n)), n)
 
     @property
     def nrows(self) -> int:
@@ -487,11 +487,10 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
-        rows = [to_vec(v) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
-                raise DimensionMismatch("spanning vector has wrong length")
-        return cls(ambient_dim, rref(Matrix(rows, ncols=ambient_dim)).matrix)
+        rows = tuple(to_vec(v) for v in vectors)
+        if any(len(r) != ambient_dim for r in rows):
+            raise DimensionMismatch("spanning vector has wrong length")
+        return cls(ambient_dim, rref(Matrix._trusted(rows, ambient_dim)).matrix)
 
     @classmethod
     def solving(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, Fraction]]]) -> Subspace:

@@ -105,17 +105,20 @@ class MetricLieAlgebra:
         )
 
 
-def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
-    """{x : <x, w> = 0 for all w in V} with respect to m's form."""
+def _check_in_algebra(m: MetricLieAlgebra, v: Subspace) -> None:
     if v.ambient_dim != m.dim:
         raise DimensionMismatch("subspace does not live in the algebra")
+
+
+def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
+    """{x : <x, w> = 0 for all w in V} with respect to m's form."""
+    _check_in_algebra(m, v)
     return Subspace.solving(m.dim, (enumerate(m.form.gram @ w) for w in v.basis.rows))
 
 
 def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
     """Gram matrix of the form in V's canonical basis."""
-    if v.ambient_dim != m.dim:
-        raise DimensionMismatch("subspace does not live in the algebra")
+    _check_in_algebra(m, v)
     return SymForm(v.basis @ m.form.gram @ v.basis.transpose())
 
 
@@ -124,8 +127,7 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
 
     One solve: V's annihilator rows cut out V, the rows G w its orthogonal complement.
     """
-    if v.ambient_dim != m.dim:
-        raise DimensionMismatch("subspace does not live in the algebra")
+    _check_in_algebra(m, v)
     gram = m.form.gram
     rows = chain(map(enumerate, v.annihilator().rows), (enumerate(gram @ w) for w in v.basis.rows))
     return Subspace.solving(m.dim, rows)

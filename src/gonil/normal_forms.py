@@ -46,25 +46,16 @@ class IwasawaFamily:
 
 
 def reference_gram(q: int, m: int) -> Matrix:
-    """The block Gram matrix the family is skew against: index q in {1, 2}."""
-    if q == 1:
-        if m < 3:
-            raise NormalFormError("index-1 family needs m >= 3")
-        g = [[Fraction(0)] * m for _ in range(m)]
-        g[0][m - 1] = g[m - 1][0] = Fraction(1)
-        for t in range(m - 2):
-            g[1 + t][1 + t] = Fraction(1)
-        return Matrix(g)
-    if q == 2:
-        if m < 4:
-            raise NormalFormError("index-2 family needs m >= 4")
-        g = [[Fraction(0)] * m for _ in range(m)]
-        g[0][m - 2] = g[m - 2][0] = Fraction(1)
-        g[1][m - 1] = g[m - 1][1] = Fraction(1)
-        for t in range(m - 4):
-            g[2 + t][2 + t] = Fraction(1)
-        return Matrix(g)
-    raise NormalFormError("index q must be 1 or 2")
+    """The block Gram matrix the family is skew against: index q in {1, 2}.
+
+    Vector i < q pairs with vector m - q + i (q null pairs); the vectors between are an identity block.
+    """
+    if q not in (1, 2):
+        raise NormalFormError("index q must be 1 or 2")
+    if m < q + 2:
+        raise NormalFormError(f"index-{q} family needs m >= {q + 2}")
+    partner = {i: m - q + i for i in range(q)} | {m - q + i: i for i in range(q)}
+    return Matrix([[1 if partner.get(i, i) == j else 0 for j in range(m)] for i in range(m)])
 
 
 def _q1_generator(m: int, t: int) -> Matrix:

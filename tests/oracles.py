@@ -13,8 +13,10 @@ import random
 from fractions import Fraction
 
 from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, kernel, solve_particular, to_vec, vec_dot
+from gonil.double_ext import _dual_null_pair
 from gonil.go_engine import NecessaryConditionReport
-from gonil.metric import SymForm, restrict_form
+from gonil.lie import engel_flag
+from gonil.metric import SymForm, orth_complement, radical_of_restriction, restrict_form
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -493,6 +495,27 @@ def engel_spaces_by_stacked_products(ops):
         spaces.append(nxt)
         current = nxt
     return spaces
+
+
+def engel_split_by_flag(m):
+    """The degeneracy-2 split (eg, m1, (e1, e2), (f1, f2)) through a general Engel flag.
+
+    ad(s) on the null plane o is written as one 2x2 matrix per basis vector of
+    s = n' + v, from whole-vector brackets and coordinates in o; e2 is the
+    flag's common-kernel vector and e1 its other basis row, mapped back through
+    o's basis.
+    """
+    nprime = m.nprime()
+    o, s = radical_of_restriction(m, nprime), nprime.plus(m.v_complement())
+    ops = []
+    for sb in s.basis.rows:
+        cols = [o.coordinates(m.algebra.bracket(sb, x)) for x in o.basis.rows]
+        ops.append(Matrix(zip(*cols), ncols=o.dim))
+    flag = engel_flag(ops)
+    e2 = o.basis.transpose() @ flag.spaces[0].basis.row(0)
+    e1 = o.basis.transpose() @ flag.basis.row(0)
+    eg = Subspace.span(m.dim, [e2])
+    return eg, orth_complement(m, eg), (e1, e2), _dual_null_pair(m, e1, e2)
 
 
 def radical_by_kernel(form):

@@ -7,7 +7,9 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import engel_witness_algebra, random_nilpotent_table, sheared, sheared_gram
+from gonil import double_ext
 from gonil.catalog import build_example, de5_data, de7_lorentz_data, euclidean_abelian
+from gonil.cli import main
 from gonil.double_ext import (
     DegeneracyTag,
     ExtensionData,
@@ -19,12 +21,14 @@ from gonil.double_ext import (
     reduce,
     reduction_witness,
 )
-from gonil.lie import LieAlgebra, abelian, lower_central_series, nilpotency_step
+from gonil.io import save_algebra
+from gonil.lie import EngelError, LieAlgebra, abelian, lower_central_series, nilpotency_step
 from gonil.isotropy import derivation_defect
 from gonil.linalg import Matrix, Subspace, basis_vec, to_vec
 from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import (
     derivation_defect_by_brackets,
+    engel_split_by_flag,
     extension_identity_failure_by_pairing,
     omega_pair,
     quotient_by_transposed_solve,
@@ -103,14 +107,17 @@ def test_witness_rejects_nondegenerate(paper):
 
 
 def test_witness_flag_iii_falsified_by_injected_bracket(de5):
-    table = de5.algebra.table
-    table[(0, 4)] = {2: Fraction(1)}  # inject [f, e] = e2
-    perturbed = MetricLieAlgebra(LieAlgebra(5, table, validate=False), de5.form)
-    with pytest.raises(ReductionError, match="not G-GO") as exc_info:
-        reduction_witness(perturbed)
-    flags = exc_info.value.witness.checks
-    assert not flags.orthogonal_central
-    assert flags.inclusion and flags.invariance and flags.dimension
+    # [f, e] = e2 leaves [eg, m1] = 0 but eg not central; [e1, e] = e2 brackets eg into m1 itself
+    for pair in ((0, 4), (1, 4)):
+        table = de5.algebra.table
+        table[pair] = {2: Fraction(1)}
+        perturbed = MetricLieAlgebra(LieAlgebra(5, table, validate=False), de5.form)
+        assert classify_degeneracy(perturbed).tag == DegeneracyTag.DEG1_SEMIDEFINITE
+        with pytest.raises(ReductionError, match=r"^witness check failed: \[eg, m1\] != 0 .*not G-GO") as exc_info:
+            reduction_witness(perturbed)
+        flags = exc_info.value.witness.checks
+        assert not flags.orthogonal_central
+        assert flags.inclusion and flags.invariance and flags.dimension
 
 
 def test_reduce_de5_round_trip(de5):
@@ -186,6 +193,9 @@ def test_deg2_engel_branch_and_two_step_chain():
     assert m.pair(f1, f2) == 0
     # [s, e2] = 0: e2 spans the common kernel of the action on the null plane
     assert w.eg.dim == 1 and w.eg.contains_vector(e2)
+    for variant in (m, sheared(m, shift=-1)):  # e2 at the null plane's second pivot, then at its first
+        w = reduction_witness(variant)
+        assert (w.eg, w.m1, w.engel_pair, w.dual_pair) == engel_split_by_flag(variant)
 
     first = reduce(m)
     assert first.m0.dim == 4
@@ -198,6 +208,41 @@ def test_deg2_engel_branch_and_two_step_chain():
     sig, sig2 = m.form.signature(), second.m0.form.signature()
     assert m.dim - second.m0.dim == 4
     assert (sig.p - sig2.p, sig.q - sig2.q) == (2, 2)
+
+
+def test_engel_split_calls_no_engel_flag(monkeypatch):
+    m = engel_witness_algebra()
+    usual = reduce(m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("engel_flag was called")
+
+    patched = [name for name, mod in list(sys.modules.items()) if name.startswith("gonil") and hasattr(mod, "engel_flag")]
+    assert patched  # gonil and gonil.lie keep it public
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "engel_flag", refuse)
+    result = reduce(m)
+    assert result == usual and result.witness.lines() == usual.witness.lines()
+
+
+def test_engel_split_error_paths(monkeypatch, tmp_path, capsys):
+    m = engel_witness_algebra()
+    table = m.algebra.table
+    table[(0, 3)] = {1: Fraction(1)}  # inject [a, z2] = b: s moves the null plane out of itself
+    moved = MetricLieAlgebra(LieAlgebra(6, table, validate=False), m.form)
+    with pytest.raises(ReductionError, match=r"^input is not G-GO: \[s, o\] does not stay inside o$"):
+        reduction_witness(moved)
+    path = tmp_path / "engel.json"
+    save_algebra(path, m)
+    # ad(s) is nilpotent on checked input, so only a broken centralizer reaches these branches
+    monkeypatch.setattr(double_ext, "centralizer", lambda alg, v: Subspace.zero(alg.dim))
+    with pytest.raises(EngelError, match="^no common kernel vector$"):
+        reduction_witness(m)
+    assert main(["reduce", str(path)]) == 1
+    assert capsys.readouterr().out == "ERROR: no common kernel vector\n"
+    monkeypatch.setattr(double_ext, "centralizer", lambda alg, v: Subspace.full(alg.dim))
+    with pytest.raises(AssertionError, match="^internal: "):
+        reduction_witness(m)
 
 
 def test_quotients_are_valid_metric_algebras(de5, de7):
@@ -503,6 +548,8 @@ def test_reduce_undoes_extend2_on_random_nilpotent_bases():
             assert tag == DegeneracyTag.DEG1_SEMIDEFINITE
         if shape == "engel":
             assert tag == DegeneracyTag.DEG2_SEMIDEFINITE
+            w = result.witness
+            assert (w.eg, w.m1, w.engel_pair, w.dual_pair) == engel_split_by_flag(m)
         seen.add((shape, tag))
         if base.algebra.table:
             non_abelian.add(shape)

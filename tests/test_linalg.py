@@ -226,6 +226,35 @@ def test_subspace_membership_and_coordinates():
     assert is_zero_vec(vec_sub(tuple(recovered), to_vec([2, 3, 1, 0])))
 
 
+def test_span_and_from_vector_convert_once_and_build_no_checked_matrix(monkeypatch):
+    rng = random.Random(17)
+    spans = [(3, []), (3, [(0, 0, 0)]), (2, [[1, 2], (Fraction(1, 2), 1)]), (3, [(0, 2, 1), (0, 0, 5), (0, 2, 6)])]
+    spans += [(5, random_rational_matrix(rng, 4, 5).rows), (4, [[rng.randint(-3, 3) for _ in range(4)] for _ in range(6)])]
+    vectors = [((7,), 1), ([1, 0, Fraction(2, 3), -4], 2), (random_rational_matrix(rng, 1, 9).row(0), 3)]
+    bad = [lambda: Subspace.span(3, [(1, 2, 3), (1, 2)]), lambda: Matrix.from_vector([1, 2, 3], 2)]
+
+    def run():
+        errors = []
+        for call in bad:
+            with pytest.raises(DimensionMismatch) as exc:
+                call()
+            errors.append(str(exc.value))
+        return [Subspace.span(n, vecs) for n, vecs in spans], [Matrix.from_vector(v, n) for v, n in vectors], errors
+
+    before = run()
+    assert before[2] == ["spanning vector has wrong length", "vector length is not n*n"]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Matrix.__init__ was called")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    after = run()
+    assert after == before
+    assert [m.rows for m in after[1]] == [m.rows for m in before[1]]
+    assert all(type(a) is Fraction for m in after[1] for r in m.rows for a in r)
+    assert all(type(a) is Fraction for s in after[0] for r in s.basis.rows for a in r)
+
+
 def test_subspace_complement_rows():
     big = Subspace.span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     small = Subspace.span(4, [[0, 1, 1, 0]])
