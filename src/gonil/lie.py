@@ -1,11 +1,12 @@
 """Lie algebras given by sparse structure constants.
 
-A bracket table stores only pairs (i, j) with i < j; antisymmetry is
-structural.  The Jacobi identity is validated on construction unless the
+A bracket table stores only pairs (i, j) with i < j; its antisymmetric view
+ad[i][j] = [e_i, e_j] is built once at construction.  Every bracket, of vectors,
+of basis vectors or of subspaces (so the series and the ideal test), is one
+sparse product over that view, summing x_i y_j [e_i, e_j] over nonzero x_i, y_j;
+the transporter's equations, and with them centralizers and the center, read it
+the same way.  The Jacobi identity is validated on construction unless the
 caller explicitly opts out (needed to inspect broken candidate tables).
-Subspace brackets, and so the lower central and derived series and the ideal
-test, sum [e_i, e_j] over the two vectors' nonzero coordinates only; so do the
-transporter's equations, and with them centralizers and the center.
 """
 
 from __future__ import annotations
@@ -47,9 +48,13 @@ class EngelError(RuntimeError):
 
 
 class LieAlgebra:
-    """Finite-dimensional algebra over the rationals with antisymmetric bracket."""
+    """Finite-dimensional algebra over the rationals with antisymmetric bracket.
 
-    __slots__ = ("dim", "_table")
+    ``_table`` holds [e_i, e_j] for i < j only; ``_ad`` is its antisymmetric
+    view, built once here, and every bracket is one sparse product over it.
+    """
+
+    __slots__ = ("dim", "_table", "_ad")
 
     def __init__(self, dim: int, brackets: BracketTable, validate: bool = True):
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
@@ -67,6 +72,9 @@ class LieAlgebra:
                 table[(i, j)] = entry
         self.dim = dim
         self._table = table
+        self._ad = ad = [[{}] * dim for _ in range(dim)]  # ad[i][j] = [e_i, e_j] as {k: coefficient}
+        for (i, j), targets in table.items():
+            ad[i][j], ad[j][i] = targets, {k: -c for k, c in targets.items()}
         if validate:
             defects = jacobi_defect(self)
             if defects:
@@ -76,29 +84,26 @@ class LieAlgebra:
     def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         return {k: dict(v) for k, v in self._table.items()}
 
+    def _bracket(self, xs, ys) -> Vec:
+        """sum x_i y_j [e_i, e_j] over the nonzero (index, value) pairs xs of x and ys of y."""
+        out = [Fraction(0)] * self.dim
+        for i, a in xs:
+            for j, b in ys:
+                for k, c in self._ad[i][j].items():
+                    out[k] += a * b * c
+        return tuple(out)
+
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[e_i, e_j] as a coordinate vector."""
-        out = [Fraction(0)] * self.dim
-        if i == j:
-            return tuple(out)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        for k, c in self._table.get((i, j), {}).items():
-            out[k] = sign * c
-        return tuple(out)
+        if not (0 <= i < self.dim and 0 <= j < self.dim):
+            raise DimensionMismatch(f"basis index out of range for dim {self.dim}")
+        return self._bracket([(i, 1)], [(j, 1)])
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         x, y = to_vec(x), to_vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have the algebra's dimension")
-        out = [Fraction(0)] * self.dim
-        for (i, j), targets in self._table.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c:
-                for k, v in targets.items():
-                    out[k] += c * v
-        return tuple(out)
+        return self._bracket(*_sparse_rows((x, y)))
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of y -> [x, y]; column b is [x, e_b]."""
@@ -123,25 +128,13 @@ def abelian(dim: int) -> LieAlgebra:
     return LieAlgebra(dim, {})
 
 
-def _ad_table(alg: LieAlgebra) -> list[list[Mapping[int, Fraction]]]:
-    """ad[x][l] = [e_x, e_l] as {m: coefficient}, read off the table by antisymmetry."""
-    n = alg.dim
-    empty: dict[int, Fraction] = {}
-    ad = [[empty] * n for _ in range(n)]
-    for (i, j), targets in alg._table.items():
-        ad[i][j] = targets
-        ad[j][i] = {k: -c for k, c in targets.items()}
-    return ad
-
-
 def derivation_rows(alg: LieAlgebra) -> Iterator[tuple[tuple[int, int, int], dict[int, Fraction]]]:
     """The derivation identity as sparse rows over the n^2 entries of D, row-major.
 
     Row (i, j, m), i < j, maps l*n + k to the coefficient of D[l, k] in
     ([D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j])_m.  Zero rows are skipped.
     """
-    n = alg.dim
-    ad = _ad_table(alg)
+    n, ad = alg.dim, alg._ad
     for i in range(n):
         for j in range(i + 1, n):
             rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
@@ -169,7 +162,7 @@ def jacobi_defect(alg: LieAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
     n = alg.dim
     ads = [  # vec(ad e_i): entry l*n + k is [e_i, e_k]_l
         {l * n + k: c for k, image in enumerate(images) for l, c in image.items()}
-        for images in _ad_table(alg)
+        for images in alg._ad
     ]
     zero = Fraction(0)
     sums: dict[tuple[int, int, int], list[Fraction]] = {}
@@ -186,35 +179,25 @@ def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """Span of [x, y] over basis vectors x of V and y of W."""
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    ad, pairs = _ad_table(alg), list(product(_sparse_rows(v.basis.rows), _sparse_rows(w.basis.rows)))
-    vecs = [[Fraction(0)] * alg.dim for _ in pairs]
-    for out, (x, y) in zip(vecs, pairs):  # [x, y] = sum x_i y_j [e_i, e_j] over the nonzero x_i, y_j
-        for (i, a), (j, b) in product(x, y):
-            for k, c in ad[i][j].items():
-                out[k] += a * b * c
-    return Subspace.span(alg.dim, vecs)
+    xs, ys = _sparse_rows(v.basis.rows), _sparse_rows(w.basis.rows)
+    return Subspace.span(alg.dim, [alg._bracket(x, y) for x, y in product(xs, ys)])
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    vecs = []
-    for (i, j) in alg._table:
-        vecs.append(alg.bracket_basis(i, j))
-    return Subspace.span(alg.dim, vecs)
+    return Subspace.span(alg.dim, [alg.bracket_basis(i, j) for i, j in alg._table])
+
+
+def _descend(chain: list[Subspace], step) -> list[Subspace]:
+    """Extend chain by step(last term) until the last term is zero or the step leaves it unchanged."""
+    while chain[-1].dim and (nxt := step(chain[-1])) != chain[-1]:
+        chain.append(nxt)
+    return chain
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
-    """Chain n >= [n,n] >= [n,[n,n]] >= ... down to the stable term."""
+    """Chain n >= [n,n] >= [n,[n,n]] >= ... down to the stable term; [n,n] is always kept."""
     full = Subspace.full(alg.dim)
-    chain = [full]
-    current = derived_subalgebra(alg)
-    while True:
-        chain.append(current)
-        if current.dim == 0:
-            return chain
-        nxt = bracket_subspaces(alg, full, current)
-        if nxt == current:
-            return chain
-        current = nxt
+    return _descend([full, derived_subalgebra(alg)], lambda c: bracket_subspaces(alg, full, c))
 
 
 def nilpotency_step(alg: LieAlgebra) -> int:
@@ -232,15 +215,8 @@ def is_nilpotent(alg: LieAlgebra) -> bool:
 
 
 def derived_series(alg: LieAlgebra) -> list[Subspace]:
-    chain = [Subspace.full(alg.dim)]
-    while True:
-        current = chain[-1]
-        nxt = bracket_subspaces(alg, current, current)
-        if nxt == current:
-            return chain
-        chain.append(nxt)
-        if nxt.dim == 0:
-            return chain
+    """Chain n >= [n,n] >= [[n,n],[n,n]] >= ..., stopping at zero or at the first repeated term."""
+    return _descend([Subspace.full(alg.dim)], lambda c: bracket_subspaces(alg, c, c))
 
 
 def centralizer(alg: LieAlgebra, v: Subspace) -> Subspace:
@@ -259,7 +235,7 @@ def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    ad, ys = _ad_table(alg), [dict(y) for y in _sparse_rows(w.annihilator().rows)]
+    ad, ys = alg._ad, [dict(y) for y in _sparse_rows(w.annihilator().rows)]
     rows = []
     for u, y in product(_sparse_rows(v.basis.rows), ys):
         row: dict[int, Fraction] = {}

@@ -20,6 +20,7 @@ from gonil.linalg import (
     Vec,
     symmetric_signature,
     to_vec,
+    vec_dot,
 )
 
 
@@ -42,9 +43,7 @@ class SymForm:
         return self.gram.nrows
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
-        return sum(
-            (a * b for a, b in zip(self.gram @ to_vec(y), to_vec(x))), Fraction(0)
-        )
+        return vec_dot(to_vec(x), self.gram @ to_vec(y))
 
     def signature(self) -> SignatureTriple:
         return symmetric_signature(self.gram)

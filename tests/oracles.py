@@ -538,14 +538,25 @@ def radical_of_restriction_by_restricted_kernel(m, v):
 
 
 # The bracket contractions below are the dense loops the library used before
-# it summed over nonzero structure constants: every bracket is a generic
-# ``alg.bracket`` of two whole vectors, every lowered image a transposed
+# it summed over nonzero structure constants: every bracket is a dense walk of
+# the i < j table over two whole vectors, every lowered image a transposed
 # matrix product.
 
 
+def bracket_by_table(alg, x, y):
+    """[x, y] = sum over table entries (i, j), i < j, of (x_i y_j - x_j y_i) [e_i, e_j]."""
+    x, y = to_vec(x), to_vec(y)
+    out = [Fraction(0)] * alg.dim
+    for (i, j), targets in alg.table.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        for k, v in targets.items():
+            out[k] += c * v
+    return tuple(out)
+
+
 def bracket_span_by_dense_brackets(alg, v, w):
-    """Span of alg.bracket(x, y) over basis vectors x of V and y of W."""
-    return Subspace.span(alg.dim, [alg.bracket(x, y) for x in v.basis.rows for y in w.basis.rows])
+    """Span of [x, y] over basis vectors x of V and y of W, each bracket a dense table walk."""
+    return Subspace.span(alg.dim, [bracket_by_table(alg, x, y) for x in v.basis.rows for y in w.basis.rows])
 
 
 def lower_central_series_by_dense_brackets(alg):
@@ -561,6 +572,19 @@ def lower_central_series_by_dense_brackets(alg):
         if nxt == current:
             return chain
         current = nxt
+
+
+def derived_series_by_dense_brackets(alg):
+    """n >= [n, n] >= [[n, n], [n, n]] >= ..., stopping at zero or at the first repeated term."""
+    chain = [Subspace.full(alg.dim)]
+    while True:
+        current = chain[-1]
+        nxt = bracket_span_by_dense_brackets(alg, current, current)
+        if nxt == current:
+            return chain
+        chain.append(nxt)
+        if nxt.dim == 0:
+            return chain
 
 
 def necessary_condition_by_dense_images(m):

@@ -20,7 +20,7 @@ from gonil.lie import (
     nilpotency_step,
     transporter,
 )
-from gonil.linalg import Matrix, Subspace
+from gonil.linalg import DimensionMismatch, Matrix, Subspace
 
 
 def basis_vec(n, i):
@@ -65,6 +65,37 @@ def test_lcs_heisenberg(heis3):
 
 def test_lcs_paper_example(paper):
     assert [s.dim for s in lower_central_series(paper.algebra.algebra)] == [12, 4, 3, 1, 0]
+
+
+def test_series_first_steps():
+    # sl2 is perfect: [n, n] = n, so the lower central series keeps it once and the derived series stops at n.
+    sl2 = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})  # h, e, f
+    solvable = LieAlgebra(2, {(0, 1): {1: 1}})  # [e0, e1] = e1
+    cases = ((sl2, [3, 3], [3]), (solvable, [2, 1], [2, 1, 0]), (abelian(1), [1, 0], [1, 0]))
+    for alg, lower, derived in cases:
+        assert [s.dim for s in lower_central_series(alg)] == lower
+        assert [s.dim for s in derived_series(alg)] == derived
+
+
+def test_bracket_basis_refuses_out_of_range_indices(heis3):
+    alg = heis3.algebra
+    for i, j in ((-1, 0), (0, -1), (1, 7), (3, 0), (0, 3)):
+        with pytest.raises(DimensionMismatch, match=r"^basis index out of range for dim 3$"):
+            alg.bracket_basis(i, j)
+    assert alg.bracket_basis(0, 1) == tuple(-x for x in alg.bracket_basis(1, 0)) != (0, 0, 0)
+
+
+def test_mutating_the_returned_table_changes_no_bracket(heis3):
+    alg = heis3.algebra
+    before = [[alg.bracket_basis(i, j) for j in range(3)] for i in range(3)]
+    table = alg.table
+    for targets in table.values():
+        for k in targets:
+            targets[k] += 5
+    table[(0, 2)] = {1: 1}
+    assert [[alg.bracket_basis(i, j) for j in range(3)] for i in range(3)] == before
+    assert alg.bracket((1, 1, 1), (0, 1, 2)) == alg.bracket_basis(0, 1)
+    assert derived_subalgebra(alg).dim == 1 and center(alg).dim == 1
 
 
 def test_step_abelian():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gonil.lie import abelian
-from gonil.linalg import Matrix, Subspace
+from gonil.linalg import DimensionMismatch, Matrix, Subspace
 from gonil.metric import (
     MetricLieAlgebra,
     PreconditionError,
@@ -103,6 +103,15 @@ def test_quotient_form_rejects_nonorthogonal(paper):
     m1 = orth_complement(m, Subspace.span(12, [[1 if i == 0 else 0 for i in range(12)]]))
     with pytest.raises(PreconditionError):
         quotient_form(m, m1, eg)
+
+
+def test_pair_checks_both_lengths(heis3):
+    for x, y in (((1,), (1, 0, 0)), ((1, 0, 0, 0), (1, 0, 0)), ((1, 0, 0), (1,))):
+        with pytest.raises(DimensionMismatch):
+            heis3.pair(x, y)
+        with pytest.raises(DimensionMismatch):
+            heis3.form.pair(x, y)
+    assert heis3.pair((1, 0, 0), (1, 0, 0)) == 1
 
 
 def test_full_signature_paper(paper):

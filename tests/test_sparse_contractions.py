@@ -4,8 +4,8 @@
 and y; ``go_engine`` builds the lowered bracket tensor <[e_a, e_c], e_b> from
 the bracket table and the Gram matrix's nonzeros and sums the polarized orbit
 identity, the necessary condition on n' and the linear certificate's check
-over it.  The oracles in ``oracles.py`` are the dense bodies: generic
-``alg.bracket`` calls, dense lowered matrices and ``vec_dot``.
+over it.  The oracles in ``oracles.py`` are the dense bodies: brackets as a
+dense walk of the i < j table, dense lowered matrices and ``vec_dot``.
 """
 
 import random
@@ -21,11 +21,13 @@ from conftest import random_nilpotent_table, rescaled, sheared_gram
 from gonil import go_engine
 from gonil.go_engine import linear_go_certificate, necessary_condition_check, polarized_defects
 from gonil.isotropy import OperatorSpace
-from gonil.lie import LieAlgebra, bracket_subspaces, is_ideal, lower_central_series, nilpotency_step
-from gonil.linalg import DimensionMismatch, Matrix, Subspace
+from gonil.lie import LieAlgebra, bracket_subspaces, derived_series, is_ideal, lower_central_series, nilpotency_step
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, basis_vec
 from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import (
+    bracket_by_table,
     bracket_span_by_dense_brackets,
+    derived_series_by_dense_brackets,
     lower_central_series_by_dense_brackets,
     necessary_condition_by_dense_images,
     polarized_defects_by_pairing,
@@ -64,7 +66,13 @@ def test_subspace_brackets_match_dense_brackets():
         series = lower_central_series_by_dense_brackets(alg)
         assert lower_central_series(alg) == series
         assert nilpotency_step(alg) == max(len(series) - 1, 1)
+        assert derived_series(alg) == derived_series_by_dense_brackets(alg)
         v, w = (_subspace(alg, kind, rng, series) for kind in kinds)
+        x, y = ([rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in range(n)] for _ in range(2))
+        assert alg.bracket(x, y) == bracket_by_table(alg, x, y)
+        for i in range(n):
+            for j in range(n):
+                assert alg.bracket_basis(i, j) == bracket_by_table(alg, basis_vec(n, i), basis_vec(n, j))
         span = bracket_span_by_dense_brackets(alg, v, w)
         assert bracket_subspaces(alg, v, w) == span
         ideal = bracket_span_by_dense_brackets(alg, Subspace.full(n), v) <= v
