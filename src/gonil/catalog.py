@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 from gonil.double_ext import DegeneracyTag, ExtensionData, classify_degeneracy, extend2
 from gonil.go_engine import linear_go_certificate, polarized_defects
-from gonil.isotropy import derivation_defects, isotropy_algebra, skew_defects
+from gonil.isotropy import _isotropy_defects, _sparse_operators, isotropy_algebra
 from gonil.lie import (
     LieAlgebra,
     abelian,
@@ -351,11 +351,12 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
 
     witnesses = example.witness_operators or ()
     record("witness_count", len(witnesses) == n, f"{len(witnesses)} stored operators")
-    bad_skew = [b for b, defect in enumerate(skew_defects(m.form, witnesses)) if defect is not None]
+    iso = isotropy_algebra(m)  # its kept rows serve the two witness checks
+    skew, derivation = _isotropy_defects(m, iso, _sparse_operators(n, witnesses))
+    bad_skew = [b for b, defect in enumerate(skew) if defect is not None]
     record("witness_skew", not bad_skew, f"skewness fails at basis {bad_skew}")
-    bad_der = [b for b, defect in enumerate(derivation_defects(alg, witnesses)) if defect is not None]
+    bad_der = [b for b, defect in enumerate(derivation) if defect is not None]
     record("witness_derivation", not bad_der, f"derivation fails at basis {bad_der}")
-    iso = isotropy_algebra(m)
     bad_member = [b for b, op in enumerate(witnesses) if not iso.contains(op)]
     record("witness_in_isotropy", not bad_member, f"membership fails at basis {bad_member}")
 

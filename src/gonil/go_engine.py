@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Sequence
 
-from gonil.isotropy import OperatorSpace, derivation_defects, skew_defects
+from gonil.isotropy import OperatorSpace, _isotropy_defects
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
@@ -139,10 +139,13 @@ class GOAuditReport:
 
 
 def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
-    """Verify every basis operator of h is a skew derivation of m."""
+    """Verify every basis operator of h, by its kept nonzero entries, is a skew derivation of m.
+
+    Reads the rows h keeps when h is isotropy_algebra of this same m object; builds them afresh otherwise.
+    """
     if h.ambient_dim != m.dim:
         raise GOEngineError("operator space dimension differs from the algebra")
-    for skew, defect in zip(skew_defects(m.form, h.basis), derivation_defects(m.algebra, h.basis)):
+    for skew, defect in zip(*_isotropy_defects(m, h, h._sparse)):
         if skew is not None:
             raise GOEngineError("operator space is not inside the isotropy algebra (skewness fails)")
         if defect is not None:
@@ -166,7 +169,7 @@ def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
 def _lowered(m: MetricLieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
     """The nonzero <[e_a, e_c], e_b> as {(a, c): {b: value}}, from the bracket table and the Gram matrix's nonzeros."""
     gram, low = _sparse_rows(m.form.gram.rows), {}
-    for (i, j), targets in m.algebra.table.items():
+    for (i, j), targets in m.algebra._table.items():
         row: dict[int, Fraction] = {}
         for k, v in targets.items():
             for b, g in gram[k]:
@@ -176,9 +179,9 @@ def _lowered(m: MetricLieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
     return low
 
 
-def _entries(op: Matrix) -> list[tuple[int, int, Fraction]]:
-    """The nonzero entries (row, column, value) of an operator."""
-    return [(k, c, v) for k, row in enumerate(_sparse_rows(op.rows)) for c, v in row]
+def _entries(rows) -> list[tuple[int, int, Fraction]]:
+    """The nonzero entries (row, column, value) of an operator given as its _sparse_rows."""
+    return [(k, c, v) for k, row in enumerate(rows) for c, v in row]
 
 
 def _integer_vector(t: Vec) -> tuple[int, tuple[int, ...]]:
@@ -214,6 +217,7 @@ class _CertificateSystem:
     entries; the last two denominators are kept as ``bracket_den`` and
     ``op_den``) feed only the per-certificate check, which does not read the
     tensors above.
+    h enters through the entries it keeps (``paired`` sums G D_j over them), the brackets through the algebra's table.
     """
 
     m: MetricLieAlgebra
@@ -231,14 +235,19 @@ class _CertificateSystem:
     def build(cls, m: MetricLieAlgebra, h: OperatorSpace) -> _CertificateSystem:
         """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
         check_subisotropy(m, h)
-        gram = m.form.gram
-        gram_rows = _sparse_rows(gram.rows)
-        paired = [_entries(gram @ o) for o in h.basis]
+        gram_rows = _sparse_rows(m.form.gram.rows)
+        ops = [_entries(rows) for rows in h._sparse]
+        paired = []
+        for entries in ops:  # (G D)[e][b] = sum_k G[k][e] D[k][b], G symmetric
+            acc: defaultdict[tuple[int, int], Fraction] = defaultdict(int)
+            for k, b, v in entries:
+                for e, g in gram_rows[k]:
+                    acc[e, b] += g * v
+            paired.append([(e, b, x) for (e, b), x in sorted(acc.items()) if x])
         quadratic = [(a, b, c, v) for (a, b), row in sorted(_lowered(m).items()) for c, v in sorted(row.items())]
         den = _common_denominator(x[-1] for x in chain(*gram_rows, *paired, quadratic))
         # the check's own data, each cleared by its own denominator
-        table = m.algebra.table.items()
-        ops = [_entries(op) for op in h.basis]
+        table = m.algebra._table.items()
         gram_den = _common_denominator(x[-1] for x in chain(*gram_rows))
         bracket_den = _common_denominator(c for _, targets in table for c in targets.values())
         op_den = _common_denominator(x[-1] for x in chain(*ops))
@@ -422,7 +431,7 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     if x is None:
         return None
     # A(e_a) = sum_j x[j * n + a] D_j, entry by entry over each D_j's nonzeros
-    ops = [(x[j * n : (j + 1) * n], _entries(op)) for j, op in enumerate(h.basis)]
+    ops = [(x[j * n : (j + 1) * n], _entries(rows)) for j, rows in enumerate(h._sparse)]
     witness = ((a, k, c, xs[a] * v) for xs, entries in ops for a in range(n) if xs[a] for k, c, v in entries)
     if _polarized_sums(m, witness):
         raise AssertionError("internal: linear certificate fails polarized identity")
@@ -451,7 +460,7 @@ def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[
     n = m.dim
     if len(ops) != n or any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("need one n-by-n operator per basis vector")
-    return _polarized_sums(m, ((a, *entry) for a, op in enumerate(ops) for entry in _entries(op)))
+    return _polarized_sums(m, ((a, *entry) for a, op in enumerate(ops) for entry in _entries(_sparse_rows(op.rows))))
 
 
 def _polarized_sums(m: MetricLieAlgebra, entries) -> list[tuple[int, int, int, Fraction]]:

@@ -9,12 +9,15 @@ the two operators and tests it at the same pivots, with no dense product.
 The derivation and skew identities are keyed sparse rows over the entries of
 D (the skew rows read off the Gram matrix's nonzero entries): the kernels
 solve them, and the defect checks evaluate them column-indexed, adding each
-operator's nonzero entries only into the rows that hold them.
+operator's nonzero entries only into the rows that hold them.  A space keeps
+its basis operators' nonzero entries once read, and the isotropy algebra of m
+keeps the rows it was solved from, indexed on its first check: every later
+check under that same m object reads them instead of rebuilding them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -31,6 +34,7 @@ class OperatorSpace:
 
     ambient_dim: int
     basis: tuple[Matrix, ...]
+    _rows: tuple = field(default=(), compare=False, repr=False)  # isotropy_algebra's (m, skew rows, derivation rows)
 
     @classmethod
     def from_operators(cls, ambient_dim: int, ops) -> OperatorSpace:
@@ -45,6 +49,16 @@ class OperatorSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _sparse(self) -> list[list[list[tuple[int, Fraction]]]]:
+        """Each basis operator's nonzero entries, as the _sparse_rows of its rows."""
+        return _sparse_operators(self.ambient_dim, self.basis)
+
+    @cached_property
+    def _indexed_rows(self) -> list:
+        """The kept skew and derivation rows, each _indexed on the first check, not at construction."""
+        return [_indexed(rows) for rows in self._rows[1:]]
 
     @cached_property
     def _span(self) -> Subspace:
@@ -72,9 +86,8 @@ class OperatorSpace:
 
         Each commutator is formed over the operators' nonzero entries and tested at the span's pivots.
         """
-        ops = [_sparse_rows(op.rows) for op in self.basis]
-        for i, a in enumerate(ops):
-            for b in ops[i + 1 :]:
+        for i, a in enumerate(self._sparse):
+            for b in self._sparse[i + 1 :]:
                 if not self._span._contains_entries(_commutator_entries(a, b)):
                     raise ValueError("operator space is not closed under commutators")
 
@@ -84,25 +97,30 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     return _solution_space(alg.dim, derivation_rows(alg))
 
 
-def _first_defects(n: int, keyed_rows, ops) -> list:
-    """Per n-by-n operator, the key of the first row its row-major entries fail, or None.
-
-    The rows are indexed once by entry; each operator's nonzero entries are
-    added only into the rows that hold them, and the first failing row is the
-    least row index with a nonzero sum.
-    """
+def _sparse_operators(n: int, ops) -> list[list[list[tuple[int, Fraction]]]]:
+    """Each n-by-n operator as the _sparse_rows of its rows; DimensionMismatch for any other size."""
     if any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("operator size differs from the algebra's dimension")
-    keys: list = []
-    by_entry: dict[int, list[tuple[int, Fraction]]] = {}
+    return [_sparse_rows(op.rows) for op in ops]
+
+
+def _indexed(keyed_rows) -> tuple[list, dict[int, list[tuple[int, Fraction]]]]:
+    """The keys cut to two items (derivation row (i, j, m) is named (i, j)), and {entry: [(row index, coefficient)]}."""
+    keys, by_entry = [], {}
     for r, (key, row) in enumerate(keyed_rows):
-        keys.append(key)
+        keys.append(key[:2])
         for x, c in row.items():
             by_entry.setdefault(x, []).append((r, c))
+    return keys, by_entry
+
+
+def _first_defects(n: int, indexed, ops) -> list:
+    """Per n-by-n operator (as _sparse_rows), the key of the least _indexed row its entries fail, or None."""
+    keys, by_entry = indexed
     out = []
     for op in ops:
         sums: dict[int, Fraction] = {}
-        for i, entries in enumerate(_sparse_rows(op.rows)):
+        for i, entries in enumerate(op):
             for j, v in entries:
                 for r, c in by_entry.get(i * n + j, ()):
                     sums[r] = sums.get(r, 0) + c * v
@@ -113,7 +131,7 @@ def _first_defects(n: int, keyed_rows, ops) -> list:
 
 def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
-    return _first_defects(alg.dim, (((i, j), row) for (i, j, _), row in derivation_rows(alg)), ops)
+    return _first_defects(alg.dim, _indexed(derivation_rows(alg)), _sparse_operators(alg.dim, ops))
 
 
 def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
@@ -148,7 +166,7 @@ def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fract
 
 def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first entry (a, b), a <= b, where D^T G + G D is nonzero, or None."""
-    return _first_defects(form.dim, _skew_rows(form), ops)
+    return _first_defects(form.dim, _indexed(_skew_rows(form)), _sparse_operators(form.dim, ops))
 
 
 def is_skew(form: SymForm, op: Matrix) -> bool:
@@ -164,11 +182,20 @@ def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
     """Skew-symmetric derivations of (n, <.,.>): the isotropy algebra.
 
     One kernel of the derivation and skew rows together, so the basis is
-    canonical; the commutator closure is re-verified on construction.
+    canonical; the commutator closure is re-verified on construction.  The
+    space keeps m and those rows for its later checks.
     """
-    space = _solution_space(m.dim, chain(derivation_rows(m.algebra), _skew_rows(m.form)))
+    skew, derivation = list(_skew_rows(m.form)), list(derivation_rows(m.algebra))
+    space = replace(_solution_space(m.dim, chain(derivation, skew)), _rows=(m, skew, derivation))
     space.verify_commutator_closed()
     return space
+
+
+def _isotropy_defects(m: MetricLieAlgebra, h: OperatorSpace, ops) -> list[list]:
+    """[skew_defects, derivation_defects] under m of ops (as _sparse_rows), via h's rows if h kept them for this m."""
+    kept = h._rows and h._rows[0] is m
+    indexed = h._indexed_rows if kept else [_indexed(_skew_rows(m.form)), _indexed(derivation_rows(m.algebra))]
+    return [_first_defects(m.dim, rows, ops) for rows in indexed]
 
 
 def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None = None) -> bool:
@@ -179,9 +206,11 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
     _check_in_algebra(m, v)
     if h is None:
         h = isotropy_algebra(m)
+    elif h.ambient_dim != m.dim:
+        raise DimensionMismatch("operator space dimension differs from the algebra")
     xs = [dict(x) for x in _sparse_rows(v.basis.rows)]
     return all(
         v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
-        for d in (_sparse_rows(op.rows) for op in h.basis)
+        for d in h._sparse
         for x in xs
     )

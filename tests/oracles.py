@@ -259,6 +259,16 @@ def dense_product(a_rows, b_rows, ncols):
     ]
 
 
+def entries(op: Matrix) -> list:
+    """The nonzero entries (row, column, value) of an operator, row-major, read off its dense rows."""
+    return [(k, c, v) for k, row in enumerate(op.rows) for c, v in enumerate(row) if v]
+
+
+def certificate_tensors_by_dense_products(m, h):
+    """The certificate system's paired and ops tensors before clearing: entries(G @ D_j) and entries(D_j)."""
+    return [entries(m.form.gram @ op) for op in h.basis], [entries(op) for op in h.basis]
+
+
 def linear_certificate_by_dense_assembly(m, h):
     """The linear certificate's coefficient matrix from the polarized system, or None.
 

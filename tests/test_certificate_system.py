@@ -20,11 +20,12 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import necessary_condition_counterexample, rescaled, sheared
+from conftest import heisenberg, necessary_condition_counterexample, rescaled, sheared
 from gonil import linalg
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import (
     GOCertificate,
+    GOEngineError,
     _CertificateSystem,
     _verify_certificate,
     first_null_vector,
@@ -39,6 +40,7 @@ from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import (
     certificate_by_dense_solve,
     certificate_holds_by_fractions,
+    certificate_tensors_by_dense_products,
     linear_certificate_by_dense_assembly,
 )
 
@@ -278,3 +280,55 @@ def test_null_vector_certificate_with_nonzero_k():
     assert cert.A_coeffs == (1,) and cert.k == Fraction(-1, 2)
     assert certificate_holds_by_fractions(m, h, cert)
     assert go_certificate_at(m, iso, t).k == 0
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("de5/sheared",))
+def test_system_tensors_match_their_dense_products(spaces, name):
+    # paired is G D_j summed over D_j's kept nonzero entries, ops those entries;
+    # both must equal the dense products' entries, cleared as documented.
+    if name == "de5/sheared":  # a Gram matrix with off-diagonal entries
+        m = sheared(spaces["de5"][0])
+        h = isotropy_algebra(m)
+    else:
+        m, h = spaces[name]
+    system = _CertificateSystem.build(m, h)
+    paired, ops = certificate_tensors_by_dense_products(m, h)
+    b, ((e, v),) = next((b, row[:1]) for b, row in enumerate(system.gram_rows) if row)
+    den = v / m.form.gram[b, e]  # the common denominator the tensors were cleared by
+    assert den.denominator == 1 and den > 0
+    assert system.paired == tuple(tuple((e, b, x * den) for e, b, x in entries) for entries in paired)
+    assert system.ops == tuple(tuple((k, c, x * system.op_den) for k, c, x in entries) for entries in ops)
+    assert len(system.paired) == len(system.ops) == h.dim
+
+
+def test_isotropy_algebra_of_another_metric_is_checked_like_a_bare_space(heis3):
+    # h keeps heis3's rows; under any other m of the same dimension (another
+    # form, a rescaled basis, another bracket) it is checked from fresh rows
+    # and fails exactly as a bare space of the same operators does.
+    h = isotropy_algebra(heis3)
+    bare = OperatorSpace(h.ambient_dim, h.basis)
+    others = (
+        heisenberg(1, negative=(1,)),
+        rescaled(heis3, (1, 2, 1)),
+        MetricLieAlgebra.checked(LieAlgebra(3, {(0, 2): {1: 1}}), heis3.form),
+    )
+    calls = (
+        lambda m, s: go_certificate_at(m, s, (1, 2, 3)),
+        lambda m, s: go_random_audit(m, s, 3, seed=1),
+        lambda m, s: linear_go_certificate(m, s),
+    )
+    messages = set()
+    for m in others:
+        for call in calls:
+            with pytest.raises(GOEngineError) as kept:
+                call(m, h)
+            with pytest.raises(GOEngineError) as fresh:
+                call(m, bare)
+            assert str(kept.value) == str(fresh.value)
+            messages.add(str(kept.value))
+    prefix = "operator space is not inside the isotropy algebra"
+    assert messages == {f"{prefix} ({what} fails)" for what in ("skewness", "derivation")}
+    # an equal algebra built again is another object: its rows are rebuilt, and it passes
+    again = build_example("heis3").algebra
+    assert again == heis3 and again is not heis3
+    assert go_certificate_at(again, h, (1, 2, 3)) == go_certificate_at(again, bare, (1, 2, 3))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ENTRY, heisenberg, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
-from gonil.double_ext import ExtensionData, extend2
+from gonil.double_ext import ExtensionData, extend2, reduce
 from gonil.isotropy import (
     OperatorSpace,
     derivation_space,
@@ -299,3 +299,15 @@ def test_combine_takes_one_coefficient_per_basis_operator(heis3, paper_iso):
     for c, op in zip(coeffs, paper_iso.basis):
         expected = expected + op.scale(c)
     assert paper_iso.combine(coeffs) == expected and paper_iso.coordinates(expected) == tuple(coeffs)
+
+
+def test_adh_invariance_refuses_an_operator_space_of_another_dimension(paper, heis3, de7):
+    # heis3's isotropy operators are 3x3; on a 12- or 7-dim algebra the size
+    # mismatch is named, not read as a failed invariance.
+    foreign = isotropy_algebra(heis3)
+    message = "^operator space dimension differs from the algebra$"
+    with pytest.raises(DimensionMismatch, match=message):
+        is_adh_invariant(paper.algebra, paper.algebra.nprime(), foreign)
+    with pytest.raises(DimensionMismatch, match=message):
+        reduce(de7, foreign)
+    assert is_adh_invariant(heis3, heis3.nprime(), foreign)

@@ -21,16 +21,24 @@ import gonil.go_engine as go_engine
 from conftest import random_nilpotent_table, sheared_gram
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import GOEngineError, check_subisotropy, first_null_vector
-from gonil.isotropy import OperatorSpace, derivation_defects, isotropy_algebra, skew_defects, skew_space
+from gonil.isotropy import (
+    OperatorSpace,
+    _isotropy_defects,
+    derivation_defects,
+    isotropy_algebra,
+    skew_defects,
+    skew_space,
+)
 from gonil.lie import LieAlgebra
-from gonil.linalg import Matrix, congruence_diagonalize
+from gonil.linalg import Matrix, _sparse_rows, congruence_diagonalize
 from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import congruence_diagonalize_dense, derivation_failures_by_brackets, skew_failures_by_products
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
 NONZERO = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 2)])
 CATALOG = {name: build_example(name).algebra for name in EXAMPLE_NAMES}
-CATALOG_ISOTROPY = {name: isotropy_algebra(m).basis for name, m in CATALOG.items()}
+CATALOG_SPACES = {name: isotropy_algebra(m) for name, m in CATALOG.items()}
+CATALOG_ISOTROPY = {name: h.basis for name, h in CATALOG_SPACES.items()}
 
 
 @st.composite
@@ -82,6 +90,42 @@ def test_defect_evaluators_match_the_per_operator_oracles():
     check()
     # no failure, one failing row, and several (where the first key must be chosen), for each identity
     assert reached == {(identity, count) for identity in ("skew", "derivation") for count in (0, 1, 2)}
+
+
+def test_kept_rows_read_the_defects_of_fresh_rows():
+    # The isotropy algebra of a catalog entry keeps the rows it was solved
+    # from; integer combinations of its basis, some with one entry perturbed
+    # or a skew operator added, read the same first defects through those
+    # rows as through fresh ones.
+    reached = set()
+    skew_bases = {name: skew_space(m.form).basis for name, m in CATALOG.items()}
+
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(name=st.sampled_from(EXAMPLE_NAMES), data=st.data())
+    def check(name, data):
+        m, h = CATALOG[name], CATALOG_SPACES[name]
+        assert h._rows[0] is m
+        ops = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = Matrix.zeros(m.dim, m.dim)
+            for d in h.basis:
+                op = op + d.scale(data.draw(st.integers(-3, 3)))
+            change = data.draw(st.sampled_from(["none", "entry", "skew"]))
+            if change == "entry":
+                entries = [list(row) for row in op.rows]
+                entries[data.draw(st.integers(0, m.dim - 1))][data.draw(st.integers(0, m.dim - 1))] += data.draw(NONZERO)
+                op = Matrix(entries)
+            elif change == "skew":
+                op = op + data.draw(st.sampled_from(skew_bases[name])).scale(data.draw(NONZERO))
+            ops.append(op)
+        skew, derivation = _isotropy_defects(m, h, [_sparse_rows(op.rows) for op in ops])
+        assert skew == skew_defects(m.form, ops)
+        assert derivation == derivation_defects(m.algebra, ops)
+        reached.update(zip((s is None for s in skew), (d is None for d in derivation)))
+
+    check()
+    assert reached == {(True, True), (False, True), (True, False), (False, False)}
 
 
 def test_subisotropy_names_each_failing_identity_on_a_perturbed_catalog_basis(paper, paper_iso):
