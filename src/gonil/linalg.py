@@ -1,13 +1,14 @@
 """Exact rational linear algebra: matrices, solving, kernels, signatures.
 
 Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
-there is no floating point anywhere.  Rows enter elimination sparse, as
-(column, value) pairs, cleared once to primitive integer vectors.  Elimination
-is fraction-free integer Gauss-Jordan over nonzero entries only, so its cost
-follows the nonzero entries, not the system's width.  The reduced echelon form
-of a row space is unique, so every reduced form is canonical and reproducible
-across runs, platforms and row orders; kernels and solutions are read off its
-primitive integer rows.  Congruence diagonalization, behind the signature,
+there is no floating point anywhere.  Elimination is fraction-free integer
+Gauss-Jordan over nonzero entries only, so its cost follows the nonzero
+entries, not the system's width: rows enter as (column, value) pairs, are
+cleared once to primitive integer rows, stay sparse through the integer core
+and come back out sparse.  The reduced echelon form of a row space is unique,
+so every reduced form is canonical and reproducible across runs, platforms and
+row orders; kernels, solutions and reduced rows are read off the nonzero
+entries of its primitive rows.  Congruence diagonalization, behind the signature,
 likewise updates only the nonzero entries of its working matrix.
 """
 
@@ -16,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
+_IntRows = list[list[int]]  # per row of a sparse integer system: its nonzero entries, or their columns
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -232,22 +234,21 @@ def _commutator_entries(a: list, b: list) -> dict[int, Fraction]:
     return {key: v for key, v in acc.items() if v}
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Integer Gauss-Jordan by row insertion; returns the reduced rows and their pivot columns.
+def _eliminate(values: _IntRows, columns: _IntRows) -> tuple[_IntRows, list[int], _IntRows]:
+    """Integer Gauss-Jordan by row insertion; returns (values, pivots, columns) of the pivot rows.
 
-    Each row is taken as {column: value} over its nonzero entries.  While its
+    Row i is its nonzero integers ``values[i]`` at the columns ``columns[i]``:
+    no row is laid out at the system's width, and a reader of the values (the
+    traced ``linalg.rref.max_bits``) sees integer entries only.  While a row's
     first column is a pivot, it becomes ``p*row - f*pivot_row``; otherwise that
     column is a new pivot.  One pass over the pivots in descending order then
-    clears every other pivot column.  The reduced echelon form is unique, so
-    the pivots are its pivot columns, increasing, whatever the row order; each
-    row comes out dense, primitive, with a positive pivot entry.  Consumers
-    read ratios ``r[c] / r[pc]``; the integers' sizes along the way depend on
-    the core, so the traced ``linalg.rref.max_bits`` may move (it is not gated).
+    clears every other pivot column.  The reduced echelon form is unique, so the
+    pivots come out increasing whatever the row order, and each row primitive,
+    its columns increasing from its pivot, whose entry is positive.
     """
-    cols = list(range(len(rows[0]) if rows else 0))  # a list, not a range: compress then makes no int per entry
     table: dict[int, dict[int, int]] = {}  # pivot column -> its row, leading entry there
-    for dense in rows:
-        row = {j: dense[j] for j in compress(cols, dense)}
+    for vals, cols in zip(values, columns):
+        row = dict(zip(cols, vals))
         while row:
             pc = min(row)
             prow = table.get(pc)
@@ -261,13 +262,8 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         for c in [c for c in row if c != pc and c in table]:
             _subtract(row, table[c], c)
         table[pc] = _primitive(row, pc)
-    out = []
-    for pc in pivots:
-        dense = [0] * len(cols)
-        for j, a in table[pc].items():
-            dense[j] = a
-        out.append(dense)
-    return out, pivots
+    columns = [sorted(table[pc]) for pc in pivots]
+    return [list(map(table[pc].__getitem__, cols)) for pc, cols in zip(pivots, columns)], pivots, columns
 
 
 def _subtract(row: dict[int, int], prow: dict[int, int], c: int) -> None:
@@ -294,19 +290,26 @@ def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
     return {j: a // g for j, a in row.items()} if g != 1 else row
 
 
-def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Eliminate rows of (column, value) pairs, each cleared to a primitive integer row over its nonzeros."""
-    ints = []
+def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[_IntRows, list[int], _IntRows]:
+    """Eliminate rows of (column, value) pairs, each cleared to a primitive integer row over its nonzeros.
+
+    A column outside 0..ncols-1 raises DimensionMismatch rather than being wrapped or dropped.
+    """
+    values, columns = [], []
     for row in rows:
         nz = [(j, f) for j, f in row if f]
         if nz:
+            cols = [j for j, _ in nz]
             scale = math.lcm(*[f.denominator for _, f in nz])
             nums = [f.numerator * (scale // f.denominator) for _, f in nz]
             g = math.gcd(*nums)
-            ints.append([0] * ncols)
-            for (j, _), a in zip(nz, nums):
-                ints[-1][j] = a // g
-    return _eliminate(ints)
+            values.append([a // g for a in nums] if g != 1 else nums)
+            columns.append(cols)
+    values, pivots, columns = _eliminate(values, columns)
+    # A column any row uses is nonzero in some reduced row, and a reduced row's pivot is its least column.
+    if pivots and (pivots[0] < 0 or max(cols[-1] for cols in columns) >= ncols):
+        raise DimensionMismatch(f"row column outside 0..{ncols - 1}")
+    return values, pivots, columns
 
 
 def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[Vec, ...]:
@@ -318,26 +321,25 @@ def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) 
     at c and vanishes at every other free column: the basis is read off as is.
     """
     last = ncols - 1
-    red, pivots = _echelon((((last - j, v) for j, v in row) for row in rows), ncols)
-    basis = []
-    for c in sorted(set(range(ncols)).difference(pivots), reverse=True):  # original columns ascend
-        x = [_ZERO] * ncols
-        x[last - c] = _ONE
-        for r, pc in zip(red, pivots):
-            if r[c]:
-                x[last - pc] = Fraction(-r[c], r[pc])
-        basis.append(tuple(x))
-    return tuple(basis)
+    values, pivots, columns = _echelon((((last - j, v) for j, v in row) for row in rows), ncols)
+    free = sorted(set(range(ncols)).difference(pivots), reverse=True)  # original columns ascend
+    basis = {c: [_ZERO] * (last - c) + [_ONE] + [_ZERO] * c for c in free}
+    for vals, cols in zip(values, columns):
+        p, pc = vals[0], cols[0]
+        for a, c in zip(vals[1:], cols[1:]):  # a reduced row is 0 at every other pivot: c is free
+            basis[c][last - pc] = Fraction(-a, p)
+    return tuple(map(tuple, basis.values()))
 
 
 def _solve_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Vec | None:
     """Canonical solution (free unknowns zero) of rows with the right-hand side at column ncols, or None."""
-    red, pivots = _echelon(rows, ncols + 1)
+    values, pivots, columns = _echelon(rows, ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
     x = [_ZERO] * ncols
-    for r, pc in zip(red, pivots):
-        x[pc] = Fraction(r[ncols], r[pc]) if r[ncols] else _ZERO
+    for vals, cols in zip(values, columns):
+        if cols[-1] == ncols:
+            x[cols[0]] = Fraction(vals[-1], vals[0])
     return tuple(x)
 
 
@@ -348,8 +350,9 @@ class RRef(NamedTuple):
 
 def rref(m: Matrix) -> RRef:
     """Canonical reduced row echelon form (first-nonzero pivot rule)."""
-    rows, pivots = _echelon(map(enumerate, m.rows), m.ncols)
-    reduced = tuple(tuple(Fraction(a, r[pc]) if a else _ZERO for a in r) for r, pc in zip(rows, pivots))
+    values, pivots, columns = _echelon(map(enumerate, m.rows), m.ncols)
+    rows = [(dict(zip(cols, vals)), vals[0]) for vals, cols in zip(values, columns)]
+    reduced = tuple(tuple(Fraction(r[c], p) if c in r else _ZERO for c in range(m.ncols)) for r, p in rows)
     return RRef(Matrix._trusted(reduced, m.ncols), tuple(pivots))
 
 

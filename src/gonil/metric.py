@@ -17,7 +17,6 @@ from gonil.linalg import (
     Matrix,
     SignatureTriple,
     Subspace,
-    Vec,
     symmetric_signature,
     to_vec,
     vec_dot,
@@ -83,11 +82,6 @@ class MetricLieAlgebra:
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
         return self.form.pair(x, y)
-
-    def lowered_brackets(self) -> list[list[Vec]]:
-        """low[a][c][b] = <[e_a, e_c], e_b>: the Gram matrix applied to each basis bracket."""
-        gram = self.form.gram
-        return [[gram @ self.algebra.bracket_basis(a, c) for c in range(self.dim)] for a in range(self.dim)]
 
     def nprime(self) -> Subspace:
         return derived_subalgebra(self.algebra)

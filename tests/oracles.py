@@ -269,6 +269,12 @@ def certificate_tensors_by_dense_products(m, h):
     return [entries(m.form.gram @ op) for op in h.basis], [entries(op) for op in h.basis]
 
 
+def lowered_brackets(m) -> list[list[tuple]]:
+    """low[a][c][b] = <[e_a, e_c], e_b>: the Gram matrix applied to each basis bracket, n^2 dense products."""
+    gram = m.form.gram
+    return [[gram @ m.algebra.bracket_basis(a, c) for c in range(m.dim)] for a in range(m.dim)]
+
+
 def linear_certificate_by_dense_assembly(m, h):
     """The linear certificate's coefficient matrix from the polarized system, or None.
 
@@ -278,7 +284,7 @@ def linear_certificate_by_dense_assembly(m, h):
     """
     n, nh = m.dim, h.dim
     paired = [m.form.gram @ op for op in h.basis]  # paired[j][b, c] = <D_j e_c, e_b>
-    low = m.lowered_brackets()
+    low = lowered_brackets(m)
     rows, rhs = [], []
     for a in range(n):
         for b in range(a, n):
@@ -606,7 +612,7 @@ def necessary_condition_by_dense_images(m):
         )
     violations = []
     rows = nprime.basis.rows
-    low = m.lowered_brackets()
+    low = lowered_brackets(m)
     for a in range(m.dim):
         lowered_ad = Matrix(low[a], ncols=m.dim)  # lowered_ad[c, b] = <[e_a, e_c], e_b>
         images = [lowered_ad.transpose() @ x for x in rows]  # images[i][b] = <[e_a, x_i], e_b>

@@ -42,6 +42,7 @@ from oracles import (
     certificate_holds_by_fractions,
     certificate_tensors_by_dense_products,
     linear_certificate_by_dense_assembly,
+    lowered_brackets,
 )
 
 SETTINGS = settings(
@@ -157,7 +158,7 @@ def test_linear_certificate_matches_dense_assembly_in_sheared_basis(spaces, name
     # A change of basis keeps a linear witness, and here the diagonal
     # monomials T_a T_a carry nonzero bracket terms.
     m = sheared(spaces[name][0])
-    low = m.lowered_brackets()
+    low = lowered_brackets(m)
     assert any(low[a][b][a] for a in range(m.dim) for b in range(m.dim))
     h = isotropy_algebra(m)
     got = _linear_result(m, h)

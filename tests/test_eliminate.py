@@ -6,6 +6,10 @@ back-reduces once.  Both return integer rows whose ratios are the reduced
 echelon form, which is unique, so they must agree on the pivots and on each
 row up to a nonzero factor.  The sparse core's rows are primitive with a
 positive pivot entry, which makes them independent of the input order.
+
+The library's core takes and returns each row as parallel lists of its
+nonzero values and their columns; the dense oracle takes whole rows.  A small
+adapter here converts between the two, so both are compared on dense rows.
 """
 
 import math
@@ -50,6 +54,37 @@ def _copy(rows):
     return [list(row) for row in rows]
 
 
+def _sparse(rows):
+    """Dense integer rows as ``_eliminate``'s parallel (values, columns) lists."""
+    return [[a for a in row if a] for row in rows], [[j for j, a in enumerate(row) if a] for row in rows]
+
+
+def _dense(values, columns, ncols):
+    rows = [[0] * ncols for _ in values]
+    for row, vals, cols in zip(rows, values, columns):
+        for a, j in zip(vals, cols):
+            row[j] = a
+    return rows
+
+
+def eliminate_rows(rows):
+    """``linalg._eliminate`` on dense rows, its pivot rows written back dense: (rows, pivots)."""
+    values, pivots, columns = linalg._eliminate(*_sparse(rows))
+    assert all(cols == sorted(cols) and cols[0] == pc for cols, pc in zip(columns, pivots))
+    return _dense(values, columns, len(rows[0]) if rows else 0), pivots
+
+
+def called_sparse(core):
+    """A dense core such as ``eliminate_dense``, called and answering as ``_eliminate``; width = last column + 1."""
+
+    def eliminate(values, columns):
+        rows, pivots = core(_dense(values, columns, 1 + max((j for cols in columns for j in cols), default=-1)))
+        values, columns = _sparse(rows[: len(pivots)])
+        return values, pivots, columns
+
+    return eliminate
+
+
 def test_eliminate_matches_the_dense_core():
     outcomes = set()
 
@@ -58,7 +93,7 @@ def test_eliminate_matches_the_dense_core():
     @given(rows=integer_systems(), data=st.data())
     def check(rows, data):
         ncols = len(rows[0]) if rows else 0
-        got, pivots = linalg._eliminate(_copy(rows))
+        got, pivots = eliminate_rows(_copy(rows))
         expected, expected_pivots = eliminate_dense(_copy(rows))
         assert pivots == expected_pivots
         assert all(not any(row) for row in got[len(pivots) :])
@@ -68,7 +103,7 @@ def test_eliminate_matches_the_dense_core():
             assert [a * oracle[pc] for a in row] == [b * row[pc] for b in oracle]
             assert all(row[c] == 0 for c in pivots if c != pc)
         order = data.draw(st.permutations(range(len(rows))))
-        assert linalg._eliminate([list(rows[i]) for i in order]) == (got, pivots)
+        assert eliminate_rows([list(rows[i]) for i in order]) == (got, pivots)
 
         if not rows:
             outcomes.add("no rows")
@@ -122,7 +157,7 @@ def test_h13_systems_solve_alike_under_both_cores(monkeypatch):
     assert [ncols for _, ncols in kernels] == [169] and len(solves) == 1
     got = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]
     assert len(got[0][0]) == 36 and got[1][0] is not None
-    monkeypatch.setattr(linalg, "_eliminate", eliminate_dense)
+    monkeypatch.setattr(linalg, "_eliminate", called_sparse(eliminate_dense))
     expected = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]
     assert got == expected
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import necessary_condition_counterexample
+from conftest import heisenberg, necessary_condition_counterexample
 from gonil.go_engine import (
     GOEngineError,
     check_subisotropy,
@@ -169,6 +169,20 @@ def test_linear_certificate_paper_consistent_with_pointwise(paper, paper_iso):
         for b in range(12):
             eb = basis_vec(12, b)
             assert m.pair(vec_add(m.algebra.bracket(t, eb), a @ eb), t) == 0
+
+
+def test_linear_certificate_found_on_euclidean_h25():
+    # 144 isotropy operators and 3600 unknowns: eliminated over nonzero entries, this runs in well under a second.
+    m = heisenberg(12)
+    iso = isotropy_algebra(m)
+    assert iso.dim == 144
+    cert = linear_go_certificate(m, iso)
+    assert cert is not None
+    t = tuple(Fraction(i % 5 - 2) for i in range(25))
+    a = linear_witness_at(iso, cert, t)
+    for b in range(25):
+        eb = basis_vec(25, b)
+        assert m.pair(vec_add(m.algebra.bracket(t, eb), a @ eb), t) == 0
 
 
 def test_first_null_vector(paper, heis3):

@@ -63,6 +63,27 @@ def test_solve_dimension_mismatch():
         solve_particular(Matrix.identity(3), [1, 2])
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[(3, 1)]],  # used to wrap to x_0 under the kernel's reversed columns
+        [[(-1, 1)]],
+        [[(0, 1), (3, 2)], [(0, 2), (3, 4)]],  # the second row cancels
+        [[(0, 1), (-1, 2)], [(1, 1), (-1, 2)]],  # never a pivot
+    ],
+)
+def test_solving_refuses_a_column_outside_the_ambient_space(rows):
+    with pytest.raises(DimensionMismatch):
+        Subspace.solving(3, rows)
+
+
+@pytest.mark.parametrize("rows", [[[(-1, 1)]], [[(0, 1), (5, 1)], [(0, 2), (5, 2)]], [[(0, 1), (-1, 1)]]])
+def test_solve_rows_refuses_a_column_outside_the_system(rows):
+    # [(-1, 1)] used to land on the right-hand side and read as infeasible.
+    with pytest.raises(DimensionMismatch):
+        _solve_rows(rows, 3)
+
+
 def test_kernel_zero_matrix():
     assert kernel(Matrix.zeros(2, 3)).nrows == 3
 

@@ -23,14 +23,35 @@ print("\\n".join(spans.install(spans.Recorder())))
 KNOWN_MISSING = ["gonil.isotropy.OperatorSpace.intersect", "gonil.linalg.solve_linear"]
 
 
-def test_traced_run_finds_every_layer_but_the_known_missing():
+# A 41-bit entry goes through the watched integer core; the traced run reports its width.
+_MAX_BITS = """
+import gonil.linalg
+import spans
+
+recorder = spans.Recorder()
+spans.install(recorder)
+gonil.linalg.kernel(gonil.linalg.Matrix([[2**40 + 1, 3], [5, 7]]))
+print(recorder.counts[(0, "linalg.rref")]["max_bits"])
+"""
+
+
+def _run_traced(code: str) -> str:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _INSTALL],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert sorted(proc.stdout.split()) == KNOWN_MISSING
+    return proc.stdout
+
+
+def test_traced_run_finds_every_layer_but_the_known_missing():
+    assert sorted(_run_traced(_INSTALL).split()) == KNOWN_MISSING
+
+
+def test_traced_max_bits_reads_the_integer_core():
+    # A core the watch no longer sees reports 0 bits; one handed (column, value) pairs fails the run.
+    assert int(_run_traced(_MAX_BITS)) >= 41
