@@ -212,6 +212,10 @@ class _CertificateSystem:
     right-hand side -<[T', e_b], T'> (each times L): integers, and a positive
     multiple of row b, so the canonical solution is the same.
 
+    For <T, T> != 0 the k column is left out: row b times T_b, summed over b,
+    is sum_j c_j <D_j T, T> - k <T, T> = -<[T, T], T> = 0, and <D_j T, T> = 0
+    for skew D_j, so every solution has k = 0 and the canonical one is kept.
+
     ``gram``, ``brackets`` and ``ops`` (the Gram matrix, the bracket table and
     h's basis entries, each times the least common denominator of its own
     entries; the last two denominators are kept as ``bracket_den`` and
@@ -275,7 +279,9 @@ def go_certificate_at(
 
         sum_j c_j <D_j e_b, T>  -  k <T, e_b>  =  -<[T, e_b], T>
 
-    It is built and eliminated in integers (see ``_CertificateSystem``).
+    It is built and eliminated in integers (see ``_CertificateSystem``).  For
+    <T, T> != 0 it is solved without the k column and k = 0: row b times T_b,
+    summed, reads -k <T, T> = 0, as every D_j is skew.
     """
     t = to_vec(t)
     if len(t) != m.dim:
@@ -289,20 +295,20 @@ def go_certificate_at(
     d, ti = _integer_vector(t)
     dt = [d * x for x in ti]
     nh = len(_system.paired)
-    rows = [[0] * (nh + 2) for _ in ti]  # columns c_0, ..., c_{dim h - 1}, k, right-hand side
+    k_column = [-sum([v * dt[e] for e, v in gram_row if dt[e]]) for gram_row in _system.gram_rows]
+    null = not sum([x * y for x, y in zip(ti, k_column)])  # -L d^3 <T, T>
+    rows = [[0] * nh + [v, 0] if null else [0] * (nh + 1) for v in k_column]  # c_0, ..., c_{dim h - 1}, k if null, rhs
     for j, entries in enumerate(_system.paired):
         for e, b, v in entries:
             if dt[e]:
                 rows[b][j] += v * dt[e]
-    for row, gram_row in zip(rows, _system.gram_rows):
-        row[nh] = -sum([v * dt[e] for e, v in gram_row if dt[e]])
     for a, b, c, v in _system.quadratic:
         if ti[a] and ti[c]:
-            rows[b][nh + 1] -= v * ti[a] * ti[c]
-    x = _solve_rows(map(enumerate, rows), nh + 1)
+            rows[b][-1] -= v * ti[a] * ti[c]
+    x = _solve_rows(map(enumerate, rows), nh + 1 if null else nh)
     if x is None:
         return None
-    cert = GOCertificate(t, x[:-1], x[-1])
+    cert = GOCertificate(t, x[:nh], x[nh] if null else Fraction(0))
     _verify_certificate(_system, cert)
     return cert
 

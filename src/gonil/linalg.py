@@ -3,9 +3,9 @@
 Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
 there is no floating point anywhere.  Elimination is fraction-free integer
 Gauss-Jordan over nonzero entries only, so its cost follows the nonzero
-entries, not the system's width: rows enter as (column, value) pairs, are
-cleared once to primitive integer rows, stay sparse through the integer core
-and come back out sparse.  The reduced echelon form of a row space is unique,
+entries, not the system's width: rows enter as (column, value) pairs, rational
+ones cleared once to primitive integer rows, stay sparse through the integer
+core and come back out sparse.  The reduced echelon form of a row space is unique,
 so every reduced form is canonical and reproducible across runs, platforms and
 row orders; kernels, solutions and reduced rows are read off the nonzero
 entries of its primitive rows.  Congruence diagonalization, behind the signature,
@@ -237,8 +237,9 @@ def _commutator_entries(a: list, b: list) -> dict[int, Fraction]:
 def _eliminate(values: _IntRows, columns: _IntRows) -> tuple[_IntRows, list[int], _IntRows]:
     """Integer Gauss-Jordan by row insertion; returns (values, pivots, columns) of the pivot rows.
 
-    Row i is its nonzero integers ``values[i]`` at the columns ``columns[i]``:
-    no row is laid out at the system's width, and a reader of the values (the
+    Row i is its nonzero integers ``values[i]`` at the columns ``columns[i]``,
+    which must be distinct (a repeated column keeps only its last entry): no
+    row is laid out at the system's width, and a reader of the values (the
     traced ``linalg.rref.max_bits``) sees integer entries only.  While a row's
     first column is a pivot, it becomes ``p*row - f*pivot_row``; otherwise that
     column is a new pivot.  One pass over the pivots in descending order then
@@ -290,21 +291,24 @@ def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
     return {j: a // g for j, a in row.items()} if g != 1 else row
 
 
-def _echelon(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[_IntRows, list[int], _IntRows]:
-    """Eliminate rows of (column, value) pairs, each cleared to a primitive integer row over its nonzeros.
-
-    A column outside 0..ncols-1 raises DimensionMismatch rather than being wrapped or dropped.
-    """
+def _cleared_rows(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[_IntRows, _IntRows]:
+    """Rational (column, value) rows as primitive integer rows, ``_eliminate``'s (values, columns); repeats add up."""
     values, columns = [], []
     for row in rows:
         nz = [(j, f) for j, f in row if f]
-        if nz:
-            cols = [j for j, _ in nz]
-            scale = math.lcm(*[f.denominator for _, f in nz])
-            nums = [f.numerator * (scale // f.denominator) for _, f in nz]
+        if len(acc := dict(nz)) < len(nz):  # a column listed twice
+            acc = {j: x for j in acc if (x := sum([f for c, f in nz if c == j]))}
+        if fs := acc.values():
+            scale = math.lcm(*[f.denominator for f in fs])
+            nums = [f.numerator * (scale // f.denominator) for f in fs] if scale != 1 else [f.numerator for f in fs]
             g = math.gcd(*nums)
             values.append([a // g for a in nums] if g != 1 else nums)
-            columns.append(cols)
+            columns.append(list(acc))
+    return values, columns
+
+
+def _echelon(values: _IntRows, columns: _IntRows, ncols: int) -> tuple[_IntRows, list[int], _IntRows]:
+    """``_eliminate``, refusing a column outside 0..ncols-1 with DimensionMismatch rather than wrapping or dropping it."""
     values, pivots, columns = _eliminate(values, columns)
     # A column any row uses is nonzero in some reduced row, and a reduced row's pivot is its least column.
     if pivots and (pivots[0] < 0 or max(cols[-1] for cols in columns) >= ncols):
@@ -321,7 +325,7 @@ def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) 
     at c and vanishes at every other free column: the basis is read off as is.
     """
     last = ncols - 1
-    values, pivots, columns = _echelon((((last - j, v) for j, v in row) for row in rows), ncols)
+    values, pivots, columns = _echelon(*_cleared_rows(((last - j, v) for j, v in row) for row in rows), ncols)
     free = sorted(set(range(ncols)).difference(pivots), reverse=True)  # original columns ascend
     basis = {c: [_ZERO] * (last - c) + [_ONE] + [_ZERO] * c for c in free}
     for vals, cols in zip(values, columns):
@@ -331,9 +335,10 @@ def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) 
     return tuple(map(tuple, basis.values()))
 
 
-def _solve_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> Vec | None:
-    """Canonical solution (free unknowns zero) of rows with the right-hand side at column ncols, or None."""
-    values, pivots, columns = _echelon(rows, ncols + 1)
+def _solve_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> Vec | None:
+    """Canonical solution (free unknowns zero) of (column, int) rows, distinct columns, rhs at column ncols, or None."""
+    rows = [nz for row in rows if (nz := [(j, a) for j, a in row if a])]
+    values, pivots, columns = _echelon([[a for _, a in r] for r in rows], [[j for j, _ in r] for r in rows], ncols + 1)
     if pivots and pivots[-1] == ncols:
         return None
     x = [_ZERO] * ncols
@@ -350,7 +355,7 @@ class RRef(NamedTuple):
 
 def rref(m: Matrix) -> RRef:
     """Canonical reduced row echelon form (first-nonzero pivot rule)."""
-    values, pivots, columns = _echelon(map(enumerate, m.rows), m.ncols)
+    values, pivots, columns = _echelon(*_cleared_rows(map(enumerate, m.rows)), m.ncols)
     rows = [(dict(zip(cols, vals)), vals[0]) for vals, cols in zip(values, columns)]
     reduced = tuple(tuple(Fraction(r[c], p) if c in r else _ZERO for c in range(m.ncols)) for r, p in rows)
     return RRef(Matrix._trusted(reduced, m.ncols), tuple(pivots))
@@ -371,7 +376,8 @@ def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
     if a.nrows != len(b):
         raise DimensionMismatch("right-hand side length differs from row count")
     n = a.ncols
-    return _solve_rows((chain(enumerate(row), ((n, bi),)) for row, bi in zip(a.rows, b)), n)
+    values, columns = _cleared_rows(chain(enumerate(row), ((n, bi),)) for row, bi in zip(a.rows, b))
+    return _solve_rows(map(zip, columns, values), n)
 
 
 class SignatureTriple(NamedTuple):

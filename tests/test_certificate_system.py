@@ -108,14 +108,22 @@ def test_certificate_matches_dense_oracle_on_isotropy_subspaces(paper, paper_iso
     assert _result(m, sub, t) == certificate_by_dense_solve(m, sub, t)
 
 
-@pytest.mark.parametrize("k", [4, 7])
+@pytest.mark.parametrize("k", [4, 7, None])
 def test_audit_on_isotropy_subspace_matches_dense_oracle(paper, paper_iso, k):
     # One system serves every sample of the audit; a proper subspace of the
-    # isotropy algebra makes some samples infeasible.
-    m = paper.algebra
-    sub = OperatorSpace.from_operators(m.dim, paper_iso.basis[:k])
-    report = go_random_audit(m, sub, 20, seed=1, bound=3)
-    assert report.failures
+    # isotropy algebra makes some samples infeasible.  On the Lorentz H_3 with
+    # its whole isotropy algebra (k None), entries in [-1, 1] draw null and
+    # non-null T alike: one audit solves both with and without the k column.
+    if k is None:
+        m = heisenberg(1, negative=(0,))
+        sub = isotropy_algebra(m)
+        report = go_random_audit(m, sub, 30, seed=1, bound=1)
+        assert {m.pair(p.T, p.T) == 0 for p in report.points} == {True, False}
+    else:
+        m = paper.algebra
+        sub = OperatorSpace.from_operators(m.dim, paper_iso.basis[:k])
+        report = go_random_audit(m, sub, 20, seed=1, bound=3)
+        assert report.failures
     for p in list(report.points) + [report.null_point]:
         got = None if p.certificate is None else (p.certificate.A_coeffs, p.certificate.k)
         assert got == certificate_by_dense_solve(m, sub, p.T)

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -75,6 +76,18 @@ def test_solve_dimension_mismatch():
 def test_solving_refuses_a_column_outside_the_ambient_space(rows):
     with pytest.raises(DimensionMismatch):
         Subspace.solving(3, rows)
+
+
+@pytest.mark.parametrize(
+    "rows, basis",
+    [
+        ([[(0, 1), (0, -1), (1, 1)]], [[1, 0]]),  # x_0 - x_0 + x_1 = 0, not -x_0 + x_1 = 0
+        ([[(1, 1), (0, 1), (1, Fraction(1, 2))]], [[1, Fraction(-2, 3)]]),
+        ([[(0, 2), (1, 1), (0, -2)], [(1, 0), (0, 0)]], [[1, 0]]),
+    ],
+)
+def test_solving_sums_a_repeated_column(rows, basis):
+    assert Subspace.solving(2, rows).basis == Matrix(basis, ncols=2)
 
 
 @pytest.mark.parametrize("rows", [[[(-1, 1)]], [[(0, 1), (5, 1)], [(0, 2), (5, 2)]], [[(0, 1), (-1, 1)]]])
@@ -422,7 +435,7 @@ def _solution_by_naive_rref(a, b):
 
 
 def test_elimination_matches_naive_rref_on_sparse_systems():
-    outcomes = set()
+    outcomes, zeros = set(), set()
 
     @seed(20261018)
     @settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -444,8 +457,11 @@ def test_elimination_matches_naive_rref_on_sparse_systems():
         # The sparse entry on the same rows, as {column: value} dicts, agrees exactly.
         sparse = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
         assert _kernel_of_rows([row.items() for row in sparse], a.ncols) == ker.rows
-        aug = [{**row, a.ncols: bi} for row, bi in zip(sparse, b)]
-        assert _solve_rows([row.items() for row in aug], a.ncols) == x
+        # The integer entry that certificates use, on the same rows each cleared to integers; its zero entries stay.
+        scales = [math.lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(a.rows, b)]
+        cleared = [[(j, int(v * s)) for j, v in enumerate((*row, bi))] for row, bi, s in zip(a.rows, b, scales)]
+        assert _solve_rows(cleared, a.ncols) == x
+        zeros.add(any(v == 0 for row in cleared for _, v in row))
 
     check()
-    assert outcomes == {True, False}
+    assert outcomes == {True, False} and True in zeros

@@ -76,15 +76,21 @@ def test_solving_matches_the_naive_kernel():
         rows += repeats
         expected = kernel_by_naive_rref(Matrix(rows, ncols=ncols))
         sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-        for given_rows in (sparse, map(enumerate, rows)):
+        # Each entry x at column j also given as x - y there and, after the row's other entries, y there again.
+        split = data.draw(st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]), min_size=ncols, max_size=ncols))
+        tail = [(j, y) for j, y in enumerate(split) if y]
+        repeated = [[(j, x - y) for j, (x, y) in enumerate(zip(row, split))] + tail for row in rows]
+        for given_rows in (sparse, map(enumerate, rows), repeated):
             space = Subspace.solving(ncols, given_rows)
             assert space.basis == expected
         assert all(vec_dot(x, row) == 0 for x in space.basis.rows for row in rows)
         outcomes.add("zero" if space.dim == 0 else "full" if space.dim == ncols else "proper")
         outcomes.add("no rows" if not rows else "duplicate rows" if repeats else "rows")
+        if rows and any(split):
+            outcomes.add("repeated columns")
 
     check()
-    assert outcomes == {"zero", "proper", "full", "no rows", "duplicate rows", "rows"}
+    assert outcomes == {"zero", "proper", "full", "no rows", "duplicate rows", "rows", "repeated columns"}
 
 
 def test_centralizer_and_transporter_match_stacked_oracles():
