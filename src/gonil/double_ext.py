@@ -22,11 +22,11 @@ from gonil.linalg import (
     SignatureTriple,
     Subspace,
     Vec,
+    _ZERO,
     fmt_vec,
     solve_particular,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from gonil.metric import (
     MetricLieAlgebra,
@@ -172,16 +172,8 @@ def reduction_witness(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> Re
             "witness check failed: [eg, m1] != 0 (eg is not central); input is not G-GO",
             witness,
         )
-    if not flags.all_pass:
-        failed = [
-            name
-            for name, ok in [
-                ("(i) inclusion", flags.inclusion),
-                ("(ii) invariance", flags.invariance),
-                ("(iv) dimension", flags.dimension),
-            ]
-            if not ok
-        ]
+    named = {"(i) inclusion": flags.inclusion, "(ii) invariance": flags.invariance, "(iv) dimension": flags.dimension}
+    if failed := [name for name, ok in named.items() if not ok]:
         raise ReductionError("witness check failed: " + ", ".join(failed), witness)
     return witness
 
@@ -195,9 +187,7 @@ def _witness_flags(
 ) -> WitnessFlags:
     inclusion = eg <= nprime and nprime <= m1
     invariance = is_adh_invariant(m, eg, h) and is_adh_invariant(m, m1, h)
-    orthogonal = all(
-        m.pair(x, y) == 0 for x in eg.basis.rows for y in m1.basis.rows
-    )
+    orthogonal = not any(m.pair(x, y) for x in eg.basis.rows for y in m1.basis.rows)
     # The quotient needs [eg, m1] = 0; we verify the stronger statement that
     # eg is central in the whole algebra, which the in-scope forward
     # construction guarantees and which a stray bracket on eg always trips.
@@ -257,15 +247,16 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     eg, m1 = witness.eg, witness.m1
     form, comp = quotient_form(m, m1, eg)
     k = comp.nrows
-    eg_rows = eg.basis.transpose()
-    comp_at = [i for i, pc in enumerate(m1.pivots) if pc not in eg.pivots]
+    comp_pivots = [pc for pc in m1.pivots if pc not in eg.pivots]
 
     def comp_coords(vec) -> Vec:
-        # eg's pivots are m1 pivots where the complement rows vanish: eg's part is read there.
-        coords = m1.coordinates(vec_sub(vec, eg_rows @ [vec[p] for p in eg.pivots]))
-        if coords is None:
+        # eg._contains_entries leaves rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
+        rest = {j: a for j, a in enumerate(vec) if a}
+        eg._contains_entries(rest)
+        coords = tuple(rest.get(pc, _ZERO) for pc in comp_pivots)
+        if not m1._contains_entries(rest):
             raise AssertionError("internal: vector outside m1")
-        return tuple(coords[i] for i in comp_at)
+        return coords
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i in range(k):
@@ -277,9 +268,7 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
                 brackets[(i, j)] = entry
     m0 = MetricLieAlgebra.checked(LieAlgebra(k, brackets), form)
 
-    d = eg.dim
-    sig = m.form.signature()
-    sig0 = form.signature()
+    d, sig, sig0 = eg.dim, m.form.signature(), form.signature()
     if sig0 != (sig.p - d, sig.q - d, 0):
         raise ReductionError(
             f"internal accounting failure: expected signature "

@@ -168,7 +168,7 @@ def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
 
 def _lowered(m: MetricLieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
     """The nonzero <[e_a, e_c], e_b> as {(a, c): {b: value}}, from the bracket table and the Gram matrix's nonzeros."""
-    gram, low = _sparse_rows(m.form.gram.rows), {}
+    gram, low = m.form._sparse, {}
     for (i, j), targets in m.algebra._table.items():
         row: dict[int, Fraction] = {}
         for k, v in targets.items():
@@ -239,7 +239,7 @@ class _CertificateSystem:
     def build(cls, m: MetricLieAlgebra, h: OperatorSpace) -> _CertificateSystem:
         """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
         check_subisotropy(m, h)
-        gram_rows = _sparse_rows(m.form.gram.rows)
+        gram_rows = m.form._sparse
         ops = [_entries(rows) for rows in h._sparse]
         paired = []
         for entries in ops:  # (G D)[e][b] = sum_k G[k][e] D[k][b], G symmetric
@@ -476,7 +476,7 @@ def _polarized_sums(m: MetricLieAlgebra, entries) -> list[tuple[int, int, int, F
     key (min(a, b), max(a, b), c), twice when a = b; the sorted keys are the
     order of the loop over a <= b, then c.
     """
-    gram = _sparse_rows(m.form.gram.rows)  # symmetric: row k holds the G[b][k]
+    gram = m.form._sparse  # symmetric: row k holds the G[b][k]
     low = ((a, b, c, v) for (a, c), row in _lowered(m).items() for b, v in row.items())
     sums: dict[tuple[int, int, int], Fraction] = {}
     for a, b, c, v in chain(low, ((a, b, c, g * w) for a, k, c, w in entries for b, g in gram[k])):

@@ -30,6 +30,7 @@ class FormatError(ValueError):
 MAX_RATIONAL_CHARS = 1000
 # The isotropy kernel has dim^2 unknowns and its cost grows about as dim^4.
 MAX_DIM = 64
+_INT_BOUND = 10**MAX_RATIONAL_CHARS
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 
@@ -49,7 +50,9 @@ def parse_rational(text: str) -> Fraction:
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise FormatError(f"{where}: rational values must be strings like '3' or '-3/4'")
-    if isinstance(value, int):
+    if isinstance(value, int):  # a bare JSON integer meets the same bound, on its digits
+        if abs(value) >= _INT_BOUND:
+            raise FormatError(f"{where}: integer longer than {MAX_RATIONAL_CHARS} digits")
         return Fraction(value)
     try:
         return parse_rational(value)

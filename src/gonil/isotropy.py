@@ -154,7 +154,7 @@ def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fract
     Read off the nonzero entries of G's rows a and b (G is symmetric).
     """
     n = form.dim
-    g = _sparse_rows(form.gram.rows)
+    g = form._sparse
     for a in range(n):
         for b in range(a, n):
             row = {l * n + a: x for l, x in g[b]}  # (D^T G)[a, b] = sum_l D[l, a] G[l, b]

@@ -51,10 +51,6 @@ def vec_add(x: Vec, y: Vec) -> Vec:
     return tuple(a + b for a, b in zip(x, y))
 
 
-def vec_sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale(c, x: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in x)

@@ -1,13 +1,18 @@
 """Symmetric bilinear forms on a Lie algebra and the metric pairing.
 
 Restriction, radical, orthogonal complement and the induced quotient form are
-all exact subspace computations on Gram matrices.
+all exact subspace computations on Gram matrices.  Pairings and products G w
+are sums over the Gram matrix's nonzero entries.  The frozen SymForm and
+MetricLieAlgebra keep what they fix (nonzero entries, signature, n' and its
+orthogonal complement) on first use; they hold only immutable values, so a
+kept value never goes stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -17,9 +22,10 @@ from gonil.linalg import (
     Matrix,
     SignatureTriple,
     Subspace,
+    _ZERO,
+    _sparse_rows,
     symmetric_signature,
     to_vec,
-    vec_dot,
 )
 
 
@@ -29,7 +35,7 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SymForm:
-    """A symmetric bilinear form given by its Gram matrix."""
+    """A symmetric bilinear form given by its Gram matrix; frozen, so it keeps its nonzero entries and signature."""
 
     gram: Matrix
 
@@ -41,18 +47,37 @@ class SymForm:
     def dim(self) -> int:
         return self.gram.nrows
 
+    @cached_property
+    def _sparse(self) -> list[list[tuple[int, Fraction]]]:
+        return _sparse_rows(self.gram.rows)
+
+    @cached_property
+    def _signature(self) -> SignatureTriple:
+        return symmetric_signature(self.gram)
+
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
-        return vec_dot(to_vec(x), self.gram @ to_vec(y))
+        x, y = to_vec(x), to_vec(y)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise DimensionMismatch("pairing needs vectors of the form's dimension")
+        return sum([a * sum([g * y[j] for j, g in row if y[j]], _ZERO) for a, row in zip(x, self._sparse) if a], _ZERO)
+
+    def _times(self, entries) -> dict[int, Fraction]:
+        """G w as {index: value}, for w given by its nonzero (index, value) entries; G is symmetric."""
+        out: dict[int, Fraction] = {}
+        for j, w in entries:
+            for i, g in self._sparse[j]:
+                out[i] = out.get(i, _ZERO) + g * w
+        return out
 
     def signature(self) -> SignatureTriple:
-        return symmetric_signature(self.gram)
+        return self._signature
 
     def is_nondegenerate(self) -> bool:
         return self.signature().r == 0
 
     def radical(self) -> Subspace:
         """{x : <x, .> = 0}, in the form's own coordinates."""
-        return Subspace.solving(self.dim, map(enumerate, self.gram.rows))
+        return Subspace.solving(self.dim, self._sparse)
 
 
 @dataclass(frozen=True)
@@ -84,11 +109,19 @@ class MetricLieAlgebra:
         return self.form.pair(x, y)
 
     def nprime(self) -> Subspace:
-        return derived_subalgebra(self.algebra)
+        return self._nprime
 
     def v_complement(self) -> Subspace:
         """The orthogonal complement of the derived algebra."""
-        return orth_complement(self, self.nprime())
+        return self._v_complement
+
+    @cached_property
+    def _nprime(self) -> Subspace:
+        return derived_subalgebra(self.algebra)
+
+    @cached_property
+    def _v_complement(self) -> Subspace:
+        return orth_complement(self, self._nprime)
 
     def __eq__(self, other) -> bool:
         return (
@@ -106,7 +139,7 @@ def _check_in_algebra(m: MetricLieAlgebra, v: Subspace) -> None:
 def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     """{x : <x, w> = 0 for all w in V} with respect to m's form."""
     _check_in_algebra(m, v)
-    return Subspace.solving(m.dim, (enumerate(m.form.gram @ w) for w in v.basis.rows))
+    return Subspace.solving(m.dim, (m.form._times(w).items() for w in v._rows_at_pivots.values()))
 
 
 def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
@@ -121,8 +154,8 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     One solve: V's annihilator rows cut out V, the rows G w its orthogonal complement.
     """
     _check_in_algebra(m, v)
-    gram = m.form.gram
-    rows = chain(map(enumerate, v.annihilator().rows), (enumerate(gram @ w) for w in v.basis.rows))
+    images = (m.form._times(w).items() for w in v._rows_at_pivots.values())
+    rows = chain(map(enumerate, v.annihilator().rows), images)
     return Subspace.solving(m.dim, rows)
 
 
@@ -136,10 +169,8 @@ def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymF
     """
     if not eg <= m1:
         raise PreconditionError("eg is not contained in m1")
-    for x in eg.basis.rows:
-        for y in m1.basis.rows:
-            if m.pair(x, y) != 0:
-                raise PreconditionError("<eg, m1> != 0")
+    if any(m.pair(x, y) for x in eg.basis.rows for y in m1.basis.rows):
+        raise PreconditionError("<eg, m1> != 0")
     if m1.dim + eg.dim != m.dim:
         raise PreconditionError("dim m1 + dim eg != dim n")
     comp = eg.complement_rows_within(m1)

@@ -405,7 +405,7 @@ def quotient_by_transposed_solve(m, result):
     basis, one ``solve_particular`` per vector, and the eg coordinates are
     dropped.
     """
-    comp, eg, m1 = result.complement_rows, result.witness.eg, result.witness.m1
+    comp, eg = result.complement_rows, result.witness.eg
     k = comp.nrows
     solver = Matrix(list(comp.rows) + list(eg.basis.rows), ncols=m.dim).transpose()
 
@@ -414,6 +414,33 @@ def quotient_by_transposed_solve(m, result):
         assert coords is not None, "vector outside m1"
         return coords[:k]
 
+    return _quotient_by(m, result, comp_coords)
+
+
+def quotient_by_dense_pivot_coordinates(m, result):
+    """Projection and bracket table of a reduction, each vector's eg part removed densely.
+
+    eg's part, read at eg's pivots, is subtracted as a dense Matrix-vector
+    product; the rest's m1 coordinates are read by the dense
+    ``Subspace.coordinates`` and kept at the pivots eg does not use.
+    """
+    eg, m1 = result.witness.eg, result.witness.m1
+    eg_rows = eg.basis.transpose()
+    comp_at = [i for i, pc in enumerate(m1.pivots) if pc not in eg.pivots]
+
+    def comp_coords(vec):
+        part = eg_rows @ [vec[p] for p in eg.pivots]
+        coords = m1.coordinates(tuple(a - b for a, b in zip(vec, part)))
+        assert coords is not None, "vector outside m1"
+        return tuple(coords[i] for i in comp_at)
+
+    return _quotient_by(m, result, comp_coords)
+
+
+def _quotient_by(m, result, comp_coords):
+    """The projection of m1 and the quotient's bracket table, read through comp_coords."""
+    comp, m1 = result.complement_rows, result.witness.m1
+    k = comp.nrows
     table = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -421,6 +448,11 @@ def quotient_by_transposed_solve(m, result):
             if any(coords):
                 table[(i, j)] = {t: c for t, c in enumerate(coords) if c}
     return Matrix(zip(*[comp_coords(row) for row in m1.basis.rows]), ncols=m1.dim), table
+
+
+def pair_by_dense_product(form, x, y) -> Fraction:
+    """<x, y> as x . (G y), G y the dense Matrix-vector product."""
+    return vec_dot(to_vec(x), form.gram @ to_vec(y))
 
 
 def coordinates_by_solve(space, vec):

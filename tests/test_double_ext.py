@@ -1,6 +1,9 @@
+import importlib.util
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, seed, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import engel_witness_algebra, random_nilpotent_table, sheared, sheared_gram
 from gonil import double_ext
-from gonil.catalog import build_example, de5_data, de7_lorentz_data, euclidean_abelian
+from gonil.catalog import EXAMPLE_NAMES, build_example, de5_data, de7_lorentz_data, euclidean_abelian
 from gonil.cli import main
 from gonil.double_ext import (
     DegeneracyTag,
@@ -22,15 +25,16 @@ from gonil.double_ext import (
     reduction_witness,
 )
 from gonil.io import save_algebra
-from gonil.lie import EngelError, LieAlgebra, abelian, lower_central_series, nilpotency_step
+from gonil.lie import EngelError, LieAlgebra, abelian, derived_subalgebra, lower_central_series, nilpotency_step
 from gonil.isotropy import derivation_defect
-from gonil.linalg import Matrix, Subspace, basis_vec, to_vec
-from gonil.metric import MetricLieAlgebra, SymForm
+from gonil.linalg import Matrix, Subspace, _sparse_rows, basis_vec, symmetric_signature, to_vec
+from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
 from oracles import (
     derivation_defect_by_brackets,
     engel_split_by_flag,
     extension_identity_failure_by_pairing,
     omega_pair,
+    quotient_by_dense_pivot_coordinates,
     quotient_by_transposed_solve,
 )
 
@@ -468,6 +472,71 @@ def test_projection_and_quotient_brackets_match_transposed_solve(de5, de7, heis3
         projection, table = quotient_by_transposed_solve(m, result)
         assert result.projection == projection
         assert result.m0.algebra.table == table
+
+
+def ladder_rungs(seed_value=11):
+    """(label, base, data) for every rung recipe of the benchmark's reduce_ladder (DEG1 and Engel), at one seed."""
+    workloads = sys.modules.get("perfbench_workloads")
+    if workloads is None:  # registered before it runs: its dataclasses look their module up
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+    rng = random.Random(seed_value)
+    return [(f"{family}-d{dim}", *make(rng)[:2]) for family, dim, make in workloads.LADDER]
+
+
+def test_quotient_coordinates_match_the_dense_pivot_reading(de5, de7):
+    cases = [("de5", de5), ("de7_lorentz", de7)]
+    cases += [(label, extend2(base, data)) for label, base, data in ladder_rungs()]
+    assert {label.split("-")[0] for label, _ in cases} == {"de5", "de7_lorentz", "deg1", "engel"}
+    # Sheared, the central eg is no coordinate line: its part is nonzero at pivots of the complement.
+    for label, m in cases + [(f"{label} sheared", sheared(m, shift=-1)) for label, m in cases]:
+        result = reduce(m)
+        projection, table = quotient_by_dense_pivot_coordinates(m, result)
+        assert result.projection == projection, label
+        assert result.m0.algebra.table == table, label
+
+
+def test_a_quotient_bracket_outside_m1_trips_the_membership_check(monkeypatch, de5):
+    witness = reduction_witness(de5)
+    outside = basis_vec(de5.dim, 0)  # f pairs with eg = span(e), so it is not in m1 = eg's orthogonal
+    assert not witness.m1.contains_vector(outside)
+    monkeypatch.setattr(double_ext, "reduction_witness", lambda m, h=None: witness)
+    monkeypatch.setattr(LieAlgebra, "bracket", lambda self, x, y: outside)
+    with pytest.raises(AssertionError, match="internal: vector outside m1"):
+        reduce(de5)
+
+
+@pytest.mark.parametrize("label", ["de7_lorentz", "engel-d10"])
+def test_one_round_trip_builds_each_signature_and_derived_algebra_it_needs_once(monkeypatch, label):
+    # Signatures: the extension's form (extend2's check, read again by reduce's
+    # accounting), the form on n' (classification) and the quotient form
+    # (quotient_form's check, m0's check and the accounting).  Derived algebras:
+    # the lower central series of each nilpotency check (extend2 and m0) and
+    # n' of the extension, shared by the classification, the witness and v.
+    rungs = {rung: (base, data) for rung, base, data in ladder_rungs()}
+    base, data = de7_lorentz_data() if label == "de7_lorentz" else rungs[label]
+    counts = Counter()
+    for original in (symmetric_signature, derived_subalgebra):
+
+        def counted(*args, original=original):
+            counts[original.__name__] += 1
+            return original(*args)
+
+        _rebind_everywhere(monkeypatch, original, counted)
+    assert reduce(extend2(base, data)).m0 == base
+    assert counts == {"symmetric_signature": 3, "derived_subalgebra": 3}
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_kept_values_equal_fresh_ones(name):
+    m = build_example(name).algebra  # its pinned invariants have filled what m keeps
+    assert m.nprime() is m.nprime() and m.form.signature() is m.form.signature()
+    assert m.nprime() == derived_subalgebra(m.algebra)
+    assert m.v_complement() == orth_complement(m, derived_subalgebra(m.algebra))
+    assert m.form.signature() == symmetric_signature(m.form.gram)
+    assert m.form._sparse == _sparse_rows(m.form.gram.rows)
 
 
 def _split_extension(table, k):

@@ -270,6 +270,40 @@ def test_parse_rational_accepted_format():
         parse_rational("1/0")
 
 
+def _bare_integer_files(tmp_path, place, value):
+    """The command line that reads value, a bare JSON integer, at place: an algebra's form or bracket, or extension data."""
+    base = {"dim": 2, "brackets": {}, "form": [[1, 0], [0, 1]]}
+    data = {"D": [[0, 0], [0, 0]], "phi": [0, 0], "omega": [[0, 0], [0, 0]], "mu": 0}
+    if place == "form":
+        base["form"][0][0] = value
+    elif place == "bracket":
+        base = {"dim": 3, "brackets": {"0,1": {"2": value}}, "form": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+    elif place == "D":
+        data["D"][1][0] = value
+    elif place == "omega":
+        data["omega"][0][1], data["omega"][1][0] = value, -value
+    elif place == "phi":
+        data["phi"][0] = value
+    else:
+        data["mu"] = value
+    (tmp_path / "base.json").write_text(json.dumps(base))
+    (tmp_path / "data.json").write_text(json.dumps(data))
+    if place in ("form", "bracket"):
+        return ["check", str(tmp_path / "base.json")]
+    return ["extend", str(tmp_path / "base.json"), "--data", str(tmp_path / "data.json")]
+
+
+@pytest.mark.parametrize("place", ["form", "bracket", "D", "phi", "omega", "mu"])
+def test_a_bare_json_integer_meets_the_rational_bound(place, tmp_path, capsys):
+    longest = 10**MAX_RATIONAL_CHARS - 1  # 1,000 nines
+    assert main(_bare_integer_files(tmp_path, place, longest)) == 0
+    capsys.readouterr()
+    assert main(_bare_integer_files(tmp_path, place, longest + 1)) == 2
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.startswith("ERROR: ")
+    assert out.endswith(f"integer longer than {MAX_RATIONAL_CHARS} digits\n")
+
+
 def test_loader_refuses_exponent_rational(no_fraction_in_io):
     data = {"dim": 1, "brackets": {}, "form": [["1e999999999"]]}
     with pytest.raises(FormatError, match=r"form\[0\]\[0\]: not a rational"):

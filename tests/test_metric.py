@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from conftest import ENTRY
 from gonil.lie import abelian
 from gonil.linalg import DimensionMismatch, Matrix, Subspace
 from gonil.metric import (
@@ -14,7 +17,7 @@ from gonil.metric import (
     radical_of_restriction,
     restrict_form,
 )
-from oracles import random_invertible_matrix
+from oracles import pair_by_dense_product, random_invertible_matrix
 
 
 def random_metric_abelian(rng, n):
@@ -137,3 +140,27 @@ def test_checked_rejects_non_nilpotent():
     solvable = LieAlgebra(2, {(0, 1): {1: 1}})
     with pytest.raises(PreconditionError, match="nilpotent"):
         MetricLieAlgebra.checked(solvable, SymForm(Matrix.identity(2)))
+
+
+@st.composite
+def form_and_vectors(draw):
+    """A symmetric rational Gram matrix with zero entries, and two vectors of its dimension with zeros."""
+    n = draw(st.integers(1, 7))
+    upper = {(i, j): draw(ENTRY) for i in range(n) for j in range(i, n)}
+    gram = Matrix([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+    x, y = ([draw(ENTRY) for _ in range(n)] for _ in range(2))
+    return SymForm(gram), x, y
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None, database=None)
+@given(form_and_vectors())
+def test_pair_over_nonzero_entries_matches_the_dense_product(case):
+    form, x, y = case
+    assert form.pair(x, y) == pair_by_dense_product(form, x, y) == form.pair(y, x)
+    assert type(form.pair(x, y)) is Fraction
+    for bad in ([*x, 0], x[:-1]):
+        with pytest.raises(DimensionMismatch):
+            form.pair(bad, y)
+        with pytest.raises(DimensionMismatch):
+            form.pair(x, bad)
