@@ -55,8 +55,6 @@ from gonil.lie import (
     bracket_subspaces,
     center,
     centralizer,
-    derived_series,
-    engel_flag,
     is_ideal,
     jacobi_defect,
     lower_central_series,
@@ -67,7 +65,6 @@ from gonil.linalg import (
     Matrix,
     SignatureTriple,
     Subspace,
-    kernel,
     rref,
     solve_particular,
     symmetric_signature,

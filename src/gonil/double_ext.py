@@ -81,10 +81,6 @@ class WitnessFlags:
     orthogonal_central: bool  # (iii) <eg, m1> = 0 and eg central
     dimension: bool  # (iv) dim m1 + dim eg = dim n
 
-    @property
-    def all_pass(self) -> bool:
-        return self.inclusion and self.invariance and self.orthogonal_central and self.dimension
-
     def lines(self) -> list[str]:
         def word(b):
             return "PASS" if b else "FAIL"

@@ -444,13 +444,6 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     return LinearGOCertificate(Matrix([xs for xs, _ in ops], ncols=n))
 
 
-def linear_witness_at(h: OperatorSpace, cert: LinearGOCertificate, t) -> Matrix:
-    """Assemble A(T) from a linear certificate."""
-    t = to_vec(t)
-    coeffs = cert.coeffs @ t
-    return h.combine(coeffs)
-
-
 def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[int, int, int, Fraction]]:
     """Nonzero values of the polarized orbit identity for the family T -> A(T).
 

@@ -74,13 +74,6 @@ class OperatorSpace:
             raise DimensionMismatch("operator size differs from the algebra's dimension")
         return self._span.coordinates(op.vectorize())
 
-    def combine(self, coeffs) -> Matrix:
-        """The operator with the given coefficients in this basis, one per basis operator."""
-        if len(coeffs) != self.dim:
-            raise DimensionMismatch("need one coefficient per basis operator")
-        n = self.ambient_dim
-        return sum((op.scale(c) for c, op in zip(coeffs, self.basis) if c), Matrix.zeros(n, n))
-
     def verify_commutator_closed(self) -> None:
         """Raise ValueError unless the commutator of any two basis operators lies in the span.
 
@@ -134,15 +127,6 @@ def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
     return _first_defects(alg.dim, _indexed(derivation_rows(alg)), _sparse_operators(alg.dim, ops))
 
 
-def derivation_defect(alg: LieAlgebra, op: Matrix) -> tuple[int, int] | None:
-    """The derivation_defects entry of one operator."""
-    return derivation_defects(alg, [op])[0]
-
-
-def is_derivation(alg: LieAlgebra, op: Matrix) -> bool:
-    return derivation_defect(alg, op) is None
-
-
 def skew_space(form: SymForm) -> OperatorSpace:
     """All D with D^T G + G D = 0 for the form's Gram matrix G."""
     return _solution_space(form.dim, _skew_rows(form))
@@ -167,10 +151,6 @@ def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fract
 def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first entry (a, b), a <= b, where D^T G + G D is nonzero, or None."""
     return _first_defects(form.dim, _indexed(_skew_rows(form)), _sparse_operators(form.dim, ops))
-
-
-def is_skew(form: SymForm, op: Matrix) -> bool:
-    return skew_defects(form, [op])[0] is None
 
 
 def _solution_space(n: int, keyed_rows) -> OperatorSpace:

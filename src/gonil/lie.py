@@ -11,21 +11,11 @@ caller explicitly opts out (needed to inspect broken candidate tables).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from gonil.linalg import (
-    DimensionMismatch,
-    Matrix,
-    Subspace,
-    Vec,
-    _sparse_rows,
-    basis_vec,
-    solve_particular,
-    to_vec,
-)
+from gonil.linalg import DimensionMismatch, Subspace, Vec, _sparse_rows, to_vec
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
@@ -44,7 +34,7 @@ class NotNilpotentError(ValueError):
 
 
 class EngelError(RuntimeError):
-    """A family of operators has a zero common kernel (Engel flag or degeneracy-2 split)."""
+    """ad(s) on the null plane of the degeneracy-2 split has no common kernel vector."""
 
 
 class LieAlgebra:
@@ -104,11 +94,6 @@ class LieAlgebra:
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have the algebra's dimension")
         return self._bracket(*_sparse_rows((x, y)))
-
-    def ad(self, x: Sequence) -> Matrix:
-        """Matrix of y -> [x, y]; column b is [x, e_b]."""
-        cols = [self.bracket(x, basis_vec(self.dim, b)) for b in range(self.dim)]
-        return Matrix(zip(*cols), ncols=self.dim)
 
     def __eq__(self, other) -> bool:
         return (
@@ -187,17 +172,18 @@ def derived_subalgebra(alg: LieAlgebra) -> Subspace:
     return Subspace.span(alg.dim, [alg.bracket_basis(i, j) for i, j in alg._table])
 
 
-def _descend(chain: list[Subspace], step) -> list[Subspace]:
-    """Extend chain by step(last term) until the last term is zero or the step leaves it unchanged."""
-    while chain[-1].dim and (nxt := step(chain[-1])) != chain[-1]:
-        chain.append(nxt)
-    return chain
-
-
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
     """Chain n >= [n,n] >= [n,[n,n]] >= ... down to the stable term; [n,n] is always kept."""
+    return _series_from(alg, derived_subalgebra(alg))
+
+
+def _series_from(alg: LieAlgebra, nprime: Subspace) -> list[Subspace]:
+    """lower_central_series, given its term n' = [n,n]."""
     full = Subspace.full(alg.dim)
-    return _descend([full, derived_subalgebra(alg)], lambda c: bracket_subspaces(alg, full, c))
+    chain = [full, nprime]
+    while chain[-1].dim and (nxt := bracket_subspaces(alg, full, chain[-1])) != chain[-1]:
+        chain.append(nxt)
+    return chain
 
 
 def nilpotency_step(alg: LieAlgebra) -> int:
@@ -208,15 +194,6 @@ def nilpotency_step(alg: LieAlgebra) -> int:
             f"lower central series stabilizes at dimension {chain[-1].dim}"
         )
     return max(len(chain) - 1, 1)
-
-
-def is_nilpotent(alg: LieAlgebra) -> bool:
-    return lower_central_series(alg)[-1].dim == 0
-
-
-def derived_series(alg: LieAlgebra) -> list[Subspace]:
-    """Chain n >= [n,n] >= [[n,n],[n,n]] >= ..., stopping at zero or at the first repeated term."""
-    return _descend([Subspace.full(alg.dim)], lambda c: bracket_subspaces(alg, c, c))
 
 
 def centralizer(alg: LieAlgebra, v: Subspace) -> Subspace:
@@ -250,62 +227,6 @@ def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
 
 def is_ideal(alg: LieAlgebra, v: Subspace) -> bool:
     return bracket_subspaces(alg, Subspace.full(alg.dim), v) <= v
-
-
-@dataclass(frozen=True)
-class EngelFlag:
-    """Ascending common-kernel chain and a basis making all operators strictly lower triangular."""
-
-    spaces: tuple[Subspace, ...]  # W_1 < W_2 < ... < W_k = full space
-    basis: Matrix  # rows ordered so that op(row_i) lies in span(row_{i+1}, ...)
-
-
-def engel_flag(ops: Sequence[Matrix]) -> EngelFlag:
-    """Simultaneously strictly-triangularize a family of nilpotent operators.
-
-    Extraction walks ascending common kernels W_t = {x : op(x) in W_(t-1)};
-    a step that adds nothing means the operators generate no nilpotent Lie
-    algebra (by Engel's theorem), and a complete flag makes every operator,
-    hence every commutator, strictly triangular.
-    """
-    if not ops:
-        raise ValueError("need at least one operator")
-    n = ops[0].ncols
-    for op in ops:
-        if op.nrows != n or op.ncols != n:
-            raise DimensionMismatch("operators must be square and same-sized")
-        if not op.is_nilpotent():
-            raise EngelError("no common kernel vector: an operator is not nilpotent")
-
-    spaces: list[Subspace] = []
-    current = Subspace.zero(n)
-    while current.dim < n:
-        ann = current.annihilator()
-        nxt = Subspace.solving(n, (enumerate(r) for op in ops for r in (ann @ op).rows))
-        if nxt.dim == current.dim:
-            raise EngelError("no common kernel vector")
-        spaces.append(nxt)
-        current = nxt
-    ordered: list[Vec] = []
-    for idx in range(len(spaces) - 1, -1, -1):
-        inner = spaces[idx - 1] if idx > 0 else Subspace.zero(n)
-        ordered.extend(inner.complement_rows_within(spaces[idx]).rows)
-    basis = Matrix(ordered, ncols=n)
-    _verify_strict_triangularity(ops, basis)
-    return EngelFlag(tuple(spaces), basis)
-
-
-def _verify_strict_triangularity(ops: Sequence[Matrix], basis: Matrix) -> None:
-    n = basis.nrows
-    bt = basis.transpose()
-    for op in ops:
-        for j in range(n):
-            image = op @ basis.row(j)
-            coords = solve_particular(bt, image)
-            if coords is None:
-                raise AssertionError("internal: flag basis does not span")
-            if any(coords[i] != 0 for i in range(j + 1)):
-                raise EngelError("triangularity verification failed")
 
 
 def _check_ambient(alg: LieAlgebra, v: Subspace) -> None:

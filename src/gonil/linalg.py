@@ -56,12 +56,6 @@ def vec_scale(c, x: Vec) -> Vec:
     return tuple(c * a for a in x)
 
 
-def vec_dot(x: Vec, y: Vec) -> Fraction:
-    if len(x) != len(y):
-        raise DimensionMismatch("dot product needs equal lengths")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
-
-
 def is_zero_vec(x: Vec) -> bool:
     return all(a == 0 for a in x)
 
@@ -355,15 +349,6 @@ def rref(m: Matrix) -> RRef:
     rows = [(dict(zip(cols, vals)), vals[0]) for vals, cols in zip(values, columns)]
     reduced = tuple(tuple(Fraction(r[c], p) if c in r else _ZERO for c in range(m.ncols)) for r, p in rows)
     return RRef(Matrix._trusted(reduced, m.ncols), tuple(pivots))
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m).pivots)
-
-
-def kernel(m: Matrix) -> Matrix:
-    """Canonical reduced-echelon basis of the right kernel, as rows."""
-    return Matrix._trusted(_kernel_of_rows(map(enumerate, m.rows), m.ncols), m.ncols)
 
 
 def solve_particular(a: Matrix, b: Sequence) -> Vec | None:

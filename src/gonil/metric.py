@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
-from gonil.lie import LieAlgebra, is_nilpotent, derived_subalgebra
+from gonil.lie import LieAlgebra, _series_from, derived_subalgebra
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
@@ -93,11 +93,11 @@ class MetricLieAlgebra:
 
     @classmethod
     def checked(cls, algebra: LieAlgebra, form: SymForm) -> MetricLieAlgebra:
-        """Construct with full invariant validation (nondegeneracy, nilpotency)."""
+        """Construct with full invariant validation (nondegeneracy, nilpotency from the kept n')."""
         m = cls(algebra, form)
         if not form.is_nondegenerate():
             raise PreconditionError("metric form must be nondegenerate")
-        if not is_nilpotent(algebra):
+        if _series_from(algebra, m.nprime())[-1].dim:
             raise PreconditionError("algebra must be nilpotent")
         return m
 

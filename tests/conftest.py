@@ -25,6 +25,11 @@ def sparse_rows(draw, nrows, ncols):
     return [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
 
 
+def combination(n: int, ops, coeffs) -> Matrix:
+    """sum_j coeffs[j] ops[j], one coefficient per n-by-n operator; the zero matrix for none."""
+    return sum((op.scale(c) for c, op in zip(coeffs, ops, strict=True)), Matrix.zeros(n, n))
+
+
 def random_nilpotent_table(rng: random.Random, n: int) -> dict:
     """A random bracket table on dimension n that satisfies Jacobi, redrawn until it does.
 

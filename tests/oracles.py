@@ -12,11 +12,14 @@ import math
 import random
 from fractions import Fraction
 
-from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, kernel, solve_particular, to_vec, vec_dot
+from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, solve_particular, to_vec
 from gonil.double_ext import _dual_null_pair
 from gonil.go_engine import NecessaryConditionReport
-from gonil.lie import engel_flag
 from gonil.metric import SymForm, orth_complement, radical_of_restriction, restrict_form
+
+
+def dot(x, y) -> Fraction:
+    return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
 def char_poly(m: Matrix) -> list[Fraction]:
@@ -202,11 +205,9 @@ def random_symmetric_matrix(rng: random.Random, n: int, bound: int = 6) -> Matri
 
 
 def random_invertible_matrix(rng: random.Random, n: int, bound: int = 5) -> Matrix:
-    from gonil.linalg import rank
-
     while True:
         m = random_rational_matrix(rng, n, n, bound)
-        if rank(m) == n:
+        if len(naive_rref(m)[1]) == n:
             return m
 
 
@@ -218,7 +219,7 @@ def certificate_by_dense_solve(m, h, t):
     """
     gt = m.form.gram @ t
     cols = [op.transpose() @ gt for op in h.basis] + [tuple(-x for x in gt)]
-    rhs = tuple(-x for x in (m.algebra.ad(t).transpose() @ gt))
+    rhs = tuple(-x for x in (ad_by_table(m.algebra, t).transpose() @ gt))
     x = solve_particular(Matrix(zip(*cols), ncols=len(cols)), rhs)
     if x is None:
         return None
@@ -247,7 +248,7 @@ def certificate_holds_by_fractions(m, h, cert) -> bool:
                         lhs[b] += c * v * gt[d]
     if any(x != cert.k * g for x, g in zip(lhs, gt)):
         return False
-    return vec_dot(t, gt) == 0 or cert.k == 0
+    return dot(t, gt) == 0 or cert.k == 0
 
 
 def dense_product(a_rows, b_rows, ncols):
@@ -452,7 +453,7 @@ def _quotient_by(m, result, comp_coords):
 
 def pair_by_dense_product(form, x, y) -> Fraction:
     """<x, y> as x . (G y), G y the dense Matrix-vector product."""
-    return vec_dot(to_vec(x), form.gram @ to_vec(y))
+    return dot(to_vec(x), form.gram @ to_vec(y))
 
 
 def coordinates_by_solve(space, vec):
@@ -495,8 +496,8 @@ def skew_defect_by_products(form, op: Matrix):
 
 
 # The subspaces below are built as before ``Subspace.solving``: dense products
-# stacked into one matrix and handed to ``kernel``, with the empty inputs
-# answered separately.
+# stacked into one matrix whose kernel ``kernel_by_naive_rref`` takes, with the
+# empty inputs answered separately.
 
 
 def _stacked(blocks, ncols: int) -> Matrix:
@@ -504,17 +505,17 @@ def _stacked(blocks, ncols: int) -> Matrix:
 
 
 def annihilator_by_kernel(v) -> Matrix:
-    """Rows y with (basis) y = 0: the identity for the zero subspace, else kernel(basis)."""
+    """Rows y with (basis) y = 0: the identity for the zero subspace, else the kernel of the basis."""
     if v.dim == 0:
         return Matrix.identity(v.ambient_dim)
-    return kernel(v.basis)
+    return kernel_by_naive_rref(v.basis)
 
 
 def centralizer_by_stacked_ads(alg, v):
     """{x : [x, w] = 0 for all w in V}: the kernel of the stacked -ad(w), whose column a is [e_a, w]."""
     if v.dim == 0:
         return Subspace.full(alg.dim)
-    return Subspace(alg.dim, kernel(_stacked([alg.ad(w).scale(-1) for w in v.basis.rows], alg.dim)))
+    return Subspace(alg.dim, kernel_by_naive_rref(_stacked([ad_by_table(alg, w).scale(-1) for w in v.basis.rows], alg.dim)))
 
 
 def transporter_by_stacked_products(alg, v, w):
@@ -522,60 +523,46 @@ def transporter_by_stacked_products(alg, v, w):
     if v.dim == 0:
         return Subspace.full(alg.dim)
     ann = annihilator_by_kernel(w)
-    return Subspace(alg.dim, kernel(_stacked([ann @ alg.ad(u).scale(-1) for u in v.basis.rows], alg.dim)))
+    return Subspace(alg.dim, kernel_by_naive_rref(_stacked([ann @ ad_by_table(alg, u).scale(-1) for u in v.basis.rows], alg.dim)))
 
 
 def intersect_by_stacked_annihilators(v, w):
     """V meet W: the kernel of both annihilators stacked."""
     stacked = _stacked([annihilator_by_kernel(v), annihilator_by_kernel(w)], v.ambient_dim)
-    return Subspace(v.ambient_dim, kernel(stacked))
-
-
-def engel_spaces_by_stacked_products(ops):
-    """The ascending common kernels W_t = {x : op(x) in W_(t-1)} until one adds nothing or the space is full."""
-    n = ops[0].ncols
-    spaces, current = [], Subspace.zero(n)
-    while current.dim < n:
-        ann = annihilator_by_kernel(current)
-        nxt = Subspace(n, kernel(_stacked([ann @ op for op in ops], n)))
-        if nxt.dim == current.dim:
-            break
-        spaces.append(nxt)
-        current = nxt
-    return spaces
+    return Subspace(v.ambient_dim, kernel_by_naive_rref(stacked))
 
 
 def engel_split_by_flag(m):
-    """The degeneracy-2 split (eg, m1, (e1, e2), (f1, f2)) through a general Engel flag.
+    """The degeneracy-2 split (eg, m1, (e1, e2), (f1, f2)) through the 2x2 matrices of ad(s) on o.
 
     ad(s) on the null plane o is written as one 2x2 matrix per basis vector of
-    s = n' + v, from whole-vector brackets and coordinates in o; e2 is the
-    flag's common-kernel vector and e1 its other basis row, mapped back through
-    o's basis.
+    s = n' + v, from whole-vector brackets and coordinates in o; e2 spans
+    their common kernel, solved at once, and e1 is the canonical basis row of
+    o's coordinates off its pivot, both mapped back through o's basis.
     """
     nprime = m.nprime()
     o, s = radical_of_restriction(m, nprime), nprime.plus(m.v_complement())
-    ops = []
+    rows = []
     for sb in s.basis.rows:
         cols = [o.coordinates(m.algebra.bracket(sb, x)) for x in o.basis.rows]
-        ops.append(Matrix(zip(*cols), ncols=o.dim))
-    flag = engel_flag(ops)
-    e2 = o.basis.transpose() @ flag.spaces[0].basis.row(0)
-    e1 = o.basis.transpose() @ flag.basis.row(0)
+        rows.extend(enumerate(r) for r in zip(*cols))
+    common = Subspace.solving(o.dim, rows)
+    e2 = o.basis.transpose() @ common.basis.row(0)
+    e1 = o.basis.transpose() @ common.complement_rows_within(Subspace.full(o.dim)).row(0)
     eg = Subspace.span(m.dim, [e2])
     return eg, orth_complement(m, eg), (e1, e2), _dual_null_pair(m, e1, e2)
 
 
 def radical_by_kernel(form):
     """{x : <x, .> = 0}: the kernel of the Gram matrix."""
-    return Subspace(form.dim, kernel(form.gram))
+    return Subspace(form.dim, kernel_by_naive_rref(form.gram))
 
 
 def orth_complement_by_product(m, v):
     """{x : <x, w> = 0 for all w in V}: the kernel of (basis of V) @ Gram, the whole space for V = 0."""
     if v.dim == 0:
         return Subspace.full(m.dim)
-    return Subspace(m.dim, kernel(v.basis @ m.form.gram))
+    return Subspace(m.dim, kernel_by_naive_rref(v.basis @ m.form.gram))
 
 
 def radical_of_restriction_by_restricted_kernel(m, v):
@@ -602,6 +589,12 @@ def bracket_by_table(alg, x, y):
     return tuple(out)
 
 
+def ad_by_table(alg, x) -> Matrix:
+    """The dense matrix of y -> [x, y]: column b is ``bracket_by_table(alg, x, e_b)``."""
+    n = alg.dim
+    return Matrix(zip(*[bracket_by_table(alg, x, basis_vec(n, b)) for b in range(n)]), ncols=n)
+
+
 def bracket_span_by_dense_brackets(alg, v, w):
     """Span of [x, y] over basis vectors x of V and y of W, each bracket a dense table walk."""
     return Subspace.span(alg.dim, [bracket_by_table(alg, x, y) for x in v.basis.rows for y in w.basis.rows])
@@ -622,19 +615,6 @@ def lower_central_series_by_dense_brackets(alg):
         current = nxt
 
 
-def derived_series_by_dense_brackets(alg):
-    """n >= [n, n] >= [[n, n], [n, n]] >= ..., stopping at zero or at the first repeated term."""
-    chain = [Subspace.full(alg.dim)]
-    while True:
-        current = chain[-1]
-        nxt = bracket_span_by_dense_brackets(alg, current, current)
-        if nxt == current:
-            return chain
-        chain.append(nxt)
-        if nxt.dim == 0:
-            return chain
-
-
 def necessary_condition_by_dense_images(m):
     """``necessary_condition_check`` as a dense loop: per a, the matrix of <[e_a, e_c], e_b> and dot products."""
     nprime = m.nprime()
@@ -650,7 +630,7 @@ def necessary_condition_by_dense_images(m):
         images = [lowered_ad.transpose() @ x for x in rows]  # images[i][b] = <[e_a, x_i], e_b>
         for i in range(len(rows)):
             for j in range(i, len(rows)):
-                defect = vec_dot(images[i], rows[j]) + vec_dot(images[j], rows[i])
+                defect = dot(images[i], rows[j]) + dot(images[j], rows[i])
                 if defect != 0:
                     violations.append((a, i, j, defect))
     return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))

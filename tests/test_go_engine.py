@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import heisenberg, necessary_condition_counterexample
+from conftest import combination, heisenberg, necessary_condition_counterexample
 from gonil.go_engine import (
     GOEngineError,
     check_subisotropy,
@@ -11,7 +11,6 @@ from gonil.go_engine import (
     go_certificate_at,
     go_random_audit,
     linear_go_certificate,
-    linear_witness_at,
     necessary_condition_check,
 )
 from gonil.isotropy import OperatorSpace, isotropy_algebra
@@ -24,12 +23,17 @@ def basis_vec(n, i):
     return tuple(v)
 
 
+def witness_at(h, cert, t):
+    """A(T) = sum_j (L T)_j D_j from a linear certificate L and h's basis operators D_j."""
+    return combination(h.ambient_dim, h.basis, cert.coeffs @ to_vec(t))
+
+
 def test_abelian_certificate_is_trivial(abelian4):
     iso = isotropy_algebra(abelian4)
     cert = go_certificate_at(abelian4, iso, [1, 2, 3, 4])
     assert cert is not None
     assert cert.k == 0
-    assert iso.combine(cert.A_coeffs).is_zero()
+    assert combination(4, iso.basis, cert.A_coeffs).is_zero()
 
 
 def test_paper_certificate_at_f4(paper, paper_iso):
@@ -121,7 +125,7 @@ def test_scaling_covariance(de5):
         doubled = go_certificate_at(de5, iso, vec_scale(2, t))
         assert doubled is not None
         # the doubled witness (2A, 2k) satisfies the identity at 2T
-        a = iso.combine(cert.A_coeffs)
+        a = combination(5, iso.basis, cert.A_coeffs)
         for b in range(5):
             eb = basis_vec(5, b)
             t2 = vec_scale(2, t)
@@ -150,7 +154,7 @@ def test_linear_certificate_de5_consistent_with_pointwise(de5):
         t = tuple(Fraction(rng.randint(-5, 5)) for _ in range(5))
         if is_zero_vec(t):
             continue
-        a = linear_witness_at(iso, cert, t)
+        a = witness_at(iso, cert, t)
         for b in range(5):
             eb = basis_vec(5, b)
             assert de5.pair(vec_add(de5.algebra.bracket(t, eb), a @ eb), t) == 0
@@ -165,7 +169,7 @@ def test_linear_certificate_paper_consistent_with_pointwise(paper, paper_iso):
         t = tuple(Fraction(rng.randint(-3, 3)) for _ in range(12))
         if is_zero_vec(t):
             continue
-        a = linear_witness_at(paper_iso, cert, t)
+        a = witness_at(paper_iso, cert, t)
         for b in range(12):
             eb = basis_vec(12, b)
             assert m.pair(vec_add(m.algebra.bracket(t, eb), a @ eb), t) == 0
@@ -179,7 +183,7 @@ def test_linear_certificate_found_on_euclidean_h25():
     cert = linear_go_certificate(m, iso)
     assert cert is not None
     t = tuple(Fraction(i % 5 - 2) for i in range(25))
-    a = linear_witness_at(iso, cert, t)
+    a = witness_at(iso, cert, t)
     for b in range(25):
         eb = basis_vec(25, b)
         assert m.pair(vec_add(m.algebra.bracket(t, eb), a @ eb), t) == 0

@@ -5,23 +5,23 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ENTRY, heisenberg, sparse_rows
+from conftest import ENTRY, combination, heisenberg, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
 from gonil.double_ext import ExtensionData, extend2, reduce
 from gonil.isotropy import (
     OperatorSpace,
     derivation_space,
+    derivation_defects,
     is_adh_invariant,
-    is_derivation,
-    is_skew,
     isotropy_algebra,
+    skew_defects,
     skew_space,
 )
 from gonil.lie import abelian, bracket_subspaces, lower_central_series, transporter
 from gonil.linalg import DimensionMismatch, Matrix, Subspace
 from gonil.metric import SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
-from oracles import adh_invariant_by_dense_products, commutator_closed_by_dense_products
+from oracles import ad_by_table, adh_invariant_by_dense_products, commutator_closed_by_dense_products
 
 
 def basis_vec(n, i):
@@ -64,15 +64,15 @@ def test_isotropy_of_euclidean_abelian(abelian4):
 
 
 def test_paper_operators_are_derivations_and_skew(paper):
-    m = paper.algebra
-    for op in paper.witness_operators:
-        assert is_skew(m.form, op)
-        assert is_derivation(m.algebra, op)
+    m, ops = paper.algebra, list(paper.witness_operators)
+    assert skew_defects(m.form, ops) == derivation_defects(m.algebra, ops) == [None] * len(ops)
 
 
 def test_paper_operators_inside_isotropy(paper, paper_iso):
     for op in paper.witness_operators:
         assert paper_iso.contains(op)
+    coeffs = [Fraction(j - 2, j + 1) for j in range(paper_iso.dim)]
+    assert paper_iso.coordinates(combination(12, paper_iso.basis, coeffs)) == tuple(coeffs)
 
 
 def test_isotropy_closed_and_annihilates_form(paper, paper_iso):
@@ -167,9 +167,9 @@ def _extend2_outputs():
     shift = Matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     return {
         "euclidean3_shift_plane": extend2(euclidean_abelian(3), ExtensionData(shift, (0, 0, 0), plane, Fraction(2))),
-        "heis3_by_ad_e1": extend2(heis3, ExtensionData(heis3.algebra.ad(basis_vec(3, 0)), (0,) * 3, Matrix.zeros(3, 3))),
+        "heis3_by_ad_e1": extend2(heis3, ExtensionData(ad_by_table(heis3.algebra, basis_vec(3, 0)), (0,) * 3, Matrix.zeros(3, 3))),
         "filiform4_by_ad_e1": extend2(
-            filiform4, ExtensionData(filiform4.algebra.ad(basis_vec(4, 0)), (0,) * 4, Matrix.zeros(4, 4))
+            filiform4, ExtensionData(ad_by_table(filiform4.algebra, basis_vec(4, 0)), (0,) * 4, Matrix.zeros(4, 4))
         ),
         "de5_plus_plane": extend2(de5, ExtensionData(Matrix.zeros(5, 5), (0,) * 5, Matrix.zeros(5, 5))),
     }
@@ -247,7 +247,7 @@ def test_commutator_closure_matches_dense_product_oracle():
             h = catalog[data.draw(st.sampled_from([name for name, iso in catalog.items() if iso.dim]))]
             n = h.ambient_dim
             coeffs = st.lists(ENTRY, min_size=h.dim, max_size=h.dim)
-            ops = [h.combine(data.draw(coeffs)) for _ in range(data.draw(st.integers(1, 4)))]
+            ops = [combination(n, h.basis, data.draw(coeffs)) for _ in range(data.draw(st.integers(1, 4)))]
         space = OperatorSpace.from_operators(n, ops)
         if data.draw(st.booleans()):
             space = _generated_subalgebra(space)
@@ -281,24 +281,6 @@ def test_operator_space_refuses_an_operator_of_another_shape(heis3):
         for ask in (iso.contains, iso.coordinates):
             with pytest.raises(DimensionMismatch, match="^operator size differs from the algebra's dimension$"):
                 ask(op)
-
-
-def test_combine_takes_one_coefficient_per_basis_operator(heis3, paper_iso):
-    iso = isotropy_algebra(heis3)
-    assert iso.dim == 1
-    for coeffs in ([1, 5, 7], [1, 5], []):
-        with pytest.raises(DimensionMismatch, match="^need one coefficient per basis operator$"):
-            iso.combine(coeffs)
-    with pytest.raises(DimensionMismatch):
-        paper_iso.combine([1] * (paper_iso.dim - 1))
-    assert iso.combine([Fraction(-3, 2)]) == iso.basis[0].scale(Fraction(-3, 2))
-    assert iso.combine([0]) == Matrix.zeros(3, 3)
-    assert OperatorSpace.from_operators(3, []).combine([]) == Matrix.zeros(3, 3)
-    coeffs = [Fraction(j - 2, j + 1) for j in range(paper_iso.dim)]
-    expected = Matrix.zeros(12, 12)
-    for c, op in zip(coeffs, paper_iso.basis):
-        expected = expected + op.scale(c)
-    assert paper_iso.combine(coeffs) == expected and paper_iso.coordinates(expected) == tuple(coeffs)
 
 
 def test_adh_invariance_refuses_an_operator_space_of_another_dimension(paper, heis3, de7):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from gonil.lie import (
-    EngelError,
     JacobiError,
     LieAlgebra,
     NotNilpotentError,
@@ -11,16 +10,14 @@ from gonil.lie import (
     bracket_subspaces,
     center,
     centralizer,
-    derived_series,
     derived_subalgebra,
-    engel_flag,
     is_ideal,
     jacobi_defect,
     lower_central_series,
     nilpotency_step,
     transporter,
 )
-from gonil.linalg import DimensionMismatch, Matrix, Subspace
+from gonil.linalg import DimensionMismatch, Subspace
 
 
 def basis_vec(n, i):
@@ -68,13 +65,11 @@ def test_lcs_paper_example(paper):
 
 
 def test_series_first_steps():
-    # sl2 is perfect: [n, n] = n, so the lower central series keeps it once and the derived series stops at n.
+    # sl2 is perfect: [n, n] = n, so the lower central series keeps it once.
     sl2 = LieAlgebra(3, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}})  # h, e, f
     solvable = LieAlgebra(2, {(0, 1): {1: 1}})  # [e0, e1] = e1
-    cases = ((sl2, [3, 3], [3]), (solvable, [2, 1], [2, 1, 0]), (abelian(1), [1, 0], [1, 0]))
-    for alg, lower, derived in cases:
+    for alg, lower in ((sl2, [3, 3]), (solvable, [2, 1]), (abelian(1), [1, 0])):
         assert [s.dim for s in lower_central_series(alg)] == lower
-        assert [s.dim for s in derived_series(alg)] == derived
 
 
 def test_bracket_basis_refuses_out_of_range_indices(heis3):
@@ -153,71 +148,10 @@ def test_series_terms_are_ad_invariant_ideals(paper, de5):
         alg = m.algebra
         full = Subspace.full(alg.dim)
         for term in lower_central_series(alg)[1:]:
-            assert bracket_subspaces(alg, full, term) <= term
-        for term in derived_series(alg)[1:]:
-            assert is_ideal(alg, term)
+            assert bracket_subspaces(alg, full, term) <= term and is_ideal(alg, term)
 
 
 def test_transporter_generalizes_centralizer(heis3):
     alg = heis3.algebra
     v = derived_subalgebra(alg)
     assert transporter(alg, v, Subspace.zero(3)) == centralizer(alg, v)
-
-
-def test_engel_flag_jordan_block():
-    n = 4
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        rows[i - 1][i] = Fraction(1)  # e_i -> e_{i-1}
-    flag = engel_flag([Matrix(rows)])
-    assert flag.basis == Matrix([basis_vec(n, i) for i in reversed(range(n))])
-    assert [s.dim for s in flag.spaces] == [1, 2, 3, 4]
-
-
-def test_engel_flag_paper_operators(paper):
-    alg = paper.algebra.algebra
-    nprime = derived_subalgebra(alg)
-    ops = []
-    for f in (0, 1):  # ad f1, ad f2 restricted to n'
-        cols = []
-        for x in nprime.basis.rows:
-            image = alg.bracket(basis_vec(12, f), x)
-            coords = nprime.coordinates(image)
-            assert coords is not None
-            cols.append(coords)
-        ops.append(Matrix(zip(*cols), ncols=4))
-    flag = engel_flag(ops)
-    # both operators kill e4, which is the last coordinate of the n' basis
-    assert flag.spaces[0].contains_vector((0, 0, 0, 1))
-
-
-def test_engel_flag_rejects_invertible():
-    with pytest.raises(EngelError, match="no common kernel"):
-        engel_flag([Matrix.identity(2)])
-
-
-def test_engel_flag_rejects_nilpotent_pair_with_non_nilpotent_commutator():
-    # both operators are nilpotent, but their commutator diag(1, -1) is not
-    upper = Matrix([[0, 1], [0, 0]])
-    lower = Matrix([[0, 0], [1, 0]])
-    with pytest.raises(EngelError, match="no common kernel vector"):
-        engel_flag([upper, lower])
-
-
-def test_engel_flag_triangularity_random_uppers():
-    import random
-
-    rng = random.Random(99)
-    for _ in range(10):
-        n = rng.randint(2, 5)
-        mats = []
-        for _ in range(rng.randint(1, 3)):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rows[i][j] = Fraction(rng.randint(-2, 2))
-            mats.append(Matrix(rows))
-        if all(m.is_zero() for m in mats):
-            continue
-        flag = engel_flag(mats)  # raises internally if triangularity fails
-        assert flag.spaces[-1].dim == n

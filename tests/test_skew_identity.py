@@ -1,6 +1,6 @@
 """The skew rows against the dense products they replace.
 
-``skew_defects`` and ``is_skew`` evaluate the sparse rows of D^T G + G D that
+``skew_defects`` evaluates the sparse rows of D^T G + G D that
 the isotropy kernel solves; ``oracles.skew_defect_by_products`` forms the
 same matrix with two dense products.  Since D^T G + G D is symmetric, its
 first nonzero entry in row-major order has a <= b, so both name the same
@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gonil.catalog import EXAMPLE_NAMES, build_example
-from gonil.isotropy import is_skew, isotropy_algebra, skew_defects, skew_space
+from gonil.isotropy import isotropy_algebra, skew_defects, skew_space
 from gonil.linalg import DimensionMismatch, Matrix, symmetric_signature
 from gonil.metric import SymForm
 from oracles import skew_defect_by_products
@@ -73,7 +73,6 @@ def test_skew_defects_match_the_dense_products():
             ops.append(op + Matrix(entries))
         expected = [skew_defect_by_products(form, op) for op in ops]
         assert skew_defects(form, ops) == expected
-        assert is_skew(form, ops[0]) == (expected[0] is None)
         outcomes.update(defect is None for defect in expected)
         kinds.add(kind)
 
@@ -101,6 +100,6 @@ def test_skew_defects_on_catalog_isotropy_bases(name, paper_iso):
 def test_skew_defects_refuse_a_wrong_size():
     form = SymForm(Matrix.identity(3))
     with pytest.raises(DimensionMismatch, match="operator size differs"):
-        is_skew(form, Matrix.zeros(2, 2))
+        skew_defects(form, [Matrix.zeros(2, 2)])
     with pytest.raises(DimensionMismatch, match="operator size differs"):
         skew_defects(form, [Matrix.zeros(3, 3), Matrix.zeros(3, 2)])

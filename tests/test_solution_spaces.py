@@ -1,11 +1,11 @@
 """Every subspace cut out by linear equations against the dense construction it replaced.
 
 ``Subspace.solving`` is the one constructor for such subspaces: centralizers,
-transporters, the Engel common kernels, intersections, orthogonal complements
-and radicals hand it their equations as sparse rows.  It is checked against
+transporters, intersections, orthogonal complements and radicals hand it their
+equations as sparse rows.  It is checked against
 ``oracles.kernel_by_naive_rref``, which shares no code with the integer core.
 ``oracles`` also keeps the earlier bodies, which stacked dense products into
-one matrix for ``kernel`` and answered empty inputs separately; each property
+one matrix, took its kernel and answered empty inputs separately; each property
 compares a rewritten function with its oracle on random rational subspaces,
 the zero and the full subspace included, of catalog algebras and of random
 small nilpotent metric algebras, and asserts that every outcome was reached.
@@ -20,13 +20,13 @@ from hypothesis import strategies as st
 
 from conftest import random_nilpotent_table, sheared_gram, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example
-from gonil.lie import LieAlgebra, centralizer, engel_flag, lower_central_series, transporter
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, vec_dot
+from gonil.lie import LieAlgebra, centralizer, lower_central_series, transporter
+from gonil.linalg import DimensionMismatch, Matrix, Subspace
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, radical_of_restriction
 from oracles import (
     annihilator_by_kernel,
     centralizer_by_stacked_ads,
-    engel_spaces_by_stacked_products,
+    dot,
     intersect_by_stacked_annihilators,
     kernel_by_naive_rref,
     orth_complement_by_product,
@@ -83,7 +83,7 @@ def test_solving_matches_the_naive_kernel():
         for given_rows in (sparse, map(enumerate, rows), repeated):
             space = Subspace.solving(ncols, given_rows)
             assert space.basis == expected
-        assert all(vec_dot(x, row) == 0 for x in space.basis.rows for row in rows)
+        assert all(dot(x, row) == 0 for x in space.basis.rows for row in rows)
         outcomes.add("zero" if space.dim == 0 else "full" if space.dim == ncols else "proper")
         outcomes.add("no rows" if not rows else "duplicate rows" if repeats else "rows")
         if rows and any(split):
@@ -190,28 +190,6 @@ def test_orth_complement_and_radicals_match_dense_oracles():
         ("form radical", "zero"),
         ("form radical", "nonzero"),
     }
-
-
-def test_engel_common_kernels_match_stacked_oracle():
-    outcomes = set()
-
-    @seed(20261018)
-    @SETTINGS
-    @given(n=st.integers(1, 5), count=st.integers(1, 3), data=st.data())
-    def check(n, count, data):
-        # Strictly lower-triangular operators in a permuted basis: nilpotent together, in any order.
-        perm = data.draw(st.permutations(range(n)))
-        ops = []
-        for _ in range(count):
-            rows = data.draw(sparse_rows(n, n))
-            lower = [[x if j < i else 0 for j, x in enumerate(row)] for i, row in enumerate(rows)]
-            ops.append(Matrix([[lower[perm[i]][perm[j]] for j in range(n)] for i in range(n)]))
-        flag = engel_flag(ops)
-        assert list(flag.spaces) == engel_spaces_by_stacked_products(ops)
-        outcomes.add("one step" if len(flag.spaces) == 1 else "several steps")
-
-    check()
-    assert outcomes == {"one step", "several steps"}
 
 
 def test_the_rewritten_paths_refuse_a_foreign_subspace(heis3):

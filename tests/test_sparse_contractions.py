@@ -5,11 +5,10 @@ and y; ``go_engine`` builds the lowered bracket tensor <[e_a, e_c], e_b> from
 the bracket table and the Gram matrix's nonzeros and sums the polarized orbit
 identity, the necessary condition on n' and the linear certificate's check
 over it.  The oracles in ``oracles.py`` are the dense bodies: brackets as a
-dense walk of the i < j table, dense lowered matrices and ``vec_dot``.
+dense walk of the i < j table, dense lowered matrices and dot products.
 """
 
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -20,14 +19,12 @@ import gonil.linalg as linalg
 from conftest import random_nilpotent_table, rescaled, sheared_gram
 from gonil import go_engine
 from gonil.go_engine import linear_go_certificate, necessary_condition_check, polarized_defects
-from gonil.isotropy import OperatorSpace
-from gonil.lie import LieAlgebra, bracket_subspaces, derived_series, is_ideal, lower_central_series, nilpotency_step
+from gonil.lie import LieAlgebra, bracket_subspaces, is_ideal, lower_central_series, nilpotency_step
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, basis_vec
 from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import (
     bracket_by_table,
     bracket_span_by_dense_brackets,
-    derived_series_by_dense_brackets,
     lower_central_series_by_dense_brackets,
     necessary_condition_by_dense_images,
     polarized_defects_by_pairing,
@@ -66,7 +63,6 @@ def test_subspace_brackets_match_dense_brackets():
         series = lower_central_series_by_dense_brackets(alg)
         assert lower_central_series(alg) == series
         assert nilpotency_step(alg) == max(len(series) - 1, 1)
-        assert derived_series(alg) == derived_series_by_dense_brackets(alg)
         v, w = (_subspace(alg, kind, rng, series) for kind in kinds)
         x, y = ([rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)]) for _ in range(n)] for _ in range(2))
         assert alg.bracket(x, y) == bracket_by_table(alg, x, y)
@@ -214,18 +210,6 @@ def _raise(*args, **kwargs):
     raise AssertionError("dense path taken")
 
 
-def _patch_everywhere(monkeypatch, original):
-    """Make every gonil module attribute bound to original raise; returns how many were patched."""
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if name == "gonil" or name.startswith("gonil."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, _raise)
-                    patched += 1
-    return patched
-
-
 def test_identity_checks_take_no_dense_path(paper, paper_iso, monkeypatch):
     m, alg = paper.algebra, paper.algebra.algebra
     ops = list(paper.witness_operators)
@@ -244,8 +228,6 @@ def test_identity_checks_take_no_dense_path(paper, paper_iso, monkeypatch):
     assert expected["polarized_defects"] and expected["bracket_subspaces"].dim > 0
 
     monkeypatch.setattr(LieAlgebra, "bracket", _raise)
-    monkeypatch.setattr(OperatorSpace, "combine", _raise)
-    assert _patch_everywhere(monkeypatch, linalg.vec_dot) >= 1
     for name, run in dense_products_allowed.items():
         assert run() == expected[name], name
     monkeypatch.setattr(Matrix, "__matmul__", _raise)

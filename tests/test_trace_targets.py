@@ -20,7 +20,15 @@ print("\\n".join(spans.install(spans.Recorder())))
 """
 
 # Targets the benchmark names that the library no longer has.
-KNOWN_MISSING = ["gonil.isotropy.OperatorSpace.intersect", "gonil.linalg.solve_linear"]
+KNOWN_MISSING = [
+    "gonil.isotropy.OperatorSpace.combine",
+    "gonil.isotropy.OperatorSpace.intersect",
+    "gonil.isotropy.is_derivation",
+    "gonil.lie.LieAlgebra.ad",
+    "gonil.lie.engel_flag",
+    "gonil.linalg.kernel",
+    "gonil.linalg.solve_linear",
+]
 
 
 # A 41-bit entry goes through the watched integer core; the traced run reports its width.
@@ -30,7 +38,7 @@ import spans
 
 recorder = spans.Recorder()
 spans.install(recorder)
-gonil.linalg.kernel(gonil.linalg.Matrix([[2**40 + 1, 3], [5, 7]]))
+gonil.linalg.rref(gonil.linalg.Matrix([[2**40 + 1, 3], [5, 7]]))
 print(recorder.counts[(0, "linalg.rref")]["max_bits"])
 """
 
