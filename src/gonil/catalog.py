@@ -351,8 +351,8 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
 
     witnesses = example.witness_operators or ()
     record("witness_count", len(witnesses) == n, f"{len(witnesses)} stored operators")
-    iso = isotropy_algebra(m)  # its kept rows serve the two witness checks
-    skew, derivation = _isotropy_defects(m, iso, _sparse_operators(n, witnesses))
+    iso = isotropy_algebra(m)
+    skew, derivation = _isotropy_defects(m, _sparse_operators(n, witnesses))
     bad_skew = [b for b, defect in enumerate(skew) if defect is not None]
     record("witness_skew", not bad_skew, f"skewness fails at basis {bad_skew}")
     bad_der = [b for b, defect in enumerate(derivation) if defect is not None]

@@ -7,8 +7,9 @@ as (skew derivations) + (the nilpotent algebra itself) with the algebra an
 ideal, no projection is needed in the bracket term.
 
 The bracket identities are summed over nonzero structure constants only: the
-lowered bracket tensor <[e_a, e_c], e_b> is built per call from the bracket
-table and the Gram matrix's nonzeros, and operators enter by their nonzeros.
+lowered bracket tensor <[e_a, e_c], e_b> is kept on the metric algebra, built
+once from the bracket table and the Gram matrix's nonzeros, and operators
+enter by their nonzeros.
 
 The per-vector system is built once per (m, h) as sparse tensors whose
 denominators are cleared at build time, so each sample is assembled,
@@ -139,13 +140,10 @@ class GOAuditReport:
 
 
 def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
-    """Verify every basis operator of h, by its kept nonzero entries, is a skew derivation of m.
-
-    Reads the rows h keeps when h is isotropy_algebra of this same m object; builds them afresh otherwise.
-    """
+    """Verify that every basis operator of h, by its kept nonzero entries, solves the isotropy rows m keeps."""
     if h.ambient_dim != m.dim:
         raise GOEngineError("operator space dimension differs from the algebra")
-    for skew, defect in zip(*_isotropy_defects(m, h, h._sparse)):
+    for skew, defect in zip(*_isotropy_defects(m, h._sparse)):
         if skew is not None:
             raise GOEngineError("operator space is not inside the isotropy algebra (skewness fails)")
         if defect is not None:
@@ -164,19 +162,6 @@ def _cleared(v: Fraction, den: int) -> int:
 def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
     """Each entry (..., v) as (..., den * v) with an int last item."""
     return tuple((*x[:-1], _cleared(x[-1], den)) for x in entries)
-
-
-def _lowered(m: MetricLieAlgebra) -> dict[tuple[int, int], dict[int, Fraction]]:
-    """The nonzero <[e_a, e_c], e_b> as {(a, c): {b: value}}, from the bracket table and the Gram matrix's nonzeros."""
-    gram, low = m.form._sparse, {}
-    for (i, j), targets in m.algebra._table.items():
-        row: dict[int, Fraction] = {}
-        for k, v in targets.items():
-            for b, g in gram[k]:
-                row[b] = row.get(b, 0) + v * g
-        if row := {b: x for b, x in row.items() if x}:
-            low[i, j], low[j, i] = row, {b: -x for b, x in row.items()}
-    return low
 
 
 def _entries(rows) -> list[tuple[int, int, Fraction]]:
@@ -248,7 +233,7 @@ class _CertificateSystem:
                 for e, g in gram_rows[k]:
                     acc[e, b] += g * v
             paired.append([(e, b, x) for (e, b), x in sorted(acc.items()) if x])
-        quadratic = [(a, b, c, v) for (a, b), row in sorted(_lowered(m).items()) for c, v in sorted(row.items())]
+        quadratic = [(a, b, c, v) for (a, b), row in sorted(m._lowered.items()) for c, v in sorted(row.items())]
         den = _common_denominator(x[-1] for x in chain(*gram_rows, *paired, quadratic))
         # the check's own data, each cleared by its own denominator
         table = m.algebra._table.items()
@@ -470,7 +455,7 @@ def _polarized_sums(m: MetricLieAlgebra, entries) -> list[tuple[int, int, int, F
     order of the loop over a <= b, then c.
     """
     gram = m.form._sparse  # symmetric: row k holds the G[b][k]
-    low = ((a, b, c, v) for (a, c), row in _lowered(m).items() for b, v in row.items())
+    low = ((a, b, c, v) for (a, c), row in m._lowered.items() for b, v in row.items())
     sums: dict[tuple[int, int, int], Fraction] = {}
     for a, b, c, v in chain(low, ((a, b, c, g * w) for a, k, c, w in entries for b, g in gram[k])):
         key = (a, b, c) if a <= b else (b, a, c)
@@ -515,7 +500,7 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
             nprime.basis, ()
         )
     violations = []
-    rows, sparse, low = nprime.basis.rows, _sparse_rows(nprime.basis.rows), _lowered(m)
+    rows, sparse, low = nprime.basis.rows, nprime._rows_at_pivots.values(), m._lowered
     for a in range(m.dim):
         images: list[dict[int, Fraction]] = [{} for _ in rows]  # images[i][b] = <[e_a, x_i], e_b>
         for image, xs in zip(images, sparse):  # summed over the nonzero entries of x_i

@@ -182,6 +182,8 @@ def extension_data_from_dict(data: dict) -> ExtensionData:
     if not isinstance(d_rows, list) or not isinstance(omega_rows, list) or not isinstance(phi, list):
         raise FormatError("'D' and 'omega' must be arrays of arrays; 'phi' an array")
     k = len(phi)
+    if k > MAX_DIM - 2:
+        raise FormatError(f"'phi' has at most {MAX_DIM - 2} entries, as the extension's 'dim' is at most {MAX_DIM}")
     for name, rows in (("D", d_rows), ("omega", omega_rows)):
         if len(rows) != k or any(not isinstance(r, list) or len(r) != k for r in rows):
             raise FormatError(f"'{name}' must be a {k}x{k} array matching phi's length")

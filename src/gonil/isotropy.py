@@ -10,22 +10,20 @@ The derivation and skew identities are keyed sparse rows over the entries of
 D (the skew rows read off the Gram matrix's nonzero entries): the kernels
 solve them, and the defect checks evaluate them column-indexed, adding each
 operator's nonzero entries only into the rows that hold them.  A space keeps
-its basis operators' nonzero entries once read, and the isotropy algebra of m
-keeps the rows it was solved from, indexed on its first check: every later
-check under that same m object reads them instead of rebuilding them.
+its basis operators' nonzero entries once read; the rows that cut out the
+isotropy algebra, and their index, are kept on the metric algebra itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterator
 
 from gonil.lie import LieAlgebra, derivation_rows
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _kernel_of_rows, _sparse_rows
-from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra
+from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra, _indexed, _skew_rows
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,6 @@ class OperatorSpace:
 
     ambient_dim: int
     basis: tuple[Matrix, ...]
-    _rows: tuple = field(default=(), compare=False, repr=False)  # isotropy_algebra's (m, skew rows, derivation rows)
 
     @classmethod
     def from_operators(cls, ambient_dim: int, ops) -> OperatorSpace:
@@ -54,11 +51,6 @@ class OperatorSpace:
     def _sparse(self) -> list[list[list[tuple[int, Fraction]]]]:
         """Each basis operator's nonzero entries, as the _sparse_rows of its rows."""
         return _sparse_operators(self.ambient_dim, self.basis)
-
-    @cached_property
-    def _indexed_rows(self) -> list:
-        """The kept skew and derivation rows, each _indexed on the first check, not at construction."""
-        return [_indexed(rows) for rows in self._rows[1:]]
 
     @cached_property
     def _span(self) -> Subspace:
@@ -97,16 +89,6 @@ def _sparse_operators(n: int, ops) -> list[list[list[tuple[int, Fraction]]]]:
     return [_sparse_rows(op.rows) for op in ops]
 
 
-def _indexed(keyed_rows) -> tuple[list, dict[int, list[tuple[int, Fraction]]]]:
-    """The keys cut to two items (derivation row (i, j, m) is named (i, j)), and {entry: [(row index, coefficient)]}."""
-    keys, by_entry = [], {}
-    for r, (key, row) in enumerate(keyed_rows):
-        keys.append(key[:2])
-        for x, c in row.items():
-            by_entry.setdefault(x, []).append((r, c))
-    return keys, by_entry
-
-
 def _first_defects(n: int, indexed, ops) -> list:
     """Per n-by-n operator (as _sparse_rows), the key of the least _indexed row its entries fail, or None."""
     keys, by_entry = indexed
@@ -132,22 +114,6 @@ def skew_space(form: SymForm) -> OperatorSpace:
     return _solution_space(form.dim, _skew_rows(form))
 
 
-def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fraction]]]:
-    """Entry (a, b), a <= b, of D^T G + G D as a sparse row over the row-major entries of D; zero rows skipped.
-
-    Read off the nonzero entries of G's rows a and b (G is symmetric).
-    """
-    n = form.dim
-    g = form._sparse
-    for a in range(n):
-        for b in range(a, n):
-            row = {l * n + a: x for l, x in g[b]}  # (D^T G)[a, b] = sum_l D[l, a] G[l, b]
-            for l, x in g[a]:  # (G D)[a, b] = sum_l G[a, l] D[l, b]
-                row[l * n + b] = row.get(l * n + b, 0) + x
-            if row:
-                yield (a, b), row
-
-
 def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first entry (a, b), a <= b, where D^T G + G D is nonzero, or None."""
     return _first_defects(form.dim, _indexed(_skew_rows(form)), _sparse_operators(form.dim, ops))
@@ -163,19 +129,17 @@ def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
 
     One kernel of the derivation and skew rows together, so the basis is
     canonical; the commutator closure is re-verified on construction.  The
-    space keeps m and those rows for its later checks.
+    rows are the ones m keeps.
     """
-    skew, derivation = list(_skew_rows(m.form)), list(derivation_rows(m.algebra))
-    space = replace(_solution_space(m.dim, chain(derivation, skew)), _rows=(m, skew, derivation))
+    skew, derivation = m._isotropy_rows
+    space = _solution_space(m.dim, chain(derivation, skew))
     space.verify_commutator_closed()
     return space
 
 
-def _isotropy_defects(m: MetricLieAlgebra, h: OperatorSpace, ops) -> list[list]:
-    """[skew_defects, derivation_defects] under m of ops (as _sparse_rows), via h's rows if h kept them for this m."""
-    kept = h._rows and h._rows[0] is m
-    indexed = h._indexed_rows if kept else [_indexed(_skew_rows(m.form)), _indexed(derivation_rows(m.algebra))]
-    return [_first_defects(m.dim, rows, ops) for rows in indexed]
+def _isotropy_defects(m: MetricLieAlgebra, ops) -> list[list]:
+    """[skew_defects, derivation_defects] under m of ops (as _sparse_rows), read through m's kept index."""
+    return [_first_defects(m.dim, rows, ops) for rows in m._isotropy_index]
 
 
 def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None = None) -> bool:
@@ -188,7 +152,7 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
         h = isotropy_algebra(m)
     elif h.ambient_dim != m.dim:
         raise DimensionMismatch("operator space dimension differs from the algebra")
-    xs = [dict(x) for x in _sparse_rows(v.basis.rows)]
+    xs = [dict(x) for x in v._rows_at_pivots.values()]
     return all(
         v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
         for d in h._sparse

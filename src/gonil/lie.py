@@ -164,8 +164,8 @@ def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """Span of [x, y] over basis vectors x of V and y of W."""
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    xs, ys = _sparse_rows(v.basis.rows), _sparse_rows(w.basis.rows)
-    return Subspace.span(alg.dim, [alg._bracket(x, y) for x, y in product(xs, ys)])
+    pairs = product(v._rows_at_pivots.values(), w._rows_at_pivots.values())
+    return Subspace.span(alg.dim, [alg._bracket(x, y) for x, y in pairs])
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
@@ -214,7 +214,7 @@ def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     _check_ambient(alg, w)
     ad, ys = alg._ad, [dict(y) for y in _sparse_rows(w.annihilator().rows)]
     rows = []
-    for u, y in product(_sparse_rows(v.basis.rows), ys):
+    for u, y in product(v._rows_at_pivots.values(), ys):
         row: dict[int, Fraction] = {}
         for a, x in u:
             for b, image in enumerate(ad[a]):

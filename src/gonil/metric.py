@@ -3,9 +3,9 @@
 Restriction, radical, orthogonal complement and the induced quotient form are
 all exact subspace computations on Gram matrices.  Pairings and products G w
 are sums over the Gram matrix's nonzero entries.  The frozen SymForm and
-MetricLieAlgebra keep what they fix (nonzero entries, signature, n' and its
-orthogonal complement) on first use; they hold only immutable values, so a
-kept value never goes stale.
+MetricLieAlgebra keep what they fix on first use (nonzero entries, signature,
+n', v, the isotropy identity rows and their index, the lowered brackets); no
+kept value is ever mutated, so none goes stale.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from gonil.lie import LieAlgebra, _series_from, derived_subalgebra
+from gonil.lie import LieAlgebra, _series_from, derivation_rows, derived_subalgebra
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
@@ -123,12 +123,60 @@ class MetricLieAlgebra:
     def _v_complement(self) -> Subspace:
         return orth_complement(self, self._nprime)
 
+    @cached_property
+    def _isotropy_rows(self) -> tuple[list, list]:
+        """The form's skew rows and the algebra's derivation rows: the identities the isotropy algebra solves."""
+        return list(_skew_rows(self.form)), list(derivation_rows(self.algebra))
+
+    @cached_property
+    def _isotropy_index(self) -> list:
+        """Both row sets _indexed, on the first defect check, not when the isotropy algebra is solved."""
+        return [_indexed(rows) for rows in self._isotropy_rows]
+
+    @cached_property
+    def _lowered(self) -> dict[tuple[int, int], dict[int, Fraction]]:
+        """The nonzero <[e_a, e_c], e_b> as {(a, c): {b: value}}, from the bracket table and the form's nonzeros."""
+        gram, low = self.form._sparse, {}
+        for (i, j), targets in self.algebra._table.items():
+            row: dict[int, Fraction] = {}
+            for k, v in targets.items():
+                for b, g in gram[k]:
+                    row[b] = row.get(b, 0) + v * g
+            if row := {b: x for b, x in row.items() if x}:
+                low[i, j], low[j, i] = row, {b: -x for b, x in row.items()}
+        return low
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MetricLieAlgebra)
             and self.algebra == other.algebra
             and self.form.gram == other.form.gram
         )
+
+
+def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fraction]]]:
+    """Entry (a, b), a <= b, of D^T G + G D as a sparse row over the row-major entries of D; zero rows skipped.
+
+    Read off the nonzero entries of G's rows a and b (G is symmetric).
+    """
+    n, g = form.dim, form._sparse
+    for a in range(n):
+        for b in range(a, n):
+            row = {l * n + a: x for l, x in g[b]}  # (D^T G)[a, b] = sum_l D[l, a] G[l, b]
+            for l, x in g[a]:  # (G D)[a, b] = sum_l G[a, l] D[l, b]
+                row[l * n + b] = row.get(l * n + b, 0) + x
+            if row:
+                yield (a, b), row
+
+
+def _indexed(keyed_rows) -> tuple[list, dict[int, list[tuple[int, Fraction]]]]:
+    """The keys cut to two items (derivation row (i, j, m) is named (i, j)), and {entry: [(row index, coefficient)]}."""
+    keys, by_entry = [], {}
+    for r, (key, row) in enumerate(keyed_rows):
+        keys.append(key[:2])
+        for x, c in row.items():
+            by_entry.setdefault(x, []).append((r, c))
+    return keys, by_entry
 
 
 def _check_in_algebra(m: MetricLieAlgebra, v: Subspace) -> None:

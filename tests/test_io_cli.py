@@ -553,3 +553,31 @@ def test_loader_refuses_dim_above_the_limit_before_reading_the_rest():
 def test_cli_check_bounds_the_file_dim(tmp_path, capsys, dim, code, out):
     assert main(["check", _euclidean_abelian_file(tmp_path, dim)]) == code
     assert capsys.readouterr().out == out
+
+
+def test_extension_data_refuses_phi_past_the_limit_before_reading_the_rest():
+    # D and omega are neither shaped nor parsed: a wrong shape would name them instead.
+    with pytest.raises(FormatError, match=f"'phi' has at most {MAX_DIM - 2} entries"):
+        extension_data_from_dict({"D": [], "phi": ["0"] * (MAX_DIM - 1), "omega": []})
+
+
+def _de5_coupling_args(tmp_path, dim):
+    """extend arguments for the Euclidean abelian base of this dim, with D e1 = e2 and omega(e1, e2) = 1."""
+    d = [["0"] * dim for _ in range(dim)]
+    omega = [["0"] * dim for _ in range(dim)]
+    d[1][0], omega[0][1], omega[1][0] = "1", "1", "-1"
+    data = tmp_path / f"data{dim}.json"
+    data.write_text(json.dumps({"D": d, "phi": ["0"] * dim, "omega": omega}))
+    return ["extend", _euclidean_abelian_file(tmp_path, dim), "--data", str(data)]
+
+
+def test_cli_extend_writes_only_files_that_check_accepts(tmp_path, capsys):
+    out = tmp_path / "extended.json"
+    assert main([*_de5_coupling_args(tmp_path, MAX_DIM - 1), "--output", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR: ") and str(MAX_DIM - 2) in lines[0]
+    assert not out.exists()
+    assert main([*_de5_coupling_args(tmp_path, MAX_DIM - 2), "--output", str(out)]) == 0
+    assert f"EXTENDED_DIM: {MAX_DIM}" in capsys.readouterr().out.splitlines()
+    assert main(["check", str(out)]) == 0
+    assert capsys.readouterr().out == "STATUS: OK\n"

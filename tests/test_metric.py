@@ -1,11 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import gonil.isotropy as isotropy
+import gonil.metric as metric
 from conftest import ENTRY
+from gonil.catalog import build_example, verify_paper_example
+from gonil.go_engine import check_subisotropy, necessary_condition_check
+from gonil.io import algebra_from_dict, algebra_to_dict
 from gonil.lie import abelian
 from gonil.linalg import DimensionMismatch, Matrix, Subspace
 from gonil.metric import (
@@ -164,3 +171,47 @@ def test_pair_over_nonzero_entries_matches_the_dense_product(case):
             form.pair(bad, y)
         with pytest.raises(DimensionMismatch):
             form.pair(x, bad)
+
+
+def _count_builds(monkeypatch) -> Counter:
+    """Count each build of skew rows, of a by-entry index and of a lowered bracket tensor."""
+    counts = Counter()
+
+    def counted(name, f):
+        def wrapper(*args):
+            counts[name] += 1
+            return f(*args)
+        return wrapper
+
+    skew_rows = counted("skew rows", metric._skew_rows)
+    for module in (metric, isotropy):
+        monkeypatch.setattr(module, "_skew_rows", skew_rows)
+    monkeypatch.setattr(metric, "_indexed", counted("index", metric._indexed))
+    lowered = cached_property(counted("lowered", MetricLieAlgebra.__dict__["_lowered"].func))
+    lowered.__set_name__(MetricLieAlgebra, "_lowered")
+    monkeypatch.setattr(MetricLieAlgebra, "_lowered", lowered)
+    return counts
+
+
+def test_a_second_pass_on_one_metric_algebra_builds_no_rows_index_or_tensor(monkeypatch):
+    # One paper pass: the isotropy algebra, its witness checks, the linear
+    # certificate and its polarized check, then the necessary condition.
+    example = build_example("paper_2_3")
+    counts = _count_builds(monkeypatch)
+    per_pass = []
+    for _ in range(2):
+        before = counts.copy()
+        assert verify_paper_example(example).passed
+        assert necessary_condition_check(example.algebra).passed
+        per_pass.append(counts - before)
+    assert per_pass == [Counter({"skew rows": 1, "index": 2, "lowered": 1}), Counter()]
+
+
+def test_an_equal_but_distinct_metric_algebra_checks_h_by_its_own_rows(paper, paper_iso, monkeypatch):
+    m = paper.algebra
+    twin, _ = algebra_from_dict(algebra_to_dict(m))
+    assert twin == m and twin is not m
+    counts = _count_builds(monkeypatch)
+    for _ in range(2):
+        check_subisotropy(twin, paper_iso)
+    assert counts == Counter({"skew rows": 1, "index": 2})

@@ -1,10 +1,10 @@
 """The bracket identities summed over nonzero structure constants, against the dense loops they replaced.
 
 ``lie.bracket_subspaces`` forms each [x, y] over the nonzero coordinates of x
-and y; ``go_engine`` builds the lowered bracket tensor <[e_a, e_c], e_b> from
-the bracket table and the Gram matrix's nonzeros and sums the polarized orbit
-identity, the necessary condition on n' and the linear certificate's check
-over it.  The oracles in ``oracles.py`` are the dense bodies: brackets as a
+and y; the metric algebra keeps the lowered bracket tensor <[e_a, e_c], e_b>,
+built from the bracket table and the Gram matrix's nonzeros, and
+``go_engine`` sums the polarized orbit identity, the necessary condition on
+n' and the linear certificate's check over it.  The oracles in ``oracles.py`` are the dense bodies: brackets as a
 dense walk of the i < j table, dense lowered matrices and dot products.
 """
 
@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import gonil.linalg as linalg
 from conftest import random_nilpotent_table, rescaled, sheared_gram
-from gonil import go_engine
+from gonil import go_engine, isotropy, lie
 from gonil.go_engine import linear_go_certificate, necessary_condition_check, polarized_defects
-from gonil.lie import LieAlgebra, bracket_subspaces, is_ideal, lower_central_series, nilpotency_step
+from gonil.isotropy import is_adh_invariant
+from gonil.lie import LieAlgebra, bracket_subspaces, is_ideal, lower_central_series, nilpotency_step, transporter
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, basis_vec
 from gonil.metric import MetricLieAlgebra, SymForm
 from oracles import (
@@ -193,7 +194,6 @@ def test_polarized_defects_refuse_a_wrong_operator_list_before_any_sum(paper, mo
         raise AssertionError("summed before the operator list was checked")
 
     monkeypatch.setattr(go_engine, "_polarized_sums", no_sum)
-    monkeypatch.setattr(go_engine, "_lowered", no_sum)
     for bad in (
         [],
         ops[:-1],
@@ -233,3 +233,30 @@ def test_identity_checks_take_no_dense_path(paper, paper_iso, monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", _raise)
     for name, run in sparse_only.items():
         assert run() == expected[name], name
+
+
+def test_subspace_readers_use_the_rows_a_subspace_keeps(paper, paper_iso, monkeypatch):
+    # A Subspace keeps its basis rows' nonzero entries; only transporter
+    # re-reads a matrix, the annihilator of W.
+    m, alg = paper.algebra, paper.algebra.algebra
+    v, w = m.nprime(), m.v_complement()
+    paper_iso._sparse  # the operators' own entries, read once per space
+    calls = []
+
+    def counted(rows):
+        calls.append(1)
+        return linalg._sparse_rows(rows)
+
+    for module in (lie, isotropy, go_engine):
+        monkeypatch.setattr(module, "_sparse_rows", counted)
+    counts = {}
+    for name, run in (
+        ("bracket_subspaces", lambda: bracket_subspaces(alg, v, w)),
+        ("transporter", lambda: transporter(alg, v, w)),
+        ("is_adh_invariant", lambda: is_adh_invariant(m, v, paper_iso)),
+        ("necessary_condition_check", lambda: necessary_condition_check(m)),
+    ):
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == {"bracket_subspaces": 0, "transporter": 1, "is_adh_invariant": 0, "necessary_condition_check": 0}
