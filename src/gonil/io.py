@@ -30,6 +30,9 @@ class FormatError(ValueError):
 MAX_RATIONAL_CHARS = 1000
 # The isotropy kernel has dim^2 unknowns and its cost grows about as dim^4.
 MAX_DIM = 64
+# A dense 64-dim algebra file with short entries is about 2.5 MiB; without a
+# bound, a file such as /dev/zero is read until memory runs out.
+MAX_FILE_BYTES = 16 * 2**20
 _INT_BOUND = 10**MAX_RATIONAL_CHARS
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
@@ -150,8 +153,13 @@ def save_algebra(path: str | Path, m: MetricLieAlgebra, basis_names: Sequence[st
 
 
 def _read_json(path: str | Path):
+    """The JSON value of a file of at most MAX_FILE_BYTES bytes; a longer file is refused unparsed."""
+    with Path(path).open("rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise FormatError(f"file is longer than {MAX_FILE_BYTES} bytes")
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
     # ValueError: bad JSON, bad UTF-8 or an integer past the digit limit; RecursionError: nested too deeply
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc

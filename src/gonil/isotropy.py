@@ -1,17 +1,14 @@
 """Derivations, skew-symmetric operators, and the isotropy algebra.
 
-An OperatorSpace is a linear space of n-by-n operators in canonical form:
-the operators vectorize row-major into an n^2-dimensional coordinate space
-and the basis is kept in reduced echelon form there, so equality is equality
-of bases, and membership and coordinates are read at the pivots.  The
-commutator-closure check forms each commutator over the nonzero entries of
-the two operators and tests it at the same pivots, with no dense product.
-The derivation and skew identities are keyed sparse rows over the entries of
-D (the skew rows read off the Gram matrix's nonzero entries): the kernels
-solve them, and the defect checks evaluate them column-indexed, adding each
-operator's nonzero entries only into the rows that hold them.  A space keeps
-its basis operators' nonzero entries once read; the rows that cut out the
-isotropy algebra, and their index, are kept on the metric algebra itself.
+An OperatorSpace is stored once, as the Subspace of its operators' row-major
+entries, canonical in reduced echelon form: equality is equality of bases,
+and membership and coordinates are read at the pivots.  Each operator's
+nonzero entries are split off that Subspace's kept rows; the dense basis is
+built only when read.  The closure check forms each commutator over two
+operators' nonzero entries and tests it at the same pivots.  The derivation
+and skew identities are keyed sparse rows over the entries of D: the kernels
+solve them, and the defect checks evaluate them column-indexed.  The rows
+cutting out the isotropy algebra, and their index, are kept on the metric algebra.
 """
 
 from __future__ import annotations
@@ -22,40 +19,46 @@ from functools import cached_property
 from itertools import chain
 
 from gonil.lie import LieAlgebra, derivation_rows
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _kernel_of_rows, _sparse_rows
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _sparse_rows
 from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra, _indexed, _skew_rows
 
 
 @dataclass(frozen=True)
 class OperatorSpace:
-    """A canonicalized linear space of square matrices over the rationals."""
+    """A canonicalized linear space of n-by-n rational matrices, stored once as ``span``: the Subspace
+    of their row-major entries, ambient dimension n^2.  ``basis`` builds the dense operators when read."""
 
     ambient_dim: int
-    basis: tuple[Matrix, ...]
+    span: Subspace
+
+    def __post_init__(self):
+        if self.span.ambient_dim != self.ambient_dim * self.ambient_dim:
+            raise DimensionMismatch("operator entries do not span an n^2-dimensional space")
 
     @classmethod
     def from_operators(cls, ambient_dim: int, ops) -> OperatorSpace:
-        span = Subspace.span(ambient_dim * ambient_dim, [op.vectorize() for op in ops])
-        return cls._from_rows(ambient_dim, span.basis.rows)
-
-    @classmethod
-    def _from_rows(cls, ambient_dim: int, rows) -> OperatorSpace:
-        """The space whose vectorized basis is the given reduced echelon rows."""
-        return cls(ambient_dim, tuple(Matrix.from_vector(v, ambient_dim) for v in rows))
+        ops = list(ops)
+        if any(op.nrows != ambient_dim or op.ncols != ambient_dim for op in ops):
+            raise DimensionMismatch("operator size differs from the algebra's dimension")
+        return cls(ambient_dim, Subspace.span(ambient_dim * ambient_dim, [op.vectorize() for op in ops]))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.span.dim
+
+    @cached_property
+    def basis(self) -> tuple[Matrix, ...]:
+        return tuple(Matrix.from_vector(v, self.ambient_dim) for v in self.span.basis.rows)
 
     @cached_property
     def _sparse(self) -> list[list[list[tuple[int, Fraction]]]]:
-        """Each basis operator's nonzero entries, as the _sparse_rows of its rows."""
-        return _sparse_operators(self.ambient_dim, self.basis)
-
-    @cached_property
-    def _span(self) -> Subspace:
-        n2 = self.ambient_dim * self.ambient_dim
-        return Subspace(n2, Matrix([op.vectorize() for op in self.basis], ncols=n2))
+        """Each basis operator's nonzero entries, as the _sparse_rows of its rows, split off span's kept rows."""
+        n = self.ambient_dim
+        out = [[[] for _ in range(n)] for _ in range(self.dim)]
+        for op, entries in zip(out, self.span._rows_at_pivots.values()):
+            for k, v in entries:
+                op[k // n].append((k % n, v))
+        return out
 
     def contains(self, op: Matrix) -> bool:
         return self.coordinates(op) is not None
@@ -64,7 +67,7 @@ class OperatorSpace:
         """Coefficients of op in this basis, or None if outside the span."""
         if op.nrows != self.ambient_dim or op.ncols != self.ambient_dim:
             raise DimensionMismatch("operator size differs from the algebra's dimension")
-        return self._span.coordinates(op.vectorize())
+        return self.span.coordinates(op.vectorize())
 
     def verify_commutator_closed(self) -> None:
         """Raise ValueError unless the commutator of any two basis operators lies in the span.
@@ -73,7 +76,7 @@ class OperatorSpace:
         """
         for i, a in enumerate(self._sparse):
             for b in self._sparse[i + 1 :]:
-                if not self._span._contains_entries(_commutator_entries(a, b)):
+                if not self.span._contains_entries(_commutator_entries(a, b)):
                     raise ValueError("operator space is not closed under commutators")
 
 
@@ -121,7 +124,7 @@ def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
 
 def _solution_space(n: int, keyed_rows) -> OperatorSpace:
     """Operators whose row-major entries solve every keyed sparse row; no rows means all operators."""
-    return OperatorSpace._from_rows(n, _kernel_of_rows([row.items() for _, row in keyed_rows], n * n))
+    return OperatorSpace(n, Subspace.solving(n * n, (row.items() for _, row in keyed_rows)))
 
 
 def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:

@@ -47,6 +47,8 @@ class LieAlgebra:
     __slots__ = ("dim", "_table", "_ad")
 
     def __init__(self, dim: int, brackets: BracketTable, validate: bool = True):
+        if dim < 0:
+            raise DimensionMismatch(f"dimension {dim} is negative")
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for (i, j), targets in brackets.items():
             if not (0 <= i < j < dim):

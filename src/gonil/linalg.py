@@ -454,7 +454,8 @@ class Subspace:
     Each row's first nonzero entry is 1, at a pivot column to the right of the
     previous row's, and every other row is 0 there.  So v lies in the span
     exactly when v = sum_i v[p_i] B_i over the pivots p_i, and (v[p_i]) are
-    its coordinates.  A basis breaking this is refused with ValueError.
+    its coordinates.  A basis breaking this is refused with ValueError, and
+    one whose width is not the ambient dimension with DimensionMismatch.
     """
 
     ambient_dim: int
@@ -463,6 +464,8 @@ class Subspace:
     _rows_at_pivots: dict = field(init=False, repr=False, compare=False)  # pivot -> the row's _sparse_rows entry
 
     def __post_init__(self):
+        if self.basis.ncols != self.ambient_dim:
+            raise DimensionMismatch("subspace basis width differs from its ambient dimension")
         rows = _sparse_rows(self.basis.rows)
         pivots = tuple(row[0][0] if row else -1 for row in rows)
         if (

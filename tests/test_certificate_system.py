@@ -102,7 +102,7 @@ def test_certificate_matches_dense_oracle_on_null_vectors(spaces, name, scale):
 @given(k=st.integers(0, 8), rational=st.booleans(), data=st.data())
 def test_certificate_matches_dense_oracle_on_isotropy_subspaces(paper, paper_iso, k, rational, data):
     m = paper.algebra
-    sub = OperatorSpace.from_operators(m.dim, paper_iso.basis[:k]) if k else OperatorSpace(m.dim, ())
+    sub = OperatorSpace.from_operators(m.dim, paper_iso.basis[:k])
     assert sub.dim == k < paper_iso.dim
     t = _vector(data.draw, m.dim, rational)
     assert _result(m, sub, t) == certificate_by_dense_solve(m, sub, t)
@@ -271,8 +271,9 @@ def test_samples_build_no_matrix_and_solve_nothing_densely(spaces, name, monkeyp
 
 
 def test_null_vector_certificate_with_nonzero_k():
-    # [e0, e1] = e2 with a split signature (2,2,0) form.  h is half the first
-    # isotropy operator, so op_den = 2, and T = (-1/2, 0, 0, 1/2) is null with d = 2:
+    # [e0, e1] = e2 with a split signature (2,2,0) form.  h is spanned by the
+    # first isotropy operator plus half the third, whose canonical basis has
+    # entries 1/2, so op_den = 2, and T = (-1/2, 0, 0, 1/2) is null with d = 2:
     # dropping d from the k column, or op_den from the check's k side, breaks it.
     alg = LieAlgebra(4, {(0, 1): {2: 1}})
     gram = Matrix([[0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
@@ -281,12 +282,14 @@ def test_null_vector_certificate_with_nonzero_k():
     iso = isotropy_algebra(m)
     d = iso.basis[0]
     assert iso.dim == 3 and d == Matrix([[1, 0, 0, 0], [0, -2, 0, 0], [0, 0, -1, 0], [0, 2, 0, 2]])
-    h = OperatorSpace(4, (d.scale(Fraction(1, 2)),))
+    half = Fraction(1, 2)
+    h = OperatorSpace.from_operators(4, [d + iso.basis[2].scale(half)])
+    assert h.basis == (Matrix([[1, 0, 0, 0], [0, -2, 0, 0], [0, half, -1, 0], [-half, 2, 0, 2]]),)
     assert _CertificateSystem.build(m, h).op_den == 2
-    t = (Fraction(-1, 2), Fraction(0), Fraction(0), Fraction(1, 2))
+    t = (-half, Fraction(0), Fraction(0), half)
     assert m.pair(t, t) == 0
     cert = go_certificate_at(m, h, t)
-    assert cert.A_coeffs == (1,) and cert.k == Fraction(-1, 2)
+    assert cert.A_coeffs == (Fraction(1, 3),) and cert.k == Fraction(-1, 3)
     assert certificate_holds_by_fractions(m, h, cert)
     assert go_certificate_at(m, iso, t).k == 0
 
@@ -315,7 +318,7 @@ def test_isotropy_algebra_of_another_metric_is_checked_like_a_bare_space(heis3):
     # form, a rescaled basis, another bracket) it is checked from fresh rows
     # and fails exactly as a bare space of the same operators does.
     h = isotropy_algebra(heis3)
-    bare = OperatorSpace(h.ambient_dim, h.basis)
+    bare = OperatorSpace(h.ambient_dim, h.span)
     others = (
         heisenberg(1, negative=(1,)),
         rescaled(heis3, (1, 2, 1)),

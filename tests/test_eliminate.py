@@ -152,7 +152,7 @@ def test_h13_systems_solve_alike_under_both_cores(monkeypatch):
     # The Euclidean H_13: its isotropy kernel (169 unknowns) and its linear-certificate system.
     m = heisenberg(6)
     h = isotropy.isotropy_algebra(m)
-    kernels = _captured_calls(monkeypatch, isotropy, "_kernel_of_rows", lambda: isotropy.isotropy_algebra(m))
+    kernels = _captured_calls(monkeypatch, linalg, "_kernel_of_rows", lambda: isotropy.isotropy_algebra(m))
     solves = _captured_calls(monkeypatch, go_engine, "_solve_rows", lambda: go_engine.linear_go_certificate(m, h))
     assert [ncols for _, ncols in kernels] == [169] and len(solves) == 1
     got = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]

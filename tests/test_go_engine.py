@@ -61,17 +61,22 @@ def test_subisotropy_check_rejects_non_derivation(heis3):
 
 
 def test_subisotropy_check_reports_the_first_failing_operator(heis3):
-    # Operator by operator, skewness before the derivation identity.
-    skew_only = Matrix([[0, 0, -1], [0, 0, 0], [1, 0, 0]])  # e1 -> e3, e3 -> -e1
+    # Operator by operator, skewness before the derivation identity.  Each
+    # family is already canonical (first nonzero row-major entries 2 then 4,
+    # or 0 then 2), so the space checks the operators in the listed order.
+    skew_only = Matrix([[0, 0, 1], [0, 0, 0], [-1, 0, 0]])  # e1 -> -e3, e3 -> e1
     derivation_only = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 1]])
+    late_derivation_only = Matrix([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
     neither = Matrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     for ops, failure in (
-        ((skew_only, derivation_only), "derivation"),
+        ((skew_only, late_derivation_only), "derivation"),
         ((derivation_only, skew_only), "skewness"),
         ((neither,), "skewness"),
     ):
+        h = OperatorSpace.from_operators(3, ops)
+        assert h.basis == ops
         with pytest.raises(GOEngineError, match=f"\\({failure} fails\\)"):
-            check_subisotropy(heis3, OperatorSpace(3, ops))
+            check_subisotropy(heis3, h)
 
 
 def test_filiform_audit_refuted(filiform4):

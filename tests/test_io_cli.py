@@ -13,6 +13,7 @@ from gonil import io as gonil_io
 from gonil.catalog import build_example, de5_data
 from gonil.io import (
     MAX_DIM,
+    MAX_FILE_BYTES,
     MAX_RATIONAL_CHARS,
     FormatError,
     algebra_from_dict,
@@ -20,6 +21,7 @@ from gonil.io import (
     extension_data_from_dict,
     extension_data_to_dict,
     load_algebra,
+    load_extension_data,
     parse_rational,
     save_algebra,
 )
@@ -581,3 +583,27 @@ def test_cli_extend_writes_only_files_that_check_accepts(tmp_path, capsys):
     assert f"EXTENDED_DIM: {MAX_DIM}" in capsys.readouterr().out.splitlines()
     assert main(["check", str(out)]) == 0
     assert capsys.readouterr().out == "STATUS: OK\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_cli_check_refuses_an_endless_file_in_one_error_line(capsys):
+    assert main(["check", "/dev/zero"]) == 2
+    assert capsys.readouterr().out == f"ERROR: file is longer than {MAX_FILE_BYTES} bytes\n"
+
+
+def test_loaders_read_a_file_at_the_byte_bound_and_refuse_one_past_it(tmp_path, monkeypatch, capsys):
+    assert MAX_FILE_BYTES == 16 * 2**20  # the bound the README states
+    algebra = Path(_euclidean_abelian_file(tmp_path, 3))
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps(extension_data_to_dict(de5_data()[1])))
+    for path, load in ((algebra, load_algebra), (data, load_extension_data)):
+        monkeypatch.setattr(gonil_io, "MAX_FILE_BYTES", path.stat().st_size)
+        load(path)
+        over = tmp_path / f"over-{path.name}"
+        over.write_bytes(path.read_bytes() + b" ")  # still valid JSON: only its length is refused
+        with pytest.raises(FormatError, match=f"^file is longer than {path.stat().st_size} bytes$"):
+            load(over)
+    monkeypatch.setattr(gonil_io, "MAX_FILE_BYTES", algebra.stat().st_size)
+    assert main(["check", str(algebra)]) == 0
+    assert main(["check", str(tmp_path / "over-abelian3.json")]) == 2
+    assert capsys.readouterr().out == f"STATUS: OK\nERROR: file is longer than {algebra.stat().st_size} bytes\n"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ENTRY, combination, heisenberg, sparse_rows
+from conftest import ENTRY, combination, heisenberg, sheared, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
 from gonil.double_ext import ExtensionData, extend2, reduce
 from gonil.isotropy import (
@@ -18,7 +18,8 @@ from gonil.isotropy import (
     skew_space,
 )
 from gonil.lie import abelian, bracket_subspaces, lower_central_series, transporter
-from gonil.linalg import DimensionMismatch, Matrix, Subspace
+from gonil.cli import main
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _sparse_rows
 from gonil.metric import SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
 from oracles import ad_by_table, adh_invariant_by_dense_products, commutator_closed_by_dense_products
@@ -293,3 +294,68 @@ def test_adh_invariance_refuses_an_operator_space_of_another_dimension(paper, he
     with pytest.raises(DimensionMismatch, match=message):
         reduce(de7, foreign)
     assert is_adh_invariant(heis3, heis3.nprime(), foreign)
+
+
+def test_operator_space_refuses_a_span_of_another_ambient_dimension(heis3):
+    iso = isotropy_algebra(heis3)
+    message = "^operator entries do not span an n\\^2-dimensional space$"
+    for n, span in ((2, iso.span), (4, iso.span), (3, Subspace.full(3)), (3, Subspace.zero(3))):
+        with pytest.raises(DimensionMismatch, match=message):
+            OperatorSpace(n, span)
+    # an operator of another shape is refused, even one with n^2 entries
+    for n, ops in ((2, iso.basis), (3, [Matrix([iso.basis[0].vectorize()])]), (3, [Matrix.zeros(9, 1)])):
+        with pytest.raises(DimensionMismatch, match="^operator size differs from the algebra's dimension$"):
+            OperatorSpace.from_operators(n, ops)
+    assert OperatorSpace(3, iso.span) == iso == OperatorSpace.from_operators(3, iso.basis)
+
+
+def _stored_once_cases():
+    cases = {name: build_example(name).algebra for name in EXAMPLE_NAMES}
+    cases["de5/sheared"] = sheared(cases["de5"])
+    for k in range(2, 7):
+        for label, negative in (("euclidean", ()), ("lorentz", (0,)), ("split", (0, k))):
+            cases[f"heis{2 * k + 1}_{label}"] = heisenberg(k, negative)
+    return cases
+
+
+STORED_ONCE_CASES = _stored_once_cases()
+NONZERO = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 4))
+
+
+@pytest.mark.parametrize("name", sorted(STORED_ONCE_CASES))
+def test_entries_and_dense_basis_are_read_off_the_one_span(name):
+    # The kept entries and the dense basis against the dense operators'
+    # _sparse_rows and vectorization; any spanning family gives the same space.
+    h = isotropy_algebra(STORED_ONCE_CASES[name])
+    n = h.ambient_dim
+    assert h._sparse == [_sparse_rows(op.rows) for op in h.basis]
+    assert tuple(op.vectorize() for op in h.basis) == h.span.basis.rows
+
+    @seed(20261019)
+    @settings(max_examples=4, deadline=None, database=None)
+    @given(data=st.data())
+    def check(data):
+        ops = [op.scale(data.draw(NONZERO)) for op in data.draw(st.permutations(h.basis))]
+        coeffs = st.lists(ENTRY, min_size=h.dim, max_size=h.dim)
+        ops += [combination(n, h.basis, data.draw(coeffs)) for _ in range(data.draw(st.integers(0, 3)))]
+        assert OperatorSpace.from_operators(n, data.draw(st.permutations(ops))) == h
+
+    check()
+
+
+def test_only_the_isotropy_report_builds_dense_operators(monkeypatch, capsys):
+    # go, linear-go and reduce read h through its span and kept entries; the
+    # isotropy report builds each basis operator once, at the report edge.
+    built = []
+    from_vector = Matrix.from_vector.__func__
+    monkeypatch.setattr(Matrix, "from_vector", classmethod(lambda cls, v, n: built.append(n) or from_vector(cls, v, n)))
+    runs = [(["reduce", "catalog:de7_lorentz"], 0)]
+    for name in ("paper_2_3", "de7_lorentz"):
+        runs += [(["go", f"catalog:{name}", "--samples", "20", "--seed", "1"], 0), (["linear-go", f"catalog:{name}"], 0)]
+    for argv, code in runs:
+        assert main(argv) == code and built == [], argv
+    capsys.readouterr()
+    assert main(["isotropy", "catalog:de7_lorentz"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "ISOTROPY_DIM: 7" and built == [7] * 7
+    assert sum(line.startswith("BASIS[") for line in out) == 7 * 7

@@ -80,6 +80,12 @@ def test_bracket_basis_refuses_out_of_range_indices(heis3):
     assert alg.bracket_basis(0, 1) == tuple(-x for x in alg.bracket_basis(1, 0)) != (0, 0, 0)
 
 
+def test_algebra_refuses_a_negative_dimension():
+    with pytest.raises(DimensionMismatch, match="^dimension -1 is negative$"):
+        LieAlgebra(-1, {})
+    assert LieAlgebra(0, {}).dim == 0
+
+
 def test_mutating_the_returned_table_changes_no_bracket(heis3):
     alg = heis3.algebra
     before = [[alg.bracket_basis(i, j) for j in range(3)] for i in range(3)]

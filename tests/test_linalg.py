@@ -378,6 +378,15 @@ def test_subspace_refuses_a_basis_not_in_reduced_echelon_form(rows):
         Subspace(2, Matrix(rows, ncols=2))
 
 
+@pytest.mark.parametrize("ncols", [3, 6])
+def test_subspace_refuses_a_basis_of_another_width(ncols):
+    # A 3-wide row in a 5-dim space would read as "dim 1 of 5", unequal to its own span.
+    rows = [[1, 0, 2] + [0] * (ncols - 3)]
+    with pytest.raises(DimensionMismatch, match="^subspace basis width differs from its ambient dimension$"):
+        Subspace(5, Matrix(rows, ncols=ncols))
+    assert Subspace(ncols, Matrix(rows, ncols=ncols)) == Subspace.span(ncols, rows)
+
+
 def test_solve_particular_is_none_exactly_when_b_raises_the_rank():
     rng = random.Random(29)
     infeasible = 0

@@ -128,15 +128,18 @@ def test_isotropy_defects_read_the_defects_of_fresh_rows():
 
 
 def test_subisotropy_names_each_failing_identity_on_a_perturbed_catalog_basis(paper, paper_iso):
+    # A space's basis is canonical: each family spans op (pivot 1) and one
+    # operator with a later pivot, so op comes first, passes, and the second fails.
     m = paper.algebra
     op = paper_iso.basis[0]
     entries = [list(row) for row in op.rows]
-    entries[0][1] += 1
-    with pytest.raises(GOEngineError, match=r"\(skewness fails\)"):
-        check_subisotropy(m, OperatorSpace(m.dim, (op, Matrix(entries))))
-    skew_only = next(s for s in skew_space(m.form).basis if not paper_iso.contains(s))
-    with pytest.raises(GOEngineError, match=r"\(derivation fails\)"):
-        check_subisotropy(m, OperatorSpace(m.dim, (op, skew_only)))
+    entries[5][5] += 1  # fails both identities: skewness is named
+    skew_only = next(s for s in skew_space(m.form).basis[2:] if not paper_iso.contains(s))
+    for family, failure in (((op, Matrix(entries)), "skewness"), ((op, skew_only), "derivation")):
+        h = OperatorSpace.from_operators(m.dim, family)
+        assert h.dim == 2 and h.basis[0] == op
+        with pytest.raises(GOEngineError, match=f"\\({failure} fails\\)"):
+            check_subisotropy(m, h)
 
 
 @st.composite
