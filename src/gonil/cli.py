@@ -36,10 +36,12 @@ from gonil.catalog import (
 from gonil.double_ext import ReductionError, extend2, reduce as reduce_algebra
 from gonil.go_engine import (
     GOEngineError,
+    check_audit_parameters,
     go_certificate_at,
     go_random_audit,
     linear_go_certificate,
     necessary_condition_check,
+    tangent_vector,
 )
 from gonil.io import (
     FormatError,
@@ -111,6 +113,7 @@ def cmd_go(args):
         raise FormatError(f"--samples is at most {MAX_SAMPLES}")
     if args.bound > MAX_BOUND:
         raise FormatError(f"--bound is at most {MAX_BOUND}")
+    check_audit_parameters(args.samples, args.bound)
     m = _resolve_algebra(args.algebra)
     iso = isotropy_algebra(m)
     report = go_random_audit(m, iso, args.samples, args.seed, args.bound)
@@ -120,9 +123,8 @@ def cmd_go(args):
 
 def cmd_go_at(args):
     m = _resolve_algebra(args.algebra)
-    iso = isotropy_algebra(m)
-    t = _parse_vector(args.vector)
-    cert = go_certificate_at(m, iso, t)
+    t = tangent_vector(m, _parse_vector(args.vector))
+    cert = go_certificate_at(m, isotropy_algebra(m), t)
     if cert is None:
         return [f"T: {fmt_vec(t)}", "RESULT: INFEASIBLE"], EXIT_REFUTED
     return [f"T: {fmt_vec(t)}", "RESULT: FEASIBLE", f"A_COEFFS: {fmt_vec(cert.A_coeffs)}", f"K: {cert.k}"], EXIT_OK

@@ -150,6 +150,24 @@ def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
             raise GOEngineError("operator space is not inside the isotropy algebra (derivation fails)")
 
 
+def tangent_vector(m: MetricLieAlgebra, t) -> Vec:
+    """t as a vector, refused with GOEngineError unless it has m's dimension and is nonzero."""
+    t = to_vec(t)
+    if len(t) != m.dim:
+        raise GOEngineError("tangent vector has wrong length")
+    if is_zero_vec(t):
+        raise GOEngineError("tangent vector must be nonzero")
+    return t
+
+
+def check_audit_parameters(samples: int, bound: int) -> None:
+    """Refuse an audit of fewer than one sample, or with a bound below 1, with GOEngineError."""
+    if samples < 1:
+        raise GOEngineError("need at least one sample")
+    if bound < 1:
+        raise GOEngineError("bound must be positive")
+
+
 def _common_denominator(values: Iterable[Fraction]) -> int:
     return math.lcm(*(v.denominator for v in values))
 
@@ -200,6 +218,9 @@ class _CertificateSystem:
     For <T, T> != 0 the k column is left out: row b times T_b, summed over b,
     is sum_j c_j <D_j T, T> - k <T, T> = -<[T, T], T> = 0, and <D_j T, T> = 0
     for skew D_j, so every solution has k = 0 and the canonical one is kept.
+    Over the columns a sample keeps, that sum is the zero row: in integers too,
+    as the integer rows are one positive multiple of the rational ones.  So a
+    sample leaves out one row b with T'_b != 0 and solves the other n - 1.
 
     ``gram``, ``brackets`` and ``ops`` (the Gram matrix, the bracket table and
     h's basis entries, each times the least common denominator of its own
@@ -264,15 +285,13 @@ def go_certificate_at(
 
         sum_j c_j <D_j e_b, T>  -  k <T, e_b>  =  -<[T, e_b], T>
 
-    It is built and eliminated in integers (see ``_CertificateSystem``).  For
-    <T, T> != 0 it is solved without the k column and k = 0: row b times T_b,
-    summed, reads -k <T, T> = 0, as every D_j is skew.
+    It is built in integers, each row straight as its (column, value) entries,
+    and solved without the k column when <T, T> != 0 (see ``_CertificateSystem``).
+    The densest row with T_b != 0 follows from the others and is left out, and
+    the other n - 1 are eliminated sparsest first: the row space, and so the
+    canonical solution, is the same.  The certificate is checked on every row.
     """
-    t = to_vec(t)
-    if len(t) != m.dim:
-        raise GOEngineError("tangent vector has wrong length")
-    if is_zero_vec(t):
-        raise GOEngineError("tangent vector must be nonzero")
+    t = tangent_vector(m, t)
     if _system is None:
         _system = _CertificateSystem.build(m, h)
     elif _system.m is not m or _system.h is not h:
@@ -282,15 +301,20 @@ def go_certificate_at(
     nh = len(_system.paired)
     k_column = [-sum([v * dt[e] for e, v in gram_row if dt[e]]) for gram_row in _system.gram_rows]
     null = not sum([x * y for x, y in zip(ti, k_column)])  # -L d^3 <T, T>
-    rows = [[0] * nh + [v, 0] if null else [0] * (nh + 1) for v in k_column]  # c_0, ..., c_{dim h - 1}, k if null, rhs
+    rhs = nh + 1 if null else nh  # columns c_0, ..., c_{dim h - 1}, k if null, rhs
+    rows = [{nh: v} if null and v else {} for v in k_column]
     for j, entries in enumerate(_system.paired):
         for e, b, v in entries:
             if dt[e]:
-                rows[b][j] += v * dt[e]
+                rows[b][j] = rows[b].get(j, 0) + v * dt[e]
     for a, b, c, v in _system.quadratic:
         if ti[a] and ti[c]:
-            rows[b][-1] -= v * ti[a] * ti[c]
-    x = _solve_rows(map(enumerate, rows), nh + 1 if null else nh)
+            rows[b][rhs] = rows[b].get(rhs, 0) - v * ti[a] * ti[c]
+    # Row b times T'_b, summed over b, is zero: the densest row with T'_b != 0 is implied by the others.
+    sizes = [len(row) if x else -1 for row, x in zip(rows, ti)]
+    del rows[sizes.index(max(sizes))]
+    rows.sort(key=len)  # the reduced echelon form is the same in any row order; sparsest first is cheapest
+    x = _solve_rows([row.items() for row in rows], rhs)
     if x is None:
         return None
     cert = GOCertificate(t, x[:nh], x[nh] if null else Fraction(0))
@@ -369,18 +393,16 @@ def go_random_audit(
     redrawn.  The extra null sample (when the form exposes one rationally)
     covers the k != 0 regime.
     """
-    if samples < 1:
-        raise GOEngineError("need at least one sample")
-    if bound < 1:
-        raise GOEngineError("bound must be positive")
+    check_audit_parameters(samples, bound)
     system = _CertificateSystem.build(m, h)
     rng = random.Random(seed)
     points = []
     for idx in range(samples):
-        while True:
-            t = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(m.dim))
-            if not is_zero_vec(t):
+        while True:  # randrange(2 * bound + 1) - bound draws what randint(-bound, bound) does
+            ti = [rng.randrange(2 * bound + 1) - bound for _ in range(m.dim)]
+            if any(ti):
                 break
+        t = tuple(map(Fraction, ti))
         points.append(AuditPoint(idx, t, go_certificate_at(m, h, t, _system=system)))
     null_point = None
     nv = first_null_vector(m)

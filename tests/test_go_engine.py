@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import combination, heisenberg, necessary_condition_counterexample
+from gonil.cli import MAX_BOUND
 from gonil.go_engine import (
     GOEngineError,
     check_subisotropy,
@@ -93,6 +94,28 @@ def test_heisenberg_audit_consistent(heis3):
     report = go_random_audit(heis3, iso, 200, seed=3, bound=10)
     assert report.verdict == "CONSISTENT"
     assert report.null_point is None  # definite form has no null vectors
+
+
+def _randint_samples(dim, samples, seed, bound):
+    """The audit's draws as ``Fraction(rng.randint(-bound, bound))`` entries, all-zero vectors redrawn, and the redraw count."""
+    rng, out, redraws = random.Random(seed), [], 0
+    while len(out) < samples:
+        t = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
+        if is_zero_vec(t):
+            redraws += 1
+        else:
+            out.append(t)
+    return out, redraws
+
+
+@pytest.mark.parametrize("bound", [1, 2, 10, MAX_BOUND])
+def test_audit_samples_are_the_randint_draws(heis3, bound):
+    iso = isotropy_algebra(heis3)
+    for seed in (1, 2, 8):
+        expected, redraws = _randint_samples(heis3.dim, 60, seed, bound)
+        got = [p.T for p in go_random_audit(heis3, iso, 60, seed, bound).points]
+        assert got == expected and all(type(x) is Fraction for t in got for x in t)
+        assert redraws > 0 or bound > 1  # at bound 1, some vector of each seed is drawn zero and redrawn
 
 
 def test_paper_audit_consistent_with_null_sample(paper, paper_iso):

@@ -7,7 +7,8 @@ bracket tensor, the ``normal-forms`` digests from ``--m 7 --family 1`` to
 index-2 generators, the two at ``--m 16`` before the abelian check formed
 commutators over nonzero entries, and the ``check``, ``catalog``,
 ``reduce --output`` and ``extend`` digests before the derivation and Jacobi
-checks read the derivation rows off the bracket table; refactors must
+checks read the derivation rows off the bracket table, and the two
+``--bound 1`` audits before samples were drawn with ``randrange``; refactors must
 reproduce the same bytes.  Commands that write a file also pin the file's
 bytes.
 """
@@ -40,6 +41,8 @@ def _commands():
             ["necessary", spec],
         ]
     out += [["reduce", "catalog:de5"], ["reduce", "catalog:de7_lorentz"], ["verify-paper"]]
+    # Bound 1 draws many zero entries, and on heis3 some all-zero vectors, which are redrawn.
+    out += [["go", f"catalog:{name}", "--samples", "200", "--seed", "3", "--bound", "1"] for name in ("heis3", "de7_lorentz")]
     out.append(["normal-forms", "--q", "2", "--m", "6", "--family", "2", "--u1", "1/2", "--v1", "3"])
     out += [
         ["normal-forms", "--q", "2", "--m", "7", "--family", "1"],
@@ -93,6 +96,8 @@ GOLDEN = {
     "necessary catalog:de7_lorentz": ("f4c6034d9e88df45016a4371a1f2329c8d5a465652fd6fd82e1d7bbf2aa6df7a", 0),
     "reduce catalog:de5": ("5c4a8fb565eb5192e91b80f7979cf6af95885e9253a47a8a337359899c43f914", 0),
     "reduce catalog:de7_lorentz": ("e84c5b47364df4bc969e763748aa79b965658827bc23ec9cb4b4f06248630a75", 0),
+    "go catalog:heis3 --samples 200 --seed 3 --bound 1": ("195a4f0325de6aa82de1d5d0a537987993b851c90bade62e3220b1a30237f2d2", 0),
+    "go catalog:de7_lorentz --samples 200 --seed 3 --bound 1": ("4b5ca7c528e257f8096804aa7b945116a7bbbc6dc64189c3e6ebf539e5648a87", 0),
     "verify-paper": ("324e8e50800befe78acf34a91fa9586f117803d62134f2d3e011ea7d1ad6ccfa", 0),
     "normal-forms --q 2 --m 6 --family 2 --u1 1/2 --v1 3": ("307d700053d4e86d19947947ad4c7c3b01365c191cb5598fd7c564cbea3e9740", 0),
     "normal-forms --q 2 --m 7 --family 1": ("c92627deafe5f4a927c61ca673ac73836cb29925c980202403a2c5827197b677", 0),

@@ -26,6 +26,8 @@ from gonil.io import (
     save_algebra,
 )
 from gonil.cli import MAX_BOUND, MAX_NORMAL_FORM_M, MAX_SAMPLES, main
+from gonil.go_engine import GOEngineError, go_certificate_at, go_random_audit
+from gonil.isotropy import isotropy_algebra
 from gonil.lie import EngelError
 
 
@@ -393,6 +395,41 @@ def test_cli_go_bound_upper_limit(capsys, monkeypatch):
     for bound in (MAX_BOUND + 1, int("9" * 4000)):
         assert main(["go", "catalog:paper_2_3", "--samples", "200", "--seed", "1", "--bound", str(bound)]) == 2
         assert capsys.readouterr().out == f"ERROR: --bound is at most {MAX_BOUND}\n"
+
+
+def _library_message(call):
+    with pytest.raises((GOEngineError, FormatError)) as exc:
+        call()
+    return str(exc.value)
+
+
+def test_cli_refuses_bad_go_parameters_before_the_isotropy_solve(capsys, monkeypatch):
+    # Each message is the library's own, and no isotropy algebra is built first.
+    m = build_example("heis3").algebra
+    h = isotropy_algebra(m)
+    parameters = {
+        ("--samples", "0"): lambda: go_random_audit(m, h, 0, 1),
+        ("--samples", "-5"): lambda: go_random_audit(m, h, -5, 1),
+        ("--bound", "0"): lambda: go_random_audit(m, h, 5, 1, bound=0),
+    }
+    vectors = {
+        "0,0,0": lambda: go_certificate_at(m, h, [0, 0, 0]),
+        "1,2": lambda: go_certificate_at(m, h, [1, 2]),
+        "1,2,x": lambda: cli._parse_vector("1,2,x"),
+    }
+    expected = {key: f"ERROR: {_library_message(call)}\n" for key, call in {**parameters, **vectors}.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an isotropy algebra was built")
+
+    for name in ("go_random_audit", "isotropy_algebra", "go_certificate_at"):
+        monkeypatch.setattr(cli, name, refuse)
+    for flag, value in parameters:
+        assert main(["go", "catalog:heis3", "--seed", "1", flag, value]) == 2
+        assert capsys.readouterr().out == expected[flag, value]
+    for vector in vectors:
+        assert main(["go-at", "catalog:heis3", "--vector", vector]) == 2
+        assert capsys.readouterr().out == expected[vector]
 
 
 def test_cli_engel_error_is_an_error_line_with_exit_one(monkeypatch, capsys):

@@ -43,6 +43,24 @@ print(recorder.counts[(0, "linalg.rref")]["max_bits"])
 """
 
 
+# An audit decides each sample through the traced go_certificate_at, so the
+# benchmark's per-sample metrics (sample_ms_p50, sample_ms_p95) see every one.
+_AUDIT_SPANS = """
+import gonil.go_engine
+import spans
+from gonil.catalog import build_example
+from gonil.isotropy import isotropy_algebra
+
+recorder = spans.Recorder()
+spans.install(recorder)
+m = build_example("de7_lorentz").algebra
+report = gonil.go_engine.go_random_audit(m, isotropy_algebra(m), 5, seed=1)
+assert report.null_point is not None
+nid = recorder.names.index("go_engine.certificate_at")
+print(list(recorder.name_of).count(nid))
+"""
+
+
 def _run_traced(code: str) -> str:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -63,3 +81,8 @@ def test_traced_run_finds_every_layer_but_the_known_missing():
 def test_traced_max_bits_reads_the_integer_core():
     # A core the watch no longer sees reports 0 bits; one handed (column, value) pairs fails the run.
     assert int(_run_traced(_MAX_BITS)) >= 41
+
+
+def test_traced_audit_records_one_certificate_span_per_sample():
+    # 5 samples and the null sample.
+    assert int(_run_traced(_AUDIT_SPANS)) == 6
