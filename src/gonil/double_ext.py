@@ -183,7 +183,7 @@ def _witness_flags(
 ) -> WitnessFlags:
     inclusion = eg <= nprime and nprime <= m1
     invariance = is_adh_invariant(m, eg, h) and is_adh_invariant(m, m1, h)
-    orthogonal = not any(m.pair(x, y) for x in eg.basis.rows for y in m1.basis.rows)
+    orthogonal = m1 <= orth_complement(m, eg)
     # The quotient needs [eg, m1] = 0; we verify the stronger statement that
     # eg is central in the whole algebra, which the in-scope forward
     # construction guarantees and which a stray bracket on eg always trips.
@@ -242,27 +242,22 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     witness = reduction_witness(m, h)
     eg, m1 = witness.eg, witness.m1
     form, comp = quotient_form(m, m1, eg)
-    k = comp.nrows
-    comp_pivots = [pc for pc in m1.pivots if pc not in eg.pivots]
+    rows = [row for row in m1.rows if row[0][0] not in eg.pivots]  # comp's rows, at the pivots eg does not use
 
-    def comp_coords(vec) -> Vec:
+    def comp_coords(rest: dict[int, Fraction]) -> Vec:
         # eg._contains_entries leaves rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
-        rest = {j: a for j, a in enumerate(vec) if a}
         eg._contains_entries(rest)
-        coords = tuple(rest.get(pc, _ZERO) for pc in comp_pivots)
+        coords = tuple(rest.get(row[0][0], _ZERO) for row in rows)
         if not m1._contains_entries(rest):
             raise AssertionError("internal: vector outside m1")
         return coords
 
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            image = m.algebra.bracket(comp.row(i), comp.row(j))
-            coords = comp_coords(image)
-            entry = {t: c for t, c in enumerate(coords) if c}
-            if entry:
+    for i, x in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            if entry := {t: c for t, c in enumerate(comp_coords(m.algebra._bracket(x, rows[j]))) if c}:
                 brackets[(i, j)] = entry
-    m0 = MetricLieAlgebra.checked(LieAlgebra(k, brackets), form)
+    m0 = MetricLieAlgebra.checked(LieAlgebra(len(rows), brackets), form)
 
     d, sig, sig0 = eg.dim, m.form.signature(), form.signature()
     if sig0 != (sig.p - d, sig.q - d, 0):
@@ -271,9 +266,7 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
             f"({sig.p - d},{sig.q - d},0), got {tuple(sig0)}",
             witness,
         )
-    projection = Matrix(
-        zip(*[comp_coords(row) for row in m1.basis.rows]), ncols=m1.dim
-    )
+    projection = Matrix(zip(*[comp_coords(dict(row)) for row in m1.rows]), ncols=m1.dim)
     return QuotientResult(m0, projection, comp, witness)
 
 

@@ -25,19 +25,21 @@ CONSISTENT, never "proven".
 
 from __future__ import annotations
 
-import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from gonil.isotropy import OperatorSpace, _isotropy_defects
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
     Vec,
+    _cleared,
+    _common_denominator,
+    _scaled,
     _solve_rows,
     _sparse_rows,
     congruence_diagonalize,
@@ -168,20 +170,6 @@ def check_audit_parameters(samples: int, bound: int) -> None:
         raise GOEngineError("bound must be positive")
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _cleared(v: Fraction, den: int) -> int:
-    """den * v as an int, for a den that v's denominator divides."""
-    return v.numerator * (den // v.denominator)
-
-
-def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
-    """Each entry (..., v) as (..., den * v) with an int last item."""
-    return tuple((*x[:-1], _cleared(x[-1], den)) for x in entries)
-
-
 def _entries(rows) -> list[tuple[int, int, Fraction]]:
     """The nonzero entries (row, column, value) of an operator given as its _sparse_rows."""
     return [(k, c, v) for k, row in enumerate(rows) for c, v in row]
@@ -222,11 +210,9 @@ class _CertificateSystem:
     as the integer rows are one positive multiple of the rational ones.  So a
     sample leaves out one row b with T'_b != 0 and solves the other n - 1.
 
-    ``gram``, ``brackets`` and ``ops`` (the Gram matrix, the bracket table and
-    h's basis entries, each times the least common denominator of its own
-    entries; the last two denominators are kept as ``bracket_den`` and
-    ``op_den``) feed only the per-certificate check, which does not read the
-    tensors above.
+    ``ops`` (h's basis entries times their least common denominator
+    ``op_den``) feeds only the per-certificate check, which does not read the
+    tensors above, but the cleared Gram matrix and bracket table that m keeps.
     h enters through the entries it keeps (``paired`` sums G D_j over them), the brackets through the algebra's table.
     """
 
@@ -235,9 +221,6 @@ class _CertificateSystem:
     gram_rows: tuple[tuple[tuple[int, int], ...], ...]
     paired: tuple[tuple[tuple[int, int, int], ...], ...]
     quadratic: tuple[tuple[int, int, int, int], ...]
-    gram: tuple[tuple[tuple[int, int], ...], ...]
-    brackets: tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]
-    bracket_den: int
     ops: tuple[tuple[tuple[int, int, int], ...], ...]
     op_den: int
 
@@ -256,10 +239,6 @@ class _CertificateSystem:
             paired.append([(e, b, x) for (e, b), x in sorted(acc.items()) if x])
         quadratic = [(a, b, c, v) for (a, b), row in sorted(m._lowered.items()) for c, v in sorted(row.items())]
         den = _common_denominator(x[-1] for x in chain(*gram_rows, *paired, quadratic))
-        # the check's own data, each cleared by its own denominator
-        table = m.algebra._table.items()
-        gram_den = _common_denominator(x[-1] for x in chain(*gram_rows))
-        bracket_den = _common_denominator(c for _, targets in table for c in targets.values())
         op_den = _common_denominator(x[-1] for x in chain(*ops))
         return cls(
             m,
@@ -267,9 +246,6 @@ class _CertificateSystem:
             tuple(_scaled(row, den) for row in gram_rows),
             tuple(_scaled(entries, den) for entries in paired),
             _scaled(quadratic, den),
-            tuple(_scaled(row, gram_den) for row in gram_rows),
-            tuple((i, j, _scaled(targets.items(), bracket_den)) for (i, j), targets in table),
-            bracket_den,
             tuple(_scaled(entries, op_den) for entries in ops),
             op_den,
         )
@@ -318,31 +294,31 @@ def go_certificate_at(
     if x is None:
         return None
     cert = GOCertificate(t, x[:nh], x[nh] if null else Fraction(0))
-    _verify_certificate(_system, cert)
+    _verify_certificate(_system, cert, d, ti)
     return cert
 
 
-def _verify_certificate(system: _CertificateSystem, cert: GOCertificate) -> None:
+def _verify_certificate(system: _CertificateSystem, cert: GOCertificate, d: int, t: tuple[int, ...]) -> None:
     """Check <[T, e_b] + A e_b, T> = k <T, e_b> for every b, and k = 0 when <T, T> != 0.
 
     Evaluated from the Gram matrix, the bracket table and h's basis entries,
     not from the tensors the system was contracted from, and in integers.
-    Write T = T' / d, g = G' T' for the cleared Gram matrix G' (a positive
-    multiple of G T), and (c', k') = q (c, k) for q the common denominator of
-    the certificate.  Every term is linear in G T, and the bracket term has
-    one more factor T, so row b times a positive constant reads
+    Write T = T' / d, where (d, T') = (d, t) is the caller's ``_integer_vector``
+    of T, g = G' T' for the cleared Gram matrix G' (a positive multiple of G T),
+    and (c', k') = q (c, k) for q the common denominator of the certificate.
+    Every term is linear in G T, and the bracket term has one more factor T,
+    so row b times a positive constant reads
 
-        op_den q <[T', e_b]', g> + d bracket_den <sum_j c'_j D'_j e_b, g> = d bracket_den op_den k' g_b
+        op_den q <[T', e_b]', g> + d L <sum_j c'_j D'_j e_b, g> = d L op_den k' g_b
 
-    with <x, g> the plain dot product, [., .]' the cleared bracket table and
-    D'_j the cleared operators.
+    with <x, g> the plain dot product, [., .]' = L [., .] the algebra's
+    cleared bracket (L its ``_den``) and D'_j the cleared operators.
     """
-    d, t = _integer_vector(cert.T)
     q = _common_denominator(chain(cert.A_coeffs, (cert.k,)))
-    g = [sum([v * t[e] for e, v in row if t[e]]) for row in system.gram]
+    g = [sum([v * t[e] for e, v in row if t[e]]) for row in system.m.form._cleared]
     bracket_part = [0] * len(t)
-    for i, j, targets in system.brackets:  # [e_i, e_j] = sum c e_k with i < j
-        s = sum([c * g[k] for k, c in targets])
+    for i, j in system.m.algebra._table:  # L [e_i, e_j] = sum c e_k with i < j
+        s = sum([c * g[k] for k, c in system.m.algebra._ad[i][j].items()])
         if s:
             bracket_part[j] += t[i] * s
             bracket_part[i] -= t[j] * s
@@ -353,7 +329,7 @@ def _verify_certificate(system: _CertificateSystem, cert: GOCertificate) -> None
             for e, b, v in entries:
                 if g[e]:
                     op_part[b] += c * v * g[e]
-    outer, inner = system.op_den * q, d * system.bracket_den
+    outer, inner = system.op_den * q, d * system.m.algebra._den
     k = _cleared(cert.k, q) * inner * system.op_den
     if any(outer * x + inner * y != k * gb for x, y, gb in zip(bracket_part, op_part, g)):
         raise AssertionError("internal: certificate fails its defining identity")
@@ -522,7 +498,7 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
             nprime.basis, ()
         )
     violations = []
-    rows, sparse, low = nprime.basis.rows, nprime._rows_at_pivots.values(), m._lowered
+    rows, sparse, low = nprime.basis.rows, nprime.rows, m._lowered
     for a in range(m.dim):
         images: list[dict[int, Fraction]] = [{} for _ in rows]  # images[i][b] = <[e_a, x_i], e_b>
         for image, xs in zip(images, sparse):  # summed over the nonzero entries of x_i

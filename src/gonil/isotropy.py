@@ -19,7 +19,8 @@ from functools import cached_property
 from itertools import chain
 
 from gonil.lie import LieAlgebra, derivation_rows
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _sparse_rows
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _common_denominator
+from gonil.linalg import _scaled, _sparse_rows
 from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra, _indexed, _skew_rows
 
 
@@ -55,7 +56,7 @@ class OperatorSpace:
         """Each basis operator's nonzero entries, as the _sparse_rows of its rows, split off span's kept rows."""
         n = self.ambient_dim
         out = [[[] for _ in range(n)] for _ in range(self.dim)]
-        for op, entries in zip(out, self.span._rows_at_pivots.values()):
+        for op, entries in zip(out, self.span.rows):
             for k, v in entries:
                 op[k // n].append((k % n, v))
         return out
@@ -97,9 +98,10 @@ def _first_defects(n: int, indexed, ops) -> list:
     keys, by_entry = indexed
     out = []
     for op in ops:
-        sums: dict[int, Fraction] = {}
+        den = _common_denominator(v for entries in op for _, v in entries)  # so int rows sum in ints
+        sums: dict[int, int] = {}
         for i, entries in enumerate(op):
-            for j, v in entries:
+            for j, v in _scaled(entries, den):
                 for r, c in by_entry.get(i * n + j, ()):
                     sums[r] = sums.get(r, 0) + c * v
         failing = [r for r, total in sums.items() if total]
@@ -155,7 +157,7 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
         h = isotropy_algebra(m)
     elif h.ambient_dim != m.dim:
         raise DimensionMismatch("operator space dimension differs from the algebra")
-    xs = [dict(x) for x in v._rows_at_pivots.values()]
+    xs = [dict(x) for x in v.rows]
     return all(
         v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
         for d in h._sparse

@@ -1,12 +1,13 @@
 """Lie algebras given by sparse structure constants.
 
 A bracket table stores only pairs (i, j) with i < j; its antisymmetric view
-ad[i][j] = [e_i, e_j] is built once at construction.  Every bracket, of vectors,
-of basis vectors or of subspaces (so the series and the ideal test), is one
-sparse product over that view, summing x_i y_j [e_i, e_j] over nonzero x_i, y_j;
-the transporter's equations, and with them centralizers and the center, read it
-the same way.  The Jacobi identity is validated on construction unless the
-caller explicitly opts out (needed to inspect broken candidate tables).
+ad[i][j] = L [e_i, e_j], in ints for L the table's common denominator, is
+built once at construction.  Every bracket (of vectors, basis vectors or
+subspaces, so the series and the ideal test) sums x_i y_j [e_i, e_j] over
+nonzero x_i, y_j; the transporter, the derivation identity's int rows and the
+Jacobi sums read the view the same way.  The Jacobi identity is validated on
+construction unless the caller explicitly opts out (needed to inspect broken
+candidate tables).
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from gonil.linalg import DimensionMismatch, Subspace, Vec, _sparse_rows, to_vec
+from gonil.linalg import (
+    DimensionMismatch, Subspace, Vec, _ZERO, _common_denominator, _row_space, _scaled, _sparse_rows, basis_vec, to_vec
+)
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
@@ -40,11 +43,11 @@ class EngelError(RuntimeError):
 class LieAlgebra:
     """Finite-dimensional algebra over the rationals with antisymmetric bracket.
 
-    ``_table`` holds [e_i, e_j] for i < j only; ``_ad`` is its antisymmetric
-    view, built once here, and every bracket is one sparse product over it.
+    ``_table`` holds [e_i, e_j] for i < j only; ``_ad`` is its antisymmetric view
+    times ``_den``, the table's common denominator, in ints, built once here.
     """
 
-    __slots__ = ("dim", "_table", "_ad")
+    __slots__ = ("dim", "_table", "_ad", "_den")
 
     def __init__(self, dim: int, brackets: BracketTable, validate: bool = True):
         if dim < 0:
@@ -64,9 +67,10 @@ class LieAlgebra:
                 table[(i, j)] = entry
         self.dim = dim
         self._table = table
-        self._ad = ad = [[{}] * dim for _ in range(dim)]  # ad[i][j] = [e_i, e_j] as {k: coefficient}
+        self._den = den = _common_denominator(c for targets in table.values() for c in targets.values())
+        self._ad = ad = [[{}] * dim for _ in range(dim)]  # ad[i][j] = den [e_i, e_j] as {k: int coefficient}
         for (i, j), targets in table.items():
-            ad[i][j], ad[j][i] = targets, {k: -c for k, c in targets.items()}
+            ad[i][j], ad[j][i] = dict(_scaled(targets.items(), den)), dict(_scaled(targets.items(), -den))
         if validate:
             defects = jacobi_defect(self)
             if defects:
@@ -76,26 +80,27 @@ class LieAlgebra:
     def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         return {k: dict(v) for k, v in self._table.items()}
 
-    def _bracket(self, xs, ys) -> Vec:
-        """sum x_i y_j [e_i, e_j] over the nonzero (index, value) pairs xs of x and ys of y."""
-        out = [Fraction(0)] * self.dim
+    def _bracket(self, xs, ys) -> dict[int, Fraction]:
+        """sum x_i y_j [e_i, e_j] over the (index, Fraction) pairs xs of x and ys of y, as {index: value}."""
+        out: dict[int, Fraction] = {}
         for i, a in xs:
             for j, b in ys:
                 for k, c in self._ad[i][j].items():
-                    out[k] += a * b * c
-        return tuple(out)
+                    out[k] = out.get(k, 0) + a * b * c
+        return out if self._den == 1 else {k: v / self._den for k, v in out.items()}
 
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[e_i, e_j] as a coordinate vector."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
             raise DimensionMismatch(f"basis index out of range for dim {self.dim}")
-        return self._bracket([(i, 1)], [(j, 1)])
+        return self.bracket(basis_vec(self.dim, i), basis_vec(self.dim, j))
 
     def bracket(self, x: Sequence, y: Sequence) -> Vec:
         x, y = to_vec(x), to_vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have the algebra's dimension")
-        return self._bracket(*_sparse_rows((x, y)))
+        out = self._bracket(*_sparse_rows((x, y)))
+        return tuple(out.get(k, _ZERO) for k in range(self.dim))
 
     def __eq__(self, other) -> bool:
         return (
@@ -116,10 +121,10 @@ def abelian(dim: int) -> LieAlgebra:
 
 
 def derivation_rows(alg: LieAlgebra) -> Iterator[tuple[tuple[int, int, int], dict[int, Fraction]]]:
-    """The derivation identity as sparse rows over the n^2 entries of D, row-major.
+    """The derivation identity as sparse int rows over the n^2 entries of D, row-major.
 
     Row (i, j, m), i < j, maps l*n + k to the coefficient of D[l, k] in
-    ([D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j])_m.  Zero rows are skipped.
+    ([D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j])_m, times ``alg._den``.  Zero rows are skipped.
     """
     n, ad = alg.dim, alg._ad
     for i in range(n):
@@ -146,19 +151,18 @@ def jacobi_defect(alg: LieAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
     The cyclic sum at (i, j, k) is minus the derivation residual of ad(e_i) on
     the pair (j, k).  Only antisymmetry is used, so unvalidated tables work too.
     """
-    n = alg.dim
-    ads = [  # vec(ad e_i): entry l*n + k is [e_i, e_k]_l
+    n, scale = alg.dim, alg._den**2  # both factors are cleared by L: each sum is an int, L^2 times the defect
+    ads = [  # vec(ad e_i): entry l*n + k is L [e_i, e_k]_l
         {l * n + k: c for k, image in enumerate(images) for l, c in image.items()}
         for images in alg._ad
     ]
-    zero = Fraction(0)
     sums: dict[tuple[int, int, int], list[Fraction]] = {}
     for (j, k, m), row in derivation_rows(alg):
         for i in range(j):
             ad_i = ads[i]
-            total = sum((c * ad_i[x] for x, c in row.items() if x in ad_i), zero)
+            total = sum([c * ad_i[x] for x, c in row.items() if x in ad_i])
             if total:
-                sums.setdefault((i, j, k), [zero] * n)[m] = -total
+                sums.setdefault((i, j, k), [_ZERO] * n)[m] = Fraction(-total, scale)
     return [(triple, tuple(vec)) for triple, vec in sorted(sums.items())]
 
 
@@ -166,12 +170,11 @@ def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """Span of [x, y] over basis vectors x of V and y of W."""
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    pairs = product(v._rows_at_pivots.values(), w._rows_at_pivots.values())
-    return Subspace.span(alg.dim, [alg._bracket(x, y) for x, y in pairs])
+    return Subspace(alg.dim, _row_space((alg._bracket(x, y).items() for x, y in product(v.rows, w.rows)), alg.dim))
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    return Subspace.span(alg.dim, [alg.bracket_basis(i, j) for i, j in alg._table])
+    return Subspace(alg.dim, _row_space((targets.items() for targets in alg._table.values()), alg.dim))
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
@@ -208,15 +211,15 @@ def center(alg: LieAlgebra) -> Subspace:
 
 
 def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
-    """{x : [x, V] <= W}: y [u, x] = 0 for every annihilator row y of W and basis vector u of V.
+    """{x : [x, V] <= W}: y [u, x] = 0 for every annihilator row y of W and basis row u of V.
 
-    Entry b of each row, y [u, e_b], is summed over the nonzero entries of u and y.
+    Entry b of each row, L y [u, e_b], is summed over the nonzero entries of u and y.
     """
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    ad, ys = alg._ad, [dict(y) for y in _sparse_rows(w.annihilator().rows)]
+    ad, ys = alg._ad, [dict(y) for y in w.annihilator().rows]
     rows = []
-    for u, y in product(v._rows_at_pivots.values(), ys):
+    for u, y in product(v.rows, ys):
         row: dict[int, Fraction] = {}
         for a, x in u:
             for b, image in enumerate(ad[a]):

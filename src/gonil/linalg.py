@@ -3,13 +3,14 @@
 Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
 there is no floating point anywhere.  Elimination is fraction-free integer
 Gauss-Jordan over nonzero entries only, so its cost follows the nonzero
-entries, not the system's width: rows enter as (column, value) pairs, rational
-ones cleared once to primitive integer rows, stay sparse through the integer
-core and come back out sparse.  The reduced echelon form of a row space is unique,
-so every reduced form is canonical and reproducible across runs, platforms and
-row orders; kernels, solutions and reduced rows are read off the nonzero
-entries of its primitive rows.  Congruence diagonalization, behind the signature,
-likewise updates only the nonzero entries of its working matrix.
+entries, not the system's width: rows enter as (column, value) pairs, int rows
+as they are and rational ones cleared once to primitive integer rows, and come
+back out sparse.  The reduced echelon form of a row space is unique, so every
+reduced form is canonical and reproducible across runs, platforms and row
+orders.  A Subspace is stored once, as its reduced rows' (column, value)
+entries, just as kernels and spans come out; its dense basis is built when read.
+Congruence diagonalization, behind the signature, likewise updates only the
+nonzero entries of its working matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -212,6 +214,20 @@ def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, Fraction]]]:
     return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
 
 
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _cleared(v: Fraction, den: int) -> int:
+    """den * v as an int, for a den that v's denominator divides."""
+    return v.numerator * (den // v.denominator)
+
+
+def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
+    """Each entry (..., v) as (..., den * v) with an int last item."""
+    return tuple((*x[:-1], _cleared(x[-1], den)) for x in entries)
+
+
 def _commutator_entries(a: list, b: list) -> dict[int, Fraction]:
     """AB - BA of n-by-n matrices given as _sparse_rows, as {row-major index: value} over nonzero pairs only."""
     n, acc = len(a), {}
@@ -282,17 +298,19 @@ def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
 
 
 def _cleared_rows(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[_IntRows, _IntRows]:
-    """Rational (column, value) rows as primitive integer rows, ``_eliminate``'s (values, columns); repeats add up."""
+    """(column, value) rows as ``_eliminate``'s (values, columns), repeats added up; int rows kept, others primitive."""
     values, columns = [], []
     for row in rows:
         nz = [(j, f) for j, f in row if f]
         if len(acc := dict(nz)) < len(nz):  # a column listed twice
             acc = {j: x for j in acc if (x := sum([f for c, f in nz if c == j]))}
         if fs := acc.values():
-            scale = math.lcm(*[f.denominator for f in fs])
-            nums = [f.numerator * (scale // f.denominator) for f in fs] if scale != 1 else [f.numerator for f in fs]
-            g = math.gcd(*nums)
-            values.append([a // g for a in nums] if g != 1 else nums)
+            if not all(type(f) is int for f in fs):  # cleared by the lcm of its denominators
+                scale = math.lcm(*[f.denominator for f in fs])
+                nums = [f.numerator * (scale // f.denominator) for f in fs] if scale != 1 else [f.numerator for f in fs]
+                g = math.gcd(*nums)
+                fs = [a // g for a in nums] if g != 1 else nums
+            values.append(list(fs))
             columns.append(list(acc))
     return values, columns
 
@@ -306,8 +324,8 @@ def _echelon(values: _IntRows, columns: _IntRows, ncols: int) -> tuple[_IntRows,
     return values, pivots, columns
 
 
-def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[Vec, ...]:
-    """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}.
+def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[tuple, ...]:
+    """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}, as (column, value) rows.
 
     The rows are eliminated with their columns reversed, so each pivot sits at
     a row's last nonzero entry.  The vector with 1 at a free column c and
@@ -316,13 +334,12 @@ def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) 
     """
     last = ncols - 1
     values, pivots, columns = _echelon(*_cleared_rows(((last - j, v) for j, v in row) for row in rows), ncols)
-    free = sorted(set(range(ncols)).difference(pivots), reverse=True)  # original columns ascend
-    basis = {c: [_ZERO] * (last - c) + [_ONE] + [_ZERO] * c for c in free}
-    for vals, cols in zip(values, columns):
-        p, pc = vals[0], cols[0]
+    kernel = {c: [(c, _ONE)] for c in sorted(set(range(ncols)).difference(last - pc for pc in pivots))}
+    for vals, cols in zip(reversed(values), reversed(columns)):  # the original pivot columns ascend
+        p, pc = vals[0], last - cols[0]
         for a, c in zip(vals[1:], cols[1:]):  # a reduced row is 0 at every other pivot: c is free
-            basis[c][last - pc] = Fraction(-a, p)
-    return tuple(map(tuple, basis.values()))
+            kernel[last - c].append((pc, Fraction(-a, p)))
+    return tuple(map(tuple, kernel.values()))
 
 
 def _solve_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> Vec | None:
@@ -345,10 +362,14 @@ class RRef(NamedTuple):
 
 def rref(m: Matrix) -> RRef:
     """Canonical reduced row echelon form (first-nonzero pivot rule)."""
-    values, pivots, columns = _echelon(*_cleared_rows(map(enumerate, m.rows)), m.ncols)
-    rows = [(dict(zip(cols, vals)), vals[0]) for vals, cols in zip(values, columns)]
-    reduced = tuple(tuple(Fraction(r[c], p) if c in r else _ZERO for c in range(m.ncols)) for r, p in rows)
-    return RRef(Matrix._trusted(reduced, m.ncols), tuple(pivots))
+    space = Subspace(m.ncols, _row_space(map(enumerate, m.rows), m.ncols))
+    return RRef(space.basis, space.pivots)
+
+
+def _row_space(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[tuple, ...]:
+    """The reduced echelon rows of rational (column, value) rows, each as its (column, value) entries."""
+    values, _, columns = _echelon(*_cleared_rows(rows), ncols)
+    return tuple(tuple((c, Fraction(a, vals[0])) for a, c in zip(vals, cols)) for vals, cols in zip(values, columns))
 
 
 def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
@@ -449,58 +470,69 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace in canonical form: its basis rows are in reduced echelon form.
+    """A linear subspace, stored once as ``rows``: its reduced echelon rows' (column, value) entries.
 
-    Each row's first nonzero entry is 1, at a pivot column to the right of the
-    previous row's, and every other row is 0 there.  So v lies in the span
-    exactly when v = sum_i v[p_i] B_i over the pivots p_i, and (v[p_i]) are
-    its coordinates.  A basis breaking this is refused with ValueError, and
-    one whose width is not the ambient dimension with DimensionMismatch.
+    Each row's columns increase from its pivot, where its entry is 1, right of
+    the previous row's pivot; no other row has an entry there.  The form is
+    unique, so ``==`` and ``hash`` compare the rows, and v lies in the span
+    exactly when v = sum_i v[p_i] B_i over the pivots p_i, its coordinates.
+    Other rows raise ValueError, a column outside the space DimensionMismatch.
     """
 
     ambient_dim: int
-    basis: Matrix
+    rows: tuple[tuple[tuple[int, Fraction], ...], ...]  # per row, its (column, value) entries
     pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _rows_at_pivots: dict = field(init=False, repr=False, compare=False)  # pivot -> the row's _sparse_rows entry
+    _rows_at_pivots: dict = field(init=False, repr=False, compare=False)  # pivot -> its row
 
     def __post_init__(self):
-        if self.basis.ncols != self.ambient_dim:
-            raise DimensionMismatch("subspace basis width differs from its ambient dimension")
-        rows = _sparse_rows(self.basis.rows)
-        pivots = tuple(row[0][0] if row else -1 for row in rows)
+        rows = self.rows
+        pivots = tuple(row[0][0] if row and row[0][1] == 1 else None for row in rows)
         if (
-            -1 in pivots
-            or any(row[0][1] != 1 for row in rows)
+            None in pivots
             or any(a >= b for a, b in zip(pivots, pivots[1:]))
+            or any(not a or j <= i for row in rows for (i, _), (j, a) in zip(row, row[1:]))
             or not set(pivots).isdisjoint(j for row in rows for j, _ in row[1:])
         ):
             raise ValueError("subspace basis is not in reduced echelon form")
+        if rows and (pivots[0] < 0 or max(row[-1][0] for row in rows) >= self.ambient_dim):
+            raise DimensionMismatch(f"subspace row column outside 0..{self.ambient_dim - 1}")
         object.__setattr__(self, "pivots", pivots)
         object.__setattr__(self, "_rows_at_pivots", dict(zip(pivots, rows)))
+
+    @classmethod
+    def from_basis(cls, ambient_dim: int, basis: Matrix) -> Subspace:
+        if basis.ncols != ambient_dim:
+            raise DimensionMismatch("subspace basis width differs from its ambient dimension")
+        return cls(ambient_dim, tuple(map(tuple, _sparse_rows(basis.rows))))
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
         rows = tuple(to_vec(v) for v in vectors)
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatch("spanning vector has wrong length")
-        return cls(ambient_dim, rref(Matrix._trusted(rows, ambient_dim)).matrix)
+        return cls(ambient_dim, _row_space(map(enumerate, rows), ambient_dim))
 
     @classmethod
     def solving(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, Fraction]]]) -> Subspace:
         """{x : sum v x_j = 0 over each row's (column, value) pairs (j, v)}; no rows give the whole space."""
-        return cls(ambient_dim, Matrix._trusted(_kernel_of_rows(rows, ambient_dim), ambient_dim))
+        return cls(ambient_dim, _kernel_of_rows(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix([], ncols=ambient_dim))
+        return cls(ambient_dim, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, Matrix.identity(ambient_dim))
+        return cls(ambient_dim, tuple(((i, _ONE),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.nrows
+        return len(self.rows)
+
+    @cached_property
+    def basis(self) -> Matrix:  # built from the rows when read; from_basis reads one in
+        rows, n = [dict(row) for row in self.rows], self.ambient_dim
+        return Matrix._trusted(tuple(tuple(row.get(j, _ZERO) for j in range(n)) for row in rows), n)
 
     def contains_vector(self, vec: Sequence) -> bool:
         return self.coordinates(vec) is not None
@@ -522,21 +554,20 @@ class Subspace:
         return not any(rest.values())
 
     def __le__(self, other: Subspace) -> bool:
-        return all(other.contains_vector(r) for r in self.basis.rows)
+        self._check_ambient(other)
+        return all(other._contains_entries(dict(row)) for row in self.rows)
 
     def plus(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        rows = list(self.basis.rows) + list(other.basis.rows)
-        return Subspace.span(self.ambient_dim, rows)
+        return Subspace(self.ambient_dim, _row_space(chain(self.rows, other.rows), self.ambient_dim))
 
-    def annihilator(self) -> Matrix:
-        """Rows y with (basis) y = 0; membership test x in V <=> ann @ x = 0."""
-        return Subspace.solving(self.ambient_dim, self._rows_at_pivots.values()).basis
+    def annihilator(self) -> Subspace:
+        """The y with B y = 0 for the basis B; x lies in V exactly when y x = 0 for each of its rows y."""
+        return Subspace.solving(self.ambient_dim, self.rows)
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        rows = chain(self.annihilator().rows, other.annihilator().rows)
-        return Subspace.solving(self.ambient_dim, map(enumerate, rows))
+        return Subspace.solving(self.ambient_dim, chain(self.annihilator().rows, other.annihilator().rows))
 
     def complement_rows_within(self, larger: Subspace) -> Matrix:
         """Rows of `larger`'s canonical basis whose pivots this subspace does not use.
@@ -547,8 +578,7 @@ class Subspace:
         if not self <= larger:
             raise ValueError("complement requires containment")
         used = set(self.pivots)
-        rows = [r for r, pc in zip(larger.basis.rows, larger.pivots) if pc not in used]
-        return Matrix(rows, ncols=self.ambient_dim)
+        return Subspace(self.ambient_dim, tuple(row for row in larger.rows if row[0][0] not in used)).basis
 
     def _check_ambient(self, other: Subspace) -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -1,11 +1,12 @@
 """Symmetric bilinear forms on a Lie algebra and the metric pairing.
 
 Restriction, radical, orthogonal complement and the induced quotient form are
-all exact subspace computations on Gram matrices.  Pairings and products G w
-are sums over the Gram matrix's nonzero entries.  The frozen SymForm and
-MetricLieAlgebra keep what they fix on first use (nonzero entries, signature,
-n', v, the isotropy identity rows and their index, the lowered brackets); no
-kept value is ever mutated, so none goes stale.
+all exact subspace computations on Gram matrices.  Pairings, restricted Gram
+matrices and products G w are sums over the nonzero entries of the Gram matrix
+and of a subspace's rows.  The frozen SymForm and MetricLieAlgebra keep what
+they fix on first use (nonzero entries, the Gram matrix cleared to ints,
+signature, n', v, the isotropy identity rows, in ints, and their index, the
+lowered brackets); no kept value is ever mutated, so none goes stale.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from gonil.linalg import (
     SignatureTriple,
     Subspace,
     _ZERO,
+    _common_denominator,
+    _scaled,
     _sparse_rows,
     symmetric_signature,
     to_vec,
@@ -50,6 +53,11 @@ class SymForm:
     @cached_property
     def _sparse(self) -> list[list[tuple[int, Fraction]]]:
         return _sparse_rows(self.gram.rows)
+
+    @cached_property
+    def _cleared(self) -> tuple[tuple[tuple[int, int], ...], ...]:  # G's nonzero entries times their common denominator
+        den = _common_denominator(x for row in self._sparse for _, x in row)
+        return tuple(_scaled(row, den) for row in self._sparse)
 
     @cached_property
     def _signature(self) -> SignatureTriple:
@@ -154,12 +162,12 @@ class MetricLieAlgebra:
         )
 
 
-def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, Fraction]]]:
-    """Entry (a, b), a <= b, of D^T G + G D as a sparse row over the row-major entries of D; zero rows skipped.
+def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, int]]]:
+    """Entry (a, b), a <= b, of D^T G + G D as a sparse int row over the row-major entries of D; zero rows skipped.
 
-    Read off the nonzero entries of G's rows a and b (G is symmetric).
+    Read off the nonzero entries of G's rows a and b (G is symmetric), cleared to ints: a positive multiple.
     """
-    n, g = form.dim, form._sparse
+    n, g = form.dim, form._cleared
     for a in range(n):
         for b in range(a, n):
             row = {l * n + a: x for l, x in g[b]}  # (D^T G)[a, b] = sum_l D[l, a] G[l, b]
@@ -187,13 +195,14 @@ def _check_in_algebra(m: MetricLieAlgebra, v: Subspace) -> None:
 def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     """{x : <x, w> = 0 for all w in V} with respect to m's form."""
     _check_in_algebra(m, v)
-    return Subspace.solving(m.dim, (m.form._times(w).items() for w in v._rows_at_pivots.values()))
+    return Subspace.solving(m.dim, (m.form._times(w).items() for w in v.rows))
 
 
 def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
-    """Gram matrix of the form in V's canonical basis."""
+    """Gram matrix of the form in V's canonical basis, summed over the basis rows' nonzero entries."""
     _check_in_algebra(m, v)
-    return SymForm(v.basis @ m.form.gram @ v.basis.transpose())
+    pairs = [[sum([g[j] * b for j, b in y if j in g], _ZERO) for y in v.rows] for g in map(m.form._times, v.rows)]
+    return SymForm(Matrix(pairs, ncols=v.dim))
 
 
 def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
@@ -202,9 +211,7 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     One solve: V's annihilator rows cut out V, the rows G w its orthogonal complement.
     """
     _check_in_algebra(m, v)
-    images = (m.form._times(w).items() for w in v._rows_at_pivots.values())
-    rows = chain(map(enumerate, v.annihilator().rows), images)
-    return Subspace.solving(m.dim, rows)
+    return Subspace.solving(m.dim, chain(v.annihilator().rows, (m.form._times(w).items() for w in v.rows)))
 
 
 def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Matrix]:
@@ -217,13 +224,12 @@ def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymF
     """
     if not eg <= m1:
         raise PreconditionError("eg is not contained in m1")
-    if any(m.pair(x, y) for x in eg.basis.rows for y in m1.basis.rows):
+    if not m1 <= orth_complement(m, eg):
         raise PreconditionError("<eg, m1> != 0")
     if m1.dim + eg.dim != m.dim:
         raise PreconditionError("dim m1 + dim eg != dim n")
     comp = eg.complement_rows_within(m1)
-    gram = comp @ m.form.gram @ comp.transpose()
-    form = SymForm(gram)
+    form = SymForm(comp @ m.form.gram @ comp.transpose())
     if not form.is_nondegenerate():
         raise PreconditionError("induced form is degenerate (is the ambient form nondegenerate?)")
     return form, comp

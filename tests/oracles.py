@@ -343,24 +343,39 @@ def extension_identity_failure_by_pairing(alg, data) -> str | None:
 
 
 def jacobi_defect_by_brackets(alg):
-    """Every triple i < j < k with a nonzero cyclic sum [e_i,[e_j,e_k]] + cyclic, by three brackets each."""
+    """Every triple i < j < k with a nonzero cyclic sum [e_i,[e_j,e_k]] + cyclic, by six table walks each.
+
+    The brackets walk the rational table (``bracket_by_table``), not the cleared view the library keeps.
+    """
     n = alg.dim
     basis = [basis_vec(n, i) for i in range(n)]
+
+    def nested(a, b, c):
+        return bracket_by_table(alg, basis[a], bracket_by_table(alg, basis[b], basis[c]))
+
     defects = []
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                total = tuple(
-                    a + b + c
-                    for a, b, c in zip(
-                        alg.bracket(basis[i], alg.bracket_basis(j, k)),
-                        alg.bracket(basis[j], alg.bracket_basis(k, i)),
-                        alg.bracket(basis[k], alg.bracket_basis(i, j)),
-                    )
-                )
+                total = tuple(a + b + c for a, b, c in zip(nested(i, j, k), nested(j, k, i), nested(k, i, j)))
                 if any(total):
                     defects.append(((i, j, k), total))
     return defects
+
+
+def first_defects_in_fractions(n, indexed, ops):
+    """The key of the least indexed row each operator (as its sparse rows) fails, summed in Fractions, or None."""
+    keys, by_entry = indexed
+    out = []
+    for op in ops:
+        sums = {}
+        for i, entries in enumerate(op):
+            for j, v in entries:
+                for r, c in by_entry.get(i * n + j, ()):
+                    sums[r] = sums.get(r, Fraction(0)) + Fraction(c) * v
+        failing = [r for r, total in sums.items() if total]
+        out.append(keys[min(failing)] if failing else None)
+    return out
 
 
 def derivation_failures_by_brackets(alg, op: Matrix):
@@ -468,7 +483,7 @@ def commutator_closed_by_dense_products(space) -> bool:
     vectorized basis.
     """
     n2 = space.ambient_dim * space.ambient_dim
-    span = Subspace(n2, Matrix([op.vectorize() for op in space.basis], ncols=n2))
+    span = Subspace.from_basis(n2, Matrix([op.vectorize() for op in space.basis], ncols=n2))
     return all(
         contains_by_elimination(span, (a @ b - b @ a).vectorize())
         for i, a in enumerate(space.basis)
@@ -515,7 +530,8 @@ def centralizer_by_stacked_ads(alg, v):
     """{x : [x, w] = 0 for all w in V}: the kernel of the stacked -ad(w), whose column a is [e_a, w]."""
     if v.dim == 0:
         return Subspace.full(alg.dim)
-    return Subspace(alg.dim, kernel_by_naive_rref(_stacked([ad_by_table(alg, w).scale(-1) for w in v.basis.rows], alg.dim)))
+    stacked = _stacked([ad_by_table(alg, w).scale(-1) for w in v.basis.rows], alg.dim)
+    return Subspace.from_basis(alg.dim, kernel_by_naive_rref(stacked))
 
 
 def transporter_by_stacked_products(alg, v, w):
@@ -523,13 +539,14 @@ def transporter_by_stacked_products(alg, v, w):
     if v.dim == 0:
         return Subspace.full(alg.dim)
     ann = annihilator_by_kernel(w)
-    return Subspace(alg.dim, kernel_by_naive_rref(_stacked([ann @ ad_by_table(alg, u).scale(-1) for u in v.basis.rows], alg.dim)))
+    stacked = _stacked([ann @ ad_by_table(alg, u).scale(-1) for u in v.basis.rows], alg.dim)
+    return Subspace.from_basis(alg.dim, kernel_by_naive_rref(stacked))
 
 
 def intersect_by_stacked_annihilators(v, w):
     """V meet W: the kernel of both annihilators stacked."""
     stacked = _stacked([annihilator_by_kernel(v), annihilator_by_kernel(w)], v.ambient_dim)
-    return Subspace(v.ambient_dim, kernel_by_naive_rref(stacked))
+    return Subspace.from_basis(v.ambient_dim, kernel_by_naive_rref(stacked))
 
 
 def engel_split_by_flag(m):
@@ -555,14 +572,14 @@ def engel_split_by_flag(m):
 
 def radical_by_kernel(form):
     """{x : <x, .> = 0}: the kernel of the Gram matrix."""
-    return Subspace(form.dim, kernel_by_naive_rref(form.gram))
+    return Subspace.from_basis(form.dim, kernel_by_naive_rref(form.gram))
 
 
 def orth_complement_by_product(m, v):
     """{x : <x, w> = 0 for all w in V}: the kernel of (basis of V) @ Gram, the whole space for V = 0."""
     if v.dim == 0:
         return Subspace.full(m.dim)
-    return Subspace(m.dim, kernel_by_naive_rref(v.basis @ m.form.gram))
+    return Subspace.from_basis(m.dim, kernel_by_naive_rref(v.basis @ m.form.gram))
 
 
 def radical_of_restriction_by_restricted_kernel(m, v):

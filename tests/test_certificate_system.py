@@ -27,6 +27,7 @@ from gonil.go_engine import (
     GOCertificate,
     GOEngineError,
     _CertificateSystem,
+    _integer_vector,
     _verify_certificate,
     first_null_vector,
     go_certificate_at,
@@ -209,14 +210,14 @@ def test_rescaled_spaces_carry_denominators(checked_spaces):
     for name in CHECKED_NAMES:
         m, h = checked_spaces[name]
         system = _CertificateSystem.build(m, h)
-        assert ((system.bracket_den, system.op_den) != (1, 1)) == name.endswith("/rescaled"), name
+        assert ((m.algebra._den, system.op_den) != (1, 1)) == name.endswith("/rescaled"), name
         assert any(x.denominator > 1 for row in m.form.gram.rows for x in row) == name.endswith("/rescaled"), name
         assert (first_null_vector(m) is not None) == (name in NULL_NAMES), name
 
 
 def _accepted(system, cert):
     try:
-        _verify_certificate(system, cert)
+        _verify_certificate(system, cert, *_integer_vector(cert.T))
     except AssertionError:
         return False
     return True

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.isotropy import derivation_defects
-from gonil.lie import LieAlgebra, jacobi_defect
+from gonil.lie import JacobiError, LieAlgebra, jacobi_defect
 from gonil.linalg import DimensionMismatch, Matrix
 from oracles import ad_by_table, derivation_defect_by_brackets, jacobi_defect_by_brackets
 
@@ -50,6 +50,25 @@ def test_jacobi_defect_matches_bracket_oracle():
 
     check()
     assert outcomes == {True, False}
+
+
+def test_jacobi_defect_divides_the_cleared_sums_by_the_common_denominator_squared():
+    # Denominators 3, 5 and 4: the cleared view is 60 times the table, a multiple of none of them alone.
+    table = {
+        (0, 1): {2: Fraction(1, 3)},
+        (0, 2): {3: Fraction(2, 5)},
+        (1, 2): {3: Fraction(-3, 4)},
+        (1, 3): {0: Fraction(1, 3)},
+    }
+    alg = LieAlgebra(4, table, validate=False)
+    assert alg._den == 60
+    zero = Fraction(0)
+    # At (0, 1, 2) only [e_1, [e_2, e_0]] = (-2/5)(1/3) e_0 survives,
+    # at (1, 2, 3) only [e_2, [e_3, e_1]] = (1/3)(2/5) e_3.
+    expected = [((0, 1, 2), (Fraction(-2, 15), zero, zero, zero)), ((1, 2, 3), (zero, zero, zero, Fraction(2, 15)))]
+    assert jacobi_defect(alg) == jacobi_defect_by_brackets(alg) == expected
+    with pytest.raises(JacobiError, match=r"^Jacobi identity fails at 2 triple\(s\), e\.g\. \(0, 1, 2\), \(1, 2, 3\)$"):
+        LieAlgebra(4, table)
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)

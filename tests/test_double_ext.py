@@ -488,7 +488,7 @@ def test_a_quotient_bracket_outside_m1_trips_the_membership_check(monkeypatch, d
     outside = basis_vec(de5.dim, 0)  # f pairs with eg = span(e), so it is not in m1 = eg's orthogonal
     assert not witness.m1.contains_vector(outside)
     monkeypatch.setattr(double_ext, "reduction_witness", lambda m, h=None: witness)
-    monkeypatch.setattr(LieAlgebra, "bracket", lambda self, x, y: outside)
+    monkeypatch.setattr(LieAlgebra, "_bracket", lambda self, xs, ys: {j: a for j, a in enumerate(outside) if a})
     with pytest.raises(AssertionError, match="internal: vector outside m1"):
         reduce(de5)
 

@@ -37,9 +37,9 @@ def test_per_sample_check_rejects_k_plus_one(de7):
     for vec in (t, first_null_vector(de7)):
         cert = go_certificate_at(de7, h, vec)
         assert cert is not None
-        go_engine._verify_certificate(system, cert)
+        go_engine._verify_certificate(system, cert, *go_engine._integer_vector(cert.T))
         with pytest.raises(AssertionError, match="defining identity"):
-            go_engine._verify_certificate(system, replace(cert, k=cert.k + 1))
+            go_engine._verify_certificate(system, replace(cert, k=cert.k + 1), *go_engine._integer_vector(cert.T))
 
 
 def test_per_sample_check_rejects_each_changed_a_coefficient(de7):
@@ -52,11 +52,12 @@ def test_per_sample_check_rejects_each_changed_a_coefficient(de7):
         assert all(not is_zero_vec(op @ t) for op in h.basis)
         cert = go_certificate_at(de7, h, t)
         assert cert is not None
+        cleared = go_engine._integer_vector(cert.T)
         for j in range(h.dim):
             coeffs = list(cert.A_coeffs)
             coeffs[j] += 1
             with pytest.raises(AssertionError, match="defining identity"):
-                go_engine._verify_certificate(system, replace(cert, A_coeffs=tuple(coeffs)))
+                go_engine._verify_certificate(system, replace(cert, A_coeffs=tuple(coeffs)), *cleared)
 
 
 def test_linear_certificate_check_rejects_each_changed_coefficient(de5, monkeypatch):
@@ -92,7 +93,7 @@ system = go_engine._CertificateSystem.build(m, h)
 rng = random.Random(3)
 cert = go_engine.go_certificate_at(m, h, [Fraction(rng.randint(-5, 5)) for _ in range(m.dim)])
 try:
-    go_engine._verify_certificate(system, replace(cert, k=cert.k + 1))
+    go_engine._verify_certificate(system, replace(cert, k=cert.k + 1), *go_engine._integer_vector(cert.T))
 except AssertionError as exc:
     print("k+1:", exc)
 

@@ -369,13 +369,80 @@ def test_subspace_coordinates_match_elimination_oracles():
     assert outcomes == {True, False}
 
 
+def _oracle_annihilator(basis: Matrix) -> Matrix:
+    """The rows y with basis y = 0, by the naive oracle; the identity for the zero subspace."""
+    return kernel_by_naive_rref(basis) if basis.nrows else Matrix.identity(basis.ncols)
+
+
+def test_sparse_store_matches_naive_rref_subspaces():
+    # Every constructor stores the oracle's reduced rows as their nonzero entries; basis rebuilds its matrix.
+    outcomes = set()
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 7)), data=st.data())
+    def check(shape, data):
+        ka, kb, n = shape
+        a, b = Matrix(data.draw(sparse_rows(ka, n)), ncols=n), Matrix(data.draw(sparse_rows(kb, n)), ncols=n)
+        va, vb = Subspace.span(n, a.rows), Subspace.span(n, b.rows)
+        span_a, span_b = naive_rref(a)[0], naive_rref(b)[0]
+        stacked = Matrix(a.rows + b.rows, ncols=n)
+        annihilators = Matrix(_oracle_annihilator(span_a).rows + _oracle_annihilator(span_b).rows, ncols=n)
+        cases = [
+            (Subspace.solving(n, map(enumerate, a.rows)), kernel_by_naive_rref(a)),
+            (va, span_a),
+            (vb, span_b),
+            (va.plus(vb), naive_rref(stacked)[0]),
+            (va.intersect(vb), kernel_by_naive_rref(annihilators)),
+        ]
+        for got, expected in cases:
+            assert got.rows == tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in expected.rows)
+            assert got.basis == expected
+            assert got.pivots == naive_rref(expected)[1]
+        spaces = [got for got, _ in cases] + [Subspace.from_basis(n, expected) for _, expected in cases]
+        for x in spaces:
+            for y in spaces:
+                assert (x == y) == (x.basis == y.basis)
+                assert x != y or hash(x) == hash(y)
+                outcomes.add(x == y)
+        outcomes.add("meet" if cases[-1][0].dim else "no meet")
+
+    check()
+    assert outcomes == {True, False, "meet", "no meet"}
+
+
 @pytest.mark.parametrize(
     "rows",
     [[[1, 1], [0, 1]], [[2, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 0]], [[1, 0], [1, 0]], [[1, 1], [0, 0]]],
 )
 def test_subspace_refuses_a_basis_not_in_reduced_echelon_form(rows):
     with pytest.raises(ValueError, match="not in reduced echelon form"):
-        Subspace(2, Matrix(rows, ncols=2))
+        Subspace.from_basis(2, Matrix(rows, ncols=2))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((),),  # an empty row
+        (((0, Fraction(2)),),),  # a leading entry other than 1
+        (((0, Fraction(1)), (1, Fraction(0))),),  # a stored zero
+        (((0, Fraction(1)), (2, Fraction(1)), (1, Fraction(1))),),  # columns out of order
+        (((0, Fraction(1)), (1, Fraction(1)), (1, Fraction(2))),),  # a column twice
+        (((1, Fraction(1)),), ((0, Fraction(1)),)),  # pivots out of order
+        (((0, Fraction(1)), (1, Fraction(3))), ((1, Fraction(1)),)),  # another row's pivot column
+    ],
+)
+def test_subspace_refuses_sparse_rows_not_in_reduced_echelon_form(rows):
+    with pytest.raises(ValueError, match="not in reduced echelon form"):
+        Subspace(3, rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [(((3, Fraction(1)),),), (((-1, Fraction(1)), (0, Fraction(2))),), (((0, Fraction(1)), (5, Fraction(2))),)]
+)
+def test_subspace_refuses_a_sparse_column_outside_the_space(rows):
+    with pytest.raises(DimensionMismatch, match=r"^subspace row column outside 0\.\.2$"):
+        Subspace(3, rows)
 
 
 @pytest.mark.parametrize("ncols", [3, 6])
@@ -383,8 +450,8 @@ def test_subspace_refuses_a_basis_of_another_width(ncols):
     # A 3-wide row in a 5-dim space would read as "dim 1 of 5", unequal to its own span.
     rows = [[1, 0, 2] + [0] * (ncols - 3)]
     with pytest.raises(DimensionMismatch, match="^subspace basis width differs from its ambient dimension$"):
-        Subspace(5, Matrix(rows, ncols=ncols))
-    assert Subspace(ncols, Matrix(rows, ncols=ncols)) == Subspace.span(ncols, rows)
+        Subspace.from_basis(5, Matrix(rows, ncols=ncols))
+    assert Subspace.from_basis(ncols, Matrix(rows, ncols=ncols)) == Subspace.span(ncols, rows)
 
 
 def test_solve_particular_is_none_exactly_when_b_raises_the_rank():
@@ -454,9 +521,10 @@ def test_elimination_matches_naive_rref_on_sparse_systems():
         assert consistent <= (x is not None)
         outcomes.add(x is not None)
 
-        # The sparse entry on the same rows, as {column: value} dicts, agrees exactly.
+        # The sparse entry on the same rows, as {column: value} dicts, returns the oracle kernel's nonzero entries.
         sparse = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
-        assert _kernel_of_rows([row.items() for row in sparse], a.ncols) == ker.rows
+        oracle = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in kernel_by_naive_rref(a).rows)
+        assert _kernel_of_rows([row.items() for row in sparse], a.ncols) == oracle
         # The integer entry that certificates use, on the same rows each cleared to integers; its zero entries stay.
         scales = [math.lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(a.rows, b)]
         cleared = [[(j, int(v * s)) for j, v in enumerate((*row, bi))] for row, bi, s in zip(a.rows, b, scales)]

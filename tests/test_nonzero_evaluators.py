@@ -18,7 +18,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import gonil.go_engine as go_engine
-from conftest import random_nilpotent_table, sheared_gram
+from conftest import combination, random_nilpotent_table, rescaled, sheared_gram
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import GOEngineError, check_subisotropy, first_null_vector
 from gonil.isotropy import (
@@ -32,7 +32,12 @@ from gonil.isotropy import (
 from gonil.lie import LieAlgebra
 from gonil.linalg import Matrix, _sparse_rows, congruence_diagonalize
 from gonil.metric import MetricLieAlgebra, SymForm
-from oracles import congruence_diagonalize_dense, derivation_failures_by_brackets, skew_failures_by_products
+from oracles import (
+    congruence_diagonalize_dense,
+    derivation_failures_by_brackets,
+    first_defects_in_fractions,
+    skew_failures_by_products,
+)
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
 NONZERO = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 2)])
@@ -125,6 +130,56 @@ def test_isotropy_defects_read_the_defects_of_fresh_rows():
 
     check()
     assert reached == {(True, True), (False, True), (True, False), (False, False)}
+
+
+MIXED = st.sampled_from([Fraction(1, 3), Fraction(2, 5), Fraction(-3, 4), Fraction(5, 6), -1, 2])
+SCALES = (Fraction(1, 2), Fraction(2, 3), 3)
+RESCALED = {
+    f"{name}/rescaled": rescaled(CATALOG[name], [SCALES[i % 3] for i in range(CATALOG[name].dim)])
+    for name in ("paper_2_3", "de5", "de7_lorentz")
+}
+SUBISOTROPY = {name: (m, CATALOG_SPACES[name]) for name, m in CATALOG.items()}
+SUBISOTROPY.update((name, (m, isotropy_algebra(m))) for name, m in RESCALED.items())
+
+
+def test_integer_defect_sums_match_the_fraction_evaluation():
+    # The kept identity rows hold ints, and each operator's entries are cleared
+    # by their common denominator before they are summed; the oracle sums the
+    # rational entries over the same index in Fractions.  The operators combine
+    # an isotropy basis (three of them rescaled, so rows and basis carry
+    # denominators) with mixed-denominator coefficients, some with one entry
+    # perturbed, and check_subisotropy refuses their span exactly when one fails.
+    reached = set()
+
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(name=st.sampled_from(sorted(SUBISOTROPY)), data=st.data())
+    def check(name, data):
+        m, h = SUBISOTROPY[name]
+        ops = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            op = combination(m.dim, h.basis, [data.draw(MIXED) for _ in h.basis])
+            if data.draw(st.booleans()):
+                entries = [list(row) for row in op.rows]
+                entries[data.draw(st.integers(0, m.dim - 1))][data.draw(st.integers(0, m.dim - 1))] += data.draw(MIXED)
+                op = Matrix(entries)
+            ops.append(op)
+        sparse = [_sparse_rows(op.rows) for op in ops]
+        expected = [first_defects_in_fractions(m.dim, index, sparse) for index in m._isotropy_index]
+        assert _isotropy_defects(m, sparse) == expected
+        failing = any(key is not None for keys in expected for key in keys)
+        try:
+            check_subisotropy(m, OperatorSpace.from_operators(m.dim, ops))
+        except GOEngineError:
+            assert failing
+        else:
+            assert not failing
+        reached.add("fails" if failing else "passes")
+        if any(len({x.denominator for row in op.rows for x in row} - {1}) > 1 for op in ops):
+            reached.add("mixed denominators")
+
+    check()
+    assert reached == {"fails", "passes", "mixed denominators"}
 
 
 def test_subisotropy_names_each_failing_identity_on_a_perturbed_catalog_basis(paper, paper_iso):

@@ -43,9 +43,12 @@ def test_star_import_binds_no_submodule():
 
 # Definitions that no code in the package names, each kept for a reason.
 UNREFERENCED_BUT_KEPT = {
+    "bracket_basis": "LieAlgebra.bracket_basis, [e_i, e_j] as a vector; the package reads the bracket table itself",
     "column": "Matrix.column, the column partner of Matrix.row",
+    "contains_vector": "Subspace.contains_vector, the yes-or-no partner of Subspace.coordinates",
     "derivation_defects": "the tested entry point to the live _first_defects, as skew_defects is",
     "extension_data_to_dict": "writes the extension-data JSON that `gonil extend --data` reads",
+    "from_basis": "Subspace.from_basis, the one way in for a dense reduced basis; the package builds sparse rows",
     "radical": "SymForm.radical, the whole-space case of radical_of_restriction",
 }
 

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 import gonil.linalg as linalg
 from conftest import random_nilpotent_table, rescaled, sheared_gram
 from gonil import go_engine, isotropy, lie
+from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import linear_go_certificate, necessary_condition_check, polarized_defects
-from gonil.isotropy import is_adh_invariant
+from gonil.isotropy import OperatorSpace, is_adh_invariant
 from gonil.lie import LieAlgebra, bracket_subspaces, is_ideal, lower_central_series, nilpotency_step, transporter
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, basis_vec
 from gonil.metric import MetricLieAlgebra, SymForm
@@ -236,8 +237,8 @@ def test_identity_checks_take_no_dense_path(paper, paper_iso, monkeypatch):
 
 
 def test_subspace_readers_use_the_rows_a_subspace_keeps(paper, paper_iso, monkeypatch):
-    # A Subspace keeps its basis rows' nonzero entries; only transporter
-    # re-reads a matrix, the annihilator of W.
+    # A Subspace is stored as its basis rows' nonzero entries, and so is the
+    # annihilator of W that transporter reads: none re-reads a matrix.
     m, alg = paper.algebra, paper.algebra.algebra
     v, w = m.nprime(), m.v_complement()
     paper_iso._sparse  # the operators' own entries, read once per space
@@ -259,4 +260,25 @@ def test_subspace_readers_use_the_rows_a_subspace_keeps(paper, paper_iso, monkey
         calls.clear()
         run()
         counts[name] = len(calls)
-    assert counts == {"bracket_subspaces": 0, "transporter": 1, "is_adh_invariant": 0, "necessary_condition_check": 0}
+    assert counts == {"bracket_subspaces": 0, "transporter": 0, "is_adh_invariant": 0, "necessary_condition_check": 0}
+
+
+def test_isotropy_checks_build_no_dense_basis(monkeypatch):
+    # Subspace and OperatorSpace keep their rows' nonzero entries and build a
+    # dense basis only when it is read: solving the isotropy algebra, checking
+    # an operator space against the kept rows and the invariance test read none.
+    fresh = {}
+    for name in EXAMPLE_NAMES:
+        m = build_example(name).algebra
+        fresh[name] = MetricLieAlgebra(LieAlgebra(m.dim, m.algebra.table), SymForm(m.form.gram))
+    reads = []
+    for owner in (Subspace, OperatorSpace):
+        built = owner.__dict__["basis"].func
+        monkeypatch.setattr(owner, "basis", property(lambda self, built=built: reads.append(type(self)) or built(self)))
+    for name, m in fresh.items():
+        h = isotropy.isotropy_algebra(m)
+        go_engine.check_subisotropy(m, h)
+        for v in (m.nprime(), m.v_complement(), Subspace.zero(m.dim), Subspace.full(m.dim)):
+            assert is_adh_invariant(m, v, h) == is_adh_invariant(m, v)
+        assert reads == [], name
+    assert m.nprime().basis.nrows == m.nprime().dim and reads == [Subspace]  # the patch does count a read
