@@ -179,6 +179,8 @@ def cmd_normal_forms(args):
         raise FormatError(f"--m is at most {MAX_NORMAL_FORM_M}")
     if args.family and args.q != 2:
         raise FormatError("--family needs --q 2")
+    if args.family != 2 and (args.u1 is not None or args.v1 is not None):
+        raise FormatError("--u1 and --v1 need --family 2")
     u1, v1 = [None if x is None else parse_rational(x) for x in (args.u1, args.v1)]
     family = iwasawa_nilpotent_basis(args.q, args.m)
     lines = [f"SIGNATURE: {family.signature[0]},{family.signature[1]}", f"AMBIENT: {family.dim_ambient}"]

@@ -2,7 +2,9 @@
 
 Every check is an identity over the rationals, so the tolerance is zero by
 construction.  Each criterion prints a single PASS/FAIL line (visible with
-``pytest -s`` and in captured output on failure).
+``pytest -s`` and in captured output on failure).  Criterion 8 is the one
+comparison of ``symmetric_signature`` on random forms with its oracles,
+``oracles.signature_by_descartes`` and ``oracles.signature_by_random_congruence``.
 """
 
 import random
@@ -170,6 +172,7 @@ def test_criterion_8_oracle_equivalence():
             sig = symmetric_signature(g)
             assert sig == signature_by_random_congruence(g, rng)
             assert sig == signature_by_descartes(g)
+            assert sig.p + sig.q + sig.r == n
         for _ in range(100):
             nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
             a = random_rational_matrix(rng, nrows, ncols)

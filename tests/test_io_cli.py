@@ -31,11 +31,15 @@ from gonil.isotropy import isotropy_algebra
 from gonil.lie import EngelError
 
 
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "gonil.cli", *args], capture_output=True, text=True
-    )
-    return proc.returncode, proc.stdout
+@pytest.fixture
+def run_cli(capsys):
+    """``gonil ARGS`` in-process: (exit code, stdout); the ``-m`` entry point has its own subprocess tests."""
+
+    def run(*args):
+        code = main(list(args))
+        return code, capsys.readouterr().out
+
+    return run
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -124,7 +128,7 @@ def test_extension_data_round_trip():
     assert back.mu == data.mu
 
 
-def test_cli_check_ok_and_malformed(tmp_path):
+def test_cli_check_ok_and_malformed(tmp_path, run_cli):
     save_algebra(tmp_path / "ok.json", build_example("heis3").algebra)
     code, out = run_cli("check", str(tmp_path / "ok.json"))
     assert code == 0 and "STATUS: OK" in out
@@ -135,7 +139,7 @@ def test_cli_check_ok_and_malformed(tmp_path):
     assert code == 2 and "symmetric" in out
 
 
-def test_cli_go_refuted_and_deterministic():
+def test_cli_go_refuted_and_deterministic(run_cli):
     code1, out1 = run_cli("go", "catalog:filiform4", "--samples", "50", "--seed", "1", "--bound", "5")
     code2, out2 = run_cli("go", "catalog:filiform4", "--samples", "50", "--seed", "1", "--bound", "5")
     assert code1 == code2 == 1
@@ -143,27 +147,27 @@ def test_cli_go_refuted_and_deterministic():
     assert "VERDICT: REFUTED" in out1
 
 
-def test_cli_go_consistent_exit_zero():
+def test_cli_go_consistent_exit_zero(run_cli):
     code, out = run_cli("go", "catalog:heis3", "--samples", "25", "--seed", "2")
     assert code == 0
     assert "VERDICT: CONSISTENT" in out
 
 
-def test_cli_go_at():
+def test_cli_go_at(run_cli):
     code, out = run_cli("go-at", "catalog:heis3", "--vector", "1,2,3")
     assert code == 0 and "RESULT: FEASIBLE" in out and "K: 0" in out
     code, out = run_cli("go-at", "catalog:filiform4", "--vector", "1,0,1,0")
     assert code == 1 and "INFEASIBLE" in out
 
 
-def test_cli_linear_go():
+def test_cli_linear_go(run_cli):
     code, out = run_cli("linear-go", "catalog:de5")
     assert code == 0 and "RESULT: FEASIBLE" in out
     code, out = run_cli("linear-go", "catalog:filiform4")
     assert code == 1 and "RESULT: INFEASIBLE" in out
 
 
-def test_cli_reduce_writes_quotient(tmp_path):
+def test_cli_reduce_writes_quotient(tmp_path, run_cli):
     out_path = tmp_path / "reduced.json"
     code, out = run_cli("reduce", "catalog:de5", "--output", str(out_path))
     assert code == 0
@@ -173,12 +177,12 @@ def test_cli_reduce_writes_quotient(tmp_path):
     assert loaded.dim == 3
 
 
-def test_cli_reduce_rejects_nondegenerate():
+def test_cli_reduce_rejects_nondegenerate(run_cli):
     code, out = run_cli("reduce", "catalog:heis3")
     assert code == 1 and "nondegenerate" in out
 
 
-def test_cli_extend_round_trip(tmp_path):
+def test_cli_extend_round_trip(tmp_path, run_cli):
     base = tmp_path / "base.json"
     save_algebra(base, build_example("abelian_n").algebra)
     data_path = tmp_path / "data.json"
@@ -196,7 +200,7 @@ def test_cli_extend_round_trip(tmp_path):
     assert loaded == build_example("abelian_n").algebra
 
 
-def test_cli_catalog_and_verify_paper(tmp_path):
+def test_cli_catalog_and_verify_paper(tmp_path, run_cli):
     code, out = run_cli("catalog", "paper_2_3", "--output", str(tmp_path / "p.json"))
     assert code == 0
     loaded, names = load_algebra(tmp_path / "p.json")
@@ -207,30 +211,30 @@ def test_cli_catalog_and_verify_paper(tmp_path):
     assert out.count("FAIL") == 0
 
 
-def test_cli_unknown_file_is_malformed():
+def test_cli_unknown_file_is_malformed(run_cli):
     code, out = run_cli("check", "/nonexistent/file.json")
     assert code == 2
 
 
-def test_cli_bad_vectors_are_malformed():
+def test_cli_bad_vectors_are_malformed(run_cli):
     for vec in ("0,0,0", "1,2", "1,2,x"):
         code, _out = run_cli("go-at", "catalog:heis3", "--vector", vec)
         assert code == 2, vec
 
 
-def test_cli_normal_forms_too_small_is_malformed():
+def test_cli_normal_forms_too_small_is_malformed(run_cli):
     code, out = run_cli("normal-forms", "--q", "1", "--m", "2")
     assert code == 2 and "m >= 3" in out
 
 
-def test_cli_normal_forms_family():
+def test_cli_normal_forms_family(run_cli):
     code, out = run_cli("normal-forms", "--q", "2", "--m", "6", "--family", "2", "--u1", "1/2", "--v1", "3")
     assert code == 0
     assert "ABELIAN_VERIFIED: yes" in out
     assert "FAMILY_DIM: 6" in out
 
 
-def test_cli_invariants_paper():
+def test_cli_invariants_paper(run_cli):
     code, out = run_cli("invariants", "catalog:paper_2_3")
     assert code == 0
     assert "SIGNATURE: 8,4,0" in out
@@ -349,6 +353,23 @@ def test_cli_normal_forms_refusal_is_one_error_line(args, message, capsys):
 
 
 @pytest.mark.parametrize(
+    "extra",
+    [["--family", "3", "--v1", "0"], ["--family", "1", "--u1", "1"], ["--u1", "1/2", "--v1", "3"], ["--v1", "1e999999999"]],
+    ids=["family-3", "family-1", "no-family", "unparsed"],
+)
+def test_cli_normal_forms_refuses_u1_and_v1_outside_family_2(extra, capsys, monkeypatch):
+    import gonil.normal_forms as nf
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    for name in ("reference_gram", "iwasawa_nilpotent_basis", "maximal_abelian_family", "q2_element"):
+        monkeypatch.setattr(nf, name, refuse)
+    assert main(["normal-forms", "--q", "2", "--m", "6", *extra]) == 2
+    assert capsys.readouterr().out == "ERROR: --u1 and --v1 need --family 2\n"
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["--q", "2", "--m", "6"],  # buffered, the report fits the stdout buffer: the pipe breaks at the final flush
@@ -457,13 +478,11 @@ def _deep_json(tmp_path):
     ],
     ids=["check-directory", "reduce-output-directory", "check-deep-json", "extend-deep-json"],
 )
-def test_cli_unreadable_and_deeply_nested_files_are_malformed(command, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "gonil.cli", *command(str(tmp_path))], capture_output=True, text=True
-    )
-    assert proc.returncode == 2
-    assert [line for line in proc.stdout.splitlines() if line.startswith("ERROR: ")] == proc.stdout.splitlines()[-1:]
-    assert proc.stderr == ""
+def test_cli_unreadable_and_deeply_nested_files_are_malformed(command, tmp_path, capsys):
+    assert main(command(str(tmp_path))) == 2
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if line.startswith("ERROR: ")] == out.splitlines()[-1:]
+    assert err == ""
 
 
 def test_cli_internal_error_exits_three_and_other_codes_keep_their_meaning(monkeypatch, capsys):

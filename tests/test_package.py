@@ -3,7 +3,8 @@
 ``gonil.__all__`` is read off the imports in ``gonil/__init__.py``, so it must
 hold exactly the names imported there and none of the submodules that those
 imports bind as package attributes.  Every other module-level function, class
-and method under ``src/gonil`` must be named somewhere else in the package.
+and method under ``src/gonil`` must be named somewhere else in the package, and
+every top-level oracle in ``tests/oracles.py`` by a test module or another oracle.
 """
 
 import ast
@@ -50,37 +51,47 @@ UNREFERENCED_BUT_KEPT = {
     "extension_data_to_dict": "writes the extension-data JSON that `gonil extend --data` reads",
     "from_basis": "Subspace.from_basis, the one way in for a dense reduced basis; the package builds sparse rows",
     "radical": "SymForm.radical, the whole-space case of radical_of_restriction",
+    "scale": "Matrix.scale, which README's removed names give as the replacement for combine",
 }
 
 
 def _definitions(tree):
-    """Module-level functions and classes, and the methods of those classes."""
+    """(definition, is a method) for module-level functions and classes and the methods of those classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
             if isinstance(node, ast.ClassDef):
-                yield from (sub for sub in node.body if isinstance(sub, ast.FunctionDef))
+                yield from ((sub, True) for sub in node.body if isinstance(sub, ast.FunctionDef))
+
+
+def _reads(nodes):
+    """Counters of the names read as a bare name and as an attribute among these nodes."""
+    names, attributes = Counter(), Counter()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes[node.attr] += 1
+    return names, attributes
 
 
 def _unreferenced(src: Path) -> list[str]:
-    """Names defined in src/*.py that no Name or attribute there reads, less the exempt ones.
+    """Names defined in src/*.py that nothing there reads, less the exempt ones.
 
-    Names are matched alone, so a method counts as used when any attribute of
-    its name is read; an import is no use.  Exempt are the public names, dunders,
-    CLI commands and catalog builders, which their decorator registers.
+    A method counts as used only when an attribute of its name is read, so a
+    local variable of the same name does not hide it; a module-level function
+    or class counts when its name is read as a name or as an attribute.  An
+    import is no use.  Exempt are the public names, dunders, CLI commands and
+    catalog builders, which their decorator registers.
     """
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
-    read = Counter(
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    )
+    names, attributes = _reads(node for tree in trees for node in ast.walk(tree))
     return sorted(
         node.name
         for tree in trees
-        for node in _definitions(tree)
-        if not read[node.name]
+        for node, method in _definitions(tree)
+        if not attributes[node.name]
+        and (method or not names[node.name])
         and node.name not in gonil.__all__
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and not node.name.startswith("cmd_")
@@ -91,3 +102,20 @@ def _unreferenced(src: Path) -> list[str]:
 def test_every_definition_in_the_package_is_used_or_kept_for_a_reason():
     # Equality, so an allowance goes stale as soon as some code names it.
     assert _unreferenced(Path(gonil.__file__).parent) == sorted(UNREFERENCED_BUT_KEPT)
+
+
+def test_every_oracle_is_named_by_a_test_or_another_oracle():
+    # An oracle that a merged test no longer calls goes in the same change.
+    tests = Path(__file__).resolve().parent
+    oracles = ast.parse((tests / "oracles.py").read_text())
+
+    def read(nodes):
+        names, attributes = _reads(nodes)
+        return names + attributes
+
+    total = read(ast.walk(oracles)) + read(
+        node for path in tests.glob("test_*.py") for node in ast.walk(ast.parse(path.read_text()))
+    )
+    defined = [node for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    # An oracle's reads of its own name, as in recursion, are no use.
+    assert [node.name for node in defined if total[node.name] == read(ast.walk(node))[node.name]] == []
