@@ -171,12 +171,9 @@ def naive_rref(m: Matrix):
     return reduced, tuple(pivots)
 
 
-def kernel_by_naive_rref(m: Matrix, reduced=None) -> Matrix:
-    """Canonical basis of {x : M x = 0}: one vector per free column from ``naive_rref``, reduced by it again.
-
-    ``reduced`` is ``naive_rref(m)`` when the caller has it already.
-    """
-    reduced, pivots = reduced or naive_rref(m)
+def kernel_by_naive_rref(m: Matrix) -> Matrix:
+    """Canonical basis of {x : M x = 0}: one vector per free column from ``naive_rref``, reduced by it again."""
+    reduced, pivots = naive_rref(m)
     vecs = []
     for c in sorted(set(range(m.ncols)).difference(pivots)):
         x = [Fraction(0)] * m.ncols
@@ -397,6 +394,11 @@ def derivation_failures_by_brackets(alg, op: Matrix):
     return failures
 
 
+def derivation_defect_by_brackets(alg, op: Matrix):
+    """First pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], by generic brackets."""
+    return next(iter(derivation_failures_by_brackets(alg, op)), None)
+
+
 def reduce_vector_by_elimination(space, vec):
     """Residual of vec after eliminating along each basis row's first nonzero entry, in turn."""
     v = list(to_vec(vec))
@@ -419,7 +421,7 @@ def quotient_by_transposed_solve(m, result):
     basis, one ``solve_particular`` per vector, and the eg coordinates are
     dropped.
     """
-    comp, eg, m1 = result.complement_rows, result.witness.eg, result.witness.m1
+    comp, eg = result.complement_rows, result.witness.eg
     k = comp.nrows
     solver = Matrix(list(comp.rows) + list(eg.basis.rows), ncols=m.dim).transpose()
 
@@ -428,6 +430,33 @@ def quotient_by_transposed_solve(m, result):
         assert coords is not None, "vector outside m1"
         return coords[:k]
 
+    return _quotient_by(m, result, comp_coords)
+
+
+def quotient_by_dense_pivot_coordinates(m, result):
+    """Projection and bracket table of a reduction, each vector's eg part removed densely.
+
+    eg's part, read at eg's pivots, is subtracted as a dense Matrix-vector
+    product; the rest's m1 coordinates are read by the dense
+    ``Subspace.coordinates`` and kept at the pivots eg does not use.
+    """
+    eg, m1 = result.witness.eg, result.witness.m1
+    eg_rows = eg.basis.transpose()
+    comp_at = [i for i, pc in enumerate(m1.pivots) if pc not in eg.pivots]
+
+    def comp_coords(vec):
+        part = eg_rows @ [vec[p] for p in eg.pivots]
+        coords = m1.coordinates(tuple(a - b for a, b in zip(vec, part)))
+        assert coords is not None, "vector outside m1"
+        return tuple(coords[i] for i in comp_at)
+
+    return _quotient_by(m, result, comp_coords)
+
+
+def _quotient_by(m, result, comp_coords):
+    """The projection of m1 and the quotient's bracket table, read through comp_coords."""
+    comp, m1 = result.complement_rows, result.witness.m1
+    k = comp.nrows
     table = {}
     for i in range(k):
         for j in range(i + 1, k):
@@ -440,6 +469,11 @@ def quotient_by_transposed_solve(m, result):
 def pair_by_dense_product(form, x, y) -> Fraction:
     """<x, y> as x . (G y), G y the dense Matrix-vector product."""
     return dot(to_vec(x), form.gram @ to_vec(y))
+
+
+def coordinates_by_solve(space, vec):
+    """Coefficients of vec in the space's basis from the transposed system, or None."""
+    return solve_particular(space.basis.transpose(), vec)
 
 
 def commutator_closed_by_dense_products(space) -> bool:
@@ -466,6 +500,14 @@ def skew_failures_by_products(form, op: Matrix):
     """Every entry (a, b), a <= b, in row-major order, where D^T G + G D is nonzero; two dense products."""
     s = op.transpose() @ form.gram + form.gram @ op
     return [(a, b) for a in range(s.nrows) for b in range(a, s.ncols) if s[a, b]]
+
+
+def skew_defect_by_products(form, op: Matrix):
+    """First entry (a, b), in row-major order, where D^T G + G D is nonzero, or None.
+
+    D^T G + G D is symmetric, so that entry has a <= b.
+    """
+    return next(iter(skew_failures_by_products(form, op)), None)
 
 
 # The subspaces below are built as before ``Subspace.solving``: dense products

@@ -1,10 +1,10 @@
-"""``jacobi_defect`` against ``oracles.jacobi_defect_by_brackets``.
+"""The derivation rows against the bracket loops they replace.
 
-``jacobi_defect`` reads the cyclic sums off the cleared bracket view; the
-oracle walks the rational table with generic brackets on basis vectors.  The
-property asserts that both outcomes (identity holds, identity fails) were
-reached.  ``derivation_defects`` is compared with its oracle in
-``test_nonzero_evaluators.test_defect_evaluators_match_the_per_operator_oracles``.
+``jacobi_defect`` and ``derivation_defects`` read the sparse derivation rows
+off the bracket table; ``oracles.jacobi_defect_by_brackets`` and
+``oracles.derivation_defect_by_brackets`` evaluate the same identities with
+generic brackets on basis vectors.  Each property asserts that both of its
+outcomes (identity holds, identity fails) were reached.
 """
 
 from fractions import Fraction
@@ -17,9 +17,10 @@ from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.isotropy import derivation_defects
 from gonil.lie import JacobiError, LieAlgebra, jacobi_defect
 from gonil.linalg import DimensionMismatch, Matrix
-from oracles import jacobi_defect_by_brackets
+from oracles import ad_by_table, derivation_defect_by_brackets, jacobi_defect_by_brackets
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+KINDS = st.sampled_from(["inner", "sparse", "both"])
 ALGEBRAS = {name: build_example(name).algebra.algebra for name in EXAMPLE_NAMES}
 
 
@@ -73,6 +74,35 @@ def test_jacobi_defect_divides_the_cleared_sums_by_the_common_denominator_square
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_jacobi_defect_empty_on_catalog(name):
     assert jacobi_defect(ALGEBRAS[name]) == jacobi_defect_by_brackets(ALGEBRAS[name]) == []
+
+
+def test_derivation_defect_matches_bracket_oracle():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(name=st.sampled_from(EXAMPLE_NAMES), kinds=st.lists(KINDS, min_size=1, max_size=3), data=st.data())
+    def check(name, kinds, data):
+        alg = ALGEBRAS[name]
+        n = alg.dim
+        ops = []
+        for kind in kinds:
+            op = Matrix.zeros(n, n)
+            if kind != "sparse":  # the inner derivation ad(x)
+                op = op + ad_by_table(alg, data.draw(st.lists(SMALL, min_size=n, max_size=n)))
+            if kind != "inner":
+                cells = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), SMALL), max_size=3))
+                entries = [[0] * n for _ in range(n)]
+                for l, k, c in cells:
+                    entries[l][k] = c
+                op = op + Matrix(entries)
+            ops.append(op)
+        expected = [derivation_defect_by_brackets(alg, op) for op in ops]
+        assert derivation_defects(alg, ops) == expected
+        outcomes.update(defect is None for defect in expected)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_derivation_defect_refuses_a_wrong_size():

@@ -1,15 +1,3 @@
-"""The double extension and the paper's reduction, against the oracles that rebuild them by hand.
-
-``reduce``'s quotient (the projection of m1 and the quotient's bracket table,
-read at pivots with eg's part removed) is compared with
-``oracles.quotient_by_transposed_solve``, which solves for every coordinate,
-by ``test_projection_and_quotient_brackets_match_transposed_solve``.
-``ExtensionData.validate`` is compared with
-``oracles.derivation_failures_by_brackets`` and
-``oracles.extension_identity_failure_by_pairing``, and the degeneracy-2 split
-with ``oracles.engel_split_by_flag``.
-"""
-
 import importlib.util
 import random
 import sys
@@ -43,10 +31,11 @@ from gonil.linalg import Matrix, Subspace, _sparse_rows, basis_vec, symmetric_si
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
 from oracles import (
     ad_by_table,
-    derivation_failures_by_brackets,
+    derivation_defect_by_brackets,
     engel_split_by_flag,
     extension_identity_failure_by_pairing,
     omega_pair,
+    quotient_by_dense_pivot_coordinates,
     quotient_by_transposed_solve,
 )
 
@@ -402,7 +391,7 @@ def test_extension_validate_matches_pairing_oracle(name, fit_phi, data):
 
 
 def _expected_validation_message(alg, ext) -> str | None:
-    pair = next(iter(derivation_failures_by_brackets(alg, ext.derivation)), None)
+    pair = derivation_defect_by_brackets(alg, ext.derivation)
     if pair is not None:
         return f"derivation identity fails on pair ({pair[0]},{pair[1]})"
     return extension_identity_failure_by_pairing(alg, ext)
@@ -461,17 +450,13 @@ def test_projection_and_quotient_brackets_match_transposed_solve(de5, de7, heis3
     engel = engel_witness_algebra()
     _, chain = lorentz_chain()
     over_heis3 = extend2(heis3, ExtensionData(Matrix.zeros(3, 3), to_vec([1, 2, 0]), Matrix.zeros(3, 3)))
-    rungs = ladder_rungs()
-    assert {label.split("-")[0] for label, _, _ in rungs} == {"deg1", "engel"}
-    cases = [("de5", de5), ("de7_lorentz", de7), ("engel witness", engel), ("its quotient", reduce(engel).m0)]
-    cases += [("lorentz chain", chain), ("over heis3", over_heis3)]
-    cases += [(label, extend2(base, data)) for label, base, data in rungs]
-    # With f_i = e_i + e_(i-1) the central eg is no coordinate line: its part is nonzero at pivots of the complement.
-    for label, m in cases + [(f"{label} sheared", sheared(m, shift=-1)) for label, m in cases]:
+    cases = [de5, de7, engel, reduce(engel).m0, chain, over_heis3]
+    # With f_i = e_i + e_(i-1) the central eg is no coordinate line, so its part must be removed.
+    for m in cases + [sheared(m, shift=-1) for m in cases]:
         result = reduce(m)
         projection, table = quotient_by_transposed_solve(m, result)
-        assert result.projection == projection, label
-        assert result.m0.algebra.table == table, label
+        assert result.projection == projection
+        assert result.m0.algebra.table == table
 
 
 def ladder_rungs(seed_value=11):
@@ -484,6 +469,18 @@ def ladder_rungs(seed_value=11):
         spec.loader.exec_module(workloads)
     rng = random.Random(seed_value)
     return [(f"{family}-d{dim}", *make(rng)[:2]) for family, dim, make in workloads.LADDER]
+
+
+def test_quotient_coordinates_match_the_dense_pivot_reading(de5, de7):
+    cases = [("de5", de5), ("de7_lorentz", de7)]
+    cases += [(label, extend2(base, data)) for label, base, data in ladder_rungs()]
+    assert {label.split("-")[0] for label, _ in cases} == {"de5", "de7_lorentz", "deg1", "engel"}
+    # Sheared, the central eg is no coordinate line: its part is nonzero at pivots of the complement.
+    for label, m in cases + [(f"{label} sheared", sheared(m, shift=-1)) for label, m in cases]:
+        result = reduce(m)
+        projection, table = quotient_by_dense_pivot_coordinates(m, result)
+        assert result.projection == projection, label
+        assert result.m0.algebra.table == table, label
 
 
 def test_a_quotient_bracket_outside_m1_trips_the_membership_check(monkeypatch, de5):

@@ -1,15 +1,3 @@
-"""Exact linear algebra, each core against one independent oracle.
-
-The integer elimination core ``linalg._eliminate`` and every entry point to it
-(``rref``, ``solve_particular``, ``_solve_rows``, ``Subspace.solving``,
-``span``, ``plus``, ``intersect``, ``coordinates``) are compared with
-``oracles.naive_rref``, textbook Gauss-Jordan in Fractions, by one property:
-``test_elimination_matches_naive_rref_on_sparse_systems``.  Matrix products,
-sums and commutators are compared with ``oracles.dense_product``; the
-signature on random forms is compared with its two oracles in
-``test_acceptance``'s criterion 8, and on degenerate ones here.
-"""
-
 import math
 import operator
 import random
@@ -22,7 +10,7 @@ from hypothesis import strategies as st
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
-    _eliminate,
+    _kernel_of_rows,
     _solve_rows,
     Subspace,
     congruence_diagonalize,
@@ -35,14 +23,16 @@ from gonil.linalg import (
 )
 from conftest import ENTRY, sparse_rows
 from oracles import (
+    contains_by_elimination,
+    coordinates_by_solve,
     dense_product,
-    dot,
     kernel_by_naive_rref,
     naive_rref,
     random_invertible_matrix,
     random_rational_matrix,
     random_symmetric_matrix,
     signature_by_descartes,
+    signature_by_random_congruence,
 )
 
 
@@ -213,6 +203,17 @@ def test_signature_eight_dim_block_form():
     assert symmetric_signature(Matrix(g)) == (5, 3, 0)
 
 
+def test_signature_agrees_with_oracles_on_random_instances():
+    rng = random.Random(2024)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        g = random_symmetric_matrix(rng, n)
+        sig = symmetric_signature(g)
+        assert sig == signature_by_descartes(g)
+        assert sig == signature_by_random_congruence(g, rng)
+        assert sig.p + sig.q + sig.r == n
+
+
 def test_signature_congruence_invariance():
     rng = random.Random(11)
     for _ in range(20):
@@ -346,6 +347,70 @@ def test_sum_difference_and_commutator_match_dense_oracle(shape, data):
     assert got == expected and hash(got) == hash(expected)
 
 
+def test_subspace_coordinates_match_elimination_oracles():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(shape=st.tuples(st.integers(0, 6), st.integers(1, 9)), data=st.data())
+    def check(shape, data):
+        k, n = shape
+        space = Subspace.span(n, data.draw(sparse_rows(k, n)))
+        coeffs = data.draw(st.lists(ENTRY, min_size=space.dim, max_size=space.dim))
+        member = space.basis.transpose() @ coeffs
+        assert space.coordinates(member) == to_vec(coeffs)
+        for vec in (member, data.draw(st.lists(ENTRY, min_size=n, max_size=n))):
+            expected = coordinates_by_solve(space, vec)
+            assert space.coordinates(vec) == expected
+            assert space.contains_vector(vec) == contains_by_elimination(space, vec) == (expected is not None)
+            outcomes.add(expected is not None)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def _oracle_annihilator(basis: Matrix) -> Matrix:
+    """The rows y with basis y = 0, by the naive oracle; the identity for the zero subspace."""
+    return kernel_by_naive_rref(basis) if basis.nrows else Matrix.identity(basis.ncols)
+
+
+def test_sparse_store_matches_naive_rref_subspaces():
+    # Every constructor stores the oracle's reduced rows as their nonzero entries; basis rebuilds its matrix.
+    outcomes = set()
+
+    @seed(20261019)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(1, 7)), data=st.data())
+    def check(shape, data):
+        ka, kb, n = shape
+        a, b = Matrix(data.draw(sparse_rows(ka, n)), ncols=n), Matrix(data.draw(sparse_rows(kb, n)), ncols=n)
+        va, vb = Subspace.span(n, a.rows), Subspace.span(n, b.rows)
+        span_a, span_b = naive_rref(a)[0], naive_rref(b)[0]
+        stacked = Matrix(a.rows + b.rows, ncols=n)
+        annihilators = Matrix(_oracle_annihilator(span_a).rows + _oracle_annihilator(span_b).rows, ncols=n)
+        cases = [
+            (Subspace.solving(n, map(enumerate, a.rows)), kernel_by_naive_rref(a)),
+            (va, span_a),
+            (vb, span_b),
+            (va.plus(vb), naive_rref(stacked)[0]),
+            (va.intersect(vb), kernel_by_naive_rref(annihilators)),
+        ]
+        for got, expected in cases:
+            assert got.rows == tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in expected.rows)
+            assert got.basis == expected
+            assert got.pivots == naive_rref(expected)[1]
+        spaces = [got for got, _ in cases] + [Subspace.from_basis(n, expected) for _, expected in cases]
+        for x in spaces:
+            for y in spaces:
+                assert (x == y) == (x.basis == y.basis)
+                assert x != y or hash(x) == hash(y)
+                outcomes.add(x == y)
+        outcomes.add("meet" if cases[-1][0].dim else "no meet")
+
+    check()
+    assert outcomes == {True, False, "meet", "no meet"}
+
+
 @pytest.mark.parametrize(
     "rows",
     [[[1, 1], [0, 1]], [[2, 0]], [[0, 1], [1, 0]], [[1, 0], [0, 0]], [[1, 0], [1, 0]], [[1, 1], [0, 0]]],
@@ -406,44 +471,8 @@ def test_solve_particular_is_none_exactly_when_b_raises_the_rank():
     assert infeasible > 0
 
 
-BIG = 2**64
-INTEGER = st.one_of(
-    st.just(0),
-    st.just(0),
-    st.just(0),
-    st.integers(-4, 4),
-    st.builds(operator.mul, st.sampled_from([1, -1]), st.integers(BIG, 2**80)),
-)
-
-
 @st.composite
-def integer_systems(draw):
-    """Integer rows, some entries above 64 bits, with zero rows, duplicates and integer combinations of earlier rows."""
-    ncols = draw(st.integers(0, 7))
-    base = draw(st.lists(st.lists(INTEGER, min_size=ncols, max_size=ncols), max_size=6))
-    rows = [list(row) for row in base]
-    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "combination"]), max_size=3)):
-        if kind == "zero":
-            rows.append([0] * ncols)
-        elif base:
-            x, y = (base[draw(st.integers(0, len(base) - 1))] for _ in range(2))
-            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
-            rows.append(list(x) if kind == "duplicate" else [a * s + b * t for s, t in zip(x, y)])
-    return [rows[i] for i in draw(st.permutations(range(len(rows))))], ncols
-
-
-@st.composite
-def small_systems(draw):
-    """Up to 6 rows of sparse rationals in up to 9 columns, with up to two of them repeated."""
-    ncols, nrows = draw(st.integers(0, 9)), draw(st.integers(0, 6))
-    rows = draw(sparse_rows(nrows, ncols))
-    if rows:
-        rows += [rows[i] for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2))]
-    return rows, ncols
-
-
-@st.composite
-def large_systems(draw):
+def _sparse_system(draw):
     """A rational matrix up to 40 x 60, mostly zeros, with whole rows and columns zeroed."""
     nrows, ncols = draw(st.integers(0, 40)), draw(st.integers(1, 60))
     density = draw(st.sampled_from([0.05, 0.15, 0.3]))
@@ -459,20 +488,11 @@ def large_systems(draw):
         ]
         for i in range(nrows)
     ]
-    return rows, ncols
+    return Matrix(rows, ncols=ncols)
 
 
-# Weighted 4 : 5 : 1, so that about 40 of the 400 examples are large systems, as in the test that drew them alone.
-SOURCES = {"integer": integer_systems(), "small": small_systems(), "large": large_systems()}
-SOURCE = st.sampled_from(["integer"] * 4 + ["small"] * 5 + ["large"])
-
-
-def _solution_by_naive_rref(a, b, reduced=None):
-    """The canonical solution of a x = b (free unknowns zero) read off ``naive_rref`` of [a | b], or None.
-
-    ``reduced`` is ``naive_rref`` of [a | b] when the caller has it already.
-    """
-    red, pivots = reduced or naive_rref(Matrix([row + (bi,) for row, bi in zip(a.rows, b)], ncols=a.ncols + 1))
+def _solution_by_naive_rref(a, b):
+    red, pivots = naive_rref(Matrix([row + (bi,) for row, bi in zip(a.rows, b)], ncols=a.ncols + 1))
     if pivots and pivots[-1] == a.ncols:
         return None
     x = [Fraction(0)] * a.ncols
@@ -481,145 +501,35 @@ def _solution_by_naive_rref(a, b, reduced=None):
     return tuple(x)
 
 
-def _annihilator_by_naive_rref(basis: Matrix) -> Matrix:
-    """The rows y with basis y = 0, by the naive oracle; the identity for the zero subspace."""
-    return kernel_by_naive_rref(basis) if basis.nrows else Matrix.identity(basis.ncols)
-
-
-def _entries(matrix: Matrix) -> tuple:
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in matrix.rows)
-
-
-def _int_entries(rows):
-    """Integer rows as ``_eliminate``'s parallel (values, columns) lists of their nonzero entries."""
-    return [[x for x in row if x] for row in rows], [[j for j, x in enumerate(row) if x] for row in rows]
-
-
 def test_elimination_matches_naive_rref_on_sparse_systems():
-    # Every entry point to the one integer core against oracles.naive_rref, on one drawn system a:
-    # _eliminate and rref on its rows, Subspace.solving on them as equations, solve_particular and
-    # _solve_rows on its columns, span, plus and intersect on its two halves of rows, and coordinates
-    # of its first and last rows in the first half's span.
-    reached = set()
+    outcomes, zeros = set(), set()
 
     @seed(20261018)
-    @settings(max_examples=400, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(source=SOURCE, data=st.data())
-    def check(source, data):
-        rows, n = data.draw(SOURCES[source])
-        a = Matrix(rows, ncols=n)
-        red, pivots = naive_rref(a)
-        kernel = kernel_by_naive_rref(a, (red, pivots))
+    @settings(max_examples=40, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_sparse_system(), consistent=st.booleans(), data=st.data())
+    def check(a, consistent, data):
+        assert rref(a) == naive_rref(a)
+        ker = null_basis(a)
+        assert ker == kernel_by_naive_rref(a)
+        assert len(rref(a).pivots) + ker.nrows == a.ncols
+        if consistent:
+            b = a @ data.draw(st.lists(ENTRY, min_size=a.ncols, max_size=a.ncols))
+        else:
+            b = to_vec(data.draw(st.lists(ENTRY, min_size=a.nrows, max_size=a.nrows)))
+        x = solve_particular(a, b)
+        assert x == _solution_by_naive_rref(a, b)
+        assert consistent <= (x is not None)
+        outcomes.add(x is not None)
 
-        # The core on the rows cleared to integers: each row primitive and positive at its pivot, the
-        # oracle's row up to that factor, and the same rows whatever the input order.
-        dens = [math.lcm(*(x.denominator for x in row)) for row in a.rows]
-        ints = [[int(x * d) for x in row] for row, d in zip(a.rows, dens)]
-        core = _eliminate(*_int_entries(ints))
-        values, core_pivots, columns = core
-        assert core_pivots == list(pivots)
-        for vals, cols, expected in zip(values, columns, _entries(red)):
-            assert vals[0] > 0 and math.gcd(*vals) == 1
-            assert tuple((j, Fraction(v, vals[0])) for j, v in zip(cols, vals)) == expected
-        order = data.draw(st.permutations(range(len(ints))))
-        assert _eliminate(*_int_entries([ints[i] for i in order])) == core
-        assert rref(a) == (red, pivots)
-
-        # Subspace.solving on the rows as (column, value) pairs, as enumerate pairs, and with each entry x
-        # at column j given as x - y there and, after the row's other entries, y there again, y the last row.
-        split = a.rows[-1] if rows else (0,) * n
-        tail = [(j, y) for j, y in enumerate(split) if y]
-        given_rows = (
-            [[(j, x) for j, x in enumerate(row) if x] for row in a.rows],
-            map(enumerate, a.rows),
-            [[(j, x - y) for j, (x, y) in enumerate(zip(row, split))] + tail for row in a.rows],
-        )
-        cases = [(Subspace.solving(n, each), kernel) for each in given_rows]
-        assert all(dot(x, row) == 0 for x in kernel.rows for row in a.rows)
-
-        # (a less its last column) x = (its last column), solvable or not; a x = (a's first column) is solved by e_0.
-        if n:
-            lhs, rhs = Matrix([row[:-1] for row in a.rows], ncols=n - 1), a.column(n - 1)
-            x = solve_particular(lhs, rhs)
-            assert x == _solution_by_naive_rref(lhs, rhs, (red, pivots))
-            # The integer entry that certificates use, on the same rows each cleared to integers; zeros stay.
-            scales = [math.lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(lhs.rows, rhs)]
-            cleared = [[(j, int(v * s)) for j, v in enumerate((*row, bi))] for row, bi, s in zip(lhs.rows, rhs, scales)]
-            assert _solve_rows(cleared, n - 1) == x
-            assert solve_particular(a, a.column(0)) is not None
-            reached.add(("solvable", x is not None))
-            if any(v == 0 for row in cleared for _, v in row):
-                reached.add("explicit zeros")
-
-        # Up to 9 columns: the spans of the whole and of its two halves, their sum and meet, and coordinates
-        # in the first half's span.  (The meet's oracle stacks two annihilators of up to n rows each.)
-        if n <= 9:
-            half = len(rows) // 2
-            upper, lower = Matrix(a.rows[:half], ncols=n), Matrix(a.rows[half:], ncols=n)
-            va, vb = Subspace.span(n, upper.rows), Subspace.span(n, lower.rows)
-            red_upper, red_lower = naive_rref(upper)[0], naive_rref(lower)[0]
-            annihilators = _annihilator_by_naive_rref(red_upper).rows + _annihilator_by_naive_rref(red_lower).rows
-            meet = va.intersect(vb)
-            cases += [
-                (Subspace.span(n, a.rows), red),
-                (va, red_upper),
-                (vb, red_lower),
-                (va.plus(vb), red),
-                (meet, kernel_by_naive_rref(Matrix(annihilators, ncols=n))),
-            ]
-            reached.add(("meet", meet.dim > 0))
-            for vec in a.rows[:1] + a.rows[-1:]:
-                expected = _solution_by_naive_rref(red_upper.transpose(), vec)
-                assert va.coordinates(vec) == expected
-                assert va.contains_vector(vec) == (expected is not None)
-                reached.add(("member", expected is not None))
-        for got, expected in cases:
-            assert got.rows == _entries(expected)
-            assert got.basis == expected
-            assert got.pivots == tuple(row[0][0] for row in got.rows)
-        spaces = [got for got, _ in cases] + [Subspace.from_basis(n, expected) for _, expected in cases]
-        for s in spaces:
-            for t in spaces:
-                assert (s == t) == (s.basis == t.basis)
-                assert s != t or hash(s) == hash(t)
-                reached.add(("equal", s == t))
-
-        reached.add(("kernel", "zero" if not kernel.nrows else "full" if kernel.nrows == n else "proper"))
-        reached.update(
-            shape
-            for shape, hit in (
-                ("no rows", not rows),
-                ("0 columns", n == 0),
-                ("more columns than rows", 0 < len(rows) < n),
-                ("zero row", any(not any(row) for row in rows)),
-                ("duplicate rows", len(set(a.rows)) < len(rows)),
-                ("rank deficient", len(pivots) < min(len(rows), n)),
-                ("entries above 64 bits", any(abs(x) >= BIG for row in ints for x in row)),
-                ("repeated columns", any(split)),
-            )
-            if hit
-        )
+        # The sparse entry on the same rows, as {column: value} dicts, returns the oracle kernel's nonzero entries.
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
+        oracle = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in kernel_by_naive_rref(a).rows)
+        assert _kernel_of_rows([row.items() for row in sparse], a.ncols) == oracle
+        # The integer entry that certificates use, on the same rows each cleared to integers; its zero entries stay.
+        scales = [math.lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(a.rows, b)]
+        cleared = [[(j, int(v * s)) for j, v in enumerate((*row, bi))] for row, bi, s in zip(a.rows, b, scales)]
+        assert _solve_rows(cleared, a.ncols) == x
+        zeros.add(any(v == 0 for row in cleared for _, v in row))
 
     check()
-    assert reached == {
-        ("equal", True),
-        ("equal", False),
-        ("member", True),
-        ("member", False),
-        ("solvable", True),
-        ("solvable", False),
-        ("kernel", "zero"),
-        ("kernel", "proper"),
-        ("kernel", "full"),
-        ("meet", True),
-        ("meet", False),
-        "no rows",
-        "0 columns",
-        "more columns than rows",
-        "zero row",
-        "duplicate rows",
-        "rank deficient",
-        "entries above 64 bits",
-        "repeated columns",
-        "explicit zeros",
-    }
+    assert outcomes == {True, False} and True in zeros

@@ -2,15 +2,13 @@
 
 ``Subspace.solving`` is the one constructor for such subspaces: centralizers,
 transporters, intersections, orthogonal complements and radicals hand it their
-equations as sparse rows.  ``Subspace.solving`` itself is compared with
-``oracles.kernel_by_naive_rref`` in
-``test_linalg.test_elimination_matches_naive_rref_on_sparse_systems``.  Here
-``oracles`` keeps the earlier bodies of the callers, which stacked dense
-products into one matrix, took its kernel by ``kernel_by_naive_rref`` and
-answered empty inputs separately; each property compares a rewritten function
-with its oracle on random rational subspaces, the zero and the full subspace
-included, of catalog algebras and of random small nilpotent metric algebras,
-and asserts that every outcome was reached.
+equations as sparse rows.  It is checked against
+``oracles.kernel_by_naive_rref``, which shares no code with the integer core.
+``oracles`` also keeps the earlier bodies, which stacked dense products into
+one matrix, took its kernel and answered empty inputs separately; each property
+compares a rewritten function with its oracle on random rational subspaces,
+the zero and the full subspace included, of catalog algebras and of random
+small nilpotent metric algebras, and asserts that every outcome was reached.
 """
 
 import random
@@ -23,12 +21,14 @@ from hypothesis import strategies as st
 from conftest import random_nilpotent_table, sheared_gram, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.lie import LieAlgebra, centralizer, lower_central_series, transporter
-from gonil.linalg import DimensionMismatch, Subspace
+from gonil.linalg import DimensionMismatch, Matrix, Subspace
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, radical_of_restriction
 from oracles import (
     annihilator_by_kernel,
     centralizer_by_stacked_ads,
+    dot,
     intersect_by_stacked_annihilators,
+    kernel_by_naive_rref,
     orth_complement_by_product,
     radical_by_kernel,
     radical_of_restriction_by_restricted_kernel,
@@ -62,6 +62,35 @@ def subspaces(draw, m):
     if kind == "series":
         return draw(st.sampled_from(lower_central_series(m.algebra)))
     return Subspace.span(n, draw(sparse_rows(draw(st.integers(1, n)), n)))
+
+
+def test_solving_matches_the_naive_kernel():
+    outcomes = set()
+
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(ncols=st.integers(0, 6), nrows=st.integers(0, 5), data=st.data())
+    def check(ncols, nrows, data):
+        rows = data.draw(sparse_rows(nrows, ncols))
+        repeats = [rows[i] for i in data.draw(st.lists(st.integers(0, nrows - 1), max_size=2))] if rows else []
+        rows += repeats
+        expected = kernel_by_naive_rref(Matrix(rows, ncols=ncols))
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+        # Each entry x at column j also given as x - y there and, after the row's other entries, y there again.
+        split = data.draw(st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2)]), min_size=ncols, max_size=ncols))
+        tail = [(j, y) for j, y in enumerate(split) if y]
+        repeated = [[(j, x - y) for j, (x, y) in enumerate(zip(row, split))] + tail for row in rows]
+        for given_rows in (sparse, map(enumerate, rows), repeated):
+            space = Subspace.solving(ncols, given_rows)
+            assert space.basis == expected
+        assert all(dot(x, row) == 0 for x in space.basis.rows for row in rows)
+        outcomes.add("zero" if space.dim == 0 else "full" if space.dim == ncols else "proper")
+        outcomes.add("no rows" if not rows else "duplicate rows" if repeats else "rows")
+        if rows and any(split):
+            outcomes.add("repeated columns")
+
+    check()
+    assert outcomes == {"zero", "proper", "full", "no rows", "duplicate rows", "rows", "repeated columns"}
 
 
 def test_centralizer_and_transporter_match_stacked_oracles():
