@@ -161,7 +161,7 @@ def naive_rref(m: Matrix):
         for r in range(nrows):
             if r != pr and rows[r][pc] != 0:
                 f = rows[r][pc]
-                rows[r] = [a - f * b if b else a for a, b in zip(rows[r], rows[pr])]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
         pivots.append(pc)
         pr += 1
         if pr == nrows:

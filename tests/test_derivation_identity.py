@@ -1,4 +1,4 @@
-"""The derivation rows against the bracket loops they replace.
+"""``jacobi_defect`` and ``derivation_defects`` against one bracket-loop oracle each.
 
 ``jacobi_defect`` and ``derivation_defects`` read the sparse derivation rows
 off the bracket table; ``oracles.jacobi_defect_by_brackets`` and

@@ -326,7 +326,9 @@ def test_cli_refuses_exponent_rationals(no_fraction_in_io, capsys):
         assert capsys.readouterr().out.startswith("ERROR: not a rational")
 
 
-def test_cli_normal_forms_m_upper_limit(capsys, monkeypatch):
+@pytest.fixture
+def no_matrix_built(monkeypatch):
+    """Every normal-forms builder replaced by one that fails the test when called."""
     import gonil.normal_forms as nf
 
     def refuse(*args, **kwargs):
@@ -334,6 +336,9 @@ def test_cli_normal_forms_m_upper_limit(capsys, monkeypatch):
 
     for name in ("reference_gram", "iwasawa_nilpotent_basis", "maximal_abelian_family", "q2_element"):
         monkeypatch.setattr(nf, name, refuse)
+
+
+def test_cli_normal_forms_m_upper_limit(capsys, no_matrix_built):
     for extra in ([], ["--family", "1"]):
         assert main(["normal-forms", "--q", "2", "--m", str(MAX_NORMAL_FORM_M + 1)] + extra) == 2
         assert capsys.readouterr().out == f"ERROR: --m is at most {MAX_NORMAL_FORM_M}\n"
@@ -345,28 +350,17 @@ def test_cli_normal_forms_m_upper_limit(capsys, monkeypatch):
         (["--q", "1", "--m", "6", "--family", "1"], "--family needs --q 2"),
         (["--q", "1", "--m", "3", "--family", "1"], "--family needs --q 2"),
         (["--q", "2", "--m", "4", "--family", "2", "--u1", "1", "--v1", "1"], "family 2 needs m >= 5"),
+        (["--q", "2", "--m", "6", "--family", "3", "--v1", "0"], "--u1 and --v1 need --family 2"),
+        (["--q", "2", "--m", "6", "--family", "1", "--u1", "1"], "--u1 and --v1 need --family 2"),
+        (["--q", "2", "--m", "6", "--u1", "1/2", "--v1", "3"], "--u1 and --v1 need --family 2"),
+        (["--q", "2", "--m", "6", "--v1", "1e999999999"], "--u1 and --v1 need --family 2"),
     ],
 )
-def test_cli_normal_forms_refusal_is_one_error_line(args, message, capsys):
+def test_cli_normal_forms_refusal_is_one_error_line(args, message, capsys, request):
+    if message != "family 2 needs m >= 5":  # the flags alone are refused, before any matrix is built
+        request.getfixturevalue("no_matrix_built")
     assert main(["normal-forms", *args]) == 2
     assert capsys.readouterr().out == f"ERROR: {message}\n"
-
-
-@pytest.mark.parametrize(
-    "extra",
-    [["--family", "3", "--v1", "0"], ["--family", "1", "--u1", "1"], ["--u1", "1/2", "--v1", "3"], ["--v1", "1e999999999"]],
-    ids=["family-3", "family-1", "no-family", "unparsed"],
-)
-def test_cli_normal_forms_refuses_u1_and_v1_outside_family_2(extra, capsys, monkeypatch):
-    import gonil.normal_forms as nf
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a matrix was built")
-
-    for name in ("reference_gram", "iwasawa_nilpotent_basis", "maximal_abelian_family", "q2_element"):
-        monkeypatch.setattr(nf, name, refuse)
-    assert main(["normal-forms", "--q", "2", "--m", "6", *extra]) == 2
-    assert capsys.readouterr().out == "ERROR: --u1 and --v1 need --family 2\n"
 
 
 @pytest.mark.parametrize(

@@ -104,18 +104,71 @@ def test_every_definition_in_the_package_is_used_or_kept_for_a_reason():
     assert _unreferenced(Path(gonil.__file__).parent) == sorted(UNREFERENCED_BUT_KEPT)
 
 
+TESTS = Path(__file__).resolve().parent
+
+
+def _oracle_reads_of_test(tree) -> Counter:
+    """Oracles a test module reads: loads of the names it imports from ``oracles``, and ``oracles.NAME``."""
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+        for alias in node.names
+    }
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in imported:
+            reads[imported[node.id]] += 1
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "oracles"
+        ):
+            reads[node.attr] += 1
+    return reads
+
+
+def _reads_between_oracles(tree) -> Counter:
+    """Names read in ``oracles.py`` outside the reading definition's own name, arguments and locals."""
+    reads = Counter()
+    for node in tree.body:
+        own = set()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = {node.name} | {
+                sub.arg if isinstance(sub, ast.arg) else sub.id
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.arg) or (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store))
+            }
+        names, _attributes = _reads(ast.walk(node))
+        reads.update({name: count for name, count in names.items() if name not in own})
+    return reads
+
+
+def _unnamed_oracles(oracles, tests) -> list[str]:
+    """Top-level definitions of the ``oracles`` tree that no test tree and no other oracle reads."""
+    reads = _reads_between_oracles(oracles)
+    for tree in tests:
+        reads += _oracle_reads_of_test(tree)
+    defined = [node.name for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return [name for name in defined if not reads[name]]
+
+
+def _oracle_trees():
+    return ast.parse((TESTS / "oracles.py").read_text()), [
+        ast.parse(path.read_text()) for path in sorted(TESTS.glob("test_*.py"))
+    ]
+
+
 def test_every_oracle_is_named_by_a_test_or_another_oracle():
     # An oracle that a merged test no longer calls goes in the same change.
-    tests = Path(__file__).resolve().parent
-    oracles = ast.parse((tests / "oracles.py").read_text())
+    assert _unnamed_oracles(*_oracle_trees()) == []
 
-    def read(nodes):
-        names, attributes = _reads(nodes)
-        return names + attributes
 
-    total = read(ast.walk(oracles)) + read(
-        node for path in tests.glob("test_*.py") for node in ast.walk(ast.parse(path.read_text()))
-    )
-    defined = [node for node in oracles.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    # An oracle's reads of its own name, as in recursion, are no use.
-    assert [node.name for node in defined if total[node.name] == read(ast.walk(node))[node.name]] == []
+def test_an_oracle_whose_one_caller_goes_is_flagged():
+    # entries is read only by certificate_tensors_by_dense_products; the local
+    # variables named entries, in oracles.py and in the tests, are no reads.
+    oracles, tests = _oracle_trees()
+    caller = "certificate_tensors_by_dense_products"
+    oracles.body = [node for node in oracles.body if getattr(node, "name", None) != caller]
+    assert _unnamed_oracles(oracles, tests) == ["entries"]

@@ -1,4 +1,4 @@
-"""The skew rows against the dense products they replace.
+"""``isotropy.skew_defects`` against one oracle, ``oracles.skew_defect_by_products``.
 
 ``skew_defects`` evaluates the sparse rows of D^T G + G D that
 the isotropy kernel solves; ``oracles.skew_defect_by_products`` forms the
