@@ -243,11 +243,12 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     eg, m1 = witness.eg, witness.m1
     form, comp = quotient_form(m, m1, eg)
     rows = [row for row in m1.rows if row[0][0] not in eg.pivots]  # comp's rows, at the pivots eg does not use
+    den = eg._int_rows[0]
 
     def comp_coords(rest: dict[int, Fraction]) -> Vec:
-        # eg._contains_entries leaves rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
+        # eg._contains_entries leaves den times rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
         eg._contains_entries(rest)
-        coords = tuple(rest.get(row[0][0], _ZERO) for row in rows)
+        coords = tuple(c / den if (c := rest.get(row[0][0])) else _ZERO for row in rows)
         if not m1._contains_entries(rest):
             raise AssertionError("internal: vector outside m1")
         return coords

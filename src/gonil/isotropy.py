@@ -3,9 +3,12 @@
 An OperatorSpace is stored once, as the Subspace of its operators' row-major
 entries, canonical in reduced echelon form: equality is equality of bases,
 and membership and coordinates are read at the pivots.  Each operator's
-nonzero entries are split off that Subspace's kept rows; the dense basis is
-built only when read.  The closure check forms each commutator over two
-operators' nonzero entries and tests it at the same pivots.  The derivation
+nonzero entries are split off that Subspace's kept rows, as they are and
+times the operator's own common denominator, in ints; the dense basis is
+built only when read.  The closure and invariance checks run in integers:
+the closure check forms a commutator only where one operator's columns meet
+the other's rows, and the invariance check tests V or, when dim V > n/2, its
+annihilator under the transposes.  The derivation
 and skew identities are keyed sparse rows over the entries of D: the kernels
 solve them, and the defect checks evaluate them column-indexed.  The rows
 cutting out the isotropy algebra, and their index, are kept on the metric algebra.
@@ -13,6 +16,7 @@ cutting out the isotropy algebra, and their index, are kept on the metric algebr
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,6 +65,15 @@ class OperatorSpace:
                 op[k // n].append((k % n, v))
         return out
 
+    @cached_property
+    def _cleared(self) -> list[list[tuple[tuple[int, int], ...]]]:
+        """Each basis operator as in _sparse, times its own entries' common denominator: int entries.
+
+        A positive scalar per operator changes no membership, so the closure and invariance checks read these.
+        """
+        dens = [_common_denominator(v for _, v in entries) for entries in self.span.rows]
+        return [[_scaled(row, den) for row in op] for op, den in zip(self._sparse, dens)]
+
     def contains(self, op: Matrix) -> bool:
         return self.coordinates(op) is not None
 
@@ -73,11 +86,22 @@ class OperatorSpace:
     def verify_commutator_closed(self) -> None:
         """Raise ValueError unless the commutator of any two basis operators lies in the span.
 
-        Each commutator is formed over the operators' nonzero entries and tested at the span's pivots.
+        D_i D_j is zero unless a column of D_i is a nonempty row of D_j, so [D_i, D_j] is formed
+        only when the columns of one operator meet the rows of the other; every other commutator
+        is exactly zero.  Each is formed over the operators' int entries and tested at the span's pivots.
         """
-        for i, a in enumerate(self._sparse):
-            for b in self._sparse[i + 1 :]:
-                if not self.span._contains_entries(_commutator_entries(a, b)):
+        ops = self._cleared
+        with_row, with_col = defaultdict(set), defaultdict(set)  # k -> the operators with a nonempty row k, a column k
+        for i, op in enumerate(ops):
+            for r, entries in enumerate(op):
+                if entries:
+                    with_row[r].add(i)
+                for c, _ in entries:
+                    with_col[c].add(i)
+        for i, a in enumerate(ops):
+            meets = [with_row[c] for entries in a for c, _ in entries] + [with_col[r] for r, e in enumerate(a) if e]
+            for j in set().union(*meets):
+                if j > i and not self.span._contains_entries(_commutator_entries(a, ops[j])):
                     raise ValueError("operator space is not closed under commutators")
 
 
@@ -150,16 +174,30 @@ def _isotropy_defects(m: MetricLieAlgebra, ops) -> list[list]:
 def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None = None) -> bool:
     """True iff D(V) <= V for every basis operator D of the isotropy algebra.
 
-    Each D x is formed over the nonzero entries of D and x and tested at V's pivots.
+    D(V) <= V exactly when D^T(ann V) <= ann V, so when dim V > n/2 the annihilator, the
+    smaller side, is tested instead.  Each image is formed over the int entries of D and of
+    the space's cleared rows, and tested at that space's pivots in ints.
     """
     _check_in_algebra(m, v)
     if h is None:
         h = isotropy_algebra(m)
     elif h.ambient_dim != m.dim:
         raise DimensionMismatch("operator space dimension differs from the algebra")
-    xs = [dict(x) for x in v.rows]
-    return all(
-        v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
-        for d in h._sparse
-        for x in xs
-    )
+    if 2 * v.dim <= m.dim:
+        xs = [dict(x) for x in v._int_rows[1].values()]
+        return all(
+            v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
+            for d in h._cleared
+            for x in xs
+        )
+    w = v.annihilator()
+    return all(w._contains_entries(_transposed_image(d, y)) for d in h._cleared for y in w._int_rows[1].values())
+
+
+def _transposed_image(d: list, y) -> dict[int, int]:
+    """D^T y for D as _sparse_rows and y as (index, value) entries, as {index: value}."""
+    out: dict[int, int] = {}
+    for i, c in y:
+        for k, b in d[i]:
+            out[k] = out.get(k, 0) + b * c
+    return out

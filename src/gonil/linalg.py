@@ -228,15 +228,18 @@ def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
     return tuple((*x[:-1], _cleared(x[-1], den)) for x in entries)
 
 
-def _commutator_entries(a: list, b: list) -> dict[int, Fraction]:
-    """AB - BA of n-by-n matrices given as _sparse_rows, as {row-major index: value} over nonzero pairs only."""
+def _commutator_entries(a: list, b: list) -> dict[int, int | Fraction]:
+    """AB - BA of n-by-n matrices given as _sparse_rows, as {row-major index: value} over nonzero pairs only.
+
+    The sums start from int 0, so int operators give int entries.
+    """
     n, acc = len(a), {}
     for left, right, negate in ((a, b, False), (b, a, True)):
         for i, row in enumerate(left):
             for k, x in row:
                 x = -x if negate else x
                 for j, y in right[k]:
-                    acc[i * n + j] = acc.get(i * n + j, _ZERO) + x * y
+                    acc[i * n + j] = acc.get(i * n + j, 0) + x * y
     return {key: v for key, v in acc.items() if v}
 
 
@@ -482,7 +485,6 @@ class Subspace:
     ambient_dim: int
     rows: tuple[tuple[tuple[int, Fraction], ...], ...]  # per row, its (column, value) entries
     pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _rows_at_pivots: dict = field(init=False, repr=False, compare=False)  # pivot -> its row
 
     def __post_init__(self):
         rows = self.rows
@@ -497,7 +499,6 @@ class Subspace:
         if rows and (pivots[0] < 0 or max(row[-1][0] for row in rows) >= self.ambient_dim):
             raise DimensionMismatch(f"subspace row column outside 0..{self.ambient_dim - 1}")
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_rows_at_pivots", dict(zip(pivots, rows)))
 
     @classmethod
     def from_basis(cls, ambient_dim: int, basis: Matrix) -> Subspace:
@@ -545,17 +546,34 @@ class Subspace:
         coords = tuple(vec[p] for p in self.pivots)
         return coords if self._contains_entries({j: a for j, a in enumerate(vec) if a}) else None
 
-    def _contains_entries(self, rest: dict[int, Fraction]) -> bool:
-        """Whether rest, {index: value}, lies in the span; rest becomes rest - sum_i rest[p_i] B_i, which must be 0."""
-        rows = self._rows_at_pivots
-        for p, c in [(p, c) for p, c in rest.items() if p in rows]:
+    @cached_property
+    def _int_rows(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
+        """(L, {pivot: L times its row, as (column, int) entries}) for L the rows' common denominator."""
+        den = _common_denominator(v for row in self.rows for _, v in row)
+        return den, {row[0][0]: _scaled(row, den) for row in self.rows}
+
+    def _contains_entries(self, rest: dict) -> bool:
+        """Whether rest, {index: value}, lies in the span; int values are tested in ints.
+
+        rest becomes L rest - sum_i rest[p_i] L B_i over the pivots p_i, for
+        (L, L B_i) the ``_int_rows``: zero exactly when rest lies in the span.
+        """
+        den, rows = self._int_rows
+        at_pivots = [(p, c) for p, c in rest.items() if p in rows]
+        if den != 1:
+            for j in rest:
+                rest[j] *= den
+        for p, c in at_pivots:
             for j, b in rows[p]:
-                rest[j] = rest.get(j, _ZERO) - c * b
+                if j in rest:
+                    rest[j] -= c * b
+                else:  # not 0 - c * b: an int minus a Fraction goes through Fraction's reflected operator
+                    rest[j] = -c * b
         return not any(rest.values())
 
     def __le__(self, other: Subspace) -> bool:
         self._check_ambient(other)
-        return all(other._contains_entries(dict(row)) for row in self.rows)
+        return all(other._contains_entries(dict(row)) for row in self._int_rows[1].values())
 
     def plus(self, other: Subspace) -> Subspace:
         self._check_ambient(other)

@@ -379,17 +379,29 @@ def first_defects_in_fractions(n, indexed, ops):
 
 
 def derivation_failures_by_brackets(alg, op: Matrix):
-    """Every pair i < j, in order, with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], by generic brackets."""
+    """Every pair i < j, in order, with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], by table brackets.
+
+    The brackets are read straight off the rational table, [e_j, e_i] = -[e_i, e_j]
+    written out, over its nonzero entries; not through the cleared view the library keeps.
+    """
     n = alg.dim
+    brackets = {}
+    for (i, j), targets in alg.table.items():
+        brackets[i, j] = targets
+        brackets[j, i] = {k: -c for k, c in targets.items()}
+    columns = [[(l, op[l, i]) for l in range(n) if op[l, i]] for i in range(n)]  # D e_i = sum_l D[l, i] e_l
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = op @ alg.bracket_basis(i, j)
-            rhs = tuple(
-                a + b
-                for a, b in zip(alg.bracket(op.column(i), basis_vec(n, j)), alg.bracket(basis_vec(n, i), op.column(j)))
-            )
-            if lhs != rhs:
+            defect = {}  # D[e_i, e_j] - [D e_i, e_j] - [e_i, D e_j]
+            for k, c in brackets.get((i, j), {}).items():
+                for m, d in columns[k]:
+                    defect[m] = defect.get(m, 0) + c * d
+            for pairs in ([((l, j), d) for l, d in columns[i]], [((i, l), d) for l, d in columns[j]]):
+                for key, d in pairs:
+                    for m, c in brackets.get(key, {}).items():
+                        defect[m] = defect.get(m, 0) - c * d
+            if any(defect.values()):
                 failures.append((i, j))
     return failures
 

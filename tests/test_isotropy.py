@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import ENTRY, combination, heisenberg, sheared, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
 from gonil.double_ext import ExtensionData, extend2, reduce
+from gonil import isotropy
 from gonil.isotropy import (
     OperatorSpace,
     derivation_space,
@@ -19,7 +20,7 @@ from gonil.isotropy import (
 )
 from gonil.lie import abelian, bracket_subspaces, lower_central_series, transporter
 from gonil.cli import main
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, _sparse_rows
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _sparse_rows
 from gonil.metric import SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
 from oracles import ad_by_table, adh_invariant_by_dense_products, commutator_closed_by_dense_products
@@ -143,10 +144,11 @@ def test_adh_invariance_matches_dense_product_oracle():
             v = data.draw(st.sampled_from(lower_central_series(m.algebra)))
         expected = adh_invariant_by_dense_products(v, h)
         assert is_adh_invariant(m, v, h) == expected
-        outcomes.add(expected)
+        outcomes.add(("annihilator" if 2 * v.dim > n else "space", expected))
 
     check()
-    assert outcomes == {True, False}
+    # each side of the check: V itself, or its annihilator when dim V > n/2
+    assert outcomes == {(side, verdict) for side in ("space", "annihilator") for verdict in (True, False)}
 
 
 def test_isotropy_of_de5_matches_hand_count(de5):
@@ -200,10 +202,26 @@ def test_isotropy_algebra_is_derivations_meet_skew(name):
 
 
 def test_commutator_closure_refuses_a_non_subalgebra():
-    # [E12, E21] = E11 - E22 lies outside span(E12, E21) in gl(2).
-    space = OperatorSpace.from_operators(2, [Matrix([[0, 1], [0, 0]]), Matrix([[0, 0], [1, 0]])])
-    with pytest.raises(ValueError, match="not closed under commutators"):
-        space.verify_commutator_closed()
+    cases = [
+        (2, [(0, 1), (1, 0)]),  # [E01, E10] = E00 - E11 lies outside span(E01, E10) in gl(2)
+        (3, [(0, 1), (1, 2)]),  # E01 E12 = E02 but E12 E01 = 0: only the first product meets
+        (3, [(0, 1), (2, 0)]),  # E01 E20 = 0 but E20 E01 = E21: only the second product meets
+    ]
+    for n, units in cases:
+        ops = [Matrix([[int((i, j) == unit) for j in range(n)] for i in range(n)]) for unit in units]
+        with pytest.raises(ValueError, match="^operator space is not closed under commutators$"):
+            OperatorSpace.from_operators(n, ops).verify_commutator_closed()
+
+
+def test_closure_forms_only_the_commutators_of_interacting_pairs(paper_iso, monkeypatch):
+    # [D_i, D_j] is formed only when a column of one operator is a nonempty row
+    # of the other: 19 of the 36 pairs on paper_2_3, 315 of 630 on H_13.
+    formed = []
+    monkeypatch.setattr(isotropy, "_commutator_entries", lambda a, b: formed.append(1) or _commutator_entries(a, b))
+    for h, pairs in ((paper_iso, 19), (isotropy_algebra(heisenberg(6)), 315)):
+        formed.clear()
+        h.verify_commutator_closed()
+        assert len(formed) == pairs
 
 
 def _generated_subalgebra(space):
