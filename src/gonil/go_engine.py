@@ -14,8 +14,8 @@ enter by their nonzeros.
 The per-vector system is built once per (m, h) as sparse tensors whose
 denominators are cleared at build time, so each sample is assembled,
 eliminated and checked in Python integers: its rows are positive multiples of
-the rational rows, whose reduced echelon form, and so whose canonical
-solution, they share.
+the rational rows, whose row space, and so whose canonical solution, they
+share.
 
 A randomized audit refutes the property exactly when it finds one infeasible
 integer vector; an all-feasible run is evidence only, never proof, since the
@@ -29,6 +29,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Sequence
 
@@ -39,10 +40,10 @@ from gonil.linalg import (
     Vec,
     _cleared,
     _common_denominator,
+    _diagonalize,
     _scaled,
     _solve_rows,
     _sparse_rows,
-    congruence_diagonalize,
     fmt_vec,
     is_zero_vec,
     rational_sqrt,
@@ -178,7 +179,7 @@ def _entries(rows) -> list[tuple[int, int, Fraction]]:
 def _integer_vector(t: Vec) -> tuple[int, tuple[int, ...]]:
     """(d, T') with T = T' / d, T' integral and d > 0."""
     d = _common_denominator(t)
-    return d, tuple(_cleared(x, d) for x in t)
+    return d, tuple(x.numerator for x in t) if d == 1 else tuple(_cleared(x, d) for x in t)
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ def go_certificate_at(
     elif _system.m is not m or _system.h is not h:
         raise AssertionError("internal: certificate system built for another (m, h)")
     d, ti = _integer_vector(t)
-    dt = [d * x for x in ti]
+    dt = ti if d == 1 else [d * x for x in ti]
     nh = len(_system.paired)
     k_column = [-sum([v * dt[e] for e, v in gram_row if dt[e]]) for gram_row in _system.gram_rows]
     null = not sum([x * y for x, y in zip(ti, k_column)])  # -L d^3 <T, T>
@@ -343,7 +344,7 @@ def first_null_vector(m: MetricLieAlgebra) -> Vec | None:
     Scans the congruence-diagonal values for the first opposite-sign pair
     whose ratio is a perfect rational square.
     """
-    basis, diag = congruence_diagonalize(m.form.gram)
+    basis, diag = _diagonalize(m.form.gram)  # SymForm checked it symmetric
     n = len(diag)
     for i in range(n):
         for j in range(i + 1, n):
@@ -372,13 +373,14 @@ def go_random_audit(
     check_audit_parameters(samples, bound)
     system = _CertificateSystem.build(m, h)
     rng = random.Random(seed)
+    fraction = cache(Fraction)  # one Fraction per entry value drawn, shared by the samples
     points = []
     for idx in range(samples):
         while True:  # randrange(2 * bound + 1) - bound draws what randint(-bound, bound) does
             ti = [rng.randrange(2 * bound + 1) - bound for _ in range(m.dim)]
             if any(ti):
                 break
-        t = tuple(map(Fraction, ti))
+        t = tuple(map(fraction, ti))
         points.append(AuditPoint(idx, t, go_certificate_at(m, h, t, _system=system)))
     null_point = None
     nv = first_null_vector(m)

@@ -7,8 +7,10 @@ entries, not the system's width: rows enter as (column, value) pairs, int rows
 as they are and rational ones cleared once to primitive integer rows, and come
 back out sparse.  The reduced echelon form of a row space is unique, so every
 reduced form is canonical and reproducible across runs, platforms and row
-orders.  A Subspace is stored once, as its reduced rows' (column, value)
-entries, just as kernels and spans come out; its dense basis is built when read.
+orders.  A solve stops at the echelon form and back-substitutes, which gives
+the same canonical solution (free unknowns zero) without clearing any column.
+A Subspace is stored once, as its reduced rows' (column, value) entries, just
+as kernels and spans come out; its dense basis is built when read.
 Congruence diagonalization, behind the signature, likewise updates only the
 nonzero entries of its working matrix.
 """
@@ -243,22 +245,14 @@ def _commutator_entries(a: list, b: list) -> dict[int, int | Fraction]:
     return {key: v for key, v in acc.items() if v}
 
 
-def _eliminate(values: _IntRows, columns: _IntRows) -> tuple[_IntRows, list[int], _IntRows]:
-    """Integer Gauss-Jordan by row insertion; returns (values, pivots, columns) of the pivot rows.
+def _forward(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Row insertion of {column: nonzero int} rows, consumed: {pivot: its row}, an echelon form of them.
 
-    Row i is its nonzero integers ``values[i]`` at the columns ``columns[i]``,
-    which must be distinct (a repeated column keeps only its last entry): no
-    row is laid out at the system's width, and a reader of the values (the
-    traced ``linalg.rref.max_bits``) sees integer entries only.  While a row's
-    first column is a pivot, it becomes ``p*row - f*pivot_row``; otherwise that
-    column is a new pivot.  One pass over the pivots in descending order then
-    clears every other pivot column.  The reduced echelon form is unique, so the
-    pivots come out increasing whatever the row order, and each row primitive,
-    its columns increasing from its pivot, whose entry is positive.
+    While a row's first column is a pivot, it becomes ``p*row - f*pivot_row``;
+    otherwise that column is a new pivot, its row primitive, positive there.
     """
-    table: dict[int, dict[int, int]] = {}  # pivot column -> its row, leading entry there
-    for vals, cols in zip(values, columns):
-        row = dict(zip(cols, vals))
+    table: dict[int, dict[int, int]] = {}
+    for row in rows:
         while row:
             pc = min(row)
             prow = table.get(pc)
@@ -266,6 +260,22 @@ def _eliminate(values: _IntRows, columns: _IntRows) -> tuple[_IntRows, list[int]
                 table[pc] = _primitive(row, pc)
                 break
             _subtract(row, prow, pc)
+    return table
+
+
+def _eliminate(values: _IntRows, columns: _IntRows) -> tuple[_IntRows, list[int], _IntRows]:
+    """Integer Gauss-Jordan: ``_forward``, then back-reduction; returns (values, pivots, columns) of the pivot rows.
+
+    Row i is its nonzero integers ``values[i]`` at the columns ``columns[i]``,
+    which must be distinct (a repeated column keeps only its last entry): no
+    row is laid out at the system's width, and a reader of the values (the
+    traced ``linalg.rref.max_bits``) sees integer entries only.  One pass over
+    the pivots in descending order clears every other pivot column.  The
+    reduced echelon form is unique, so the pivots come out increasing whatever
+    the row order, and each row primitive, its columns increasing from its
+    pivot, whose entry is positive.
+    """
+    table = _forward(map(dict, map(zip, columns, values)))
     pivots = sorted(table)
     for pc in reversed(pivots):
         row = table[pc]
@@ -346,15 +356,33 @@ def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) 
 
 
 def _solve_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> Vec | None:
-    """Canonical solution (free unknowns zero) of (column, int) rows, distinct columns, rhs at column ncols, or None."""
-    rows = [nz for row in rows if (nz := [(j, a) for j, a in row if a])]
-    values, pivots, columns = _echelon([[a for _, a in r] for r in rows], [[j for j, _ in r] for r in rows], ncols + 1)
-    if pivots and pivots[-1] == ncols:
+    """Canonical solution (free unknowns zero) of (column, int) rows, distinct columns, rhs at column ncols, or None.
+
+    Infeasible exactly when the rhs column is a pivot of ``_forward``'s echelon
+    rows.  Otherwise the pivot rows are solved in descending pivot order, in
+    integers: a row's other unknowns are free (zero) or later pivots, solved.
+    """
+    table = _forward({j: a for j, a in row if a} for row in rows)
+    # Every column of an input row is nonzero in some echelon row, and a row's pivot is its least column.
+    if table and (min(table) < 0 or max(map(max, table.values())) > ncols):
+        raise DimensionMismatch(f"row column outside 0..{ncols}")
+    if ncols in table:
         return None
     x = [_ZERO] * ncols
-    for vals, cols in zip(values, columns):
-        if cols[-1] == ncols:
-            x[cols[0]] = Fraction(vals[-1], vals[0])
+    solved: dict[int, tuple[int, int]] = {}  # pivot column -> its nonzero unknown as (numerator, denominator)
+    for pc in sorted(table, reverse=True):
+        row = table[pc]
+        num, den = row.get(ncols, 0), 1  # num / den = the rhs minus the solved unknowns' terms
+        for c, a in row.items():
+            if c in solved:
+                n, d = solved[c]
+                g = math.gcd(den, d)
+                num, den = num * (d // g) - a * n * (den // g), den * (d // g)
+        if num:
+            den *= row[pc]  # positive: the row is primitive
+            g = math.gcd(num, den)
+            solved[pc] = num // g, den // g
+            x[pc] = Fraction(num // g, den // g)
     return tuple(x)
 
 
@@ -405,6 +433,11 @@ def congruence_diagonalize(g: Matrix) -> tuple[Matrix, Vec]:
     """
     if not g.is_symmetric():
         raise ValueError("congruence diagonalization needs a symmetric matrix")
+    return _diagonalize(g)
+
+
+def _diagonalize(g: Matrix) -> tuple[Matrix, Vec]:
+    """``congruence_diagonalize`` of a matrix its caller knows to be symmetric, unchecked."""
     n = g.nrows
     c = {i: dict(row) for i, row in enumerate(_sparse_rows(g.rows))}  # the active rows, over active columns
     basis = {i: {i: _ONE} for i in range(n)}
@@ -452,9 +485,9 @@ def _add_scaled(row: dict[int, Fraction], other: dict[int, Fraction], f: Fractio
             row.pop(k, None)
 
 
-def symmetric_signature(g: Matrix) -> SignatureTriple:
-    """Signature (p, q, r) of a symmetric rational matrix (Sylvester's law)."""
-    _, diag = congruence_diagonalize(g)
+def symmetric_signature(g: Matrix, *, _symmetric: bool = False) -> SignatureTriple:
+    """Signature (p, q, r) of a symmetric rational matrix (Sylvester's law); ``_symmetric`` skips the check."""
+    _, diag = _diagonalize(g) if _symmetric else congruence_diagonalize(g)
     p = sum(1 for d in diag if d > 0)
     q = sum(1 for d in diag if d < 0)
     return SignatureTriple(p, q, len(diag) - p - q)

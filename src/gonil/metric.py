@@ -61,7 +61,7 @@ class SymForm:
 
     @cached_property
     def _signature(self) -> SignatureTriple:
-        return symmetric_signature(self.gram)
+        return symmetric_signature(self.gram, _symmetric=True)  # checked on construction
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
         x, y = to_vec(x), to_vec(y)

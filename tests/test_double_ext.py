@@ -505,9 +505,9 @@ def test_one_round_trip_builds_each_signature_and_derived_algebra_it_needs_once(
     counts = Counter()
     for original in (symmetric_signature, derived_subalgebra):
 
-        def counted(*args, original=original):
+        def counted(*args, original=original, **kwargs):
             counts[original.__name__] += 1
-            return original(*args)
+            return original(*args, **kwargs)
 
         _rebind_everywhere(monkeypatch, original, counted)
     assert reduce(extend2(base, data)).m0 == base

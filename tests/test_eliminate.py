@@ -10,10 +10,14 @@ positive pivot entry, which makes them independent of the input order.
 The library's core takes and returns each row as parallel lists of its
 nonzero values and their columns; the dense oracle takes whole rows.  A small
 adapter here converts between the two, so both are compared on dense rows.
+Solves do not run the back-reduction: ``_solve_rows`` back-substitutes over
+the inserted rows, and is compared with the solution read off the oracle's
+reduced rows.
 """
 
 import math
 import operator
+from fractions import Fraction
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -21,7 +25,8 @@ from hypothesis import strategies as st
 import gonil.go_engine as go_engine
 import gonil.isotropy as isotropy
 import gonil.linalg as linalg
-from conftest import heisenberg
+from conftest import heisenberg, rescaled, sheared
+from gonil.catalog import build_example
 from oracles import eliminate_dense
 
 BIG = 2**64
@@ -148,6 +153,21 @@ def _captured_calls(monkeypatch, module, name, run):
     return calls
 
 
+def solution_by_dense_core(rows, ncols):
+    """The canonical solution of ``_solve_rows``'s (column, int) rows, read off ``eliminate_dense``'s reduced rows."""
+    dense = [[0] * (ncols + 1) for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, a in row:
+            out[j] = a
+    reduced, pivots = eliminate_dense(dense)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, pc in zip(reduced, pivots):  # each reduced row is zero at every other pivot, free unknowns are zero
+        x[pc] = Fraction(row[ncols], row[pc])
+    return tuple(x)
+
+
 def test_h13_systems_solve_alike_under_both_cores(monkeypatch):
     # The Euclidean H_13: its isotropy kernel (169 unknowns) and its linear-certificate system.
     m = heisenberg(6)
@@ -157,7 +177,23 @@ def test_h13_systems_solve_alike_under_both_cores(monkeypatch):
     assert [ncols for _, ncols in kernels] == [169] and len(solves) == 1
     got = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]
     assert len(got[0][0]) == 36 and got[1][0] is not None
+    # The solve back-substitutes over ``_forward``'s echelon rows, so it is compared with the dense core directly.
+    assert got[1] == [solution_by_dense_core(*call) for call in solves]
     monkeypatch.setattr(linalg, "_eliminate", called_sparse(eliminate_dense))
-    expected = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]
-    assert got == expected
+    assert got[0] == [linalg._kernel_of_rows(*call) for call in kernels]
 
+
+def test_sheared_certificate_solve_matches_the_dense_core(monkeypatch):
+    # H_13's solve has unit pivots and never reads a solved unknown; paper_2_3, rescaled and sheared, does both.
+    scales = [1, 2, 3, Fraction(1, 2), 5, 1, 1, 2, 3, 1, 1, 2]
+    m = sheared(rescaled(build_example("paper_2_3").algebra, scales))
+    h = isotropy.isotropy_algebra(m)
+    calls = []  # the system is captured unsolved, so the library's own certificate check does not run
+    monkeypatch.setattr(go_engine, "_solve_rows", lambda rows, ncols: calls.append(([list(row) for row in rows], ncols)))
+    assert go_engine.linear_go_certificate(m, h) is None
+    [(rows, ncols)] = calls
+    table = linalg._forward({j: a for j, a in row if a} for row in rows)
+    x = linalg._solve_rows(rows, ncols)
+    assert any(row[pc] > 1 and x[pc] for pc, row in table.items())
+    assert any(x[c] for pc, row in table.items() for c in row if pc < c < ncols)
+    assert x == solution_by_dense_core(rows, ncols)

@@ -8,7 +8,9 @@ index-2 generators, the two at ``--m 16`` before the abelian check formed
 commutators over nonzero entries, and the ``check``, ``catalog``,
 ``reduce --output`` and ``extend`` digests before the derivation and Jacobi
 checks read the derivation rows off the bracket table, and the two
-``--bound 1`` audits before samples were drawn with ``randrange``; refactors must
+``--bound 1`` audits before samples were drawn with ``randrange``, and the three
+200-sample ``--seed 1`` audits before each sample was solved by
+back-substitution in place of a reduced echelon form; refactors must
 reproduce the same bytes.  Commands that write a file also pin the file's
 bytes.
 """
@@ -43,6 +45,9 @@ def _commands():
     out += [["reduce", "catalog:de5"], ["reduce", "catalog:de7_lorentz"], ["verify-paper"]]
     # Bound 1 draws many zero entries, and on heis3 some all-zero vectors, which are redrawn.
     out += [["go", f"catalog:{name}", "--samples", "200", "--seed", "3", "--bound", "1"] for name in ("heis3", "de7_lorentz")]
+    # 200 samples reach solves that 20 do not: a back-substitution fault can leave every 20-sample digest unchanged.
+    out += [["go", f"catalog:{name}", "--samples", "200", "--seed", "1"] for name in ("paper_2_3", "de7_lorentz")]
+    out.append(["go", "catalog:filiform4", "--samples", "200", "--seed", "1", "--bound", "5"])
     out.append(["normal-forms", "--q", "2", "--m", "6", "--family", "2", "--u1", "1/2", "--v1", "3"])
     out += [
         ["normal-forms", "--q", "2", "--m", "7", "--family", "1"],
@@ -98,6 +103,9 @@ GOLDEN = {
     "reduce catalog:de7_lorentz": ("e84c5b47364df4bc969e763748aa79b965658827bc23ec9cb4b4f06248630a75", 0),
     "go catalog:heis3 --samples 200 --seed 3 --bound 1": ("195a4f0325de6aa82de1d5d0a537987993b851c90bade62e3220b1a30237f2d2", 0),
     "go catalog:de7_lorentz --samples 200 --seed 3 --bound 1": ("4b5ca7c528e257f8096804aa7b945116a7bbbc6dc64189c3e6ebf539e5648a87", 0),
+    "go catalog:paper_2_3 --samples 200 --seed 1": ("77aff61cb2204d963f4d059c9a79b8ed1bb815fe039bcc230cf831811d7a30a5", 0),
+    "go catalog:de7_lorentz --samples 200 --seed 1": ("a10fc0763f2504c16a71a3856a54eb694762b59282fe3a72799163fe5a15e52a", 0),
+    "go catalog:filiform4 --samples 200 --seed 1 --bound 5": ("ae251c90ee3f2ef2d44856cdb6444aa931d252e7a75f497d7e0a329f2a9c6268", 1),
     "verify-paper": ("324e8e50800befe78acf34a91fa9586f117803d62134f2d3e011ea7d1ad6ccfa", 0),
     "normal-forms --q 2 --m 6 --family 2 --u1 1/2 --v1 3": ("307d700053d4e86d19947947ad4c7c3b01365c191cb5598fd7c564cbea3e9740", 0),
     "normal-forms --q 2 --m 7 --family 1": ("c92627deafe5f4a927c61ca673ac73836cb29925c980202403a2c5827197b677", 0),

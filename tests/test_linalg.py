@@ -185,6 +185,8 @@ def test_signature_hyperbolic_plane():
 def test_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
         symmetric_signature(Matrix([[0, 1], [2, 0]]))
+    with pytest.raises(ValueError):
+        congruence_diagonalize(Matrix([[0, 1], [2, 0]]))
 
 
 def test_signature_lorentz_block_form():

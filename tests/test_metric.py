@@ -11,7 +11,7 @@ import gonil.isotropy as isotropy
 import gonil.metric as metric
 from conftest import ENTRY
 from gonil.catalog import build_example, verify_paper_example
-from gonil.go_engine import check_subisotropy, necessary_condition_check
+from gonil.go_engine import check_subisotropy, first_null_vector, necessary_condition_check
 from gonil.io import algebra_from_dict, algebra_to_dict
 from gonil.lie import abelian
 from gonil.linalg import DimensionMismatch, Matrix, Subspace
@@ -33,6 +33,16 @@ def random_metric_abelian(rng, n):
     signs = Matrix([[Fraction(rng.choice((1, -1))) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
     gram = p.transpose() @ signs @ p
     return MetricLieAlgebra.checked(abelian(n), SymForm(gram))
+
+
+def test_gram_matrix_is_checked_symmetric_once(monkeypatch):
+    # SymForm checks its Gram matrix on construction; its signature and the audit's null vector reuse that.
+    calls = []
+    real = Matrix.is_symmetric
+    monkeypatch.setattr(Matrix, "is_symmetric", lambda self: calls.append(self) or real(self))
+    m = MetricLieAlgebra(abelian(3), SymForm(Matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])))
+    assert m.form.signature() == (2, 1, 0) and first_null_vector(m) is not None
+    assert calls == [m.form.gram]
 
 
 def test_orth_complement_of_zero(abelian4):

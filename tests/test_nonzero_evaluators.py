@@ -252,5 +252,5 @@ def test_congruence_diagonalize_matches_the_dense_loop():
 def test_first_null_vector_unchanged_on_the_catalog(name, monkeypatch):
     m = CATALOG[name]
     vector = first_null_vector(m)
-    monkeypatch.setattr(go_engine, "congruence_diagonalize", congruence_diagonalize_dense)
+    monkeypatch.setattr(go_engine, "_diagonalize", congruence_diagonalize_dense)
     assert vector == first_null_vector(m)
