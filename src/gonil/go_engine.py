@@ -15,7 +15,8 @@ The per-vector system is built once per (m, h) as sparse tensors whose
 denominators are cleared at build time, so each sample is assembled,
 eliminated and checked in Python integers: its rows are positive multiples of
 the rational rows, whose row space, and so whose canonical solution, they
-share.
+share.  An audit sample stays in integers from its draw to its check; a
+Fraction is made only for what a report prints (T and the solved unknowns).
 
 A randomized audit refutes the property exactly when it finds one infeasible
 integer vector; an all-feasible run is evidence only, never proof, since the
@@ -25,22 +26,21 @@ CONSISTENT, never "proven".
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterator, Sequence
 
 from gonil.isotropy import OperatorSpace, _isotropy_defects
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
     Vec,
-    _cleared,
     _common_denominator,
-    _diagonalize,
     _scaled,
     _solve_rows,
     _sparse_rows,
@@ -158,7 +158,7 @@ def tangent_vector(m: MetricLieAlgebra, t) -> Vec:
     t = to_vec(t)
     if len(t) != m.dim:
         raise GOEngineError("tangent vector has wrong length")
-    if is_zero_vec(t):
+    if not any(t):
         raise GOEngineError("tangent vector must be nonzero")
     return t
 
@@ -178,8 +178,8 @@ def _entries(rows) -> list[tuple[int, int, Fraction]]:
 
 def _integer_vector(t: Vec) -> tuple[int, tuple[int, ...]]:
     """(d, T') with T = T' / d, T' integral and d > 0."""
-    d = _common_denominator(t)
-    return d, tuple(x.numerator for x in t) if d == 1 else tuple(_cleared(x, d) for x in t)
+    d = math.lcm(*[x.denominator for x in t])
+    return d, tuple([x.numerator for x in t] if d == 1 else [x.numerator * (d // x.denominator) for x in t])
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def go_certificate_at(
 
         sum_j c_j <D_j e_b, T>  -  k <T, e_b>  =  -<[T, e_b], T>
 
-    It is built in integers, each row straight as its (column, value) entries,
+    It is built in integers, each row straight as its {column: nonzero value} dict,
     and solved without the k column when <T, T> != 0 (see ``_CertificateSystem``).
     The densest row with T_b != 0 follows from the others and is left out, and
     the other n - 1 are eliminated sparsest first: the row space, and so the
@@ -287,11 +287,12 @@ def go_certificate_at(
     for a, b, c, v in _system.quadratic:
         if ti[a] and ti[c]:
             rows[b][rhs] = rows[b].get(rhs, 0) - v * ti[a] * ti[c]
+    rows = [{j: a for j, a in row.items() if a} if 0 in row.values() else row for row in rows]  # cancelled sums out
     # Row b times T'_b, summed over b, is zero: the densest row with T'_b != 0 is implied by the others.
     sizes = [len(row) if x else -1 for row, x in zip(rows, ti)]
     del rows[sizes.index(max(sizes))]
     rows.sort(key=len)  # the reduced echelon form is the same in any row order; sparsest first is cheapest
-    x = _solve_rows([row.items() for row in rows], rhs)
+    x = _solve_rows(rows, rhs)
     if x is None:
         return None
     cert = GOCertificate(t, x[:nh], x[nh] if null else Fraction(0))
@@ -315,23 +316,24 @@ def _verify_certificate(system: _CertificateSystem, cert: GOCertificate, d: int,
     with <x, g> the plain dot product, [., .]' = L [., .] the algebra's
     cleared bracket (L its ``_den``) and D'_j the cleared operators.
     """
-    q = _common_denominator(chain(cert.A_coeffs, (cert.k,)))
+    algebra, ad, coeffs = system.m.algebra, system.m.algebra._ad, cert.A_coeffs
+    q = math.lcm(cert.k.denominator, *[c.denominator for c in coeffs])
     g = [sum([v * t[e] for e, v in row if t[e]]) for row in system.m.form._cleared]
     bracket_part = [0] * len(t)
-    for i, j in system.m.algebra._table:  # L [e_i, e_j] = sum c e_k with i < j
-        s = sum([c * g[k] for k, c in system.m.algebra._ad[i][j].items()])
+    for i, j in algebra._table:  # L [e_i, e_j] = sum c e_k with i < j
+        s = sum([c * g[k] for k, c in ad[i][j].items()])
         if s:
             bracket_part[j] += t[i] * s
             bracket_part[i] -= t[j] * s
     op_part = [0] * len(t)
-    for c, entries in zip(cert.A_coeffs, system.ops):
+    for c, entries in zip(coeffs, system.ops):
         if c:
-            c = _cleared(c, q)
+            c = c.numerator * (q // c.denominator)
             for e, b, v in entries:
                 if g[e]:
                     op_part[b] += c * v * g[e]
-    outer, inner = system.op_den * q, d * system.m.algebra._den
-    k = _cleared(cert.k, q) * inner * system.op_den
+    outer, inner = system.op_den * q, d * algebra._den
+    k = cert.k.numerator * (q // cert.k.denominator) * inner * system.op_den
     if any(outer * x + inner * y != k * gb for x, y, gb in zip(bracket_part, op_part, g)):
         raise AssertionError("internal: certificate fails its defining identity")
     if sum([x * gb for x, gb in zip(t, g)]) != 0 and cert.k != 0:
@@ -344,7 +346,7 @@ def first_null_vector(m: MetricLieAlgebra) -> Vec | None:
     Scans the congruence-diagonal values for the first opposite-sign pair
     whose ratio is a perfect rational square.
     """
-    basis, diag = _diagonalize(m.form.gram)  # SymForm checked it symmetric
+    basis, diag = m.form._diagonal
     n = len(diag)
     for i in range(n):
         for j in range(i + 1, n):
@@ -353,6 +355,15 @@ def first_null_vector(m: MetricLieAlgebra) -> Vec | None:
                 if s is not None:
                     return vec_add(basis.row(i), vec_scale(s, basis.row(j)))
     return None
+
+
+def _uniform_draws(seed: int, bound: int) -> Iterator[int]:
+    """random.Random(seed).randrange(2 * bound + 1) - bound, draw after draw, by CPython's getrandbits rejection."""
+    span = 2 * bound + 1
+    bits, getrandbits = span.bit_length(), random.Random(seed).getrandbits
+    while True:
+        if (r := getrandbits(bits)) < span:
+            yield r - bound
 
 
 def go_random_audit(
@@ -372,14 +383,13 @@ def go_random_audit(
     """
     check_audit_parameters(samples, bound)
     system = _CertificateSystem.build(m, h)
-    rng = random.Random(seed)
+    draws = _uniform_draws(seed, bound)
     fraction = cache(Fraction)  # one Fraction per entry value drawn, shared by the samples
     points = []
     for idx in range(samples):
-        while True:  # randrange(2 * bound + 1) - bound draws what randint(-bound, bound) does
-            ti = [rng.randrange(2 * bound + 1) - bound for _ in range(m.dim)]
-            if any(ti):
-                break
+        ti = list(islice(draws, m.dim))
+        while not any(ti):
+            ti = list(islice(draws, m.dim))
         t = tuple(map(fraction, ti))
         points.append(AuditPoint(idx, t, go_certificate_at(m, h, t, _system=system)))
     null_point = None
@@ -418,7 +428,7 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     for a, b, c, v in system.quadratic:
         if a != c or c == b:
             rows[b, min(a, c), max(a, c)][width] -= v
-    x = _solve_rows([row.items() for row in rows.values()], width)
+    x = _solve_rows(({j: a for j, a in row.items() if a} for row in rows.values()), width)
     if x is None:
         return None
     # A(e_a) = sum_j x[j * n + a] D_j, entry by entry over each D_j's nonzeros

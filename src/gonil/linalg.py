@@ -48,7 +48,7 @@ def basis_vec(n: int, i: int) -> Vec:
 
 def fmt_vec(v: Iterable) -> str:
     """Comma-separated entries, the report format of every vector."""
-    return ",".join(str(x) for x in v)
+    return ",".join(map(str, v))
 
 
 def vec_add(x: Vec, y: Vec) -> Vec:
@@ -61,7 +61,7 @@ def vec_scale(c, x: Vec) -> Vec:
 
 
 def is_zero_vec(x: Vec) -> bool:
-    return all(a == 0 for a in x)
+    return not any(x)
 
 
 class Matrix:
@@ -355,14 +355,14 @@ def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) 
     return tuple(map(tuple, kernel.values()))
 
 
-def _solve_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> Vec | None:
-    """Canonical solution (free unknowns zero) of (column, int) rows, distinct columns, rhs at column ncols, or None.
+def _solve_rows(rows: Iterable[dict[int, int]], ncols: int) -> Vec | None:
+    """Canonical solution (free unknowns zero) of {column: nonzero int} rows, consumed, rhs at column ncols, or None.
 
     Infeasible exactly when the rhs column is a pivot of ``_forward``'s echelon
     rows.  Otherwise the pivot rows are solved in descending pivot order, in
     integers: a row's other unknowns are free (zero) or later pivots, solved.
     """
-    table = _forward({j: a for j, a in row if a} for row in rows)
+    table = _forward(rows)
     # Every column of an input row is nonzero in some echelon row, and a row's pivot is its least column.
     if table and (min(table) < 0 or max(map(max, table.values())) > ncols):
         raise DimensionMismatch(f"row column outside 0..{ncols}")
@@ -379,10 +379,8 @@ def _solve_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> Vec | 
                 g = math.gcd(den, d)
                 num, den = num * (d // g) - a * n * (den // g), den * (d // g)
         if num:
-            den *= row[pc]  # positive: the row is primitive
-            g = math.gcd(num, den)
-            solved[pc] = num // g, den // g
-            x[pc] = Fraction(num // g, den // g)
+            x[pc] = f = Fraction(num, den * row[pc])  # a positive denominator: the row is primitive
+            solved[pc] = f.numerator, f.denominator
     return tuple(x)
 
 
@@ -410,7 +408,7 @@ def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
         raise DimensionMismatch("right-hand side length differs from row count")
     n = a.ncols
     values, columns = _cleared_rows(chain(enumerate(row), ((n, bi),)) for row, bi in zip(a.rows, b))
-    return _solve_rows(map(zip, columns, values), n)
+    return _solve_rows(map(dict, map(zip, columns, values)), n)
 
 
 class SignatureTriple(NamedTuple):
@@ -419,6 +417,12 @@ class SignatureTriple(NamedTuple):
     p: int
     q: int
     r: int
+
+    @classmethod
+    def of(cls, diag: Vec) -> SignatureTriple:
+        """The counts of congruence-diagonal values (Sylvester's law)."""
+        p, q = sum(d > 0 for d in diag), sum(d < 0 for d in diag)
+        return cls(p, q, len(diag) - p - q)
 
 
 def congruence_diagonalize(g: Matrix) -> tuple[Matrix, Vec]:
@@ -485,12 +489,9 @@ def _add_scaled(row: dict[int, Fraction], other: dict[int, Fraction], f: Fractio
             row.pop(k, None)
 
 
-def symmetric_signature(g: Matrix, *, _symmetric: bool = False) -> SignatureTriple:
-    """Signature (p, q, r) of a symmetric rational matrix (Sylvester's law); ``_symmetric`` skips the check."""
-    _, diag = _diagonalize(g) if _symmetric else congruence_diagonalize(g)
-    p = sum(1 for d in diag if d > 0)
-    q = sum(1 for d in diag if d < 0)
-    return SignatureTriple(p, q, len(diag) - p - q)
+def symmetric_signature(g: Matrix) -> SignatureTriple:
+    """Signature (p, q, r) of a symmetric rational matrix."""
+    return SignatureTriple.of(congruence_diagonalize(g)[1])
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:

@@ -4,9 +4,9 @@ Restriction, radical, orthogonal complement and the induced quotient form are
 all exact subspace computations on Gram matrices.  Pairings, restricted Gram
 matrices and products G w are sums over the nonzero entries of the Gram matrix
 and of a subspace's rows.  The frozen SymForm and MetricLieAlgebra keep what
-they fix on first use (nonzero entries, the Gram matrix cleared to ints,
-signature, n', v, the isotropy identity rows, in ints, and their index, the
-lowered brackets); no kept value is ever mutated, so none goes stale.
+they fix on first use (nonzero entries, the Gram matrix cleared to ints and
+diagonalized, signature, n', v, the isotropy identity rows, in ints, and their
+index, the lowered brackets); no kept value is ever mutated, so none goes stale.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from gonil.linalg import (
     Matrix,
     SignatureTriple,
     Subspace,
+    Vec,
     _ZERO,
     _common_denominator,
+    _diagonalize,
     _scaled,
     _sparse_rows,
-    symmetric_signature,
     to_vec,
 )
 
@@ -60,8 +61,12 @@ class SymForm:
         return tuple(_scaled(row, den) for row in self._sparse)
 
     @cached_property
+    def _diagonal(self) -> tuple[Matrix, Vec]:  # congruence basis rows and values; checked symmetric on construction
+        return _diagonalize(self.gram)
+
+    @cached_property
     def _signature(self) -> SignatureTriple:
-        return symmetric_signature(self.gram, _symmetric=True)  # checked on construction
+        return SignatureTriple.of(self._diagonal[1])
 
     def pair(self, x: Sequence, y: Sequence) -> Fraction:
         x, y = to_vec(x), to_vec(y)

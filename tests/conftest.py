@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 
 from gonil.catalog import build_example
@@ -11,6 +13,14 @@ from gonil.isotropy import isotropy_algebra
 from gonil.lie import LieAlgebra, jacobi_defect
 from gonil.linalg import Matrix, solve_particular
 from gonil.metric import MetricLieAlgebra, SymForm
+
+
+# HYPOTHESIS_PROFILE=ci reports a failing example as found, unshrunk: a broken
+# elimination core can make shrinking run for many minutes before any failure
+# is printed.  Examples, seeds and per-test settings are the same in every profile.
+settings.register_profile("ci", phases=[phase for phase in Phase if phase is not Phase.shrink])
+if "HYPOTHESIS_PROFILE" in os.environ:
+    settings.load_profile(os.environ["HYPOTHESIS_PROFILE"])
 
 
 ENTRY = st.one_of(st.just(0), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))

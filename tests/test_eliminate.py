@@ -137,15 +137,18 @@ def test_eliminate_matches_the_dense_core():
     }
 
 
-def _captured_calls(monkeypatch, module, name, run):
-    """Run, recording the (rows, ncols) of every call of module.name, rows materialized."""
+def _captured_calls(monkeypatch, module, name, run, copy=list):
+    """Run, recording the (rows, ncols) of every call of module.name, each row copied by ``copy``.
+
+    The call runs on a second copy: ``_solve_rows`` consumes its dict rows.
+    """
     calls = []
     real = getattr(module, name)
 
     def record(rows, ncols):
-        rows = [list(row) for row in rows]
+        rows = [copy(row) for row in rows]
         calls.append((rows, ncols))
-        return real(rows, ncols)
+        return real([copy(row) for row in rows], ncols)
 
     monkeypatch.setattr(module, name, record)
     run()
@@ -154,10 +157,10 @@ def _captured_calls(monkeypatch, module, name, run):
 
 
 def solution_by_dense_core(rows, ncols):
-    """The canonical solution of ``_solve_rows``'s (column, int) rows, read off ``eliminate_dense``'s reduced rows."""
+    """The canonical solution of ``_solve_rows``'s {column: int} rows, read off ``eliminate_dense``'s reduced rows."""
     dense = [[0] * (ncols + 1) for _ in rows]
     for out, row in zip(dense, rows):
-        for j, a in row:
+        for j, a in row.items():
             out[j] = a
     reduced, pivots = eliminate_dense(dense)
     if ncols in pivots:
@@ -173,9 +176,10 @@ def test_h13_systems_solve_alike_under_both_cores(monkeypatch):
     m = heisenberg(6)
     h = isotropy.isotropy_algebra(m)
     kernels = _captured_calls(monkeypatch, linalg, "_kernel_of_rows", lambda: isotropy.isotropy_algebra(m))
-    solves = _captured_calls(monkeypatch, go_engine, "_solve_rows", lambda: go_engine.linear_go_certificate(m, h))
+    solves = _captured_calls(monkeypatch, go_engine, "_solve_rows", lambda: go_engine.linear_go_certificate(m, h), dict)
     assert [ncols for _, ncols in kernels] == [169] and len(solves) == 1
-    got = [linalg._kernel_of_rows(*call) for call in kernels], [linalg._solve_rows(*call) for call in solves]
+    solved = [linalg._solve_rows([dict(row) for row in rows], ncols) for rows, ncols in solves]  # a solve consumes its rows
+    got = [linalg._kernel_of_rows(*call) for call in kernels], solved
     assert len(got[0][0]) == 36 and got[1][0] is not None
     # The solve back-substitutes over ``_forward``'s echelon rows, so it is compared with the dense core directly.
     assert got[1] == [solution_by_dense_core(*call) for call in solves]
@@ -189,11 +193,11 @@ def test_sheared_certificate_solve_matches_the_dense_core(monkeypatch):
     m = sheared(rescaled(build_example("paper_2_3").algebra, scales))
     h = isotropy.isotropy_algebra(m)
     calls = []  # the system is captured unsolved, so the library's own certificate check does not run
-    monkeypatch.setattr(go_engine, "_solve_rows", lambda rows, ncols: calls.append(([list(row) for row in rows], ncols)))
+    monkeypatch.setattr(go_engine, "_solve_rows", lambda rows, ncols: calls.append(([dict(row) for row in rows], ncols)))
     assert go_engine.linear_go_certificate(m, h) is None
     [(rows, ncols)] = calls
-    table = linalg._forward({j: a for j, a in row if a} for row in rows)
-    x = linalg._solve_rows(rows, ncols)
+    table = linalg._forward([dict(row) for row in rows])  # both consume their rows
+    x = linalg._solve_rows([dict(row) for row in rows], ncols)
     assert any(row[pc] > 1 and x[pc] for pc, row in table.items())
     assert any(x[c] for pc, row in table.items() for c in row if pc < c < ncols)
     assert x == solution_by_dense_core(rows, ncols)

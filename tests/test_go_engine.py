@@ -7,6 +7,7 @@ from conftest import combination, heisenberg, necessary_condition_counterexample
 from gonil.cli import MAX_BOUND
 from gonil.go_engine import (
     GOEngineError,
+    _uniform_draws,
     check_subisotropy,
     first_null_vector,
     go_certificate_at,
@@ -116,6 +117,15 @@ def test_audit_samples_are_the_randint_draws(heis3, bound):
         got = [p.T for p in go_random_audit(heis3, iso, 60, seed, bound).points]
         assert got == expected and all(type(x) is Fraction for t in got for x in t)
         assert redraws > 0 or bound > 1  # at bound 1, some vector of each seed is drawn zero and redrawn
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5, 10, MAX_BOUND])
+def test_draws_are_the_randrange_stream(bound):
+    # Spans 1, 3, 11, 21 and the largest the CLI takes; each run of this suite checks its own Python's random.
+    span = 2 * bound + 1
+    for seed in range(25):
+        rng, draws = random.Random(seed), _uniform_draws(seed, bound)
+        assert [next(draws) for _ in range(600)] == [rng.randrange(span) - bound for _ in range(600)]
 
 
 def test_paper_audit_consistent_with_null_sample(paper, paper_iso):

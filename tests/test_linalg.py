@@ -93,10 +93,10 @@ def test_solving_sums_a_repeated_column(rows, basis):
     assert Subspace.solving(2, rows).basis == Matrix(basis, ncols=2)
 
 
-@pytest.mark.parametrize("rows", [[[(-1, 1)]], [[(0, 1), (5, 1)], [(0, 2), (5, 2)]], [[(0, 1), (-1, 1)]]])
+@pytest.mark.parametrize("rows", [[{-1: 1}], [{0: 1, 5: 1}, {0: 2, 5: 2}], [{0: 1, -1: 1}]])
 def test_solve_rows_refuses_a_column_outside_the_system(rows):
-    # [(-1, 1)] used to land on the right-hand side and read as infeasible.
-    with pytest.raises(DimensionMismatch):
+    # {-1: 1} used to land on the right-hand side and read as infeasible.
+    with pytest.raises(DimensionMismatch, match=r"^row column outside 0\.\.3$"):
         _solve_rows(rows, 3)
 
 
@@ -527,10 +527,10 @@ def test_elimination_matches_naive_rref_on_sparse_systems():
         sparse = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
         oracle = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in kernel_by_naive_rref(a).rows)
         assert _kernel_of_rows([row.items() for row in sparse], a.ncols) == oracle
-        # The integer entry that certificates use, on the same rows each cleared to integers; its zero entries stay.
+        # The integer entry that certificates use, on the same rows each cleared to integers, zero entries dropped.
         scales = [math.lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(a.rows, b)]
         cleared = [[(j, int(v * s)) for j, v in enumerate((*row, bi))] for row, bi, s in zip(a.rows, b, scales)]
-        assert _solve_rows(cleared, a.ncols) == x
+        assert _solve_rows([{j: v for j, v in row if v} for row in cleared], a.ncols) == x
         zeros.add(any(v == 0 for row in cleared for _, v in row))
 
     check()
