@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
-from gonil.lie import LieAlgebra, derivation_rows
+from gonil.lie import LieAlgebra
 from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _common_denominator
 from gonil.linalg import _scaled, _sparse_rows
 from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra, _indexed, _skew_rows
@@ -107,7 +107,7 @@ class OperatorSpace:
 
 def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     """All D with D[x,y] = [Dx,y] + [x,Dy], via one kernel computation."""
-    return _solution_space(alg.dim, derivation_rows(alg))
+    return _solution_space(alg.dim, alg._derivation_rows)
 
 
 def _sparse_operators(n: int, ops) -> list[list[list[tuple[int, Fraction]]]]:
@@ -135,7 +135,7 @@ def _first_defects(n: int, indexed, ops) -> list:
 
 def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
-    return _first_defects(alg.dim, _indexed(derivation_rows(alg)), _sparse_operators(alg.dim, ops))
+    return _first_defects(alg.dim, _indexed(alg._derivation_rows), _sparse_operators(alg.dim, ops))
 
 
 def skew_space(form: SymForm) -> OperatorSpace:
@@ -150,7 +150,7 @@ def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
 
 def _solution_space(n: int, keyed_rows) -> OperatorSpace:
     """Operators whose row-major entries solve every keyed sparse row; no rows means all operators."""
-    return OperatorSpace(n, Subspace.solving(n * n, (row.items() for _, row in keyed_rows)))
+    return OperatorSpace(n, Subspace._kernel(n * n, (row.items() for _, row in keyed_rows)))
 
 
 def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:

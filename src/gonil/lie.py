@@ -5,9 +5,11 @@ ad[i][j] = L [e_i, e_j], in ints for L the table's common denominator, is
 built once at construction.  Every bracket (of vectors, basis vectors or
 subspaces, so the series and the ideal test) sums x_i y_j [e_i, e_j] over
 nonzero x_i, y_j; the transporter, the derivation identity's int rows and the
-Jacobi sums read the view the same way.  The Jacobi identity is validated on
-construction unless the caller explicitly opts out (needed to inspect broken
-candidate tables).
+Jacobi sums read the view the same way, and the rows they hand elimination
+stay in ints.  The derivation rows are listed once per algebra and kept: the
+Jacobi check, the derivation space and defects and the isotropy rows read that
+one list.  The Jacobi identity is validated on construction unless the caller
+explicitly opts out (needed to inspect broken candidate tables).
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ class LieAlgebra:
 
     ``_table`` holds [e_i, e_j] for i < j only; ``_ad`` is its antisymmetric view
     times ``_den``, the table's common denominator, in ints, built once here.
+    ``_kept_rows`` holds the derivation rows once listed; no comparison reads it.
     """
 
-    __slots__ = ("dim", "_table", "_ad", "_den")
+    __slots__ = ("dim", "_table", "_ad", "_den", "_kept_rows")
 
     def __init__(self, dim: int, brackets: BracketTable, validate: bool = True):
         if dim < 0:
@@ -67,6 +70,7 @@ class LieAlgebra:
                 table[(i, j)] = entry
         self.dim = dim
         self._table = table
+        self._kept_rows = None
         self._den = den = _common_denominator(c for targets in table.values() for c in targets.values())
         self._ad = ad = [[{}] * dim for _ in range(dim)]  # ad[i][j] = den [e_i, e_j] as {k: int coefficient}
         for (i, j), targets in table.items():
@@ -80,13 +84,24 @@ class LieAlgebra:
     def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         return {k: dict(v) for k, v in self._table.items()}
 
-    def _bracket(self, xs, ys) -> dict[int, Fraction]:
-        """sum x_i y_j [e_i, e_j] over the (index, Fraction) pairs xs of x and ys of y, as {index: value}."""
-        out: dict[int, Fraction] = {}
+    @property
+    def _derivation_rows(self) -> list[tuple[tuple[int, int, int], dict[int, int]]]:  # listed once, never mutated
+        if self._kept_rows is None:
+            self._kept_rows = list(derivation_rows(self))
+        return self._kept_rows
+
+    def _bracket_sum(self, xs, ys) -> dict:
+        """L sum x_i y_j [e_i, e_j] over the (index, value) pairs xs of x and ys of y, as {index: value}, undivided."""
+        out: dict = {}
         for i, a in xs:
             for j, b in ys:
                 for k, c in self._ad[i][j].items():
                     out[k] = out.get(k, 0) + a * b * c
+        return out
+
+    def _bracket(self, xs, ys) -> dict[int, Fraction]:
+        """sum x_i y_j [e_i, e_j] over the (index, Fraction) pairs xs of x and ys of y, as {index: value}."""
+        out = self._bracket_sum(xs, ys)
         return out if self._den == 1 else {k: v / self._den for k, v in out.items()}
 
     def bracket_basis(self, i: int, j: int) -> Vec:
@@ -120,7 +135,7 @@ def abelian(dim: int) -> LieAlgebra:
     return LieAlgebra(dim, {})
 
 
-def derivation_rows(alg: LieAlgebra) -> Iterator[tuple[tuple[int, int, int], dict[int, Fraction]]]:
+def derivation_rows(alg: LieAlgebra) -> Iterator[tuple[tuple[int, int, int], dict[int, int]]]:
     """The derivation identity as sparse int rows over the n^2 entries of D, row-major.
 
     Row (i, j, m), i < j, maps l*n + k to the coefficient of D[l, k] in
@@ -129,7 +144,7 @@ def derivation_rows(alg: LieAlgebra) -> Iterator[tuple[tuple[int, int, int], dic
     n, ad = alg.dim, alg._ad
     for i in range(n):
         for j in range(i + 1, n):
-            rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+            rows: list[dict[int, int]] = [{} for _ in range(n)]
             for l in range(n):
                 for m, c in ad[j][l].items():  # [D e_i, e_j]_m = sum_l D[l,i] [e_l, e_j]_m
                     rows[m][l * n + i] = -c
@@ -157,7 +172,7 @@ def jacobi_defect(alg: LieAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
         for images in alg._ad
     ]
     sums: dict[tuple[int, int, int], list[Fraction]] = {}
-    for (j, k, m), row in derivation_rows(alg):
+    for (j, k, m), row in alg._derivation_rows:
         for i in range(j):
             ad_i = ads[i]
             total = sum([c * ad_i[x] for x, c in row.items() if x in ad_i])
@@ -170,11 +185,12 @@ def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """Span of [x, y] over basis vectors x of V and y of W."""
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    return Subspace(alg.dim, _row_space((alg._bracket(x, y).items() for x, y in product(v.rows, w.rows)), alg.dim))
+    sums = (alg._bracket_sum(x, y) for x, y in product(v._int_rows[1].values(), w._int_rows[1].values()))
+    return Subspace(alg.dim, _row_space(({k: c for k, c in s.items() if c}.items() for s in sums), alg.dim))
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    return Subspace(alg.dim, _row_space((targets.items() for targets in alg._table.values()), alg.dim))
+    return Subspace(alg.dim, _row_space((alg._ad[i][j].items() for i, j in alg._table), alg.dim))
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
@@ -213,21 +229,21 @@ def center(alg: LieAlgebra) -> Subspace:
 def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """{x : [x, V] <= W}: y [u, x] = 0 for every annihilator row y of W and basis row u of V.
 
-    Entry b of each row, L y [u, e_b], is summed over the nonzero entries of u and y.
+    Entry b of each row, L y [u, e_b], is summed in ints over the nonzero entries of u and y, both cleared.
     """
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    ad, ys = alg._ad, [dict(y) for y in w.annihilator().rows]
+    ad, ys = alg._ad, [dict(y) for y in w.annihilator()._int_rows[1].values()]
     rows = []
-    for u, y in product(v.rows, ys):
-        row: dict[int, Fraction] = {}
+    for u, y in product(v._int_rows[1].values(), ys):
+        row: dict[int, int] = {}
         for a, x in u:
             for b, image in enumerate(ad[a]):
                 for l, c in image.items():
                     if l in y:
                         row[b] = row.get(b, 0) + x * c * y[l]
-        rows.append(row.items())
-    return Subspace.solving(alg.dim, rows)
+        rows.append({b: s for b, s in row.items() if s}.items())
+    return Subspace._kernel(alg.dim, rows)
 
 
 def is_ideal(alg: LieAlgebra, v: Subspace) -> bool:

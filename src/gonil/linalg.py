@@ -3,12 +3,16 @@
 Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
 there is no floating point anywhere.  Elimination is fraction-free integer
 Gauss-Jordan over nonzero entries only, so its cost follows the nonzero
-entries, not the system's width: rows enter as (column, value) pairs, int rows
-as they are and rational ones cleared once to primitive integer rows, and come
-back out sparse.  The reduced echelon form of a row space is unique, so every
-reduced form is canonical and reproducible across runs, platforms and row
-orders.  A solve stops at the echelon form and back-substitutes, which gives
-the same canonical solution (free unknowns zero) without clearing any column.
+entries, not the system's width: rows enter as {column: nonzero int}, each
+made in integers where it is formed (a kept Subspace's or Gram matrix's cleared
+rows, the bracket table's int view, the identity rows), and come back out
+sparse.  Only the public entries (``Subspace.solving`` and ``span``, ``rref``,
+``solve_particular``) take rational rows, each cleared once by ``_int_row``; a
+positive multiple of a row changes no solution.  The reduced echelon form of a
+row space is unique, so every reduced form is canonical and reproducible across
+runs, platforms and row orders.  A solve stops at the echelon form and
+back-substitutes, which gives the same canonical solution (free unknowns zero)
+without clearing any column.
 A Subspace is stored once, as its reduced rows' (column, value) entries, just
 as kernels and spans come out; its dense basis is built when read.
 Congruence diagonalization, behind the signature, likewise updates only the
@@ -310,43 +314,40 @@ def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
     return {j: a // g for j, a in row.items()} if g != 1 else row
 
 
-def _cleared_rows(rows: Iterable[Iterable[tuple[int, Fraction]]]) -> tuple[_IntRows, _IntRows]:
-    """(column, value) rows as ``_eliminate``'s (values, columns), repeats added up; int rows kept, others primitive."""
-    values, columns = [], []
-    for row in rows:
-        nz = [(j, f) for j, f in row if f]
-        if len(acc := dict(nz)) < len(nz):  # a column listed twice
-            acc = {j: x for j in acc if (x := sum([f for c, f in nz if c == j]))}
-        if fs := acc.values():
-            if not all(type(f) is int for f in fs):  # cleared by the lcm of its denominators
-                scale = math.lcm(*[f.denominator for f in fs])
-                nums = [f.numerator * (scale // f.denominator) for f in fs] if scale != 1 else [f.numerator for f in fs]
-                g = math.gcd(*nums)
-                fs = [a // g for a in nums] if g != 1 else nums
-            values.append(list(fs))
-            columns.append(list(acc))
-    return values, columns
+def _int_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """Rational (column, value) pairs as {column: nonzero int}, a positive multiple of their row; repeats added up."""
+    acc: dict = {}
+    for j, v in pairs:
+        if v:
+            acc[j] = acc[j] + v if j in acc else v
+    den = _common_denominator(acc.values())
+    return {j: _cleared(v, den) for j, v in acc.items() if v}
 
 
-def _echelon(values: _IntRows, columns: _IntRows, ncols: int) -> tuple[_IntRows, list[int], _IntRows]:
-    """``_eliminate``, refusing a column outside 0..ncols-1 with DimensionMismatch rather than wrapping or dropping it."""
-    values, pivots, columns = _eliminate(values, columns)
+def _echelon(rows: Iterable, ncols: int, flip: bool = False) -> tuple[_IntRows, list[int], _IntRows]:
+    """``_eliminate`` of rows of (column, nonzero int) pairs at distinct columns, never mutated; column j is read as
+    ncols - 1 - j under ``flip``.  A column outside 0..ncols-1 raises DimensionMismatch, never wraps or drops."""
+    split = [tuple(zip(*row)) for row in rows if row]  # per row, its (columns, values)
+    columns = [[ncols - 1 - j for j in cols] for cols, _ in split] if flip else [cols for cols, _ in split]
+    values, pivots, columns = _eliminate([vals for _, vals in split], columns)
     # A column any row uses is nonzero in some reduced row, and a reduced row's pivot is its least column.
     if pivots and (pivots[0] < 0 or max(cols[-1] for cols in columns) >= ncols):
         raise DimensionMismatch(f"row column outside 0..{ncols - 1}")
     return values, pivots, columns
 
 
-def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[tuple, ...]:
+def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tuple[tuple, ...]:
     """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}, as (column, value) rows.
 
-    The rows are eliminated with their columns reversed, so each pivot sits at
-    a row's last nonzero entry.  The vector with 1 at a free column c and
-    -row[c] / row[pivot] at each pivot right of c then has its first nonzero
-    at c and vanishes at every other free column: the basis is read off as is.
+    Each row is a {column: nonzero int} dict's items (a multiple of a rational
+    row gives the same basis).  They are eliminated with their columns reversed,
+    so each pivot sits at a row's last nonzero entry.  The vector with 1 at a
+    free column c and -row[c] / row[pivot] at each pivot right of c then has its
+    first nonzero at c and vanishes at every other free column: the basis is
+    read off as is.
     """
     last = ncols - 1
-    values, pivots, columns = _echelon(*_cleared_rows(((last - j, v) for j, v in row) for row in rows), ncols)
+    values, pivots, columns = _echelon(rows, ncols, flip=True)
     kernel = {c: [(c, _ONE)] for c in sorted(set(range(ncols)).difference(last - pc for pc in pivots))}
     for vals, cols in zip(reversed(values), reversed(columns)):  # the original pivot columns ascend
         p, pc = vals[0], last - cols[0]
@@ -391,13 +392,13 @@ class RRef(NamedTuple):
 
 def rref(m: Matrix) -> RRef:
     """Canonical reduced row echelon form (first-nonzero pivot rule)."""
-    space = Subspace(m.ncols, _row_space(map(enumerate, m.rows), m.ncols))
+    space = Subspace.span(m.ncols, m.rows)
     return RRef(space.basis, space.pivots)
 
 
-def _row_space(rows: Iterable[Iterable[tuple[int, Fraction]]], ncols: int) -> tuple[tuple, ...]:
-    """The reduced echelon rows of rational (column, value) rows, each as its (column, value) entries."""
-    values, _, columns = _echelon(*_cleared_rows(rows), ncols)
+def _row_space(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tuple[tuple, ...]:
+    """The reduced echelon rows of ``_kernel_of_rows``'s int rows, each as its (column, value) entries."""
+    values, _, columns = _echelon(rows, ncols)
     return tuple(tuple((c, Fraction(a, vals[0])) for a, c in zip(vals, cols)) for vals, cols in zip(values, columns))
 
 
@@ -407,8 +408,7 @@ def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
     if a.nrows != len(b):
         raise DimensionMismatch("right-hand side length differs from row count")
     n = a.ncols
-    values, columns = _cleared_rows(chain(enumerate(row), ((n, bi),)) for row, bi in zip(a.rows, b))
-    return _solve_rows(map(dict, map(zip, columns, values)), n)
+    return _solve_rows([_int_row(chain(enumerate(row), ((n, bi),))) for row, bi in zip(a.rows, b)], n)
 
 
 class SignatureTriple(NamedTuple):
@@ -545,11 +545,16 @@ class Subspace:
         rows = tuple(to_vec(v) for v in vectors)
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatch("spanning vector has wrong length")
-        return cls(ambient_dim, _row_space(map(enumerate, rows), ambient_dim))
+        return cls(ambient_dim, _row_space((_int_row(enumerate(row)).items() for row in rows), ambient_dim))
 
     @classmethod
     def solving(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, Fraction]]]) -> Subspace:
         """{x : sum v x_j = 0 over each row's (column, value) pairs (j, v)}; no rows give the whole space."""
+        return cls._kernel(ambient_dim, (_int_row(row).items() for row in rows))
+
+    @classmethod
+    def _kernel(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]]) -> Subspace:
+        """``solving`` for the int rows ``_kernel_of_rows`` takes, which is looked up when called."""
         return cls(ambient_dim, _kernel_of_rows(rows, ambient_dim))
 
     @classmethod
@@ -611,15 +616,17 @@ class Subspace:
 
     def plus(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        return Subspace(self.ambient_dim, _row_space(chain(self.rows, other.rows), self.ambient_dim))
+        rows = chain(self._int_rows[1].values(), other._int_rows[1].values())
+        return Subspace(self.ambient_dim, _row_space(rows, self.ambient_dim))
 
     def annihilator(self) -> Subspace:
         """The y with B y = 0 for the basis B; x lies in V exactly when y x = 0 for each of its rows y."""
-        return Subspace.solving(self.ambient_dim, self.rows)
+        return Subspace._kernel(self.ambient_dim, self._int_rows[1].values())
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        return Subspace.solving(self.ambient_dim, chain(self.annihilator().rows, other.annihilator().rows))
+        rows = chain(self.annihilator()._int_rows[1].values(), other.annihilator()._int_rows[1].values())
+        return Subspace._kernel(self.ambient_dim, rows)
 
     def complement_rows_within(self, larger: Subspace) -> Matrix:
         """Rows of `larger`'s canonical basis whose pivots this subspace does not use.

@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
 
-from gonil.lie import LieAlgebra, _series_from, derivation_rows, derived_subalgebra
+from gonil.lie import LieAlgebra, _series_from, derived_subalgebra
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
@@ -74,14 +74,6 @@ class SymForm:
             raise DimensionMismatch("pairing needs vectors of the form's dimension")
         return sum([a * sum([g * y[j] for j, g in row if y[j]], _ZERO) for a, row in zip(x, self._sparse) if a], _ZERO)
 
-    def _times(self, entries) -> dict[int, Fraction]:
-        """G w as {index: value}, for w given by its nonzero (index, value) entries; G is symmetric."""
-        out: dict[int, Fraction] = {}
-        for j, w in entries:
-            for i, g in self._sparse[j]:
-                out[i] = out.get(i, _ZERO) + g * w
-        return out
-
     def signature(self) -> SignatureTriple:
         return self._signature
 
@@ -90,7 +82,7 @@ class SymForm:
 
     def radical(self) -> Subspace:
         """{x : <x, .> = 0}, in the form's own coordinates."""
-        return Subspace.solving(self.dim, self._sparse)
+        return Subspace._kernel(self.dim, self._cleared)
 
 
 @dataclass(frozen=True)
@@ -139,7 +131,7 @@ class MetricLieAlgebra:
     @cached_property
     def _isotropy_rows(self) -> tuple[list, list]:
         """The form's skew rows and the algebra's derivation rows: the identities the isotropy algebra solves."""
-        return list(_skew_rows(self.form)), list(derivation_rows(self.algebra))
+        return list(_skew_rows(self.form)), self.algebra._derivation_rows
 
     @cached_property
     def _isotropy_index(self) -> list:
@@ -200,13 +192,28 @@ def _check_in_algebra(m: MetricLieAlgebra, v: Subspace) -> None:
 def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     """{x : <x, w> = 0 for all w in V} with respect to m's form."""
     _check_in_algebra(m, v)
-    return Subspace.solving(m.dim, (m.form._times(w).items() for w in v.rows))
+    return Subspace._kernel(m.dim, _orth_rows(m, v))
+
+
+def _times(g, entries) -> dict:
+    """G w as {index: value}: G symmetric, given by its sparse rows ``g``; w by its nonzero (index, value) entries."""
+    out = {}
+    for j, w in entries:
+        for i, x in g[j]:
+            out[i] = out.get(i, 0) + x * w
+    return out
+
+
+def _orth_rows(m: MetricLieAlgebra, v: Subspace) -> Iterator:
+    """(L G)(L' w) per row L' w of V's _int_rows, zero entries dropped, in ints: the rows cutting out V's orthogonal."""
+    return ({i: a for i, a in _times(m.form._cleared, w).items() if a}.items() for w in v._int_rows[1].values())
 
 
 def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
     """Gram matrix of the form in V's canonical basis, summed over the basis rows' nonzero entries."""
     _check_in_algebra(m, v)
-    pairs = [[sum([g[j] * b for j, b in y if j in g], _ZERO) for y in v.rows] for g in map(m.form._times, v.rows)]
+    products = [_times(m.form._sparse, w) for w in v.rows]
+    pairs = [[sum([g[j] * b for j, b in y if j in g], _ZERO) for y in v.rows] for g in products]
     return SymForm(Matrix(pairs, ncols=v.dim))
 
 
@@ -216,7 +223,7 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     One solve: V's annihilator rows cut out V, the rows G w its orthogonal complement.
     """
     _check_in_algebra(m, v)
-    return Subspace.solving(m.dim, chain(v.annihilator().rows, (m.form._times(w).items() for w in v.rows)))
+    return Subspace._kernel(m.dim, chain(v.annihilator()._int_rows[1].values(), _orth_rows(m, v)))
 
 
 def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Matrix]:

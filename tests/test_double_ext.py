@@ -25,8 +25,18 @@ from gonil.double_ext import (
     reduction_witness,
 )
 from gonil.io import save_algebra
-from gonil.lie import EngelError, LieAlgebra, abelian, derived_subalgebra, lower_central_series, nilpotency_step
-from gonil.isotropy import derivation_defects
+from gonil.lie import (
+    EngelError,
+    LieAlgebra,
+    abelian,
+    derivation_rows,
+    derived_subalgebra,
+    jacobi_defect,
+    lower_central_series,
+    nilpotency_step,
+)
+from gonil import linalg
+from gonil.isotropy import derivation_defects, derivation_space, isotropy_algebra
 from gonil.linalg import Matrix, Subspace, _diagonalize, _sparse_rows, basis_vec, symmetric_signature, to_vec
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
 from oracles import (
@@ -512,6 +522,56 @@ def test_one_round_trip_builds_each_signature_and_derived_algebra_it_needs_once(
         _rebind_everywhere(monkeypatch, original, counted)
     assert reduce(extend2(base, data)).m0 == base
     assert counts == {"_diagonalize": 3, "derived_subalgebra": 2}
+
+
+@pytest.mark.parametrize("label", ["de7_lorentz", "engel-d10"])
+def test_one_round_trip_lists_each_algebras_derivation_rows_once(monkeypatch, label):
+    # extend2's Jacobi check lists the extension's rows; reduce's isotropy algebra reads the same list.
+    rungs = {rung: (base, data) for rung, base, data in ladder_rungs()}
+    base, data = de7_lorentz_data() if label == "de7_lorentz" else rungs[label]
+    listed = []  # every algebra whose rows are listed, kept alive so that no id is reused
+
+    def listing(alg):
+        listed.append(alg)
+        return derivation_rows(alg)
+
+    _rebind_everywhere(monkeypatch, derivation_rows, listing)
+    m = extend2(base, data)
+    assert reduce(m).m0 == base
+    times = Counter(map(id, listed))
+    assert times[id(m.algebra)] == 1 and set(times.values()) == {1}
+
+
+def test_kept_derivation_rows_survive_every_reader():
+    m = build_example("de7_lorentz").algebra
+    alg = m.algebra
+    jacobi_defect(alg)
+    isotropy_algebra(m)
+    derivation_space(alg)
+    derivation_defects(alg, [Matrix.identity(alg.dim)])
+    assert m._isotropy_rows[1] is alg._derivation_rows
+    assert alg._derivation_rows == list(derivation_rows(alg))
+
+
+def test_every_row_into_elimination_is_nonzero_ints_at_distinct_columns(monkeypatch):
+    real, calls = linalg._echelon, []
+
+    def checked(rows, ncols, flip=False):
+        rows = [tuple(row) for row in rows]
+        for row in rows:
+            assert all(type(v) is int and v for _, v in row) and len({j for j, _ in row}) == len(row), row
+        calls.append(len(rows))
+        return real(rows, ncols, flip)
+
+    monkeypatch.setattr(linalg, "_echelon", checked)
+    for name in EXAMPLE_NAMES:  # catalog invariants: n', v, center, signature; then h, the radical, lower central series
+        m = build_example(name).algebra
+        isotropy_algebra(m)
+        assert m.form.radical().dim == 0
+        lower_central_series(m.algebra)
+    for _, base, data in ladder_rungs():  # reduce: plus, intersect, centralizer, radical of a restriction, quotient
+        assert reduce(extend2(base, data)).m0 == base
+    assert len(calls) > 100 and sum(calls) > 1000
 
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)

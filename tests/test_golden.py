@@ -24,6 +24,7 @@ import pytest
 
 from gonil.catalog import EXAMPLE_NAMES, de5_data
 from gonil.cli import main
+from gonil.double_ext import extend2
 from gonil.io import extension_data_to_dict, save_algebra
 
 _DIMS = {"paper_2_3": 12, "abelian_n": 4, "heis3": 3, "filiform4": 4, "de5": 5, "de7_lorentz": 7}
@@ -236,3 +237,68 @@ def test_golden_extend_de5(tmp_path):
     written, code = run_command(argv + ["--output", str(tmp_path / "extended.json")], tmp_path)
     assert code_plain == code
     assert (plain, written, code, _sha((tmp_path / "extended.json").read_bytes())) == GOLDEN_EXTEND
+
+
+# ``reduce FILE --output FILE`` on the extension of each rung of the benchmark's
+# reduce_ladder (seed 11), degeneracy 1 and the Engel split: the stdout digest,
+# then the digest of the quotient file.  Taken before elimination rows were built
+# in integers at their source.
+GOLDEN_LADDER_REDUCE = {
+    "deg1-euclid-d5": (
+        "13ecf571c8f66c3a13c011adda66b9d0071ab9f429e66dfbdc025fe9e3b8cdfe",
+        0,
+        "91512683ebd2c356abaa1b9d450aaf6c87e88afb6b3e5b6753b072a06e03b044",
+    ),
+    "deg1-lorentz-d6": (
+        "a46459ebb9bc97167f6c043453f3223a1e737209e9f34164949007560949d210",
+        0,
+        "8361b4e2652b6887199796c03bb39239140340aa675386deb41fa4bca32bd599",
+    ),
+    "deg1-euclid-d7": (
+        "301eb2a323e2cfc92677a2cbdcb66b8112164d8a7fd5919907e9b554cc8d2498",
+        0,
+        "bcc9c1913eeaab6644b68fdf304e835d922787ccb76186163b03cb68338fc437",
+    ),
+    "engel-d7": (
+        "4fd248d39b89ae8a3b7f6b0442fa65dc42a5e4239cb5fa37a36e8d9155ff2a5b",
+        0,
+        "65280c10ea3cb577a7c5326c1083fe0230711ae8271f3e69ef50d57a7084e631",
+    ),
+    "deg1-lorentz-d8": (
+        "60e497cf783db7d693a0009a3dc6a3a989b22ccd12882ef01193d341083facff",
+        0,
+        "cf4c76f260b40c5571fcc8d85538ab6fd34ada5f87d41f3134b2261a1821e2a4",
+    ),
+    "engel-d8": (
+        "bdb24e5a6d8a21a154102bd7a6c1d0fd337fe6f9b233465545205f3fc3b423b8",
+        0,
+        "d7861dca30d4267c02e02849b2f34862544c283de55de91a5462c5d1b84316ee",
+    ),
+    "deg1-euclid-d9": (
+        "172945a37ee21f04582919f3c8cac834a1a3e7d2f26ad7398e6867e773496d51",
+        0,
+        "b158b7af1c48d59cb22fcb87b5e140d995f3755ec0814927c45e1691a50e0edc",
+    ),
+    "engel-d9": (
+        "b886975eb01b8ad5f1abc1832967893387933b43ca838085c6d861ff736d9187",
+        0,
+        "cb4fb45b749ad63ed0651009b393bb24d4ab8135dee7e04f8d6aae4dc699304d",
+    ),
+    "engel-d10": (
+        "2b0a77a753e56b5b7bdd68d4c2b0aa0e9ba56009eb560d3d9426c2af58a70e2a",
+        0,
+        "e578506ec5f54e21ad94168cf3f51133f91867c81cdcb8fa1b1c5d0e61d11ecd",
+    ),
+}
+
+
+def test_golden_reduce_on_every_ladder_rung(tmp_path):
+    from test_double_ext import ladder_rungs
+
+    got = {}
+    for label, base, data in ladder_rungs():
+        save_algebra(tmp_path / f"{label}.json", extend2(base, data))
+        path = tmp_path / f"{label}-q.json"
+        digest, code = run_command(["reduce", str(tmp_path / f"{label}.json"), "--output", str(path)], tmp_path)
+        got[label] = (digest, code, _sha(path.read_bytes()))
+    assert got == GOLDEN_LADDER_REDUCE

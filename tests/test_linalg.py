@@ -523,13 +523,12 @@ def test_elimination_matches_naive_rref_on_sparse_systems():
         assert consistent <= (x is not None)
         outcomes.add(x is not None)
 
-        # The sparse entry on the same rows, as {column: value} dicts, returns the oracle kernel's nonzero entries.
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in a.rows]
-        oracle = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in kernel_by_naive_rref(a).rows)
-        assert _kernel_of_rows([row.items() for row in sparse], a.ncols) == oracle
-        # The integer entry that certificates use, on the same rows each cleared to integers, zero entries dropped.
+        # The integer entries, on the same rows each cleared to {column: int}, zero entries dropped: the kernel
+        # entry (without the rhs) returns the oracle kernel's nonzero entries, and the solve that certificates use x.
         scales = [math.lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(a.rows, b)]
         cleared = [[(j, int(v * s)) for j, v in enumerate((*row, bi))] for row, bi, s in zip(a.rows, b, scales)]
+        oracle = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in kernel_by_naive_rref(a).rows)
+        assert _kernel_of_rows([{j: v for j, v in row[:-1] if v}.items() for row in cleared], a.ncols) == oracle
         assert _solve_rows([{j: v for j, v in row if v} for row in cleared], a.ncols) == x
         zeros.add(any(v == 0 for row in cleared for _, v in row))
 

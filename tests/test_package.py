@@ -53,6 +53,7 @@ UNREFERENCED_BUT_KEPT = {
     "polarized_defects": "the tested entry point to the live _polarized_sums on dense operators; verify-paper reads its witnesses sparse",
     "radical": "SymForm.radical, the whole-space case of radical_of_restriction",
     "scale": "Matrix.scale, which README's removed names give as the replacement for combine",
+    "solving": "Subspace.solving, the public entry for rational (column, value) rows (README); the package builds int rows",
 }
 
 
