@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from gonil.double_ext import DegeneracyTag, ExtensionData, classify_degeneracy, extend2
-from gonil.go_engine import _entries, _polarized_sums, linear_go_certificate
-from gonil.isotropy import _isotropy_defects, _sparse_operators, isotropy_algebra
+from gonil.go_engine import linear_go_certificate, polarized_defects
+from gonil.isotropy import _int_operators, _isotropy_defects, isotropy_algebra
 from gonil.lie import (
     LieAlgebra,
     abelian,
@@ -352,18 +352,16 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
     witnesses = example.witness_operators or ()
     record("witness_count", len(witnesses) == n, f"{len(witnesses)} stored operators")
     iso = isotropy_algebra(m)
-    ops = _sparse_operators(n, witnesses)  # each witness read once, for all four checks
+    ops = _int_operators(n, witnesses)  # each witness cleared once, for the three isotropy checks
     skew, derivation = _isotropy_defects(m, ops)
     bad_skew = [b for b, defect in enumerate(skew) if defect is not None]
     record("witness_skew", not bad_skew, f"skewness fails at basis {bad_skew}")
     bad_der = [b for b, defect in enumerate(derivation) if defect is not None]
     record("witness_derivation", not bad_der, f"derivation fails at basis {bad_der}")
-    flat = ({k * n + c: v for k, row in enumerate(op) for c, v in row} for op in ops)  # row-major entries
-    bad_member = [b for b, entries in enumerate(flat) if not iso.span._contains_entries(entries)]
+    bad_member = [b for b, entries in enumerate(ops) if not iso.span._contains_entries(dict(entries))]
     record("witness_in_isotropy", not bad_member, f"membership fails at basis {bad_member}")
 
-    polar = ((a, *entry) for a, op in enumerate(ops) for entry in _entries(op))
-    bad_polar = _polarized_sums(m, polar) if len(witnesses) == n else [("missing witnesses",)]
+    bad_polar = polarized_defects(m, witnesses) if len(witnesses) == n else [("missing witnesses",)]
     record(
         "go_polarized",
         not bad_polar,

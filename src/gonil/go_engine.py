@@ -43,7 +43,6 @@ from gonil.linalg import (
     _common_denominator,
     _scaled,
     _solve_rows,
-    _sparse_rows,
     fmt_vec,
     is_zero_vec,
     rational_sqrt,
@@ -146,7 +145,7 @@ def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
     """Verify that every basis operator of h, by its kept nonzero entries, solves the isotropy rows m keeps."""
     if h.ambient_dim != m.dim:
         raise GOEngineError("operator space dimension differs from the algebra")
-    for skew, defect in zip(*_isotropy_defects(m, h._sparse)):
+    for skew, defect in zip(*_isotropy_defects(m, h.span._int_rows[1].values())):
         if skew is not None:
             raise GOEngineError("operator space is not inside the isotropy algebra (skewness fails)")
         if defect is not None:
@@ -169,11 +168,6 @@ def check_audit_parameters(samples: int, bound: int) -> None:
         raise GOEngineError("need at least one sample")
     if bound < 1:
         raise GOEngineError("bound must be positive")
-
-
-def _entries(rows) -> list[tuple[int, int, Fraction]]:
-    """The nonzero entries (row, column, value) of an operator given as its _sparse_rows."""
-    return [(k, c, v) for k, row in enumerate(rows) for c, v in row]
 
 
 def _integer_vector(t: Vec) -> tuple[int, tuple[int, ...]]:
@@ -211,10 +205,12 @@ class _CertificateSystem:
     as the integer rows are one positive multiple of the rational ones.  So a
     sample leaves out one row b with T'_b != 0 and solves the other n - 1.
 
-    ``ops`` (h's basis entries times their least common denominator
-    ``op_den``) feeds only the per-certificate check, which does not read the
-    tensors above, but the cleared Gram matrix and bracket table that m keeps.
-    h enters through the entries it keeps (``paired`` sums G D_j over them), the brackets through the algebra's table.
+    ``ops`` holds h's basis entries as (row, column, int) triples, split once
+    from ``h.span._int_rows``: the entries times their least common
+    denominator ``op_den``, the span's one integer view.  It feeds only the
+    per-certificate check, which does not read the tensors above, but the
+    cleared Gram matrix and bracket table that m keeps.  ``paired`` sums G D_j
+    over the span's rational rows, the brackets come from the algebra's table.
     """
 
     m: MetricLieAlgebra
@@ -229,25 +225,25 @@ class _CertificateSystem:
     def build(cls, m: MetricLieAlgebra, h: OperatorSpace) -> _CertificateSystem:
         """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
         check_subisotropy(m, h)
-        gram_rows = m.form._sparse
-        ops = [_entries(rows) for rows in h._sparse]
+        n, gram_rows = m.dim, m.form._sparse
         paired = []
-        for entries in ops:  # (G D)[e][b] = sum_k G[k][e] D[k][b], G symmetric
+        for entries in h.span.rows:  # (G D)[e][b] = sum_k G[k][e] D[k][b], G symmetric
             acc: defaultdict[tuple[int, int], Fraction] = defaultdict(int)
-            for k, b, v in entries:
+            for kb, v in entries:
+                k, b = divmod(kb, n)
                 for e, g in gram_rows[k]:
                     acc[e, b] += g * v
             paired.append([(e, b, x) for (e, b), x in sorted(acc.items()) if x])
         quadratic = [(a, b, c, v) for (a, b), row in sorted(m._lowered.items()) for c, v in sorted(row.items())]
         den = _common_denominator(x[-1] for x in chain(*gram_rows, *paired, quadratic))
-        op_den = _common_denominator(x[-1] for x in chain(*ops))
+        op_den, ops = h.span._int_rows
         return cls(
             m,
             h,
             tuple(_scaled(row, den) for row in gram_rows),
             tuple(_scaled(entries, den) for entries in paired),
             _scaled(quadratic, den),
-            tuple(_scaled(entries, op_den) for entries in ops),
+            tuple(tuple((*divmod(k, n), v) for k, v in entries) for entries in ops.values()),
             op_den,
         )
 
@@ -432,11 +428,12 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     if x is None:
         return None
     # A(e_a) = sum_j x[j * n + a] D_j, entry by entry over each D_j's nonzeros
-    ops = [(x[j * n : (j + 1) * n], _entries(rows)) for j, rows in enumerate(h._sparse)]
+    coeffs = [x[j * n : (j + 1) * n] for j in range(nh)]
+    ops = [(xs, [(*divmod(k, n), v) for k, v in entries]) for xs, entries in zip(coeffs, h.span.rows)]
     witness = ((a, k, c, xs[a] * v) for xs, entries in ops for a in range(n) if xs[a] for k, c, v in entries)
     if _polarized_sums(m, witness):
         raise AssertionError("internal: linear certificate fails polarized identity")
-    return LinearGOCertificate(Matrix([xs for xs, _ in ops], ncols=n))
+    return LinearGOCertificate(Matrix(coeffs, ncols=n))
 
 
 def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[int, int, int, Fraction]]:
@@ -454,7 +451,9 @@ def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[
     n = m.dim
     if len(ops) != n or any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("need one n-by-n operator per basis vector")
-    return _polarized_sums(m, ((a, *entry) for a, op in enumerate(ops) for entry in _entries(_sparse_rows(op.rows))))
+    return _polarized_sums(
+        m, ((a, k, c, v) for a, op in enumerate(ops) for k, row in enumerate(op.rows) for c, v in enumerate(row) if v)
+    )
 
 
 def _polarized_sums(m: MetricLieAlgebra, entries) -> list[tuple[int, int, int, Fraction]]:

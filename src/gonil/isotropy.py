@@ -2,29 +2,27 @@
 
 An OperatorSpace is stored once, as the Subspace of its operators' row-major
 entries, canonical in reduced echelon form: equality is equality of bases,
-and membership and coordinates are read at the pivots.  Each operator's
-nonzero entries are split off that Subspace's kept rows, as they are and
-times the operator's own common denominator, in ints; the dense basis is
-built only when read.  The closure and invariance checks run in integers:
-the closure check forms a commutator only where one operator's columns meet
-the other's rows, and the invariance check tests V or, when dim V > n/2, its
-annihilator under the transposes.  The derivation
-and skew identities are keyed sparse rows over the entries of D: the kernels
-solve them, and the defect checks evaluate them column-indexed.  The rows
-cutting out the isotropy algebra, and their index, are kept on the metric algebra.
+and membership and coordinates are read at the pivots.  Its entries are
+cleared to ints once, in that Subspace's ``_int_rows``, which every integer
+reader takes; the dense basis is built only when read.  The closure and
+invariance checks run in integers: the closure check forms a commutator only
+where one operator's columns meet the other's rows, and the invariance check
+tests V or, when dim V > n/2, its annihilator under the transposes.  The
+derivation and skew identities are keyed sparse rows over the entries of D:
+the kernels solve them, and the defect checks sum them over an operator's int
+entries.  The rows cutting out the isotropy algebra, and their index, are
+kept on the metric algebra.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 
 from gonil.lie import LieAlgebra
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _common_denominator
-from gonil.linalg import _scaled, _sparse_rows
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _int_row, _row_space
 from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra, _indexed, _skew_rows
 
 
@@ -42,10 +40,8 @@ class OperatorSpace:
 
     @classmethod
     def from_operators(cls, ambient_dim: int, ops) -> OperatorSpace:
-        ops = list(ops)
-        if any(op.nrows != ambient_dim or op.ncols != ambient_dim for op in ops):
-            raise DimensionMismatch("operator size differs from the algebra's dimension")
-        return cls(ambient_dim, Subspace.span(ambient_dim * ambient_dim, [op.vectorize() for op in ops]))
+        size = ambient_dim * ambient_dim
+        return cls(ambient_dim, Subspace(size, _row_space(_int_operators(ambient_dim, list(ops)), size)))
 
     @property
     def dim(self) -> int:
@@ -56,23 +52,17 @@ class OperatorSpace:
         return tuple(Matrix.from_vector(v, self.ambient_dim) for v in self.span.basis.rows)
 
     @cached_property
-    def _sparse(self) -> list[list[list[tuple[int, Fraction]]]]:
-        """Each basis operator's nonzero entries, as the _sparse_rows of its rows, split off span's kept rows."""
+    def _cleared(self) -> list[list[list[tuple[int, int]]]]:
+        """Each basis operator's span._int_rows entries split by row: (column, int) pairs, times the span's L.
+
+        A positive scalar changes no membership, so the closure and invariance checks read these.
+        """
         n = self.ambient_dim
         out = [[[] for _ in range(n)] for _ in range(self.dim)]
-        for op, entries in zip(out, self.span.rows):
+        for op, entries in zip(out, self.span._int_rows[1].values()):
             for k, v in entries:
                 op[k // n].append((k % n, v))
         return out
-
-    @cached_property
-    def _cleared(self) -> list[list[tuple[tuple[int, int], ...]]]:
-        """Each basis operator as in _sparse, times its own entries' common denominator: int entries.
-
-        A positive scalar per operator changes no membership, so the closure and invariance checks read these.
-        """
-        dens = [_common_denominator(v for _, v in entries) for entries in self.span.rows]
-        return [[_scaled(row, den) for row in op] for op, den in zip(self._sparse, dens)]
 
     def contains(self, op: Matrix) -> bool:
         return self.coordinates(op) is not None
@@ -110,24 +100,22 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     return _solution_space(alg.dim, alg._derivation_rows)
 
 
-def _sparse_operators(n: int, ops) -> list[list[list[tuple[int, Fraction]]]]:
-    """Each n-by-n operator as the _sparse_rows of its rows; DimensionMismatch for any other size."""
+def _int_operators(n: int, ops) -> list[tuple[tuple[int, int], ...]]:
+    """Each n-by-n operator's (row-major index, int) entries, cleared once; DimensionMismatch for any other size."""
     if any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("operator size differs from the algebra's dimension")
-    return [_sparse_rows(op.rows) for op in ops]
+    return [tuple(_int_row(enumerate(op.vectorize())).items()) for op in ops]
 
 
-def _first_defects(n: int, indexed, ops) -> list:
-    """Per n-by-n operator (as _sparse_rows), the key of the least _indexed row its entries fail, or None."""
+def _first_defects(indexed, ops) -> list:
+    """Per operator, by (row-major index, int) entries of a positive multiple, its first failed row's key or None."""
     keys, by_entry = indexed
     out = []
     for op in ops:
-        den = _common_denominator(v for entries in op for _, v in entries)  # so int rows sum in ints
         sums: dict[int, int] = {}
-        for i, entries in enumerate(op):
-            for j, v in _scaled(entries, den):
-                for r, c in by_entry.get(i * n + j, ()):
-                    sums[r] = sums.get(r, 0) + c * v
+        for k, v in op:
+            for r, c in by_entry.get(k, ()):
+                sums[r] = sums.get(r, 0) + c * v
         failing = [r for r, total in sums.items() if total]
         out.append(keys[min(failing)] if failing else None)
     return out
@@ -135,7 +123,7 @@ def _first_defects(n: int, indexed, ops) -> list:
 
 def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
-    return _first_defects(alg.dim, _indexed(alg._derivation_rows), _sparse_operators(alg.dim, ops))
+    return _first_defects(_indexed(alg._derivation_rows), _int_operators(alg.dim, ops))
 
 
 def skew_space(form: SymForm) -> OperatorSpace:
@@ -145,7 +133,7 @@ def skew_space(form: SymForm) -> OperatorSpace:
 
 def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first entry (a, b), a <= b, where D^T G + G D is nonzero, or None."""
-    return _first_defects(form.dim, _indexed(_skew_rows(form)), _sparse_operators(form.dim, ops))
+    return _first_defects(_indexed(_skew_rows(form)), _int_operators(form.dim, ops))
 
 
 def _solution_space(n: int, keyed_rows) -> OperatorSpace:
@@ -167,8 +155,8 @@ def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
 
 
 def _isotropy_defects(m: MetricLieAlgebra, ops) -> list[list]:
-    """[skew_defects, derivation_defects] under m of ops (as _sparse_rows), read through m's kept index."""
-    return [_first_defects(m.dim, rows, ops) for rows in m._isotropy_index]
+    """[skew_defects, derivation_defects] under m of ops (as _first_defects takes them), read through m's kept index."""
+    return [_first_defects(rows, ops) for rows in m._isotropy_index]
 
 
 def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None = None) -> bool:
@@ -195,7 +183,7 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
 
 
 def _transposed_image(d: list, y) -> dict[int, int]:
-    """D^T y for D as _sparse_rows and y as (index, value) entries, as {index: value}."""
+    """D^T y for D split by row as in OperatorSpace._cleared and y as (index, value) entries, as {index: value}."""
     out: dict[int, int] = {}
     for i, c in y:
         for k, b in d[i]:

@@ -241,7 +241,7 @@ def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymF
     if m1.dim + eg.dim != m.dim:
         raise PreconditionError("dim m1 + dim eg != dim n")
     comp = eg.complement_rows_within(m1)
-    form = SymForm(comp @ m.form.gram @ comp.transpose())
+    form = restrict_form(m, Subspace.from_basis(m.dim, comp))
     if not form.is_nondegenerate():
         raise PreconditionError("induced form is degenerate (is the ambient form nondegenerate?)")
     return form, comp

@@ -84,6 +84,27 @@ def test_verify_fails_on_removed_bracket(paper):
     assert not by_name["go_polarized"]
 
 
+def test_verify_reads_the_polarized_identity_off_the_rational_witnesses(paper):
+    # Halving one witness keeps it a skew derivation inside the isotropy
+    # algebra, which the checks on its cleared int entries see; the polarized
+    # identity is not homogeneous in A, so it fails.  The witness has an odd
+    # entry, so clearing the halved one would give it back: none reaches that check.
+    ops = list(paper.witness_operators)
+    b = next(b for b, op in enumerate(ops) if any(x.denominator == 1 and x % 2 for x in op.vectorize()))
+    ops[b] = ops[b].scale(Fraction(1, 2))
+    report = verify_paper_example(NamedExample("halved", paper.algebra, {}, tuple(ops)))
+    by_name = {r.name: r.passed for r in report.records}
+    assert by_name["witness_skew"] and by_name["witness_derivation"] and by_name["witness_in_isotropy"]
+    assert not by_name["go_polarized"] and not report.passed
+
+
+def test_verify_fails_on_a_missing_witness(paper):
+    example = NamedExample("short", paper.algebra, {}, paper.witness_operators[:-1])
+    lines = verify_paper_example(example).lines()
+    assert "CHECK[witness_count]: FAIL (11 stored operators)" in lines
+    assert "CHECK[go_polarized]: FAIL (1 nonzero polarized values, first at [('missing witnesses',)])" in lines
+
+
 def test_paper_operator_linear_in_t(paper):
     t1 = tuple(Fraction(x) for x in (1, 0, 2, 0, 0, 0, 0, 0, 0, 3, 0, 0))
     t2 = tuple(Fraction(x) for x in (0, 1, 0, 0, 5, 0, 0, 0, 1, 0, 0, 2))

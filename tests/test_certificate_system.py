@@ -324,6 +324,7 @@ def test_system_tensors_match_their_dense_products(spaces, name):
     assert den.denominator == 1 and den > 0
     assert system.paired == tuple(tuple((e, b, x * den) for e, b, x in entries) for entries in paired)
     assert system.ops == tuple(tuple((k, c, x * system.op_den) for k, c, x in entries) for entries in ops)
+    assert system.op_den == h.span._int_rows[0]  # the span's one integer view, not cleared again
     assert len(system.paired) == len(system.ops) == h.dim
 
 

@@ -342,11 +342,13 @@ NONZERO = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integer
 
 @pytest.mark.parametrize("name", sorted(STORED_ONCE_CASES))
 def test_entries_and_dense_basis_are_read_off_the_one_span(name):
-    # The kept entries and the dense basis against the dense operators'
-    # _sparse_rows and vectorization; any spanning family gives the same space.
+    # The int entries split by row and the dense basis against the dense
+    # operators' _sparse_rows, times the span's one common denominator, and
+    # vectorization; any spanning family gives the same space.
     h = isotropy_algebra(STORED_ONCE_CASES[name])
-    n = h.ambient_dim
-    assert h._sparse == [_sparse_rows(op.rows) for op in h.basis]
+    n, den = h.ambient_dim, h.span._int_rows[0]
+    assert h._cleared == [[[(c, den * v) for c, v in row] for row in _sparse_rows(op.rows)] for op in h.basis]
+    assert all(type(v) is int for op in h._cleared for row in op for _, v in row)
     assert tuple(op.vectorize() for op in h.basis) == h.span.basis.rows
 
     @seed(20261019)

@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 
 import gonil.metric as metric
 from conftest import combination, random_nilpotent_table, rescaled, sheared_gram
+from gonil import go_engine, isotropy, lie, linalg
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import GOEngineError, check_subisotropy, first_null_vector
 from gonil.isotropy import (
     OperatorSpace,
+    _int_operators,
     _isotropy_defects,
     derivation_defects,
+    derivation_space,
     isotropy_algebra,
     skew_defects,
     skew_space,
@@ -124,7 +127,7 @@ def test_isotropy_defects_read_the_defects_of_fresh_rows():
             elif change == "skew":
                 op = op + data.draw(st.sampled_from(skew_bases[name])).scale(data.draw(NONZERO))
             ops.append(op)
-        skew, derivation = _isotropy_defects(m, [_sparse_rows(op.rows) for op in ops])
+        skew, derivation = _isotropy_defects(m, _int_operators(m.dim, ops))
         assert [skew, derivation] == [skew_defects(m.form, ops), derivation_defects(m.algebra, ops)]
         reached.update(zip((s is None for s in skew), (d is None for d in derivation)))
 
@@ -144,8 +147,9 @@ SUBISOTROPY.update((name, (m, isotropy_algebra(m))) for name, m in RESCALED.item
 
 def test_integer_defect_sums_match_the_fraction_evaluation():
     # The kept identity rows hold ints, and each operator's entries are cleared
-    # by their common denominator before they are summed; the oracle sums the
-    # rational entries over the same index in Fractions.  The operators combine
+    # once, by _int_operators, before they are summed; any other positive
+    # multiple of them reads the same defects.  The oracle sums the rational
+    # entries over the same index in Fractions.  The operators combine
     # an isotropy basis (three of them rescaled, so rows and basis carry
     # denominators) with mixed-denominator coefficients, some with one entry
     # perturbed, and check_subisotropy refuses their span exactly when one fails.
@@ -166,7 +170,10 @@ def test_integer_defect_sums_match_the_fraction_evaluation():
             ops.append(op)
         sparse = [_sparse_rows(op.rows) for op in ops]
         expected = [first_defects_in_fractions(m.dim, index, sparse) for index in m._isotropy_index]
-        assert _isotropy_defects(m, sparse) == expected
+        cleared = _int_operators(m.dim, ops)
+        assert _isotropy_defects(m, cleared) == expected
+        scale = data.draw(st.integers(2, 7))
+        assert _isotropy_defects(m, [[(k, scale * v) for k, v in op] for op in cleared]) == expected
         failing = any(key is not None for keys in expected for key in keys)
         try:
             check_subisotropy(m, OperatorSpace.from_operators(m.dim, ops))
@@ -195,6 +202,36 @@ def test_subisotropy_names_each_failing_identity_on_a_perturbed_catalog_basis(pa
         assert h.dim == 2 and h.basis[0] == op
         with pytest.raises(GOEngineError, match=f"\\({failure} fails\\)"):
             check_subisotropy(m, h)
+
+
+def _subisotropy_outcome(m, h):
+    try:
+        check_subisotropy(m, h)
+    except GOEngineError as exc:
+        return str(exc)
+    return None
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("entries cleared again")
+
+
+@pytest.mark.parametrize("name", ["paper_2_3", "de5", "paper_2_3/rescaled", "de5/rescaled"])
+def test_check_subisotropy_clears_nothing_once_the_int_rows_are_kept(name, monkeypatch):
+    # h's entries are cleared to ints once, in span._int_rows, and m keeps its
+    # indexed identity rows: with both warm, checking h (passing, failing the
+    # derivation identity, failing skewness) clears and splits nothing again.
+    m, iso = SUBISOTROPY[name]
+    spaces = [iso, skew_space(m.form), derivation_space(m.algebra)]
+    expected = [_subisotropy_outcome(m, h) for h in spaces]
+    assert [e and e.split("(")[1] for e in expected] == [None, "derivation fails)", "skewness fails)"]
+    for h in spaces:
+        h.span._int_rows
+    for module in (go_engine, isotropy, lie, linalg, metric):
+        for helper in ("_common_denominator", "_scaled", "_sparse_rows", "_int_row"):
+            if hasattr(module, helper):
+                monkeypatch.setattr(module, helper, _refuse)
+    assert [_subisotropy_outcome(m, h) for h in spaces] == expected
 
 
 @st.composite

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import gonil.linalg as linalg
 from conftest import random_nilpotent_table, rescaled, sheared_gram
-from gonil import go_engine, isotropy, lie
+from gonil import go_engine, isotropy, lie, metric
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import linear_go_certificate, necessary_condition_check, polarized_defects
 from gonil.isotropy import OperatorSpace, is_adh_invariant
@@ -241,14 +241,14 @@ def test_subspace_readers_use_the_rows_a_subspace_keeps(paper, paper_iso, monkey
     # annihilator of W that transporter reads: none re-reads a matrix.
     m, alg = paper.algebra, paper.algebra.algebra
     v, w = m.nprime(), m.v_complement()
-    paper_iso._sparse  # the operators' own entries, read once per space
+    paper_iso._cleared  # the operators' int entries, split once per space
     calls = []
 
     def counted(rows):
         calls.append(1)
         return linalg._sparse_rows(rows)
 
-    for module in (lie, isotropy, go_engine):
+    for module in (lie, metric):
         monkeypatch.setattr(module, "_sparse_rows", counted)
     counts = {}
     for name, run in (
