@@ -201,7 +201,7 @@ def _engel_split(m: MetricLieAlgebra, o: Subspace, s: Subspace):
         raise EngelError("no common kernel vector")
     if eg.dim != 1:
         raise AssertionError("internal: s commutes with o after the commuting check")
-    e1, e2 = eg.complement_rows_within(o).row(0), eg.basis.row(0)
+    e1, e2 = eg.complement_within(o).basis.row(0), eg.basis.row(0)
     return eg, orth_complement(m, eg), (e1, e2), _dual_null_pair(m, e1, e2)
 
 
@@ -242,13 +242,12 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     witness = reduction_witness(m, h)
     eg, m1 = witness.eg, witness.m1
     form, comp = quotient_form(m, m1, eg)
-    rows = [row for row in m1.rows if row[0][0] not in eg.pivots]  # comp's rows, at the pivots eg does not use
-    den = eg._int_rows[0]
+    rows, den = comp.rows, eg._int_rows[0]
 
     def comp_coords(rest: dict[int, Fraction]) -> Vec:
         # eg._contains_entries leaves den times rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
         eg._contains_entries(rest)
-        coords = tuple(c / den if (c := rest.get(row[0][0])) else _ZERO for row in rows)
+        coords = tuple(c / den if (c := rest.get(p)) else _ZERO for p in comp.pivots)
         if not m1._contains_entries(rest):
             raise AssertionError("internal: vector outside m1")
         return coords
@@ -258,7 +257,7 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
         for j in range(i + 1, len(rows)):
             if entry := {t: c for t, c in enumerate(comp_coords(m.algebra._bracket(x, rows[j]))) if c}:
                 brackets[(i, j)] = entry
-    m0 = MetricLieAlgebra.checked(LieAlgebra(len(rows), brackets), form)
+    m0 = MetricLieAlgebra.checked(LieAlgebra(comp.dim, brackets), form)
 
     d, sig, sig0 = eg.dim, m.form.signature(), form.signature()
     if sig0 != (sig.p - d, sig.q - d, 0):
@@ -268,7 +267,7 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
             witness,
         )
     projection = Matrix(zip(*[comp_coords(dict(row)) for row in m1.rows]), ncols=m1.dim)
-    return QuotientResult(m0, projection, comp, witness)
+    return QuotientResult(m0, projection, comp.basis, witness)
 
 
 class ExtensionDataError(ValueError):

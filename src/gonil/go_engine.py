@@ -43,8 +43,8 @@ from gonil.linalg import (
     _common_denominator,
     _scaled,
     _solve_rows,
+    _times,
     fmt_vec,
-    is_zero_vec,
     rational_sqrt,
     to_vec,
     vec_add,
@@ -261,8 +261,8 @@ def go_certificate_at(
     It is built in integers, each row straight as its {column: nonzero value} dict,
     and solved without the k column when <T, T> != 0 (see ``_CertificateSystem``).
     The densest row with T_b != 0 follows from the others and is left out, and
-    the other n - 1 are eliminated sparsest first: the row space, and so the
-    canonical solution, is the same.  The certificate is checked on every row.
+    the other n - 1 are solved: the row space, and so the canonical solution,
+    is the same.  The certificate is checked on every row.
     """
     t = tangent_vector(m, t)
     if _system is None:
@@ -287,7 +287,6 @@ def go_certificate_at(
     # Row b times T'_b, summed over b, is zero: the densest row with T'_b != 0 is implied by the others.
     sizes = [len(row) if x else -1 for row, x in zip(rows, ti)]
     del rows[sizes.index(max(sizes))]
-    rows.sort(key=len)  # the reduced echelon form is the same in any row order; sparsest first is cheapest
     x = _solve_rows(rows, rhs)
     if x is None:
         return None
@@ -390,7 +389,7 @@ def go_random_audit(
         points.append(AuditPoint(idx, t, go_certificate_at(m, h, t, _system=system)))
     null_point = None
     nv = first_null_vector(m)
-    if nv is not None and not is_zero_vec(nv):
+    if nv is not None:
         null_point = AuditPoint(-1, nv, go_certificate_at(m, h, nv, _system=system))
     return GOAuditReport(samples, seed, bound, tuple(points), null_point)
 
@@ -509,13 +508,10 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
             nprime.basis, ()
         )
     violations = []
-    rows, sparse, low = nprime.basis.rows, nprime.rows, m._lowered
+    rows, low = nprime.basis.rows, m._lowered
     for a in range(m.dim):
-        images: list[dict[int, Fraction]] = [{} for _ in rows]  # images[i][b] = <[e_a, x_i], e_b>
-        for image, xs in zip(images, sparse):  # summed over the nonzero entries of x_i
-            for c, x in xs:
-                for b, v in low.get((a, c), {}).items():
-                    image[b] = image.get(b, 0) + x * v
+        lowered = [low.get((a, c), {}).items() for c in range(m.dim)]  # row c: the <[e_a, e_c], e_b> as (b, value)
+        images = [_times(lowered, xs) for xs in nprime.rows]  # images[i][b] = <[e_a, x_i], e_b>
         dots = [[sum(v * y[b] for b, v in image.items()) for y in rows] for image in images]  # <[e_a, x_i], x_j>
         pairs = ((i, j) for i in range(len(rows)) for j in range(i, len(rows)))
         violations += [(a, i, j, d) for i, j in pairs if (d := dots[i][j] + dots[j][i])]

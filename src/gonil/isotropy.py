@@ -7,11 +7,11 @@ cleared to ints once, in that Subspace's ``_int_rows``, which every integer
 reader takes; the dense basis is built only when read.  The closure and
 invariance checks run in integers: the closure check forms a commutator only
 where one operator's columns meet the other's rows, and the invariance check
-tests V or, when dim V > n/2, its annihilator under the transposes.  The
-derivation and skew identities are keyed sparse rows over the entries of D:
-the kernels solve them, and the defect checks sum them over an operator's int
-entries.  The rows cutting out the isotropy algebra, and their index, are
-kept on the metric algebra.
+tests V or, when dim V > n/2, its annihilator under the transposes, each
+transposed image one ``linalg._times``.  The derivation and skew identities
+are keyed sparse rows over the entries of D: the kernels solve them, and the
+defect checks sum them over an operator's int entries.  The rows cutting out
+the isotropy algebra, and their index, are kept on the metric algebra.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from gonil.lie import LieAlgebra
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _int_row, _row_space
-from gonil.metric import MetricLieAlgebra, SymForm, _check_in_algebra, _indexed, _skew_rows
+from gonil.lie import LieAlgebra, _check_ambient
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _int_row, _row_space, _times
+from gonil.metric import MetricLieAlgebra, SymForm, _indexed, _skew_rows
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
     smaller side, is tested instead.  Each image is formed over the int entries of D and of
     the space's cleared rows, and tested at that space's pivots in ints.
     """
-    _check_in_algebra(m, v)
+    _check_ambient(m.algebra, v)
     if h is None:
         h = isotropy_algebra(m)
     elif h.ambient_dim != m.dim:
@@ -179,13 +179,4 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
             for x in xs
         )
     w = v.annihilator()
-    return all(w._contains_entries(_transposed_image(d, y)) for d in h._cleared for y in w._int_rows[1].values())
-
-
-def _transposed_image(d: list, y) -> dict[int, int]:
-    """D^T y for D split by row as in OperatorSpace._cleared and y as (index, value) entries, as {index: value}."""
-    out: dict[int, int] = {}
-    for i, c in y:
-        for k, b in d[i]:
-            out[k] = out.get(k, 0) + b * c
-    return out
+    return all(w._contains_entries(_times(d, y)) for d in h._cleared for y in w._int_rows[1].values())

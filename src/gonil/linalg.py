@@ -14,7 +14,8 @@ runs, platforms and row orders.  A solve stops at the echelon form and
 back-substitutes, which gives the same canonical solution (free unknowns zero)
 without clearing any column.
 A Subspace is stored once, as its reduced rows' (column, value) entries, just
-as kernels and spans come out; its dense basis is built when read.
+as kernels and spans come out; its dense basis is built when read.  ``_times``,
+M^T w over M's sparse rows, is the package's one sparse vector product.
 Congruence diagonalization, behind the signature, likewise updates only the
 nonzero entries of its working matrix.
 """
@@ -62,10 +63,6 @@ def vec_add(x: Vec, y: Vec) -> Vec:
 def vec_scale(c, x: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in x)
-
-
-def is_zero_vec(x: Vec) -> bool:
-    return not any(x)
 
 
 class Matrix:
@@ -160,17 +157,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise DimensionMismatch("inner dimensions differ")
-            ncols = other._ncols
-            sparse = _sparse_rows(other._rows)
-            out = []
-            for r in self._rows:
-                acc = [_ZERO] * ncols
-                for a, srow in zip(r, sparse):
-                    if a:
-                        for j, b in srow:
-                            acc[j] += a * b
-                out.append(tuple(acc))
-            return Matrix._trusted(tuple(out), ncols)
+            ncols, sparse = other._ncols, _sparse_rows(other._rows)
+            products = (_times(sparse, [(k, a) for k, a in enumerate(r) if a]) for r in self._rows)
+            return Matrix._trusted(tuple(tuple(p.get(j, _ZERO) for j in range(ncols)) for p in products), ncols)
         vec = to_vec(other)
         if self.ncols != len(vec):
             raise DimensionMismatch("matrix-vector size mismatch")
@@ -218,6 +207,16 @@ class Matrix:
 def _sparse_rows(rows: Iterable[Sequence]) -> list[list[tuple[int, Fraction]]]:
     """Each row as its (column, value) pairs with nonzero value."""
     return [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+
+
+def _times(rows, entries) -> dict:
+    """M^T w as {index: value}: M by its sparse rows ``rows`` (row j's (index, value) pairs), w by its nonzero
+    (index, value) entries; G w for a symmetric G.  The sums start from int 0, so int rows and entries give ints."""
+    out = {}
+    for j, w in entries:
+        for i, x in rows[j]:
+            out[i] = out.get(i, 0) + x * w
+    return out
 
 
 def _common_denominator(values: Iterable[Fraction]) -> int:
@@ -359,11 +358,12 @@ def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tu
 def _solve_rows(rows: Iterable[dict[int, int]], ncols: int) -> Vec | None:
     """Canonical solution (free unknowns zero) of {column: nonzero int} rows, consumed, rhs at column ncols, or None.
 
-    Infeasible exactly when the rhs column is a pivot of ``_forward``'s echelon
-    rows.  Otherwise the pivot rows are solved in descending pivot order, in
-    integers: a row's other unknowns are free (zero) or later pivots, solved.
+    The rows are inserted sparsest first.  Infeasible exactly when the rhs
+    column is a pivot of ``_forward``'s echelon rows.  Otherwise the pivot rows
+    are solved in descending pivot order, in integers: a row's other unknowns
+    are free (zero) or later pivots, solved.
     """
-    table = _forward(rows)
+    table = _forward(sorted(rows, key=len))
     # Every column of an input row is nonzero in some echelon row, and a row's pivot is its least column.
     if table and (min(table) < 0 or max(map(max, table.values())) > ncols):
         raise DimensionMismatch(f"row column outside 0..{ncols}")
@@ -628,16 +628,16 @@ class Subspace:
         rows = chain(self.annihilator()._int_rows[1].values(), other.annihilator()._int_rows[1].values())
         return Subspace._kernel(self.ambient_dim, rows)
 
-    def complement_rows_within(self, larger: Subspace) -> Matrix:
-        """Rows of `larger`'s canonical basis whose pivots this subspace does not use.
+    def complement_within(self, larger: Subspace) -> Subspace:
+        """The span of the rows of `larger`'s canonical basis whose pivots this subspace does not use.
 
-        Requires self <= larger; the returned rows span a complement of self
-        inside larger, deterministically.
+        Requires self <= larger; it is a complement of self inside larger,
+        chosen deterministically, and those rows are its own reduced rows.
         """
         if not self <= larger:
             raise ValueError("complement requires containment")
         used = set(self.pivots)
-        return Subspace(self.ambient_dim, tuple(row for row in larger.rows if row[0][0] not in used)).basis
+        return Subspace(self.ambient_dim, tuple(row for row in larger.rows if row[0][0] not in used))
 
     def _check_ambient(self, other: Subspace) -> None:
         if self.ambient_dim != other.ambient_dim:

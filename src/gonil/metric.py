@@ -1,12 +1,14 @@
 """Symmetric bilinear forms on a Lie algebra and the metric pairing.
 
 Restriction, radical, orthogonal complement and the induced quotient form are
-all exact subspace computations on Gram matrices.  Pairings, restricted Gram
-matrices and products G w are sums over the nonzero entries of the Gram matrix
-and of a subspace's rows.  The frozen SymForm and MetricLieAlgebra keep what
-they fix on first use (nonzero entries, the Gram matrix cleared to ints and
-diagonalized, signature, n', v, the isotropy identity rows, in ints, and their
-index, the lowered brackets); no kept value is ever mutated, so none goes stale.
+all exact subspace computations on Gram matrices; the quotient form is read on
+the complement Subspace it returns.  Pairings, restricted Gram matrices and the
+products G w (``linalg._times``) are sums over the nonzero entries of the Gram
+matrix and of a subspace's rows.  The frozen SymForm and MetricLieAlgebra keep
+what they fix on first use (nonzero entries, the Gram matrix cleared to ints
+and diagonalized, signature, n', v, the isotropy identity rows, in ints, and
+their index, the lowered brackets); no kept value is ever mutated, so none goes
+stale.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
 
-from gonil.lie import LieAlgebra, _series_from, derived_subalgebra
+from gonil.lie import LieAlgebra, _check_ambient, _series_from, derived_subalgebra
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
@@ -29,6 +31,7 @@ from gonil.linalg import (
     _diagonalize,
     _scaled,
     _sparse_rows,
+    _times,
     to_vec,
 )
 
@@ -143,11 +146,7 @@ class MetricLieAlgebra:
         """The nonzero <[e_a, e_c], e_b> as {(a, c): {b: value}}, from the bracket table and the form's nonzeros."""
         gram, low = self.form._sparse, {}
         for (i, j), targets in self.algebra._table.items():
-            row: dict[int, Fraction] = {}
-            for k, v in targets.items():
-                for b, g in gram[k]:
-                    row[b] = row.get(b, 0) + v * g
-            if row := {b: x for b, x in row.items() if x}:
+            if row := {b: x for b, x in _times(gram, targets.items()).items() if x}:
                 low[i, j], low[j, i] = row, {b: -x for b, x in row.items()}
         return low
 
@@ -184,24 +183,10 @@ def _indexed(keyed_rows) -> tuple[list, dict[int, list[tuple[int, Fraction]]]]:
     return keys, by_entry
 
 
-def _check_in_algebra(m: MetricLieAlgebra, v: Subspace) -> None:
-    if v.ambient_dim != m.dim:
-        raise DimensionMismatch("subspace does not live in the algebra")
-
-
 def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     """{x : <x, w> = 0 for all w in V} with respect to m's form."""
-    _check_in_algebra(m, v)
+    _check_ambient(m.algebra, v)
     return Subspace._kernel(m.dim, _orth_rows(m, v))
-
-
-def _times(g, entries) -> dict:
-    """G w as {index: value}: G symmetric, given by its sparse rows ``g``; w by its nonzero (index, value) entries."""
-    out = {}
-    for j, w in entries:
-        for i, x in g[j]:
-            out[i] = out.get(i, 0) + x * w
-    return out
 
 
 def _orth_rows(m: MetricLieAlgebra, v: Subspace) -> Iterator:
@@ -211,7 +196,7 @@ def _orth_rows(m: MetricLieAlgebra, v: Subspace) -> Iterator:
 
 def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
     """Gram matrix of the form in V's canonical basis, summed over the basis rows' nonzero entries."""
-    _check_in_algebra(m, v)
+    _check_ambient(m.algebra, v)
     products = [_times(m.form._sparse, w) for w in v.rows]
     pairs = [[sum([g[j] * b for j, b in y if j in g], _ZERO) for y in v.rows] for g in products]
     return SymForm(Matrix(pairs, ncols=v.dim))
@@ -222,17 +207,18 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
 
     One solve: V's annihilator rows cut out V, the rows G w its orthogonal complement.
     """
-    _check_in_algebra(m, v)
+    _check_ambient(m.algebra, v)
     return Subspace._kernel(m.dim, chain(v.annihilator()._int_rows[1].values(), _orth_rows(m, v)))
 
 
-def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Matrix]:
+def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Subspace]:
     """Form induced on a canonical complement of eg inside m1.
 
     Preconditions: eg <= m1, <eg, m1> = 0, and dim m1 + dim eg = dim of the
     algebra; under these the induced form is nondegenerate and independent of
-    the complement choice up to congruence.  Returns the form together with
-    the complement's rows (in ambient coordinates).
+    the complement choice up to congruence.  Returns the form, in the
+    complement's canonical basis, together with that complement,
+    ``eg.complement_within(m1)``.
     """
     if not eg <= m1:
         raise PreconditionError("eg is not contained in m1")
@@ -240,8 +226,8 @@ def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymF
         raise PreconditionError("<eg, m1> != 0")
     if m1.dim + eg.dim != m.dim:
         raise PreconditionError("dim m1 + dim eg != dim n")
-    comp = eg.complement_rows_within(m1)
-    form = restrict_form(m, Subspace.from_basis(m.dim, comp))
+    comp = eg.complement_within(m1)
+    form = restrict_form(m, comp)
     if not form.is_nondegenerate():
         raise PreconditionError("induced form is degenerate (is the ambient form nondegenerate?)")
     return form, comp

@@ -136,7 +136,21 @@ def engel_witness_algebra() -> MetricLieAlgebra:
 def sheared(m: MetricLieAlgebra, shift: int = 1) -> MetricLieAlgebra:
     """m in the basis f_i = e_i + e_{i+shift}, where <[f_a, f_b], f_a> need not vanish."""
     n = m.dim
-    p = Matrix([[1 if k in (i, i + shift) else 0 for i in range(n)] for k in range(n)])
+    return in_basis(m, Matrix([[1 if k in (i, i + shift) else 0 for i in range(n)] for k in range(n)]))
+
+
+def dense_twin(m: MetricLieAlgebra, seed: int) -> MetricLieAlgebra:
+    """m in the basis of the columns of P = L U, L unit lower and U unit upper triangular with off-diagonal
+    entries drawn from {-1, 0, 1} by random.Random(seed): the same algebra, with dense brackets and form."""
+    rng, n = random.Random(seed), m.dim
+    lower = Matrix([[1 if i == j else rng.choice((-1, 0, 1)) if j < i else 0 for j in range(n)] for i in range(n)])
+    upper = Matrix([[1 if i == j else rng.choice((-1, 0, 1)) if j > i else 0 for j in range(n)] for i in range(n)])
+    return in_basis(m, lower @ upper)
+
+
+def in_basis(m: MetricLieAlgebra, p: Matrix) -> MetricLieAlgebra:
+    """m in the basis of the columns of the invertible matrix p: brackets by solving, Gram matrix P^T G P."""
+    n = m.dim
     table = {}
     for i in range(n):
         for j in range(i + 1, n):

@@ -577,7 +577,7 @@ def engel_split_by_flag(m):
         rows.extend(enumerate(r) for r in zip(*cols))
     common = Subspace.solving(o.dim, rows)
     e2 = o.basis.transpose() @ common.basis.row(0)
-    e1 = o.basis.transpose() @ common.complement_rows_within(Subspace.full(o.dim)).row(0)
+    e1 = o.basis.transpose() @ common.complement_within(Subspace.full(o.dim)).basis.row(0)
     eg = Subspace.span(m.dim, [e2])
     return eg, orth_complement(m, eg), (e1, e2), _dual_null_pair(m, e1, e2)
 

@@ -38,7 +38,7 @@ from gonil.lie import (
 from gonil import linalg
 from gonil.isotropy import derivation_defects, derivation_space, isotropy_algebra
 from gonil.linalg import Matrix, Subspace, _diagonalize, _sparse_rows, basis_vec, symmetric_signature, to_vec
-from gonil.metric import MetricLieAlgebra, SymForm, orth_complement
+from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, quotient_form
 from oracles import (
     ad_by_table,
     derivation_defect_by_brackets,
@@ -491,6 +491,27 @@ def test_quotient_coordinates_match_the_dense_pivot_reading(de5, de7):
         projection, table = quotient_by_dense_pivot_coordinates(m, result)
         assert result.projection == projection, label
         assert result.m0.algebra.table == table, label
+
+
+def test_reduce_restricts_the_form_on_the_complement_subspace_it_reads(monkeypatch):
+    """quotient_form hands reduce eg's complement in m1 as a Subspace: no dense basis is read back in."""
+    builds = [(name, lambda name=name: build_example(name).algebra) for name in ("de5", "de7_lorentz")]
+    builds += [(label, lambda base=base, data=data: extend2(base, data)) for label, base, data in ladder_rungs()]
+    expected = {label: reduce(build()) for label, build in builds}
+
+    def refuse(*args):
+        raise AssertionError("a dense basis was read back in")
+
+    monkeypatch.setattr(Subspace, "from_basis", classmethod(refuse))
+    for label, build in builds:
+        m = build()
+        assert reduce(m) == expected[label], label
+        eg, m1 = expected[label].witness.eg, expected[label].witness.m1
+        form, comp = quotient_form(m, m1, eg)
+        # The complement before it was a Subspace: m1's basis rows at the pivots eg does not use, as a dense matrix.
+        old = Matrix([row for row, p in zip(m1.basis.rows, m1.pivots) if p not in eg.pivots], ncols=m.dim)
+        assert isinstance(comp, Subspace) and comp.basis == old == expected[label].complement_rows, label
+        assert form == expected[label].m0.form, label
 
 
 def test_a_quotient_bracket_outside_m1_trips_the_membership_check(monkeypatch, de5):

@@ -15,8 +15,9 @@ from gonil.go_engine import (
     linear_go_certificate,
     necessary_condition_check,
 )
+from gonil import linalg
 from gonil.isotropy import OperatorSpace, isotropy_algebra
-from gonil.linalg import Matrix, is_zero_vec, to_vec, vec_add, vec_scale
+from gonil.linalg import Matrix, to_vec, vec_add, vec_scale
 
 
 def basis_vec(n, i):
@@ -102,7 +103,7 @@ def _randint_samples(dim, samples, seed, bound):
     rng, out, redraws = random.Random(seed), [], 0
     while len(out) < samples:
         t = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(dim))
-        if is_zero_vec(t):
+        if not any(t):
             redraws += 1
         else:
             out.append(t)
@@ -156,7 +157,7 @@ def test_scaling_covariance(de5):
     rng = random.Random(17)
     for _ in range(15):
         t = tuple(Fraction(rng.randint(-4, 4)) for _ in range(5))
-        if is_zero_vec(t):
+        if not any(t):
             continue
         cert = go_certificate_at(de5, iso, t)
         assert cert is not None
@@ -190,7 +191,7 @@ def test_linear_certificate_de5_consistent_with_pointwise(de5):
     rng = random.Random(23)
     for _ in range(10):
         t = tuple(Fraction(rng.randint(-5, 5)) for _ in range(5))
-        if is_zero_vec(t):
+        if not any(t):
             continue
         a = witness_at(iso, cert, t)
         for b in range(5):
@@ -205,7 +206,7 @@ def test_linear_certificate_paper_consistent_with_pointwise(paper, paper_iso):
     rng = random.Random(31)
     for _ in range(5):
         t = tuple(Fraction(rng.randint(-3, 3)) for _ in range(12))
-        if is_zero_vec(t):
+        if not any(t):
             continue
         a = witness_at(paper_iso, cert, t)
         for b in range(12):
@@ -225,6 +226,22 @@ def test_linear_certificate_found_on_euclidean_h25():
     for b in range(25):
         eb = basis_vec(25, b)
         assert m.pair(vec_add(m.algebra.bracket(t, eb), a @ eb), t) == 0
+
+
+def test_both_certificate_solves_insert_their_rows_sparsest_first(monkeypatch, paper, paper_iso):
+    # The solver orders the rows, whoever built them: a sample's and the linear system's reach _forward sorted.
+    forward, lengths = linalg._forward, []
+
+    def recording(rows):
+        rows = list(rows)
+        lengths.append([len(row) for row in rows])
+        return forward(rows)
+
+    monkeypatch.setattr(linalg, "_forward", recording)
+    assert go_certificate_at(paper.algebra, paper_iso, range(1, 13)) is not None
+    assert linear_go_certificate(paper.algebra, paper_iso) is not None
+    assert len(lengths) == 2 and all(len(set(row_lengths)) > 1 for row_lengths in lengths)
+    assert all(row_lengths == sorted(row_lengths) for row_lengths in lengths)
 
 
 def test_first_null_vector(paper, heis3):

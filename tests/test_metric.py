@@ -91,7 +91,7 @@ def test_radical_of_restriction_is_ambient(de5):
 def test_quotient_form_trivial_eg(abelian4):
     form, comp = quotient_form(abelian4, Subspace.full(4), Subspace.zero(4))
     assert form.gram == abelian4.form.gram
-    assert comp == Matrix.identity(4)
+    assert comp.basis == Matrix.identity(4)
 
 
 def test_quotient_form_de5(de5):
@@ -99,7 +99,7 @@ def test_quotient_form_de5(de5):
     eg = Subspace.span(5, [[0, 0, 0, 0, 1]])
     form, comp = quotient_form(de5, m1, eg)
     assert form.gram == Matrix.identity(3)
-    assert comp.nrows == 3
+    assert comp.dim == 3
 
 
 def test_quotient_form_rejects_non_containment(de5):
@@ -132,6 +132,13 @@ def test_pair_checks_both_lengths(heis3):
         with pytest.raises(DimensionMismatch):
             heis3.form.pair(x, y)
     assert heis3.pair((1, 0, 0), (1, 0, 0)) == 1
+
+
+@pytest.mark.parametrize("entry", [orth_complement, restrict_form, radical_of_restriction, isotropy.is_adh_invariant])
+def test_subspace_entries_refuse_a_subspace_of_another_dimension(heis3, entry):
+    for v in (Subspace.full(2), Subspace.zero(4)):
+        with pytest.raises(DimensionMismatch, match="subspace ambient dimension differs from the algebra"):
+            entry(heis3, v)
 
 
 def test_full_signature_paper(paper):

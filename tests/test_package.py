@@ -49,6 +49,7 @@ UNREFERENCED_BUT_KEPT = {
     "contains_vector": "Subspace.contains_vector, the yes-or-no partner of Subspace.coordinates",
     "derivation_defects": "the tested entry point to the live _first_defects, as skew_defects is",
     "extension_data_to_dict": "writes the extension-data JSON that `gonil extend --data` reads",
+    "from_basis": "Subspace.from_basis, the public entry for a dense reduced basis, which the test oracles use",
     "radical": "SymForm.radical, the whole-space case of radical_of_restriction",
     "scale": "Matrix.scale, which README's removed names give as the replacement for combine",
     "solving": "Subspace.solving, the public entry for rational (column, value) rows (README); the package builds int rows",
