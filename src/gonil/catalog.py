@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from gonil.double_ext import DegeneracyTag, ExtensionData, classify_degeneracy, extend2
-from gonil.go_engine import linear_go_certificate, polarized_defects
+from gonil.go_engine import _polarized_defects, linear_go_certificate
 from gonil.isotropy import _int_operators, _isotropy_defects, isotropy_algebra
 from gonil.lie import (
     LieAlgebra,
@@ -352,7 +352,7 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
     witnesses = example.witness_operators or ()
     record("witness_count", len(witnesses) == n, f"{len(witnesses)} stored operators")
     iso = isotropy_algebra(m)
-    ops = _int_operators(n, witnesses)  # each witness cleared once, for the three isotropy checks
+    den, ops = _int_operators(n, witnesses)  # the witnesses cleared once, for the isotropy and polarized checks
     skew, derivation = _isotropy_defects(m, ops)
     bad_skew = [b for b, defect in enumerate(skew) if defect is not None]
     record("witness_skew", not bad_skew, f"skewness fails at basis {bad_skew}")
@@ -361,7 +361,7 @@ def verify_paper_example(example: NamedExample | None = None) -> VerificationRep
     bad_member = [b for b, entries in enumerate(ops) if not iso.span._contains_entries(dict(entries))]
     record("witness_in_isotropy", not bad_member, f"membership fails at basis {bad_member}")
 
-    bad_polar = polarized_defects(m, witnesses) if len(witnesses) == n else [("missing witnesses",)]
+    bad_polar = _polarized_defects(m, den, ops) if len(witnesses) == n else [("missing witnesses",)]
     record(
         "go_polarized",
         not bad_polar,

@@ -6,10 +6,12 @@ solve per vector, no optimization loop.  Because the ambient algebra splits
 as (skew derivations) + (the nilpotent algebra itself) with the algebra an
 ideal, no projection is needed in the bracket term.
 
-The bracket identities are summed over nonzero structure constants only: the
-lowered bracket tensor <[e_a, e_c], e_b> is kept on the metric algebra, built
-once from the bracket table and the Gram matrix's nonzeros, and operators
-enter by their nonzeros.
+The bracket identities are summed over nonzero structure constants only, and
+in ints: the lowered bracket tensor <[e_a, e_c], e_b> is kept on the metric
+algebra in ints, with its scale, built once from the bracket table's int view
+and the cleared Gram matrix; the polarized identity reads the table's int view
+and the cleared Gram matrix itself, and operators enter by their nonzero
+entries, cleared to ints at one common scale.
 
 The per-vector system is built once per (m, h) as sparse tensors whose
 denominators are cleared at build time, so each sample is assembled,
@@ -28,14 +30,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
 from typing import Iterator, Sequence
 
-from gonil.isotropy import OperatorSpace, _isotropy_defects
+from gonil.isotropy import OperatorSpace, _int_operators, _isotropy_defects
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
@@ -193,7 +194,10 @@ class _CertificateSystem:
         quadratic    = ((a, b, c, <[e_a, e_b], e_c>), ...)  <[T, e_b], T>
 
     all three multiplied by L, the least common denominator of their entries,
-    so they hold ints.  With T = T' / d for an integer vector T' and d > 0,
+    so they hold ints.  They are summed in ints, from the cleared Gram matrix,
+    h's integer view and m's integer lowered tensor, brought to one common
+    factor and divided by the gcd of that factor and every entry, which
+    leaves L.  With T = T' / d for an integer vector T' and d > 0,
     row b times L d^2 has coefficients d <D_j e_b, T'> and -d <T', e_b> and
     right-hand side -<[T', e_b], T'> (each times L): integers, and a positive
     multiple of row b, so the canonical solution is the same.
@@ -208,9 +212,8 @@ class _CertificateSystem:
     ``ops`` holds h's basis entries as (row, column, int) triples, split once
     from ``h.span._int_rows``: the entries times their least common
     denominator ``op_den``, the span's one integer view.  It feeds only the
-    per-certificate check, which does not read the tensors above, but the
-    cleared Gram matrix and bracket table that m keeps.  ``paired`` sums G D_j
-    over the span's rational rows, the brackets come from the algebra's table.
+    certificate checks, which do not read the tensors above, but the cleared
+    Gram matrix and bracket table that m keeps.
     """
 
     m: MetricLieAlgebra
@@ -225,27 +228,37 @@ class _CertificateSystem:
     def build(cls, m: MetricLieAlgebra, h: OperatorSpace) -> _CertificateSystem:
         """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
         check_subisotropy(m, h)
-        n, gram_rows = m.dim, m.form._sparse
+        n, gram_rows, alg_den = m.dim, m.form._cleared, m.algebra._den
+        op_den, ops = h.span._int_rows
         paired = []
-        for entries in h.span.rows:  # (G D)[e][b] = sum_k G[k][e] D[k][b], G symmetric
-            acc: defaultdict[tuple[int, int], Fraction] = defaultdict(int)
+        for entries in ops.values():  # (G' D'_j)[e][b] = sum_k G'[k][e] D'_j[k][b], G' symmetric
+            acc: dict[tuple[int, int], int] = {}
             for kb, v in entries:
                 k, b = divmod(kb, n)
                 for e, g in gram_rows[k]:
-                    acc[e, b] += g * v
+                    acc[e, b] = acc.get((e, b), 0) + g * v
             paired.append([(e, b, x) for (e, b), x in sorted(acc.items()) if x])
-        quadratic = [(a, b, c, v) for (a, b), row in sorted(m._lowered.items()) for c, v in sorted(row.items())]
-        den = _common_denominator(x[-1] for x in chain(*gram_rows, *paired, quadratic))
-        op_den, ops = h.span._int_rows
+        quadratic = [(a, b, c, v) for (a, b), row in sorted(m._lowered[1].items()) for c, v in sorted(row.items())]
+        # The three carry L_G, the form's _den, times 1, op_den and the algebra's _den: each is brought to
+        # L_G lcm(op_den, _den) by its factor f, then divided by the gcd g of that scale and every entry.
+        den = math.lcm(op_den, alg_den)
+        parts = ((gram_rows, den), (paired, den // op_den), ((quadratic,), den // alg_den))
+        g = math.gcd(m.form._den * den, *(f * math.gcd(*[x[-1] for x in chain(*part)]) for part, f in parts))
+        gram_rows, paired, (quadratic,) = (tuple(_rescaled(entries, f, g) for entries in part) for part, f in parts)
         return cls(
             m,
             h,
-            tuple(_scaled(row, den) for row in gram_rows),
-            tuple(_scaled(entries, den) for entries in paired),
-            _scaled(quadratic, den),
+            gram_rows,
+            paired,
+            quadratic,
             tuple(tuple((*divmod(k, n), v) for k, v in entries) for entries in ops.values()),
             op_den,
         )
+
+
+def _rescaled(entries, f: int, g: int) -> tuple[tuple, ...]:
+    """Each int entry (..., v) as (..., v f / g), for a g that divides every v f."""
+    return tuple(entries) if f == g else tuple((*x[:-1], x[-1] * f // g) for x in entries)
 
 
 def go_certificate_at(
@@ -404,7 +417,9 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
 
     a single linear system in the dim(h) * n coefficients of the map.
     Feasibility is sufficient for the geodesic-orbit property; infeasibility
-    only rules out linear witnesses with k = 0.
+    only rules out linear witnesses with k = 0.  The solution is checked on
+    the polarized identity in ints, from h's integer view, not from the
+    system's tensors.
     """
     system = _CertificateSystem.build(m, h)
     n, nh = m.dim, h.dim
@@ -413,26 +428,34 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     # per-vector system leaves a quadratic form in T that must vanish: one
     # sparse row (L[j][a] at j * n + a, right-hand side at width) per T_a T_e, a <= e.
     # For skew h, row (b, a, a) with b != a is -1 times row (a, min(a, b), max(a, b)): skipped.
-    # The tensors are cleared by one common denominator, which scales every row alike.
-    rows: defaultdict[tuple[int, int, int], defaultdict[int, int]] = defaultdict(lambda: defaultdict(int))
+    # The tensors are cleared by one common factor, which scales every row alike.
+    # Entry (e, b) of paired[j] is the one term at column j * n + a of row (b, a, e) or (b, e, a).
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    get = rows.setdefault
     for j, entries in enumerate(system.paired):
+        col = j * n
         for e, b, v in entries:
-            for a in range(n):
-                if a != e or e == b:
-                    rows[b, min(a, e), max(a, e)][j * n + a] += v
+            for a in range(e):
+                get((b, a, e), {})[col + a] = v
+            for a in range(e if e == b else e + 1, n):
+                get((b, e, a), {})[col + a] = v
     for a, b, c, v in system.quadratic:
         if a != c or c == b:
-            rows[b, min(a, c), max(a, c)][width] -= v
-    x = _solve_rows(({j: a for j, a in row.items() if a} for row in rows.values()), width)
+            row = get((b, a, c) if a <= c else (b, c, a), {})
+            row[width] = row.get(width, 0) - v
+    for row in rows.values():
+        if row.get(width) == 0:  # the two bracket terms cancelled
+            del row[width]
+    x = _solve_rows(rows.values(), width)
     if x is None:
         return None
-    # A(e_a) = sum_j x[j * n + a] D_j, entry by entry over each D_j's nonzeros
-    coeffs = [x[j * n : (j + 1) * n] for j in range(nh)]
-    ops = [(xs, [(*divmod(k, n), v) for k, v in entries]) for xs, entries in zip(coeffs, h.span.rows)]
-    witness = ((a, k, c, xs[a] * v) for xs, entries in ops for a in range(n) if xs[a] for k, c, v in entries)
-    if _polarized_sums(m, witness):
+    # A(e_a) = sum_j x[j * n + a] D_j: q op_den A(e_a) from x times q and h's int entries, q x's common denominator
+    nonzero = [(*divmod(k, n), v) for k, v in enumerate(x) if v]  # (j, a, x[j * n + a])
+    q = _common_denominator(v for *_, v in nonzero)
+    witness = ((a, k, c, w * v) for j, a, w in _scaled(nonzero, q) for k, c, v in system.ops[j])
+    if _polarized_sums(m, witness, q * system.op_den)[1]:
         raise AssertionError("internal: linear certificate fails polarized identity")
-    return LinearGOCertificate(Matrix(coeffs, ncols=n))
+    return LinearGOCertificate(Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n))
 
 
 def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[int, int, int, Fraction]]:
@@ -450,25 +473,38 @@ def polarized_defects(m: MetricLieAlgebra, ops: Sequence[Matrix]) -> list[tuple[
     n = m.dim
     if len(ops) != n or any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("need one n-by-n operator per basis vector")
-    return _polarized_sums(
-        m, ((a, k, c, v) for a, op in enumerate(ops) for k, row in enumerate(op.rows) for c, v in enumerate(row) if v)
-    )
+    return _polarized_defects(m, *_int_operators(n, ops))
 
 
-def _polarized_sums(m: MetricLieAlgebra, entries) -> list[tuple[int, int, int, Fraction]]:
-    """The polarized identity's nonzero values, for entries (a, k, c, value) that add up to A(e_a)[k][c].
+def _polarized_defects(m: MetricLieAlgebra, den: int, ops) -> list[tuple[int, int, int, Fraction]]:
+    """``polarized_defects`` of the A(e_a) whose (row-major index, int) entries ops[a] hold den A(e_a)'s nonzeros."""
+    n = m.dim
+    scale, sums = _polarized_sums(m, ((a, *divmod(kc, n), w) for a, op in enumerate(ops) for kc, w in op), den)
+    return [(a, b, c, Fraction(v, scale)) for a, b, c, v in sums]
 
-    Each nonzero <[e_a, e_c], e_b> and G[b][k] A(e_a)[k][c] is added into the
-    key (min(a, b), max(a, b), c), twice when a = b; the sorted keys are the
-    order of the loop over a <= b, then c.
+
+def _polarized_sums(m: MetricLieAlgebra, entries, den: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(S, the polarized identity's nonzero values times S) for int entries (a, k, c, w) adding up to den A(e_a)[k][c].
+
+    Summed in ints: S is den L_G L for L_G the form's ``_den`` and L the
+    algebra's.  Each nonzero L_G L <[e_a, e_c], e_b>, from the algebra's
+    ``_ad`` and the cleared Gram matrix G', counts den times, each
+    G'[b][k] w counts L times, into the key (min(a, b), max(a, b), c), twice
+    when a = b; the sorted keys are the order of the loop over a <= b, then c.
     """
-    gram = m.form._sparse  # symmetric: row k holds the G[b][k]
-    low = ((a, b, c, v) for (a, c), row in m._lowered.items() for b, v in row.items())
-    sums: dict[tuple[int, int, int], Fraction] = {}
-    for a, b, c, v in chain(low, ((a, b, c, g * w) for a, k, c, w in entries for b, g in gram[k])):
-        key = (a, b, c) if a <= b else (b, a, c)
-        sums[key] = sums.get(key, 0) + (v + v if a == b else v)
-    return [(*key, v) for key, v in sorted(sums.items()) if v]
+    gram, ad, alg_den = m.form._cleared, m.algebra._ad, m.algebra._den
+    sums: dict[tuple[int, int, int], int] = {}
+    for i, j in m.algebra._table:
+        for b, v in _times(gram, ad[i][j].items()).items():
+            for a, c, x in ((i, j, den * v), (j, i, -den * v)):
+                key = (a, b, c) if a <= b else (b, a, c)
+                sums[key] = sums.get(key, 0) + (x + x if a == b else x)
+    for a, k, c, w in entries:
+        w *= alg_den
+        for b, g in gram[k]:
+            key = (a, b, c) if a <= b else (b, a, c)
+            sums[key] = sums.get(key, 0) + (2 * g * w if a == b else g * w)
+    return den * m.form._den * alg_den, [(*key, v) for key, v in sorted(sums.items()) if v]
 
 
 @dataclass(frozen=True)
@@ -507,12 +543,16 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
             True, "form restricted to n' is degenerate; identities do not apply",
             nprime.basis, ()
         )
+    # Dots over n''s int rows x'_i = L' x_i and m's lowered tensor at scale S: each is S L'^2 <[e_a, x_i], x_j>.
+    (scale, low), (den, xs) = m._lowered, nprime._int_rows
+    xs = list(xs.values())
+    ys = [dict(x) for x in xs]
+    scale *= den * den
     violations = []
-    rows, low = nprime.basis.rows, m._lowered
     for a in range(m.dim):
-        lowered = [low.get((a, c), {}).items() for c in range(m.dim)]  # row c: the <[e_a, e_c], e_b> as (b, value)
-        images = [_times(lowered, xs) for xs in nprime.rows]  # images[i][b] = <[e_a, x_i], e_b>
-        dots = [[sum(v * y[b] for b, v in image.items()) for y in rows] for image in images]  # <[e_a, x_i], x_j>
-        pairs = ((i, j) for i in range(len(rows)) for j in range(i, len(rows)))
-        violations += [(a, i, j, d) for i, j in pairs if (d := dots[i][j] + dots[j][i])]
+        lowered = [low.get((a, c), {}).items() for c in range(m.dim)]  # row c: the S <[e_a, e_c], e_b> as (b, value)
+        images = [_times(lowered, x) for x in xs]  # images[i][b] = S L' <[e_a, x_i], e_b>
+        dots = [[sum([v * y[b] for b, v in image.items() if b in y]) for y in ys] for image in images]
+        pairs = ((i, j) for i in range(len(xs)) for j in range(i, len(xs)))
+        violations += [(a, i, j, Fraction(d, scale)) for i, j in pairs if (d := dots[i][j] + dots[j][i])]
     return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))

@@ -22,7 +22,16 @@ from functools import cached_property
 from itertools import chain
 
 from gonil.lie import LieAlgebra, _check_ambient
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _int_row, _row_space, _times
+from gonil.linalg import (
+    DimensionMismatch,
+    Matrix,
+    Subspace,
+    _common_denominator,
+    _commutator_entries,
+    _row_space,
+    _scaled,
+    _times,
+)
 from gonil.metric import MetricLieAlgebra, SymForm, _indexed, _skew_rows
 
 
@@ -41,7 +50,7 @@ class OperatorSpace:
     @classmethod
     def from_operators(cls, ambient_dim: int, ops) -> OperatorSpace:
         size = ambient_dim * ambient_dim
-        return cls(ambient_dim, Subspace(size, _row_space(_int_operators(ambient_dim, list(ops)), size)))
+        return cls(ambient_dim, Subspace(size, _row_space(_int_operators(ambient_dim, list(ops))[1], size)))
 
     @property
     def dim(self) -> int:
@@ -100,11 +109,14 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     return _solution_space(alg.dim, alg._derivation_rows)
 
 
-def _int_operators(n: int, ops) -> list[tuple[tuple[int, int], ...]]:
-    """Each n-by-n operator's (row-major index, int) entries, cleared once; DimensionMismatch for any other size."""
+def _int_operators(n: int, ops) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """(L, each n-by-n operator's nonzero entries times L as (row-major index, int) pairs) for L the operators'
+    common denominator, as ``Subspace._int_rows`` clears its rows; DimensionMismatch for any other size."""
     if any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("operator size differs from the algebra's dimension")
-    return [tuple(_int_row(enumerate(op.vectorize())).items()) for op in ops]
+    entries = [[(k, x) for k, x in enumerate(op.vectorize()) if x] for op in ops]
+    den = _common_denominator(x for op in entries for _, x in op)
+    return den, [_scaled(op, den) for op in entries]
 
 
 def _first_defects(indexed, ops) -> list:
@@ -123,7 +135,7 @@ def _first_defects(indexed, ops) -> list:
 
 def derivation_defects(alg: LieAlgebra, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first pair i < j with D[e_i, e_j] != [D e_i, e_j] + [e_i, D e_j], or None."""
-    return _first_defects(_indexed(alg._derivation_rows), _int_operators(alg.dim, ops))
+    return _first_defects(_indexed(alg._derivation_rows), _int_operators(alg.dim, ops)[1])
 
 
 def skew_space(form: SymForm) -> OperatorSpace:
@@ -133,7 +145,7 @@ def skew_space(form: SymForm) -> OperatorSpace:
 
 def skew_defects(form: SymForm, ops) -> list[tuple[int, int] | None]:
     """Per operator D, the first entry (a, b), a <= b, where D^T G + G D is nonzero, or None."""
-    return _first_defects(_indexed(_skew_rows(form)), _int_operators(form.dim, ops))
+    return _first_defects(_indexed(_skew_rows(form)), _int_operators(form.dim, ops)[1])
 
 
 def _solution_space(n: int, keyed_rows) -> OperatorSpace:

@@ -6,9 +6,9 @@ the complement Subspace it returns.  Pairings, restricted Gram matrices and the
 products G w (``linalg._times``) are sums over the nonzero entries of the Gram
 matrix and of a subspace's rows.  The frozen SymForm and MetricLieAlgebra keep
 what they fix on first use (nonzero entries, the Gram matrix cleared to ints
-and diagonalized, signature, n', v, the isotropy identity rows, in ints, and
-their index, the lowered brackets); no kept value is ever mutated, so none goes
-stale.
+by its common denominator and diagonalized, signature, n', v, the isotropy
+identity rows, in ints, and their index, the lowered brackets, in ints with
+their scale); no kept value is ever mutated, so none goes stale.
 """
 
 from __future__ import annotations
@@ -59,9 +59,12 @@ class SymForm:
         return _sparse_rows(self.gram.rows)
 
     @cached_property
-    def _cleared(self) -> tuple[tuple[tuple[int, int], ...], ...]:  # G's nonzero entries times their common denominator
-        den = _common_denominator(x for row in self._sparse for _, x in row)
-        return tuple(_scaled(row, den) for row in self._sparse)
+    def _den(self) -> int:  # the common denominator of G's entries
+        return _common_denominator(x for row in self._sparse for _, x in row)
+
+    @cached_property
+    def _cleared(self) -> tuple[tuple[tuple[int, int], ...], ...]:  # G's nonzero entries times _den
+        return tuple(_scaled(row, self._den) for row in self._sparse)
 
     @cached_property
     def _diagonal(self) -> tuple[Matrix, Vec]:  # congruence basis rows and values; checked symmetric on construction
@@ -142,13 +145,16 @@ class MetricLieAlgebra:
         return [_indexed(rows) for rows in self._isotropy_rows]
 
     @cached_property
-    def _lowered(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        """The nonzero <[e_a, e_c], e_b> as {(a, c): {b: value}}, from the bracket table and the form's nonzeros."""
-        gram, low = self.form._sparse, {}
-        for (i, j), targets in self.algebra._table.items():
-            if row := {b: x for b, x in _times(gram, targets.items()).items() if x}:
+    def _lowered(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
+        """(S, the nonzero S <[e_a, e_c], e_b> as {(a, c): {b: int}}) for S the form's ``_den`` times the algebra's.
+
+        Summed in ints from the algebra's cleared bracket view ``_ad`` and the cleared Gram matrix.
+        """
+        gram, ad, low = self.form._cleared, self.algebra._ad, {}
+        for i, j in self.algebra._table:
+            if row := {b: x for b, x in _times(gram, ad[i][j].items()).items() if x}:
                 low[i, j], low[j, i] = row, {b: -x for b, x in row.items()}
-        return low
+        return self.form._den * self.algebra._den, low
 
     def __eq__(self, other) -> bool:
         return (

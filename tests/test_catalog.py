@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -146,3 +147,73 @@ def test_catalog_mismatch_detected(monkeypatch):
     monkeypatch.setitem(cat._BUILDERS, "heis3", broken)
     with pytest.raises(CatalogError, match="pinned"):
         cat.build_example("heis3")
+
+
+def _nudged(paper):
+    # One witness entry moved by 1/3: the first polarized value printed is not an integer.
+    ops = list(paper.witness_operators)
+    ops[4] = ops[4] + Matrix([[Fraction(1, 3) if (i, j) == (2, 7) else 0 for j in range(12)] for i in range(12)])
+    return NamedExample("nudged", paper.algebra, {}, tuple(ops))
+
+
+def _perturbed(paper):
+    rows = [list(r) for r in paper.algebra.form.gram.rows]
+    rows[3][3] = Fraction(2)
+    perturbed = MetricLieAlgebra(paper.algebra.algebra, SymForm(Matrix(rows)))
+    return NamedExample("perturbed", perturbed, {}, paper.witness_operators)
+
+
+def _thinned(paper):
+    table = paper.algebra.algebra.table
+    del table[(0, 3)]
+    thinned = MetricLieAlgebra(LieAlgebra(12, table), paper.algebra.form)
+    return NamedExample("thinned", thinned, {}, paper.witness_operators)
+
+
+def _halved(paper):
+    ops = list(paper.witness_operators)
+    b = next(b for b, op in enumerate(ops) if any(x.denominator == 1 and x % 2 for x in op.vectorize()))
+    ops[b] = ops[b].scale(Fraction(1, 2))
+    return NamedExample("halved", paper.algebra, {}, tuple(ops))
+
+
+# sha256 of verify-paper's report lines, joined by newlines, on failing variants, and the first nonzero
+# polarized value that the go_polarized line prints; the digests were taken before the polarized and
+# witness checks were summed in integers.
+FAIL_REPORTS = {
+    "perturbed": (
+        _perturbed,
+        "60b474edba849eda92bb86aeaa84931c04675bdd2d85ab857b277f763e669f93",
+        "(0, 3, 5, Fraction(1, 1))",
+    ),
+    "thinned": (
+        _thinned,
+        "dc79f6455b208e2907d0b3494851c9e714bfd458bda0bb6c953c2281d5b299c8",
+        "(0, 8, 3, Fraction(-1, 1))",
+    ),
+    "halved": (
+        _halved,
+        "69278dd38d0d6157cdf023a2d8afe316e6bc8840e67ea1abfc7eec2f6e6a7a7c",
+        "(0, 1, 2, Fraction(-1, 2))",
+    ),
+    "short": (
+        lambda paper: NamedExample("short", paper.algebra, {}, paper.witness_operators[:-1]),
+        "2a7c1c7513fe14f67ebf3d9258b1275c93cb4ba971e405ac5b8f33c0e0159e6f",
+        "('missing witnesses',)",
+    ),
+    "nudged": (
+        _nudged,
+        "757945c77fd59d9630071d5c949d0166f274d9d6a8d95834cc4a4cac30d988ab",
+        "(4, 5, 7, Fraction(1, 3))",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FAIL_REPORTS))
+def test_verify_paper_fail_reports_keep_their_bytes(paper, name):
+    build, digest, first = FAIL_REPORTS[name]
+    lines = verify_paper_example(build(paper)).lines()
+    assert lines[-1].startswith("SUMMARY: FAIL")
+    polarized = next(line for line in lines if line.startswith("CHECK[go_polarized]"))
+    assert polarized.endswith(f"first at [{first}])")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest

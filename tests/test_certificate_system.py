@@ -12,9 +12,11 @@ integer per-certificate check accepts exactly the certificates that
 the built system: no matrix is built, multiplied or solved densely.
 """
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
@@ -148,10 +150,14 @@ def _linear_result(m, h):
     return None if cert is None else cert.coeffs
 
 
-def test_linear_certificate_matches_dense_assembly_on_catalog(spaces):
+def test_linear_certificate_matches_dense_assembly_on_catalog(checked_spaces):
     # The counterexample has <[e_a, e_b], e_a> != 0, a diagonal monomial term.
+    # In the rescaled entries the bracket table, the Gram matrix and h's basis
+    # all carry denominators, so the integer check reads three scales.
     m = necessary_condition_counterexample()
-    for m, h in list(spaces.values()) + [(m, isotropy_algebra(m))]:
+    pairs = list(checked_spaces.values()) + [(m, isotropy_algebra(m))]
+    assert any(m.algebra._den > 1 and m.form._den > 1 and h.span._int_rows[0] > 1 for m, h in pairs)
+    for m, h in pairs:
         assert _linear_result(m, h) == linear_certificate_by_dense_assembly(m, h)
 
 
@@ -308,20 +314,29 @@ def test_null_vector_certificate_with_nonzero_k():
     assert go_certificate_at(m, iso, t).k == 0
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES + ("de5/sheared",))
-def test_system_tensors_match_their_dense_products(spaces, name):
+@pytest.mark.parametrize("name", CHECKED_NAMES + ("de5/sheared",))
+def test_system_tensors_match_their_dense_products(checked_spaces, name):
     # paired is G D_j summed over D_j's kept nonzero entries, ops those entries;
-    # both must equal the dense products' entries, cleared as documented.
+    # both must equal the dense products' entries, cleared as documented.  The
+    # tensors are summed in ints from the cleared Gram matrix, h's int rows and
+    # the int lowered tensor, and divided by what their scale shares with every
+    # entry: the factor left is the least common denominator of G, the G D_j
+    # and the lowered brackets, as when they were summed in Fractions.
     if name == "de5/sheared":  # a Gram matrix with off-diagonal entries
-        m = sheared(spaces["de5"][0])
+        m = sheared(checked_spaces["de5"][0])
         h = isotropy_algebra(m)
     else:
-        m, h = spaces[name]
+        m, h = checked_spaces[name]
     system = _CertificateSystem.build(m, h)
     paired, ops = certificate_tensors_by_dense_products(m, h)
     b, ((e, v),) = next((b, row[:1]) for b, row in enumerate(system.gram_rows) if row)
     den = v / m.form.gram[b, e]  # the common denominator the tensors were cleared by
-    assert den.denominator == 1 and den > 0
+    low = lowered_brackets(m)  # low[a][c][b] = <[e_a, e_c], e_b>
+    values = chain(chain(*m.form.gram.rows), (x for entries in paired for *_, x in entries), chain(*chain(*low)))
+    assert den == math.lcm(*[x.denominator for x in values])
+    n = m.dim
+    quadratic = [(a, c, b, low[a][c][b] * den) for a in range(n) for c in range(n) for b in range(n) if low[a][c][b]]
+    assert system.quadratic == tuple(quadratic)
     assert system.paired == tuple(tuple((e, b, x * den) for e, b, x in entries) for entries in paired)
     assert system.ops == tuple(tuple((k, c, x * system.op_den) for k, c, x in entries) for entries in ops)
     assert system.op_den == h.span._int_rows[0]  # the span's one integer view, not cleared again

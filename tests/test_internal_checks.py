@@ -121,6 +121,55 @@ def test_internal_checks_fire_under_python_O():
     ]
 
 
+_UNDER_O_RESCALED = """
+from dataclasses import replace
+from fractions import Fraction
+
+from conftest import rescaled
+from gonil import go_engine
+from gonil.catalog import build_example
+from gonil.isotropy import isotropy_algebra
+
+assert False, "assert statements must be stripped under -O"
+
+m = rescaled(build_example("de5").algebra, [Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(-5, 4), Fraction(1)])
+h = isotropy_algebra(m)
+print("denominators:", m.algebra._den, m.form._den, h.span._int_rows[0])
+print("linear:", go_engine.linear_go_certificate(m, h) is not None)
+system = go_engine._CertificateSystem.build(m, h)
+cert = go_engine.go_certificate_at(m, h, [Fraction(x, 3) for x in (2, -1, 4, 5, -3)], _system=system)
+try:
+    go_engine._verify_certificate(system, replace(cert, k=cert.k + 1), *go_engine._integer_vector(cert.T))
+except AssertionError as exc:
+    print("k+1:", exc)
+solve = go_engine._solve_rows
+go_engine._solve_rows = lambda rows, ncols: (lambda x: (x[0] + 1,) + x[1:])(solve(rows, ncols))
+try:
+    go_engine.linear_go_certificate(m, h)
+except AssertionError as exc:
+    print("linear:", exc)
+"""
+
+
+def test_internal_checks_fire_under_python_O_on_a_rescaled_algebra():
+    # de5 with rational basis scales: the bracket table, the Gram matrix and
+    # the isotropy basis all carry denominators that the integer checks clear.
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(SRC.parent), str(tests), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O_RESCALED], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert all(int(x) > 1 for x in lines[0].removeprefix("denominators: ").split()), lines[0]
+    assert lines[1:] == [
+        "linear: True",
+        "k+1: internal: certificate fails its defining identity",
+        "linear: internal: linear certificate fails polarized identity",
+    ]
+
+
 def test_polarized_defects_match_pairing_oracle_on_perturbed_witnesses(paper):
     m = paper.algebra
     rng = random.Random(7)

@@ -127,7 +127,7 @@ def test_isotropy_defects_read_the_defects_of_fresh_rows():
             elif change == "skew":
                 op = op + data.draw(st.sampled_from(skew_bases[name])).scale(data.draw(NONZERO))
             ops.append(op)
-        skew, derivation = _isotropy_defects(m, _int_operators(m.dim, ops))
+        skew, derivation = _isotropy_defects(m, _int_operators(m.dim, ops)[1])
         assert [skew, derivation] == [skew_defects(m.form, ops), derivation_defects(m.algebra, ops)]
         reached.update(zip((s is None for s in skew), (d is None for d in derivation)))
 
@@ -146,9 +146,9 @@ SUBISOTROPY.update((name, (m, isotropy_algebra(m))) for name, m in RESCALED.item
 
 
 def test_integer_defect_sums_match_the_fraction_evaluation():
-    # The kept identity rows hold ints, and each operator's entries are cleared
-    # once, by _int_operators, before they are summed; any other positive
-    # multiple of them reads the same defects.  The oracle sums the rational
+    # The kept identity rows hold ints, and the operators' entries are cleared
+    # once, by _int_operators' common denominator, before they are summed; any
+    # other positive multiple of them reads the same defects.  The oracle sums the rational
     # entries over the same index in Fractions.  The operators combine
     # an isotropy basis (three of them rescaled, so rows and basis carry
     # denominators) with mixed-denominator coefficients, some with one entry
@@ -170,7 +170,7 @@ def test_integer_defect_sums_match_the_fraction_evaluation():
             ops.append(op)
         sparse = [_sparse_rows(op.rows) for op in ops]
         expected = [first_defects_in_fractions(m.dim, index, sparse) for index in m._isotropy_index]
-        cleared = _int_operators(m.dim, ops)
+        _, cleared = _int_operators(m.dim, ops)
         assert _isotropy_defects(m, cleared) == expected
         scale = data.draw(st.integers(2, 7))
         assert _isotropy_defects(m, [[(k, scale * v) for k, v in op] for op in cleared]) == expected

@@ -50,6 +50,7 @@ UNREFERENCED_BUT_KEPT = {
     "derivation_defects": "the tested entry point to the live _first_defects, as skew_defects is",
     "extension_data_to_dict": "writes the extension-data JSON that `gonil extend --data` reads",
     "from_basis": "Subspace.from_basis, the public entry for a dense reduced basis, which the test oracles use",
+    "polarized_defects": "the entry point for dense operators to _polarized_defects, which verify-paper calls with its cleared witnesses",
     "radical": "SymForm.radical, the whole-space case of radical_of_restriction",
     "scale": "Matrix.scale, which README's removed names give as the replacement for combine",
     "solving": "Subspace.solving, the public entry for rational (column, value) rows (README); the package builds int rows",
