@@ -23,6 +23,7 @@ from gonil.linalg import (
     Subspace,
     Vec,
     _ZERO,
+    _to_fractions,
     fmt_vec,
     solve_particular,
     vec_add,
@@ -35,7 +36,6 @@ from gonil.metric import (
     orth_complement,
     quotient_form,
     radical_of_restriction,
-    restrict_form,
 )
 
 
@@ -57,7 +57,7 @@ class DegeneracyCase:
 
 def classify_degeneracy(m: MetricLieAlgebra) -> DegeneracyCase:
     """Signature of the form on [n, n] and the matching reduction case."""
-    sig = restrict_form(m, m.nprime()).signature()
+    sig = m._nprime_form.signature()
     p, q, r = sig
     if r == 0:
         tag = DegeneracyTag.NONDEGENERATE
@@ -242,20 +242,21 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     witness = reduction_witness(m, h)
     eg, m1 = witness.eg, witness.m1
     form, comp = quotient_form(m, m1, eg)
-    rows, den = comp.rows, eg._int_rows[0]
 
-    def comp_coords(rest: dict[int, Fraction]) -> Vec:
-        # eg._contains_entries leaves den times rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
+    def comp_coords(rest: dict[int, int], den: int) -> dict[int, Fraction]:  # rest / den's nonzero comp coordinates
+        # eg._contains_entries leaves eg.den rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
         eg._contains_entries(rest)
-        coords = tuple(c / den if (c := rest.get(p)) else _ZERO for p in comp.pivots)
+        coords = [(t, c) for t, p in enumerate(comp.pivots) if (c := rest.get(p))]
         if not m1._contains_entries(rest):
             raise AssertionError("internal: vector outside m1")
-        return coords
+        return dict(_to_fractions(den * eg.den, coords))
 
+    # The brackets of comp's stored rows, comp.den times its basis, in ints: each is L comp.den^2 times the bracket.
+    rows, scale = comp.entries, m.algebra._den * comp.den * comp.den
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, x in enumerate(rows):
         for j in range(i + 1, len(rows)):
-            if entry := {t: c for t, c in enumerate(comp_coords(m.algebra._bracket(x, rows[j]))) if c}:
+            if entry := comp_coords(m.algebra._bracket_sum(x, rows[j]), scale):
                 brackets[(i, j)] = entry
     m0 = MetricLieAlgebra.checked(LieAlgebra(comp.dim, brackets), form)
 
@@ -266,7 +267,8 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
             f"({sig.p - d},{sig.q - d},0), got {tuple(sig0)}",
             witness,
         )
-    projection = Matrix(zip(*[comp_coords(dict(row)) for row in m1.rows]), ncols=m1.dim)
+    columns = [comp_coords(dict(row), m1.den) for row in m1.entries]
+    projection = Matrix([[c.get(t, _ZERO) for c in columns] for t in range(comp.dim)], ncols=m1.dim)
     return QuotientResult(m0, projection, comp.basis, witness)
 
 

@@ -8,8 +8,8 @@ ideal, no projection is needed in the bracket term.
 
 The bracket identities are summed over nonzero structure constants only, and
 in ints: the lowered bracket tensor <[e_a, e_c], e_b> is kept on the metric
-algebra in ints, with its scale, built once from the bracket table's int view
-and the cleared Gram matrix; the polarized identity reads the table's int view
+algebra in ints, with its scale, built once from the stored int bracket table
+and the cleared Gram matrix; the polarized identity reads that table
 and the cleared Gram matrix itself, and operators enter by their nonzero
 entries, cleared to ints at one common scale.
 
@@ -41,17 +41,17 @@ from gonil.linalg import (
     DimensionMismatch,
     Matrix,
     Vec,
-    _common_denominator,
-    _scaled,
     _solve_rows,
     _times,
+    _to_fractions,
+    _to_ints,
     fmt_vec,
     rational_sqrt,
     to_vec,
     vec_add,
     vec_scale,
 )
-from gonil.metric import MetricLieAlgebra, restrict_form
+from gonil.metric import MetricLieAlgebra
 
 class GOEngineError(ValueError):
     """Invalid input to a certification routine."""
@@ -146,7 +146,7 @@ def check_subisotropy(m: MetricLieAlgebra, h: OperatorSpace) -> None:
     """Verify that every basis operator of h, by its kept nonzero entries, solves the isotropy rows m keeps."""
     if h.ambient_dim != m.dim:
         raise GOEngineError("operator space dimension differs from the algebra")
-    for skew, defect in zip(*_isotropy_defects(m, h.span._int_rows[1].values())):
+    for skew, defect in zip(*_isotropy_defects(m, h.span.entries)):
         if skew is not None:
             raise GOEngineError("operator space is not inside the isotropy algebra (skewness fails)")
         if defect is not None:
@@ -195,7 +195,7 @@ class _CertificateSystem:
 
     all three multiplied by L, the least common denominator of their entries,
     so they hold ints.  They are summed in ints, from the cleared Gram matrix,
-    h's integer view and m's integer lowered tensor, brought to one common
+    h's stored int entries and m's integer lowered tensor, brought to one common
     factor and divided by the gcd of that factor and every entry, which
     leaves L.  With T = T' / d for an integer vector T' and d > 0,
     row b times L d^2 has coefficients d <D_j e_b, T'> and -d <T', e_b> and
@@ -210,8 +210,8 @@ class _CertificateSystem:
     sample leaves out one row b with T'_b != 0 and solves the other n - 1.
 
     ``ops`` holds h's basis entries as (row, column, int) triples, split once
-    from ``h.span._int_rows``: the entries times their least common
-    denominator ``op_den``, the span's one integer view.  It feeds only the
+    from the span's stored entries: the entries times their least common
+    denominator ``op_den``, the span's ``den``.  It feeds only the
     certificate checks, which do not read the tensors above, but the cleared
     Gram matrix and bracket table that m keeps.
     """
@@ -229,9 +229,9 @@ class _CertificateSystem:
         """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
         check_subisotropy(m, h)
         n, gram_rows, alg_den = m.dim, m.form._cleared, m.algebra._den
-        op_den, ops = h.span._int_rows
+        op_den, ops = h.span.den, h.span.entries
         paired = []
-        for entries in ops.values():  # (G' D'_j)[e][b] = sum_k G'[k][e] D'_j[k][b], G' symmetric
+        for entries in ops:  # (G' D'_j)[e][b] = sum_k G'[k][e] D'_j[k][b], G' symmetric
             acc: dict[tuple[int, int], int] = {}
             for kb, v in entries:
                 k, b = divmod(kb, n)
@@ -251,7 +251,7 @@ class _CertificateSystem:
             gram_rows,
             paired,
             quadratic,
-            tuple(tuple((*divmod(k, n), v) for k, v in entries) for entries in ops.values()),
+            tuple(tuple((*divmod(k, n), v) for k, v in entries) for entries in ops),
             op_den,
         )
 
@@ -418,7 +418,7 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     a single linear system in the dim(h) * n coefficients of the map.
     Feasibility is sufficient for the geodesic-orbit property; infeasibility
     only rules out linear witnesses with k = 0.  The solution is checked on
-    the polarized identity in ints, from h's integer view, not from the
+    the polarized identity in ints, from h's stored int entries, not from the
     system's tensors.
     """
     system = _CertificateSystem.build(m, h)
@@ -450,9 +450,8 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     if x is None:
         return None
     # A(e_a) = sum_j x[j * n + a] D_j: q op_den A(e_a) from x times q and h's int entries, q x's common denominator
-    nonzero = [(*divmod(k, n), v) for k, v in enumerate(x) if v]  # (j, a, x[j * n + a])
-    q = _common_denominator(v for *_, v in nonzero)
-    witness = ((a, k, c, w * v) for j, a, w in _scaled(nonzero, q) for k, c, v in system.ops[j])
+    q, (xs,) = _to_ints([enumerate(x)])
+    witness = ((ja % n, k, c, w * v) for ja, w in xs for k, c, v in system.ops[ja // n])
     if _polarized_sums(m, witness, q * system.op_den)[1]:
         raise AssertionError("internal: linear certificate fails polarized identity")
     return LinearGOCertificate(Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n))
@@ -480,7 +479,7 @@ def _polarized_defects(m: MetricLieAlgebra, den: int, ops) -> list[tuple[int, in
     """``polarized_defects`` of the A(e_a) whose (row-major index, int) entries ops[a] hold den A(e_a)'s nonzeros."""
     n = m.dim
     scale, sums = _polarized_sums(m, ((a, *divmod(kc, n), w) for a, op in enumerate(ops) for kc, w in op), den)
-    return [(a, b, c, Fraction(v, scale)) for a, b, c, v in sums]
+    return list(_to_fractions(scale, sums))
 
 
 def _polarized_sums(m: MetricLieAlgebra, entries, den: int) -> tuple[int, list[tuple[int, int, int, int]]]:
@@ -492,10 +491,10 @@ def _polarized_sums(m: MetricLieAlgebra, entries, den: int) -> tuple[int, list[t
     G'[b][k] w counts L times, into the key (min(a, b), max(a, b), c), twice
     when a = b; the sorted keys are the order of the loop over a <= b, then c.
     """
-    gram, ad, alg_den = m.form._cleared, m.algebra._ad, m.algebra._den
+    gram, alg_den = m.form._cleared, m.algebra._den
     sums: dict[tuple[int, int, int], int] = {}
-    for i, j in m.algebra._table:
-        for b, v in _times(gram, ad[i][j].items()).items():
+    for (i, j), targets in m.algebra._table.items():
+        for b, v in _times(gram, targets.items()).items():
             for a, c, x in ((i, j, den * v), (j, i, -den * v)):
                 key = (a, b, c) if a <= b else (b, a, c)
                 sums[key] = sums.get(key, 0) + (x + x if a == b else x)
@@ -537,22 +536,19 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
     does not apply and is skipped with a notice.
     """
     nprime = m.nprime()
-    restricted = restrict_form(m, nprime)
-    if restricted.signature().r != 0:
+    if m._nprime_form.signature().r != 0:
         return NecessaryConditionReport(
             True, "form restricted to n' is degenerate; identities do not apply",
             nprime.basis, ()
         )
-    # Dots over n''s int rows x'_i = L' x_i and m's lowered tensor at scale S: each is S L'^2 <[e_a, x_i], x_j>.
-    (scale, low), (den, xs) = m._lowered, nprime._int_rows
-    xs = list(xs.values())
+    # Dots over n''s stored rows x'_i = L' x_i and m's lowered tensor at scale S: each is S L'^2 <[e_a, x_i], x_j>.
+    (scale, low), den, xs = m._lowered, nprime.den, nprime.entries
     ys = [dict(x) for x in xs]
-    scale *= den * den
     violations = []
     for a in range(m.dim):
         lowered = [low.get((a, c), {}).items() for c in range(m.dim)]  # row c: the S <[e_a, e_c], e_b> as (b, value)
         images = [_times(lowered, x) for x in xs]  # images[i][b] = S L' <[e_a, x_i], e_b>
         dots = [[sum([v * y[b] for b, v in image.items() if b in y]) for y in ys] for image in images]
         pairs = ((i, j) for i in range(len(xs)) for j in range(i, len(xs)))
-        violations += [(a, i, j, Fraction(d, scale)) for i, j in pairs if (d := dots[i][j] + dots[j][i])]
-    return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))
+        violations += [(a, i, j, d) for i, j in pairs if (d := dots[i][j] + dots[j][i])]
+    return NecessaryConditionReport(False, "", nprime.basis, _to_fractions(scale * den * den, violations))

@@ -1,10 +1,9 @@
 """Derivations, skew-symmetric operators, and the isotropy algebra.
 
 An OperatorSpace is stored once, as the Subspace of its operators' row-major
-entries, canonical in reduced echelon form: equality is equality of bases,
-and membership and coordinates are read at the pivots.  Its entries are
-cleared to ints once, in that Subspace's ``_int_rows``, which every integer
-reader takes; the dense basis is built only when read.  The closure and
+entries, canonical in reduced echelon form and held in ints at one scale:
+equality is equality of bases, and membership and coordinates are read at
+the pivots; the dense basis is built only when read.  The closure and
 invariance checks run in integers: the closure check forms a commutator only
 where one operator's columns meet the other's rows, and the invariance check
 tests V or, when dim V > n/2, its annihilator under the transposes, each
@@ -26,11 +25,10 @@ from gonil.linalg import (
     DimensionMismatch,
     Matrix,
     Subspace,
-    _common_denominator,
     _commutator_entries,
     _row_space,
-    _scaled,
     _times,
+    _to_ints,
 )
 from gonil.metric import MetricLieAlgebra, SymForm, _indexed, _skew_rows
 
@@ -50,7 +48,7 @@ class OperatorSpace:
     @classmethod
     def from_operators(cls, ambient_dim: int, ops) -> OperatorSpace:
         size = ambient_dim * ambient_dim
-        return cls(ambient_dim, Subspace(size, _row_space(_int_operators(ambient_dim, list(ops))[1], size)))
+        return cls(ambient_dim, Subspace(size, *_row_space(_int_operators(ambient_dim, list(ops))[1], size)))
 
     @property
     def dim(self) -> int:
@@ -62,13 +60,11 @@ class OperatorSpace:
 
     @cached_property
     def _cleared(self) -> list[list[list[tuple[int, int]]]]:
-        """Each basis operator's span._int_rows entries split by row: (column, int) pairs, times the span's L.
-
-        A positive scalar changes no membership, so the closure and invariance checks read these.
-        """
+        """Each basis operator's stored span entries split by row: (column, int) pairs, times the span's ``den``;
+        a positive scalar changes no membership, so the closure and invariance checks read these."""
         n = self.ambient_dim
         out = [[[] for _ in range(n)] for _ in range(self.dim)]
-        for op, entries in zip(out, self.span._int_rows[1].values()):
+        for op, entries in zip(out, self.span.entries):
             for k, v in entries:
                 op[k // n].append((k % n, v))
         return out
@@ -109,14 +105,12 @@ def derivation_space(alg: LieAlgebra) -> OperatorSpace:
     return _solution_space(alg.dim, alg._derivation_rows)
 
 
-def _int_operators(n: int, ops) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+def _int_operators(n: int, ops) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """(L, each n-by-n operator's nonzero entries times L as (row-major index, int) pairs) for L the operators'
-    common denominator, as ``Subspace._int_rows`` clears its rows; DimensionMismatch for any other size."""
+    least common denominator, as a Subspace stores its rows; DimensionMismatch for any other size."""
     if any(op.nrows != n or op.ncols != n for op in ops):
         raise DimensionMismatch("operator size differs from the algebra's dimension")
-    entries = [[(k, x) for k, x in enumerate(op.vectorize()) if x] for op in ops]
-    den = _common_denominator(x for op in entries for _, x in op)
-    return den, [_scaled(op, den) for op in entries]
+    return _to_ints(enumerate(op.vectorize()) for op in ops)
 
 
 def _first_defects(indexed, ops) -> list:
@@ -184,11 +178,11 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
     elif h.ambient_dim != m.dim:
         raise DimensionMismatch("operator space dimension differs from the algebra")
     if 2 * v.dim <= m.dim:
-        xs = [dict(x) for x in v._int_rows[1].values()]
+        xs = [dict(x) for x in v.entries]
         return all(
             v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
             for d in h._cleared
             for x in xs
         )
     w = v.annihilator()
-    return all(w._contains_entries(_times(d, y)) for d in h._cleared for y in w._int_rows[1].values())
+    return all(w._contains_entries(_times(d, y)) for d in h._cleared for y in w.entries)

@@ -1,15 +1,15 @@
 """Lie algebras given by sparse structure constants.
 
-A bracket table stores only pairs (i, j) with i < j; its antisymmetric view
-ad[i][j] = L [e_i, e_j], in ints for L the table's common denominator, is
-built once at construction.  Every bracket (of vectors, basis vectors or
-subspaces, so the series and the ideal test) sums x_i y_j [e_i, e_j] over
-nonzero x_i, y_j; the transporter, the derivation identity's int rows and the
-Jacobi sums read the view the same way, and the rows they hand elimination
-stay in ints.  The derivation rows are listed once per algebra and kept: the
-Jacobi check, the derivation space and defects and the isotropy rows read that
-one list.  The Jacobi identity is validated on construction unless the caller
-explicitly opts out (needed to inspect broken candidate tables).
+A bracket table is stored once, in ints: L [e_i, e_j] for pairs i < j, for L
+the table's least common denominator, with its antisymmetric view ad sharing
+those rows; the rational ``table`` is built when read.  Every bracket (of
+vectors, basis vectors or subspaces, so the series and the ideal test) sums
+x_i y_j L [e_i, e_j] over nonzero x_i, y_j of stored int rows; the
+transporter, the derivation identity's int rows and the Jacobi sums read the
+view the same way.  The derivation rows are listed once per algebra and kept:
+the Jacobi check, the derivation space and defects and the isotropy rows read
+that one list.  The Jacobi identity is validated on construction unless the
+caller explicitly opts out (needed to inspect broken candidate tables).
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from gonil.linalg import (
-    DimensionMismatch, Subspace, Vec, _ZERO, _common_denominator, _row_space, _scaled, _sparse_rows, basis_vec, to_vec
-)
+from gonil.linalg import DimensionMismatch, Subspace, Vec, _ZERO, _row_space, _to_fractions, _to_ints, basis_vec, to_vec
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, Fraction]]
 
@@ -45,9 +43,10 @@ class EngelError(RuntimeError):
 class LieAlgebra:
     """Finite-dimensional algebra over the rationals with antisymmetric bracket.
 
-    ``_table`` holds [e_i, e_j] for i < j only; ``_ad`` is its antisymmetric view
-    times ``_den``, the table's common denominator, in ints, built once here.
-    ``_kept_rows`` holds the derivation rows once listed; no comparison reads it.
+    ``_table`` holds L [e_i, e_j] for i < j only, as {k: int}, for L = ``_den``
+    the table's least common denominator; ``_ad`` is its antisymmetric view,
+    sharing those dicts, built once here.  The rational ``table`` is built when
+    read.  ``_kept_rows`` holds the derivation rows once listed; no comparison reads it.
     """
 
     __slots__ = ("dim", "_table", "_ad", "_den", "_kept_rows")
@@ -55,26 +54,20 @@ class LieAlgebra:
     def __init__(self, dim: int, brackets: BracketTable, validate: bool = True):
         if dim < 0:
             raise DimensionMismatch(f"dimension {dim} is negative")
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
+        table: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
         for (i, j), targets in brackets.items():
             if not (0 <= i < j < dim):
                 raise DimensionMismatch(f"bracket key ({i},{j}) out of range for dim {dim}")
-            entry = {}
-            for k, c in targets.items():
+            for k in targets:
                 if not 0 <= k < dim:
                     raise DimensionMismatch(f"bracket target {k} out of range for dim {dim}")
-                c = Fraction(c)
-                if c:
-                    entry[k] = c
-            if entry:
-                table[(i, j)] = entry
-        self.dim = dim
-        self._table = table
-        self._kept_rows = None
-        self._den = den = _common_denominator(c for targets in table.values() for c in targets.values())
-        self._ad = ad = [[{}] * dim for _ in range(dim)]  # ad[i][j] = den [e_i, e_j] as {k: int coefficient}
-        for (i, j), targets in table.items():
-            ad[i][j], ad[j][i] = dict(_scaled(targets.items(), den)), dict(_scaled(targets.items(), -den))
+            table[(i, j)] = [(k, Fraction(c)) for k, c in targets.items()]
+        self.dim, self._kept_rows = dim, None
+        self._den, rows = _to_ints(table.values())
+        self._table = {key: dict(row) for key, row in zip(table, rows) if row}
+        self._ad = ad = [[{}] * dim for _ in range(dim)]  # ad[i][j] = L [e_i, e_j] as {k: int coefficient}
+        for (i, j), targets in self._table.items():
+            ad[i][j], ad[j][i] = targets, {k: -c for k, c in targets.items()}
         if validate:
             defects = jacobi_defect(self)
             if defects:
@@ -82,7 +75,7 @@ class LieAlgebra:
 
     @property
     def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
-        return {k: dict(v) for k, v in self._table.items()}
+        return {key: dict(_to_fractions(self._den, targets.items())) for key, targets in self._table.items()}
 
     @property
     def _derivation_rows(self) -> list[tuple[tuple[int, int, int], dict[int, int]]]:  # listed once, never mutated
@@ -99,11 +92,6 @@ class LieAlgebra:
                     out[k] = out.get(k, 0) + a * b * c
         return out
 
-    def _bracket(self, xs, ys) -> dict[int, Fraction]:
-        """sum x_i y_j [e_i, e_j] over the (index, Fraction) pairs xs of x and ys of y, as {index: value}."""
-        out = self._bracket_sum(xs, ys)
-        return out if self._den == 1 else {k: v / self._den for k, v in out.items()}
-
     def bracket_basis(self, i: int, j: int) -> Vec:
         """[e_i, e_j] as a coordinate vector."""
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -114,18 +102,20 @@ class LieAlgebra:
         x, y = to_vec(x), to_vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("bracket arguments must have the algebra's dimension")
-        out = self._bracket(*_sparse_rows((x, y)))
+        den, (xs, ys) = _to_ints((enumerate(x), enumerate(y)))
+        out = dict(_to_fractions(den * den * self._den, self._bracket_sum(xs, ys).items()))
         return tuple(out.get(k, _ZERO) for k in range(self.dim))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LieAlgebra)
             and self.dim == other.dim
+            and self._den == other._den
             and self._table == other._table
         )
 
     def __hash__(self) -> int:
-        return hash((self.dim, tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self._table.items()))))
+        return hash((self.dim, self._den, tuple(sorted((k, tuple(sorted(v.items()))) for k, v in self._table.items()))))
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim}, {len(self._table)} bracket entries)"
@@ -185,12 +175,12 @@ def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """Span of [x, y] over basis vectors x of V and y of W."""
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    sums = (alg._bracket_sum(x, y) for x, y in product(v._int_rows[1].values(), w._int_rows[1].values()))
-    return Subspace(alg.dim, _row_space(({k: c for k, c in s.items() if c}.items() for s in sums), alg.dim))
+    sums = (alg._bracket_sum(x, y) for x, y in product(v.entries, w.entries))
+    return Subspace(alg.dim, *_row_space(({k: c for k, c in s.items() if c}.items() for s in sums), alg.dim))
 
 
 def derived_subalgebra(alg: LieAlgebra) -> Subspace:
-    return Subspace(alg.dim, _row_space((alg._ad[i][j].items() for i, j in alg._table), alg.dim))
+    return Subspace(alg.dim, *_row_space((targets.items() for targets in alg._table.values()), alg.dim))
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
@@ -233,9 +223,9 @@ def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     """
     _check_ambient(alg, v)
     _check_ambient(alg, w)
-    ad, ys = alg._ad, [dict(y) for y in w.annihilator()._int_rows[1].values()]
+    ad, ys = alg._ad, [dict(y) for y in w.annihilator().entries]
     rows = []
-    for u, y in product(v._int_rows[1].values(), ys):
+    for u, y in product(v.entries, ys):
         row: dict[int, int] = {}
         for a, x in u:
             for b, image in enumerate(ad[a]):

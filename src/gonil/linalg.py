@@ -1,23 +1,21 @@
 """Exact rational linear algebra: matrices, solving, kernels, signatures.
 
-Everything here works over arbitrary-precision rationals (``fractions.Fraction``);
-there is no floating point anywhere.  Elimination is fraction-free integer
-Gauss-Jordan over nonzero entries only, so its cost follows the nonzero
-entries, not the system's width: rows enter as {column: nonzero int}, each
-made in integers where it is formed (a kept Subspace's or Gram matrix's cleared
-rows, the bracket table's int view, the identity rows), and come back out
-sparse.  Only the public entries (``Subspace.solving`` and ``span``, ``rref``,
-``solve_particular``) take rational rows, each cleared once by ``_int_row``; a
-positive multiple of a row changes no solution.  The reduced echelon form of a
-row space is unique, so every reduced form is canonical and reproducible across
-runs, platforms and row orders.  A solve stops at the echelon form and
-back-substitutes, which gives the same canonical solution (free unknowns zero)
-without clearing any column.
-A Subspace is stored once, as its reduced rows' (column, value) entries, just
-as kernels and spans come out; its dense basis is built when read.  ``_times``,
-M^T w over M's sparse rows, is the package's one sparse vector product.
-Congruence diagonalization, behind the signature, likewise updates only the
-nonzero entries of its working matrix.
+Everything is exact; there is no floating point anywhere.  Each exact object
+stores one form: a positive scale L, its least common denominator, and its
+nonzero entries times L as ints.  ``_to_ints`` clears rational data to that
+form at the edges (the public entries, the loaders, dense operators), and
+``_to_fractions`` is the one way back, for the public API and the reports.
+Elimination is fraction-free integer Gauss-Jordan over nonzero entries only,
+so its cost follows the nonzero entries, not the system's width: rows enter
+as {column: nonzero int} and its primitive reduced rows are what a Subspace
+stores, scaled by L, the lcm of their pivot entries (or, for a kernel, of
+their reduced denominators).  The reduced echelon form is unique, so every
+stored form is canonical across runs, platforms and row orders.  A solve
+stops at the echelon form and back-substitutes, which gives the same
+canonical solution (free unknowns zero) without clearing any column.
+``_times``, M^T w over M's sparse rows, is the package's one sparse vector
+product.  Congruence diagonalization, behind the signature, is the one
+rational elimination left, over the nonzero entries of its working matrix.
 """
 
 from __future__ import annotations
@@ -219,18 +217,23 @@ def _times(rows, entries) -> dict:
     return out
 
 
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values))
+def _to_ints(rows: Iterable[Iterable[tuple]]) -> tuple[int, tuple[tuple[tuple, ...], ...]]:
+    """(L, each row's entries (..., v) as (..., L v), an int) for L the least common denominator of the rational v,
+    entries of a row with equal leading items added up and zero sums dropped: the one way rational data is cleared."""
+    sums = []
+    for row in rows:
+        sums.append(acc := {})
+        for x in row:
+            if v := x[-1]:
+                key = x[:-1]
+                acc[key] = acc[key] + v if key in acc else v
+    den = math.lcm(*(v.denominator for acc in sums for v in acc.values()))
+    return den, tuple(tuple((*k, v.numerator * (den // v.denominator)) for k, v in acc.items() if v) for acc in sums)
 
 
-def _cleared(v: Fraction, den: int) -> int:
-    """den * v as an int, for a den that v's denominator divides."""
-    return v.numerator * (den // v.denominator)
-
-
-def _scaled(entries: Iterable[tuple], den: int) -> tuple[tuple, ...]:
-    """Each entry (..., v) as (..., den * v) with an int last item."""
-    return tuple((*x[:-1], _cleared(x[-1], den)) for x in entries)
+def _to_fractions(den: int, entries: Iterable[tuple]) -> tuple[tuple, ...]:
+    """Each int entry (..., v) as (..., v / den), a Fraction: the one way stored ints become rationals."""
+    return tuple((*x[:-1], Fraction(x[-1], den)) for x in entries)
 
 
 def _commutator_entries(a: list, b: list) -> dict[int, int | Fraction]:
@@ -313,16 +316,6 @@ def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
     return {j: a // g for j, a in row.items()} if g != 1 else row
 
 
-def _int_row(pairs: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
-    """Rational (column, value) pairs as {column: nonzero int}, a positive multiple of their row; repeats added up."""
-    acc: dict = {}
-    for j, v in pairs:
-        if v:
-            acc[j] = acc[j] + v if j in acc else v
-    den = _common_denominator(acc.values())
-    return {j: _cleared(v, den) for j, v in acc.items() if v}
-
-
 def _echelon(rows: Iterable, ncols: int, flip: bool = False) -> tuple[_IntRows, list[int], _IntRows]:
     """``_eliminate`` of rows of (column, nonzero int) pairs at distinct columns, never mutated; column j is read as
     ncols - 1 - j under ``flip``.  A column outside 0..ncols-1 raises DimensionMismatch, never wraps or drops."""
@@ -335,24 +328,24 @@ def _echelon(rows: Iterable, ncols: int, flip: bool = False) -> tuple[_IntRows, 
     return values, pivots, columns
 
 
-def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tuple[tuple, ...]:
-    """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}, as (column, value) rows.
+def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tuple[int, tuple[tuple, ...]]:
+    """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}, as a Subspace stores it.
 
-    Each row is a {column: nonzero int} dict's items (a multiple of a rational
-    row gives the same basis).  They are eliminated with their columns reversed,
-    so each pivot sits at a row's last nonzero entry.  The vector with 1 at a
-    free column c and -row[c] / row[pivot] at each pivot right of c then has its
-    first nonzero at c and vanishes at every other free column: the basis is
-    read off as is.
+    Each row is a {column: nonzero int} dict's items.  They are eliminated with
+    their columns reversed, so each pivot sits at a row's last nonzero entry.
+    The vector with 1 at a free column c and -a / p at the pivot of each row with
+    p there and a at c vanishes at every other free column: the basis is read
+    off as is, times L, the lcm of the reduced denominators p / gcd(a, p).
     """
     last = ncols - 1
     values, pivots, columns = _echelon(rows, ncols, flip=True)
-    kernel = {c: [(c, _ONE)] for c in sorted(set(range(ncols)).difference(last - pc for pc in pivots))}
+    den = math.lcm(*(vals[0] // math.gcd(a, vals[0]) for vals in values for a in vals[1:]))
+    kernel = {c: [(c, den)] for c in sorted(set(range(ncols)).difference(last - pc for pc in pivots))}
     for vals, cols in zip(reversed(values), reversed(columns)):  # the original pivot columns ascend
         p, pc = vals[0], last - cols[0]
         for a, c in zip(vals[1:], cols[1:]):  # a reduced row is 0 at every other pivot: c is free
-            kernel[last - c].append((pc, Fraction(-a, p)))
-    return tuple(map(tuple, kernel.values()))
+            kernel[last - c].append((pc, -a * den // p))
+    return den, tuple(map(tuple, kernel.values()))
 
 
 def _solve_rows(rows: Iterable[dict[int, int]], ncols: int) -> Vec | None:
@@ -396,10 +389,12 @@ def rref(m: Matrix) -> RRef:
     return RRef(space.basis, space.pivots)
 
 
-def _row_space(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tuple[tuple, ...]:
-    """The reduced echelon rows of ``_kernel_of_rows``'s int rows, each as its (column, value) entries."""
+def _row_space(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tuple[int, tuple[tuple, ...]]:
+    """The reduced echelon rows of ``_kernel_of_rows``'s int rows, as a Subspace stores them: a primitive row
+    with pivot entry p has least common denominator p over p, so L is the pivots' lcm and row p is scaled by L / p."""
     values, _, columns = _echelon(rows, ncols)
-    return tuple(tuple((c, Fraction(a, vals[0])) for a, c in zip(vals, cols)) for vals, cols in zip(values, columns))
+    den = math.lcm(*(vals[0] for vals in values))
+    return den, tuple(tuple(zip(cols, [a * (den // vals[0]) for a in vals])) for vals, cols in zip(values, columns))
 
 
 def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
@@ -408,7 +403,7 @@ def solve_particular(a: Matrix, b: Sequence) -> Vec | None:
     if a.nrows != len(b):
         raise DimensionMismatch("right-hand side length differs from row count")
     n = a.ncols
-    return _solve_rows([_int_row(chain(enumerate(row), ((n, bi),))) for row, bi in zip(a.rows, b)], n)
+    return _solve_rows(map(dict, _to_ints(chain(enumerate(row), ((n, bi),)) for row, bi in zip(a.rows, b))[1]), n)
 
 
 class SignatureTriple(NamedTuple):
@@ -507,27 +502,34 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace, stored once as ``rows``: its reduced echelon rows' (column, value) entries.
+    """A linear subspace, stored once: its reduced echelon rows times ``den``, as (column, int) entries.
 
-    Each row's columns increase from its pivot, where its entry is 1, right of
-    the previous row's pivot; no other row has an entry there.  The form is
-    unique, so ``==`` and ``hash`` compare the rows, and v lies in the span
-    exactly when v = sum_i v[p_i] B_i over the pivots p_i, its coordinates.
-    Other rows raise ValueError, a column outside the space DimensionMismatch.
+    ``den`` is the rows' least common denominator.  Each row's columns increase
+    from its pivot, where its entry is ``den`` (1 in the rational row), right
+    of the previous row's pivot; no other row has an entry there.  The form is
+    unique, so ``==`` and ``hash`` compare it, and v lies in the span exactly
+    when v = sum_i v[p_i] B_i over the pivots p_i, its coordinates.  Other rows
+    raise ValueError, a column outside the space DimensionMismatch.  The
+    rational ``rows`` and dense ``basis`` are built when read.
     """
 
     ambient_dim: int
-    rows: tuple[tuple[tuple[int, Fraction], ...], ...]  # per row, its (column, value) entries
+    den: int
+    entries: tuple[tuple[tuple[int, int], ...], ...]  # per row, its (column, den * value) entries
     pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = self.rows
-        pivots = tuple(row[0][0] if row and row[0][1] == 1 else None for row in rows)
+        den, rows = self.den, self.entries
+        pivots = tuple(row[0][0] if row and row[0][1] == den else None for row in rows)
+        values = [a for row in rows for _, a in row]
         if (
             None in pivots
             or any(a >= b for a, b in zip(pivots, pivots[1:]))
             or any(not a or j <= i for row in rows for (i, _), (j, a) in zip(row, row[1:]))
             or not set(pivots).isdisjoint(j for row in rows for j, _ in row[1:])
+            or any(type(a) is not int for a in (den, *values))
+            or den < 1
+            or math.gcd(den, *values) != 1
         ):
             raise ValueError("subspace basis is not in reduced echelon form")
         if rows and (pivots[0] < 0 or max(row[-1][0] for row in rows) >= self.ambient_dim):
@@ -538,36 +540,41 @@ class Subspace:
     def from_basis(cls, ambient_dim: int, basis: Matrix) -> Subspace:
         if basis.ncols != ambient_dim:
             raise DimensionMismatch("subspace basis width differs from its ambient dimension")
-        return cls(ambient_dim, tuple(map(tuple, _sparse_rows(basis.rows))))
+        return cls(ambient_dim, *_to_ints(map(enumerate, basis.rows)))
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> Subspace:
         rows = tuple(to_vec(v) for v in vectors)
         if any(len(r) != ambient_dim for r in rows):
             raise DimensionMismatch("spanning vector has wrong length")
-        return cls(ambient_dim, _row_space((_int_row(enumerate(row)).items() for row in rows), ambient_dim))
+        return cls(ambient_dim, *_row_space(_to_ints(map(enumerate, rows))[1], ambient_dim))
 
     @classmethod
     def solving(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, Fraction]]]) -> Subspace:
-        """{x : sum v x_j = 0 over each row's (column, value) pairs (j, v)}; no rows give the whole space."""
-        return cls._kernel(ambient_dim, (_int_row(row).items() for row in rows))
+        """{x : sum v x_j = 0 over each row's (column, value) pairs (j, v), repeats added}; no rows: the whole space."""
+        return cls._kernel(ambient_dim, _to_ints(rows)[1])
 
     @classmethod
     def _kernel(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]]) -> Subspace:
         """``solving`` for the int rows ``_kernel_of_rows`` takes, which is looked up when called."""
-        return cls(ambient_dim, _kernel_of_rows(rows, ambient_dim))
+        return cls(ambient_dim, *_kernel_of_rows(rows, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, ())
+        return cls(ambient_dim, 1, ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> Subspace:
-        return cls(ambient_dim, tuple(((i, _ONE),) for i in range(ambient_dim)))
+        return cls(ambient_dim, 1, tuple(((i, 1),) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.entries)
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """The reduced rows' rational (column, value) entries."""
+        return tuple(_to_fractions(self.den, row) for row in self.entries)
 
     @cached_property
     def basis(self) -> Matrix:  # built from the rows when read; from_basis reads one in
@@ -586,18 +593,16 @@ class Subspace:
         return coords if self._contains_entries({j: a for j, a in enumerate(vec) if a}) else None
 
     @cached_property
-    def _int_rows(self) -> tuple[int, dict[int, tuple[tuple[int, int], ...]]]:
-        """(L, {pivot: L times its row, as (column, int) entries}) for L the rows' common denominator."""
-        den = _common_denominator(v for row in self.rows for _, v in row)
-        return den, {row[0][0]: _scaled(row, den) for row in self.rows}
+    def _by_pivot(self) -> dict[int, tuple[tuple[int, int], ...]]:  # an index of the stored rows, not a copy
+        return dict(zip(self.pivots, self.entries))
 
     def _contains_entries(self, rest: dict) -> bool:
         """Whether rest, {index: value}, lies in the span; int values are tested in ints.
 
         rest becomes L rest - sum_i rest[p_i] L B_i over the pivots p_i, for
-        (L, L B_i) the ``_int_rows``: zero exactly when rest lies in the span.
+        L the ``den`` and L B_i the stored rows: zero exactly when rest lies in the span.
         """
-        den, rows = self._int_rows
+        den, rows = self.den, self._by_pivot
         at_pivots = [(p, c) for p, c in rest.items() if p in rows]
         if den != 1:
             for j in rest:
@@ -612,32 +617,33 @@ class Subspace:
 
     def __le__(self, other: Subspace) -> bool:
         self._check_ambient(other)
-        return all(other._contains_entries(dict(row)) for row in self._int_rows[1].values())
+        return all(other._contains_entries(dict(row)) for row in self.entries)
 
     def plus(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        rows = chain(self._int_rows[1].values(), other._int_rows[1].values())
-        return Subspace(self.ambient_dim, _row_space(rows, self.ambient_dim))
+        return Subspace(self.ambient_dim, *_row_space(chain(self.entries, other.entries), self.ambient_dim))
 
     def annihilator(self) -> Subspace:
         """The y with B y = 0 for the basis B; x lies in V exactly when y x = 0 for each of its rows y."""
-        return Subspace._kernel(self.ambient_dim, self._int_rows[1].values())
+        return Subspace._kernel(self.ambient_dim, self.entries)
 
     def intersect(self, other: Subspace) -> Subspace:
         self._check_ambient(other)
-        rows = chain(self.annihilator()._int_rows[1].values(), other.annihilator()._int_rows[1].values())
-        return Subspace._kernel(self.ambient_dim, rows)
+        return Subspace._kernel(self.ambient_dim, chain(self.annihilator().entries, other.annihilator().entries))
 
     def complement_within(self, larger: Subspace) -> Subspace:
         """The span of the rows of `larger`'s canonical basis whose pivots this subspace does not use.
 
         Requires self <= larger; it is a complement of self inside larger,
-        chosen deterministically, and those rows are its own reduced rows.
+        chosen deterministically, and those rows are its own reduced rows,
+        divided with ``larger.den`` by their gcd g to the least scale.
         """
         if not self <= larger:
             raise ValueError("complement requires containment")
         used = set(self.pivots)
-        return Subspace(self.ambient_dim, tuple(row for row in larger.rows if row[0][0] not in used))
+        kept = [row for p, row in zip(larger.pivots, larger.entries) if p not in used]
+        g = math.gcd(larger.den, *(a for row in kept for _, a in row))
+        return Subspace(self.ambient_dim, larger.den // g, tuple(tuple((j, a // g) for j, a in row) for row in kept))
 
     def _check_ambient(self, other: Subspace) -> None:
         if self.ambient_dim != other.ambient_dim:

@@ -1,19 +1,18 @@
 """Symmetric bilinear forms on a Lie algebra and the metric pairing.
 
 Restriction, radical, orthogonal complement and the induced quotient form are
-all exact subspace computations on Gram matrices; the quotient form is read on
-the complement Subspace it returns.  Pairings, restricted Gram matrices and the
-products G w (``linalg._times``) are sums over the nonzero entries of the Gram
-matrix and of a subspace's rows.  The frozen SymForm and MetricLieAlgebra keep
-what they fix on first use (nonzero entries, the Gram matrix cleared to ints
-by its common denominator and diagonalized, signature, n', v, the isotropy
-identity rows, in ints, and their index, the lowered brackets, in ints with
-their scale); no kept value is ever mutated, so none goes stale.
+exact subspace computations, summed in ints over the nonzero entries of the
+cleared Gram matrix (``linalg._times``) and of a subspace's stored rows.  The
+Gram matrix stays the stored form at the edge, which diagonalization reads.
+The frozen SymForm and MetricLieAlgebra keep what they fix on first use (the
+cleared Gram matrix and its scale, its diagonalization and signature, n', v
+and the forms restricted to them, the isotropy identity rows and their index,
+the lowered brackets with their scale); no kept value is ever mutated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -27,11 +26,10 @@ from gonil.linalg import (
     Subspace,
     Vec,
     _ZERO,
-    _common_denominator,
     _diagonalize,
-    _scaled,
-    _sparse_rows,
     _times,
+    _to_fractions,
+    _to_ints,
     to_vec,
 )
 
@@ -42,29 +40,22 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SymForm:
-    """A symmetric bilinear form given by its Gram matrix; frozen, so it keeps its nonzero entries and signature."""
+    """A symmetric bilinear form by its Gram matrix G; frozen, so it keeps its signature and, in ``_cleared``,
+    each row's nonzero entries times ``_den``, their least common denominator, as (column, int) pairs."""
 
     gram: Matrix
+    _den: int = field(init=False, repr=False, compare=False)
+    _cleared: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.gram.is_symmetric():
             raise PreconditionError("Gram matrix must be symmetric")
+        for name, value in zip(("_den", "_cleared"), _to_ints(map(enumerate, self.gram.rows))):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.gram.nrows
-
-    @cached_property
-    def _sparse(self) -> list[list[tuple[int, Fraction]]]:
-        return _sparse_rows(self.gram.rows)
-
-    @cached_property
-    def _den(self) -> int:  # the common denominator of G's entries
-        return _common_denominator(x for row in self._sparse for _, x in row)
-
-    @cached_property
-    def _cleared(self) -> tuple[tuple[tuple[int, int], ...], ...]:  # G's nonzero entries times _den
-        return tuple(_scaled(row, self._den) for row in self._sparse)
 
     @cached_property
     def _diagonal(self) -> tuple[Matrix, Vec]:  # congruence basis rows and values; checked symmetric on construction
@@ -78,7 +69,9 @@ class SymForm:
         x, y = to_vec(x), to_vec(y)
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("pairing needs vectors of the form's dimension")
-        return sum([a * sum([g * y[j] for j, g in row if y[j]], _ZERO) for a, row in zip(x, self._sparse) if a], _ZERO)
+        rows = self._cleared
+        total = sum([a * sum([y[j] * g for j, g in row if y[j]], _ZERO) for a, row in zip(x, rows) if a], _ZERO)
+        return total if self._den == 1 else total / self._den
 
     def signature(self) -> SignatureTriple:
         return self._signature
@@ -135,6 +128,14 @@ class MetricLieAlgebra:
         return orth_complement(self, self._nprime)
 
     @cached_property
+    def _nprime_form(self) -> SymForm:  # the form restricted to n', which keeps its signature
+        return restrict_form(self, self._nprime)
+
+    @cached_property
+    def _v_form(self) -> SymForm:
+        return restrict_form(self, self._v_complement)
+
+    @cached_property
     def _isotropy_rows(self) -> tuple[list, list]:
         """The form's skew rows and the algebra's derivation rows: the identities the isotropy algebra solves."""
         return list(_skew_rows(self.form)), self.algebra._derivation_rows
@@ -148,11 +149,11 @@ class MetricLieAlgebra:
     def _lowered(self) -> tuple[int, dict[tuple[int, int], dict[int, int]]]:
         """(S, the nonzero S <[e_a, e_c], e_b> as {(a, c): {b: int}}) for S the form's ``_den`` times the algebra's.
 
-        Summed in ints from the algebra's cleared bracket view ``_ad`` and the cleared Gram matrix.
+        Summed in ints from the algebra's int bracket table and the cleared Gram matrix.
         """
-        gram, ad, low = self.form._cleared, self.algebra._ad, {}
-        for i, j in self.algebra._table:
-            if row := {b: x for b, x in _times(gram, ad[i][j].items()).items() if x}:
+        gram, low = self.form._cleared, {}
+        for (i, j), targets in self.algebra._table.items():
+            if row := {b: x for b, x in _times(gram, targets.items()).items() if x}:
                 low[i, j], low[j, i] = row, {b: -x for b, x in row.items()}
         return self.form._den * self.algebra._den, low
 
@@ -196,16 +197,17 @@ def orth_complement(m: MetricLieAlgebra, v: Subspace) -> Subspace:
 
 
 def _orth_rows(m: MetricLieAlgebra, v: Subspace) -> Iterator:
-    """(L G)(L' w) per row L' w of V's _int_rows, zero entries dropped, in ints: the rows cutting out V's orthogonal."""
-    return ({i: a for i, a in _times(m.form._cleared, w).items() if a}.items() for w in v._int_rows[1].values())
+    """(L G)(L' w) per stored row L' w of V, zero entries dropped, in ints: the rows cutting out V's orthogonal."""
+    return ({i: a for i, a in _times(m.form._cleared, w).items() if a}.items() for w in v.entries)
 
 
 def restrict_form(m: MetricLieAlgebra, v: Subspace) -> SymForm:
-    """Gram matrix of the form in V's canonical basis, summed over the basis rows' nonzero entries."""
+    """Gram matrix of the form in V's canonical basis: (L G w'_i) . w'_j over L L'^2, in ints, for the cleared
+    Gram matrix L G and V's stored rows w'_i = L' w_i, summed over their nonzero entries."""
     _check_ambient(m.algebra, v)
-    products = [_times(m.form._sparse, w) for w in v.rows]
-    pairs = [[sum([g[j] * b for j, b in y if j in g], _ZERO) for y in v.rows] for g in products]
-    return SymForm(Matrix(pairs, ncols=v.dim))
+    products = [_times(m.form._cleared, w) for w in v.entries]
+    pairs = [[(j, sum([g[c] * b for c, b in y if c in g])) for j, y in enumerate(v.entries)] for g in products]
+    return SymForm(Matrix([[x for _, x in _to_fractions(m.form._den * v.den**2, row)] for row in pairs], ncols=v.dim))
 
 
 def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
@@ -214,7 +216,7 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     One solve: V's annihilator rows cut out V, the rows G w its orthogonal complement.
     """
     _check_ambient(m.algebra, v)
-    return Subspace._kernel(m.dim, chain(v.annihilator()._int_rows[1].values(), _orth_rows(m, v)))
+    return Subspace._kernel(m.dim, chain(v.annihilator().entries, _orth_rows(m, v)))
 
 
 def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Subspace]:

@@ -1,8 +1,10 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from gonil import go_engine, linalg, metric
 from gonil.catalog import (
     EXAMPLE_NAMES,
     CatalogError,
@@ -217,3 +219,20 @@ def test_verify_paper_fail_reports_keep_their_bytes(paper, name):
     polarized = next(line for line in lines if line.startswith("CHECK[go_polarized]"))
     assert polarized.endswith(f"first at [{first}])")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def test_a_warm_verify_paper_pass_restricts_and_diagonalizes_no_form(monkeypatch):
+    # The metric algebra keeps its forms restricted to n' and v, as it keeps n',
+    # and the example keeps its cleared witnesses: a second pass, and the
+    # necessary-condition check, restrict and diagonalize nothing again.
+    example = build_example("paper_2_3")
+    first = verify_paper_example(example).lines()
+    calls = Counter()
+    for module, name in ((metric, "restrict_form"), (metric, "_diagonalize"), (linalg, "_diagonalize")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
+    for_witnesses = example._cleared_witnesses
+    assert verify_paper_example(example).lines() == first and first[-1].startswith("SUMMARY: PASS")
+    assert go_engine.necessary_condition_check(example.algebra).passed
+    assert example._cleared_witnesses is for_witnesses
+    assert calls == Counter()

@@ -156,7 +156,7 @@ def test_linear_certificate_matches_dense_assembly_on_catalog(checked_spaces):
     # all carry denominators, so the integer check reads three scales.
     m = necessary_condition_counterexample()
     pairs = list(checked_spaces.values()) + [(m, isotropy_algebra(m))]
-    assert any(m.algebra._den > 1 and m.form._den > 1 and h.span._int_rows[0] > 1 for m, h in pairs)
+    assert any(m.algebra._den > 1 and m.form._den > 1 and h.span.den > 1 for m, h in pairs)
     for m, h in pairs:
         assert _linear_result(m, h) == linear_certificate_by_dense_assembly(m, h)
 
@@ -339,7 +339,7 @@ def test_system_tensors_match_their_dense_products(checked_spaces, name):
     assert system.quadratic == tuple(quadratic)
     assert system.paired == tuple(tuple((e, b, x * den) for e, b, x in entries) for entries in paired)
     assert system.ops == tuple(tuple((k, c, x * system.op_den) for k, c, x in entries) for entries in ops)
-    assert system.op_den == h.span._int_rows[0]  # the span's one integer view, not cleared again
+    assert system.op_den == h.span.den  # the span's one integer view, not cleared again
     assert len(system.paired) == len(system.ops) == h.dim
 
 

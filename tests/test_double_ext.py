@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import random
 import sys
 from collections import Counter
@@ -37,8 +38,8 @@ from gonil.lie import (
 )
 from gonil import linalg
 from gonil.isotropy import derivation_defects, derivation_space, isotropy_algebra
-from gonil.linalg import Matrix, Subspace, _diagonalize, _sparse_rows, basis_vec, symmetric_signature, to_vec
-from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, quotient_form
+from gonil.linalg import Matrix, Subspace, _diagonalize, basis_vec, symmetric_signature, to_vec
+from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, quotient_form, restrict_form
 from oracles import (
     ad_by_table,
     derivation_defect_by_brackets,
@@ -519,7 +520,8 @@ def test_a_quotient_bracket_outside_m1_trips_the_membership_check(monkeypatch, d
     outside = basis_vec(de5.dim, 0)  # f pairs with eg = span(e), so it is not in m1 = eg's orthogonal
     assert not witness.m1.contains_vector(outside)
     monkeypatch.setattr(double_ext, "reduction_witness", lambda m, h=None: witness)
-    monkeypatch.setattr(LieAlgebra, "_bracket", lambda self, xs, ys: {j: a for j, a in enumerate(outside) if a})
+    bracket = {j: a for j, a in enumerate(outside) if a}
+    monkeypatch.setattr(LieAlgebra, "_bracket_sum", lambda self, xs, ys: dict(bracket))
     with pytest.raises(AssertionError, match="internal: vector outside m1"):
         reduce(de5)
 
@@ -602,7 +604,11 @@ def test_kept_values_equal_fresh_ones(name):
     assert m.nprime() == derived_subalgebra(m.algebra)
     assert m.v_complement() == orth_complement(m, derived_subalgebra(m.algebra))
     assert m.form.signature() == symmetric_signature(m.form.gram)
-    assert m.form._sparse == _sparse_rows(m.form.gram.rows)
+    gram = m.form.gram.rows
+    den = math.lcm(*(x.denominator for row in gram for x in row))
+    assert m.form._den == den
+    assert m.form._cleared == tuple(tuple((j, int(x * den)) for j, x in enumerate(row) if x) for row in gram)
+    assert m._nprime_form == restrict_form(m, m.nprime()) and m._v_form == restrict_form(m, m.v_complement())
 
 
 def _split_extension(table, k):

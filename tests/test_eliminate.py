@@ -180,7 +180,7 @@ def test_h13_systems_solve_alike_under_both_cores(monkeypatch):
     assert [ncols for _, ncols in kernels] == [169] and len(solves) == 1
     solved = [linalg._solve_rows([dict(row) for row in rows], ncols) for rows, ncols in solves]  # a solve consumes its rows
     got = [linalg._kernel_of_rows(*call) for call in kernels], solved
-    assert len(got[0][0]) == 36 and got[1][0] is not None
+    assert len(got[0][0][1]) == 36 and got[1][0] is not None  # a kernel is (den, rows)
     # The solve back-substitutes over ``_forward``'s echelon rows, so it is compared with the dense core directly.
     assert got[1] == [solution_by_dense_core(*call) for call in solves]
     monkeypatch.setattr(linalg, "_eliminate", called_sparse(eliminate_dense))

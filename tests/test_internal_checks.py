@@ -134,7 +134,7 @@ assert False, "assert statements must be stripped under -O"
 
 m = rescaled(build_example("de5").algebra, [Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(-5, 4), Fraction(1)])
 h = isotropy_algebra(m)
-print("denominators:", m.algebra._den, m.form._den, h.span._int_rows[0])
+print("denominators:", m.algebra._den, m.form._den, h.span.den)
 print("linear:", go_engine.linear_go_certificate(m, h) is not None)
 system = go_engine._CertificateSystem.build(m, h)
 cert = go_engine.go_certificate_at(m, h, [Fraction(x, 3) for x in (2, -1, 4, 5, -3)], _system=system)

@@ -346,7 +346,7 @@ def test_entries_and_dense_basis_are_read_off_the_one_span(name):
     # operators' _sparse_rows, times the span's one common denominator, and
     # vectorization; any spanning family gives the same space.
     h = isotropy_algebra(STORED_ONCE_CASES[name])
-    n, den = h.ambient_dim, h.span._int_rows[0]
+    n, den = h.ambient_dim, h.span.den
     assert h._cleared == [[[(c, den * v) for c, v in row] for row in _sparse_rows(op.rows)] for op in h.basis]
     assert all(type(v) is int for op in h._cleared for row in op for _, v in row)
     assert tuple(op.vectorize() for op in h.basis) == h.span.basis.rows

@@ -422,28 +422,58 @@ def test_subspace_refuses_a_basis_not_in_reduced_echelon_form(rows):
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows",  # each case is (den, rows), the int form Subspace(n, den, entries) takes
     [
-        ((),),  # an empty row
-        (((0, Fraction(2)),),),  # a leading entry other than 1
-        (((0, Fraction(1)), (1, Fraction(0))),),  # a stored zero
-        (((0, Fraction(1)), (2, Fraction(1)), (1, Fraction(1))),),  # columns out of order
-        (((0, Fraction(1)), (1, Fraction(1)), (1, Fraction(2))),),  # a column twice
-        (((1, Fraction(1)),), ((0, Fraction(1)),)),  # pivots out of order
-        (((0, Fraction(1)), (1, Fraction(3))), ((1, Fraction(1)),)),  # another row's pivot column
+        (1, ((),)),  # an empty row
+        (1, (((0, 2),),)),  # a leading entry other than the scale
+        (1, (((0, 1), (1, 0)),)),  # a stored zero
+        (1, (((0, 1), (2, 1), (1, 1)),)),  # columns out of order
+        (1, (((0, 1), (1, 1), (1, 2)),)),  # a column twice
+        (1, (((1, 1),), ((0, 1),))),  # pivots out of order
+        (1, (((0, 1), (1, 3)), ((1, 1),))),  # another row's pivot column
+        (2, (((0, 2), (1, 4)),)),  # a scale other than the least: (1, 2) at scale 1
+        (1, (((0, 1), (1, Fraction(1, 2))),)),  # a rational entry: (1, 1/2) is stored at scale 2
     ],
 )
 def test_subspace_refuses_sparse_rows_not_in_reduced_echelon_form(rows):
     with pytest.raises(ValueError, match="not in reduced echelon form"):
-        Subspace(3, rows)
+        Subspace(3, *rows)
 
 
-@pytest.mark.parametrize(
-    "rows", [(((3, Fraction(1)),),), (((-1, Fraction(1)), (0, Fraction(2))),), (((0, Fraction(1)), (5, Fraction(2))),)]
-)
+@pytest.mark.parametrize("rows", [(((3, 1),),), (((-1, 1), (0, 2)),), (((0, 1), (5, 2)),)])
 def test_subspace_refuses_a_sparse_column_outside_the_space(rows):
     with pytest.raises(DimensionMismatch, match=r"^subspace row column outside 0\.\.2$"):
-        Subspace(3, rows)
+        Subspace(3, 1, rows)
+
+
+def _stored(oracle: Matrix) -> tuple[int, tuple]:
+    """Dense oracle rows as a Subspace stores them: their least common denominator L, each row's nonzeros times L."""
+    den = math.lcm(*(x.denominator for row in oracle.rows for x in row))
+    return den, tuple(tuple((j, int(x * den)) for j, x in enumerate(row) if x) for row in oracle.rows)
+
+
+def test_span_and_solving_store_the_oracle_rows_at_their_least_scale():
+    # The stored form is canonical: the oracle's reduced rows at their least
+    # common denominator, whatever the order of the rows given.
+    scales = set()
+
+    @seed(20261020)
+    @settings(max_examples=25, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(a=_sparse_system(), data=st.data())
+    def check(a, data):
+        shuffled = [a.rows[i] for i in data.draw(st.permutations(range(a.nrows)))]
+        for build, oracle in (
+            (lambda rows: Subspace.span(a.ncols, rows), naive_rref(a)[0]),
+            (lambda rows: Subspace.solving(a.ncols, map(enumerate, rows)), kernel_by_naive_rref(a)),
+        ):
+            space, again = build(a.rows), build(shuffled)
+            assert (space.den, space.entries) == _stored(oracle)
+            assert space.rows == tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in oracle.rows)
+            assert space == again and hash(space) == hash(again)
+            scales.add(space.den > 1)
+
+    check()
+    assert scales == {True, False}
 
 
 @pytest.mark.parametrize("ncols", [3, 6])
@@ -527,7 +557,9 @@ def test_elimination_matches_naive_rref_on_sparse_systems():
         scales = [math.lcm(bi.denominator, *(v.denominator for v in row)) for row, bi in zip(a.rows, b)]
         cleared = [[(j, int(v * s)) for j, v in enumerate((*row, bi))] for row, bi, s in zip(a.rows, b, scales)]
         oracle = tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in kernel_by_naive_rref(a).rows)
-        assert _kernel_of_rows([{j: v for j, v in row[:-1] if v}.items() for row in cleared], a.ncols) == oracle
+        den = math.lcm(*(v.denominator for row in oracle for _, v in row))  # the oracle rows as a Subspace stores them
+        stored = (den, tuple(tuple((j, int(v * den)) for j, v in row) for row in oracle))
+        assert _kernel_of_rows([{j: v for j, v in row[:-1] if v}.items() for row in cleared], a.ncols) == stored
         assert _solve_rows([{j: v for j, v in row if v} for row in cleared], a.ncols) == x
         zeros.add(any(v == 0 for row in cleared for _, v in row))
 

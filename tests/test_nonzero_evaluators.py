@@ -11,6 +11,7 @@ Each property asserts that every outcome it names was reached.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import gonil.metric as metric
 from conftest import combination, random_nilpotent_table, rescaled, sheared_gram
-from gonil import go_engine, isotropy, lie, linalg
+from gonil import isotropy, linalg
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import GOEngineError, check_subisotropy, first_null_vector
 from gonil.isotropy import (
@@ -32,9 +33,9 @@ from gonil.isotropy import (
     skew_defects,
     skew_space,
 )
-from gonil.lie import LieAlgebra
+from gonil.lie import LieAlgebra, center, lower_central_series, transporter
 from gonil.linalg import Matrix, _sparse_rows, congruence_diagonalize
-from gonil.metric import MetricLieAlgebra, SymForm
+from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, radical_of_restriction
 from oracles import (
     congruence_diagonalize_dense,
     derivation_failures_by_brackets,
@@ -216,22 +217,52 @@ def _refuse(*args, **kwargs):
     raise AssertionError("entries cleared again")
 
 
+def _refuse_everywhere(monkeypatch, names):
+    """Point every gonil module's binding of each named linalg helper at _refuse; a renamed helper fails getattr."""
+    for name in names:
+        helper = getattr(linalg, name)
+        for key, module in list(sys.modules.items()):
+            if key == "gonil" or key.startswith("gonil."):
+                for attr in [attr for attr, value in vars(module).items() if value is helper]:
+                    monkeypatch.setattr(module, attr, _refuse)
+
+
 @pytest.mark.parametrize("name", ["paper_2_3", "de5", "paper_2_3/rescaled", "de5/rescaled"])
 def test_check_subisotropy_clears_nothing_once_the_int_rows_are_kept(name, monkeypatch):
-    # h's entries are cleared to ints once, in span._int_rows, and m keeps its
-    # indexed identity rows: with both warm, checking h (passing, failing the
-    # derivation identity, failing skewness) clears and splits nothing again.
+    # h's entries are stored in ints once, in its span, and m keeps its indexed
+    # identity rows: with m warm, checking h (passing, failing the derivation
+    # identity, failing skewness) clears, converts and splits nothing again.
     m, iso = SUBISOTROPY[name]
     spaces = [iso, skew_space(m.form), derivation_space(m.algebra)]
     expected = [_subisotropy_outcome(m, h) for h in spaces]
     assert [e and e.split("(")[1] for e in expected] == [None, "derivation fails)", "skewness fails)"]
-    for h in spaces:
-        h.span._int_rows
-    for module in (go_engine, isotropy, lie, linalg, metric):
-        for helper in ("_common_denominator", "_scaled", "_sparse_rows", "_int_row"):
-            if hasattr(module, helper):
-                monkeypatch.setattr(module, helper, _refuse)
+    _refuse_everywhere(monkeypatch, ("_to_ints", "_to_fractions", "_sparse_rows"))
     assert [_subisotropy_outcome(m, h) for h in spaces] == expected
+
+
+def _stored_form_results(m):
+    """The subspace and operator-space results that read only the stored int forms."""
+    alg, nprime = m.algebra, m.nprime()
+    return [
+        isotropy_algebra(m),
+        orth_complement(m, nprime),
+        radical_of_restriction(m, nprime),
+        lower_central_series(alg),
+        center(alg),
+        transporter(alg, nprime, m.v_complement()),
+    ]
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_stored_form_readers_make_no_fraction(name, monkeypatch):
+    # Subspaces, bracket tables and Gram matrices are stored as ints at one
+    # scale: with the ints -> Fraction helper refused, every result is unchanged.
+    m = CATALOG[name]
+    fresh = MetricLieAlgebra(LieAlgebra(m.dim, m.algebra.table), SymForm(m.form.gram))
+    expected = _stored_form_results(m)
+    _refuse_everywhere(monkeypatch, ("_to_fractions",))
+    assert _stored_form_results(m) == expected
+    assert _stored_form_results(fresh) == expected
 
 
 @st.composite

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import gonil.linalg as linalg
 from conftest import random_nilpotent_table, rescaled, sheared_gram
-from gonil import go_engine, isotropy, lie, metric
+from gonil import go_engine, isotropy
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import linear_go_certificate, necessary_condition_check, polarized_defects
 from gonil.isotropy import OperatorSpace, is_adh_invariant
@@ -242,14 +242,13 @@ def test_subspace_readers_use_the_rows_a_subspace_keeps(paper, paper_iso, monkey
     m, alg = paper.algebra, paper.algebra.algebra
     v, w = m.nprime(), m.v_complement()
     paper_iso._cleared  # the operators' int entries, split once per space
-    calls = []
+    calls, real = [], linalg._sparse_rows
 
     def counted(rows):
         calls.append(1)
-        return linalg._sparse_rows(rows)
+        return real(rows)
 
-    for module in (lie, metric):
-        monkeypatch.setattr(module, "_sparse_rows", counted)
+    monkeypatch.setattr(linalg, "_sparse_rows", counted)  # lie and metric read stored ints and bind it no more
     counts = {}
     for name, run in (
         ("bracket_subspaces", lambda: bracket_subspaces(alg, v, w)),
