@@ -5,6 +5,7 @@ Lie algebra of signature (8,4) whose derived algebra is Lorentz, together
 with the explicit family of skew derivations (linear in the tangent vector)
 that witnesses its geodesic-orbit property.  The remaining entries are small
 reference algebras and forward-built degenerate examples for reduction tests.
+``_BUILDERS`` names each entry's builder once, in catalog order.
 """
 
 from __future__ import annotations
@@ -145,18 +146,6 @@ def de7_lorentz_data() -> tuple[MetricLieAlgebra, ExtensionData]:
     return base, ExtensionData(d, to_vec([0] * 5), omega)
 
 
-_BUILDERS: dict[str, Callable[[], tuple[MetricLieAlgebra, dict[str, Expected], tuple[Matrix, ...] | None]]] = {}
-
-
-def _register(name):
-    def wrap(fn):
-        _BUILDERS[name] = fn
-        return fn
-
-    return wrap
-
-
-@_register("paper_2_3")
 def _build_paper():
     m = _paper_algebra()
     expected = {
@@ -174,7 +163,6 @@ def _build_paper():
     return m, expected, witnesses
 
 
-@_register("abelian_n")
 def _build_abelian():
     m = euclidean_abelian(4)
     expected = {
@@ -188,7 +176,6 @@ def _build_abelian():
     return m, expected, None
 
 
-@_register("heis3")
 def _build_heis3():
     alg = LieAlgebra(3, {(0, 1): {2: 1}})
     m = MetricLieAlgebra.checked(alg, SymForm(Matrix.identity(3)))
@@ -203,7 +190,6 @@ def _build_heis3():
     return m, expected, None
 
 
-@_register("filiform4")
 def _build_filiform4():
     alg = LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
     m = MetricLieAlgebra.checked(alg, SymForm(Matrix.identity(4)))
@@ -218,7 +204,6 @@ def _build_filiform4():
     return m, expected, None
 
 
-@_register("de5")
 def _build_de5():
     base, data = de5_data()
     m = extend2(base, data)
@@ -234,7 +219,6 @@ def _build_de5():
     return m, expected, None
 
 
-@_register("de7_lorentz")
 def _build_de7():
     base, data = de7_lorentz_data()
     m = extend2(base, data)
@@ -250,6 +234,14 @@ def _build_de7():
     return m, expected, None
 
 
+_BUILDERS = {
+    "paper_2_3": _build_paper,
+    "abelian_n": _build_abelian,
+    "heis3": _build_heis3,
+    "filiform4": _build_filiform4,
+    "de5": _build_de5,
+    "de7_lorentz": _build_de7,
+}
 EXAMPLE_NAMES = tuple(_BUILDERS)
 
 # Every invariant a catalog entry can pin: key -> (report label, function),

@@ -585,19 +585,19 @@ class Subspace:
         return self.coordinates(vec) is not None
 
     def coordinates(self, vec: Sequence) -> Vec | None:
-        """Coefficients of vec in this basis, read at the pivots; None if outside."""
+        """Coefficients of vec in this basis, read at the pivots; None if outside, tested on vec cleared to ints."""
         vec = to_vec(vec)
         if len(vec) != self.ambient_dim:
             raise DimensionMismatch("vector has wrong length")
         coords = tuple(vec[p] for p in self.pivots)
-        return coords if self._contains_entries({j: a for j, a in enumerate(vec) if a}) else None
+        return coords if self._contains_entries(dict(_to_ints([enumerate(vec)])[1][0])) else None
 
     @cached_property
     def _by_pivot(self) -> dict[int, tuple[tuple[int, int], ...]]:  # an index of the stored rows, not a copy
         return dict(zip(self.pivots, self.entries))
 
-    def _contains_entries(self, rest: dict) -> bool:
-        """Whether rest, {index: value}, lies in the span; int values are tested in ints.
+    def _contains_entries(self, rest: dict[int, int]) -> bool:
+        """Whether rest, {index: int}, lies in the span, tested in ints.
 
         rest becomes L rest - sum_i rest[p_i] L B_i over the pivots p_i, for
         L the ``den`` and L B_i the stored rows: zero exactly when rest lies in the span.
@@ -609,10 +609,7 @@ class Subspace:
                 rest[j] *= den
         for p, c in at_pivots:
             for j, b in rows[p]:
-                if j in rest:
-                    rest[j] -= c * b
-                else:  # not 0 - c * b: an int minus a Fraction goes through Fraction's reflected operator
-                    rest[j] = -c * b
+                rest[j] = rest.get(j, 0) - c * b
         return not any(rest.values())
 
     def __le__(self, other: Subspace) -> bool:

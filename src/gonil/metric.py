@@ -71,7 +71,7 @@ class SymForm:
             raise DimensionMismatch("pairing needs vectors of the form's dimension")
         rows = self._cleared
         total = sum([a * sum([y[j] * g for j, g in row if y[j]], _ZERO) for a, row in zip(x, rows) if a], _ZERO)
-        return total if self._den == 1 else total / self._den
+        return total / self._den
 
     def signature(self) -> SignatureTriple:
         return self._signature
@@ -156,13 +156,6 @@ class MetricLieAlgebra:
             if row := {b: x for b, x in _times(gram, targets.items()).items() if x}:
                 low[i, j], low[j, i] = row, {b: -x for b, x in row.items()}
         return self.form._den * self.algebra._den, low
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MetricLieAlgebra)
-            and self.algebra == other.algebra
-            and self.form.gram == other.form.gram
-        )
 
 
 def _skew_rows(form: SymForm) -> Iterator[tuple[tuple[int, int], dict[int, int]]]:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import gonil.isotropy as isotropy
 import gonil.metric as metric
-from conftest import ENTRY
-from gonil.catalog import build_example, verify_paper_example
+from conftest import ENTRY, rescaled
+from gonil.catalog import EXAMPLE_NAMES, build_example, verify_paper_example
 from gonil.go_engine import check_subisotropy, first_null_vector, necessary_condition_check
 from gonil.io import algebra_from_dict, algebra_to_dict
 from gonil.lie import abelian
@@ -164,6 +164,15 @@ def test_checked_rejects_non_nilpotent():
     solvable = LieAlgebra(2, {(0, 1): {1: 1}})
     with pytest.raises(PreconditionError, match="nilpotent"):
         MetricLieAlgebra.checked(solvable, SymForm(Matrix.identity(2)))
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_metric_algebras_compare_and_hash_by_algebra_and_form(name):
+    # The frozen dataclass's own == and hash, over (algebra, form); a form compares its Gram matrix.
+    m, twin = build_example(name).algebra, build_example(name).algebra
+    assert m is not twin and m == twin and hash(m) == hash(twin)
+    assert m != rescaled(m, [2] * m.dim)  # every bracket and Gram entry doubled or quadrupled
+    assert (m == m.algebra) is False
 
 
 @st.composite

@@ -22,6 +22,7 @@ import gonil.metric as metric
 from conftest import combination, random_nilpotent_table, rescaled, sheared_gram
 from gonil import isotropy, linalg
 from gonil.catalog import EXAMPLE_NAMES, build_example
+from gonil.double_ext import extend2
 from gonil.go_engine import GOEngineError, check_subisotropy, first_null_vector
 from gonil.isotropy import (
     OperatorSpace,
@@ -42,12 +43,14 @@ from oracles import (
     first_defects_in_fractions,
     skew_failures_by_products,
 )
+from test_double_ext import ladder_rungs
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
 NONZERO = st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 2)])
 CATALOG = {name: build_example(name).algebra for name in EXAMPLE_NAMES}
 CATALOG_SPACES = {name: isotropy_algebra(m) for name, m in CATALOG.items()}
 CATALOG_ISOTROPY = {name: h.basis for name, h in CATALOG_SPACES.items()}
+LADDER = {label: (base, data) for label, base, data in ladder_rungs()}
 
 
 @st.composite
@@ -316,10 +319,12 @@ def test_congruence_diagonalize_matches_the_dense_loop():
     assert reached == {"pair substitution first", "radical", "indefinite"}
 
 
-@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+@pytest.mark.parametrize("name", EXAMPLE_NAMES + tuple(LADDER))
 def test_first_null_vector_unchanged_on_the_catalog(name, monkeypatch):
-    m = CATALOG[name]
+    """On every catalog entry and every reduction ladder rung's extension, against the dense diagonalization."""
+    m = CATALOG[name] if name in CATALOG else extend2(*LADDER[name])
     vector = first_null_vector(m)
+    assert vector is not None or name in CATALOG  # the pair each extension adds gives values 2, -1/2
     monkeypatch.setattr(metric, "_diagonalize", congruence_diagonalize_dense)
     fresh = MetricLieAlgebra(m.algebra, SymForm(m.form.gram))  # its form diagonalizes on first use, by the oracle
     assert vector == first_null_vector(fresh)

@@ -83,8 +83,7 @@ def _unreferenced(src: Path) -> list[str]:
     A method counts as used only when an attribute of its name is read, so a
     local variable of the same name does not hide it; a module-level function
     or class counts when its name is read as a name or as an attribute.  An
-    import is no use.  Exempt are the public names, dunders, CLI commands and
-    catalog builders, which their decorator registers.
+    import is no use.  Exempt are the public names, dunders and CLI commands.
     """
     trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
     names, attributes = _reads(node for tree in trees for node in ast.walk(tree))
@@ -97,7 +96,6 @@ def _unreferenced(src: Path) -> list[str]:
         and node.name not in gonil.__all__
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and not node.name.startswith("cmd_")
-        and not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register" for d in node.decorator_list)
     )
 
 
