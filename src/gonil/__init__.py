@@ -74,7 +74,6 @@ from gonil.metric import (
     PreconditionError,
     SymForm,
     orth_complement,
-    quotient_form,
     radical_of_restriction,
     restrict_form,
 )

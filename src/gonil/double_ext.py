@@ -3,7 +3,8 @@
 When the form restricted to the derived algebra is degenerate, the algebra
 reduces: a totally null central subspace ``eg`` and its pairing partner are
 split off, leaving a metric nilpotent quotient on ``m1/eg`` whose dimension
-drops by twice dim(eg) and whose signature drops by (dim eg, dim eg).  The
+drops by twice dim(eg) and whose signature drops by (dim eg, dim eg), with the
+form restricted to eg's complement in m1 once the witness passes (i)-(iv).  The
 forward direction, :func:`extend2`, rebuilds a two-dimensional extension from
 explicit data and is the round-trip partner of :func:`reduce`; the data is
 checked as the extension's own Jacobi identity, on the bracket it then uses.
@@ -34,8 +35,8 @@ from gonil.metric import (
     PreconditionError,
     SymForm,
     orth_complement,
-    quotient_form,
     radical_of_restriction,
+    restrict_form,
 )
 
 
@@ -157,8 +158,8 @@ def reduction_witness(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> Re
     nprime = m.nprime()
     eg, m1 = radical_of_restriction(m, nprime), nprime.plus(m.v_complement())
     engel_pair = dual_pair = None
-    if case.tag == DegeneracyTag.DEG2_SEMIDEFINITE and bracket_subspaces(m.algebra, eg, m1).dim:
-        eg, m1, engel_pair, dual_pair = _engel_split(m, eg, m1)
+    if case.tag == DegeneracyTag.DEG2_SEMIDEFINITE and (o_s := bracket_subspaces(m.algebra, eg, m1)).dim:
+        eg, m1, engel_pair, dual_pair = _engel_split(m, eg, m1, o_s)
     if h is None:
         h = isotropy_algebra(m)
     flags = _witness_flags(m, h, eg, m1, nprime)
@@ -192,9 +193,9 @@ def _witness_flags(
     return WitnessFlags(inclusion, invariance, orthogonal and central, dimension)
 
 
-def _engel_split(m: MetricLieAlgebra, o: Subspace, s: Subspace):
-    """Split the 2-dim null plane o by e2 spanning o meet centralizer(s)."""
-    if not bracket_subspaces(m.algebra, s, o) <= o:
+def _engel_split(m: MetricLieAlgebra, o: Subspace, s: Subspace, o_s: Subspace):
+    """Split the 2-dim null plane o by e2 spanning o meet centralizer(s); o_s is [o, s], already formed."""
+    if not o_s <= o:
         raise ReductionError("input is not G-GO: [s, o] does not stay inside o")
     eg = o.intersect(centralizer(m.algebra, s))
     if eg.dim == 0:
@@ -241,7 +242,8 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     """
     witness = reduction_witness(m, h)
     eg, m1 = witness.eg, witness.m1
-    form, comp = quotient_form(m, m1, eg)
+    comp = eg.complement_within(m1)  # flags (i), (iii) and (iv) passed; m0's check refuses a degenerate form
+    form = restrict_form(m, comp)
 
     def comp_coords(rest: dict[int, int], den: int) -> dict[int, Fraction]:  # rest / den's nonzero comp coordinates
         # eg._contains_entries leaves eg.den rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.

@@ -1,8 +1,8 @@
 """Symmetric bilinear forms on a Lie algebra and the metric pairing.
 
-Restriction, radical, orthogonal complement and the induced quotient form are
-exact subspace computations, summed in ints over the nonzero entries of the
-cleared Gram matrix (``linalg._times``) and of a subspace's stored rows.  The
+Restriction, radical and orthogonal complement are exact subspace computations,
+summed in ints over the nonzero entries of the cleared Gram matrix
+(``linalg._times``) and of a subspace's stored rows.  The
 Gram matrix stays the stored form at the edge, which diagonalization reads.
 The frozen SymForm and MetricLieAlgebra keep what they fix on first use (the
 cleared Gram matrix and its scale, its diagonalization and signature, n', v
@@ -210,25 +210,3 @@ def radical_of_restriction(m: MetricLieAlgebra, v: Subspace) -> Subspace:
     """
     _check_ambient(m.algebra, v)
     return Subspace._kernel(m.dim, chain(v.annihilator().entries, _orth_rows(m, v)))
-
-
-def quotient_form(m: MetricLieAlgebra, m1: Subspace, eg: Subspace) -> tuple[SymForm, Subspace]:
-    """Form induced on a canonical complement of eg inside m1.
-
-    Preconditions: eg <= m1, <eg, m1> = 0, and dim m1 + dim eg = dim of the
-    algebra; under these the induced form is nondegenerate and independent of
-    the complement choice up to congruence.  Returns the form, in the
-    complement's canonical basis, together with that complement,
-    ``eg.complement_within(m1)``.
-    """
-    if not eg <= m1:
-        raise PreconditionError("eg is not contained in m1")
-    if not m1 <= orth_complement(m, eg):
-        raise PreconditionError("<eg, m1> != 0")
-    if m1.dim + eg.dim != m.dim:
-        raise PreconditionError("dim m1 + dim eg != dim n")
-    comp = eg.complement_within(m1)
-    form = restrict_form(m, comp)
-    if not form.is_nondegenerate():
-        raise PreconditionError("induced form is degenerate (is the ambient form nondegenerate?)")
-    return form, comp

@@ -30,6 +30,7 @@ from gonil.lie import (
     EngelError,
     LieAlgebra,
     abelian,
+    bracket_subspaces,
     derivation_rows,
     derived_subalgebra,
     jacobi_defect,
@@ -37,9 +38,9 @@ from gonil.lie import (
     nilpotency_step,
 )
 from gonil import linalg
-from gonil.isotropy import derivation_defects, derivation_space, isotropy_algebra
+from gonil.isotropy import OperatorSpace, derivation_defects, derivation_space, isotropy_algebra
 from gonil.linalg import Matrix, Subspace, _diagonalize, basis_vec, symmetric_signature, to_vec
-from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, quotient_form, restrict_form
+from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, restrict_form
 from oracles import (
     ad_by_table,
     derivation_defect_by_brackets,
@@ -134,6 +135,26 @@ def test_witness_flag_iii_falsified_by_injected_bracket(de5):
         flags = exc_info.value.witness.checks
         assert not flags.orthogonal_central
         assert flags.inclusion and flags.invariance and flags.dimension
+
+
+@pytest.mark.parametrize("flag", ["invariance", "dimension"])
+def test_witness_and_reduce_name_exactly_the_one_failed_flag(monkeypatch, de5, flag):
+    # (ii): an operator sending eg = span(e) to f; (iv): an empty radical leaves dim m1 + dim eg = 4 < 5.
+    h = None
+    if flag == "invariance":
+        h = OperatorSpace.from_operators(5, [Matrix([[int((i, j) == (0, 4)) for j in range(5)] for i in range(5)])])
+    else:
+        monkeypatch.setattr(double_ext, "radical_of_restriction", lambda m, v: Subspace.zero(5))
+    name = {"invariance": "(ii) invariance", "dimension": "(iv) dimension"}[flag]
+    errors = []
+    for run in (reduction_witness, reduce):
+        with pytest.raises(ReductionError) as exc_info:
+            run(de5, h)
+        errors.append(exc_info.value)
+    for error in errors:
+        assert str(error) == f"witness check failed: {name}"
+        assert [f for f, ok in vars(error.witness.checks).items() if not ok] == [flag]
+    assert errors[0].witness == errors[1].witness
 
 
 def test_reduce_de5_round_trip(de5):
@@ -495,7 +516,7 @@ def test_quotient_coordinates_match_the_dense_pivot_reading(de5, de7):
 
 
 def test_reduce_restricts_the_form_on_the_complement_subspace_it_reads(monkeypatch):
-    """quotient_form hands reduce eg's complement in m1 as a Subspace: no dense basis is read back in."""
+    """reduce restricts the form to eg's complement in m1 as a Subspace: no dense basis is read back in."""
     builds = [(name, lambda name=name: build_example(name).algebra) for name in ("de5", "de7_lorentz")]
     builds += [(label, lambda base=base, data=data: extend2(base, data)) for label, base, data in ladder_rungs()]
     expected = {label: reduce(build()) for label, build in builds}
@@ -508,7 +529,8 @@ def test_reduce_restricts_the_form_on_the_complement_subspace_it_reads(monkeypat
         m = build()
         assert reduce(m) == expected[label], label
         eg, m1 = expected[label].witness.eg, expected[label].witness.m1
-        form, comp = quotient_form(m, m1, eg)
+        comp = eg.complement_within(m1)
+        form = restrict_form(m, comp)
         # The complement before it was a Subspace: m1's basis rows at the pivots eg does not use, as a dense matrix.
         old = Matrix([row for row, p in zip(m1.basis.rows, m1.pivots) if p not in eg.pivots], ncols=m.dim)
         assert isinstance(comp, Subspace) and comp.basis == old == expected[label].complement_rows, label
@@ -529,14 +551,19 @@ def test_a_quotient_bracket_outside_m1_trips_the_membership_check(monkeypatch, d
 @pytest.mark.parametrize("label", ["de7_lorentz", "engel-d10"])
 def test_one_round_trip_builds_each_signature_and_derived_algebra_it_needs_once(monkeypatch, label):
     # Signatures: the extension's form (extend2's check, read again by reduce's
-    # accounting), the form on n' (classification) and the quotient form
-    # (quotient_form's check, m0's check and the accounting).  Derived algebras:
-    # n' of the extension, kept from extend2's nilpotency check for the
-    # classification, the witness and v, and n' of m0 for its check.
+    # accounting), the form on n' (classification) and the quotient form (m0's
+    # check and the accounting).  Derived algebras: n' of the extension, kept
+    # from extend2's nilpotency check for the classification, the witness and
+    # v, and n' of m0 for its check.  Orthogonal complements: v and flag (iii),
+    # plus m1 in the Engel split; the quotient's complement is read off the
+    # witness.  Bracket subspaces: the lower central series past n' of the
+    # extension and of m0, flag (iii)'s centrality, plus [o, s] once in the
+    # Engel split.
     rungs = {rung: (base, data) for rung, base, data in ladder_rungs()}
     base, data = de7_lorentz_data() if label == "de7_lorentz" else rungs[label]
     counts = Counter()
-    for original in (_diagonalize, derived_subalgebra):  # a form's signature is counted off its diagonalization
+    counted_functions = (_diagonalize, derived_subalgebra, orth_complement, bracket_subspaces)
+    for original in counted_functions:  # a form's signature is counted off its diagonalization
 
         def counted(*args, original=original, **kwargs):
             counts[original.__name__] += 1
@@ -544,7 +571,13 @@ def test_one_round_trip_builds_each_signature_and_derived_algebra_it_needs_once(
 
         _rebind_everywhere(monkeypatch, original, counted)
     assert reduce(extend2(base, data)).m0 == base
-    assert counts == {"_diagonalize": 3, "derived_subalgebra": 2}
+    complements, brackets = {"de7_lorentz": (2, 3), "engel-d10": (3, 5)}[label]
+    assert counts == {
+        "_diagonalize": 3,
+        "derived_subalgebra": 2,
+        "orth_complement": complements,
+        "bracket_subspaces": brackets,
+    }
 
 
 @pytest.mark.parametrize("label", ["de7_lorentz", "engel-d10"])

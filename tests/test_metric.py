@@ -20,7 +20,6 @@ from gonil.metric import (
     PreconditionError,
     SymForm,
     orth_complement,
-    quotient_form,
     radical_of_restriction,
     restrict_form,
 )
@@ -86,43 +85,6 @@ def test_radical_of_restriction_is_ambient(de5):
     rad = radical_of_restriction(de5, de5.nprime())
     assert rad.dim == 1
     assert rad.contains_vector((0, 0, 0, 0, 1))  # the central direction e
-
-
-def test_quotient_form_trivial_eg(abelian4):
-    form, comp = quotient_form(abelian4, Subspace.full(4), Subspace.zero(4))
-    assert form.gram == abelian4.form.gram
-    assert comp.basis == Matrix.identity(4)
-
-
-def test_quotient_form_de5(de5):
-    m1 = Subspace.span(5, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-    eg = Subspace.span(5, [[0, 0, 0, 0, 1]])
-    form, comp = quotient_form(de5, m1, eg)
-    assert form.gram == Matrix.identity(3)
-    assert comp.dim == 3
-
-
-def test_quotient_form_rejects_non_containment(de5):
-    eg = Subspace.span(5, [[1, 0, 0, 0, 0]])  # f is not inside m1
-    m1 = Subspace.span(5, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-    with pytest.raises(PreconditionError, match="not contained"):
-        quotient_form(de5, m1, eg)
-
-
-def test_quotient_form_rejects_dimension_mismatch(de5):
-    # eg and m1 orthogonal and nested, but dims sum to 4 != 5
-    m1 = Subspace.span(5, [[0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]])
-    eg = Subspace.span(5, [[0, 0, 0, 0, 1]])
-    with pytest.raises(PreconditionError, match="dim"):
-        quotient_form(de5, m1, eg)
-
-
-def test_quotient_form_rejects_nonorthogonal(paper):
-    m = paper.algebra
-    eg = Subspace.span(12, [[1 if i == 8 else 0 for i in range(12)]])  # e1 pairs with e4
-    m1 = orth_complement(m, Subspace.span(12, [[1 if i == 0 else 0 for i in range(12)]]))
-    with pytest.raises(PreconditionError):
-        quotient_form(m, m1, eg)
 
 
 def test_pair_checks_both_lengths(heis3):

@@ -23,13 +23,13 @@ ReductionWitness SignatureTriple Subspace SymForm bracket_subspaces build_exampl
 classify_degeneracy derivation_space extend2 go_certificate_at go_random_audit is_adh_invariant
 is_ideal isotropy_algebra iwasawa_nilpotent_basis jacobi_defect linear_go_certificate load_algebra
 lower_central_series maximal_abelian_family necessary_condition_check nilpotency_step
-orth_complement quotient_form radical_of_restriction reduce reduction_witness restrict_form rref
+orth_complement radical_of_restriction reduce reduction_witness restrict_form rref
 save_algebra skew_space solve_particular symmetric_signature verify_paper_example
 """.split()
 
 
 def test_all_names_every_public_import_once():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert sorted(gonil.__all__) == sorted(PUBLIC_NAMES)
 
 
