@@ -310,11 +310,12 @@ class ExtensionData:
             raise ExtensionDataError("omega is not antisymmetric")
         if not d.is_nilpotent():
             raise ExtensionDataError("derivation is not nilpotent")
-        e, base, table = k + 1, m0.algebra.table, {}
-        for a in range(k):
-            table[(0, 1 + a)] = {1 + b: d[b, a] for b in range(k)} | {e: phi[a]}
+        e, base, table = k + 1, m0.algebra.table, {}  # written from the nonzero entries of D, phi, omega and base
+        for a, (column, row) in enumerate(zip(zip(*d.rows), omega.rows)):
+            table[(0, 1 + a)] = {1 + b: x for b, x in enumerate((*column, phi[a])) if x}  # phi[a] lands at 1 + k = e
             for b in range(a + 1, k):
-                table[(1 + a, 1 + b)] = {1 + t: c for t, c in base.get((a, b), {}).items()} | {e: omega[a, b]}
+                if row[b] or (a, b) in base:  # omega[a, b] lands at 1 + k = e
+                    table[(1 + a, 1 + b)] = {1 + t: c for t, c in (*base.get((a, b), {}).items(), (k, row[b])) if c}
         algebra = LieAlgebra(k + 2, table, validate=False)
         defects = jacobi_defect(algebra)
         on_f = [((j - 1, l - 1), vec) for (i, j, l), vec in defects if i == 0]

@@ -324,12 +324,12 @@ def _verify_certificate(system: _CertificateSystem, cert: GOCertificate, d: int,
     with <x, g> the plain dot product, [., .]' = L [., .] the algebra's
     cleared bracket (L its ``_den``) and D'_j the cleared operators.
     """
-    algebra, ad, coeffs = system.m.algebra, system.m.algebra._ad, cert.A_coeffs
+    algebra, coeffs = system.m.algebra, cert.A_coeffs
     q = math.lcm(cert.k.denominator, *[c.denominator for c in coeffs])
     g = [sum([v * t[e] for e, v in row if t[e]]) for row in system.m.form._cleared]
     bracket_part = [0] * len(t)
-    for i, j in algebra._table:  # L [e_i, e_j] = sum c e_k with i < j
-        s = sum([c * g[k] for k, c in ad[i][j].items()])
+    for (i, j), targets in algebra._table.items():  # L [e_i, e_j] = sum c e_k with i < j
+        s = sum([c * g[k] for k, c in targets.items()])
         if s:
             bracket_part[j] += t[i] * s
             bracket_part[i] -= t[j] * s
@@ -487,7 +487,7 @@ def _polarized_sums(m: MetricLieAlgebra, entries, den: int) -> tuple[int, list[t
 
     Summed in ints: S is den L_G L for L_G the form's ``_den`` and L the
     algebra's.  Each nonzero L_G L <[e_a, e_c], e_b>, from the algebra's
-    ``_ad`` and the cleared Gram matrix G', counts den times, each
+    ``_table`` and the cleared Gram matrix G', counts den times, each
     G'[b][k] w counts L times, into the key (min(a, b), max(a, b), c), twice
     when a = b; the sorted keys are the order of the loop over a <= b, then c.
     """

@@ -4,12 +4,13 @@ An OperatorSpace is stored once, as the Subspace of its operators' row-major
 entries, canonical in reduced echelon form and held in ints at one scale:
 equality is equality of bases, and membership and coordinates are read at
 the pivots; the dense basis is built only when read.  The closure and
-invariance checks run in integers: the closure check forms a commutator only
-where one operator's columns meet the other's rows, and the invariance check
-tests V or, when dim V > n/2, its annihilator under the transposes, each
-transposed image one ``linalg._times``.  The derivation and skew identities
-are keyed sparse rows over the entries of D: the kernels solve them, and the
-defect checks sum them over an operator's int entries.  The rows cutting out
+invariance checks run in integers, over each operator's nonempty rows only:
+the closure check forms a commutator only where one operator's columns meet
+the other's rows, and the invariance check tests V or, when dim V > n/2, its
+annihilator under the transposes, each transposed image one ``linalg._times``.
+The derivation and skew identities are keyed sparse rows over the entries of
+D: the kernels solve them, and the defect checks sum them over an operator's
+int entries.  The rows cutting out
 the isotropy algebra, and their index, are kept on the metric algebra.
 """
 
@@ -59,14 +60,15 @@ class OperatorSpace:
         return tuple(Matrix.from_vector(v, self.ambient_dim) for v in self.span.basis.rows)
 
     @cached_property
-    def _cleared(self) -> list[list[list[tuple[int, int]]]]:
-        """Each basis operator's stored span entries split by row: (column, int) pairs, times the span's ``den``;
-        a positive scalar changes no membership, so the closure and invariance checks read these."""
+    def _cleared(self) -> list[dict[int, list[tuple[int, int]]]]:
+        """Each basis operator's stored span entries by nonempty row, {row: [(column, int), ...]} in increasing
+        order, times the span's ``den``; a positive scalar changes no membership, so the closure and invariance
+        checks read these, and an empty row costs them nothing."""
         n = self.ambient_dim
-        out = [[[] for _ in range(n)] for _ in range(self.dim)]
+        out = [{} for _ in range(self.dim)]
         for op, entries in zip(out, self.span.entries):
             for k, v in entries:
-                op[k // n].append((k % n, v))
+                op.setdefault(k // n, []).append((k % n, v))
         return out
 
     def contains(self, op: Matrix) -> bool:
@@ -83,20 +85,20 @@ class OperatorSpace:
 
         D_i D_j is zero unless a column of D_i is a nonempty row of D_j, so [D_i, D_j] is formed
         only when the columns of one operator meet the rows of the other; every other commutator
-        is exactly zero.  Each is formed over the operators' int entries and tested at the span's pivots.
+        is exactly zero.  Each is formed over the operators' nonempty rows of int entries and tested at
+        the span's pivots, so a pair costs its nonzero entries, not n row slots.
         """
-        ops = self._cleared
+        n, ops = self.ambient_dim, self._cleared
         with_row, with_col = defaultdict(set), defaultdict(set)  # k -> the operators with a nonempty row k, a column k
         for i, op in enumerate(ops):
-            for r, entries in enumerate(op):
-                if entries:
-                    with_row[r].add(i)
+            for r, entries in op.items():
+                with_row[r].add(i)
                 for c, _ in entries:
                     with_col[c].add(i)
         for i, a in enumerate(ops):
-            meets = [with_row[c] for entries in a for c, _ in entries] + [with_col[r] for r, e in enumerate(a) if e]
+            meets = [with_row[c] for entries in a.values() for c, _ in entries] + [with_col[r] for r in a]
             for j in set().union(*meets):
-                if j > i and not self.span._contains_entries(_commutator_entries(a, ops[j])):
+                if j > i and not self.span._contains_entries(_commutator_entries(a, ops[j], n)):
                     raise ValueError("operator space is not closed under commutators")
 
 
@@ -169,8 +171,8 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
     """True iff D(V) <= V for every basis operator D of the isotropy algebra.
 
     D(V) <= V exactly when D^T(ann V) <= ann V, so when dim V > n/2 the annihilator, the
-    smaller side, is tested instead.  Each image is formed over the int entries of D and of
-    the space's cleared rows, and tested at that space's pivots in ints.
+    smaller side, is tested instead.  Each image is formed over the nonempty rows of int
+    entries of D and the space's cleared rows, and tested at that space's pivots in ints.
     """
     _check_ambient(m.algebra, v)
     if h is None:
@@ -180,9 +182,9 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
     if 2 * v.dim <= m.dim:
         xs = [dict(x) for x in v.entries]
         return all(
-            v._contains_entries({i: y for i, row in enumerate(d) if (y := sum(b * x[j] for j, b in row if j in x))})
+            v._contains_entries({i: y for i, row in d.items() if (y := sum(b * x[j] for j, b in row if j in x))})
             for d in h._cleared
             for x in xs
         )
     w = v.annihilator()
-    return all(w._contains_entries(_times(d, y)) for d in h._cleared for y in w.entries)
+    return all(w._contains_entries(_times(d, [(j, c) for j, c in y if j in d])) for d in h._cleared for y in w.entries)

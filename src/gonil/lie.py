@@ -2,15 +2,16 @@
 
 A bracket table is stored once, in ints: L [e_i, e_j] for pairs i < j, for L
 the table's least common denominator, with its antisymmetric view ad sharing
-those rows; the rational ``table`` is built when read.  Every bracket (of
+those rows, nonzero brackets only; the rational ``table`` is built when read.
+Every loop costs the nonzero structure constants, not n slots: a bracket (of
 vectors, basis vectors or subspaces, so the series and the ideal test) sums
-x_i y_j L [e_i, e_j] over nonzero x_i, y_j of stored int rows; the
-transporter, the derivation identity's int rows and the Jacobi sums read the
-view the same way.  The derivation rows are listed once per algebra and kept:
-the Jacobi check, the derivation space and defects and the isotropy rows read
-that one list.  The Jacobi identity is validated on construction unless the
-caller explicitly opts out (needed to inspect broken candidate tables).
-"""
+x_i y_j L [e_i, e_j] over nonzero x_i, y_j and stored brackets, the
+transporter and the derivation rows walk the nonzero ad(e_i), and the Jacobi
+check sums each stored bracket against the nonzero ad of its targets.  The
+derivation rows are listed once per algebra, when first read, and kept for
+the derivation space and defects and the isotropy rows.  The Jacobi identity
+is validated on construction unless the caller explicitly opts out (needed
+to inspect broken candidate tables)."""
 
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ class LieAlgebra:
 
     ``_table`` holds L [e_i, e_j] for i < j only, as {k: int}, for L = ``_den``
     the table's least common denominator; ``_ad`` is its antisymmetric view,
-    sharing those dicts, built once here.  The rational ``table`` is built when
-    read.  ``_kept_rows`` holds the derivation rows once listed; no comparison reads it.
+    built once here: ``_ad[i]`` is {j: L [e_i, e_j]} over the j with a nonzero
+    bracket only, sharing the ``_table`` dicts.  The rational ``table`` is built
+    when read.  ``_kept_rows`` holds the derivation rows once listed; no comparison reads it.
     """
 
     __slots__ = ("dim", "_table", "_ad", "_den", "_kept_rows")
@@ -65,7 +67,7 @@ class LieAlgebra:
         self.dim, self._kept_rows = dim, None
         self._den, rows = _to_ints(table.values())
         self._table = {key: dict(row) for key, row in zip(table, rows) if row}
-        self._ad = ad = [[{}] * dim for _ in range(dim)]  # ad[i][j] = L [e_i, e_j] as {k: int coefficient}
+        self._ad = ad = [{} for _ in range(dim)]  # ad[i][j] = L [e_i, e_j] as {k: int coefficient}, if nonzero
         for (i, j), targets in self._table.items():
             ad[i][j], ad[j][i] = targets, {k: -c for k, c in targets.items()}
         if validate:
@@ -87,9 +89,11 @@ class LieAlgebra:
         """L sum x_i y_j [e_i, e_j] over the (index, value) pairs xs of x and ys of y, as {index: value}, undivided."""
         out: dict = {}
         for i, a in xs:
+            image = self._ad[i]
             for j, b in ys:
-                for k, c in self._ad[i][j].items():
-                    out[k] = out.get(k, 0) + a * b * c
+                if targets := image.get(j):
+                    for k, c in targets.items():
+                        out[k] = out.get(k, 0) + a * b * c
         return out
 
     def bracket_basis(self, i: int, j: int) -> Vec:
@@ -129,46 +133,50 @@ def derivation_rows(alg: LieAlgebra) -> Iterator[tuple[tuple[int, int, int], dic
     """The derivation identity as sparse int rows over the n^2 entries of D, row-major.
 
     Row (i, j, m), i < j, maps l*n + k to the coefficient of D[l, k] in
-    ([D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j])_m, times ``alg._den``.  Zero rows are skipped.
+    ([D e_i, e_j] + [e_i, D e_j] - D[e_i, e_j])_m, times ``alg._den``, in increasing m; zero rows are
+    skipped.  A pair walks the nonzero brackets of e_i and e_j only, and [e_i, e_j] if nonzero.
     """
     n, ad = alg.dim, alg._ad
     for i in range(n):
         for j in range(i + 1, n):
-            rows: list[dict[int, int]] = [{} for _ in range(n)]
-            for l in range(n):
-                for m, c in ad[j][l].items():  # [D e_i, e_j]_m = sum_l D[l,i] [e_l, e_j]_m
-                    rows[m][l * n + i] = -c
-                for m, c in ad[i][l].items():  # [e_i, D e_j]_m = sum_l D[l,j] [e_i, e_l]_m
-                    rows[m][l * n + j] = c
-            for k, c in ad[i][j].items():  # -D([e_i, e_j])_m = -sum_k [e_i, e_j]_k D[m,k]
-                for m, row in enumerate(rows):
+            rows: dict[int, dict[int, int]] = {}
+            for l, image in ad[j].items():  # [D e_i, e_j]_m = sum_l D[l,i] [e_l, e_j]_m
+                for m, c in image.items():
+                    rows.setdefault(m, {})[l * n + i] = -c
+            for l, image in ad[i].items():  # [e_i, D e_j]_m = sum_l D[l,j] [e_i, e_l]_m
+                for m, c in image.items():
+                    rows.setdefault(m, {})[l * n + j] = c
+            for k, c in ad[i].get(j, {}).items():  # -D([e_i, e_j])_m = -sum_k [e_i, e_j]_k D[m,k]
+                for m in range(n):
+                    row = rows.setdefault(m, {})
                     total = row.pop(m * n + k, 0) - c
                     if total:
                         row[m * n + k] = total
-            for m, row in enumerate(rows):
-                if row:
-                    yield (i, j, m), row
+            yield from (((i, j, m), rows[m]) for m in sorted(rows) if rows[m])
 
 
 def jacobi_defect(alg: LieAlgebra) -> list[tuple[tuple[int, int, int], Vec]]:
     """All triples i<j<k where [e_i,[e_j,e_k]] + cyclic fails, with the defect.
 
-    The cyclic sum at (i, j, k) is minus the derivation residual of ad(e_i) on
-    the pair (j, k).  Only antisymmetry is used, so unvalidated tables work too.
+    Each stored [e_p, e_q] = sum_t c_t e_t, p < q, adds [e_a, [e_p, e_q]] = -sum_t c_t ad(e_t)(e_a), over
+    the a outside {p, q} with a nonzero [e_t, e_a], to the triple sorting a, p, q, negated when p < a < q
+    (the cyclic term there is [e_a, [e_q, e_p]]).  No derivation row is listed.  Only antisymmetry is
+    used, so unvalidated tables work too.
     """
-    n, scale = alg.dim, alg._den**2  # both factors are cleared by L: each sum is an int, L^2 times the defect
-    ads = [  # vec(ad e_i): entry l*n + k is L [e_i, e_k]_l
-        {l * n + k: c for k, image in enumerate(images) for l, c in image.items()}
-        for images in alg._ad
+    ad, sums = alg._ad, {}
+    for (p, q), targets in alg._table.items():
+        for t, c in targets.items():
+            for a, image in ad[t].items():
+                if a != p and a != q:
+                    x = c if p < a < q else -c
+                    acc = sums.setdefault(tuple(sorted((a, p, q))), {})
+                    for m, y in image.items():
+                        acc[m] = acc.get(m, 0) + x * y
+    scale = alg._den**2  # both factors are cleared by L: each sum is an int, L^2 times the defect
+    return [
+        (triple, tuple(Fraction(acc.get(m, 0), scale) for m in range(alg.dim)))
+        for triple, acc in sorted(sums.items()) if any(acc.values())
     ]
-    sums: dict[tuple[int, int, int], list[Fraction]] = {}
-    for (j, k, m), row in alg._derivation_rows:
-        for i in range(j):
-            ad_i = ads[i]
-            total = sum([c * ad_i[x] for x, c in row.items() if x in ad_i])
-            if total:
-                sums.setdefault((i, j, k), [_ZERO] * n)[m] = Fraction(-total, scale)
-    return [(triple, tuple(vec)) for triple, vec in sorted(sums.items())]
 
 
 def bracket_subspaces(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
@@ -228,7 +236,7 @@ def transporter(alg: LieAlgebra, v: Subspace, w: Subspace) -> Subspace:
     for u, y in product(v.entries, ys):
         row: dict[int, int] = {}
         for a, x in u:
-            for b, image in enumerate(ad[a]):
+            for b, image in ad[a].items():
                 for l, c in image.items():
                     if l in y:
                         row[b] = row.get(b, 0) + x * c * y[l]

@@ -157,8 +157,8 @@ def maximal_abelian_family(
 
 
 def _verify_abelian(gens: Sequence[Matrix]) -> None:
-    ops = [_sparse_rows(g.rows) for g in gens]
+    ops = [dict(enumerate(_sparse_rows(g.rows))) for g in gens]
     for i, a in enumerate(ops):
         for b in ops[i + 1 :]:
-            if _commutator_entries(a, b):
+            if _commutator_entries(a, b, gens[i].nrows):
                 raise NormalFormError("family is not abelian")

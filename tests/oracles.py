@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from gonil.linalg import Matrix, SignatureTriple, Subspace, basis_vec, solve_particular, to_vec
 from gonil.double_ext import _dual_null_pair
@@ -345,9 +346,10 @@ def extension_identity_failure_by_pairing(alg, data) -> str | None:
 def jacobi_defect_by_brackets(alg):
     """Every triple i < j < k with a nonzero cyclic sum [e_i,[e_j,e_k]] + cyclic, by six table walks each.
 
-    The brackets walk the rational table (``bracket_by_table``), not the cleared view the library keeps.
+    The brackets walk the rational table (``bracket_by_table``), not the cleared view the library keeps;
+    the table is built once, not at each bracket.
     """
-    n = alg.dim
+    n, alg = alg.dim, _with_table_read_once(alg)
     basis = [basis_vec(n, i) for i in range(n)]
 
     def nested(a, b, c):
@@ -361,6 +363,36 @@ def jacobi_defect_by_brackets(alg):
                 if any(total):
                     defects.append(((i, j, k), total))
     return defects
+
+
+def derivation_rows_by_elementary_operators(alg):
+    """Every nonzero row ((i, j, m), {l*n + k: coefficient}) of the derivation identity, i < j, in order.
+
+    D -> [D e_i, e_j] + [e_i, D e_j] - D [e_i, e_j] is linear in D, so the
+    coefficient of D[l, k] in component m is the identity's value on the
+    elementary operator E_lk (E_lk e_x = e_l when x = k, else 0), times the
+    algebra's ``_den``.  Every E_lk and every m is evaluated, on a dense cube
+    of basis brackets read off the rational table by ``bracket_by_table``.
+    """
+    n, table = alg.dim, _with_table_read_once(alg)
+    basis = [basis_vec(n, i) for i in range(n)]
+    cube = [[[c * alg._den for c in bracket_by_table(table, x, y)] for y in basis] for x in basis]  # L [e_x, e_y]
+    assert all(c.denominator == 1 for plane in cube for vec in plane for c in vec)
+    zero = [0] * n
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows = [{} for _ in range(n)]
+            for l in range(n):
+                for k in range(n):
+                    left = cube[l][j] if k == i else zero  # [E_lk e_i, e_j]
+                    right = cube[i][l] if k == j else zero  # [e_i, E_lk e_j]
+                    for m in range(n):
+                        image = cube[i][j][k] if m == l else 0  # E_lk [e_i, e_j] = [e_i, e_j]_k e_l
+                        if value := left[m] + right[m] - image:
+                            rows[m][l * n + k] = int(value)
+            out += [((i, j, m), row) for m, row in enumerate(rows) if row]
+    return out
 
 
 def first_defects_in_fractions(n, indexed, ops):
@@ -607,14 +639,19 @@ def radical_of_restriction_by_restricted_kernel(m, v):
 # matrix product.
 
 
+def _with_table_read_once(alg):
+    """The algebra's dimension and rational table, the table built once, for ``bracket_by_table``'s many calls."""
+    return SimpleNamespace(dim=alg.dim, table=alg.table)
+
+
 def bracket_by_table(alg, x, y):
     """[x, y] = sum over table entries (i, j), i < j, of (x_i y_j - x_j y_i) [e_i, e_j]."""
     x, y = to_vec(x), to_vec(y)
     out = [Fraction(0)] * alg.dim
     for (i, j), targets in alg.table.items():
-        c = x[i] * y[j] - x[j] * y[i]
-        for k, v in targets.items():
-            out[k] += c * v
+        if c := x[i] * y[j] - x[j] * y[i]:
+            for k, v in targets.items():
+                out[k] += c * v
     return tuple(out)
 
 

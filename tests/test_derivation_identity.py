@@ -1,10 +1,15 @@
-"""``jacobi_defect`` and ``derivation_defects`` against one bracket-loop oracle each.
+"""``jacobi_defect``, ``derivation_rows`` and ``derivation_defects`` against one oracle each.
 
-``jacobi_defect`` and ``derivation_defects`` read the sparse derivation rows
-off the bracket table; ``oracles.jacobi_defect_by_brackets`` and
+``jacobi_defect`` sums each stored bracket against the nonzero ad of its
+targets, and ``derivation_rows`` walks the nonzero ad of each pair; both read
+the algebra's sparse ``_ad``, and ``derivation_defects`` reads the listed
+rows.  ``oracles.jacobi_defect_by_brackets`` and
 ``oracles.derivation_defect_by_brackets`` evaluate the same identities with
-generic brackets on basis vectors.  Each property asserts that both of its
-outcomes (identity holds, identity fails) were reached.
+generic brackets on basis vectors, and
+``oracles.derivation_rows_by_elementary_operators`` evaluates the derivation
+identity densely on every elementary operator.  Each Jacobi and defect
+property asserts that both of its outcomes (identity holds, identity fails)
+were reached.
 """
 
 from fractions import Fraction
@@ -15,9 +20,14 @@ from hypothesis import strategies as st
 
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.isotropy import derivation_defects
-from gonil.lie import JacobiError, LieAlgebra, jacobi_defect
+from gonil.lie import JacobiError, LieAlgebra, derivation_rows, jacobi_defect
 from gonil.linalg import DimensionMismatch, Matrix
-from oracles import ad_by_table, derivation_defect_by_brackets, jacobi_defect_by_brackets
+from oracles import (
+    ad_by_table,
+    derivation_defect_by_brackets,
+    derivation_rows_by_elementary_operators,
+    jacobi_defect_by_brackets,
+)
 
 SMALL = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
 KINDS = st.sampled_from(["inner", "sparse", "both"])
@@ -26,18 +36,35 @@ ALGEBRAS = {name: build_example(name).algebra.algebra for name in EXAMPLE_NAMES}
 
 @st.composite
 def antisymmetric_tables(draw):
-    """A random rational table on dimension 2..6: sparse, so some tables satisfy Jacobi."""
-    n = draw(st.integers(2, 6))
+    """A random rational table on dimension 2..9, each pair stored with odds 1, 1/2, 1/4 or 1/8: the sparse
+    and small tables often satisfy Jacobi, the dense ones rarely."""
+    n = draw(st.integers(2, 9))
+    odds = draw(st.sampled_from((1, 2, 4, 8)))
     table = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if draw(st.integers(0, 3)) == 0:
+            if draw(st.integers(1, odds)) == 1:
                 table[(i, j)] = {k: draw(SMALL) for k in range(n) if draw(st.booleans())}
     return n, table
 
 
+def jacobi_terms(alg) -> set[str]:
+    """Where the outer index a of the table's nonzero terms [e_a, [e_p, e_q]] = sum_t c_t [e_a, e_t], p < q, sits:
+    below, between or above p and q, and "inside" when a target t is one of a, p, q; read off the rational table."""
+    table = alg.table
+    brackets = set(table) | {(j, i) for i, j in table}
+    terms = set()
+    for (p, q), targets in table.items():
+        for t in targets:
+            for a in range(alg.dim):
+                if a not in (p, q) and (t, a) in brackets:
+                    terms.add("below" if a < p else "between" if a < q else "above")
+                    terms.update(["inside"] if t in (a, p, q) else [])
+    return terms
+
+
 def test_jacobi_defect_matches_bracket_oracle():
-    outcomes = set()
+    outcomes, terms = set(), set()
 
     @seed(20261018)
     @settings(max_examples=300, deadline=None, database=None)
@@ -47,9 +74,47 @@ def test_jacobi_defect_matches_bracket_oracle():
         expected = jacobi_defect_by_brackets(alg)
         assert jacobi_defect(alg) == expected  # triples, defect vectors and order
         outcomes.add(bool(expected))
+        terms.update(jacobi_terms(alg))
 
     check()
     assert outcomes == {True, False}
+    assert terms == {"below", "between", "above", "inside"}  # each sign of the sum, and targets in the triple
+
+
+def test_derivation_rows_match_the_elementary_operator_oracle():
+    # Keys (i, j, m), row order, and each row's entries and int values; invalid tables included.
+    @seed(20261020)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(antisymmetric_tables())
+    def check(drawn):
+        alg = LieAlgebra(*drawn, validate=False)
+        rows = list(derivation_rows(alg))
+        assert rows == derivation_rows_by_elementary_operators(alg)
+        assert all(type(c) is int for _, row in rows for c in row.values())
+
+    check()
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_validation_and_the_jacobi_check_list_no_derivation_rows(name):
+    # The Jacobi sums read the sparse ad, so a fresh algebra keeps no rows until a reader lists them.
+    alg = ALGEBRAS[name]
+    fresh = LieAlgebra(alg.dim, alg.table, validate=True)
+    assert fresh._kept_rows is None
+    assert jacobi_defect(fresh) == []
+    assert fresh._kept_rows is None
+    broken = LieAlgebra(3, {(0, 1): {0: 1}, (1, 2): {1: 1}}, validate=False)
+    assert jacobi_defect(broken) and broken._kept_rows is None
+
+
+@pytest.mark.parametrize("name", EXAMPLE_NAMES)
+def test_ad_holds_exactly_the_nonzero_brackets(name):
+    # _ad[i] is keyed by the j with [e_i, e_j] != 0 only, and shares the _table dicts.
+    alg = ALGEBRAS[name]
+    n = alg.dim
+    for i in range(n):
+        assert sorted(alg._ad[i]) == [j for j in range(n) if any(alg.bracket_basis(i, j))]
+    assert all(alg._ad[i][j] is targets for (i, j), targets in alg._table.items())
 
 
 def test_jacobi_defect_divides_the_cleared_sums_by_the_common_denominator_squared():

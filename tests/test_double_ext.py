@@ -582,7 +582,7 @@ def test_one_round_trip_builds_each_signature_and_derived_algebra_it_needs_once(
 
 @pytest.mark.parametrize("label", ["de7_lorentz", "engel-d10"])
 def test_one_round_trip_lists_each_algebras_derivation_rows_once(monkeypatch, label):
-    # extend2's Jacobi check lists the extension's rows; reduce's isotropy algebra reads the same list.
+    # extend2's Jacobi check reads the sparse ad and lists no rows; reduce's isotropy algebra lists them once.
     rungs = {rung: (base, data) for rung, base, data in ladder_rungs()}
     base, data = de7_lorentz_data() if label == "de7_lorentz" else rungs[label]
     listed = []  # every algebra whose rows are listed, kept alive so that no id is reused

@@ -217,7 +217,9 @@ def test_closure_forms_only_the_commutators_of_interacting_pairs(paper_iso, monk
     # [D_i, D_j] is formed only when a column of one operator is a nonempty row
     # of the other: 19 of the 36 pairs on paper_2_3, 315 of 630 on H_13.
     formed = []
-    monkeypatch.setattr(isotropy, "_commutator_entries", lambda a, b: formed.append(1) or _commutator_entries(a, b))
+    monkeypatch.setattr(
+        isotropy, "_commutator_entries", lambda a, b, n: formed.append(1) or _commutator_entries(a, b, n)
+    )
     for h, pairs in ((paper_iso, 19), (isotropy_algebra(heisenberg(6)), 315)):
         formed.clear()
         h.verify_commutator_closed()
@@ -342,13 +344,15 @@ NONZERO = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integer
 
 @pytest.mark.parametrize("name", sorted(STORED_ONCE_CASES))
 def test_entries_and_dense_basis_are_read_off_the_one_span(name):
-    # The int entries split by row and the dense basis against the dense
-    # operators' _sparse_rows, times the span's one common denominator, and
-    # vectorization; any spanning family gives the same space.
+    # The int entries by nonempty row and the dense basis against the dense
+    # operators' nonempty _sparse_rows, times the span's one common denominator,
+    # and vectorization; any spanning family gives the same space.
     h = isotropy_algebra(STORED_ONCE_CASES[name])
     n, den = h.ambient_dim, h.span.den
-    assert h._cleared == [[[(c, den * v) for c, v in row] for row in _sparse_rows(op.rows)] for op in h.basis]
-    assert all(type(v) is int for op in h._cleared for row in op for _, v in row)
+    by_row = [{r: [(c, den * v) for c, v in row] for r, row in enumerate(_sparse_rows(op.rows)) if row} for op in h.basis]
+    assert h._cleared == by_row
+    assert all(row for op in h._cleared for row in op.values())  # no empty row is kept
+    assert all(type(v) is int for op in h._cleared for row in op.values() for _, v in row)
     assert tuple(op.vectorize() for op in h.basis) == h.span.basis.rows
 
     @seed(20261019)
