@@ -208,12 +208,6 @@ class _CertificateSystem:
     Over the columns a sample keeps, that sum is the zero row: in integers too,
     as the integer rows are one positive multiple of the rational ones.  So a
     sample leaves out one row b with T'_b != 0 and solves the other n - 1.
-
-    ``ops`` holds h's basis entries as (row, column, int) triples, split once
-    from the span's stored entries: the entries times their least common
-    denominator ``op_den``, the span's ``den``.  It feeds only the
-    certificate checks, which do not read the tensors above, but the cleared
-    Gram matrix and bracket table that m keeps.
     """
 
     m: MetricLieAlgebra
@@ -221,20 +215,16 @@ class _CertificateSystem:
     gram_rows: tuple[tuple[tuple[int, int], ...], ...]
     paired: tuple[tuple[tuple[int, int, int], ...], ...]
     quadratic: tuple[tuple[int, int, int, int], ...]
-    ops: tuple[tuple[tuple[int, int, int], ...], ...]
-    op_den: int
 
     @classmethod
     def build(cls, m: MetricLieAlgebra, h: OperatorSpace) -> _CertificateSystem:
         """The system of (m, h); raises GOEngineError unless h consists of skew derivations."""
         check_subisotropy(m, h)
-        n, gram_rows, alg_den = m.dim, m.form._cleared, m.algebra._den
-        op_den, ops = h.span.den, h.span.entries
+        gram_rows, alg_den, op_den = m.form._cleared, m.algebra._den, h.span.den
         paired = []
-        for entries in ops:  # (G' D'_j)[e][b] = sum_k G'[k][e] D'_j[k][b], G' symmetric
+        for triples in h._triples:  # (G' D'_j)[e][b] = sum_k G'[k][e] D'_j[k][b], G' symmetric
             acc: dict[tuple[int, int], int] = {}
-            for kb, v in entries:
-                k, b = divmod(kb, n)
+            for k, b, v in triples:
                 for e, g in gram_rows[k]:
                     acc[e, b] = acc.get((e, b), 0) + g * v
             paired.append([(e, b, x) for (e, b), x in sorted(acc.items()) if x])
@@ -245,15 +235,7 @@ class _CertificateSystem:
         parts = ((gram_rows, den), (paired, den // op_den), ((quadratic,), den // alg_den))
         g = math.gcd(m.form._den * den, *(f * math.gcd(*[x[-1] for x in chain(*part)]) for part, f in parts))
         gram_rows, paired, (quadratic,) = (tuple(_rescaled(entries, f, g) for entries in part) for part, f in parts)
-        return cls(
-            m,
-            h,
-            gram_rows,
-            paired,
-            quadratic,
-            tuple(tuple((*divmod(k, n), v) for k, v in entries) for entries in ops),
-            op_den,
-        )
+        return cls(m, h, gram_rows, paired, quadratic)
 
 
 def _rescaled(entries, f: int, g: int) -> tuple[tuple, ...]:
@@ -311,8 +293,9 @@ def go_certificate_at(
 def _verify_certificate(system: _CertificateSystem, cert: GOCertificate, d: int, t: tuple[int, ...]) -> None:
     """Check <[T, e_b] + A e_b, T> = k <T, e_b> for every b, and k = 0 when <T, T> != 0.
 
-    Evaluated from the Gram matrix, the bracket table and h's basis entries,
-    not from the tensors the system was contracted from, and in integers.
+    Evaluated from the Gram matrix, the bracket table and h's triples
+    (``OperatorSpace._triples``), not from the tensors the system was
+    contracted from, and in integers.
     Write T = T' / d, where (d, T') = (d, t) is the caller's ``_integer_vector``
     of T, g = G' T' for the cleared Gram matrix G' (a positive multiple of G T),
     and (c', k') = q (c, k) for q the common denominator of the certificate.
@@ -322,7 +305,8 @@ def _verify_certificate(system: _CertificateSystem, cert: GOCertificate, d: int,
         op_den q <[T', e_b]', g> + d L <sum_j c'_j D'_j e_b, g> = d L op_den k' g_b
 
     with <x, g> the plain dot product, [., .]' = L [., .] the algebra's
-    cleared bracket (L its ``_den``) and D'_j the cleared operators.
+    cleared bracket (L its ``_den``) and D'_j = op_den D_j the operators' triples,
+    op_den h's ``span.den``.
     """
     algebra, coeffs = system.m.algebra, cert.A_coeffs
     q = math.lcm(cert.k.denominator, *[c.denominator for c in coeffs])
@@ -333,15 +317,15 @@ def _verify_certificate(system: _CertificateSystem, cert: GOCertificate, d: int,
         if s:
             bracket_part[j] += t[i] * s
             bracket_part[i] -= t[j] * s
-    op_part = [0] * len(t)
-    for c, entries in zip(coeffs, system.ops):
+    op_part, op_den = [0] * len(t), system.h.span.den
+    for c, triples in zip(coeffs, system.h._triples):
         if c:
             c = c.numerator * (q // c.denominator)
-            for e, b, v in entries:
+            for e, b, v in triples:
                 if g[e]:
                     op_part[b] += c * v * g[e]
-    outer, inner = system.op_den * q, d * algebra._den
-    k = cert.k.numerator * (q // cert.k.denominator) * inner * system.op_den
+    outer, inner = op_den * q, d * algebra._den
+    k = cert.k.numerator * (q // cert.k.denominator) * inner * op_den
     if any(outer * x + inner * y != k * gb for x, y, gb in zip(bracket_part, op_part, g)):
         raise AssertionError("internal: certificate fails its defining identity")
     if sum([x * gb for x, gb in zip(t, g)]) != 0 and cert.k != 0:
@@ -449,10 +433,10 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
     x = _solve_rows(rows.values(), width)
     if x is None:
         return None
-    # A(e_a) = sum_j x[j * n + a] D_j: q op_den A(e_a) from x times q and h's int entries, q x's common denominator
+    # A(e_a) = sum_j x[j * n + a] D_j: q s A(e_a), s = h.span.den, from h's triples and x times q, x's denominator
     q, (xs,) = _to_ints([enumerate(x)])
-    witness = ((ja % n, k, c, w * v) for ja, w in xs for k, c, v in system.ops[ja // n])
-    if _polarized_sums(m, witness, q * system.op_den)[1]:
+    witness = ((ja % n, k, c, w * v) for ja, w in xs for k, c, v in h._triples[ja // n])
+    if _polarized_sums(m, witness, q * h.span.den)[1]:
         raise AssertionError("internal: linear certificate fails polarized identity")
     return LinearGOCertificate(Matrix([x[j * n : (j + 1) * n] for j in range(nh)], ncols=n))
 

@@ -3,11 +3,12 @@
 An OperatorSpace is stored once, as the Subspace of its operators' row-major
 entries, canonical in reduced echelon form and held in ints at one scale:
 equality is equality of bases, and membership and coordinates are read at
-the pivots; the dense basis is built only when read.  The closure and
-invariance checks run in integers, over each operator's nonempty rows only:
-the closure check forms a commutator only where one operator's columns meet
-the other's rows, and the invariance check tests V or, when dim V > n/2, its
-annihilator under the transposes, each transposed image one ``linalg._times``.
+the pivots; the dense basis is built only when read.  One view of the
+entries is derived from it, each operator's (row, column, int) triples, and
+the closure, invariance and certificate checks all read that: the closure
+check forms a commutator only where one operator's columns meet the other's
+rows, and the invariance check tests V or, when dim V > n/2, its annihilator
+under the transposes, one loop over the triples either way.
 The derivation and skew identities are keyed sparse rows over the entries of
 D: the kernels solve them, and the defect checks sum them over an operator's
 int entries.  The rows cutting out
@@ -28,7 +29,6 @@ from gonil.linalg import (
     Subspace,
     _commutator_entries,
     _row_space,
-    _times,
     _to_ints,
 )
 from gonil.metric import MetricLieAlgebra, SymForm, _indexed, _skew_rows
@@ -60,16 +60,11 @@ class OperatorSpace:
         return tuple(Matrix.from_vector(v, self.ambient_dim) for v in self.span.basis.rows)
 
     @cached_property
-    def _cleared(self) -> list[dict[int, list[tuple[int, int]]]]:
-        """Each basis operator's stored span entries by nonempty row, {row: [(column, int), ...]} in increasing
-        order, times the span's ``den``; a positive scalar changes no membership, so the closure and invariance
-        checks read these, and an empty row costs them nothing."""
+    def _triples(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """Each basis operator's stored span entries as (row, column, int) triples in row-major order, times the
+        span's ``den``; a positive scalar changes no membership, so every check on h's operators reads these."""
         n = self.ambient_dim
-        out = [{} for _ in range(self.dim)]
-        for op, entries in zip(out, self.span.entries):
-            for k, v in entries:
-                op.setdefault(k // n, []).append((k % n, v))
-        return out
+        return tuple(tuple((*divmod(k, n), v) for k, v in entries) for entries in self.span.entries)
 
     def contains(self, op: Matrix) -> bool:
         return self.coordinates(op) is not None
@@ -85,16 +80,16 @@ class OperatorSpace:
 
         D_i D_j is zero unless a column of D_i is a nonempty row of D_j, so [D_i, D_j] is formed
         only when the columns of one operator meet the rows of the other; every other commutator
-        is exactly zero.  Each is formed over the operators' nonempty rows of int entries and tested at
-        the span's pivots, so a pair costs its nonzero entries, not n row slots.
+        is exactly zero.  Each is formed over the operators' triples, grouped here by nonempty row, and
+        tested at the span's pivots, so a pair costs its nonzero entries, not n row slots.
         """
-        n, ops = self.ambient_dim, self._cleared
+        n, ops = self.ambient_dim, [{} for _ in range(self.dim)]  # each operator as {row: [(column, int), ...]}
         with_row, with_col = defaultdict(set), defaultdict(set)  # k -> the operators with a nonempty row k, a column k
-        for i, op in enumerate(ops):
-            for r, entries in op.items():
+        for i, (op, triples) in enumerate(zip(ops, self._triples)):
+            for r, c, v in triples:
+                op.setdefault(r, []).append((c, v))
                 with_row[r].add(i)
-                for c, _ in entries:
-                    with_col[c].add(i)
+                with_col[c].add(i)
         for i, a in enumerate(ops):
             meets = [with_row[c] for entries in a.values() for c, _ in entries] + [with_col[r] for r in a]
             for j in set().union(*meets):
@@ -171,20 +166,25 @@ def is_adh_invariant(m: MetricLieAlgebra, v: Subspace, h: OperatorSpace | None =
     """True iff D(V) <= V for every basis operator D of the isotropy algebra.
 
     D(V) <= V exactly when D^T(ann V) <= ann V, so when dim V > n/2 the annihilator, the
-    smaller side, is tested instead.  Each image is formed over the nonempty rows of int
-    entries of D and the space's cleared rows, and tested at that space's pivots in ints.
+    smaller side, is tested instead, each triple of D transposed.  Each image is summed in
+    ints over D's triples and the space's stored entries, and tested at that space's pivots.
     """
     _check_ambient(m.algebra, v)
     if h is None:
         h = isotropy_algebra(m)
     elif h.ambient_dim != m.dim:
         raise DimensionMismatch("operator space dimension differs from the algebra")
-    if 2 * v.dim <= m.dim:
-        xs = [dict(x) for x in v.entries]
-        return all(
-            v._contains_entries({i: y for i, row in d.items() if (y := sum(b * x[j] for j, b in row if j in x))})
-            for d in h._cleared
-            for x in xs
-        )
-    w = v.annihilator()
-    return all(w._contains_entries(_times(d, [(j, c) for j, c in y if j in d])) for d in h._cleared for y in w.entries)
+    transpose = 2 * v.dim > m.dim
+    w = v.annihilator() if transpose else v
+    xs = [dict(x) for x in w.entries]
+    for d in h._triples:
+        if transpose:
+            d = [(c, r, b) for r, c, b in d]
+        for x in xs:
+            image = {}
+            for r, c, b in d:
+                if c in x:
+                    image[r] = image.get(r, 0) + b * x[c]
+            if not w._contains_entries(image):
+                return False
+    return True

@@ -267,7 +267,7 @@ def entries(op: Matrix) -> list:
 
 
 def certificate_tensors_by_dense_products(m, h):
-    """The certificate system's paired and ops tensors before clearing: entries(G @ D_j) and entries(D_j)."""
+    """The certificate system's paired tensor and h's triples before clearing: entries(G @ D_j) and entries(D_j)."""
     return [entries(m.form.gram @ op) for op in h.basis], [entries(op) for op in h.basis]
 
 
@@ -344,16 +344,18 @@ def extension_identity_failure_by_pairing(alg, data) -> str | None:
 
 
 def jacobi_defect_by_brackets(alg):
-    """Every triple i < j < k with a nonzero cyclic sum [e_i,[e_j,e_k]] + cyclic, by six table walks each.
+    """Every triple i < j < k with a nonzero cyclic sum [e_i,[e_j,e_k]] + cyclic, by three outer table walks each.
 
     The brackets walk the rational table (``bracket_by_table``), not the cleared view the library keeps;
-    the table is built once, not at each bracket.
+    the table is built once, not at each bracket, and each inner basis bracket [e_b, e_c], b != c, is
+    walked once, in both orders.
     """
     n, alg = alg.dim, _with_table_read_once(alg)
     basis = [basis_vec(n, i) for i in range(n)]
+    inner = {(b, c): bracket_by_table(alg, basis[b], basis[c]) for b in range(n) for c in range(n) if b != c}
 
     def nested(a, b, c):
-        return bracket_by_table(alg, basis[a], bracket_by_table(alg, basis[b], basis[c]))
+        return bracket_by_table(alg, basis[a], inner[b, c])
 
     defects = []
     for i in range(n):

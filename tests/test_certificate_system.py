@@ -14,7 +14,7 @@ the built system: no matrix is built, multiplied or solved densely.
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import chain
 
@@ -215,8 +215,7 @@ NUDGES = st.one_of(st.sampled_from([1, -1]), st.builds(Fraction, st.integers(-3,
 def test_rescaled_spaces_carry_denominators(checked_spaces):
     for name in CHECKED_NAMES:
         m, h = checked_spaces[name]
-        system = _CertificateSystem.build(m, h)
-        assert ((m.algebra._den, system.op_den) != (1, 1)) == name.endswith("/rescaled"), name
+        assert ((m.algebra._den, h.span.den) != (1, 1)) == name.endswith("/rescaled"), name
         assert any(x.denominator > 1 for row in m.form.gram.rows for x in row) == name.endswith("/rescaled"), name
         assert (first_null_vector(m) is not None) == (name in NULL_NAMES), name
 
@@ -293,8 +292,8 @@ def test_samples_build_no_matrix_and_solve_nothing_densely(spaces, name, monkeyp
 def test_null_vector_certificate_with_nonzero_k():
     # [e0, e1] = e2 with a split signature (2,2,0) form.  h is spanned by the
     # first isotropy operator plus half the third, whose canonical basis has
-    # entries 1/2, so op_den = 2, and T = (-1/2, 0, 0, 1/2) is null with d = 2:
-    # dropping d from the k column, or op_den from the check's k side, breaks it.
+    # entries 1/2, so h.span.den = 2, and T = (-1/2, 0, 0, 1/2) is null with d = 2:
+    # dropping d from the k column, or the span's den from the check's k side, breaks it.
     alg = LieAlgebra(4, {(0, 1): {2: 1}})
     gram = Matrix([[0, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     m = MetricLieAlgebra.checked(alg, SymForm(gram))
@@ -305,7 +304,7 @@ def test_null_vector_certificate_with_nonzero_k():
     half = Fraction(1, 2)
     h = OperatorSpace.from_operators(4, [d + iso.basis[2].scale(half)])
     assert h.basis == (Matrix([[1, 0, 0, 0], [0, -2, 0, 0], [0, half, -1, 0], [-half, 2, 0, 2]]),)
-    assert _CertificateSystem.build(m, h).op_den == 2
+    assert h.span.den == 2
     t = (-half, Fraction(0), Fraction(0), half)
     assert m.pair(t, t) == 0
     cert = go_certificate_at(m, h, t)
@@ -316,9 +315,9 @@ def test_null_vector_certificate_with_nonzero_k():
 
 @pytest.mark.parametrize("name", CHECKED_NAMES + ("de5/sheared",))
 def test_system_tensors_match_their_dense_products(checked_spaces, name):
-    # paired is G D_j summed over D_j's kept nonzero entries, ops those entries;
+    # paired is G D_j summed over D_j's triples, h's one view of its entries;
     # both must equal the dense products' entries, cleared as documented.  The
-    # tensors are summed in ints from the cleared Gram matrix, h's int rows and
+    # tensors are summed in ints from the cleared Gram matrix, h's triples and
     # the int lowered tensor, and divided by what their scale shares with every
     # entry: the factor left is the least common denominator of G, the G D_j
     # and the lowered brackets, as when they were summed in Fractions.
@@ -338,9 +337,10 @@ def test_system_tensors_match_their_dense_products(checked_spaces, name):
     quadratic = [(a, c, b, low[a][c][b] * den) for a in range(n) for c in range(n) for b in range(n) if low[a][c][b]]
     assert system.quadratic == tuple(quadratic)
     assert system.paired == tuple(tuple((e, b, x * den) for e, b, x in entries) for entries in paired)
-    assert system.ops == tuple(tuple((k, c, x * system.op_den) for k, c, x in entries) for entries in ops)
-    assert system.op_den == h.span.den  # the span's one integer view, not cleared again
-    assert len(system.paired) == len(system.ops) == h.dim
+    assert h._triples == tuple(tuple((k, c, x * h.span.den) for k, c, x in entries) for entries in ops)
+    assert len(system.paired) == len(h._triples) == h.dim
+    # the system keeps its contracted tensors only; the checks read h's triples and m's cleared tables
+    assert [field.name for field in fields(system)] == ["m", "h", "gram_rows", "paired", "quadratic"]
 
 
 def test_isotropy_algebra_of_another_metric_is_checked_like_a_bare_space(heis3):

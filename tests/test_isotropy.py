@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import ENTRY, combination, heisenberg, sheared, sparse_rows
+from conftest import ENTRY, combination, heisenberg, rescaled, sheared, sparse_rows
 from gonil.catalog import EXAMPLE_NAMES, build_example, euclidean_abelian, paper_isotropy_operator
 from gonil.double_ext import ExtensionData, extend2, reduce
 from gonil import isotropy
@@ -20,7 +20,7 @@ from gonil.isotropy import (
 )
 from gonil.lie import abelian, bracket_subspaces, lower_central_series, transporter
 from gonil.cli import main
-from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries, _sparse_rows
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, _commutator_entries
 from gonil.metric import SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
 from oracles import ad_by_table, adh_invariant_by_dense_products, commutator_closed_by_dense_products
@@ -122,10 +122,18 @@ def test_invariance_calculus(paper, paper_iso):
         assert is_adh_invariant(m, transporter(alg, v1, v2), paper_iso)
 
 
+SCALES = (Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(-5, 4), Fraction(1), Fraction(6, 5))
+
+
 def test_adh_invariance_matches_dense_product_oracle():
+    # the catalog, and each entry again in a rescaled basis, whose isotropy span
+    # has den > 1, and in a sheared one, whose Gram matrix is not diagonal
     catalog = {name: build_example(name).algebra for name in EXAMPLE_NAMES}
+    for name, m in list(catalog.items()):
+        catalog[f"{name}/rescaled"] = rescaled(m, [SCALES[i % len(SCALES)] for i in range(m.dim)])
+        catalog[f"{name}/sheared"] = sheared(m)
     isotropy = {name: isotropy_algebra(m) for name, m in catalog.items()}
-    outcomes = set()
+    outcomes, scaled = set(), set()
 
     @seed(20261019)
     @settings(max_examples=150, deadline=None, database=None)
@@ -144,11 +152,15 @@ def test_adh_invariance_matches_dense_product_oracle():
             v = data.draw(st.sampled_from(lower_central_series(m.algebra)))
         expected = adh_invariant_by_dense_products(v, h)
         assert is_adh_invariant(m, v, h) == expected
-        outcomes.add(("annihilator" if 2 * v.dim > n else "space", expected))
+        side = "annihilator" if 2 * v.dim > n else "space"
+        outcomes.add((side, expected))
+        if h.span.den != 1:
+            scaled.add(side)
 
     check()
-    # each side of the check: V itself, or its annihilator when dim V > n/2
+    # each side of the check: V itself, or its annihilator when dim V > n/2; both at a span den > 1 too
     assert outcomes == {(side, verdict) for side in ("space", "annihilator") for verdict in (True, False)}
+    assert scaled == {"space", "annihilator"}
 
 
 def test_isotropy_of_de5_matches_hand_count(de5):
@@ -344,15 +356,14 @@ NONZERO = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integer
 
 @pytest.mark.parametrize("name", sorted(STORED_ONCE_CASES))
 def test_entries_and_dense_basis_are_read_off_the_one_span(name):
-    # The int entries by nonempty row and the dense basis against the dense
-    # operators' nonempty _sparse_rows, times the span's one common denominator,
+    # The (row, column, int) triples and the dense basis against the dense
+    # operators' nonzero entries, times the span's one common denominator,
     # and vectorization; any spanning family gives the same space.
     h = isotropy_algebra(STORED_ONCE_CASES[name])
     n, den = h.ambient_dim, h.span.den
-    by_row = [{r: [(c, den * v) for c, v in row] for r, row in enumerate(_sparse_rows(op.rows)) if row} for op in h.basis]
-    assert h._cleared == by_row
-    assert all(row for op in h._cleared for row in op.values())  # no empty row is kept
-    assert all(type(v) is int for op in h._cleared for row in op.values() for _, v in row)
+    nonzero = [[(r, c, den * v) for r, row in enumerate(op.rows) for c, v in enumerate(row) if v] for op in h.basis]
+    assert h._triples == tuple(map(tuple, nonzero))
+    assert all(type(v) is int and v for op in h._triples for *_, v in op)  # ints, and no zero entry is kept
     assert tuple(op.vectorize() for op in h.basis) == h.span.basis.rows
 
     @seed(20261019)

@@ -241,7 +241,7 @@ def test_subspace_readers_use_the_rows_a_subspace_keeps(paper, paper_iso, monkey
     # annihilator of W that transporter reads: none re-reads a matrix.
     m, alg = paper.algebra, paper.algebra.algebra
     v, w = m.nprime(), m.v_complement()
-    paper_iso._cleared  # the operators' int entries, split once per space
+    paper_iso._triples  # the operators' int entries, split once per space
     calls, real = [], linalg._sparse_rows
 
     def counted(rows):
