@@ -207,7 +207,7 @@ COMMANDS = {
     ]),
     "go-at": (cmd_go_at, "certificate at one tangent vector", [
         ALGEBRA,
-        ("--vector", dict(required=True, help='comma-separated rationals, e.g. "1,0,-2/3"')),
+        ("--vector", dict(required=True, help='comma-separated rationals; --vector=-1,0,2/3 keeps a leading minus')),
     ]),
     "linear-go": (cmd_linear_go, "solve for a linear certificate", [ALGEBRA]),
     "reduce": (cmd_reduce, "double-extension quotient of a degenerate algebra", [

@@ -5,32 +5,24 @@ entries, canonical in reduced echelon form and held in ints at one scale:
 equality is equality of bases, and membership and coordinates are read at
 the pivots; the dense basis is built only when read.  One view of the
 entries is derived from it, each operator's (row, column, int) triples, and
-the closure, invariance and certificate checks all read that: the closure
-check forms a commutator only where one operator's columns meet the other's
-rows, and the invariance check tests V or, when dim V > n/2, its annihilator
-under the transposes, one loop over the triples either way.
+the invariance and certificate checks read that: the invariance check tests
+V or, when dim V > n/2, its annihilator under the transposes, one loop over
+the triples either way.
 The derivation and skew identities are keyed sparse rows over the entries of
 D: the kernels solve them, and the defect checks sum them over an operator's
-int entries.  The rows cutting out
-the isotropy algebra, and their index, are kept on the metric algebra.
+int entries.  The rows cutting out the isotropy algebra, and their index, are
+kept on the metric algebra; its kernel is certified by the defect check of its
+own basis and by the rank mod p of the rows that became pivots.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
 from gonil.lie import LieAlgebra, _check_ambient
-from gonil.linalg import (
-    DimensionMismatch,
-    Matrix,
-    Subspace,
-    _commutator_entries,
-    _row_space,
-    _to_ints,
-)
+from gonil.linalg import _PRIMES, DimensionMismatch, Matrix, Subspace, _rank_mod, _row_space, _to_ints
 from gonil.metric import MetricLieAlgebra, SymForm, _indexed, _skew_rows
 
 
@@ -74,27 +66,6 @@ class OperatorSpace:
         if op.nrows != self.ambient_dim or op.ncols != self.ambient_dim:
             raise DimensionMismatch("operator size differs from the algebra's dimension")
         return self.span.coordinates(op.vectorize())
-
-    def verify_commutator_closed(self) -> None:
-        """Raise ValueError unless the commutator of any two basis operators lies in the span.
-
-        D_i D_j is zero unless a column of D_i is a nonempty row of D_j, so [D_i, D_j] is formed
-        only when the columns of one operator meet the rows of the other; every other commutator
-        is exactly zero.  Each is formed over the operators' triples, grouped here by nonempty row, and
-        tested at the span's pivots, so a pair costs its nonzero entries, not n row slots.
-        """
-        n, ops = self.ambient_dim, [{} for _ in range(self.dim)]  # each operator as {row: [(column, int), ...]}
-        with_row, with_col = defaultdict(set), defaultdict(set)  # k -> the operators with a nonempty row k, a column k
-        for i, (op, triples) in enumerate(zip(ops, self._triples)):
-            for r, c, v in triples:
-                op.setdefault(r, []).append((c, v))
-                with_row[r].add(i)
-                with_col[c].add(i)
-        for i, a in enumerate(ops):
-            meets = [with_row[c] for entries in a.values() for c, _ in entries] + [with_col[r] for r in a]
-            for j in set().union(*meets):
-                if j > i and not self.span._contains_entries(_commutator_entries(a, ops[j], n)):
-                    raise ValueError("operator space is not closed under commutators")
 
 
 def derivation_space(alg: LieAlgebra) -> OperatorSpace:
@@ -147,13 +118,18 @@ def _solution_space(n: int, keyed_rows) -> OperatorSpace:
 def isotropy_algebra(m: MetricLieAlgebra) -> OperatorSpace:
     """Skew-symmetric derivations of (n, <.,.>): the isotropy algebra.
 
-    One kernel of the derivation and skew rows together, so the basis is
-    canonical; the commutator closure is re-verified on construction.  The
-    rows are the ones m keeps.
+    One kernel of the derivation and skew rows m keeps, so the basis is canonical, then two exact checks that it is
+    the whole kernel, either failure internal.  Soundness: every basis operator solves every row.  Completeness: the
+    rows that became pivots (m keeps no empty row, so ``origins`` indexes them all) have rank n^2 - dim h mod one of
+    ``_PRIMES``, tried in turn, and a rank mod p is at most the rank over Q, so the kernel is no larger than h.
     """
     skew, derivation = m._isotropy_rows
-    space = _solution_space(m.dim, chain(derivation, skew))
-    space.verify_commutator_closed()
+    rows, origins, size = [row for _, row in chain(derivation, skew)], {}, m.dim * m.dim
+    space = OperatorSpace(m.dim, Subspace._kernel(size, map(dict.items, rows), origins))
+    if any(map(any, _isotropy_defects(m, space.span.entries))):  # a defect is a failed row's key, never empty
+        raise AssertionError("internal: an isotropy basis operator fails a defining row")
+    if not any(_rank_mod([rows[i] for i in origins.values()], p) == size - space.dim for p in _PRIMES):
+        raise AssertionError("internal: the isotropy rows' rank mod p is below n^2 - dim h")
     return space
 
 

@@ -249,25 +249,27 @@ def _commutator_entries(a: dict, b: dict, n: int) -> dict[int, int | Fraction]:
     return {key: v for key, v in acc.items() if v}
 
 
-def _forward(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+def _forward(rows: Iterable[dict[int, int]], origins: dict[int, int] | None = None) -> dict[int, dict[int, int]]:
     """Row insertion of {column: nonzero int} rows, consumed: {pivot: its row}, an echelon form of them.
 
-    While a row's first column is a pivot, it becomes ``p*row - f*pivot_row``;
-    otherwise that column is a new pivot, its row primitive, positive there.
+    While a row's first column is a pivot, it becomes ``p*row - f*pivot_row``; otherwise that column is a new
+    pivot, its row primitive, positive there, and ``origins``, when given, maps it to the row's place in the input.
     """
     table: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for i, row in enumerate(rows):
         while row:
             pc = min(row)
             prow = table.get(pc)
             if prow is None:
                 table[pc] = _primitive(row, pc)
+                if origins is not None:
+                    origins[pc] = i
                 break
             _subtract(row, prow, pc)
     return table
 
 
-def _eliminate(values: _IntRows, columns: _IntRows) -> tuple[_IntRows, list[int], _IntRows]:
+def _eliminate(values: _IntRows, columns: _IntRows, origins: dict | None = None) -> tuple[_IntRows, list, _IntRows]:
     """Integer Gauss-Jordan: ``_forward``, then back-reduction; returns (values, pivots, columns) of the pivot rows.
 
     Row i is its nonzero integers ``values[i]`` at the columns ``columns[i]``,
@@ -277,9 +279,9 @@ def _eliminate(values: _IntRows, columns: _IntRows) -> tuple[_IntRows, list[int]
     the pivots in descending order clears every other pivot column.  The
     reduced echelon form is unique, so the pivots come out increasing whatever
     the row order, and each row primitive, its columns increasing from its
-    pivot, whose entry is positive.
+    pivot, whose entry is positive.  ``origins`` is passed to ``_forward``.
     """
-    table = _forward(map(dict, map(zip, columns, values)))
+    table = _forward(map(dict, map(zip, columns, values)), origins)
     pivots = sorted(table)
     for pc in reversed(pivots):
         row = table[pc]
@@ -314,29 +316,29 @@ def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
     return {j: a // g for j, a in row.items()} if g != 1 else row
 
 
-def _echelon(rows: Iterable, ncols: int, flip: bool = False) -> tuple[_IntRows, list[int], _IntRows]:
+def _echelon(rows: Iterable, ncols: int, flip: bool = False, origins: dict | None = None) -> tuple[_IntRows, ...]:
     """``_eliminate`` of rows of (column, nonzero int) pairs at distinct columns, never mutated; column j is read as
     ncols - 1 - j under ``flip``.  A column outside 0..ncols-1 raises DimensionMismatch, never wraps or drops."""
-    split = [tuple(zip(*row)) for row in rows if row]  # per row, its (columns, values)
+    split = [tuple(zip(*row)) for row in rows if row]  # per nonempty row, its (columns, values)
     columns = [[ncols - 1 - j for j in cols] for cols, _ in split] if flip else [cols for cols, _ in split]
-    values, pivots, columns = _eliminate([vals for _, vals in split], columns)
+    values, pivots, columns = _eliminate([vals for _, vals in split], columns, origins)
     # A column any row uses is nonzero in some reduced row, and a reduced row's pivot is its least column.
     if pivots and (pivots[0] < 0 or max(cols[-1] for cols in columns) >= ncols):
         raise DimensionMismatch(f"row column outside 0..{ncols - 1}")
     return values, pivots, columns
 
 
-def _kernel_of_rows(rows: Iterable[Iterable[tuple[int, int]]], ncols: int) -> tuple[int, tuple[tuple, ...]]:
+def _kernel_of_rows(rows: Iterable, ncols: int, origins: dict | None = None) -> tuple[int, tuple[tuple, ...]]:
     """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}, as a Subspace stores it.
 
-    Each row is a {column: nonzero int} dict's items.  They are eliminated with
-    their columns reversed, so each pivot sits at a row's last nonzero entry.
-    The vector with 1 at a free column c and -a / p at the pivot of each row with
-    p there and a at c vanishes at every other free column: the basis is read
-    off as is, times L, the lcm of the reduced denominators p / gcd(a, p).
+    Each row is a {column: nonzero int} dict's items.  They are eliminated with their columns reversed, so each
+    pivot sits at a row's last nonzero entry; ``origins`` is ``_forward``'s over the nonempty rows, its pivots
+    reversed.  The vector with 1 at a free column c and -a / p at the pivot of each row with p there and a at c
+    vanishes at every other free column: the basis is read off as is, times L, the lcm of the reduced denominators
+    p / gcd(a, p).
     """
     last = ncols - 1
-    values, pivots, columns = _echelon(rows, ncols, flip=True)
+    values, pivots, columns = _echelon(rows, ncols, True, origins)
     den = math.lcm(*(vals[0] // math.gcd(a, vals[0]) for vals in values for a in vals[1:]))
     kernel = {c: [(c, den)] for c in sorted(set(range(ncols)).difference(last - pc for pc in pivots))}
     for vals, cols in zip(reversed(values), reversed(columns)):  # the original pivot columns ascend
@@ -374,6 +376,27 @@ def _solve_rows(rows: Iterable[dict[int, int]], ncols: int) -> Vec | None:
             x[pc] = f = Fraction(num, den * row[pc])  # a positive denominator: the row is primitive
             solved[pc] = f.numerator, f.denominator
     return tuple(x)
+
+
+_PRIMES = (1073741789, 1073741783, 1073741741)  # the three largest primes below 2^30
+
+
+def _rank_mod(rows: Iterable[dict[int, int]], p: int) -> int:
+    """The rank mod the prime p of {column: int} rows, never mutated: each row enters at its last column, as in
+    ``_kernel_of_rows``, and a pivot row is inverted at its pivot only when it reduces another row."""
+    table: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: a % p for c, a in row.items() if a % p}
+        while row and (prow := table.get(pc := max(row))) is not None:
+            f = (p - row[pc]) * pow(prow[pc], -1, p) % p
+            for c, b in prow.items():  # f * b is nonzero mod p, so only an entry of row can cancel
+                if a := (row.get(c, 0) + f * b) % p:
+                    row[c] = a
+                else:
+                    del row[c]
+        if row:
+            table[pc] = row
+    return len(table)
 
 
 class RRef(NamedTuple):
@@ -553,9 +576,9 @@ class Subspace:
         return cls._kernel(ambient_dim, _to_ints(rows)[1])
 
     @classmethod
-    def _kernel(cls, ambient_dim: int, rows: Iterable[Iterable[tuple[int, int]]]) -> Subspace:
-        """``solving`` for the int rows ``_kernel_of_rows`` takes, which is looked up when called."""
-        return cls(ambient_dim, *_kernel_of_rows(rows, ambient_dim))
+    def _kernel(cls, ambient_dim: int, rows: Iterable, origins: dict | None = None) -> Subspace:
+        """``solving`` for the int rows and ``origins`` that ``_kernel_of_rows`` takes, looked up when called."""
+        return cls(ambient_dim, *_kernel_of_rows(rows, ambient_dim, origins))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> Subspace:

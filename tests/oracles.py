@@ -647,11 +647,16 @@ def _with_table_read_once(alg):
 
 
 def bracket_by_table(alg, x, y):
-    """[x, y] = sum over table entries (i, j), i < j, of (x_i y_j - x_j y_i) [e_i, e_j]."""
+    """[x, y] = sum over table entries (i, j), i < j, of (x_i y_j - x_j y_i) [e_i, e_j].
+
+    An entry is skipped, before any product is formed, when x_i y_j and x_j y_i are both zero, read off the
+    supports of x and y; the sum over the other entries is the same.
+    """
     x, y = to_vec(x), to_vec(y)
+    xs, ys = {i for i, a in enumerate(x) if a}, {i for i, a in enumerate(y) if a}
     out = [Fraction(0)] * alg.dim
     for (i, j), targets in alg.table.items():
-        if c := x[i] * y[j] - x[j] * y[i]:
+        if ((i in xs and j in ys) or (j in xs and i in ys)) and (c := x[i] * y[j] - x[j] * y[i]):
             for k, v in targets.items():
                 out[k] += c * v
     return tuple(out)

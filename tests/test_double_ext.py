@@ -612,12 +612,12 @@ def test_kept_derivation_rows_survive_every_reader():
 def test_every_row_into_elimination_is_nonzero_ints_at_distinct_columns(monkeypatch):
     real, calls = linalg._echelon, []
 
-    def checked(rows, ncols, flip=False):
+    def checked(rows, ncols, *options):
         rows = [tuple(row) for row in rows]
         for row in rows:
             assert all(type(v) is int and v for _, v in row) and len({j for j, _ in row}) == len(row), row
         calls.append(len(rows))
-        return real(rows, ncols, flip)
+        return real(rows, ncols, *options)
 
     monkeypatch.setattr(linalg, "_echelon", checked)
     for name in EXAMPLE_NAMES:  # catalog invariants: n', v, center, signature; then h, the radical, lower central series

@@ -27,7 +27,7 @@ import gonil.isotropy as isotropy
 import gonil.linalg as linalg
 from conftest import heisenberg, rescaled, sheared
 from gonil.catalog import build_example
-from oracles import eliminate_dense
+from oracles import eliminate_dense, naive_rref
 
 BIG = 2**64
 ENTRY = st.one_of(
@@ -82,7 +82,7 @@ def eliminate_rows(rows):
 def called_sparse(core):
     """A dense core such as ``eliminate_dense``, called and answering as ``_eliminate``; width = last column + 1."""
 
-    def eliminate(values, columns):
+    def eliminate(values, columns, origins=None):
         rows, pivots = core(_dense(values, columns, 1 + max((j for cols in columns for j in cols), default=-1)))
         values, columns = _sparse(rows[: len(pivots)])
         return values, pivots, columns
@@ -137,6 +137,25 @@ def test_eliminate_matches_the_dense_core():
     }
 
 
+def test_rank_mod_each_prime_matches_the_rref_oracle():
+    # The integer systems above, sparse, against the rank of naive_rref over Q; the rows are read, never changed.
+    outcomes = set()
+
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(rows=integer_systems())
+    def check(rows):
+        rank = len(naive_rref(linalg.Matrix(rows, ncols=len(rows[0]) if rows else 0))[1])
+        sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+        kept = [dict(row) for row in sparse]
+        assert [linalg._rank_mod(sparse, p) for p in linalg._PRIMES] == [rank] * len(linalg._PRIMES)
+        assert sparse == kept
+        outcomes.add("full rank" if rank == len(rows) else "rank deficient")
+
+    check()
+    assert outcomes == {"full rank", "rank deficient"}
+
+
 def _captured_calls(monkeypatch, module, name, run, copy=list):
     """Run, recording the (rows, ncols) of every call of module.name, each row copied by ``copy``.
 
@@ -145,10 +164,10 @@ def _captured_calls(monkeypatch, module, name, run, copy=list):
     calls = []
     real = getattr(module, name)
 
-    def record(rows, ncols):
+    def record(rows, ncols, *origins):
         rows = [copy(row) for row in rows]
         calls.append((rows, ncols))
-        return real([copy(row) for row in rows], ncols)
+        return real([copy(row) for row in rows], ncols, *origins)
 
     monkeypatch.setattr(module, name, record)
     run()

@@ -1,6 +1,7 @@
 """The internal identity checks fire on corrupted results, also under ``python -O``."""
 
 import ast
+import math
 import os
 import random
 import subprocess
@@ -11,11 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from gonil import go_engine
+from gonil import go_engine, isotropy, linalg
+from gonil.catalog import build_example
+from gonil.cli import main
 from gonil.go_engine import first_null_vector, go_certificate_at, linear_go_certificate, polarized_defects
-from gonil.isotropy import isotropy_algebra
-from gonil.linalg import Matrix
-from oracles import polarized_defects_by_pairing, random_rational_matrix
+from gonil.isotropy import OperatorSpace, isotropy_algebra
+from gonil.linalg import Matrix, Subspace, _row_space
+from oracles import commutator_closed_by_dense_products, polarized_defects_by_pairing, random_rational_matrix
 
 SRC = Path(go_engine.__file__).parent
 
@@ -180,3 +183,134 @@ def test_polarized_defects_match_pairing_oracle_on_perturbed_witnesses(paper):
     defects = polarized_defects(m, ops)
     assert defects
     assert defects == polarized_defects_by_pairing(m, ops)
+
+
+# Every command that builds the isotropy algebra h; each exits 0 on de7_lorentz.
+BUILDS_H = [
+    ["isotropy", "catalog:de7_lorentz"],
+    ["go", "catalog:de7_lorentz", "--samples", "5", "--seed", "1"],
+    ["go-at", "catalog:de7_lorentz", "--vector", "1,2,3,4,5,6,7"],
+    ["linear-go", "catalog:de7_lorentz"],
+    ["reduce", "catalog:de7_lorentz"],
+]
+UNSOUND = "internal: an isotropy basis operator fails a defining row"
+INCOMPLETE = "internal: the isotropy rows' rank mod p is below n^2 - dim h"
+
+
+def _drops_a_pivot_row(forward):
+    """``_forward``, except that the isotropy kernel's elimination, the one call asking where its pivots came
+    from, loses one pivot row: the kernel comes out too big."""
+
+    def mutant(rows, origins=None):
+        table = forward(rows, origins)
+        if origins is not None:
+            del table[min(table)]
+        return table
+
+    return mutant
+
+
+def _changes_the_kernel(change):
+    """A ``_kernel_of_rows`` mutant: the isotropy kernel's basis rows, as (column, int) pairs, go through
+    change(rows, n) and come back as the canonical span of the result."""
+
+    def make(kernel):
+        def mutant(rows, ncols, origins=None):
+            den, basis = kernel(rows, ncols, origins)
+            return (den, basis) if origins is None else _row_space(change(basis, math.isqrt(ncols)), ncols)
+
+        return mutant
+
+    return make
+
+
+def _plus_identity(basis, n):
+    # The identity is a derivation of no nonzero algebra and skew for no nonzero form.
+    return [*basis, [(i * n + i, 1) for i in range(n)]]
+
+
+MUTANTS = {
+    "drops a pivot row": ("_forward", _drops_a_pivot_row, UNSOUND),
+    "gains a non-solution": ("_kernel_of_rows", _changes_the_kernel(_plus_identity), UNSOUND),
+    "loses a basis vector": ("_kernel_of_rows", _changes_the_kernel(lambda basis, n: basis[1:]), INCOMPLETE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_a_faulty_isotropy_kernel_exits_three_through_every_command(name, monkeypatch, capsys):
+    target, make, message = MUTANTS[name]
+    for argv in BUILDS_H:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    monkeypatch.setattr(linalg, target, make(getattr(linalg, target)))
+    for argv in BUILDS_H:
+        assert main(argv) == 3, argv
+        assert capsys.readouterr() == (f"ERROR: {message}\n", ""), argv
+
+
+def test_only_completeness_catches_a_closed_kernel_that_lost_a_vector(monkeypatch):
+    # Without its first basis operator de7_lorentz's h is still a subalgebra, so a commutator closure
+    # check passes it; every operator left still solves every row, so only the rank check fires.
+    m = build_example("de7_lorentz").algebra
+    h = isotropy_algebra(m)
+    lost = OperatorSpace(m.dim, Subspace(m.dim**2, *_row_space(h.span.entries[1:], m.dim**2)))
+    assert lost.dim == h.dim - 1 and commutator_closed_by_dense_products(lost)
+    assert not any(map(any, isotropy._isotropy_defects(m, lost.span.entries)))
+    target, make, message = MUTANTS["loses a basis vector"]
+    monkeypatch.setattr(linalg, target, make(getattr(linalg, target)))
+    with pytest.raises(AssertionError) as exc:
+        isotropy_algebra(m)
+    assert str(exc.value) == message
+
+
+def test_an_unlucky_prime_is_retried_on_the_next(monkeypatch):
+    # Every isotropy row times the first prime: the same kernel, but rank 0 modulo that prime.  The
+    # completeness check moves to the second prime and passes there.
+    p, q = linalg._PRIMES[:2]
+    h = isotropy_algebra(build_example("paper_2_3").algebra)
+    m = build_example("paper_2_3").algebra
+    scaled = tuple([(key, {j: p * a for j, a in row.items()}) for key, row in rows] for rows in m._isotropy_rows)
+    m.__dict__["_isotropy_rows"] = scaled  # the cached rows, replaced before h or the row index is built
+    ranks, rank_mod = [], isotropy._rank_mod
+
+    def recorded(rows, prime):
+        ranks.append((prime, rank_mod(rows, prime)))
+        return ranks[-1][1]
+
+    monkeypatch.setattr(isotropy, "_rank_mod", recorded)
+    assert isotropy_algebra(m) == h
+    assert ranks == [(p, 0), (q, 144 - h.dim)]
+
+
+_UNDER_O_KERNEL = """
+import math
+
+from gonil import linalg
+from gonil.catalog import build_example
+from gonil.isotropy import isotropy_algebra
+
+assert False, "assert statements must be stripped under -O"
+
+m, kernel = build_example("de7_lorentz").algebra, linalg._kernel_of_rows
+for label, change in (("soundness", lambda basis, n: [*basis, [(i * n + i, 1) for i in range(n)]]),
+                      ("completeness", lambda basis, n: basis[1:])):
+    def mutant(rows, ncols, origins=None, change=change):
+        den, basis = kernel(rows, ncols, origins)
+        return (den, basis) if origins is None else linalg._row_space(change(basis, math.isqrt(ncols)), ncols)
+
+    linalg._kernel_of_rows = mutant
+    try:
+        isotropy_algebra(m)
+    except AssertionError as exc:
+        print(label + ":", exc)
+"""
+
+
+def test_isotropy_kernel_checks_fire_under_python_O():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O_KERNEL], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"soundness: {UNSOUND}", f"completeness: {INCOMPLETE}"]

@@ -23,6 +23,7 @@ print("\\n".join(spans.install(spans.Recorder())))
 KNOWN_MISSING = [
     "gonil.isotropy.OperatorSpace.combine",
     "gonil.isotropy.OperatorSpace.intersect",
+    "gonil.isotropy.OperatorSpace.verify_commutator_closed",
     "gonil.isotropy.is_derivation",
     "gonil.lie.LieAlgebra.ad",
     "gonil.lie.engel_flag",
