@@ -9,8 +9,9 @@ Elimination is fraction-free integer Gauss-Jordan over nonzero entries only,
 so its cost follows the nonzero entries, not the system's width: rows enter
 as {column: nonzero int} and its primitive reduced rows are what a Subspace
 stores, scaled by L, the lcm of their pivot entries (or, for a kernel, of
-their reduced denominators).  The reduced echelon form is unique, so every
-stored form is canonical across runs, platforms and row orders.  A solve
+their reduced denominators), once the columns that one-entry rows force to
+zero are stripped.  The reduced echelon form is unique, so every stored form
+is canonical across runs, platforms and row orders.  A solve
 stops at the echelon form and back-substitutes, which gives the same
 canonical solution (free unknowns zero) without clearing any column.
 ``_times``, M^T w over M's sparse rows, is the package's one sparse vector
@@ -316,13 +317,43 @@ def _primitive(row: dict[int, int], pc: int) -> dict[int, int]:
     return {j: a // g for j, a in row.items()} if g != 1 else row
 
 
+def _presolve(values: _IntRows, columns: _IntRows, origins: dict | None = None) -> tuple[list, ...]:
+    """(forced columns, and the input places, values over their gcd and columns of the rows left with two or more
+    entries) of ``_eliminate``'s rows, never mutated: a one-entry row forces its column to zero, deleted from every
+    other row until no new one-entry row appears.  ``origins``, when given, maps each forced column to its row."""
+    columns, values = list(columns), list(values)  # a stripped row is replaced, never changed
+    forced, kept = {}, [i for i, cols in enumerate(columns) if len(cols) > 1]
+    new = {cols[0]: i for i, cols in enumerate(columns) if len(cols) == 1}  # of equal such rows, the last forces
+    while new:  # each round deletes the columns the last one forced
+        forced.update(new)
+        strip, new = new.keys(), {}
+        for i in [i for i in kept if not strip.isdisjoint(columns[i])]:
+            cols, vals = columns[i], values[i]
+            columns[i] = [c for c in cols if c not in strip]
+            values[i] = [a for c, a in zip(cols, vals) if c not in strip]
+            if len(columns[i]) == 1:
+                new[columns[i][0]] = i
+    kept = [i for i in kept if len(columns[i]) > 1]
+    if origins is not None:
+        origins.update(forced)
+    primitive = [vals if (g := math.gcd(*(vals := values[i]))) == 1 else [a // g for a in vals] for i in kept]
+    return list(forced), kept, primitive, [columns[i] for i in kept]
+
+
 def _echelon(rows: Iterable, ncols: int, flip: bool = False, origins: dict | None = None) -> tuple[_IntRows, ...]:
-    """``_eliminate`` of rows of (column, nonzero int) pairs at distinct columns, never mutated; column j is read as
-    ncols - 1 - j under ``flip``.  A column outside 0..ncols-1 raises DimensionMismatch, never wraps or drops."""
+    """``_eliminate`` of rows of (column, nonzero int) pairs at distinct columns, never mutated, column j read as
+    ncols - 1 - j under ``flip``, after ``_presolve``: each forced column's reduced row e_c is merged back in pivot
+    order, and ``origins`` maps each pivot to the nonempty input row that forced or became it.  A column outside
+    0..ncols-1 raises DimensionMismatch, never wraps or drops."""
     split = [tuple(zip(*row)) for row in rows if row]  # per nonempty row, its (columns, values)
     columns = [[ncols - 1 - j for j in cols] for cols, _ in split] if flip else [cols for cols, _ in split]
-    values, pivots, columns = _eliminate([vals for _, vals in split], columns, origins)
-    # A column any row uses is nonzero in some reduced row, and a reduced row's pivot is its least column.
+    forced, places, values, columns = _presolve([vals for _, vals in split], columns, origins)
+    values, pivots, columns = _eliminate(values, columns, origins)
+    if origins is not None:  # _forward's places count the rows the presolve left
+        origins.update({pc: places[origins[pc]] for pc in pivots})
+    merged = sorted([*zip(pivots, values, columns), *((c, [1], [c]) for c in forced)])  # e_c at each forced column c
+    pivots, values, columns = ([row[k] for row in merged] for k in range(3))
+    # A column any row uses is forced or nonzero in some reduced row, and a reduced row's pivot is its least column.
     if pivots and (pivots[0] < 0 or max(cols[-1] for cols in columns) >= ncols):
         raise DimensionMismatch(f"row column outside 0..{ncols - 1}")
     return values, pivots, columns
@@ -332,10 +363,9 @@ def _kernel_of_rows(rows: Iterable, ncols: int, origins: dict | None = None) -> 
     """Canonical reduced-echelon basis of {x : sum v x_j = 0 over each row's pairs (j, v)}, as a Subspace stores it.
 
     Each row is a {column: nonzero int} dict's items.  They are eliminated with their columns reversed, so each
-    pivot sits at a row's last nonzero entry; ``origins`` is ``_forward``'s over the nonempty rows, its pivots
-    reversed.  The vector with 1 at a free column c and -a / p at the pivot of each row with p there and a at c
-    vanishes at every other free column: the basis is read off as is, times L, the lcm of the reduced denominators
-    p / gcd(a, p).
+    pivot sits at a row's last nonzero entry; ``origins`` is ``_echelon``'s, its pivots reversed.  The vector with 1
+    at a free column c and -a / p at the pivot of each row with p there and a at c vanishes at every other free
+    column: the basis is read off as is, times L, the lcm of the reduced denominators p / gcd(a, p).
     """
     last = ncols - 1
     values, pivots, columns = _echelon(rows, ncols, True, origins)

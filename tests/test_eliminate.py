@@ -12,13 +12,16 @@ nonzero values and their columns; the dense oracle takes whole rows.  A small
 adapter here converts between the two, so both are compared on dense rows.
 Solves do not run the back-reduction: ``_solve_rows`` back-substitutes over
 the inserted rows, and is compared with the solution read off the oracle's
-reduced rows.
+reduced rows.  Kernels and row spaces first strip the columns that one-entry
+rows force to zero (``linalg._presolve``); systems planted with such rows
+check that step against both oracles.
 """
 
 import math
 import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -27,7 +30,7 @@ import gonil.isotropy as isotropy
 import gonil.linalg as linalg
 from conftest import heisenberg, rescaled, sheared
 from gonil.catalog import build_example
-from oracles import eliminate_dense, naive_rref
+from oracles import eliminate_dense, kernel_by_naive_rref, naive_rref
 
 BIG = 2**64
 ENTRY = st.one_of(
@@ -154,6 +157,69 @@ def test_rank_mod_each_prime_matches_the_rref_oracle():
 
     check()
     assert outcomes == {"full rank", "rank deficient"}
+
+
+@st.composite
+def presolve_systems(draw):
+    """(rows of (column, nonzero int) pairs, ncols, the planted kinds): one-entry rows and duplicates of them, a
+    cascade chain {a, b}, {b, c}, ..., {z} that forces each of its columns in turn, rows on forced columns only, which
+    stripping empties, and other rows, some sharing a factor; shuffled, an empty row sometimes among them."""
+    ncols = draw(st.integers(1, 8))
+    column, value = st.integers(0, ncols - 1), st.one_of(st.integers(1, 4), st.integers(-4, -1), st.just(BIG + 1))
+    singles = [{c: draw(value)} for c in draw(st.lists(column, max_size=3))]
+    copied = draw(st.lists(st.sampled_from(singles), max_size=2)) if singles else []
+    duplicates = [{c: draw(value)} for row in copied for c in row]
+    chain = draw(st.lists(column, unique=True, max_size=5))
+    cascade = [{a: draw(value), b: draw(value)} for a, b in zip(chain, chain[1:])]
+    cascade += [{c: draw(value)} for c in chain[-1:]]
+    forced = sorted({c for row in singles + cascade for c in row})
+    emptied = [{c: draw(value) for c in draw(st.lists(st.sampled_from(forced), min_size=2, max_size=3, unique=True))}
+               for _ in range(draw(st.integers(0, 2)) if len(forced) > 1 else 0)]
+    others = [{c: k * draw(value) for c in draw(st.lists(column, unique=True, min_size=2, max_size=ncols))}
+              for k in draw(st.lists(st.sampled_from([1, 1, 6, -10]), max_size=4))] if ncols > 1 else []
+    rows = singles + duplicates + cascade + emptied + others + draw(st.sampled_from([[], [{}]]))
+    kinds = {"duplicate" if duplicates else None, "cascade" if len(chain) > 2 else None, "emptied" if emptied else None}
+    return [list(rows[i].items()) for i in draw(st.permutations(range(len(rows))))], ncols, kinds - {None}
+
+
+def test_presolved_kernels_and_row_spaces_match_the_oracles():
+    outcomes = set()
+
+    @seed(20261021)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(system=presolve_systems())
+    def check(system):
+        rows, ncols, kinds = system
+        dense = [[dict(row).get(j, 0) for j in range(ncols)] for row in rows]
+        for flip in (False, True):
+            values, pivots, columns = linalg._echelon(rows, ncols, flip)
+            expected, expected_pivots = eliminate_dense([row[::-1] if flip else list(row) for row in dense])
+            assert pivots == expected_pivots
+            for vals, cols, oracle, pc in zip(values, columns, expected, pivots):
+                g = math.gcd(*oracle) * (1 if oracle[pc] > 0 else -1)  # the oracle's row, primitive and positive at pc
+                assert dict(zip(cols, vals)) == {j: a // g for j, a in enumerate(oracle) if a}
+        matrix = linalg.Matrix(dense, ncols=ncols)
+        assert linalg.Subspace(ncols, *linalg._row_space(rows, ncols)).basis == naive_rref(matrix)[0]
+        origins = {}
+        kernel = linalg.Subspace(ncols, *linalg._kernel_of_rows(rows, ncols, origins))
+        assert kernel.basis == kernel_by_naive_rref(matrix)
+        # The rows origins names are distinct nonempty input rows, as many as the pivots and of that rank over Q.
+        nonempty = [row for row in dense if any(row)]
+        named = sorted(origins.values())
+        assert len(set(named)) == len(named) == ncols - kernel.dim
+        assert len(naive_rref(linalg.Matrix([nonempty[i] for i in named], ncols=ncols))[1]) == len(named)
+        for bad in (-1, ncols):  # a one-entry row outside the system is refused, never forced
+            for read in (linalg._kernel_of_rows, linalg._row_space):
+                with pytest.raises(linalg.DimensionMismatch):
+                    read([*rows, [(bad, 1)]], ncols)
+        split = [tuple(zip(*row)) for row in rows if row]  # per nonempty row, its (columns, values)
+        forced = linalg._presolve([vals for _, vals in split], [cols for cols, _ in split])[0]
+        outcomes.update(kinds, ["forced" if forced else "nothing forced"])
+        if len(forced) == ncols:
+            outcomes.add("every column forced")
+
+    check()
+    assert outcomes == {"duplicate", "cascade", "emptied", "forced", "nothing forced", "every column forced"}
 
 
 def _captured_calls(monkeypatch, module, name, run, copy=list):

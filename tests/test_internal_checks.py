@@ -229,10 +229,40 @@ def _plus_identity(basis, n):
     return [*basis, [(i * n + i, 1) for i in range(n)]]
 
 
+def _forces_a_column_of_h(presolve):
+    """``_presolve``, except that the isotropy kernel's also forces a column where a basis operator of
+    de7_lorentz's true h is nonzero, deleting it from the rows it keeps: the kernel comes out too small."""
+    m = build_example("de7_lorentz").algebra
+    column = m.dim**2 - 1 - isotropy_algebra(m).span.pivots[0]  # the kernel reads its columns reversed
+
+    def mutant(values, columns, origins=None):
+        forced, places, values, columns = presolve(values, columns, origins)
+        if origins is None:
+            return forced, places, values, columns
+        rows = [[(j, a) for j, a in zip(cols, vals) if j != column] for cols, vals in zip(columns, values)]
+        return [*forced, column], places, [[a for _, a in row] for row in rows], [[j for j, _ in row] for row in rows]
+
+    return mutant
+
+
+def _drops_a_kept_row(presolve):
+    """``_presolve``, except that the isotropy kernel's loses its last row left with two or more entries
+    (de7_lorentz's first two are equal, so losing one of those changes nothing): the kernel comes out too big."""
+
+    def mutant(values, columns, origins=None):
+        forced, places, values, columns = presolve(values, columns, origins)
+        kept = slice(None) if origins is None else slice(-1)
+        return forced, places[kept], values[kept], columns[kept]
+
+    return mutant
+
+
 MUTANTS = {
     "drops a pivot row": ("_forward", _drops_a_pivot_row, UNSOUND),
     "gains a non-solution": ("_kernel_of_rows", _changes_the_kernel(_plus_identity), UNSOUND),
     "loses a basis vector": ("_kernel_of_rows", _changes_the_kernel(lambda basis, n: basis[1:]), INCOMPLETE),
+    "presolve forces a column of h": ("_presolve", _forces_a_column_of_h, INCOMPLETE),
+    "presolve drops a kept row": ("_presolve", _drops_a_kept_row, UNSOUND),
 }
 
 
