@@ -16,6 +16,7 @@ to inspect broken candidate tables)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
@@ -48,10 +49,8 @@ class LieAlgebra:
     the table's least common denominator; ``_ad`` is its antisymmetric view,
     built once here: ``_ad[i]`` is {j: L [e_i, e_j]} over the j with a nonzero
     bracket only, sharing the ``_table`` dicts.  The rational ``table`` is built
-    when read.  ``_kept_rows`` holds the derivation rows once listed; no comparison reads it.
+    when read.  ``_derivation_rows`` is listed when first read and kept; no comparison reads it.
     """
-
-    __slots__ = ("dim", "_table", "_ad", "_den", "_kept_rows")
 
     def __init__(self, dim: int, brackets: BracketTable, validate: bool = True):
         if dim < 0:
@@ -64,7 +63,7 @@ class LieAlgebra:
                 if not 0 <= k < dim:
                     raise DimensionMismatch(f"bracket target {k} out of range for dim {dim}")
             table[(i, j)] = [(k, Fraction(c)) for k, c in targets.items()]
-        self.dim, self._kept_rows = dim, None
+        self.dim = dim
         self._den, rows = _to_ints(table.values())
         self._table = {key: dict(row) for key, row in zip(table, rows) if row}
         self._ad = ad = [{} for _ in range(dim)]  # ad[i][j] = L [e_i, e_j] as {k: int coefficient}, if nonzero
@@ -79,11 +78,9 @@ class LieAlgebra:
     def table(self) -> dict[tuple[int, int], dict[int, Fraction]]:
         return {key: dict(_to_fractions(self._den, targets.items())) for key, targets in self._table.items()}
 
-    @property
-    def _derivation_rows(self) -> list[tuple[tuple[int, int, int], dict[int, int]]]:  # listed once, never mutated
-        if self._kept_rows is None:
-            self._kept_rows = list(derivation_rows(self))
-        return self._kept_rows
+    @cached_property
+    def _derivation_rows(self) -> list[tuple[tuple[int, int, int], dict[int, int]]]:  # never mutated
+        return list(derivation_rows(self))
 
     def _bracket_sum(self, xs, ys) -> dict:
         """L sum x_i y_j [e_i, e_j] over the (index, value) pairs xs of x and ys of y, as {index: value}, undivided."""

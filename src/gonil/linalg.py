@@ -237,19 +237,6 @@ def _to_fractions(den: int, entries: Iterable[tuple]) -> tuple[tuple, ...]:
     return tuple((*x[:-1], Fraction(x[-1], den)) for x in entries)
 
 
-def _commutator_entries(a: dict, b: dict, n: int) -> dict[int, int | Fraction]:
-    """AB - BA of n-by-n matrices by their rows {row: (column, nonzero value) pairs}, a missing row zero, as
-    {row-major index: value}: a pair costs its nonzero entries.  Sums start from int 0, so int operators give ints."""
-    acc = {}
-    for left, right, negate in ((a, b, False), (b, a, True)):
-        for i, row in left.items():
-            for k, x in row:
-                x = -x if negate else x
-                for j, y in right.get(k, ()):
-                    acc[i * n + j] = acc.get(i * n + j, 0) + x * y
-    return {key: v for key, v in acc.items() if v}
-
-
 def _forward(rows: Iterable[dict[int, int]], origins: dict[int, int] | None = None) -> dict[int, dict[int, int]]:
     """Row insertion of {column: nonzero int} rows, consumed: {pivot: its row}, an echelon form of them.
 

@@ -142,7 +142,7 @@ class MetricLieAlgebra:
 
     @cached_property
     def _isotropy_index(self) -> list:
-        """Both row sets _indexed, on the first defect check, not when the isotropy algebra is solved."""
+        """Both row sets _indexed, on the first defect check: isotropy_algebra's own, right after its kernel."""
         return [_indexed(rows) for rows in self._isotropy_rows]
 
     @cached_property

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Sequence
 
 from gonil.isotropy import OperatorSpace, skew_defects
-from gonil.linalg import Matrix, _commutator_entries, _sparse_rows, basis_vec
+from gonil.linalg import Matrix, _sparse_rows, basis_vec
 from gonil.metric import SymForm
 
 
@@ -157,8 +157,15 @@ def maximal_abelian_family(
 
 
 def _verify_abelian(gens: Sequence[Matrix]) -> None:
-    ops = [dict(enumerate(_sparse_rows(g.rows))) for g in gens]
+    """Every AB - BA is zero, summed at (i, j) over the nonzero products A[i,k] B[k,j] of the sparse rows only."""
+    ops = [_sparse_rows(g.rows) for g in gens]
     for i, a in enumerate(ops):
         for b in ops[i + 1 :]:
-            if _commutator_entries(a, b, gens[i].nrows):
+            acc = {}
+            for left, right, sign in ((a, b, 1), (b, a, -1)):
+                for r, row in enumerate(left):
+                    for k, x in row:
+                        for j, y in right[k]:
+                            acc[r, j] = acc.get((r, j), 0) + sign * x * y
+            if any(acc.values()):
                 raise NormalFormError("family is not abelian")

@@ -17,13 +17,7 @@ from gonil.go_engine import (
 )
 from gonil import linalg
 from gonil.isotropy import OperatorSpace, isotropy_algebra
-from gonil.linalg import Matrix, to_vec, vec_add, vec_scale
-
-
-def basis_vec(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
+from gonil.linalg import Matrix, basis_vec, to_vec, vec_add, vec_scale
 
 
 def witness_at(h, cert, t):

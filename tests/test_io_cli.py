@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from gonil import cli
 from gonil import io as gonil_io
 from gonil.catalog import build_example, de5_data
+from gonil.double_ext import ExtensionDataError, extend2
 from gonil.io import (
     MAX_DIM,
     MAX_FILE_BYTES,
@@ -29,6 +31,7 @@ from gonil.cli import MAX_BOUND, MAX_NORMAL_FORM_M, MAX_SAMPLES, main
 from gonil.go_engine import GOEngineError, go_certificate_at, go_random_audit
 from gonil.isotropy import isotropy_algebra
 from gonil.lie import EngelError
+from gonil.linalg import Matrix
 
 
 @pytest.fixture
@@ -498,6 +501,25 @@ def _de5_extension_args(tmp_path):
     save_algebra(tmp_path / "base.json", base)
     (tmp_path / "data.json").write_text(json.dumps(extension_data_to_dict(data)))
     return [str(tmp_path / "base.json"), "--data", str(tmp_path / "data.json")]
+
+
+def test_extension_data_refusals_print_their_message_in_one_error_line(tmp_path, capsys):
+    # Each breaks de5's data in one place; validate refuses it before any bracket is built.
+    base, data = de5_data()
+    valid = ["extend", *_de5_extension_args(tmp_path)]
+    out, broken_path = tmp_path / "extended.json", tmp_path / "broken.json"
+    for message, broken in (
+        ("omega is not antisymmetric", replace(data, omega=Matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]))),
+        ("derivation is not nilpotent", replace(data, derivation=Matrix.identity(3))),
+    ):
+        with pytest.raises(ExtensionDataError, match=f"^{message}$"):
+            extend2(base, broken)
+        broken_path.write_text(json.dumps(extension_data_to_dict(broken)))
+        assert main([*valid[:3], str(broken_path), "--output", str(out)]) == 2
+        assert capsys.readouterr() == (f"ERROR: {message}\n", "")
+        assert not out.exists()
+    assert main([*valid, "--output", str(out)]) == 0
+    assert "EXTENDED_DIM: 5" in capsys.readouterr().out.splitlines() and out.exists()
 
 
 @pytest.mark.parametrize(

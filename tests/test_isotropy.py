@@ -19,16 +19,10 @@ from gonil.isotropy import (
 )
 from gonil.lie import abelian, bracket_subspaces, lower_central_series, transporter
 from gonil.cli import main
-from gonil.linalg import DimensionMismatch, Matrix, Subspace
+from gonil.linalg import DimensionMismatch, Matrix, Subspace, basis_vec
 from gonil.metric import SymForm, orth_complement
 from gonil.normal_forms import _verify_abelian, maximal_abelian_family
 from oracles import ad_by_table, adh_invariant_by_dense_products, commutator_closed_by_dense_products
-
-
-def basis_vec(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
 
 
 def test_derivations_of_abelian_are_everything():

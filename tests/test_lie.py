@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from gonil.lie import (
@@ -17,13 +15,7 @@ from gonil.lie import (
     nilpotency_step,
     transporter,
 )
-from gonil.linalg import DimensionMismatch, Subspace
-
-
-def basis_vec(n, i):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(1)
-    return tuple(v)
+from gonil.linalg import DimensionMismatch, Subspace, basis_vec
 
 
 def test_jacobi_abelian_empty():
