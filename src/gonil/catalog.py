@@ -50,6 +50,7 @@ class NamedExample:
     algebra: MetricLieAlgebra
     expected: Mapping[str, Expected] = field(default_factory=dict)
     witness_operators: tuple[Matrix, ...] | None = None
+    basis_names: tuple[str, ...] | None = None  # written into the example's file
 
     @cached_property
     def _cleared_witnesses(self) -> tuple[int, tuple]:  # once per example, as ``isotropy._int_operators`` clears
@@ -166,7 +167,7 @@ def _build_paper():
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
     witnesses = tuple(paper_isotropy_operator(basis_vec(12, b)) for b in range(12))
-    return m, expected, witnesses
+    return m, expected, witnesses, PAPER_BASIS_NAMES
 
 
 def _build_abelian():
@@ -179,7 +180,7 @@ def _build_abelian():
         "center_dim": Expected(4, "stated"),
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
-    return m, expected, None
+    return m, expected, None, None
 
 
 def _build_heis3():
@@ -193,7 +194,7 @@ def _build_heis3():
         "center_dim": Expected(1, "derived"),
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
-    return m, expected, None
+    return m, expected, None, None
 
 
 def _build_filiform4():
@@ -207,7 +208,7 @@ def _build_filiform4():
         "center_dim": Expected(1, "derived"),
         "degeneracy": Expected(DegeneracyTag.NONDEGENERATE.value, "stated"),
     }
-    return m, expected, None
+    return m, expected, None, None
 
 
 def _build_de5():
@@ -222,7 +223,7 @@ def _build_de5():
         "center_dim": Expected(2, "derived"),
         "degeneracy": Expected(DegeneracyTag.DEG1_SEMIDEFINITE.value, "derived"),
     }
-    return m, expected, None
+    return m, expected, None, None
 
 
 def _build_de7():
@@ -237,7 +238,7 @@ def _build_de7():
         "center_dim": Expected(4, "derived"),
         "degeneracy": Expected(DegeneracyTag.DEG1_SEMIDEFINITE.value, "derived"),
     }
-    return m, expected, None
+    return m, expected, None, None
 
 
 _BUILDERS = {
@@ -269,8 +270,8 @@ def build_example(name: str) -> NamedExample:
     """Construct a named example and re-verify every pinned invariant."""
     if name not in _BUILDERS:
         raise CatalogError(f"unknown example {name!r}; known: {', '.join(EXAMPLE_NAMES)}")
-    m, expected, witnesses = _BUILDERS[name]()
-    example = NamedExample(name, m, expected, witnesses)
+    m, expected, witnesses, names = _BUILDERS[name]()
+    example = NamedExample(name, m, expected, witnesses, names)
     for key, exp in expected.items():
         if key not in INVARIANTS:
             raise CatalogError(f"unknown invariant {key!r}")

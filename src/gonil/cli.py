@@ -29,7 +29,6 @@ from gonil.catalog import (
     EXAMPLE_NAMES,
     INVARIANTS,
     CatalogError,
-    PAPER_BASIS_NAMES,
     build_example,
     verify_paper_example,
 )
@@ -157,8 +156,7 @@ def cmd_extend(args):
 
 def cmd_catalog(args):
     example = build_example(args.name)
-    names = PAPER_BASIS_NAMES if args.name == "paper_2_3" else None
-    wrote = _save(args.output or f"{args.name}.json", example.algebra, names)
+    wrote = _save(args.output or f"{args.name}.json", example.algebra, example.basis_names)
     return [f"NAME: {example.name}", f"DIM: {example.algebra.dim}", *wrote], EXIT_OK
 
 

@@ -23,7 +23,6 @@ from gonil.linalg import (
     SignatureTriple,
     Subspace,
     Vec,
-    _ZERO,
     _to_fractions,
     fmt_vec,
     solve_particular,
@@ -226,7 +225,6 @@ class QuotientResult:
     """The reduced metric Lie algebra plus the data that produced it."""
 
     m0: MetricLieAlgebra
-    projection: Matrix  # m1-basis coordinates -> complement coordinates
     complement_rows: Matrix  # the complement basis, in ambient coordinates
     witness: ReductionWitness
 
@@ -244,34 +242,25 @@ def reduce(m: MetricLieAlgebra, h: OperatorSpace | None = None) -> QuotientResul
     eg, m1 = witness.eg, witness.m1
     comp = eg.complement_within(m1)  # flags (i), (iii) and (iv) passed; m0's check refuses a degenerate form
     form = restrict_form(m, comp)
-
-    def comp_coords(rest: dict[int, int], den: int) -> dict[int, Fraction]:  # rest / den's nonzero comp coordinates
-        # eg._contains_entries leaves eg.den rest less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
-        eg._contains_entries(rest)
-        coords = [(t, c) for t, p in enumerate(comp.pivots) if (c := rest.get(p))]
-        if not m1._contains_entries(rest):
-            raise AssertionError("internal: vector outside m1")
-        return dict(_to_fractions(den * eg.den, coords))
-
     # The brackets of comp's stored rows, comp.den times its basis, in ints: each is L comp.den^2 times the bracket.
-    rows, scale = comp.entries, m.algebra._den * comp.den * comp.den
+    # eg._contains_entries leaves eg.den times it less eg's part, read at eg's pivots: m1 pivots where comp vanishes.
+    rows, scale = comp.entries, m.algebra._den * comp.den * comp.den * eg.den
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, x in enumerate(rows):
         for j in range(i + 1, len(rows)):
-            if entry := comp_coords(m.algebra._bracket_sum(x, rows[j]), scale):
-                brackets[(i, j)] = entry
+            eg._contains_entries(rest := m.algebra._bracket_sum(x, rows[j]))
+            if coords := [(t, c) for t, p in enumerate(comp.pivots) if (c := rest.get(p))]:
+                brackets[(i, j)] = dict(_to_fractions(scale, coords))
+            if not m1._contains_entries(rest):
+                raise AssertionError("internal: vector outside m1")
     m0 = MetricLieAlgebra.checked(LieAlgebra(comp.dim, brackets), form)
 
     d, sig, sig0 = eg.dim, m.form.signature(), form.signature()
     if sig0 != (sig.p - d, sig.q - d, 0):
-        raise ReductionError(
-            f"internal accounting failure: expected signature "
-            f"({sig.p - d},{sig.q - d},0), got {tuple(sig0)}",
-            witness,
+        raise AssertionError(
+            f"internal: accounting failure: expected signature ({sig.p - d},{sig.q - d},0), got {tuple(sig0)}"
         )
-    columns = [comp_coords(dict(row), m1.den) for row in m1.entries]
-    projection = Matrix([[c.get(t, _ZERO) for c in columns] for t in range(comp.dim)], ncols=m1.dim)
-    return QuotientResult(m0, projection, comp.basis, witness)
+    return QuotientResult(m0, comp.basis, witness)
 
 
 class ExtensionDataError(ValueError):
@@ -306,7 +295,7 @@ class ExtensionData:
         d, phi, omega = self.derivation, self.phi, self.omega
         if d.nrows != k or d.ncols != k or omega.nrows != k or omega.ncols != k or len(phi) != k:
             raise ExtensionDataError("extension data sizes do not match the base algebra")
-        if (omega.transpose() + omega) != Matrix.zeros(k, k):
+        if not (omega.transpose() + omega).is_zero():
             raise ExtensionDataError("omega is not antisymmetric")
         if not d.is_nilpotent():
             raise ExtensionDataError("derivation is not nilpotent")

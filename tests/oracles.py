@@ -461,11 +461,11 @@ def contains_by_elimination(space, vec) -> bool:
 
 
 def quotient_by_transposed_solve(m, result):
-    """Projection and bracket table of a reduction, each complement coordinate solved for.
+    """Bracket table of a reduction, each complement coordinate solved for.
 
-    Every vector of m1 is solved against the transposed complement-plus-eg
-    basis, one ``solve_particular`` per vector, and the eg coordinates are
-    dropped.
+    Every bracket of two complement rows is solved against the transposed
+    complement-plus-eg basis, one ``solve_particular`` per vector, and the eg
+    coordinates are dropped.
     """
     comp, eg = result.complement_rows, result.witness.eg
     k = comp.nrows
@@ -480,7 +480,7 @@ def quotient_by_transposed_solve(m, result):
 
 
 def quotient_by_dense_pivot_coordinates(m, result):
-    """Projection and bracket table of a reduction, each vector's eg part removed densely.
+    """Bracket table of a reduction, each bracket's eg part removed densely.
 
     eg's part, read at eg's pivots, is subtracted as a dense Matrix-vector
     product; the rest's m1 coordinates are read by the dense
@@ -500,8 +500,8 @@ def quotient_by_dense_pivot_coordinates(m, result):
 
 
 def _quotient_by(m, result, comp_coords):
-    """The projection of m1 and the quotient's bracket table, read through comp_coords."""
-    comp, m1 = result.complement_rows, result.witness.m1
+    """The quotient's bracket table, read through comp_coords."""
+    comp = result.complement_rows
     k = comp.nrows
     table = {}
     for i in range(k):
@@ -509,7 +509,7 @@ def _quotient_by(m, result, comp_coords):
             coords = comp_coords(m.algebra.bracket(comp.row(i), comp.row(j)))
             if any(coords):
                 table[(i, j)] = {t: c for t, c in enumerate(coords) if c}
-    return Matrix(zip(*[comp_coords(row) for row in m1.basis.rows]), ncols=m1.dim), table
+    return table
 
 
 def pair_by_dense_product(form, x, y) -> Fraction:

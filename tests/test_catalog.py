@@ -141,10 +141,10 @@ def test_catalog_mismatch_detected(monkeypatch):
     original = cat._BUILDERS["heis3"]
 
     def broken():
-        m, expected, witnesses = original()
+        m, expected, witnesses, names = original()
         bad = dict(expected)
         bad["step"] = cat.Expected(7, "stated")
-        return m, bad, witnesses
+        return m, bad, witnesses, names
 
     monkeypatch.setitem(cat._BUILDERS, "heis3", broken)
     with pytest.raises(CatalogError, match="pinned"):

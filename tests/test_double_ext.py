@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import engel_witness_algebra, random_nilpotent_table, sheared, sheared_gram
+from conftest import engel_witness_algebra, random_nilpotent_table, rescaled, sheared, sheared_gram
 from gonil import double_ext
 from gonil.catalog import EXAMPLE_NAMES, build_example, de5_data, de7_lorentz_data, euclidean_abelian
 from gonil.cli import main
@@ -39,7 +39,7 @@ from gonil.lie import (
 )
 from gonil import linalg
 from gonil.isotropy import OperatorSpace, derivation_defects, derivation_space, isotropy_algebra
-from gonil.linalg import Matrix, Subspace, _diagonalize, basis_vec, symmetric_signature, to_vec
+from gonil.linalg import Matrix, Subspace, _diagonalize, basis_vec, solve_particular, symmetric_signature, to_vec
 from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, restrict_form
 from oracles import (
     ad_by_table,
@@ -184,10 +184,10 @@ def test_reduce_rejects_eg_zero_path(paper):
         reduce(paper.algebra)
 
 
-def test_reduce_projection_shape(de5):
+def test_reduce_complement_rows_shape(de5):
     result = reduce(de5)
-    assert result.projection.nrows == result.m0.dim
-    assert result.projection.ncols == result.witness.m1.dim
+    assert result.complement_rows.nrows == result.m0.dim
+    assert result.complement_rows.ncols == de5.dim
 
 
 def test_other_case_rejected_with_scope_message():
@@ -478,7 +478,7 @@ def test_round_trip_on_lorentz_chain():
     assert result.m0 == base
 
 
-def test_projection_and_quotient_brackets_match_transposed_solve(de5, de7, heis3):
+def test_quotient_brackets_match_transposed_solve(de5, de7, heis3):
     engel = engel_witness_algebra()
     _, chain = lorentz_chain()
     over_heis3 = extend2(heis3, ExtensionData(Matrix.zeros(3, 3), to_vec([1, 2, 0]), Matrix.zeros(3, 3)))
@@ -486,9 +486,7 @@ def test_projection_and_quotient_brackets_match_transposed_solve(de5, de7, heis3
     # With f_i = e_i + e_(i-1) the central eg is no coordinate line, so its part must be removed.
     for m in cases + [sheared(m, shift=-1) for m in cases]:
         result = reduce(m)
-        projection, table = quotient_by_transposed_solve(m, result)
-        assert result.projection == projection
-        assert result.m0.algebra.table == table
+        assert result.m0.algebra.table == quotient_by_transposed_solve(m, result)
 
 
 def ladder_rungs(seed_value=11):
@@ -508,11 +506,30 @@ def test_quotient_coordinates_match_the_dense_pivot_reading(de5, de7):
     cases += [(label, extend2(base, data)) for label, base, data in ladder_rungs()]
     assert {label.split("-")[0] for label, _ in cases} == {"de5", "de7_lorentz", "deg1", "engel"}
     # Sheared, the central eg is no coordinate line: its part is nonzero at pivots of the complement.
-    for label, m in cases + [(f"{label} sheared", sheared(m, shift=-1)) for label, m in cases]:
+    cases += [(f"{label} sheared", sheared(m, shift=-1)) for label, m in cases]
+    # Rescaled as well, eg's reduced row has denominators (eg.den = 60), which the quotient's scale carries.
+    scales = [Fraction(1, 2), Fraction(2, 3), 3, Fraction(-5, 4), 1, Fraction(6, 5), 2]
+    cases.append(("engel-d7 sheared, rescaled", rescaled(dict(cases)["engel-d7 sheared"], scales)))
+    for label, m in cases:
         result = reduce(m)
-        projection, table = quotient_by_dense_pivot_coordinates(m, result)
-        assert result.projection == projection, label
-        assert result.m0.algebra.table == table, label
+        assert result.m0.algebra.table == quotient_by_dense_pivot_coordinates(m, result), label
+    assert result.witness.eg.den == 60 and result.m0.algebra.table
+
+
+def test_the_removed_projection_is_one_solve_per_m1_row(de5, de7):
+    """README's replacement for ``QuotientResult.projection``: each m1 row solved on the complement-plus-eg rows."""
+    for label, m in (("de5", de5), ("de7_lorentz sheared", sheared(de7, shift=-1))):
+        result = reduce(m)
+        comp, eg, m1 = result.complement_rows, result.witness.eg, result.witness.m1
+        solver = Matrix([*comp.rows, *eg.basis.rows], ncols=m.dim).transpose()
+        mixed = 0
+        for row in m1.basis.rows:  # each column times the complement rows is its m1 row modulo eg
+            column = solve_particular(solver, row)[: result.m0.dim]
+            rest = tuple(a - b for a, b in zip(row, comp.transpose() @ column))
+            assert eg.contains_vector(rest), label
+            mixed += any(column) and any(rest)
+        # Sheared, eg is no coordinate line: an m1 row has a part in the complement and one in eg.
+        assert (mixed > 0) == label.endswith("sheared"), label
 
 
 def test_reduce_restricts_the_form_on_the_complement_subspace_it_reads(monkeypatch):
@@ -546,6 +563,16 @@ def test_a_quotient_bracket_outside_m1_trips_the_membership_check(monkeypatch, d
     monkeypatch.setattr(LieAlgebra, "_bracket_sum", lambda self, xs, ys: dict(bracket))
     with pytest.raises(AssertionError, match="internal: vector outside m1"):
         reduce(de5)
+
+
+def test_a_quotient_signature_off_the_accounting_is_an_internal_fault(monkeypatch, capsys, tmp_path):
+    """The signature accounting is an internal check: ``gonil reduce`` exits 3 with one ``ERROR: internal:`` line."""
+    monkeypatch.setattr(double_ext, "restrict_form", lambda m, v: SymForm(Matrix.identity(v.dim)))
+    out_path = tmp_path / "q.json"
+    assert main(["reduce", "catalog:de7_lorentz", "--output", str(out_path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "ERROR: internal: accounting failure: expected signature (4,1,0), got (5, 0, 0)\n"
+    assert err == "" and not out_path.exists()
 
 
 @pytest.mark.parametrize("label", ["de7_lorentz", "engel-d10"])

@@ -589,6 +589,14 @@ def test_readme_cli_examples_name_every_command():
     assert [name for name in cli.COMMANDS if name not in named] == []
 
 
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)  # its asserts are the example's checks
+    assert namespace["quotient"].m0.dim == 3 and namespace["report"].verdict == "CONSISTENT"
+
+
 @pytest.mark.parametrize(
     "args",
     [["check", "catalog:heis3"], ["go", "catalog:heis3", "--seed", "1"], ["--help"], ["check", "catalog:nope"]],

@@ -54,6 +54,7 @@ UNREFERENCED_BUT_KEPT = {
     "radical": "SymForm.radical, the whole-space case of radical_of_restriction",
     "scale": "Matrix.scale, which README's removed names give as the replacement for combine",
     "solving": "Subspace.solving, the public entry for rational (column, value) rows (README); the package builds int rows",
+    "zeros": "Matrix.zeros, the start of README's combine sum, which the benchmark's extension data also uses",
 }
 
 
