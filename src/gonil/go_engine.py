@@ -496,7 +496,6 @@ class NecessaryConditionReport:
 
     skipped: bool
     notice: str
-    nprime_basis: Matrix
     violations: tuple[tuple[int, int, int, Fraction], ...]
 
     @property
@@ -521,10 +520,7 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
     """
     nprime = m.nprime()
     if m._nprime_form.signature().r != 0:
-        return NecessaryConditionReport(
-            True, "form restricted to n' is degenerate; identities do not apply",
-            nprime.basis, ()
-        )
+        return NecessaryConditionReport(True, "form restricted to n' is degenerate; identities do not apply", ())
     # Dots over n''s stored rows x'_i = L' x_i and m's lowered tensor at scale S: each is S L'^2 <[e_a, x_i], x_j>.
     (scale, low), den, xs = m._lowered, nprime.den, nprime.entries
     ys = [dict(x) for x in xs]
@@ -535,4 +531,4 @@ def necessary_condition_check(m: MetricLieAlgebra) -> NecessaryConditionReport:
         dots = [[sum([v * y[b] for b, v in image.items() if b in y]) for y in ys] for image in images]
         pairs = ((i, j) for i in range(len(xs)) for j in range(i, len(xs)))
         violations += [(a, i, j, d) for i, j in pairs if (d := dots[i][j] + dots[j][i])]
-    return NecessaryConditionReport(False, "", nprime.basis, _to_fractions(scale * den * den, violations))
+    return NecessaryConditionReport(False, "", _to_fractions(scale * den * den, violations))

@@ -9,7 +9,8 @@ x_i y_j L [e_i, e_j] over nonzero x_i, y_j and stored brackets, the
 transporter and the derivation rows walk the nonzero ad(e_i), and the Jacobi
 check sums each stored bracket against the nonzero ad of its targets.  The
 derivation rows are listed once per algebra, when first read, and kept for
-the derivation space and defects and the isotropy rows.  The Jacobi identity
+the derivation space and defects and the isotropy rows, and the lower central
+series likewise, for n', nilpotency and the step.  The Jacobi identity
 is validated on construction unless the caller explicitly opts out (needed
 to inspect broken candidate tables)."""
 
@@ -49,7 +50,7 @@ class LieAlgebra:
     the table's least common denominator; ``_ad`` is its antisymmetric view,
     built once here: ``_ad[i]`` is {j: L [e_i, e_j]} over the j with a nonzero
     bracket only, sharing the ``_table`` dicts.  The rational ``table`` is built
-    when read.  ``_derivation_rows`` is listed when first read and kept; no comparison reads it.
+    when read.  ``_derivation_rows`` and ``_lower_central_series`` are kept when first read; no comparison reads them.
     """
 
     def __init__(self, dim: int, brackets: BracketTable, validate: bool = True):
@@ -81,6 +82,15 @@ class LieAlgebra:
     @cached_property
     def _derivation_rows(self) -> list[tuple[tuple[int, int, int], dict[int, int]]]:  # never mutated
         return list(derivation_rows(self))
+
+    @cached_property
+    def _lower_central_series(self) -> tuple[Subspace, ...]:
+        """n >= [n,n] >= [n,[n,n]] >= ... down to the stable term; [n,n] is always kept."""
+        full = Subspace.full(self.dim)
+        chain = [full, derived_subalgebra(self)]
+        while chain[-1].dim and (nxt := bracket_subspaces(self, full, chain[-1])) != chain[-1]:
+            chain.append(nxt)
+        return tuple(chain)
 
     def _bracket_sum(self, xs, ys) -> dict:
         """L sum x_i y_j [e_i, e_j] over the (index, value) pairs xs of x and ys of y, as {index: value}, undivided."""
@@ -189,22 +199,13 @@ def derived_subalgebra(alg: LieAlgebra) -> Subspace:
 
 
 def lower_central_series(alg: LieAlgebra) -> list[Subspace]:
-    """Chain n >= [n,n] >= [n,[n,n]] >= ... down to the stable term; [n,n] is always kept."""
-    return _series_from(alg, derived_subalgebra(alg))
-
-
-def _series_from(alg: LieAlgebra, nprime: Subspace) -> list[Subspace]:
-    """lower_central_series, given its term n' = [n,n]."""
-    full = Subspace.full(alg.dim)
-    chain = [full, nprime]
-    while chain[-1].dim and (nxt := bracket_subspaces(alg, full, chain[-1])) != chain[-1]:
-        chain.append(nxt)
-    return chain
+    """Chain n >= [n,n] >= [n,[n,n]] >= ... down to the stable term, a fresh list of the algebra's kept series."""
+    return list(alg._lower_central_series)
 
 
 def nilpotency_step(alg: LieAlgebra) -> int:
     """Smallest s with n^s = 0, counting n^1 = [n,n]; abelian algebras have step 1."""
-    chain = lower_central_series(alg)
+    chain = alg._lower_central_series
     if chain[-1].dim != 0:
         raise NotNilpotentError(
             f"lower central series stabilizes at dimension {chain[-1].dim}"

@@ -5,9 +5,10 @@ summed in ints over the nonzero entries of the cleared Gram matrix
 (``linalg._times``) and of a subspace's stored rows.  The
 Gram matrix stays the stored form at the edge, which diagonalization reads.
 The frozen SymForm and MetricLieAlgebra keep what they fix on first use (the
-cleared Gram matrix and its scale, its diagonalization and signature, n', v
-and the forms restricted to them, the isotropy identity rows and their index,
-the lowered brackets with their scale); no kept value is ever mutated.
+cleared Gram matrix and its scale, its diagonalization and signature, v and
+the forms restricted to n' and v, the isotropy identity rows and their index,
+the lowered brackets with their scale); no kept value is ever mutated.  n' is
+term 1 of the lower central series the algebra keeps.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
 
-from gonil.lie import LieAlgebra, _check_ambient, _series_from, derived_subalgebra
+from gonil.lie import LieAlgebra, _check_ambient
 from gonil.linalg import (
     DimensionMismatch,
     Matrix,
@@ -97,11 +98,11 @@ class MetricLieAlgebra:
 
     @classmethod
     def checked(cls, algebra: LieAlgebra, form: SymForm) -> MetricLieAlgebra:
-        """Construct with full invariant validation (nondegeneracy, nilpotency from the kept n')."""
+        """Construct with full invariant validation (nondegeneracy, nilpotency from the algebra's kept series)."""
         m = cls(algebra, form)
         if not form.is_nondegenerate():
             raise PreconditionError("metric form must be nondegenerate")
-        if _series_from(algebra, m.nprime())[-1].dim:
+        if algebra._lower_central_series[-1].dim:
             raise PreconditionError("algebra must be nilpotent")
         return m
 
@@ -113,23 +114,20 @@ class MetricLieAlgebra:
         return self.form.pair(x, y)
 
     def nprime(self) -> Subspace:
-        return self._nprime
+        """The derived algebra [n, n]: term 1 of the algebra's kept lower central series."""
+        return self.algebra._lower_central_series[1]
 
     def v_complement(self) -> Subspace:
         """The orthogonal complement of the derived algebra."""
         return self._v_complement
 
     @cached_property
-    def _nprime(self) -> Subspace:
-        return derived_subalgebra(self.algebra)
-
-    @cached_property
     def _v_complement(self) -> Subspace:
-        return orth_complement(self, self._nprime)
+        return orth_complement(self, self.nprime())
 
     @cached_property
     def _nprime_form(self) -> SymForm:  # the form restricted to n', which keeps its signature
-        return restrict_form(self, self._nprime)
+        return restrict_form(self, self.nprime())
 
     @cached_property
     def _v_form(self) -> SymForm:

@@ -692,9 +692,7 @@ def necessary_condition_by_dense_images(m):
     """``necessary_condition_check`` as a dense loop: per a, the matrix of <[e_a, e_c], e_b> and dot products."""
     nprime = m.nprime()
     if restrict_form(m, nprime).signature().r != 0:
-        return NecessaryConditionReport(
-            True, "form restricted to n' is degenerate; identities do not apply", nprime.basis, ()
-        )
+        return NecessaryConditionReport(True, "form restricted to n' is degenerate; identities do not apply", ())
     violations = []
     rows = nprime.basis.rows
     low = lowered_brackets(m)
@@ -706,7 +704,7 @@ def necessary_condition_by_dense_images(m):
                 defect = dot(images[i], rows[j]) + dot(images[j], rows[i])
                 if defect != 0:
                     violations.append((a, i, j, defect))
-    return NecessaryConditionReport(False, "", nprime.basis, tuple(violations))
+    return NecessaryConditionReport(False, "", tuple(violations))
 
 
 def congruence_diagonalize_dense(g: Matrix):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gonil import go_engine, linalg, metric
+from gonil import go_engine, lie, linalg, metric
 from gonil.catalog import (
     EXAMPLE_NAMES,
     CatalogError,
@@ -222,13 +222,16 @@ def test_verify_paper_fail_reports_keep_their_bytes(paper, name):
 
 
 def test_a_warm_verify_paper_pass_restricts_and_diagonalizes_no_form(monkeypatch):
-    # The metric algebra keeps its forms restricted to n' and v, as it keeps n',
-    # and the example keeps its cleared witnesses: a second pass, and the
-    # necessary-condition check, restrict and diagonalize nothing again.
+    # The metric algebra keeps its forms restricted to n' and v, the algebra
+    # its lower central series, and the example its cleared witnesses: a
+    # second pass, and the necessary-condition check, restrict and
+    # diagonalize nothing and descend no series again.
     example = build_example("paper_2_3")
     first = verify_paper_example(example).lines()
     calls = Counter()
-    for module, name in ((metric, "restrict_form"), (metric, "_diagonalize"), (linalg, "_diagonalize")):
+    for module, name in (
+        (metric, "restrict_form"), (metric, "_diagonalize"), (linalg, "_diagonalize"), (lie, "derived_subalgebra")
+    ):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.update([name]) or real(*args))
     for_witnesses = example._cleared_witnesses

@@ -97,12 +97,12 @@ def test_derivation_rows_match_the_elementary_operator_oracle():
 
 @pytest.mark.parametrize("name", EXAMPLE_NAMES)
 def test_validation_and_the_jacobi_check_list_no_derivation_rows(name):
-    # The Jacobi sums read the sparse ad, so a fresh algebra keeps no rows until a reader lists them.
+    # The Jacobi sums read the sparse ad, so a fresh algebra keeps no rows, nor its series, until a reader lists them.
     alg = ALGEBRAS[name]
     fresh = LieAlgebra(alg.dim, alg.table, validate=True)
-    assert "_derivation_rows" not in vars(fresh)
+    assert "_derivation_rows" not in vars(fresh) and "_lower_central_series" not in vars(fresh)
     assert jacobi_defect(fresh) == []
-    assert "_derivation_rows" not in vars(fresh)
+    assert "_derivation_rows" not in vars(fresh) and "_lower_central_series" not in vars(fresh)
     broken = LieAlgebra(3, {(0, 1): {0: 1}, (1, 2): {1: 1}}, validate=False)
     assert jacobi_defect(broken) and "_derivation_rows" not in vars(broken)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import engel_witness_algebra, random_nilpotent_table, rescaled, sheared, sheared_gram
 from gonil import double_ext
-from gonil.catalog import EXAMPLE_NAMES, build_example, de5_data, de7_lorentz_data, euclidean_abelian
+from gonil.catalog import EXAMPLE_NAMES, INVARIANTS, build_example, de5_data, de7_lorentz_data, euclidean_abelian
 from gonil.cli import main
 from gonil.double_ext import (
     DegeneracyTag,
@@ -29,6 +29,7 @@ from gonil.io import save_algebra
 from gonil.lie import (
     EngelError,
     LieAlgebra,
+    NotNilpotentError,
     abelian,
     bracket_subspaces,
     derivation_rows,
@@ -40,12 +41,13 @@ from gonil.lie import (
 from gonil import linalg
 from gonil.isotropy import OperatorSpace, derivation_defects, derivation_space, isotropy_algebra
 from gonil.linalg import Matrix, Subspace, _diagonalize, basis_vec, solve_particular, symmetric_signature, to_vec
-from gonil.metric import MetricLieAlgebra, SymForm, orth_complement, restrict_form
+from gonil.metric import MetricLieAlgebra, PreconditionError, SymForm, orth_complement, restrict_form
 from oracles import (
     ad_by_table,
     derivation_defect_by_brackets,
     engel_split_by_flag,
     extension_identity_failure_by_pairing,
+    lower_central_series_by_dense_brackets,
     omega_pair,
     quotient_by_dense_pivot_coordinates,
     quotient_by_transposed_solve,
@@ -634,6 +636,51 @@ def test_kept_derivation_rows_survive_every_reader():
     derivation_defects(alg, [Matrix.identity(alg.dim)])
     assert m._isotropy_rows[1] is alg._derivation_rows
     assert alg._derivation_rows == list(derivation_rows(alg))
+
+
+def test_kept_lower_central_series_survives_every_reader():
+    m = build_example("de7_lorentz").algebra
+    alg = m.algebra
+    kept = alg._lower_central_series
+    MetricLieAlgebra.checked(alg, m.form)
+    lower_central_series(alg)
+    step = nilpotency_step(alg)
+    for _, invariant in INVARIANTS.values():
+        invariant(m)
+    reduce(m)
+    assert alg._lower_central_series is kept and m.nprime() is kept[1]
+    assert list(kept) == lower_central_series_by_dense_brackets(alg)
+    lower_central_series(alg).append(Subspace.zero(alg.dim))  # a fresh list: the kept series is not touched
+    assert lower_central_series(alg) == list(kept) and nilpotency_step(alg) == step
+    solvable = LieAlgebra(2, {(0, 1): {1: 1}})  # [e1, e2] = e2: the series stops at n'
+    with pytest.raises(PreconditionError, match="algebra must be nilpotent"):
+        MetricLieAlgebra.checked(solvable, SymForm(Matrix.identity(2)))
+    with pytest.raises(NotNilpotentError):
+        nilpotency_step(solvable)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper"],
+        ["invariants", "catalog:paper_2_3"],
+        ["go", "catalog:paper_2_3", "--samples", "2", "--seed", "1"],
+        ["reduce", "catalog:de7_lorentz"],
+    ],
+)
+def test_every_command_descends_each_algebras_series_once(monkeypatch, capsys, argv):
+    # n', the nilpotency check, the series and the step all read the series the algebra keeps.
+    descended = []  # every algebra whose series is built, kept alive so that no id is reused
+
+    def counted(alg):
+        descended.append(alg)
+        return derived_subalgebra(alg)
+
+    _rebind_everywhere(monkeypatch, derived_subalgebra, counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    times = Counter(map(id, descended))
+    assert descended and set(times.values()) == {1}, sorted(times.values())
 
 
 def test_every_row_into_elimination_is_nonzero_ints_at_distinct_columns(monkeypatch):

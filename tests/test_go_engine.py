@@ -268,7 +268,7 @@ def test_necessary_conditions_counterexample_triple():
     # n' = span(e2, e3) in canonical order, so (f, e2, e2) is (0, 0, 0);
     # the polarized defect is 2 <[f,e2], e2> = 2
     assert report.violations == ((0, 0, 0, Fraction(2)),)
-    assert report.nprime_basis.row(0) == to_vec([0, 0, 1, 0])
+    assert m.nprime().basis.row(0) == to_vec([0, 0, 1, 0])
 
 
 def test_audit_consistent_implies_necessary_conditions(paper, heis3, abelian4):
