@@ -399,37 +399,47 @@ def linear_go_certificate(m: MetricLieAlgebra, h: OperatorSpace) -> LinearGOCert
 
         <[e_a + A(e_a), e_c], e_b> + <[e_b + A(e_b), e_c], e_a> = 0,
 
-    a single linear system in the dim(h) * n coefficients of the map.
+    a single linear system in the dim(h) * n coefficients of the map.  Only
+    the rows its right-hand side reaches are built: a block (columns joined
+    through shared rows) that it misses is homogeneous, with canonical solution
+    zero, and the reduced echelon form is unique, so the reached rows give the
+    whole system's canonical solution, or None exactly when it has none.
     Feasibility is sufficient for the geodesic-orbit property; infeasibility
     only rules out linear witnesses with k = 0.  The solution is checked on
     the polarized identity in ints, from h's stored int entries, not from the
-    system's tensors.
+    system's tensors, so a row the reach missed can only fail that check.
     """
     system = _CertificateSystem.build(m, h)
     n, nh = m.dim, h.dim
     width = nh * n
-    # Substituting c_j = sum_a L[j][a] T_a and k = 0 into row b of the
-    # per-vector system leaves a quadratic form in T that must vanish: one
-    # sparse row (L[j][a] at j * n + a, right-hand side at width) per T_a T_e, a <= e.
-    # For skew h, row (b, a, a) with b != a is -1 times row (a, min(a, b), max(a, b)): skipped.
-    # The tensors are cleared by one common factor, which scales every row alike.
-    # Entry (e, b) of paired[j] is the one term at column j * n + a of row (b, a, e) or (b, e, a).
-    rows: dict[tuple[int, int, int], dict[int, int]] = {}
-    get = rows.setdefault
-    for j, entries in enumerate(system.paired):
-        col = j * n
-        for e, b, v in entries:
-            for a in range(e):
-                get((b, a, e), {})[col + a] = v
-            for a in range(e if e == b else e + 1, n):
-                get((b, e, a), {})[col + a] = v
+    # Substituting c_j = sum_a L[j][a] T_a and k = 0 into row b of the per-vector system leaves a quadratic
+    # form in T that must vanish: one sparse row (b, a, e) (L[j][a] at j * n + a, right-hand side at width)
+    # per T_a T_e, a <= e.  For skew h, row (b, a, a) with b != a is -1 times row (a, min(a, b), max(a, b)):
+    # skipped.  The tensors are cleared by one common factor, which scales every row alike.
+    rhs: dict[tuple[int, int, int], int] = {}
     for a, b, c, v in system.quadratic:
         if a != c or c == b:
-            row = get((b, a, c) if a <= c else (b, c, a), {})
-            row[width] = row.get(width, 0) - v
-    for row in rows.values():
-        if row.get(width) == 0:  # the two bracket terms cancelled
-            del row[width]
+            key = (b, a, c) if a <= c else (b, c, a)
+            rhs[key] = rhs.get(key, 0) - v
+    # Entry (e, b, v) of paired[j] is the one term at column j * n + a of row (b, min(a, e), max(a, e)).
+    terms: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (e, b) -> [(j, v), ...]
+    for j, entries in enumerate(system.paired):
+        for e, b, v in entries:
+            terms.setdefault((e, b), []).append((j, v))
+    # The reach: from the right-hand side's column to its rows, from each new row to its columns, and on.
+    rows: dict[tuple[int, int, int], dict[int, int]] = {}
+    reached, stack = {width}, [key for key, v in rhs.items() if v]  # the rows whose bracket terms do not cancel
+    while stack:
+        if (key := stack.pop()) in rows:
+            continue
+        b, lo, hi = key
+        rows[key] = row = {width: rhs[key]} if rhs.get(key) else {}
+        row.update((j * n + lo, v) for j, v in terms.get((hi, b), ()))
+        row.update((j * n + hi, v) for j, v in terms.get((lo, b), ()))
+        for col in row.keys() - reached:
+            reached.add(col)
+            j, a = divmod(col, n)
+            stack += [(r, min(a, e), max(a, e)) for e, r, _ in system.paired[j] if e != a or r == a]
     x = _solve_rows(rows.values(), width)
     if x is None:
         return None

@@ -22,8 +22,16 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import heisenberg, necessary_condition_counterexample, rescaled, sheared
-from gonil import linalg
+from conftest import (
+    dense_twin,
+    heisenberg,
+    necessary_condition_counterexample,
+    random_nilpotent_table,
+    rescaled,
+    sheared,
+    sheared_gram,
+)
+from gonil import go_engine, linalg
 from gonil.catalog import EXAMPLE_NAMES, build_example
 from gonil.go_engine import (
     GOCertificate,
@@ -192,6 +200,52 @@ def test_linear_certificate_matches_dense_assembly_in_sheared_basis(spaces, name
     got = _linear_result(m, h)
     assert got is not None
     assert got == linear_certificate_by_dense_assembly(m, h)
+
+
+@st.composite
+def sheared_random_algebras(draw):
+    """A random nilpotent algebra of dim 3-7 with a sheared form that is negative on 0-2 diagonal entries."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(3, 7))
+    diagonal = draw(st.lists(st.sampled_from([1, 2, Fraction(1, 2)]), min_size=n, max_size=n))
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)):
+        diagonal[i] = -diagonal[i]
+    return MetricLieAlgebra(LieAlgebra(n, random_nilpotent_table(rng, n)), SymForm(sheared_gram(rng, diagonal)))
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(m=sheared_random_algebras())
+def test_reached_linear_certificate_matches_dense_assembly_on_random_algebras(m):
+    # The solve reads only the rows the right-hand side reaches; the oracle solves every polarized row densely.
+    # Either both find the same canonical solution, or both return None.
+    h = isotropy_algebra(m)
+    assert _linear_result(m, h) == linear_certificate_by_dense_assembly(m, h)
+
+
+def test_reached_linear_certificate_matches_dense_assembly_on_twins_and_split_h9(spaces):
+    # Each seed-7 dense twin is one block, every row of it reached; H_9 of signature (7, 2) leaves most out.
+    for m in (dense_twin(spaces["de5"][0], 7), dense_twin(spaces["de7_lorentz"][0], 7), heisenberg(4, (7, 8))):
+        h = isotropy_algebra(m)
+        got = _linear_result(m, h)
+        assert got is not None and got == linear_certificate_by_dense_assembly(m, h)
+
+
+def test_linear_certificate_solves_only_the_rows_its_right_hand_side_reaches(spaces, monkeypatch):
+    # paper_2_3, de7_lorentz, and H_41 Euclidean and of signature (39, 2): the whole polarized system has 324,
+    # 70, 32,760 and 31,012 rows.
+    h41s = [(m, isotropy_algebra(m)) for m in (heisenberg(20), heisenberg(20, (39, 40)))]
+    cases = [spaces["paper_2_3"], spaces["de7_lorentz"], *h41s]
+    solve, counts = go_engine._solve_rows, []
+
+    def counting(rows, ncols):
+        rows = list(rows)
+        counts.append(len(rows))
+        return solve(rows, ncols)
+
+    monkeypatch.setattr(go_engine, "_solve_rows", counting)
+    assert all(linear_go_certificate(m, h) is not None for m, h in cases)
+    assert counts == [23, 2, 40, 40]
 
 
 SCALES = (Fraction(1, 2), Fraction(2, 3), Fraction(3), Fraction(-5, 4), Fraction(1), Fraction(6, 5))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import combination, heisenberg, necessary_condition_counterexample
+from conftest import combination, dense_twin, heisenberg, necessary_condition_counterexample
 from gonil.cli import MAX_BOUND
 from gonil.go_engine import (
     GOEngineError,
@@ -222,8 +222,11 @@ def test_linear_certificate_found_on_euclidean_h25():
         assert m.pair(vec_add(m.algebra.bracket(t, eb), a @ eb), t) == 0
 
 
-def test_both_certificate_solves_insert_their_rows_sparsest_first(monkeypatch, paper, paper_iso):
+def test_both_certificate_solves_insert_their_rows_sparsest_first(monkeypatch, paper, paper_iso, de5):
     # The solver orders the rows, whoever built them: a sample's and the linear system's reach _forward sorted.
+    # The linear half runs on de5's seed-7 dense twin: paper_2_3's reached rows all have two entries.
+    twin = dense_twin(de5, 7)
+    twin_iso = isotropy_algebra(twin)
     forward, lengths = linalg._forward, []
 
     def recording(rows):
@@ -233,7 +236,7 @@ def test_both_certificate_solves_insert_their_rows_sparsest_first(monkeypatch, p
 
     monkeypatch.setattr(linalg, "_forward", recording)
     assert go_certificate_at(paper.algebra, paper_iso, range(1, 13)) is not None
-    assert linear_go_certificate(paper.algebra, paper_iso) is not None
+    assert linear_go_certificate(twin, twin_iso) is not None
     assert len(lengths) == 2 and all(len(set(row_lengths)) > 1 for row_lengths in lengths)
     assert all(row_lengths == sorted(row_lengths) for row_lengths in lengths)
 

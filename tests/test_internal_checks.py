@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dense_twin
 from gonil import go_engine, isotropy, linalg
 from gonil.catalog import build_example
 from gonil.cli import main
 from gonil.go_engine import first_null_vector, go_certificate_at, linear_go_certificate, polarized_defects
+from gonil.io import save_algebra
 from gonil.isotropy import OperatorSpace, isotropy_algebra
 from gonil.linalg import Matrix, Subspace, _row_space
 from oracles import commutator_closed_by_dense_products, polarized_defects_by_pairing, random_rational_matrix
@@ -77,6 +79,45 @@ def test_linear_certificate_check_rejects_each_changed_coefficient(de5, monkeypa
         monkeypatch.setattr(go_engine, "_solve_rows", changed)
         with pytest.raises(AssertionError, match="polarized identity"):
             linear_go_certificate(de5, h)
+
+
+def _reach_faults(rows, ncols):
+    """Faulty reaches of one reached system: (fault, the rows it keeps) for each row left out alone, and for
+    each column of the unknowns whose every row is left out."""
+    for i in range(len(rows)):
+        yield "one reached row", rows[:i] + rows[i + 1 :]
+    for c in sorted({c for row in rows for c in row if c != ncols}):
+        yield "every row of one reached column", [row for row in rows if c not in row]
+
+
+def test_a_faulty_reach_ends_in_exit_three_never_in_a_wrong_feasible(tmp_path, monkeypatch, capsys):
+    # The polarized check reads the whole identity, not the rows the reach handed the solve: a faulty reach
+    # either finds the full solve's map, or none (INFEASIBLE), or fails the check (exit 3).  Here each reached
+    # row is implied by the others, so leaving one out finds the same map; losing a column's rows need not.
+    save_algebra(tmp_path / "twin.json", dense_twin(build_example("de5").algebra, 7))
+    solve, outcomes = go_engine._solve_rows, set()
+    for argv in (["linear-go", "catalog:paper_2_3"], ["linear-go", str(tmp_path / "twin.json")]):
+        calls = []
+
+        def recording(rows, ncols):
+            calls.append(([dict(row) for row in rows], ncols))
+            return solve([dict(row) for row in calls[-1][0]], ncols)  # a solve consumes its rows
+
+        monkeypatch.setattr(go_engine, "_solve_rows", recording)
+        assert main(argv) == 0
+        full = capsys.readouterr().out
+        [(reached, ncols)] = calls
+        for fault, kept in _reach_faults(reached, ncols):
+            monkeypatch.setattr(go_engine, "_solve_rows", lambda rows, ncols, kept=kept: solve(map(dict, kept), ncols))
+            code, out = main(argv), capsys.readouterr().out
+            outcomes.add((fault, code))
+            if code == 0:
+                assert out == full, (argv, fault)
+            elif code == 1:
+                assert "RESULT: INFEASIBLE" in out.splitlines(), (argv, fault)
+            else:
+                assert code == 3 and out == "ERROR: internal: linear certificate fails polarized identity\n", argv
+    assert outcomes == {("one reached row", 0), *(("every row of one reached column", code) for code in (0, 3))}
 
 
 _UNDER_O = """
